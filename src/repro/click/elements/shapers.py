@@ -1,6 +1,7 @@
 """Rate limiting, delay and AQM elements."""
 
 import random
+import zlib
 from collections import deque
 from typing import Dict, List, Optional
 
@@ -222,7 +223,7 @@ class RED(Queue):
         self.max_thresh = 50
         self.max_p = 0.02
         self.early_drops = 0
-        self._rng = random.Random(hash(name) & 0xFFFFFFFF)
+        self._rng = random.Random(zlib.crc32(name.encode()))
         self.add_read_handler("early_drops", lambda: self.early_drops)
 
     def configure(self, args: List[str], keywords: Dict[str, str]) -> None:

@@ -1,6 +1,7 @@
 """Fan-out and demultiplexing elements."""
 
 import random
+import zlib
 from typing import Dict, List
 
 from repro.click.element import PUSH, Element
@@ -169,7 +170,7 @@ class RandomSample(Element):
     def __init__(self, name: str, config: str = ""):
         super().__init__(name, config)
         self.probability = 0.5
-        self._rng = random.Random(hash(name) & 0xFFFFFFFF)
+        self._rng = random.Random(zlib.crc32(name.encode()))
         self.sampled = 0
         self.dropped = 0
         self.add_read_handler("sampled", lambda: self.sampled)

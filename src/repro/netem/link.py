@@ -2,11 +2,13 @@
 
 Each direction models: serialization at ``bandwidth`` bits/s, a
 transmit queue bounded by ``max_queue`` packets, fixed propagation
-``delay``, and Bernoulli ``loss``.  The RNG is seeded from the link name
-so packet-loss experiments replay identically.
+``delay``, and Bernoulli ``loss``.  The RNG is seeded from a CRC of the
+link name (not ``hash()``, which is salted per process) so packet-loss
+experiments replay identically in any process.
 """
 
 import random
+import zlib
 from typing import Optional
 
 from repro import telemetry
@@ -60,7 +62,7 @@ class Link:
         # plain list so the dataplane hot path pays one falsy check
         # when no recorder is attached.
         self.taps = []
-        self._rng = random.Random(hash(self.name) & 0xFFFFFFFF)
+        self._rng = random.Random(zlib.crc32(self.name.encode()))
         self._dir1 = _Direction()  # intf1 -> intf2
         self._dir2 = _Direction()  # intf2 -> intf1
         # (direction, target) resolved once per orientation — the

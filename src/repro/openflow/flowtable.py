@@ -62,7 +62,7 @@ class FlowTable:
         self.entries: List[FlowEntry] = []
         self.on_removed = on_removed
         # bumped on every mutation (add/modify/delete/expiry removal);
-        # the switch keys its microflow cache on this
+        # the switch validates its flow cache (and key mask) against this
         self.version = 0
         # earliest simulated time any entry *could* expire; expire()
         # early-exits before this.  Conservative: idle-timeout deadlines
@@ -256,7 +256,7 @@ class GroupEntry:
 class GroupTable:
     """The switch's group table: group_id -> :class:`GroupEntry` with
     OF 1.1 add/modify/delete semantics.  Mutations must invalidate any
-    memoized group resolution — the owning switch flushes its microflow
+    memoized group resolution — the owning switch flushes its flow
     cache after every call that returns normally."""
 
     def __init__(self):

@@ -1,9 +1,10 @@
 """OpenFlow 1.0 12-tuple match with per-field wildcards."""
 
+import struct
 from typing import Optional, Union
 
-from repro.packet import ARP, EthAddr, Ethernet, IPAddr, IPv4, TCP, UDP, Vlan
-from repro.packet.icmp import ICMP
+from repro.packet import EthAddr, Ethernet, IPAddr
+from repro.packet.base import PacketError, checksum
 
 # Fields of the OF 1.0 match, in spec order.
 MATCH_FIELDS = ("in_port", "dl_src", "dl_dst", "dl_vlan", "dl_type",
@@ -11,6 +12,71 @@ MATCH_FIELDS = ("in_port", "dl_src", "dl_dst", "dl_vlan", "dl_type",
                 "tp_src", "tp_dst")
 
 NO_VLAN = 0xFFFF  # OFP_VLAN_NONE
+
+_ETHERNET = struct.Struct("!6s6sH")
+_VLAN = struct.Struct("!HH")
+_IPV4 = struct.Struct("!BBH5xB2xII")  # ver/ihl tos length proto src dst
+_ARP = struct.Struct("!HHBBH6xI6xI")  # types, lengths, opcode, spa, tpa
+_UDP = struct.Struct("!HHH")  # ports, length
+_TCP = struct.Struct("!HH8xH")  # ports, data offset / flags
+_ICMP = struct.Struct("!BB")  # type, code
+
+
+def flow_key(data: bytes) -> tuple:
+    """The OF 1.0 fields of a frame, ``MATCH_FIELDS[1:]`` in order, read
+    in one ``struct`` pass: MACs as 6 raw bytes, addresses as ints.
+
+    This is the single definition of what the datapath can see.  It
+    accepts exactly what the :mod:`repro.packet` classes parse: a layer
+    they would leave as raw bytes (truncated, bad IPv4 version / IHL /
+    length / header checksum, bad UDP or TCP length, bad ICMP checksum,
+    non-Ethernet/IPv4 ARP) leaves its fields ``None``.  As there, only
+    the outermost 802.1Q tag sets ``dl_vlan``/``dl_type`` while stacked
+    tags are still skipped to reach the network layer.  Raises
+    :class:`PacketError` for a frame shorter than an Ethernet header.
+    """
+    size = len(data)
+    if size < 14:
+        raise PacketError("Ethernet frame too short: %d bytes" % size)
+    dl_dst, dl_src, dl_type = _ETHERNET.unpack_from(data)
+    dl_vlan = NO_VLAN
+    nw_tos = nw_proto = nw_src = nw_dst = tp_src = tp_dst = None
+    start = 14
+    if dl_type == 0x8100 and size >= 18:  # 802.1Q
+        tci, dl_type = _VLAN.unpack_from(data, 14)
+        dl_vlan = tci & 0xFFF
+        start = 18
+    ethertype = dl_type
+    while ethertype == 0x8100 and size >= start + 4:
+        ethertype = _VLAN.unpack_from(data, start)[1]
+        start += 4
+    if ethertype == 0x0800 and size >= start + 20:  # IPv4
+        ver_ihl, tos, total_len, proto, src, dst = \
+            _IPV4.unpack_from(data, start)
+        l4 = start + (ver_ihl & 0xF) * 4
+        end = start + total_len
+        if (ver_ihl >> 4 == 4 and l4 >= start + 20 and l4 <= size
+                and end <= size and checksum(data[start:l4]) == 0):
+            nw_tos, nw_proto, nw_src, nw_dst = tos, proto, src, dst
+            if proto == 17 and end - l4 >= 8:  # UDP
+                sport, dport, length = _UDP.unpack_from(data, l4)
+                if 8 <= length <= end - l4:
+                    tp_src, tp_dst = sport, dport
+            elif proto == 6 and end - l4 >= 20:  # TCP
+                sport, dport, offset = _TCP.unpack_from(data, l4)
+                if 20 <= (offset >> 12) * 4 <= end - l4:
+                    tp_src, tp_dst = sport, dport
+            elif proto == 1 and end - l4 >= 8 \
+                    and checksum(data[l4:end]) == 0:
+                # ICMP: OF 1.0 reuses tp_src/tp_dst for type/code.
+                tp_src, tp_dst = _ICMP.unpack_from(data, l4)
+    elif ethertype == 0x0806 and size >= start + 28:  # ARP
+        hw_type, proto_type, hw_len, proto_len, opcode, src, dst = \
+            _ARP.unpack_from(data, start)
+        if (hw_type, proto_type, hw_len, proto_len) == (1, 0x0800, 6, 4):
+            nw_proto, nw_src, nw_dst = opcode, src, dst
+    return (dl_src, dl_dst, dl_vlan, dl_type, nw_tos, nw_proto,
+            nw_src, nw_dst, tp_src, tp_dst)
 
 
 class Match:
@@ -66,35 +132,11 @@ class Match:
     @classmethod
     def from_packet(cls, packet: Union[Ethernet, bytes],
                     in_port: Optional[int] = None) -> "Match":
-        """Exact-match fields extracted from ``packet`` (OF 1.0 style)."""
-        if isinstance(packet, (bytes, bytearray)):
-            packet = Ethernet.unpack(bytes(packet))
-        match = cls(in_port=in_port, dl_src=packet.src, dl_dst=packet.dst)
-        vlan = packet.find(Vlan)
-        match.dl_vlan = vlan.vid if vlan is not None else NO_VLAN
-        match.dl_type = packet.effective_type()
-        ip = packet.find(IPv4)
-        arp = packet.find(ARP)
-        if ip is not None:
-            match.nw_tos = ip.tos
-            match.nw_proto = ip.protocol
-            match.nw_src = ip.srcip
-            match.nw_dst = ip.dstip
-            l4 = ip.find(TCP) or ip.find(UDP)
-            if l4 is not None:
-                match.tp_src = l4.srcport
-                match.tp_dst = l4.dstport
-            else:
-                icmp = ip.find(ICMP)
-                if icmp is not None:
-                    # OF 1.0 reuses tp_src/tp_dst for ICMP type/code.
-                    match.tp_src = icmp.type
-                    match.tp_dst = icmp.code
-        elif arp is not None:
-            match.nw_proto = arp.opcode
-            match.nw_src = arp.protosrc
-            match.nw_dst = arp.protodst
-        return match
+        """Exact-match fields extracted from ``packet`` (OF 1.0 style):
+        :func:`flow_key` of its wire bytes."""
+        if isinstance(packet, Ethernet):
+            packet = packet.pack()
+        return cls(in_port, *flow_key(packet))
 
     # -- matching ---------------------------------------------------------
 

@@ -1,12 +1,13 @@
 """The software OpenFlow switch (Open vSwitch stand-in)."""
 
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional
 
-from repro.openflow.actions import Group, apply_actions
+from repro.openflow.actions import Group, Output, apply_actions
 from repro.openflow.channel import ControllerChannel
 from repro.openflow.flowtable import (FlowEntry, FlowTable, GroupError,
                                       GroupTable)
-from repro.openflow.match import Match
+from repro.openflow.match import MATCH_FIELDS, flow_key
 from repro.openflow import messages as msg
 from repro.packet import Ethernet
 from repro.packet.base import PacketError
@@ -84,7 +85,7 @@ class OpenFlowSwitch:
 
     EXPIRY_INTERVAL = 0.5  # seconds between timeout sweeps
     SAMPLE_EVERY = 256  # trace one packet span per this many (0: off)
-    MICROFLOW_CAP = 4096  # cached exact-frame entries before a reset
+    MICROFLOW_CAP = 4096  # entries per flow-cache tier before a reset
 
     def __init__(self, sim: Simulator, dpid: int, name: str = "",
                  n_buffers: int = 256, miss_send_len: int = 128):
@@ -112,12 +113,17 @@ class OpenFlowSwitch:
         self.table_miss_count = 0
         self.microflow_hit_count = 0
         self._pkt_seq = 0
-        # OVS-style microflow cache: exact (in_port, frame bytes) ->
-        # (entry, rewritten wire bytes, out_ports).  Valid because the
-        # datapath is a pure function of the frame and the flow table;
-        # any table mutation bumps table.version and flushes it.
+        # Flow cache, two tiers (DESIGN.md "Switch flow cache").  The
+        # datapath is a pure function of in_port, the header fields the
+        # installed matches examine, the group table and port liveness:
+        # _flows maps (in_port, those fields) -> (entry, rewrite
+        # actions, out_ports), and _microflow memoizes its verdicts per
+        # exact (in_port, frame bytes) -> (entry, wire, out_ports) so a
+        # repeated frame costs one dict probe.  Any table mutation bumps
+        # table.version; that, a GroupMod or a port flip flushes both.
+        self._flows: Dict[tuple, tuple] = {}
         self._microflow: Dict[tuple, tuple] = {}
-        self._microflow_version = self.table.version
+        self._flush_caches()
         # flowtrace handle bound once (ESCAPE re-homes it for switches
         # built before its bundle became current); the disabled path is
         # one attribute check per frame
@@ -156,9 +162,9 @@ class OpenFlowSwitch:
         if port is None or port.up == up:
             return
         port.up = up
-        # memoized rewrites may embed a group resolution through this
+        # cached verdicts may embed a group resolution through this
         # port — invalidate them all; steady-state forwarding re-caches
-        self._microflow.clear()
+        self._flush_caches()
         events = current_telemetry().events
         note = events.info if up else events.warn
         note("openflow.switch", "of.port.up" if up else "of.port.down",
@@ -225,65 +231,98 @@ class OpenFlowSwitch:
         else:
             self._process_packet(in_port, data)
 
+    def _flush_caches(self) -> None:
+        """Empty both cache tiers and re-derive the key mask: the fields
+        some installed match examines (in_port is always in the key)."""
+        self._flows.clear()
+        self._microflow.clear()
+        self._cache_version = self.table.version
+        examined = [index for index, field in enumerate(MATCH_FIELDS[1:])
+                    if any(getattr(entry.match, field) is not None
+                           for entry in self.table.entries)]
+        self._examined = (itemgetter(*examined) if examined
+                          else lambda fields: None)
+
     def _process_packet(self, in_port: int, data: bytes) -> None:
         now = self.sim.now
         # expire() early-exits on a float compare until something can
         # actually time out; removals bump table.version which flushes
-        # the microflow cache below.
+        # the caches below.
         self.table.expire(now)
-        if self._microflow_version != self.table.version:
-            self._microflow.clear()
-            self._microflow_version = self.table.version
+        if self._cache_version != self.table.version:
+            self._flush_caches()
         cached = self._microflow.get((in_port, data))
         if cached is not None:
             entry, wire, out_ports = cached
-            self.table_hit_count += 1
             self.microflow_hit_count += 1
-            entry.note_hit(len(data), now)
-            if wire is None:
+        else:
+            try:
+                key = (in_port, self._examined(flow_key(data)))
+            except PacketError:  # runt frame: nothing to match on
                 self.dropped_count += 1
                 return
-            for port_no in out_ports:
-                self._output(port_no, wire, in_port)
-            return
-        entry = self.table.lookup(data, in_port, now)
-        if entry is None:
-            self.table_miss_count += 1
-            self._table_miss(in_port, data)
-            return
+            verdict = self._flows.get(key)
+            if verdict is not None:
+                self.microflow_hit_count += 1
+            else:
+                entry = self.table.lookup(data, in_port, now)
+                if entry is None:
+                    self.table_miss_count += 1
+                    self._table_miss(in_port, data)
+                    return
+                verdict = (entry,) + self._compile(entry.actions)
+                if len(self._flows) >= self.MICROFLOW_CAP:
+                    self._flows.clear()
+                self._flows[key] = verdict
+            entry, rewrites, out_ports = verdict
+            wire = self._rewrite(rewrites, data) if out_ports else None
+            if len(self._microflow) >= self.MICROFLOW_CAP:
+                self._microflow.clear()
+            self._microflow[(in_port, data)] = (entry, wire, out_ports)
         self.table_hit_count += 1
         entry.note_hit(len(data), now)
-        wire, out_ports = self._execute(entry.actions, data, in_port)
-        if len(self._microflow) >= self.MICROFLOW_CAP:
-            self._microflow.clear()
-        self._microflow[(in_port, data)] = (entry, wire, out_ports)
-
-    def _execute(self, actions, data: bytes, in_port: Optional[int]) -> tuple:
-        """Apply ``actions`` to the frame; returns ``(wire, out_ports)``
-        so table hits can memoize the rewrite (``wire`` is None for a
-        drop)."""
-        if not actions:
+        # emitted inline (as in _execute): an exact-frame hit must stay
+        # one dict probe plus the sends, with no extra call per frame
+        if wire is None:
             self.dropped_count += 1
-            return None, ()
-        if self.groups.groups:
-            # only switches with installed groups pay this scan, and
-            # only on microflow-cache misses — the steady-state hot
-            # path replays the memoized resolution
-            actions = self._resolve_groups(actions)
-        try:
-            frame = Ethernet.unpack(data)
-        except PacketError:
-            self.dropped_count += 1
-            return None, ()
-        frame, out_ports = apply_actions(actions, frame)
-        if not out_ports:
-            self.dropped_count += 1
-            return None, ()
-        wire = frame.pack()
-        out_ports = tuple(out_ports)
+            return
         for port_no in out_ports:
             self._output(port_no, wire, in_port)
-        return wire, out_ports
+
+    def _compile(self, actions) -> tuple:
+        """Split an action list into ``(rewrite actions, out_ports)``
+        with groups resolved to their live bucket.  OF 1.0 lists run in
+        order, but every Output here sends the fully rewritten frame."""
+        if self.groups.groups:
+            # only switches with installed groups pay this scan, and
+            # only on flow-cache misses — the steady-state hot path
+            # replays the cached resolution
+            actions = self._resolve_groups(actions)
+        return ([action for action in actions
+                 if not isinstance(action, Output)],
+                tuple(action.port for action in actions
+                      if isinstance(action, Output)))
+
+    @staticmethod
+    def _rewrite(rewrites, data: bytes) -> Optional[bytes]:
+        """The received bytes themselves when there is nothing to
+        rewrite, else unpack -> apply -> pack (None if unparsable)."""
+        if not rewrites:
+            return data
+        try:
+            return apply_actions(rewrites, Ethernet.unpack(data))[0].pack()
+        except PacketError:
+            return None
+
+    def _execute(self, actions, data: bytes, in_port: Optional[int]) -> None:
+        """Run a one-off action list (PacketOut, buffered release)."""
+        rewrites, out_ports = self._compile(actions)
+        wire = self._rewrite(rewrites, data) if out_ports else None
+        if wire is None:
+            self.dropped_count += 1
+            return
+        for port_no in out_ports:
+            self._output(port_no, wire, in_port)
 
     def _resolve_groups(self, actions) -> list:
         """Expand Group actions into the live bucket's actions.
@@ -459,7 +498,7 @@ class OpenFlowSwitch:
                     xid=group_mod.xid))
             return
         # cached resolutions may reference the touched group
-        self._microflow.clear()
+        self._flush_caches()
 
     def _handle_packet_out(self, packet_out: msg.PacketOut) -> None:
         if packet_out.buffer_id is not None:

@@ -1,7 +1,12 @@
 """Tests for interfaces, shaped links and resource budgets."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.netem import Interface, Link, ResourceBudget, ResourceError
 from repro.packet import EthAddr
 from repro.sim import Simulator
@@ -188,3 +193,57 @@ class TestResourceBudget:
         snap = budget.snapshot()
         assert snap["cpu_used"] == pytest.approx(1.5)
         assert snap["mem_used"] == pytest.approx(384.0)
+
+
+# -- determinism across processes ------------------------------------------
+
+_LOSSY_SCENARIO = """
+from repro.click import ClickPacket, Router
+from repro.netem import Interface, Link
+from repro.packet import EthAddr
+from repro.sim import Simulator
+
+sim = Simulator()
+near = Interface("s1-eth1", None, EthAddr(1))
+far = Interface("s2-eth1", None, EthAddr(2))
+link = Link(sim, near, far, delay=0.001, jitter=0.004, loss=0.2)
+far.set_receiver(lambda intf, data: print("rx %.9f %s" % (sim.now,
+                                                          data.decode())))
+for seq in range(200):
+    sim.schedule(seq * 0.001, near.send, b"%d" % seq)
+sim.run()
+print("link", link.delivered, link.dropped_loss)
+
+router = Router.from_config(
+    "Idle -> sample :: RandomSample(0.5) -> red :: RED(5, 40, 0.5, 100);"
+    "red -> Unqueue -> Discard;")
+router.start()
+sample, red = router.element("sample"), router.element("red")
+for _ in range(200):
+    sample.push(0, ClickPacket(b"x"))
+    print("click", sample.sampled, red.early_drops)
+"""
+
+
+def test_lossy_jittery_run_is_identical_across_hash_seeds():
+    """The component RNGs are seeded from names; ``hash(str)`` is salted
+    per process, so the seeds must come from a stable digest."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+
+    def run(hash_seed):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        return subprocess.run(
+            [sys.executable, "-c", _LOSSY_SCENARIO], env=env, check=True,
+            capture_output=True, text=True).stdout.splitlines()
+
+    first, second = run("1"), run("2")
+    assert first == second
+    (link_line,) = [line for line in first if line.startswith("link")]
+    delivered, lost = map(int, link_line.split()[1:])
+    assert delivered + lost == 200 and 10 < lost < 80
+    arrivals = [int(line.split()[2]) for line in first
+                if line.startswith("rx")]
+    assert len(arrivals) == delivered
+    assert arrivals != sorted(arrivals)  # jitter reordered some frames
+    sampled, early = map(int, first[-1].split()[1:])
+    assert 50 < sampled < 150 and early > 0

@@ -8,17 +8,20 @@ from repro.openflow import (BarrierReply, BarrierRequest, ControllerChannel,
                             FlowStatsRequest, FlowTable, Hello, Match,
                             OpenFlowSwitch, Output, PacketIn, PacketOut,
                             PortStatsReply, PortStatsRequest, PortStatus,
+                            SetDlDst, SetTpDst, SetVlan, StripVlan,
                             OFPP_CONTROLLER, OFPP_FLOOD, OFPP_IN_PORT)
+from repro.openflow.actions import apply_actions
 from repro.packet import Ethernet, IPv4, UDP
 from repro.sim import Simulator
 
 
 def frame_bytes(dst="00:00:00:00:00:02", src="00:00:00:00:00:01",
-                dstip="10.0.0.2"):
+                dstip="10.0.0.2", payload=None):
     return Ethernet(src=src, dst=dst, type=Ethernet.IP_TYPE,
                     payload=IPv4(srcip="10.0.0.1", dstip=dstip,
                                  protocol=IPv4.UDP_PROTOCOL,
-                                 payload=UDP(srcport=1, dstport=2))).pack()
+                                 payload=UDP(srcport=1, dstport=2,
+                                             payload=payload))).pack()
 
 
 class TestFlowTable:
@@ -289,6 +292,108 @@ class TestDatapath:
         harness = HarnessedSwitch()
         with pytest.raises(ValueError):
             harness.switch.add_port(1)
+
+    def test_runt_frame_is_dropped_not_raised(self):
+        harness = HarnessedSwitch()
+        harness.channel.send_to_switch(FlowMod(Match(), [Output(2)]))
+        harness.run()
+        before = harness.switch.dropped_count
+        harness.switch.process_packet(1, b"\x00" * 10)
+        harness.switch.ports[1].receive(b"\x00" * 13)
+        assert harness.switch.dropped_count == before + 2
+        assert harness.sent[2] == []
+        assert harness.switch.packet_in_count == 0
+
+
+class TestForwardUnchanged:
+    """Output-only verdicts forward the received bytes themselves;
+    rewrite lists still go through unpack -> apply -> pack."""
+
+    def forward(self, actions, frames):
+        harness = HarnessedSwitch()
+        harness.channel.send_to_switch(FlowMod(Match(in_port=1), actions))
+        harness.run()
+        for frame in frames:
+            harness.switch.ports[1].receive(frame)
+        return harness.sent[2]
+
+    def test_padded_frame_keeps_its_padding(self):
+        padded = frame_bytes().ljust(60, b"\x00")
+        assert len(frame_bytes()) < 60
+        # full miss, header-cache hit, exact-frame hit
+        assert self.forward([Output(2)], [padded] * 3) == [padded] * 3
+
+    def test_foreign_udp_checksum_survives(self):
+        frame = bytearray(frame_bytes(payload=b"abcd"))
+        frame[40:42] = b"\xbe\xef"  # a pseudo-header checksum, not ours
+        frame = bytes(frame)
+        assert Ethernet.unpack(frame).pack() != frame
+        assert self.forward([Output(2)], [frame] * 3) == [frame] * 3
+
+    @pytest.mark.parametrize("rewrites", [
+        [SetVlan(7)], [SetVlan(7), StripVlan()],
+        [SetDlDst("00:00:00:00:00:09"), SetTpDst(99)]])
+    def test_rewrite_lists_produce_the_repacked_frame(self, rewrites):
+        frames = [frame_bytes(payload=b"one"), frame_bytes(payload=b"two"),
+                  frame_bytes(payload=b"two")]
+        expected = [apply_actions(rewrites, Ethernet.unpack(frame))[0].pack()
+                    for frame in frames]
+        assert self.forward(rewrites + [Output(2)], frames) == expected
+
+
+class TestFlowCache:
+    def harness(self, *flow_mods):
+        harness = HarnessedSwitch(ports=3)
+        for flow_mod in flow_mods:
+            harness.channel.send_to_switch(flow_mod)
+        harness.run()
+        return harness
+
+    def test_distinct_payloads_hit_the_header_tier(self):
+        harness = self.harness(FlowMod(Match(nw_dst="10.0.0.2"), [Output(2)]))
+        for index in range(10):
+            harness.switch.ports[1].receive(
+                frame_bytes(payload=b"payload %d" % index))
+        switch = harness.switch
+        assert len(harness.sent[2]) == 10
+        assert switch.table_hit_count == 10
+        assert switch.microflow_hit_count == 9
+        assert switch.table.entries[0].packet_count == 10
+
+    def test_key_covers_every_examined_field(self):
+        harness = self.harness(
+            FlowMod(Match(nw_dst="10.0.0.2"), [Output(2)], priority=10),
+            FlowMod(Match(dl_dst="00:00:00:00:00:07"), [Output(3)],
+                    priority=20))
+        port = harness.switch.ports[1]
+        port.receive(frame_bytes())
+        port.receive(frame_bytes(dst="00:00:00:00:00:07"))
+        port.receive(frame_bytes(dstip="10.0.0.3"))  # table miss
+        assert [len(harness.sent[n]) for n in (2, 3)] == [1, 1]
+        assert harness.switch.microflow_hit_count == 0
+        assert harness.switch.table_miss_count == 1
+
+    def test_flow_mod_invalidates_cached_verdicts(self):
+        harness = self.harness(FlowMod(Match(), [Output(2)], priority=1))
+        harness.switch.ports[1].receive(frame_bytes())
+        harness.channel.send_to_switch(FlowMod(
+            Match(nw_dst="10.0.0.2"), [Output(3)], priority=9))
+        harness.run()
+        harness.switch.ports[1].receive(frame_bytes())
+        harness.channel.send_to_switch(FlowMod(
+            Match(nw_dst="10.0.0.2"), command=FlowMod.DELETE))
+        harness.run()
+        harness.switch.ports[1].receive(frame_bytes())
+        assert [len(harness.sent[n]) for n in (2, 3)] == [2, 1]
+
+    def test_tiers_are_capped(self):
+        harness = self.harness(FlowMod(Match(tp_src=1), [Output(2)]))
+        switch = harness.switch
+        switch.MICROFLOW_CAP = 4
+        for index in range(10):
+            switch.ports[1].receive(frame_bytes(payload=b"%d" % index))
+        assert len(switch._microflow) <= 4 and len(switch._flows) == 1
+        assert len(harness.sent[2]) == 10
 
 
 class TestChannel:

@@ -1,13 +1,21 @@
 """Property-based tests (hypothesis) on the core data structures."""
 
 import random
+import struct
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.nffg import ResourceView
 from repro.netconf.framing import ChunkedFramer, EomFramer
-from repro.openflow import FlowEntry, FlowTable, Match, Output
-from repro.packet import Ethernet, IPv4, UDP
+from repro.openflow import (ControllerChannel, FlowEntry, FlowMod, FlowTable,
+                            Group, GroupBucket, GroupMod, Match,
+                            OpenFlowSwitch, Output, SetNwDst, SetVlan,
+                            StripVlan, OFPP_CONTROLLER, OFPP_FLOOD,
+                            OFPP_IN_PORT)
+from repro.openflow.match import NO_VLAN, flow_key
+from repro.packet import ARP, ICMP, Ethernet, IPv4, TCP, UDP, Vlan
+from repro.packet.base import PacketError, checksum
 from repro.sim import Simulator
 
 
@@ -216,3 +224,256 @@ def test_match_subset_implication(seed):
                                              dstport=dport))).pack()
                 if match_a.matches_packet(packet, in_port):
                     assert match_b.matches_packet(packet, in_port)
+
+
+# -- flow_key vs the packet classes -----------------------------------------
+
+
+def _object_walk_key(data):
+    """What ``Match.from_packet`` read off the parsed object tree before
+    ``flow_key`` replaced it — kept here as the oracle."""
+    packet = Ethernet.unpack(data)
+    vlan = packet.find(Vlan)
+    nw_tos = nw_proto = nw_src = nw_dst = tp_src = tp_dst = None
+    ip = packet.find(IPv4)
+    arp = packet.find(ARP)
+    if ip is not None:
+        nw_tos, nw_proto = ip.tos, ip.protocol
+        nw_src, nw_dst = ip.srcip.to_int(), ip.dstip.to_int()
+        l4 = ip.find(TCP) or ip.find(UDP)
+        icmp = ip.find(ICMP)
+        if l4 is not None:
+            tp_src, tp_dst = l4.srcport, l4.dstport
+        elif icmp is not None:
+            tp_src, tp_dst = icmp.type, icmp.code
+    elif arp is not None:
+        nw_proto = arp.opcode
+        nw_src, nw_dst = arp.protosrc.to_int(), arp.protodst.to_int()
+    return (packet.src.raw, packet.dst.raw,
+            vlan.vid if vlan is not None else NO_VLAN,
+            packet.effective_type(), nw_tos, nw_proto, nw_src, nw_dst,
+            tp_src, tp_dst)
+
+
+_u16 = st.integers(0, 0xFFFF)
+_u32 = st.integers(0, 0xFFFFFFFF)
+_blob = st.binary(max_size=40)
+
+
+def _patched(data, offset, patch):
+    return data[:offset] + patch + data[offset + len(patch):]
+
+
+@st.composite
+def _ipv4_packets(draw):
+    """An IPv4 packet built by hand so it can carry what the classes
+    never emit: options, fragments, a wrong IHL, checksum or length.
+    Each defect is drawn on its own so most packets have at most one."""
+    def rare(*values):  # one of the defects in ~1 packet of 8
+        return st.sampled_from([None] * 7 * len(values) + list(values))
+
+    protocol = draw(st.sampled_from([1, 6, 6, 17, 17, 47]))
+    if protocol == 17:
+        payload = UDP(draw(_u16), draw(_u16), payload=draw(_blob)).pack()
+        if draw(st.booleans()):  # a checksum this stack did not compute
+            payload = _patched(payload, 6, b"\xbe\xef")
+        length = draw(rare(7, len(payload) - 1, len(payload) + 1))
+        if length is not None:
+            payload = _patched(payload, 4, struct.pack("!H", length))
+    elif protocol == 6:
+        payload = TCP(draw(_u16), draw(_u16), payload=draw(_blob)).pack()
+        offset = draw(rare(4, 6, 15))
+        if offset is not None:
+            payload = _patched(payload, 12, bytes([offset << 4]))
+    elif protocol == 1:
+        payload = ICMP(type=draw(st.sampled_from([0, 3, 8])),
+                       code=draw(st.integers(0, 3)),
+                       payload=draw(_blob)).pack()
+        if draw(rare(True)):
+            payload = _patched(payload, 2, b"\x12\x34")
+    else:
+        payload = draw(_blob)
+    options = draw(st.sampled_from([b"", b"", b"\x01" * 4, b"\x01" * 40]))
+    header_len = 20 + len(options)
+    total_len = draw(rare(0, 19, header_len, header_len + 7, 2000))
+    if total_len is None:
+        total_len = header_len + len(payload)
+    ver_ihl = draw(rare(0x44, 0x46, 0x4F, 0x65)) or 0x40 | header_len // 4
+    header = struct.pack(
+        "!BBHHHBBHII", ver_ihl, draw(st.integers(0, 255)), total_len,
+        draw(_u16), draw(st.sampled_from([0, 0x2000, 0x00B9])), 64,
+        protocol, 0, draw(_u32), draw(_u32)) + options
+    csum = checksum(header[:(ver_ihl & 0xF) * 4].ljust(20, b"\x00")) \
+        ^ (draw(rare(1)) or 0)
+    return _patched(header, 10, struct.pack("!H", csum)) + payload
+
+
+@st.composite
+def _frames(draw):
+    ethertype, body = draw(st.one_of(
+        st.tuples(st.just(Ethernet.IP_TYPE), _ipv4_packets()),
+        st.tuples(st.just(Ethernet.IP_TYPE), _ipv4_packets()),
+        st.tuples(st.just(Ethernet.IP_TYPE), _ipv4_packets()),
+        st.tuples(st.just(Ethernet.ARP_TYPE), st.builds(
+            lambda op, src, dst, defect: _patched(
+                ARP(op, protosrc=src, protodst=dst).pack(), defect, b"\x09"),
+            st.sampled_from([1, 2, 9]), _u32, _u32,
+            st.sampled_from([28] * 8 + [1, 3, 4, 5]))),
+        st.tuples(st.sampled_from([0x88CC, 0x86DD, 0x8100, 0x88A8]),
+                  _blob)))
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 1, 2, 3]))):  # Q-in-Q
+        body = struct.pack("!HH", draw(_u16), ethertype) + body
+        ethertype = Ethernet.VLAN_TYPE
+    frame = draw(st.binary(min_size=12, max_size=12)) \
+        + struct.pack("!H", ethertype) + body
+    mutation = draw(st.sampled_from(["none"] * 6 + ["cut", "flip", "pad"]))
+    if mutation == "cut":  # truncation at every layer, runts included
+        frame = frame[:draw(st.integers(0, len(frame)))]
+    elif mutation == "flip":
+        index = draw(st.integers(12, len(frame) - 1))
+        frame = _patched(frame, index, bytes([draw(st.integers(0, 255))]))
+    elif mutation == "pad":
+        frame += bytes(draw(st.integers(1, 20)))
+    return frame
+
+
+@given(_frames())
+@settings(max_examples=1000, deadline=None)
+def test_flow_key_equals_the_object_walk(frame):
+    if len(frame) < Ethernet.MIN_LEN:
+        with pytest.raises(PacketError):
+            flow_key(frame)
+        with pytest.raises(PacketError):
+            Ethernet.unpack(frame)
+        return
+    assert flow_key(frame) == _object_walk_key(frame)
+    concrete = Match.from_packet(frame, in_port=3)
+    assert concrete == Match(3, *flow_key(frame))
+
+
+# -- cached switch vs an uncached twin --------------------------------------
+
+
+class _Twin:
+    """A 4-port switch with a (never answered) controller; every frame
+    it sends is recorded per port."""
+
+    def __init__(self, cached):
+        self.cached = cached
+        self.sim = Simulator()
+        self.switch = OpenFlowSwitch(self.sim, dpid=1)
+        self.sent = []
+        for number in range(1, 5):
+            self.switch.add_port(number).transmit = (
+                lambda data, number=number: self.sent.append((number, data)))
+        self.switch.connect_controller(ControllerChannel(self.sim))
+
+    def receive(self, in_port, frame):
+        if not self.cached:
+            self.switch._flush_caches()
+        self.switch.ports[in_port].receive(frame)
+
+    def state(self):
+        switch = self.switch
+        return (self.sent,
+                [getattr(switch, name + "_count") for name in (
+                    "table_hit", "table_miss", "dropped", "forwarded",
+                    "packet_in", "group_flip")],
+                [(entry.priority, entry.match, entry.packet_count,
+                  entry.byte_count) for entry in switch.table.entries])
+
+
+def _twin_frames(rng):
+    frames = [b"\x00" * 10]  # a runt
+    for index in range(12):
+        l4 = rng.choice([UDP, TCP])(
+            srcport=rng.choice([1000, 1001]), dstport=rng.choice([80, 443]),
+            payload=b"payload %d" % rng.randrange(4))
+        l3 = IPv4(srcip="10.0.%d.%d" % (rng.randrange(2), rng.randrange(3)),
+                  dstip="10.0.0.9", tos=rng.choice([0, 32]),
+                  protocol=6 if isinstance(l4, TCP) else 17, payload=l4)
+        ethertype = Ethernet.IP_TYPE
+        if rng.random() < 0.4:
+            l3 = Vlan(vid=rng.choice([5, 6]), type=ethertype, payload=l3)
+            ethertype = Ethernet.VLAN_TYPE
+        frame = Ethernet(src="00:00:00:00:00:01",
+                         dst="00:00:00:00:00:0%d" % rng.randint(2, 3),
+                         type=ethertype, payload=l3).pack()
+        frames.append(frame if index % 3 else frame.ljust(60, b"\x00"))
+    frames.append(Ethernet(type=Ethernet.ARP_TYPE, payload=ARP(
+        protosrc="10.0.0.1", protodst="10.0.0.9")).pack())
+    return frames
+
+
+def _twin_match(rng):
+    choices = {
+        "in_port": lambda: rng.randint(1, 4),
+        "dl_dst": lambda: "00:00:00:00:00:0%d" % rng.randint(2, 3),
+        "dl_vlan": lambda: rng.choice([5, 6, NO_VLAN]),
+        "dl_type": lambda: rng.choice([Ethernet.IP_TYPE, Ethernet.ARP_TYPE]),
+        "nw_tos": lambda: rng.choice([0, 32]),
+        "nw_proto": lambda: rng.choice([1, 6, 17]),
+        "nw_src": lambda: rng.choice(["10.0.0.1", "10.0.1.0/24",
+                                      "10.0.0.0/16"]),
+        "tp_src": lambda: rng.choice([1000, 1001]),
+        "tp_dst": lambda: rng.choice([80, 443]),
+    }
+    return Match(**{field: choose() for field, choose in choices.items()
+                    if rng.random() < 0.25})
+
+
+def _twin_actions(rng):
+    port = rng.randint(1, 4)
+    return rng.choice([
+        [Output(port)], [Output(port)], [], [Group(1)],
+        [Output(port), Output(rng.randint(1, 4))],
+        [Output(OFPP_FLOOD)], [Output(OFPP_IN_PORT)],
+        [Output(OFPP_CONTROLLER)], [SetVlan(rng.choice([5, 7])),
+                                    Output(port)],
+        [StripVlan(), Output(port)], [SetVlan(9)],
+        [Output(port), SetNwDst("10.9.9.9"), Group(1)]])
+
+
+def _twin_operation(rng, frames):
+    """One random step, as a function applied to both twins."""
+    kind = rng.random()
+    if kind < 0.6:
+        in_port, frame = rng.randint(1, 4), rng.choice(frames)
+        return lambda twin: twin.receive(in_port, frame)
+    if kind < 0.66:
+        delay = rng.choice([0.1, 0.4, 0.7])
+        return lambda twin: twin.sim.run(until=twin.sim.now + delay)
+    if kind < 0.72:
+        port, up = rng.randint(1, 4), rng.random() < 0.5
+        return lambda twin: twin.switch.set_port_up(port, up)
+    if kind < 0.8:
+        buckets = [GroupBucket([Output(port)], watch_port=port)
+                   for port in rng.sample([1, 2, 3, 4], rng.randint(1, 3))]
+        message = GroupMod(rng.choice([GroupMod.ADD, GroupMod.MODIFY,
+                                       GroupMod.DELETE]), 1,
+                           buckets=buckets)
+    else:
+        message = FlowMod(
+            _twin_match(rng), _twin_actions(rng),
+            command=rng.choice([FlowMod.ADD] * 4 + [
+                FlowMod.MODIFY, FlowMod.DELETE, FlowMod.DELETE_STRICT]),
+            priority=rng.randint(0, 4),
+            idle_timeout=rng.choice([0.0, 0.0, 0.5]),
+            hard_timeout=rng.choice([0.0, 0.0, 0.0, 1.0]))
+    return lambda twin: twin.switch._handle_controller_message(message)
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+@settings(max_examples=120, deadline=None)
+def test_cached_switch_equals_uncached_twin(seed):
+    """Both cache tiers replay exactly what the full lookup + action
+    path does, across table, group and port-state changes."""
+    rng = random.Random(seed)
+    frames = _twin_frames(rng)
+    cached, uncached = _Twin(cached=True), _Twin(cached=False)
+    for _ in range(rng.randint(20, 120)):
+        operation = _twin_operation(rng, frames)
+        operation(cached)
+        operation(uncached)
+        assert cached.state() == uncached.state()
+    assert uncached.switch.microflow_hit_count == 0
