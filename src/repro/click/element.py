@@ -327,28 +327,30 @@ class Element:
 
     def output_push(self, port: int, packet: ClickPacket) -> None:
         """Push ``packet`` out of output ``port`` to the wired peer."""
-        out = self.outputs[port]
-        if out.peer is None:
+        peers = self.outputs[port].peers
+        if not peers:
             return  # unconnected output silently drops, like Idle
+        peer = peers[0]
         self.pushed_count += 1
         profiler = self._profiler
         if profiler.enabled:
             with profiler.profile("click.element.push"):
-                out.peer.element.push(out.peer.index, packet)
+                peer.element.push(peer.index, packet)
         else:
-            out.peer.element.push(out.peer.index, packet)
+            peer.element.push(peer.index, packet)
 
     def input_pull(self, port: int) -> Optional[ClickPacket]:
         """Pull a packet from whatever feeds input ``port``."""
-        inp = self.inputs[port]
-        if inp.peer is None:
+        peers = self.inputs[port].peers
+        if not peers:
             return None
+        peer = peers[0]
         profiler = self._profiler
         if profiler.enabled:
             with profiler.profile("click.element.pull"):
-                packet = inp.peer.element.pull(inp.peer.index)
+                packet = peer.element.pull(peer.index)
         else:
-            packet = inp.peer.element.pull(inp.peer.index)
+            packet = peer.element.pull(peer.index)
         if packet is not None:
             self.pulled_count += 1
         return packet

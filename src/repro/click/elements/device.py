@@ -33,6 +33,7 @@ class Device:
         self.tx_packets = 0
         self.rx_bytes = 0
         self.tx_bytes = 0
+        self.tx_dropped = 0
 
     def deliver(self, data: bytes) -> None:
         """Called by the container when a frame arrives for the VNF."""
@@ -43,10 +44,12 @@ class Device:
 
     def send(self, data: bytes) -> None:
         """Called by the VNF (ToDevice) to transmit a frame."""
+        if self.transmit is None:
+            self.tx_dropped += 1
+            return
         self.tx_packets += 1
         self.tx_bytes += len(data)
-        if self.transmit is not None:
-            self.transmit(data)
+        self.transmit(data)
 
     def __repr__(self) -> str:
         return "Device(%s, rx=%d, tx=%d)" % (self.name, self.rx_packets,

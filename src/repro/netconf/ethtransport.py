@@ -35,7 +35,7 @@ class EthTransport:
         self.on_close: Optional[Callable[[], None]] = None
         self.tx_bytes = 0
         self.rx_bytes = 0
-        intf.set_receiver(self._receive_frame)
+        intf.receive = self._receive_frame
 
     def set_receiver(self, callback: Callable[[bytes], None]) -> None:
         self.receiver = callback
@@ -51,7 +51,7 @@ class EthTransport:
         # single-chunk fast path falls through the loop naturally
             self.intf.send(frame.pack())
 
-    def _receive_frame(self, _intf: Interface, wire: bytes) -> None:
+    def _receive_frame(self, wire: bytes) -> None:
         if self.closed:
             return
         try:

@@ -1,6 +1,7 @@
 """Network interfaces (the veth endpoints of the emulation)."""
 
-from typing import Callable, Optional
+import functools
+from typing import Optional
 
 from repro.packet import EthAddr, IPAddr
 
@@ -8,9 +9,11 @@ from repro.packet import EthAddr, IPAddr
 class Interface:
     """One attachment point of a node.
 
-    Frames leave through :meth:`send` (which hands them to the attached
-    link) and arrive through :meth:`deliver` (which hands them to the
-    owning node's receive hook).
+    A frame crosses an interface without a call of its own: attaching a
+    link rebinds :meth:`send` to that link's transmit, and the owning
+    node rebinds :meth:`receive` to its handler.  As defined here they
+    are what a loose end does - count a named drop.  The rx/tx counters
+    are written by the link, and ``Link.delivered`` is derived from them.
     """
 
     def __init__(self, name: str, node, mac: EthAddr,
@@ -20,30 +23,29 @@ class Interface:
         self.mac = EthAddr(mac)
         self.ip = IPAddr(ip) if ip is not None else None
         self.prefix_len = prefix_len
-        self.link = None  # set when a Link attaches
-        self._receiver: Optional[Callable[["Interface", bytes], None]] = None
+        self.link = None
         self.rx_packets = 0
         self.tx_packets = 0
         self.rx_bytes = 0
         self.tx_bytes = 0
+        self.rx_dropped = 0
+        self.tx_dropped = 0
 
-    def set_receiver(self,
-                     callback: Callable[["Interface", bytes], None]) -> None:
-        self._receiver = callback
+    def attach(self, link) -> None:
+        """Called by ``link`` when it takes this interface as an end."""
+        self.link = link
+        self.send = functools.partial(link.transmit, self)
+        if self.node is not None:
+            self.node.link_attached(self)
 
     def send(self, data: bytes) -> None:
-        """Transmit a frame onto the attached link (no-op if detached)."""
-        self.tx_packets += 1
-        self.tx_bytes += len(data)
-        if self.link is not None:
-            self.link.transmit(self, data)
+        """Transmit a frame: onto the link once one is attached."""
+        self.tx_dropped += 1
 
-    def deliver(self, data: bytes) -> None:
-        """A frame arrived from the link for this interface."""
-        self.rx_packets += 1
-        self.rx_bytes += len(data)
-        if self._receiver is not None:
-            self._receiver(self, data)
+    def receive(self, data: bytes) -> None:
+        """A frame arrived from the link: for the node's handler once
+        one is bound."""
+        self.rx_dropped += 1
 
     @property
     def connected(self) -> bool:

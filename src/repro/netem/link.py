@@ -17,11 +17,12 @@ from repro.sim import Simulator
 
 
 class _Direction:
-    """Shaping state for one direction of the link."""
+    """Shaping state for one direction of the link, towards ``target``."""
 
-    __slots__ = ("busy_until", "queued_packets")
+    __slots__ = ("target", "busy_until", "queued_packets")
 
-    def __init__(self):
+    def __init__(self, target: Interface):
+        self.target = target
         self.busy_until = 0.0
         self.queued_packets = 0
 
@@ -63,12 +64,8 @@ class Link:
         # when no recorder is attached.
         self.taps = []
         self._rng = random.Random(zlib.crc32(self.name.encode()))
-        self._dir1 = _Direction()  # intf1 -> intf2
-        self._dir2 = _Direction()  # intf2 -> intf1
-        # (direction, target) resolved once per orientation — the
-        # per-frame transmit path avoids re-deriving the far end
-        self._fwd = (self._dir1, intf2)
-        self._rev = (self._dir2, intf1)
+        self._dir1 = _Direction(intf2)  # intf1 -> intf2
+        self._dir2 = _Direction(intf1)  # intf2 -> intf1
         # profiler/flowtrace handles bound once, same contract as click
         # elements: each disabled path costs one attribute check per
         # frame (ESCAPE re-homes these for links built before its
@@ -76,19 +73,27 @@ class Link:
         self._profiler = telemetry.current().profiler
         self._flowtrace = telemetry.current().flowtrace
         # per-cause drop counters: chaos scenarios assert on *why*
-        # frames died, not just how many
+        # frames died, not just how many (frames offered and delivered
+        # are counted on the interfaces: tx on the sender's, rx on the
+        # target's)
         self.dropped_down = 0
         self.dropped_loss = 0
         self.dropped_queue = 0
-        self.delivered = 0
-        self.delivered_bytes = 0
-        intf1.link = self
-        intf2.link = self
+        intf1.attach(self)
+        intf2.attach(self)
 
     @property
     def dropped(self) -> int:
         """Total drops across all causes (down + loss + queue-full)."""
         return self.dropped_down + self.dropped_loss + self.dropped_queue
+
+    @property
+    def delivered(self) -> int:
+        return self.intf1.rx_packets + self.intf2.rx_packets
+
+    @property
+    def delivered_bytes(self) -> int:
+        return self.intf1.rx_bytes + self.intf2.rx_bytes
 
     def other_end(self, intf: Interface) -> Interface:
         if intf is self.intf1:
@@ -165,56 +170,60 @@ class Link:
     def transmit(self, from_intf: Interface, data: bytes) -> None:
         """Queue a frame for delivery to the other end."""
         profiler = self._profiler
-        if profiler.enabled:
-            with profiler.profile("netem.link.transmit"):
-                self._transmit(from_intf, data)
-        else:
-            self._transmit(from_intf, data)
-
-    def _transmit(self, from_intf: Interface, data: bytes) -> None:
-        if self.taps:
-            self._notify_taps("tx", from_intf, data)
-        if not self.up:
-            self.dropped_down += 1
-            return
-        if self.loss > 0 and self._rng.random() < self.loss:
-            self.dropped_loss += 1
-            return
-        direction, target = (self._fwd if from_intf is self.intf1
-                             else self._rev)
-        now = self.sim.now
-        if self.bandwidth is None:
-            depart = now
-        else:
-            if direction.queued_packets >= self.max_queue:
-                self.dropped_queue += 1
+        region = (profiler.profile("netem.link.transmit")
+                  if profiler.enabled else None)
+        if region is not None:
+            region.__enter__()
+        try:
+            from_intf.tx_packets += 1
+            from_intf.tx_bytes += len(data)
+            if self.taps:
+                self._notify_taps("tx", from_intf, data)
+            if not self.up:
+                self.dropped_down += 1
                 return
-            serialization = len(data) * 8.0 / self.bandwidth
-            depart = max(now, direction.busy_until) + serialization
-            direction.busy_until = depart
-            direction.queued_packets += 1
-        extra = self._rng.uniform(0.0, self.jitter) if self.jitter else 0.0
-        flowtrace = self._flowtrace
-        if flowtrace.enabled:
-            flowtrace.record("link.tx", self.name, now, data)
-        self.sim.schedule(depart - now + self.delay + extra,
-                          self._deliver, direction, target, data)
+            if self.loss > 0 and self._rng.random() < self.loss:
+                self.dropped_loss += 1
+                return
+            direction = self._dir1 if from_intf is self.intf1 else self._dir2
+            sim = self.sim
+            now = sim.now
+            if self.bandwidth is None:
+                depart = now
+            else:
+                if direction.queued_packets >= self.max_queue:
+                    self.dropped_queue += 1
+                    return
+                serialization = len(data) * 8.0 / self.bandwidth
+                depart = max(now, direction.busy_until) + serialization
+                direction.busy_until = depart
+                direction.queued_packets += 1
+            extra = (self._rng.uniform(0.0, self.jitter) if self.jitter
+                     else 0.0)
+            flowtrace = self._flowtrace
+            if flowtrace.enabled:
+                flowtrace.record("link.tx", self.name, now, data)
+            sim.schedule(depart - now + self.delay + extra,
+                         self._deliver, direction, data)
+        finally:
+            if region is not None:
+                region.__exit__(None, None, None)
 
-    def _deliver(self, direction: _Direction, target: Interface,
-                 data: bytes) -> None:
+    def _deliver(self, direction: _Direction, data: bytes) -> None:
         if self.bandwidth is not None:
             direction.queued_packets -= 1
         if not self.up:
             self.dropped_down += 1
             return
-        self.delivered += 1
-        self.delivered_bytes += len(data)
+        target = direction.target
+        target.rx_packets += 1
+        target.rx_bytes += len(data)
         if self.taps:
             self._notify_taps("rx", target, data)
         flowtrace = self._flowtrace
         if flowtrace.enabled:
             flowtrace.record("link.rx", self.name, self.sim.now, data)
-        target.deliver(data)
+        target.receive(data)
 
     def __repr__(self) -> str:
         bw = ("%.0fbit/s" % self.bandwidth) if self.bandwidth else "inf"

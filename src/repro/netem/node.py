@@ -1,13 +1,14 @@
 """Emulated nodes: the Node base class, Host (with a small IP stack)
 and Switch (wrapping an OpenFlow datapath)."""
 
+import functools
 import struct
 from typing import Callable, Dict, List, Optional, Union
 
 from repro.netem.interface import Interface
 from repro.openflow import OpenFlowSwitch
 from repro.packet import (ARP, BROADCAST, EthAddr, Ethernet, ICMP, IPAddr,
-                          IPv4, UDP)
+                          IPv4, UDP, pack_udp_frame, unpack_udp_frame)
 from repro.packet.base import PacketError
 from repro.packet.probe import PROBE_MAGIC
 from repro.sim import Simulator
@@ -21,6 +22,10 @@ class Node:
         self.sim = sim
         self.interfaces: Dict[str, Interface] = {}
 
+    #: ``_receive(intf, data)`` of the subclasses that take frames; the
+    #: interfaces of the others stay loose ends (``Interface.receive``)
+    _receive = None
+
     def add_interface(self, mac: Union[str, EthAddr],
                       ip: Optional[Union[str, IPAddr]] = None,
                       prefix_len: int = 8,
@@ -31,17 +36,19 @@ class Node:
             raise ValueError("%s: interface %r exists" % (self.name, name))
         intf = Interface(name, self, EthAddr(mac),
                          IPAddr(ip) if ip is not None else None, prefix_len)
-        intf.set_receiver(self._receive)
+        if self._receive is not None:
+            intf.receive = functools.partial(self._receive, intf)
         self.interfaces[name] = intf
         return intf
+
+    def link_attached(self, intf: Interface) -> None:
+        """A link took ``intf`` as an end, so ``intf.send`` now transmits
+        on it; subclasses that hand ``intf.send`` out do it here."""
 
     def default_interface(self) -> Interface:
         if not self.interfaces:
             raise ValueError("%s has no interfaces" % self.name)
         return next(iter(self.interfaces.values()))
-
-    def _receive(self, intf: Interface, data: bytes) -> None:
-        """Frame arrived on ``intf``; subclasses dispatch."""
 
     def stop(self) -> None:
         """Shut the node down (subclasses release resources)."""
@@ -76,7 +83,7 @@ class Host(Node):
                  ip: Union[str, IPAddr], mac: Union[str, EthAddr],
                  prefix_len: int = 8):
         super().__init__(name, sim)
-        self.add_interface(mac, ip, prefix_len)
+        self._primary = self.add_interface(mac, ip, prefix_len)
         self.arp_table: Dict[IPAddr, EthAddr] = {}
         self._arp_pending: Dict[IPAddr, List[Ethernet]] = {}
         self._udp_handlers: Dict[int, Callable] = {}
@@ -88,19 +95,20 @@ class Host(Node):
         self._pings: Dict[int, PendingPing] = {}
         self._next_ping_id = 1
         self._captures: List = []
-        # rx fast path: constant-rate flows deliver byte-identical
-        # frames, so the parse result is memoized per wire image
+        # rx front tier: constant-rate flows deliver byte-identical
+        # frames, so what the one-pass parse found is memoized per wire
+        # image (DESIGN.md "Per-hop path and host datagram codec")
         self._udp_rx_cache: Dict[bytes, tuple] = {}
 
     # -- convenience accessors ------------------------------------------------
 
     @property
     def ip(self) -> IPAddr:
-        return self.default_interface().ip
+        return self._primary.ip
 
     @property
     def mac(self) -> EthAddr:
-        return self.default_interface().mac
+        return self._primary.mac
 
     def attach_capture(self, capture) -> None:
         """Register a PacketCapture to observe this host's frames."""
@@ -111,7 +119,7 @@ class Host(Node):
     def send_frame(self, frame: Ethernet) -> None:
         for capture in self._captures:
             capture.observe(self.sim.now, "tx", frame)
-        self.default_interface().send(frame.pack())
+        self._primary.send(frame.pack())
 
     def send_ip(self, packet: IPv4) -> None:
         """Resolve the destination and send (queues behind ARP)."""
@@ -141,12 +149,25 @@ class Host(Node):
     # -- receive path ---------------------------------------------------------
 
     def _receive(self, intf: Interface, data: bytes) -> None:
-        # fast path: an identical UDP datagram was parsed before (the
-        # memo is only safe single-homed and invisible to captures)
-        if not self._captures and len(self.interfaces) == 1:
-            cached = self._udp_rx_cache.get(data)
-            if cached is not None:
-                self._deliver_udp(*cached)
+        # Fast path, for what one struct pass can recognise: a plain UDP
+        # datagram to this interface's own MAC and IP.  Captures want
+        # frame objects, and the memo (keyed on the bytes alone) is only
+        # sound single-homed.  Everything else takes the object codec.
+        if not self._captures and intf.ip is not None:
+            memo = self._udp_rx_cache
+            found = memo.get(data) if len(self.interfaces) == 1 else None
+            if found is None:
+                parsed = unpack_udp_frame(data, intf.mac.raw,
+                                          intf.ip.to_int())
+                if parsed is not None:
+                    srcip, srcport, dstport, payload = parsed
+                    found = (IPAddr(srcip), srcport, dstport, payload,
+                             payload.startswith(PROBE_MAGIC))
+                    if len(memo) >= self.RX_CACHE_CAP:
+                        memo.clear()
+                    memo[data] = found
+            if found is not None:
+                self._deliver_udp(*found)
                 return
         try:
             frame = Ethernet.unpack(data)
@@ -163,7 +184,7 @@ class Host(Node):
             return
         ip = frame.find(IPv4)
         if ip is not None and intf.ip is not None and ip.dstip == intf.ip:
-            self._handle_ip(ip, wire=data)
+            self._handle_ip(ip)
 
     def _handle_arp(self, arp: ARP) -> None:
         if arp.opcode == ARP.REQUEST and arp.protodst == self.ip:
@@ -180,7 +201,7 @@ class Host(Node):
                 frame.dst = arp.hwsrc
                 self.send_frame(frame)
 
-    def _handle_ip(self, ip: IPv4, wire: Optional[bytes] = None) -> None:
+    def _handle_ip(self, ip: IPv4) -> None:
         icmp = ip.find(ICMP)
         if icmp is not None:
             self._handle_icmp(ip, icmp)
@@ -188,14 +209,8 @@ class Host(Node):
         udp = ip.find(UDP)
         if udp is not None:
             payload = udp.raw_payload()
-            is_probe = payload.startswith(PROBE_MAGIC)
-            if wire is not None:
-                if len(self._udp_rx_cache) >= self.RX_CACHE_CAP:
-                    self._udp_rx_cache.clear()
-                self._udp_rx_cache[wire] = (ip.srcip, udp.srcport,
-                                            udp.dstport, payload, is_probe)
-            self._deliver_udp(ip.srcip, udp.srcport, udp.dstport,
-                              payload, is_probe)
+            self._deliver_udp(ip.srcip, udp.srcport, udp.dstport, payload,
+                              payload.startswith(PROBE_MAGIC))
 
     def _deliver_udp(self, srcip: IPAddr, srcport: int, dstport: int,
                      payload: bytes, is_probe: bool) -> None:
@@ -234,10 +249,24 @@ class Host(Node):
 
     def send_udp(self, dst: Union[str, IPAddr], dport: int,
                  payload: bytes, sport: int = 40000) -> None:
-        self.send_ip(IPv4(srcip=self.ip, dstip=IPAddr(dst),
-                          protocol=IPv4.UDP_PROTOCOL,
-                          payload=UDP(srcport=sport, dstport=dport,
-                                      payload=payload)))
+        dst = IPAddr(dst)
+        dst_mac = self.arp_table.get(dst)
+        if dst_mac is None or self._captures:
+            # object codec: the frame queues behind ARP, or a capture
+            # wants to see it
+            self.send_ip(IPv4(srcip=self.ip, dstip=dst,
+                              protocol=IPv4.UDP_PROTOCOL,
+                              payload=UDP(srcport=sport, dstport=dport,
+                                          payload=payload)))
+        else:
+            self._primary.send(self._udp_wire(dst_mac, dst, dport, payload,
+                                              sport))
+
+    def _udp_wire(self, dst_mac: EthAddr, dst: IPAddr, dport: int,
+                  payload: bytes, sport: int) -> bytes:
+        intf = self._primary
+        return pack_udp_frame(dst_mac.raw, intf.mac.raw, intf.ip.to_int(),
+                              dst.to_int(), sport, dport, payload)
 
     def ping(self, dst: Union[str, IPAddr], count: int = 3,
              interval: float = 1.0, payload_size: int = 56):
@@ -286,33 +315,25 @@ class Host(Node):
         interval = 1.0 / rate_pps
         total = max(1, int(round(duration * rate_pps)))
         payload = b"\x00" * payload_size
-        # tx fast path: every datagram of the flow has identical headers
-        # and payload, so once ARP resolves, the wire image is packed
-        # once and replayed (keyed on the MAC so a re-resolve rebuilds)
-        state = {"mac": None, "frame": None, "wire": None}
+        # every datagram of the flow is the same frame, so once
+        # send_udp would take its one-pass branch the wire image is
+        # packed once and replayed (rebuilt if ARP re-resolves)
+        wire_mac = wire = None
 
         def send_next(index: int) -> None:
+            nonlocal wire_mac, wire
             if index >= total:
                 report.finished = True
                 return
             dst_mac = self.arp_table.get(dst)
-            if dst_mac is None:
-                self.send_udp(dst, dport, payload, sport)  # queues on ARP
+            if dst_mac is None or self._captures:
+                self.send_udp(dst, dport, payload, sport)
             else:
-                if state["mac"] != dst_mac:
-                    frame = Ethernet(
-                        src=self.mac, dst=dst_mac, type=Ethernet.IP_TYPE,
-                        payload=IPv4(srcip=self.ip, dstip=dst,
-                                     protocol=IPv4.UDP_PROTOCOL,
-                                     payload=UDP(srcport=sport,
-                                                 dstport=dport,
-                                                 payload=payload)))
-                    state["mac"] = dst_mac
-                    state["frame"] = frame
-                    state["wire"] = frame.pack()
-                for capture in self._captures:
-                    capture.observe(self.sim.now, "tx", state["frame"])
-                self.default_interface().send(state["wire"])
+                if dst_mac is not wire_mac:
+                    wire_mac = dst_mac
+                    wire = self._udp_wire(dst_mac, dst, dport, payload,
+                                          sport)
+                self._primary.send(wire)
             report.sent += 1
             self.sim.schedule(interval, send_next, index + 1)
 
@@ -338,15 +359,15 @@ class Switch(Node):
         intf = super().add_interface(mac, ip, prefix_len, name)
         port_no = len(self._port_of) + 1
         port = self.datapath.add_port(port_no, intf.name, str(intf.mac))
-        port.transmit = intf.send
+        intf.receive = port.receive
         self._port_of[intf.name] = port_no
         return intf
 
+    def link_attached(self, intf: Interface) -> None:
+        self.datapath.ports[self._port_of[intf.name]].transmit = intf.send
+
     def port_number(self, intf: Interface) -> int:
         return self._port_of[intf.name]
-
-    def _receive(self, intf: Interface, data: bytes) -> None:
-        self.datapath.ports[self._port_of[intf.name]].receive(data)
 
     def stop(self) -> None:
         self.datapath.disconnect_controller()

@@ -197,7 +197,7 @@ class VNFContainer(Node):
             raise ValueError("%s: %s/%s is already spliced"
                              % (self.name, vnf_id, device_name))
         device.transmit = intf.send
-        intf.set_receiver(lambda _intf, data, dev=device: dev.deliver(data))
+        intf.receive = device.deliver
         self._splices[(vnf_id, device_name)] = intf_name
 
     def disconnect_vnf(self, vnf_id: str, device_name: str) -> None:
@@ -216,7 +216,7 @@ class VNFContainer(Node):
             process.devices[device_name].transmit = None
         intf = self.interfaces.get(intf_name)
         if intf is not None:
-            intf.set_receiver(self._receive)
+            del intf.receive  # a loose end again
 
     # -- state ----------------------------------------------------------------
 

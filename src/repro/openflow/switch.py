@@ -1,5 +1,6 @@
 """The software OpenFlow switch (Open vSwitch stand-in)."""
 
+import sys
 from operator import itemgetter
 from typing import Callable, Dict, List, Optional
 
@@ -42,11 +43,13 @@ class SwitchPort:
         self.tx_packets = 0
         self.rx_bytes = 0
         self.tx_bytes = 0
+        self.rx_dropped = 0
         self.tx_dropped = 0
 
     def receive(self, data: bytes) -> None:
         """Frame arriving from the attached link."""
         if not self.up:
+            self.rx_dropped += 1
             return
         self.rx_packets += 1
         self.rx_bytes += len(data)
@@ -68,7 +71,7 @@ class SwitchPort:
     def stats(self) -> msg.PortStats:
         return msg.PortStats(self.port_no, self.rx_packets, self.tx_packets,
                              self.rx_bytes, self.tx_bytes,
-                             tx_dropped=self.tx_dropped)
+                             self.rx_dropped, self.tx_dropped)
 
     def __repr__(self) -> str:
         return "SwitchPort(%s:%d %s)" % (self.switch.name, self.port_no,
@@ -222,14 +225,69 @@ class OpenFlowSwitch:
                              dpid=self.dpid)
         seq = self._pkt_seq
         self._pkt_seq = seq + 1
+        span = None
         if self.SAMPLE_EVERY and seq % self.SAMPLE_EVERY == 0:
-            # sampled dataplane span (1 in SAMPLE_EVERY packets)
-            with current_telemetry().tracer.span(
-                    "openflow.packet", switch=self.name,
-                    in_port=in_port, bytes=len(data)):
-                self._process_packet(in_port, data)
-        else:
-            self._process_packet(in_port, data)
+            # sampled dataplane span (1 in SAMPLE_EVERY packets),
+            # entered by hand so the other 255 run in this one frame
+            span = current_telemetry().tracer.span(
+                "openflow.packet", switch=self.name, in_port=in_port,
+                bytes=len(data))
+            span.__enter__()
+        try:
+            now = self.sim.now
+            # expire() early-exits on a float compare until something
+            # can actually time out; removals bump table.version which
+            # flushes the caches below.
+            self.table.expire(now)
+            if self._cache_version != self.table.version:
+                self._flush_caches()
+            cached = self._microflow.get((in_port, data))
+            if cached is not None:
+                entry, wire, out_ports = cached
+                self.microflow_hit_count += 1
+            else:
+                try:
+                    key = (in_port, self._examined(flow_key(data)))
+                except PacketError:  # runt frame: nothing to match on
+                    self.dropped_count += 1
+                    return
+                verdict = self._flows.get(key)
+                if verdict is not None:
+                    self.microflow_hit_count += 1
+                else:
+                    entry = self.table.lookup(data, in_port, now)
+                    if entry is None:
+                        self.table_miss_count += 1
+                        self._table_miss(in_port, data)
+                        return
+                    verdict = (entry,) + self._compile(entry.actions)
+                    if len(self._flows) >= self.MICROFLOW_CAP:
+                        self._flows.clear()
+                    self._flows[key] = verdict
+                entry, rewrites, out_ports = verdict
+                wire = self._rewrite(rewrites, data) if out_ports else None
+                if len(self._microflow) >= self.MICROFLOW_CAP:
+                    self._microflow.clear()
+                self._microflow[(in_port, data)] = (entry, wire, out_ports)
+            self.table_hit_count += 1
+            entry.note_hit(len(data), now)
+            if wire is None:
+                self.dropped_count += 1
+                return
+            ports = self.ports
+            for port_no in out_ports:
+                port = ports.get(port_no)
+                if port is None or not port.up or port.transmit is None:
+                    # virtual, unknown or dead port
+                    self._output(port_no, wire, in_port)
+                    continue
+                port.tx_packets += 1
+                port.tx_bytes += len(wire)
+                self.forwarded_count += 1
+                port.transmit(wire)
+        finally:
+            if span is not None:
+                span.__exit__(*sys.exc_info())
 
     def _flush_caches(self) -> None:
         """Empty both cache tiers and re-derive the key mask: the fields
@@ -242,52 +300,6 @@ class OpenFlowSwitch:
                            for entry in self.table.entries)]
         self._examined = (itemgetter(*examined) if examined
                           else lambda fields: None)
-
-    def _process_packet(self, in_port: int, data: bytes) -> None:
-        now = self.sim.now
-        # expire() early-exits on a float compare until something can
-        # actually time out; removals bump table.version which flushes
-        # the caches below.
-        self.table.expire(now)
-        if self._cache_version != self.table.version:
-            self._flush_caches()
-        cached = self._microflow.get((in_port, data))
-        if cached is not None:
-            entry, wire, out_ports = cached
-            self.microflow_hit_count += 1
-        else:
-            try:
-                key = (in_port, self._examined(flow_key(data)))
-            except PacketError:  # runt frame: nothing to match on
-                self.dropped_count += 1
-                return
-            verdict = self._flows.get(key)
-            if verdict is not None:
-                self.microflow_hit_count += 1
-            else:
-                entry = self.table.lookup(data, in_port, now)
-                if entry is None:
-                    self.table_miss_count += 1
-                    self._table_miss(in_port, data)
-                    return
-                verdict = (entry,) + self._compile(entry.actions)
-                if len(self._flows) >= self.MICROFLOW_CAP:
-                    self._flows.clear()
-                self._flows[key] = verdict
-            entry, rewrites, out_ports = verdict
-            wire = self._rewrite(rewrites, data) if out_ports else None
-            if len(self._microflow) >= self.MICROFLOW_CAP:
-                self._microflow.clear()
-            self._microflow[(in_port, data)] = (entry, wire, out_ports)
-        self.table_hit_count += 1
-        entry.note_hit(len(data), now)
-        # emitted inline (as in _execute): an exact-frame hit must stay
-        # one dict probe plus the sends, with no extra call per frame
-        if wire is None:
-            self.dropped_count += 1
-            return
-        for port_no in out_ports:
-            self._output(port_no, wire, in_port)
 
     def _compile(self, actions) -> tuple:
         """Split an action list into ``(rewrite actions, out_ports)``

@@ -28,7 +28,7 @@ from repro.packet.ipv4 import IPv4
 from repro.packet.lldp import LLDP, ChassisTLV, PortTLV, TTLTLV
 from repro.packet.probe import Probe, frame_probe, pack_probe, parse_probe
 from repro.packet.tcp import TCP
-from repro.packet.udp import UDP
+from repro.packet.udp import UDP, pack_udp_frame, unpack_udp_frame
 
 __all__ = [
     "ARP",
@@ -51,5 +51,7 @@ __all__ = [
     "frame_probe",
     "is_multicast",
     "pack_probe",
+    "pack_udp_frame",
     "parse_probe",
+    "unpack_udp_frame",
 ]

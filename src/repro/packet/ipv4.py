@@ -1,7 +1,7 @@
 """IPv4 header (RFC 791), no options support."""
 
 import struct
-from typing import Union
+from typing import Optional, Union
 
 from repro.packet.addresses import IPAddr
 from repro.packet.base import Header, PacketError, checksum
@@ -33,22 +33,21 @@ class IPv4(Header):
         self.payload = payload
         self.csum = 0  # filled in by pack / kept from the wire by unpack
 
-    def pack_header(self) -> bytes:
-        payload = self.pack_payload()
-        total_len = self.MIN_LEN + len(payload)
+    def pack_header(self, payload_len: Optional[int] = None) -> bytes:
+        if payload_len is None:
+            payload_len = len(self.pack_payload())
         flags_frag = (self.flags & 7) << 13 | (self.frag & 0x1FFF)
-        head = struct.pack("!BBHHHBBH", (4 << 4) | 5, self.tos, total_len,
-                           self.id, flags_frag, self.ttl, self.protocol, 0)
+        head = struct.pack("!BBHHHBBH", (4 << 4) | 5, self.tos,
+                           self.MIN_LEN + payload_len, self.id, flags_frag,
+                           self.ttl, self.protocol, 0)
         head += self.srcip.raw + self.dstip.raw
         self.csum = checksum(head)
         return head[:10] + struct.pack("!H", self.csum) + head[12:]
 
     def pack(self) -> bytes:
-        # pack_header already needs the payload for the length field, so
-        # avoid serializing the payload twice.
+        # the length field needs the serialized payload: pack it once
         payload = self.pack_payload()
-        header = self.pack_header()
-        return header + payload
+        return self.pack_header(len(payload)) + payload
 
     @classmethod
     def unpack(cls, data: bytes) -> "IPv4":

@@ -724,10 +724,15 @@ class Simulator:
             while heap:
                 if max_events is not None and executed >= max_events:
                     break
-                entry = surface()
-                if entry is None:
-                    break
+                entry = heap[0]
                 event = entry[2]
+                if (event.cancelled or event.fired or entry[1] != event.seq
+                        or event.time > entry[0]):
+                    # dead or deferred head: discard / re-key it
+                    entry = surface()
+                    if entry is None:
+                        break
+                    event = entry[2]
                 if until is not None and entry[0] > until:
                     # nested step() pumping (e.g. a recovery action
                     # blocking on an RPC reply) may already have moved

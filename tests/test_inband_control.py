@@ -98,7 +98,7 @@ class TestEthTransport:
         from repro.netconf.ethtransport import ETHERTYPE_MGMT
         rogue = Ethernet(src="00:00:00:00:99:99", dst=tb.intf.mac,
                          type=ETHERTYPE_MGMT, payload=b"spoof")
-        tb.intf.deliver(rogue.pack())
+        tb.intf.receive(rogue.pack())
         net.run(0.1)
         assert got == []
 

@@ -22,7 +22,7 @@ class TestJitter:
         sim = Simulator()
         intf1, intf2, _link = make_pair(sim, delay=0.01, jitter=0.005)
         times = []
-        intf2.set_receiver(lambda intf, data: times.append(sim.now))
+        intf2.receive = lambda data: times.append(sim.now)
         for index in range(20):
             sim.schedule(index * 0.1, intf1.send, b"x")
         sim.run()
@@ -35,7 +35,7 @@ class TestJitter:
         sim = Simulator()
         intf1, intf2, _link = make_pair(sim, delay=0.01)
         times = []
-        intf2.set_receiver(lambda intf, data: times.append(sim.now))
+        intf2.receive = lambda data: times.append(sim.now)
         intf1.send(b"x")
         sim.run()
         assert times == [pytest.approx(0.01)]
@@ -46,7 +46,7 @@ class TestJitter:
             intf1, intf2, _link = make_pair(sim, delay=0.01,
                                             jitter=0.01)
             times = []
-            intf2.set_receiver(lambda intf, data: times.append(sim.now))
+            intf2.receive = lambda data: times.append(sim.now)
             for _ in range(5):
                 intf1.send(b"x")
             sim.run()

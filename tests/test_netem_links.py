@@ -24,7 +24,7 @@ class TestLink:
         sim = Simulator()
         intf1, intf2, _link = make_pair(sim)
         got = []
-        intf2.set_receiver(lambda intf, data: got.append((sim.now, data)))
+        intf2.receive = lambda data: got.append((sim.now, data))
         intf1.send(b"hello")
         sim.run()
         assert got == [(0.0, b"hello")]
@@ -33,7 +33,7 @@ class TestLink:
         sim = Simulator()
         intf1, intf2, _link = make_pair(sim, delay=0.25)
         got = []
-        intf2.set_receiver(lambda intf, data: got.append(sim.now))
+        intf2.receive = lambda data: got.append(sim.now)
         intf1.send(b"x")
         sim.run()
         assert got == [pytest.approx(0.25)]
@@ -43,7 +43,7 @@ class TestLink:
         # 1000-byte frame at 8000 bit/s -> 1 s serialization
         intf1, intf2, _link = make_pair(sim, bandwidth=8000.0)
         got = []
-        intf2.set_receiver(lambda intf, data: got.append(sim.now))
+        intf2.receive = lambda data: got.append(sim.now)
         intf1.send(b"\x00" * 1000)
         sim.run()
         assert got == [pytest.approx(1.0)]
@@ -52,7 +52,7 @@ class TestLink:
         sim = Simulator()
         intf1, intf2, _link = make_pair(sim, bandwidth=8000.0)
         got = []
-        intf2.set_receiver(lambda intf, data: got.append(sim.now))
+        intf2.receive = lambda data: got.append(sim.now)
         intf1.send(b"\x00" * 1000)
         intf1.send(b"\x00" * 1000)
         sim.run()
@@ -62,8 +62,8 @@ class TestLink:
         sim = Simulator()
         intf1, intf2, _link = make_pair(sim, bandwidth=8000.0)
         got1, got2 = [], []
-        intf1.set_receiver(lambda intf, data: got1.append(sim.now))
-        intf2.set_receiver(lambda intf, data: got2.append(sim.now))
+        intf1.receive = lambda data: got1.append(sim.now)
+        intf2.receive = lambda data: got2.append(sim.now)
         intf1.send(b"\x00" * 1000)
         intf2.send(b"\x00" * 1000)
         sim.run()
@@ -74,7 +74,7 @@ class TestLink:
         sim = Simulator()
         intf1, intf2, link = make_pair(sim, bandwidth=8000.0, max_queue=2)
         got = []
-        intf2.set_receiver(lambda intf, data: got.append(data))
+        intf2.receive = lambda data: got.append(data)
         for _ in range(5):
             intf1.send(b"\x00" * 1000)
         sim.run()
@@ -85,7 +85,7 @@ class TestLink:
         sim = Simulator()
         intf1, intf2, link = make_pair(sim, loss=1.0)
         got = []
-        intf2.set_receiver(lambda intf, data: got.append(data))
+        intf2.receive = lambda data: got.append(data)
         for _ in range(10):
             intf1.send(b"x")
         sim.run()
@@ -97,7 +97,7 @@ class TestLink:
             sim = Simulator()
             intf1, intf2, link = make_pair(sim, loss=0.3)
             got = []
-            intf2.set_receiver(lambda intf, data: got.append(data))
+            intf2.receive = lambda data: got.append(data)
             for _ in range(100):
                 intf1.send(b"x")
             sim.run()
@@ -110,7 +110,7 @@ class TestLink:
         sim = Simulator()
         intf1, intf2, link = make_pair(sim)
         got = []
-        intf2.set_receiver(lambda intf, data: got.append(data))
+        intf2.receive = lambda data: got.append(data)
         link.set_up(False)
         intf1.send(b"x")
         sim.run()
@@ -119,7 +119,7 @@ class TestLink:
     def test_counters(self):
         sim = Simulator()
         intf1, intf2, link = make_pair(sim)
-        intf2.set_receiver(lambda intf, data: None)
+        intf2.receive = lambda data: None
         intf1.send(b"abcd")
         sim.run()
         assert intf1.tx_packets == 1
@@ -207,8 +207,7 @@ sim = Simulator()
 near = Interface("s1-eth1", None, EthAddr(1))
 far = Interface("s2-eth1", None, EthAddr(2))
 link = Link(sim, near, far, delay=0.001, jitter=0.004, loss=0.2)
-far.set_receiver(lambda intf, data: print("rx %.9f %s" % (sim.now,
-                                                          data.decode())))
+far.receive = lambda data: print("rx %.9f %s" % (sim.now, data.decode()))
 for seq in range(200):
     sim.schedule(seq * 0.001, near.send, b"%d" % seq)
 sim.run()

@@ -1,10 +1,14 @@
 """Tests for hosts, switches, topologies and the Network object."""
 
+import struct
+
 import pytest
 
-from repro.netem import (CLI, LinearTopo, Network, NetworkError,
+from repro.core import ESCAPE
+from repro.netem import (CLI, Interface, LinearTopo, Network, NetworkError,
                          PacketCapture, SingleSwitchTopo, Topo, TreeTopo)
-from repro.packet import Ethernet, IPv4, UDP
+from repro.openflow import PortStatsRequest
+from repro.packet import EthAddr, Ethernet, IPv4, UDP
 from repro.pox import Core, L2LearningSwitch, OpenFlowNexus
 from repro.sim import Simulator
 
@@ -299,3 +303,196 @@ class TestCLI:
         outputs = []
         cli.interact(input_fn=raise_eof, output_fn=outputs.append)
         assert outputs  # greeted, then exited cleanly
+
+
+def chain_escape(**core_link):
+    """h1 - s1 - s2 - h2 carrying one forwarder chain through a container
+    on s1; ``core_link`` shapes the s1 - s2 link.  LLDP discovery is
+    parked after start-up so the counters below see chain traffic only."""
+    topo = Topo()
+    for host in ("h1", "h2"):
+        topo.add_host(host)
+    for switch in ("s1", "s2"):
+        topo.add_switch(switch)
+    topo.add_link("h1", "s1", bandwidth=1e9, delay=0.001)
+    topo.add_link("s1", "s2", **core_link)
+    topo.add_link("h2", "s2", bandwidth=1e9, delay=0.001)
+    topo.add_vnf_container("nc1", cpu=4, mem=2048)
+    for _ in range(2):
+        topo.add_link("nc1", "s1", delay=0.0005)
+    escape = ESCAPE.from_topology(topo, discovery_interval=1000.0)
+    escape.start()
+    chain = escape.deploy_service({
+        "name": "c", "saps": ["h1", "h2"],
+        "vnfs": [{"name": "v0", "type": "forwarder"}],
+        "chain": ["h1", "v0", "h2"]})
+    h1, h2 = escape.net.get("h1"), escape.net.get("h2")
+    h1.send_udp(h2.ip, 7000, b"resolve ARP first")
+    escape.run(0.1)
+    return escape, chain
+
+
+def offer(escape, count, size, rate_pps=1000.0):
+    """``count`` distinct datagrams h1 -> h2 at ``rate_pps``."""
+    h1, h2 = escape.net.get("h1"), escape.net.get("h2")
+    for index in range(count):
+        escape.sim.schedule(
+            index / rate_pps, h1.send_udp, h2.ip, 7000,
+            struct.pack("!I", index).ljust(size, b"."))
+
+
+def switch_ports(escape):
+    """(switch port, its interface) for every port of every switch."""
+    return [(switch.datapath.ports[switch.port_number(intf)], intf)
+            for switch in escape.net.switches()
+            for intf in switch.interfaces.values()]
+
+
+def port_facing(switch, far_intf):
+    """The port of ``switch`` at the other end of ``far_intf``'s link."""
+    near = far_intf.link.other_end(far_intf)
+    return switch.datapath.ports[switch.port_number(near)]
+
+
+def port_stats_replies(escape):
+    """What each datapath answers to a PortStatsRequest, as
+    ``{(switch, port_no): (rx/tx packets, rx/tx bytes, rx/tx dropped)}``."""
+    table = {}
+    for switch in escape.net.switches():
+        replies = []
+        channel = switch.datapath.channel
+        channel.send_to_controller = replies.append
+        switch.datapath._handle_controller_message(PortStatsRequest())
+        del channel.send_to_controller
+        for stat in replies[0].stats:
+            table[switch.name, stat.port_no] = (
+                stat.rx_packets, stat.tx_packets, stat.rx_bytes,
+                stat.tx_bytes, stat.rx_dropped, stat.tx_dropped)
+    return table
+
+
+# 50 datagrams of 142 bytes, the 59-byte one that resolved ARP, and one
+# 33-byte LLDP probe per port; s1: 1 = h1, 2 = s2, 3/4 = the VNF's in/out
+PARENT_PORT_STATS = {
+    ("s1", 1): (51, 1, 7159, 33, 0, 0),
+    ("s1", 2): (1, 52, 33, 7192, 0, 0),
+    ("s1", 3): (0, 52, 0, 7192, 0, 0),
+    ("s1", 4): (51, 1, 7159, 33, 0, 0),
+    ("s2", 1): (52, 1, 7192, 33, 0, 0),
+    ("s2", 2): (0, 52, 0, 7192, 0, 0),
+}
+
+
+class TestPortCounters:
+    def test_every_copy_agrees_on_a_lossy_overflowing_link(self):
+        escape, _ = chain_escape(bandwidth=2e6, delay=0.002, loss=0.1,
+                                 max_queue=5)
+        offer(escape, 400, 500, rate_pps=2000.0)   # 8 Mbit/s into 2
+        escape.run(2.0)
+        core, = escape.net.links_between("s1", "s2")
+        assert core.dropped_loss > 0 and core.dropped_queue > 0
+        assert escape.net.get("h2").udp_rx_count \
+            == 401 - core.dropped_loss - core.dropped_queue
+        replies = port_stats_replies(escape)
+        for port, intf in switch_ports(escape):
+            far = intf.link.other_end(intf)
+            assert (port.rx_packets, port.rx_bytes, port.rx_dropped) \
+                == (intf.rx_packets, intf.rx_bytes, 0)
+            assert (port.tx_packets, port.tx_bytes, port.tx_dropped) \
+                == (intf.tx_packets, intf.tx_bytes, 0)
+            assert replies[intf.node.name, port.port_no] == (
+                intf.rx_packets, intf.tx_packets, intf.rx_bytes,
+                intf.tx_bytes, 0, 0)
+            if intf.link is not core:  # one direction, no drops
+                assert (far.rx_packets, far.rx_bytes) \
+                    == (intf.tx_packets, intf.tx_bytes)
+        for link in escape.net.links:   # nothing is left in flight
+            assert link.intf1.tx_packets + link.intf2.tx_packets \
+                == link.delivered + link.dropped
+            assert link.delivered == (link.intf1.rx_packets
+                                      + link.intf2.rx_packets)
+        stats = escape.net.link_stats()
+        assert stats["delivered"] + stats["dropped"] == sum(
+            link.intf1.tx_packets + link.intf2.tx_packets
+            for link in escape.net.links)
+        assert (stats["dropped_loss"], stats["dropped_queue"],
+                stats["dropped_down"]) == (core.dropped_loss,
+                                           core.dropped_queue, 0)
+
+    def test_port_stats_reply_without_drops_is_the_parents(self):
+        escape, _ = chain_escape(bandwidth=1e9, delay=0.002)
+        offer(escape, 50, 100)
+        escape.run(0.5)
+        # recorded on the commit before the per-hop path was flattened
+        assert port_stats_replies(escape) == PARENT_PORT_STATS
+
+    def test_every_frame_is_delivered_or_a_named_drop(self):
+        escape, chain = chain_escape(bandwidth=1e9, delay=0.002)
+        net, sim = escape.net, escape.sim
+        h1, h2, s1, s2, nc1 = (net.get(name) for name
+                               in ("h1", "h2", "s1", "s2", "nc1"))
+        process = nc1.get_vnf(chain.vnfs["v0"].vnf_id)
+        nc_in = nc1.interfaces[nc1._splices[process.vnf_id, "in0"]]
+        nc_out = nc1.interfaces[nc1._splices[process.vnf_id, "out0"]]
+        core, = net.links_between("s1", "s2")
+        core_s1, core_s2 = ((core.intf1, core.intf2)
+                            if core.intf1.node is s1
+                            else (core.intf2, core.intf1))
+        from_h1 = port_facing(s1, h1.default_interface())
+        to_vnf, from_vnf = port_facing(s1, nc_in), port_facing(s1, nc_out)
+        to_s2, from_s1 = port_facing(s1, core_s2), port_facing(s2, core_s1)
+        to_h2 = port_facing(s2, h2.default_interface())
+
+        def counters():
+            return {
+                "h1 tx": h1.default_interface().tx_packets,
+                "s1<h1 rx": from_h1.rx_packets,
+                "s1<h1 rx_dropped": from_h1.rx_dropped,
+                "s1>vnf tx": to_vnf.tx_packets,
+                "nc1 in rx": nc_in.rx_packets,
+                "in0 rx": process.devices["in0"].rx_packets,
+                "out0 tx": process.devices["out0"].tx_packets,
+                "out0 tx_dropped": process.devices["out0"].tx_dropped,
+                "nc1 out tx": nc_out.tx_packets,
+                "s1<vnf rx": from_vnf.rx_packets,
+                "s1>s2 tx": to_s2.tx_packets,
+                "s2<s1 rx": from_s1.rx_packets,
+                "s2>h2 tx": to_h2.tx_packets,
+                "s2>h2 tx_dropped": to_h2.tx_dropped,
+                "h2 rx": h2.default_interface().rx_packets,
+                "h2 udp": h2.udp_rx_count,
+            }
+
+        before = counters()
+        offer(escape, 100, 64)   # 0.1 s of traffic, faults in mid-flow
+        sim.schedule(0.020, s1.datapath.set_port_up, from_h1.port_no, False)
+        sim.schedule(0.040, s1.datapath.set_port_up, from_h1.port_no, True)
+        sim.schedule(0.050, s2.datapath.set_port_up, to_h2.port_no, False)
+        sim.schedule(0.070, s2.datapath.set_port_up, to_h2.port_no, True)
+        sim.schedule(0.080, nc1.disconnect_vnf, process.vnf_id, "out0")
+        escape.run(0.5)
+        after = counters()
+        moved = {hop: after[hop] - before[hop] for hop in before}
+
+        dead_port, dead_out, unspliced = (moved["s1<h1 rx_dropped"],
+                                          moved["s2>h2 tx_dropped"],
+                                          moved["out0 tx_dropped"])
+        assert dead_port > 0 and dead_out > 0 and unspliced > 0
+        assert moved["h1 tx"] == 100
+        assert moved["h2 udp"] == 100 - dead_port - unspliced - dead_out
+        # hop by hop: each counter is the previous one minus a named drop
+        assert moved["s1<h1 rx"] == 100 - dead_port
+        for hop in ("s1>vnf tx", "nc1 in rx", "in0 rx"):
+            assert moved[hop] == moved["s1<h1 rx"], hop
+        assert moved["out0 tx"] == moved["in0 rx"] - unspliced
+        for hop in ("nc1 out tx", "s1<vnf rx", "s1>s2 tx", "s2<s1 rx"):
+            assert moved[hop] == moved["out0 tx"], hop
+        assert moved["s2>h2 tx"] == moved["s2<s1 rx"] - dead_out
+        assert moved["h2 rx"] == moved["h2 udp"] == moved["s2>h2 tx"]
+
+    def test_a_loose_end_counts_what_it_cannot_carry(self):
+        intf = Interface("x-eth0", None, EthAddr(1))
+        intf.send(b"nowhere to go")
+        intf.receive(b"nobody to tell")
+        assert (intf.tx_packets, intf.tx_dropped) == (0, 1)
+        assert (intf.rx_packets, intf.rx_dropped) == (0, 1)

@@ -144,6 +144,27 @@ class TestIPv4:
         with pytest.raises(PacketError):
             IPv4(ttl=0).decremented()
 
+    def test_payload_is_packed_once(self, monkeypatch):
+        # pack() used to serialize the payload a second time inside
+        # pack_header(), so every IP send checksummed its L4 twice
+        calls = []
+        pack = UDP.pack
+        monkeypatch.setattr(
+            UDP, "pack", lambda self: calls.append(self) or pack(self))
+        frame = Ethernet(
+            dst="00:00:00:00:00:02", src="00:00:00:00:00:01",
+            type=Ethernet.IP_TYPE,
+            payload=IPv4(srcip="10.0.0.1", dstip="10.0.0.2",
+                         protocol=IPv4.UDP_PROTOCOL, id=7,
+                         payload=UDP(1234, 53, payload=b"hello")))
+        wire = frame.pack()
+        assert len(calls) == 1
+        assert wire.hex() == (
+            "000000000002000000000001" "0800"
+            "45000021000700004011" "66c3" "0a000001" "0a000002"
+            "04d20035000d" "b719" "68656c6c6f")  # the parent's bytes
+        assert frame.payload.pack_header() == wire[14:34]
+
     def test_icmp_payload_parsed(self):
         packet = IPv4(protocol=IPv4.ICMP_PROTOCOL, payload=ICMP())
         assert isinstance(IPv4.unpack(packet.pack()).payload, ICMP)

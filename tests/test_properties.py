@@ -13,9 +13,13 @@ from repro.openflow import (ControllerChannel, FlowEntry, FlowMod, FlowTable,
                             OpenFlowSwitch, Output, SetNwDst, SetVlan,
                             StripVlan, OFPP_CONTROLLER, OFPP_FLOOD,
                             OFPP_IN_PORT)
+from repro.netem import Host
+from repro.netem.traffic import PacketCapture
 from repro.openflow.match import NO_VLAN, flow_key
-from repro.packet import ARP, ICMP, Ethernet, IPv4, TCP, UDP, Vlan
+from repro.packet import (ARP, ICMP, EthAddr, Ethernet, IPAddr, IPv4, TCP,
+                          UDP, Vlan, pack_udp_frame, unpack_udp_frame)
 from repro.packet.base import PacketError, checksum
+from repro.packet.probe import PROBE_MAGIC
 from repro.sim import Simulator
 
 
@@ -265,7 +269,7 @@ def _patched(data, offset, patch):
 
 
 @st.composite
-def _ipv4_packets(draw):
+def _ipv4_packets(draw, nw_dst=_u32, udp_payload=_blob):
     """An IPv4 packet built by hand so it can carry what the classes
     never emit: options, fragments, a wrong IHL, checksum or length.
     Each defect is drawn on its own so most packets have at most one."""
@@ -274,7 +278,8 @@ def _ipv4_packets(draw):
 
     protocol = draw(st.sampled_from([1, 6, 6, 17, 17, 47]))
     if protocol == 17:
-        payload = UDP(draw(_u16), draw(_u16), payload=draw(_blob)).pack()
+        payload = UDP(draw(_u16), draw(_u16),
+                      payload=draw(udp_payload)).pack()
         if draw(st.booleans()):  # a checksum this stack did not compute
             payload = _patched(payload, 6, b"\xbe\xef")
         length = draw(rare(7, len(payload) - 1, len(payload) + 1))
@@ -302,18 +307,18 @@ def _ipv4_packets(draw):
     header = struct.pack(
         "!BBHHHBBHII", ver_ihl, draw(st.integers(0, 255)), total_len,
         draw(_u16), draw(st.sampled_from([0, 0x2000, 0x00B9])), 64,
-        protocol, 0, draw(_u32), draw(_u32)) + options
+        protocol, 0, draw(_u32), draw(nw_dst)) + options
     csum = checksum(header[:(ver_ihl & 0xF) * 4].ljust(20, b"\x00")) \
         ^ (draw(rare(1)) or 0)
     return _patched(header, 10, struct.pack("!H", csum)) + payload
 
 
 @st.composite
-def _frames(draw):
+def _frames(draw, **ipv4):
     ethertype, body = draw(st.one_of(
-        st.tuples(st.just(Ethernet.IP_TYPE), _ipv4_packets()),
-        st.tuples(st.just(Ethernet.IP_TYPE), _ipv4_packets()),
-        st.tuples(st.just(Ethernet.IP_TYPE), _ipv4_packets()),
+        st.tuples(st.just(Ethernet.IP_TYPE), _ipv4_packets(**ipv4)),
+        st.tuples(st.just(Ethernet.IP_TYPE), _ipv4_packets(**ipv4)),
+        st.tuples(st.just(Ethernet.IP_TYPE), _ipv4_packets(**ipv4)),
         st.tuples(st.just(Ethernet.ARP_TYPE), st.builds(
             lambda op, src, dst, defect: _patched(
                 ARP(op, protosrc=src, protodst=dst).pack(), defect, b"\x09"),
@@ -349,6 +354,183 @@ def test_flow_key_equals_the_object_walk(frame):
     assert flow_key(frame) == _object_walk_key(frame)
     concrete = Match.from_packet(frame, in_port=3)
     assert concrete == Match(3, *flow_key(frame))
+
+
+# -- the one-pass host codec vs the packet classes --------------------------
+
+
+def _rfc1071(data):
+    """The Internet checksum, word by word as RFC 1071 states it."""
+    if len(data) % 2:
+        data += b"\x00"
+    total = 0
+    for index in range(0, len(data), 2):
+        total += data[index] << 8 | data[index + 1]
+        total = (total & 0xFFFF) + (total >> 16)
+    return ~total & 0xFFFF
+
+
+@given(st.one_of(st.binary(max_size=1600),
+                 st.builds(lambda byte, size: bytes([byte]) * size,
+                           st.sampled_from([0x00, 0xFF]),
+                           st.integers(0, 1600))))
+@settings(max_examples=1000, deadline=None)
+def test_checksum_equals_the_word_by_word_sum(data):
+    assert checksum(data) == _rfc1071(data)
+    if len(data) % 2 == 0:  # a buffer carrying its own checksum verifies
+        assert checksum(data + struct.pack("!H", checksum(data))) == 0
+
+
+_mac = st.binary(min_size=6, max_size=6)
+_port = st.integers(0, 0xFFFF)
+_datagram = st.one_of(st.binary(max_size=64), st.binary(max_size=1472),
+                      st.builds(PROBE_MAGIC.__add__, _blob))
+
+
+@given(_mac, _mac, _u32, _u32, _port, _port, _datagram)
+@settings(max_examples=500, deadline=None)
+def test_one_pass_builder_equals_the_header_classes(dl_dst, dl_src, srcip,
+                                                    dstip, srcport, dstport,
+                                                    payload):
+    reference = Ethernet(dst=dl_dst, src=dl_src, type=Ethernet.IP_TYPE,
+                         payload=IPv4(srcip=srcip, dstip=dstip,
+                                      protocol=IPv4.UDP_PROTOCOL,
+                                      payload=UDP(srcport, dstport,
+                                                  payload))).pack()
+    assert pack_udp_frame(dl_dst, dl_src, srcip, dstip, srcport, dstport,
+                          payload) == reference
+
+
+@given(st.sampled_from([-1, 0x10000, 1 << 40]), _port, st.booleans())
+def test_one_pass_builder_rejects_what_udp_rejects(bad, good, bad_is_source):
+    ports = (bad, good) if bad_is_source else (good, bad)
+    with pytest.raises(ValueError):
+        UDP(*ports)
+    with pytest.raises(ValueError):
+        pack_udp_frame(b"\x02" * 6, b"\x04" * 6, 1, 2, *ports, b"x")
+
+
+_HOST_MAC = bytes.fromhex("020000000001")
+_HOST_IP = 0x0A000001
+_PEER_IP = 0x0A000002
+_NOT_HOST_MACS = [bytes.fromhex("020000000002"), bytes.fromhex("020000000101"),
+                  bytes.fromhex("01005e000001"), b"\xff" * 6]
+
+
+def _host(captured):
+    """A host at ``_HOST_MAC`` / ``_HOST_IP`` that knows its peer's MAC
+    and records what leaves its interface and what its stack delivers.
+    With a capture attached both directions take the header classes."""
+    host = Host("h", Simulator(), _HOST_IP, _HOST_MAC)
+    if captured:
+        host.attach_capture(PacketCapture())
+    host.arp_table[IPAddr(_PEER_IP)] = EthAddr(_NOT_HOST_MACS[0])
+    host.sent, host.got = [], []
+    host.default_interface().send = host.sent.append
+    host._deliver_udp = lambda *datagram: host.got.append(datagram)
+    return host
+
+
+@given(_port, _port, _datagram, st.integers(1, 3))
+@settings(max_examples=200, deadline=None)
+def test_host_sends_the_same_bytes_on_either_codec(sport, dport, payload,
+                                                   repeats):
+    fast, reference = _host(captured=False), _host(captured=True)
+    for host in (fast, reference):
+        for _ in range(repeats):
+            host.send_udp(_PEER_IP, dport, payload, sport)
+        host.start_udp_flow(_PEER_IP, dport, rate_pps=10.0, duration=0.4,
+                            payload_size=len(payload), sport=sport)
+        # the peer moves to another MAC halfway through the flow
+        host.sim.schedule(0.15, host.arp_table.__setitem__,
+                          IPAddr(_PEER_IP), EthAddr(_NOT_HOST_MACS[1]))
+        host.sim.run()
+    assert fast.sent == reference.sent
+    assert len(fast.sent) == repeats + 4
+    assert {frame[:6] for frame in fast.sent[repeats:]} \
+        == set(_NOT_HOST_MACS[:2])
+
+
+def _resealed(frame):
+    """``frame`` with the checksum of its option-free IPv4 header redone,
+    so a patched field is what gets judged, not the checksum."""
+    header = _patched(frame[14:34], 10, b"\x00\x00")
+    return _patched(frame, 24, struct.pack("!H", checksum(header)))
+
+
+@st.composite
+def _host_frames(draw):
+    """What a host may find on its wire.  Half are whatever ``_frames``
+    builds (ARP, ICMP, TCP, options, Q-in-Q, every defect it knows),
+    mostly aimed at the host's MAC and IP; half are one good datagram
+    for the host with a single named thing wrong - or nothing."""
+    if draw(st.booleans()):
+        frame = draw(_frames(
+            nw_dst=st.sampled_from([_HOST_IP] * 7 + [_PEER_IP]),
+            udp_payload=_datagram))
+        dl_dst = draw(st.sampled_from([_HOST_MAC] * 6 + _NOT_HOST_MACS))
+        return dl_dst[:len(frame)] + frame[6:]
+    payload = draw(_datagram)
+    frame = pack_udp_frame(_HOST_MAC, draw(_mac), draw(_u32), _HOST_IP,
+                           draw(_port), draw(_port), payload)
+    defect = draw(st.sampled_from(
+        ["none", "none", "cut", "pad", "dl_dst", "dl_type", "checksum",
+         "version", "ihl", "options", "total_len", "udp_len", "vlan",
+         "nw_dst", "nw_proto"]))
+    if defect == "cut":
+        frame = frame[:draw(st.integers(0, len(frame) - 1))]
+    elif defect == "pad":
+        frame += bytes(draw(st.integers(1, 20)))
+    elif defect == "dl_dst":  # a stranger's, a group's or everybody's
+        frame = draw(st.sampled_from(_NOT_HOST_MACS)) + frame[6:]
+    elif defect == "dl_type":
+        frame = _patched(frame, 12, struct.pack("!H", draw(
+            st.sampled_from([0x0806, 0x8100, 0x86DD]))))
+    elif defect == "checksum":
+        frame = _patched(frame, 24, bytes([frame[24] ^ 0x10]))
+    elif defect == "version":
+        frame = _resealed(_patched(frame, 14, b"\x65"))
+    elif defect == "ihl":  # claims options that are not there
+        frame = _resealed(_patched(frame, 14, b"\x46"))
+    elif defect == "options":  # a valid header the one pass must decline
+        header = _patched(frame[14:34] + b"\x01" * 4, 0, struct.pack(
+            "!BBH", 0x46, 0, len(frame) - 10))
+        header = _patched(header, 10, b"\x00\x00")
+        header = _patched(header, 10, struct.pack("!H", checksum(header)))
+        frame = frame[:14] + header + frame[34:]
+    elif defect == "total_len":
+        frame = _resealed(_patched(frame, 16, struct.pack("!H", draw(
+            st.sampled_from([0, 19, 20, 27, 28, len(frame) - 15,
+                             len(frame) - 13, 2000])))))
+    elif defect == "udp_len":
+        frame = _patched(frame, 38, struct.pack("!H", draw(
+            st.sampled_from([0, 7, 8, len(payload) + 7, len(payload) + 9]))))
+    elif defect == "vlan":
+        frame = frame[:12] + struct.pack("!HH", 0x8100, draw(_u16)) \
+            + frame[12:]
+    elif defect == "nw_dst":
+        frame = _resealed(_patched(frame, 30, struct.pack("!I", _PEER_IP)))
+    elif defect == "nw_proto":
+        frame = _resealed(_patched(frame, 23, bytes([draw(
+            st.sampled_from([1, 6, 47]))])))
+    return frame
+
+
+@given(st.lists(_host_frames(), min_size=1, max_size=4))
+@settings(max_examples=1000, deadline=None)
+def test_host_receives_the_same_datagrams_on_either_codec(frames):
+    fast, reference = _host(captured=False), _host(captured=True)
+    for frame in frames + frames[:1]:  # the repeat is a memo hit
+        for host in (fast, reference):
+            host._receive(host.default_interface(), frame)
+    assert fast.got == reference.got
+    # and the parser alone never claims a frame the classes refuse
+    for frame in frames:
+        parsed = unpack_udp_frame(frame, _HOST_MAC, _HOST_IP)
+        if parsed is not None:
+            udp = Ethernet.unpack(frame).find(UDP)
+            assert parsed[1:] == (udp.srcport, udp.dstport,
+                                  udp.raw_payload())
 
 
 # -- cached switch vs an uncached twin --------------------------------------
