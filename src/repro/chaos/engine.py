@@ -14,7 +14,6 @@ from typing import Any, Dict, List, Optional
 
 from repro.chaos.faults import Fault, FaultError
 from repro.chaos.scenario import ChaosScenario
-from repro.telemetry import current as current_telemetry
 
 
 class ChaosEngine:
@@ -29,7 +28,7 @@ class ChaosEngine:
         # the deterministic ledger: one dict per attempted injection
         self.injections: List[Dict[str, Any]] = []
         self.active: List[Dict[str, Any]] = []  # injected, not healed
-        self.telemetry = current_telemetry()
+        self.telemetry = self.sim.telemetry
         metrics = self.telemetry.metrics
         self._m_injected = metrics.counter(
             "chaos.engine.faults_injected", "faults injected")

@@ -14,7 +14,6 @@ queue in between — the same check real Click performs.
 
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro import telemetry
 from repro.click.errors import ClickError, ConfigError
 from repro.click.packet import ClickPacket
 
@@ -267,7 +266,7 @@ class Element:
     def __init__(self, name: str, config: str = ""):
         self.name = name
         self.config = config
-        self.router = None  # set by Router
+        self.router = None  # set by Router (see bind)
         self.inputs: List[Port] = []
         self.outputs: List[Port] = []
         self._read_handlers: Dict[str, Callable[[], str]] = {}
@@ -276,14 +275,20 @@ class Element:
         # into the telemetry registry by a snapshot-time collector)
         self.pushed_count = 0
         self.pulled_count = 0
-        # profiler/flowtrace handles bound once; each disabled path
-        # costs one attribute check per transfer
-        self._profiler = telemetry.current().profiler
-        self._flowtrace = telemetry.current().flowtrace
+        # profiler/flowtrace handles, bound once by the owning router;
+        # each disabled path costs one attribute check per transfer
+        self._profiler = None
+        self._flowtrace = None
         self.add_read_handler("config", lambda: self.config)
         self.add_read_handler("class", lambda: type(self).__name__)
 
     # -- lifecycle ---------------------------------------------------------
+
+    def bind(self, router) -> None:
+        """Adopt the owning router and its simulator's instruments."""
+        self.router = router
+        self._profiler = router.sim.telemetry.profiler
+        self._flowtrace = router.sim.telemetry.flowtrace
 
     def configure(self, args: List[str], keywords: Dict[str, str]) -> None:
         """Parse configuration arguments.  Default: reject any."""

@@ -42,7 +42,7 @@ class Router:
         for spec in self.config.elements.values():
             element_cls = lookup_element(spec.class_name)
             element = element_cls(spec.name, spec.config)
-            element.router = self
+            element.bind(self)
             try:
                 element.configure(spec.config_args(), {})
             except (ValueError, TypeError) as exc:

@@ -41,8 +41,8 @@ from repro.openflow import Match
 from repro.pox import (Core, Discovery, L2LearningSwitch, OpenFlowNexus,
                        StatsCollector, TrafficSteering)
 from repro.sim import Simulator
-from repro.telemetry import (FlowTraceError, Telemetry, set_current,
-                             to_json, to_prometheus, write_snapshot)
+from repro.telemetry import (FlowTraceError, to_json, to_prometheus,
+                             write_snapshot)
 
 
 class ESCAPE:
@@ -69,18 +69,10 @@ class ESCAPE:
         self.sla_autostart = sla_autostart
         net.serialize_openflow = of_wire
         self.sim: Simulator = net.sim
-        # One telemetry bundle per framework instance, clocked by the
-        # simulator.  Made *current* before any layer is constructed so
-        # every component below binds its instruments to this registry.
-        self.telemetry = set_current(Telemetry(self.sim))
-        # the simulator predates the bundle, so its dispatch profiler
-        # hook is wired explicitly rather than via telemetry.current()
-        self.sim.profiler = self.telemetry.profiler
-        # likewise the substrate: Network.build constructed links and
-        # switch datapaths before this bundle became current, so their
-        # bound-once hot-path handles point at the previous bundle —
-        # re-home them here
-        self._rebind_dataplane_handles()
+        # one telemetry bundle per emulation, owned by the simulator:
+        # the substrate built before this facade and every layer
+        # constructed below read their instruments from the same sim
+        self.telemetry = self.sim.telemetry
         self.catalog = catalog or default_catalog()
 
         # orchestration layer: controller platform
@@ -127,19 +119,6 @@ class ESCAPE:
         self._finish_init(net)
 
     RPC_TIMEOUT = 10.0  # per-RPC deadline on outband NETCONF sessions
-
-    def _rebind_dataplane_handles(self) -> None:
-        """Point pre-built dataplane components at this bundle's
-        profiler/flowtrace.  Anything constructed after ``set_current``
-        above (click elements at deploy time, NETCONF sessions, the
-        steering module) binds correctly on its own."""
-        profiler = self.telemetry.profiler
-        flowtrace = self.telemetry.flowtrace
-        for link in self.net.links:
-            link._profiler = profiler
-            link._flowtrace = flowtrace
-        for switch in self.net.switches():
-            switch.datapath._flowtrace = flowtrace
 
     def _outband_dial(self, container, control_latency: float):
         """Fresh control pipe to ``container``: a new transport pair
@@ -190,7 +169,7 @@ class ESCAPE:
         }
         self.service_layer = ServiceLayer(self.orchestrator,
                                           self.mappers["shortest-path"])
-        self.recorder = FlightRecorder(net, self.telemetry)
+        self.recorder = FlightRecorder(net)
         self.recovery = RecoveryManager(
             self.orchestrator, net,
             protection=self.orchestrator.protection)
@@ -558,7 +537,7 @@ class ESCAPE:
 
     def last_trace(self):
         """The most recent chain-deployment trace tree (root Span), or
-        None.  Sampled dataplane packet spans are skipped."""
+        None.  SLA probe and recovery traces are skipped."""
         for trace in reversed(self.telemetry.tracer.traces):
             if trace.name == "service.deploy":
                 return trace

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional
 
 from repro.core.catalog import VNFCatalog
 from repro.core.nffg import ResourceView, ServiceGraph
-from repro.telemetry import current as current_telemetry
+from repro.telemetry import MetricsRegistry
 
 
 class MappingError(Exception):
@@ -87,14 +87,14 @@ def compute_backup_paths(sg: ServiceGraph, mapping: Mapping,
     ``disjoint`` (no interior primary edge shared) and the
     ``shared_edges`` list.  Segments with no alternative at all
     (single-link topologies, hairpins) get no backup — protection is
-    disabled for them, with a warning in the event log.
+    disabled for them and ``backup_info`` names the ``reason`` (the
+    orchestrator turns it into a warning in its event log).
 
     Backup bandwidth is *not* reserved: protection is shared, 1:N —
     the backup only carries traffic after a failure, and a fresh one is
     re-provisioned afterwards (make-before-break).
     """
     import networkx as nx
-    events = current_telemetry().events
     backups: Dict[tuple, List[str]] = {}
     for (src, dst), primary in mapping.link_paths.items():
         key = (src, dst)
@@ -136,10 +136,6 @@ def compute_backup_paths(sg: ServiceGraph, mapping: Mapping,
         if backup is None:
             mapping.backup_info[key] = {"disjoint": False,
                                         "reason": "no path"}
-            events.warn("core.mapping", "protection.disabled",
-                        "%s: no backup path %s -> %s" % (sg.name, src,
-                                                         dst),
-                        chain=sg.name, segment="%s->%s" % (src, dst))
             continue
         backup_edges = {frozenset(pair)
                         for pair in zip(backup, backup[1:])}
@@ -150,25 +146,13 @@ def compute_backup_paths(sg: ServiceGraph, mapping: Mapping,
             # topology, nothing to protect with
             mapping.backup_info[key] = {"disjoint": False,
                                         "reason": "no alternative"}
-            events.warn("core.mapping", "protection.disabled",
-                        "%s: no disjoint alternative %s -> %s"
-                        % (sg.name, src, dst),
-                        chain=sg.name, segment="%s->%s" % (src, dst))
             continue
-        info = {
+        mapping.backup_paths[key] = backup
+        mapping.backup_info[key] = {
             "disjoint": not interior_shared,
             "shared_edges": sorted(tuple(sorted(edge))
                                    for edge in interior_shared),
         }
-        if interior_shared:
-            events.warn(
-                "core.mapping", "protection.degraded",
-                "%s: backup %s -> %s shares %d primary edge(s)"
-                % (sg.name, src, dst, len(interior_shared)),
-                chain=sg.name, segment="%s->%s" % (src, dst),
-                shared=len(interior_shared))
-        mapping.backup_paths[key] = backup
-        mapping.backup_info[key] = info
         backups[key] = backup
     return backups
 
@@ -207,7 +191,12 @@ class Mapper:
 
     def __init__(self, catalog: VNFCatalog):
         self.catalog = catalog
-        metrics = current_telemetry().metrics
+        # a standalone mapper counts into a registry of its own; the
+        # Orchestrator re-homes it onto its bundle at deploy()
+        self.bind(MetricsRegistry())
+
+    def bind(self, metrics: MetricsRegistry) -> None:
+        """Count into ``metrics`` from now on."""
         self._m_placement_attempts = metrics.counter(
             "core.mapping.placement_attempts",
             "container candidates examined during placement")

@@ -28,7 +28,6 @@ from repro.netem.node import Host, Switch
 from repro.openflow import Match
 from repro.packet import Ethernet
 from repro.pox.steering import MODE_EXACT, PathHop, TrafficSteering
-from repro.telemetry import current as current_telemetry
 
 
 class OrchestratorError(Exception):
@@ -209,8 +208,9 @@ class Orchestrator:
         # at deploy time and install them behind fast-failover groups
         # (exact-match steering only — the VLAN ablation tags per path)
         self.protection = protection and steering.mode == MODE_EXACT
+        self.telemetry = net.sim.telemetry
         if protection and not self.protection:
-            current_telemetry().events.warn(
+            self.telemetry.events.warn(
                 "core.orchestrator", "protection.unavailable",
                 "protection requires exact steering; disabled "
                 "(mode=%s)" % steering.mode, mode=steering.mode)
@@ -219,7 +219,6 @@ class Orchestrator:
         self.deployed: Dict[str, DeployedChain] = {}
         self._vnf_counter = 0
         self._path_counter = 0
-        self.telemetry = current_telemetry()
         metrics = self.telemetry.metrics
         self._m_deploys = metrics.counter(
             "core.orchestrator.deploys", "chains deployed successfully")
@@ -273,6 +272,7 @@ class Orchestrator:
         with tracer.span("orchestrator.deploy", service=sg.name,
                          mapper=mapper.name):
             self._m_map_calls.inc()
+            mapper.bind(self.telemetry.metrics)
             with self.telemetry.profiler.profile("core.mapping.solve"), \
                     tracer.span("orchestrator.map", mapper=mapper.name):
                 try:
@@ -288,7 +288,7 @@ class Orchestrator:
             if self.protection:
                 with tracer.span("orchestrator.protect",
                                  service=sg.name):
-                    compute_backup_paths(sg, mapping, self.view)
+                    self._compute_backup_paths(sg, mapping)
                     compute_backup_placement(sg, mapping, self.view,
                                              self.catalog)
             vnfs: Dict[str, DeployedVNF] = {}
@@ -344,6 +344,29 @@ class Orchestrator:
         return chain
 
     # -- VNF lifecycle over NETCONF -------------------------------------------
+
+    def _compute_backup_paths(self, sg: ServiceGraph,
+                              mapping: Mapping) -> None:
+        """(Re)compute ``mapping``'s backup paths and warn in the event
+        log about every segment left unprotected or under-protected."""
+        compute_backup_paths(sg, mapping, self.view)
+        events = self.telemetry.events
+        for src, dst in mapping.link_paths:
+            info = mapping.backup_info[(src, dst)]
+            segment = "%s->%s" % (src, dst)
+            reason = info.get("reason")
+            shared = len(info.get("shared_edges", ()))
+            if reason in ("no path", "no alternative"):
+                events.warn("core.mapping", "protection.disabled",
+                            "%s: no %s %s -> %s"
+                            % (sg.name, "backup path" if reason == "no path"
+                               else "disjoint alternative", src, dst),
+                            chain=sg.name, segment=segment)
+            elif shared:
+                events.warn("core.mapping", "protection.degraded",
+                            "%s: backup %s -> %s shares %d primary "
+                            "edge(s)" % (sg.name, src, dst, shared),
+                            chain=sg.name, segment=segment, shared=shared)
 
     def _start_vnf(self, sg: ServiceGraph, mapping: Mapping,
                    vnf_name: str) -> DeployedVNF:
@@ -709,7 +732,7 @@ class Orchestrator:
             # re-provision backups against the updated view (the old
             # ones may traverse the edge that just died) — the chain's
             # traffic is already on its way, this is make-before-break
-            compute_backup_paths(sg, chain.mapping, self.view)
+            self._compute_backup_paths(sg, chain.mapping)
         for link in affected:
             new_id = self._install_segment(sg, chain.mapping,
                                            chain.vnfs, link, base_match)

@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.core.orchestrator import Orchestrator, OrchestratorError
 from repro.netem import Network
 from repro.netem.vnf import FAILED as VNF_FAILED
-from repro.telemetry import Event, current as current_telemetry
+from repro.telemetry import Event
 
 CHAIN_HEALTHY = 0
 CHAIN_RECOVERING = 1
@@ -57,7 +57,7 @@ class RecoveryManager:
         # control-plane reroute that follows is make-before-break
         # re-provisioning of fresh backups, recorded without MTTR
         self.protection = protection
-        self.telemetry = current_telemetry()
+        self.telemetry = self.sim.telemetry
         # completed repair attempts, oldest first (the recovery ledger:
         # deterministic for a fixed seed, asserted on by chaos tests)
         self.actions: List[dict] = []

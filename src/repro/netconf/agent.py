@@ -21,7 +21,6 @@ from repro.netconf.vnf_yang import VNF_NS, VNF_YANG
 from repro.netconf.yang import ValidationError, compile_module, parse_yang
 from repro.netem.resources import ResourceError
 from repro.netem.vnf import VNFContainer
-from repro.telemetry import current as current_telemetry
 
 CAP_VNF = "urn:escape:capability:vnf:1.0"
 
@@ -44,13 +43,14 @@ class VNFAgent:
             self.server.register_rpc(
                 rpc_name,
                 lambda op, name=rpc_name: self._invoke(name, op))
-        metrics = current_telemetry().metrics
+        telemetry = transport.sim.telemetry
+        metrics = telemetry.metrics
         self._m_rpcs = metrics.counter(
             "netconf.agent.rpcs", "custom RPCs handled by VNF agents")
         self._m_rpc_errors = metrics.counter(
             "netconf.agent.rpc_errors",
             "agent RPCs rejected (validation or operation failure)")
-        self._profiler = current_telemetry().profiler
+        self._profiler = telemetry.profiler
         # operational state is served through <get>: regenerate on demand
         self._install_state_hook()
 

@@ -23,7 +23,6 @@ from repro.netconf.framing import ChunkedFramer, EomFramer
 from repro.netconf import messages as nc
 from repro.netconf.transport import InMemoryTransport
 from repro.sim import Simulator
-from repro.telemetry import current as current_telemetry
 
 
 class PendingReply:
@@ -121,7 +120,7 @@ class NetconfClient:
         self.closed = False
         self.rpcs_sent = 0
         self.reconnects = 0
-        metrics = current_telemetry().metrics
+        metrics = self.sim.telemetry.metrics
         self._m_rpcs = metrics.counter(
             "netconf.client.rpcs", "RPCs issued by the orchestrator")
         self._m_rpc_errors = metrics.counter(
@@ -141,7 +140,7 @@ class NetconfClient:
         self._m_rpc_latency = metrics.histogram(
             "netconf.client.rpc_latency",
             "simulated request-to-reply seconds")
-        self._profiler = current_telemetry().profiler
+        self._profiler = self.sim.telemetry.profiler
         transport.set_receiver(self._receive)
         self.transport.send(self._tx_framer.frame(
             nc.to_xml(nc.build_hello(self.capabilities))))
@@ -197,7 +196,7 @@ class NetconfClient:
         if pending is None or pending.done:
             return
         self._m_rpc_timeouts.inc()
-        current_telemetry().events.warn(
+        self.sim.telemetry.events.warn(
             "netconf.client", "rpc.timeout",
             "rpc %d expired unanswered" % message_id,
             message_id=message_id, session=self.session_id)
@@ -275,7 +274,7 @@ class NetconfClient:
                     raise
                 delay = backoff * (backoff_factor ** (attempt - 1))
                 self._m_retries.inc()
-                current_telemetry().events.warn(
+                self.sim.telemetry.events.warn(
                     "netconf.client", "rpc.retry",
                     "attempt %d/%d in %.3fs" % (attempt, retries, delay),
                     attempt=attempt, backoff=delay,
@@ -332,7 +331,7 @@ class NetconfClient:
         self._tx_framer = EomFramer()
         self.reconnects += 1
         self._m_reconnects.inc()
-        current_telemetry().events.warn(
+        self.sim.telemetry.events.warn(
             "netconf.client", "session.reconnect",
             "re-dialing over a fresh transport",
             reconnects=self.reconnects)

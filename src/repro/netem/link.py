@@ -11,7 +11,6 @@ import random
 import zlib
 from typing import Optional
 
-from repro import telemetry
 from repro.netem.interface import Interface
 from repro.sim import Simulator
 
@@ -68,10 +67,9 @@ class Link:
         self._dir2 = _Direction(intf1)  # intf2 -> intf1
         # profiler/flowtrace handles bound once, same contract as click
         # elements: each disabled path costs one attribute check per
-        # frame (ESCAPE re-homes these for links built before its
-        # bundle became current)
-        self._profiler = telemetry.current().profiler
-        self._flowtrace = telemetry.current().flowtrace
+        # frame
+        self._profiler = sim.telemetry.profiler
+        self._flowtrace = sim.telemetry.flowtrace
         # per-cause drop counters: chaos scenarios assert on *why*
         # frames died, not just how many (frames offered and delivered
         # are counted on the interfaces: tx on the sender's, rx on the
@@ -107,7 +105,7 @@ class Link:
         if up == self.up:
             return
         self.up = up
-        events = telemetry.current().events
+        events = self.sim.telemetry.events
         if up:
             events.info("netem.link", "link.up", self.name,
                         link=self.name)
@@ -158,7 +156,7 @@ class Link:
                 raise ValueError("jitter must be non-negative, got %r"
                                  % jitter)
             self.jitter = jitter
-        telemetry.current().events.warn(
+        self.sim.telemetry.events.warn(
             "netem.link", "link.degraded", self.name, link=self.name,
             loss=self.loss, delay=self.delay, jitter=self.jitter)
 

@@ -31,7 +31,6 @@ from typing import Dict, List, Optional
 from repro.netem.link import Link
 from repro.netem.traffic import write_pcap
 from repro.packet import Ethernet, frame_probe
-from repro import telemetry
 
 
 class RecorderError(Exception):
@@ -148,10 +147,9 @@ class FlightRecorder:
     paths traverse.
     """
 
-    def __init__(self, network, telemetry_bundle=None,
-                 capacity: int = 2048):
+    def __init__(self, network, capacity: int = 2048):
         self.network = network
-        self.telemetry = telemetry_bundle or telemetry.current()
+        self.telemetry = network.sim.telemetry
         self.capacity = capacity
         self.taps: Dict[str, LinkTap] = {}
         tm = self.telemetry.metrics

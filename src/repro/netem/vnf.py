@@ -10,7 +10,6 @@ attached switch — implemented here as :meth:`start_vnf`,
 
 from typing import Dict, List, Optional
 
-from repro import telemetry
 from repro.click import Router
 from repro.click.elements.device import Device
 from repro.netem.interface import Interface
@@ -142,7 +141,7 @@ class VNFContainer(Node):
             self._unsplice(vnf_id, devname)
         process.router.stop()
         process.status = FAILED
-        telemetry.current().events.error(
+        self.sim.telemetry.events.error(
             "netem.container", "vnf.crashed",
             "%s/%s" % (self.name, vnf_id),
             container=self.name, vnf_id=vnf_id)
@@ -155,7 +154,7 @@ class VNFContainer(Node):
         emits ``container.down`` / ``container.up`` events."""
         if up == self.up:
             return
-        events = telemetry.current().events
+        events = self.sim.telemetry.events
         if not up:
             self.up = False
             for vnf_id, process in list(self.vnfs.items()):

@@ -41,7 +41,8 @@ class ControllerChannel:
         if not self.serialize:
             return message
         from repro.openflow.wire import pack_message
-        wire = pack_message(message)
+        with self.sim.telemetry.profiler.profile("openflow.wire.encode"):
+            wire = pack_message(message)
         self.wire_bytes += len(wire)
         return wire
 
@@ -49,7 +50,8 @@ class ControllerChannel:
         if not self.serialize:
             return payload
         from repro.openflow.wire import unpack_message
-        return unpack_message(payload)
+        with self.sim.telemetry.profiler.profile("openflow.wire.decode"):
+            return unpack_message(payload)
 
     def connect(self) -> None:
         self.connected = True

@@ -1,6 +1,5 @@
 """The software OpenFlow switch (Open vSwitch stand-in)."""
 
-import sys
 from operator import itemgetter
 from typing import Callable, Dict, List, Optional
 
@@ -13,7 +12,6 @@ from repro.openflow import messages as msg
 from repro.packet import Ethernet
 from repro.packet.base import PacketError
 from repro.sim import Simulator
-from repro.telemetry import current as current_telemetry
 
 # OF 1.0 virtual port numbers.
 OFPP_IN_PORT = 0xFFF8
@@ -87,7 +85,6 @@ class OpenFlowSwitch:
     """
 
     EXPIRY_INTERVAL = 0.5  # seconds between timeout sweeps
-    SAMPLE_EVERY = 256  # trace one packet span per this many (0: off)
     MICROFLOW_CAP = 4096  # entries per flow-cache tier before a reset
 
     def __init__(self, sim: Simulator, dpid: int, name: str = "",
@@ -115,7 +112,6 @@ class OpenFlowSwitch:
         self.table_hit_count = 0
         self.table_miss_count = 0
         self.microflow_hit_count = 0
-        self._pkt_seq = 0
         # Flow cache, two tiers (DESIGN.md "Switch flow cache").  The
         # datapath is a pure function of in_port, the header fields the
         # installed matches examine, the group table and port liveness:
@@ -127,10 +123,9 @@ class OpenFlowSwitch:
         self._flows: Dict[tuple, tuple] = {}
         self._microflow: Dict[tuple, tuple] = {}
         self._flush_caches()
-        # flowtrace handle bound once (ESCAPE re-homes it for switches
-        # built before its bundle became current); the disabled path is
-        # one attribute check per frame
-        self._flowtrace = current_telemetry().flowtrace
+        # flowtrace handle bound once; the disabled path is one
+        # attribute check per frame
+        self._flowtrace = sim.telemetry.flowtrace
 
     # -- ports ----------------------------------------------------------------
 
@@ -168,7 +163,7 @@ class OpenFlowSwitch:
         # cached verdicts may embed a group resolution through this
         # port — invalidate them all; steady-state forwarding re-caches
         self._flush_caches()
-        events = current_telemetry().events
+        events = self.sim.telemetry.events
         note = events.info if up else events.warn
         note("openflow.switch", "of.port.up" if up else "of.port.down",
              "%s port %d (%s)" % (self.name, port_no, port.name),
@@ -223,71 +218,57 @@ class OpenFlowSwitch:
             # switch a sampled packet visits
             flowtrace.record("switch", self.name, self.sim.now, data,
                              dpid=self.dpid)
-        seq = self._pkt_seq
-        self._pkt_seq = seq + 1
-        span = None
-        if self.SAMPLE_EVERY and seq % self.SAMPLE_EVERY == 0:
-            # sampled dataplane span (1 in SAMPLE_EVERY packets),
-            # entered by hand so the other 255 run in this one frame
-            span = current_telemetry().tracer.span(
-                "openflow.packet", switch=self.name, in_port=in_port,
-                bytes=len(data))
-            span.__enter__()
-        try:
-            now = self.sim.now
-            # expire() early-exits on a float compare until something
-            # can actually time out; removals bump table.version which
-            # flushes the caches below.
-            self.table.expire(now)
-            if self._cache_version != self.table.version:
-                self._flush_caches()
-            cached = self._microflow.get((in_port, data))
-            if cached is not None:
-                entry, wire, out_ports = cached
-                self.microflow_hit_count += 1
-            else:
-                try:
-                    key = (in_port, self._examined(flow_key(data)))
-                except PacketError:  # runt frame: nothing to match on
-                    self.dropped_count += 1
-                    return
-                verdict = self._flows.get(key)
-                if verdict is not None:
-                    self.microflow_hit_count += 1
-                else:
-                    entry = self.table.lookup(data, in_port, now)
-                    if entry is None:
-                        self.table_miss_count += 1
-                        self._table_miss(in_port, data)
-                        return
-                    verdict = (entry,) + self._compile(entry.actions)
-                    if len(self._flows) >= self.MICROFLOW_CAP:
-                        self._flows.clear()
-                    self._flows[key] = verdict
-                entry, rewrites, out_ports = verdict
-                wire = self._rewrite(rewrites, data) if out_ports else None
-                if len(self._microflow) >= self.MICROFLOW_CAP:
-                    self._microflow.clear()
-                self._microflow[(in_port, data)] = (entry, wire, out_ports)
-            self.table_hit_count += 1
-            entry.note_hit(len(data), now)
-            if wire is None:
+        now = self.sim.now
+        # expire() early-exits on a float compare until something
+        # can actually time out; removals bump table.version which
+        # flushes the caches below.
+        self.table.expire(now)
+        if self._cache_version != self.table.version:
+            self._flush_caches()
+        cached = self._microflow.get((in_port, data))
+        if cached is not None:
+            entry, wire, out_ports = cached
+            self.microflow_hit_count += 1
+        else:
+            try:
+                key = (in_port, self._examined(flow_key(data)))
+            except PacketError:  # runt frame: nothing to match on
                 self.dropped_count += 1
                 return
-            ports = self.ports
-            for port_no in out_ports:
-                port = ports.get(port_no)
-                if port is None or not port.up or port.transmit is None:
-                    # virtual, unknown or dead port
-                    self._output(port_no, wire, in_port)
-                    continue
-                port.tx_packets += 1
-                port.tx_bytes += len(wire)
-                self.forwarded_count += 1
-                port.transmit(wire)
-        finally:
-            if span is not None:
-                span.__exit__(*sys.exc_info())
+            verdict = self._flows.get(key)
+            if verdict is not None:
+                self.microflow_hit_count += 1
+            else:
+                entry = self.table.lookup(data, in_port, now)
+                if entry is None:
+                    self.table_miss_count += 1
+                    self._table_miss(in_port, data)
+                    return
+                verdict = (entry,) + self._compile(entry.actions)
+                if len(self._flows) >= self.MICROFLOW_CAP:
+                    self._flows.clear()
+                self._flows[key] = verdict
+            entry, rewrites, out_ports = verdict
+            wire = self._rewrite(rewrites, data) if out_ports else None
+            if len(self._microflow) >= self.MICROFLOW_CAP:
+                self._microflow.clear()
+            self._microflow[(in_port, data)] = (entry, wire, out_ports)
+        self.table_hit_count += 1
+        entry.note_hit(len(data), now)
+        if wire is None:
+            self.dropped_count += 1
+            return
+        ports = self.ports
+        for port_no in out_ports:
+            port = ports.get(port_no)
+            if port is None or not port.up or port.transmit is None:
+                # virtual, unknown or dead port
+                self._output(port_no, wire, in_port)
+                continue
+            port.tx_packets += 1
+            port.tx_bytes += len(wire)
+            self.forwarded_count += 1
+            port.transmit(wire)
 
     def _flush_caches(self) -> None:
         """Empty both cache tiers and re-derive the key mask: the fields
@@ -367,7 +348,7 @@ class OpenFlowSwitch:
         if previous is None and index == 0:
             return  # first resolution landing on the primary bucket
         self.group_flip_count += 1
-        telemetry = current_telemetry()
+        telemetry = self.sim.telemetry
         telemetry.metrics.counter(
             "openflow.group.flips",
             "fast-failover bucket transitions").inc()

@@ -3,7 +3,6 @@
 from typing import Any, Dict, Optional
 
 from repro.sim import Simulator
-from repro.telemetry import current as current_telemetry
 
 
 class Core:
@@ -18,7 +17,7 @@ class Core:
         self.sim = sim or Simulator()
         self._components: Dict[str, Any] = {}
         # the telemetry bundle POX-side components report into
-        self.telemetry = current_telemetry()
+        self.telemetry = self.sim.telemetry
 
     def register(self, name: str, component: Any) -> Any:
         if name in self._components:

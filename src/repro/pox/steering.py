@@ -18,7 +18,6 @@ from typing import Dict, List, Optional
 from repro.openflow import (FlowMod, Group, GroupBucket, GroupMod, Match,
                             Output, SetVlan, StripVlan)
 from repro.pox.nexus import OpenFlowNexus
-from repro.telemetry import current as current_telemetry
 
 STEERING_PRIORITY = 0x6000  # above l2_learning's 0x1000
 
@@ -100,7 +99,7 @@ class TrafficSteering:
         # path, and the reverse index a flip event resolves through
         self._next_group_id = 1
         self._group_index: Dict[tuple, str] = {}  # (dpid, gid) -> path
-        self.telemetry = current_telemetry()
+        self.telemetry = nexus.core.telemetry
         metrics = self.telemetry.metrics
         self._m_flow_mods = metrics.counter(
             "pox.steering.flow_mods", "flow-mods sent by traffic steering")

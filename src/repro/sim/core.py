@@ -6,6 +6,8 @@ import time
 from collections import deque
 from typing import Any, Callable, Dict, Generator, Iterable, List, Optional
 
+from repro.telemetry import Telemetry
+
 
 class SimulationError(Exception):
     """Raised for illegal simulator operations (e.g. scheduling in
@@ -586,11 +588,12 @@ class Simulator:
         self._live = 0   # not-cancelled events still queued
         self._dead = 0   # cancelled + stale entries awaiting discard
         self.compactions = 0
-        # optional repro.telemetry Profiler (duck-typed to avoid a
-        # sim->telemetry dependency); when set and enabled, every event
+        # the emulation's one telemetry bundle, clocked by this
+        # simulator: every component reads its instruments from the sim
+        # it is built on.  While its profiler is enabled every event
         # callback runs inside a "sim.event.dispatch" region — the root
         # of the framework's flamegraph
-        self.profiler = None
+        self.telemetry = Telemetry(self)
         # dispatch accounting: always present, off by default — the
         # flight deck enables it to attribute dispatch time to event
         # kinds (see DispatchAccounting)
@@ -716,9 +719,9 @@ class Simulator:
         acct = self.accounting
         surface = self._surface
         pop = heapq.heappop
+        profiler = self.telemetry.profiler
         # the dispatch region is a per-name singleton on the profiler;
-        # resolve it once per run instead of per event (re-resolved if
-        # a callback swaps self.profiler mid-run)
+        # resolve it once per run instead of per event
         region = None
         try:
             while heap:
@@ -745,8 +748,7 @@ class Simulator:
                 if acct.enabled:
                     frame = acct.begin(event, self.now, len(heap) + 1)
                     self.now = entry[0]
-                    profiler = self.profiler
-                    if profiler is not None and profiler.enabled:
+                    if profiler.enabled:
                         # fused path: accounting already stamped the
                         # start (frame[1]); share one clock pair
                         # between the kind stats and the
@@ -765,9 +767,8 @@ class Simulator:
                         acct.finish(frame)
                 else:
                     self.now = entry[0]
-                    profiler = self.profiler
-                    if profiler is not None and profiler.enabled:
-                        if region is None or region.profiler is not profiler:
+                    if profiler.enabled:
+                        if region is None:
                             region = profiler.profile("sim.event.dispatch")
                         with region:
                             event.callback(*event.args)
@@ -802,11 +803,11 @@ class Simulator:
         event.fired = True
         self._live -= 1
         acct = self.accounting
+        profiler = self.telemetry.profiler
         if acct.enabled:
             frame = acct.begin(event, self.now, len(self._heap) + 1)
             self.now = entry[0]
-            profiler = self.profiler
-            if profiler is not None and profiler.enabled:
+            if profiler.enabled:
                 # same fused clock pair as the run() loop
                 pframe = profiler.open_frame("sim.event.dispatch",
                                              frame[1])
@@ -821,8 +822,7 @@ class Simulator:
                 acct.finish(frame)
         else:
             self.now = entry[0]
-            profiler = self.profiler
-            if profiler is not None and profiler.enabled:
+            if profiler.enabled:
                 with profiler.profile("sim.event.dispatch"):
                     event.callback(*event.args)
             else:

@@ -3,9 +3,10 @@ UNIFY layers.
 
 One :class:`Telemetry` bundle groups a :class:`MetricsRegistry`, a
 :class:`Tracer` and an :class:`EventLog`, all reading the same clock.
-The ESCAPE facade creates a bundle bound to its simulator
-(``Simulator.now``) and makes it *current*; components grab handles at
-construction time via :func:`current` (or lazily, on hot paths).
+Every ``Simulator`` creates its own bundle (``sim.telemetry``, clocked
+by ``sim.now``); components read their instruments from the ``sim``
+they are built on, so one emulation has exactly one bundle and two
+emulations in one process never share one.
 
 Metric names follow ``layer.component.name`` — e.g.
 ``netconf.client.rpc_latency`` or ``core.mapping.placement_attempts``
@@ -29,7 +30,7 @@ from repro.telemetry.introspect import (IntrospectError, build_report,
                                         report_from_bundle)
 from repro.telemetry.metrics import (Counter, Gauge, Histogram, Metric,
                                      MetricError, MetricsRegistry, Series)
-from repro.telemetry.profiler import NULL_REGION, Profiler, RegionStat, profile
+from repro.telemetry.profiler import NULL_REGION, Profiler, RegionStat
 from repro.telemetry.trace import NULL_SPAN, Span, Tracer
 
 __all__ = [
@@ -38,10 +39,10 @@ __all__ = [
     "IntrospectError", "Metric", "MetricError", "MetricsRegistry",
     "NULL_REGION", "NULL_SPAN", "Profiler", "RegionStat", "SEVERITIES",
     "Series", "Span", "Telemetry", "Tracer", "WARN", "build_report",
-    "current", "diff_reports", "load_flowtrace_report", "load_report",
-    "profile", "render_flowtrace_report", "report_from_bundle",
-    "report_from_jsonl", "set_current", "snapshot_dict", "to_json",
-    "to_prometheus", "writable_path", "write_snapshot",
+    "diff_reports", "load_flowtrace_report", "load_report",
+    "render_flowtrace_report", "report_from_bundle", "report_from_jsonl",
+    "snapshot_dict", "to_json", "to_prometheus", "writable_path",
+    "write_snapshot",
 ]
 
 
@@ -121,19 +122,3 @@ class Telemetry:
             len(self.metrics), len(self.tracer.traces),
             len(self.events))
 
-
-# The current bundle.  Components constructed outside an ESCAPE facade
-# (unit tests, standalone simulations) share this default instance.
-_current = Telemetry()
-
-
-def current() -> Telemetry:
-    """The telemetry bundle new components should bind to."""
-    return _current
-
-
-def set_current(telemetry: Telemetry) -> Telemetry:
-    """Install ``telemetry`` as current; returns it for chaining."""
-    global _current
-    _current = telemetry
-    return telemetry

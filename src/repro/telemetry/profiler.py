@@ -287,9 +287,3 @@ class Profiler:
             "on" if self.enabled else "off", len(self.stats),
             self.entries)
 
-
-def profile(name: str):
-    """Region on the *current* telemetry bundle's profiler — the
-    convenience instrumentation points use."""
-    from repro import telemetry
-    return telemetry.current().profiler.profile(name)

@@ -377,11 +377,18 @@ class TestTelemetry:
         assert "connectVNF" in rpc_ops
 
     def test_last_trace_survives_traffic(self, escape):
-        """Sampled per-packet spans must not shadow the deploy trace."""
-        escape.deploy_service(FIREWALL_SG)
+        """Dataplane traffic must not evict the deploy trace from the
+        16-entry trace ring: 6,000 datagrams are > 16 x 256 passes
+        through each switch on the chain."""
+        sg = dict(FIREWALL_SG, vnfs=[
+            {"name": "fw", "type": "firewall",
+             "params": {"rules": "allow udp, drop all"}}])
+        escape.deploy_service(sg)
         h1, h2 = escape.net.get("h1"), escape.net.get("h2")
-        h1.ping(h2.ip, count=5, interval=0.05)
+        h1.start_udp_flow(h2.ip, 5001, rate_pps=5000, duration=1.2,
+                          payload_size=64)
         escape.run(2.0)
+        assert h2.udp_rx_count == 6000
         trace = escape.last_trace()
         assert trace is not None and trace.name == "service.deploy"
 
@@ -441,3 +448,57 @@ class TestTelemetry:
         registry = escape.telemetry.metrics
         assert registry.get("core.monitor.polls").value >= 2
         assert registry.get("pox.stats.poll_rounds").value >= 1
+
+
+class TestInstanceIsolation:
+    """One telemetry bundle per emulation: two frameworks in one
+    process share nothing, and a rebuilt one starts clean."""
+
+    def test_link_failure_stays_in_its_own_instance(self):
+        first = ESCAPE.from_topology(load_topology(TOPOLOGY))
+        second = ESCAPE.from_topology(load_topology(TOPOLOGY))
+        first.start()
+        second.start()
+        assert first.telemetry is first.net.sim.telemetry
+        assert first.telemetry is not second.telemetry
+        second_events = len(second.telemetry.events)
+        second_metrics = second.metrics_snapshot()
+        first_events = len(first.telemetry.events)
+        first.net.links_between("s1", "s2")[0].set_up(False)
+        first.run(1.0)
+        second.run(1.0)
+        names = [event.name
+                 for event in first.telemetry.events.events()[first_events:]]
+        assert names.count("link.down") == 1
+        assert names.count("of.port.down") == 2
+        # the first's RecoveryManager heard about its own link
+        assert names.count("recovery.scheduled") == 1
+        assert first.recovery.actions
+        assert len(second.telemetry.events) == second_events
+        assert second.recovery.actions == []
+        assert second.recovery.pending() == []
+        after = second.metrics_snapshot()
+        watched = [name for name in second_metrics if name.startswith(
+            ("core.recovery.", "telemetry.events.", "netem.link.dropped"))]
+        assert watched
+        for name in watched:
+            assert after[name]["value"] == second_metrics[name]["value"], \
+                name
+        first.stop()
+        second.stop()
+
+    def test_rebuilt_instances_start_clean(self):
+        for _round in range(3):
+            escape = ESCAPE.from_topology(load_topology(TOPOLOGY))
+            assert len(escape.telemetry.tracer.traces) == 0
+            assert len(escape.telemetry.events) == 0
+            assert escape.profiler.entries == 0
+            escape.start()
+            escape.profiler.enable()
+            escape.deploy_service(FIREWALL_SG)
+            escape.run(1.0)
+            assert escape.telemetry.tracer.traces
+            assert len(escape.telemetry.events) > 0
+            assert escape.profiler.entries > 0
+            escape.stop()
+            escape.stop()  # idempotent

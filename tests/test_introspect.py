@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.sim import Simulator
-from repro.telemetry import Profiler
 from repro.telemetry.introspect import (IntrospectError, build_report,
                                         coerce_report, diff_reports,
                                         load_report, render_diff,
@@ -15,8 +14,7 @@ from repro.telemetry.introspect import (IntrospectError, build_report,
 def _measured_sim():
     """A tiny run watched by both layers; returns (profiler, sim)."""
     sim = Simulator()
-    profiler = Profiler().enable()
-    sim.profiler = profiler
+    profiler = sim.telemetry.profiler.enable()
     sim.accounting.enable()
 
     def tick():

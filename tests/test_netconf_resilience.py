@@ -14,7 +14,6 @@ from repro.netconf import (NetconfClient, NetconfServer, RpcError,
                            RpcTimeout, SessionError, TransportPair)
 from repro.netconf import messages as nc
 from repro.sim import Simulator
-from repro.telemetry import current as current_telemetry
 
 
 def element(tag, text=None, ns="urn:test"):
@@ -34,8 +33,8 @@ def connected_pair(sim=None, **server_kwargs):
     return sim, server, client
 
 
-def metric_value(name):
-    metric = current_telemetry().metrics.get(name)
+def metric_value(sim, name):
+    metric = sim.telemetry.metrics.get(name)
     return metric.value if metric is not None else 0
 
 
@@ -43,12 +42,12 @@ class TestRpcTimeout:
     def test_timeout_raises_and_deregisters(self):
         sim, _server, client = connected_pair()
         client.transport.blackhole = True
-        before = metric_value("netconf.client.rpc_timeouts")
+        before = metric_value(sim, "netconf.client.rpc_timeouts")
         pending = client.get()
         with pytest.raises(RpcTimeout):
             pending.result(sim, timeout=0.5)
         assert pending.message_id not in client._pending
-        assert metric_value("netconf.client.rpc_timeouts") == before + 1
+        assert metric_value(sim, "netconf.client.rpc_timeouts") == before + 1
 
     def test_timeout_raises_exactly_once(self):
         sim, _server, client = connected_pair()
@@ -65,14 +64,14 @@ class TestRpcTimeout:
         the dead handle, only bump the late-reply counter."""
         sim, _server, client = connected_pair()
         client.transport.peer.fault_latency = 2.0  # slow server->client
-        before = metric_value("netconf.client.late_replies")
+        before = metric_value(sim, "netconf.client.late_replies")
         pending = client.get()
         with pytest.raises(RpcTimeout):
             pending.result(sim, timeout=0.5)
         sim.run(until=sim.now + 5.0)  # the reply lands now
         assert pending.reply is None
         assert pending.error is not None
-        assert metric_value("netconf.client.late_replies") == before + 1
+        assert metric_value(sim, "netconf.client.late_replies") == before + 1
 
     def test_default_timeout_expires_event_driven_rpcs(self):
         sim = Simulator()

@@ -335,9 +335,8 @@ class TestOrderingUnderLoad:
     def test_accounting_reconciles_with_profiler_entries(self):
         """Dispatch-accounting totals and the profiler watch the same
         stream: counts match exactly, times within tolerance."""
-        from repro.telemetry import Profiler
         sim = Simulator()
-        sim.profiler = Profiler().enable()
+        sim.telemetry.profiler.enable()
         sim.accounting.enable()
 
         def tick():
@@ -345,9 +344,9 @@ class TestOrderingUnderLoad:
                 sim.schedule(0.001, tick)
         sim.schedule(0.0, tick)
         sim.run()
-        dispatch = sim.profiler.region("sim.event.dispatch")
+        dispatch = sim.telemetry.profiler.region("sim.event.dispatch")
         assert dispatch.calls == sim.accounting.dispatched
-        assert dispatch.calls == sim.profiler.entries
+        assert dispatch.calls == sim.telemetry.profiler.entries
         # whole-callback self-times track the inclusive dispatch time
         assert sim.accounting.self_seconds >= dispatch.self_time * 0.5
         stats = sim.accounting.kind_stats()

@@ -8,8 +8,8 @@ import pytest
 
 from repro.sim import Simulator
 from repro.telemetry import (Counter, Gauge, Histogram, MetricError,
-                             MetricsRegistry, Telemetry, Tracer, current,
-                             set_current, snapshot_dict, to_json,
+                             MetricsRegistry, Telemetry, Tracer,
+                             snapshot_dict, to_json,
                              to_prometheus, write_snapshot)
 
 
@@ -532,7 +532,7 @@ class TestSeries:
 class TestTelemetryBundle:
     def test_shares_the_sim_clock(self):
         sim = Simulator()
-        telemetry = Telemetry(sim)
+        telemetry = sim.telemetry
         sim.schedule(2.0, lambda: None)
         sim.run(until=3.0)
         counter = telemetry.metrics.counter("layer.component.events")
@@ -542,11 +542,3 @@ class TestTelemetryBundle:
             pass
         assert span.start == 3.0
 
-    def test_current_and_set_current(self):
-        original = current()
-        try:
-            replacement = Telemetry()
-            assert set_current(replacement) is replacement
-            assert current() is replacement
-        finally:
-            set_current(original)
