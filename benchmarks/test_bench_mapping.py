@@ -7,14 +7,18 @@ and mapper runtime.  Expected shape: backtracking >= shortest-path >=
 greedy on quality, reversed on runtime.
 """
 
+import collections
 import random
 
+import networkx as nx
 import pytest
 
-from repro.core import (BacktrackingMapper, CongestionAwareMapper,
+from repro.core import (ESCAPE, BacktrackingMapper, CongestionAwareMapper,
                         GreedyMapper, MappingError, ResourceView,
                         ServiceGraph, ShortestPathMapper,
                         default_catalog)
+from repro.scenario.workload import build_chain_requests
+from repro.scenario.zoo import FatTreeTopo
 
 MAPPERS = {
     "greedy": GreedyMapper,
@@ -115,3 +119,49 @@ def test_mapper_quality_table(benchmark):
     # acceptance: smarter mappers accept at least as many requests
     assert rows["backtracking"][0] >= rows["greedy"][0]
     assert rows["shortest-path"][0] >= rows["greedy"][0]
+
+
+def test_warm_deploy_cycle_searches_no_graph(benchmark, monkeypatch):
+    """Count guard for the deploy cycle.  Once every request has been
+    deployed and torn down once on an unchanged k=4 fat-tree, a further
+    round of the same eight requests - placement, routing and the return
+    path - is answered from the view's memoised paths on the view
+    itself: 0 ``networkx`` path searches, 0 graph copies.  Exact counts
+    from patched entry points, not a speed; before the memo and the undo
+    log a deploy made about 13 searches and 1 copy here."""
+    topo = FatTreeTopo(k=4, containers_per_pod=2, container_ports=6)
+    requests = build_chain_requests(
+        topo, {"templates": ["web", "bump", "secure", "shaped"],
+               "count": 8}, None, random.Random(1))
+    escape = ESCAPE.from_topology(topo)
+    escape.start()
+
+    def one_round():
+        for request in requests:
+            chain = escape.deploy_service(request["sg"])
+            assert chain.active
+            escape.terminate_service(request["name"])
+
+    one_round()
+    calls = collections.Counter()
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    for owner, name in ((nx, "shortest_path"), (nx, "dijkstra_path"),
+                        (nx, "single_source_dijkstra"),
+                        (nx, "bidirectional_dijkstra"),
+                        (nx.Graph, "copy")):
+        monkeypatch.setattr(owner, name,
+                            counted(name, getattr(owner, name)))
+    benchmark.pedantic(one_round, rounds=1, iterations=1)
+    benchmark.extra_info["calls"] = dict(calls)
+    assert not calls
+    # the counters do count: a bandwidth floor is never memoised
+    assert escape.orchestrator.view.shortest_path(
+        requests[0]["src"], requests[0]["dst"], 1.0) is not None
+    assert calls["shortest_path"] == 1
+    escape.stop()

@@ -13,7 +13,7 @@ Run:  python examples/custom_mapper.py
 
 from collections import Counter
 
-from repro.core import ESCAPE, Mapper, Mapping, MappingError
+from repro.core import ESCAPE, MappingError
 from repro.core.mapping import GreedyMapper
 from repro.core.sgfile import load_service_graph, load_topology
 
@@ -41,33 +41,26 @@ TOPOLOGY = {
 class LeastLoadedMapper(GreedyMapper):
     """Place every VNF on the container with the most free CPU.
 
-    Subclassing GreedyMapper reuses its path routing and commit logic;
-    only the container-choice policy changes — which is exactly the
-    extension surface the Orchestrator exposes.
+    Subclassing GreedyMapper reuses its path routing; the base class
+    rolls the view back if the embedding fails.  Only the
+    container-choice policy changes — which is exactly the extension
+    surface the Orchestrator exposes.
     """
 
     name = "least-loaded"
 
-    def map(self, sg, view):
-        sg.validate()
-        mapping = Mapping(sg)
-        trial = view.copy()
-        reservations = []
+    def _embed(self, sg, view, mapping, undo):
         for vnf_name in sg.vnfs:
-            cpu, mem, ports = self.demand_of(sg, vnf_name)
-            candidates = [name for name in trial.containers()
-                          if trial.container_fits(name, cpu, mem, ports)]
+            cpu, mem, ports = demand = self.demand_of(sg, vnf_name)
+            candidates = [name for name in view.containers()
+                          if view.container_fits(name, cpu, mem, ports)]
             if not candidates:
                 raise MappingError("no container fits %r" % vnf_name)
             chosen = max(candidates, key=lambda name:
-                         trial.graph.nodes[name]["cpu"]
-                         - trial.graph.nodes[name]["cpu_used"])
-            trial.reserve_container(chosen, cpu, mem, ports)
-            mapping.vnf_placement[vnf_name] = chosen
-            reservations.append((chosen, cpu, mem, ports))
-        paths = self._route_links(sg, mapping, trial)
-        self._commit(mapping, view, reservations, paths)
-        return mapping
+                         view.graph.nodes[name]["cpu"]
+                         - view.graph.nodes[name]["cpu_used"])
+            self._place(view, mapping, undo, vnf_name, chosen, demand)
+        self._route_links(sg, view, mapping, undo)
 
 
 def chain_request(index):

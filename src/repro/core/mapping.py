@@ -110,16 +110,7 @@ def compute_backup_paths(sg: ServiceGraph, mapping: Mapping,
                          for pair in zip(primary, primary[1:])}
         attachment_edges = {frozenset(primary[:2]),
                             frozenset(primary[-2:])}
-        usable = []
-        for node1, node2, data in view.graph.edges(data=True):
-            if not view.link_is_up(node1, node2):
-                continue
-            if bandwidth > 0 and data["bandwidth"] is not None and \
-                    data["bandwidth"] - data["bw_used"] \
-                    < bandwidth - 1e-9:
-                continue
-            usable.append((node1, node2))
-        candidate = view.graph.edge_subgraph(usable)
+        candidate = view.routable(bandwidth)
 
         def weight(node1, node2, data):
             delay = data["delay"] or 1e-9
@@ -180,11 +171,14 @@ def compute_backup_placement(sg: ServiceGraph, mapping: Mapping,
 
 
 class Mapper:
-    """Strategy interface: subclass and implement :meth:`map`.
+    """Strategy interface: subclass and implement :meth:`_embed`.
 
-    ``map`` must either return a complete Mapping — after reserving the
-    consumed resources on ``view`` — or raise MappingError leaving
-    ``view`` untouched.
+    :meth:`map` either returns a complete Mapping — with the consumed
+    resources reserved on ``view`` — or raises leaving ``view`` exactly
+    as it was.  Strategies plan on the live view itself: every field a
+    reservation is about to write is first noted in an undo log with
+    the value it held, and a failure puts those values back (rather
+    than subtracting what was added, which would leave float residue).
     """
 
     name = "abstract"
@@ -207,6 +201,24 @@ class Mapper:
             "search-tree nodes visited by the backtracking mapper")
 
     def map(self, sg: ServiceGraph, view: ResourceView) -> Mapping:
+        """Embed ``sg`` into ``view``, or raise with ``view`` restored."""
+        sg.validate()
+        mapping = Mapping(sg)
+        undo: List[tuple] = []  # (attribute dict, the values it held)
+        try:
+            self._embed(sg, view, mapping, undo)
+        except BaseException:
+            for data, prior in reversed(undo):
+                data.update(prior)
+            raise
+        self._m_accepted.inc()
+        return mapping
+
+    def _embed(self, sg: ServiceGraph, view: ResourceView,
+               mapping: Mapping, undo: List[tuple]) -> None:
+        """Fill ``mapping``, reserving on ``view`` through
+        :meth:`_place` and :meth:`_route_links`; raise MappingError
+        when the graph cannot be embedded."""
         raise NotImplementedError
 
     # -- shared helpers ----------------------------------------------------
@@ -228,25 +240,37 @@ class Mapper:
             return name  # SAPs use their own substrate name
         return placement[name]
 
-    def _commit(self, mapping: Mapping, view: ResourceView,
-                reservations: List[tuple], paths: List[tuple]) -> None:
-        """Apply reservations; on failure roll back and raise."""
-        done_containers: List[tuple] = []
-        done_paths: List[tuple] = []
-        try:
-            for container, cpu, mem, ports in reservations:
-                view.reserve_container(container, cpu, mem, ports)
-                done_containers.append((container, cpu, mem, ports))
-            for path, bandwidth in paths:
-                view.reserve_path_bandwidth(path, bandwidth)
-                done_paths.append((path, bandwidth))
-        except ValueError as exc:
-            for path, bandwidth in done_paths:
-                view.release_path_bandwidth(path, bandwidth)
-            for container, cpu, mem, ports in done_containers:
-                view.release_container(container, cpu, mem, ports)
-            raise MappingError(str(exc))
-        self._m_accepted.inc()
+    def _place(self, view: ResourceView, mapping: Mapping,
+               undo: List[tuple], vnf_name: str, container: str,
+               demand: tuple) -> None:
+        """Reserve ``demand`` on ``container`` and record the choice."""
+        data = view.graph.nodes[container]
+        undo.append((data, {key: data[key] for key in
+                            ("cpu_used", "mem_used", "ports_used")}))
+        view.reserve_container(container, *demand)
+        mapping.vnf_placement[vnf_name] = container
+
+    def _find_path(self, view: ResourceView, src: str, dst: str,
+                   bandwidth: float) -> Optional[List[str]]:
+        return view.shortest_path(src, dst, bandwidth)
+
+    def _route_links(self, sg: ServiceGraph, view: ResourceView,
+                     mapping: Mapping, undo: List[tuple]) -> None:
+        """Route every SG link between the placed endpoints, reserving
+        its bandwidth before the next link is routed."""
+        for link in sg.links:
+            src = self._place_node(sg, link.src, mapping.vnf_placement)
+            dst = self._place_node(sg, link.dst, mapping.vnf_placement)
+            path = self._find_path(view, src, dst, link.bandwidth)
+            if path is None:
+                raise MappingError("no path %s -> %s with %.0f bit/s"
+                                   % (src, dst, link.bandwidth))
+            if link.bandwidth > 0:
+                for pair in zip(path, path[1:]):
+                    data = view.graph.edges[pair]
+                    undo.append((data, {"bw_used": data["bw_used"]}))
+                view.reserve_path_bandwidth(path, link.bandwidth)
+            mapping.link_paths[(link.src, link.dst)] = path
 
     def release(self, mapping: Mapping, view: ResourceView) -> None:
         """Undo a mapping's reservations (chain teardown)."""
@@ -270,44 +294,21 @@ class GreedyMapper(Mapper):
 
     name = "greedy"
 
-    def map(self, sg: ServiceGraph, view: ResourceView) -> Mapping:
-        sg.validate()
-        mapping = Mapping(sg)
-        reservations: List[tuple] = []
-        trial = view.copy()  # feasibility bookkeeping before commit
+    def _embed(self, sg: ServiceGraph, view: ResourceView,
+               mapping: Mapping, undo: List[tuple]) -> None:
+        containers = view.containers()
         for vnf_name in sg.vnfs:
-            cpu, mem, ports = self.demand_of(sg, vnf_name)
-            chosen = None
-            for container in trial.containers():
+            cpu, mem, ports = demand = self.demand_of(sg, vnf_name)
+            for container in containers:
                 self._m_placement_attempts.inc()
-                if trial.container_fits(container, cpu, mem, ports):
-                    chosen = container
+                if view.container_fits(container, cpu, mem, ports):
                     break
-            if chosen is None:
+            else:
                 raise MappingError("no container fits VNF %r "
                                    "(cpu=%.2f mem=%.0f ports=%d)"
                                    % (vnf_name, cpu, mem, ports))
-            trial.reserve_container(chosen, cpu, mem, ports)
-            mapping.vnf_placement[vnf_name] = chosen
-            reservations.append((chosen, cpu, mem, ports))
-        paths = self._route_links(sg, mapping, trial)
-        self._commit(mapping, view, reservations, paths)
-        return mapping
-
-    def _route_links(self, sg: ServiceGraph, mapping: Mapping,
-                     trial: ResourceView) -> List[tuple]:
-        paths: List[tuple] = []
-        for link in sg.links:
-            src = self._place_node(sg, link.src, mapping.vnf_placement)
-            dst = self._place_node(sg, link.dst, mapping.vnf_placement)
-            path = trial.shortest_path(src, dst, link.bandwidth)
-            if path is None:
-                raise MappingError("no path %s -> %s with %.0f bit/s"
-                                   % (src, dst, link.bandwidth))
-            trial.reserve_path_bandwidth(path, link.bandwidth)
-            mapping.link_paths[(link.src, link.dst)] = path
-            paths.append((path, link.bandwidth))
-        return paths
+            self._place(view, mapping, undo, vnf_name, container, demand)
+        self._route_links(sg, view, mapping, undo)
 
 
 class ShortestPathMapper(Mapper):
@@ -316,40 +317,37 @@ class ShortestPathMapper(Mapper):
 
     name = "shortest-path"
 
-    def map(self, sg: ServiceGraph, view: ResourceView) -> Mapping:
-        sg.validate()
-        mapping = Mapping(sg)
-        trial = view.copy()
-        reservations: List[tuple] = []
-        order = self._topological_vnfs(sg)
-        for vnf_name in order:
-            cpu, mem, ports = self.demand_of(sg, vnf_name)
+    def _embed(self, sg: ServiceGraph, view: ResourceView,
+               mapping: Mapping, undo: List[tuple]) -> None:
+        containers = view.containers()
+        for vnf_name in self._topological_vnfs(sg):
+            cpu, mem, ports = demand = self.demand_of(sg, vnf_name)
             anchor = self._anchor_of(sg, vnf_name, mapping.vnf_placement)
             best = None
-            best_delay = None
-            for container in trial.containers():
+            best_cost = None
+            for container in containers:
                 self._m_placement_attempts.inc()
-                if not trial.container_fits(container, cpu, mem, ports):
+                if not view.container_fits(container, cpu, mem, ports):
                     continue
-                if anchor is None:
-                    candidate_delay = 0.0
-                else:
-                    path = trial.shortest_path(anchor, container)
-                    if path is None:
-                        continue
-                    candidate_delay = trial.path_delay(path)
-                if best_delay is None or candidate_delay < best_delay:
-                    best, best_delay = container, candidate_delay
+                cost = 0.0 if anchor is None else \
+                    self._path_cost(view, anchor, container)
+                if cost is None:
+                    continue
+                if best_cost is None or cost < best_cost:
+                    best, best_cost = container, cost
             if best is None:
                 raise MappingError("no reachable container fits VNF %r"
                                    % vnf_name)
-            trial.reserve_container(best, cpu, mem, ports)
-            mapping.vnf_placement[vnf_name] = best
-            reservations.append((best, cpu, mem, ports))
-        paths = GreedyMapper._route_links(self, sg, mapping, trial)
-        self._check_requirements(sg, mapping, trial)
-        self._commit(mapping, view, reservations, paths)
-        return mapping
+            self._place(view, mapping, undo, vnf_name, best, demand)
+        self._route_links(sg, view, mapping, undo)
+        self._check_requirements(sg, mapping, view)
+
+    def _path_cost(self, view: ResourceView, src: str,
+                   dst: str) -> Optional[float]:
+        """What reaching ``dst`` from ``src`` costs this strategy; None
+        when unreachable."""
+        path = view.shortest_path(src, dst)
+        return None if path is None else view.path_delay(path)
 
     def _topological_vnfs(self, sg: ServiceGraph) -> List[str]:
         """VNFs in chain order (predecessors first)."""
@@ -384,11 +382,11 @@ class ShortestPathMapper(Mapper):
         return None
 
     def _check_requirements(self, sg: ServiceGraph, mapping: Mapping,
-                            trial: ResourceView) -> None:
+                            view: ResourceView) -> None:
         for requirement in sg.requirements:
             if requirement.max_delay is None:
                 continue
-            delay = mapping.chain_delay(trial, requirement.src)
+            delay = mapping.chain_delay(view, requirement.src)
             if delay > requirement.max_delay + 1e-12:
                 raise MappingError(
                     "requirement violated: %s chain delay %.6fs > %.6fs"
@@ -425,78 +423,25 @@ class CongestionAwareMapper(ShortestPathMapper):
         utilization = min(1.5, load / capacity)
         return delay * (1.0 + self.alpha * utilization)
 
-    def _weighted_path(self, view: ResourceView, src: str, dst: str,
-                       min_bandwidth: float) -> Optional[List[str]]:
+    def _find_path(self, view: ResourceView, src: str, dst: str,
+                   min_bandwidth: float) -> Optional[List[str]]:
         import networkx as nx
         if src == dst:
             return view.shortest_path(src, dst, min_bandwidth)
-        graph = view.graph
-        if min_bandwidth > 0:
-            usable = [(a, b) for a, b, data in graph.edges(data=True)
-                      if data["bandwidth"] is None
-                      or data["bandwidth"] - data["bw_used"]
-                      >= min_bandwidth - 1e-9]
-            graph = graph.edge_subgraph(usable)
-            if src not in graph or dst not in graph:
-                return None
         try:
             return nx.shortest_path(
-                graph, src, dst,
+                view.routable(min_bandwidth), src, dst,
                 weight=lambda a, b, _d: self._edge_weight(view, a, b))
         except (nx.NetworkXNoPath, nx.NodeNotFound):
             return None
 
-    def map(self, sg: ServiceGraph, view: ResourceView) -> Mapping:
-        sg.validate()
-        mapping = Mapping(sg)
-        trial = view.copy()
-        reservations: List[tuple] = []
-        order = self._topological_vnfs(sg)
-        for vnf_name in order:
-            cpu, mem, ports = self.demand_of(sg, vnf_name)
-            anchor = self._anchor_of(sg, vnf_name, mapping.vnf_placement)
-            best = None
-            best_cost = None
-            for container in trial.containers():
-                self._m_placement_attempts.inc()
-                if not trial.container_fits(container, cpu, mem, ports):
-                    continue
-                if anchor is None:
-                    cost = 0.0
-                else:
-                    path = self._weighted_path(trial, anchor, container,
-                                               0.0)
-                    if path is None:
-                        continue
-                    cost = sum(self._edge_weight(trial, a, b)
-                               for a, b in zip(path, path[1:]))
-                if best_cost is None or cost < best_cost:
-                    best, best_cost = container, cost
-            if best is None:
-                raise MappingError("no reachable container fits VNF %r"
-                                   % vnf_name)
-            trial.reserve_container(best, cpu, mem, ports)
-            mapping.vnf_placement[vnf_name] = best
-            reservations.append((best, cpu, mem, ports))
-        paths = self._route_links_weighted(sg, mapping, trial)
-        self._check_requirements(sg, mapping, trial)
-        self._commit(mapping, view, reservations, paths)
-        return mapping
-
-    def _route_links_weighted(self, sg: ServiceGraph, mapping: Mapping,
-                              trial: ResourceView) -> List[tuple]:
-        paths: List[tuple] = []
-        for link in sg.links:
-            src = self._place_node(sg, link.src, mapping.vnf_placement)
-            dst = self._place_node(sg, link.dst, mapping.vnf_placement)
-            path = self._weighted_path(trial, src, dst, link.bandwidth)
-            if path is None:
-                raise MappingError("no path %s -> %s with %.0f bit/s"
-                                   % (src, dst, link.bandwidth))
-            trial.reserve_path_bandwidth(path, link.bandwidth)
-            mapping.link_paths[(link.src, link.dst)] = path
-            paths.append((path, link.bandwidth))
-        return paths
+    def _path_cost(self, view: ResourceView, src: str,
+                   dst: str) -> Optional[float]:
+        path = self._find_path(view, src, dst, 0.0)
+        if path is None:
+            return None
+        return sum(self._edge_weight(view, a, b)
+                   for a, b in zip(path, path[1:]))
 
 
 class BacktrackingMapper(ShortestPathMapper):
@@ -509,36 +454,23 @@ class BacktrackingMapper(ShortestPathMapper):
         super().__init__(catalog)
         self.max_steps = max_steps
 
-    def map(self, sg: ServiceGraph, view: ResourceView) -> Mapping:
-        sg.validate()
+    def _embed(self, sg: ServiceGraph, view: ResourceView,
+               mapping: Mapping, undo: List[tuple]) -> None:
         order = self._topological_vnfs(sg)
         self._steps = 0
         try:
+            # the search reserves and releases as it walks the tree,
+            # which leaves float residue: it gets a scratch view
             best = self._search(sg, view.copy(), order, 0, {}, None)
         finally:
             self._m_backtrack_steps.inc(self._steps)
         if best is None:
             raise MappingError("backtracking found no feasible embedding")
-        placement, _cost = best
-        # Rebuild paths and commit on the real view.
-        mapping = Mapping(sg)
-        mapping.vnf_placement = dict(placement)
-        trial = view.copy()
-        for container, cpu, mem, ports in self._reservations(sg, placement):
-            trial.reserve_container(container, cpu, mem, ports)
-        paths = GreedyMapper._route_links(self, sg, mapping, trial)
-        self._check_requirements(sg, mapping, trial)
-        self._commit(mapping, view, self._reservations(sg, placement),
-                     paths)
-        return mapping
-
-    def _reservations(self, sg: ServiceGraph,
-                      placement: Dict[str, str]) -> List[tuple]:
-        reservations = []
-        for vnf_name, container in placement.items():
-            cpu, mem, ports = self.demand_of(sg, vnf_name)
-            reservations.append((container, cpu, mem, ports))
-        return reservations
+        for vnf_name, container in best[0].items():
+            self._place(view, mapping, undo, vnf_name, container,
+                        self.demand_of(sg, vnf_name))
+        self._route_links(sg, view, mapping, undo)
+        self._check_requirements(sg, mapping, view)
 
     def _search(self, sg: ServiceGraph, trial: ResourceView,
                 order: List[str], index: int,

@@ -194,23 +194,33 @@ class ResourceView:
         # substrate edges currently marked down (frozenset node pairs);
         # kept separately so the fault-free path pays one falsy check
         self._down_edges: set = set()
+        # (src, dst) -> unconstrained shortest path (or None).  It
+        # depends only on nodes, edges, delays and the down set, so
+        # every method that changes one of those clears it; residual
+        # bandwidth changes with every deploy, so constrained queries
+        # are never kept
+        self._paths: Dict[tuple, Optional[List[str]]] = {}
 
     # -- construction -------------------------------------------------------
 
     def add_sap(self, name: str) -> None:
+        self._paths.clear()
         self.graph.add_node(name, kind=self.SAP)
 
     def add_switch(self, name: str, dpid: Optional[int] = None) -> None:
+        self._paths.clear()
         self.graph.add_node(name, kind=self.SWITCH, dpid=dpid)
 
     def add_container(self, name: str, cpu: float, mem: float,
                       ports: int = 8) -> None:
+        self._paths.clear()
         self.graph.add_node(name, kind=self.CONTAINER, cpu=cpu, mem=mem,
                             cpu_used=0.0, mem_used=0.0,
                             ports=ports, ports_used=0)
 
     def add_link(self, node1: str, node2: str, delay: float = 0.0,
                  bandwidth: Optional[float] = None) -> None:
+        self._paths.clear()
         self.graph.add_edge(node1, node2, delay=delay,
                             bandwidth=bandwidth, bw_used=0.0)
 
@@ -222,6 +232,7 @@ class ResourceView:
         around them; existing reservations are untouched."""
         if not self.graph.has_edge(node1, node2):
             raise ValueError("no substrate link %s--%s" % (node1, node2))
+        self._paths.clear()
         key = frozenset((node1, node2))
         if up:
             self._down_edges.discard(key)
@@ -314,24 +325,37 @@ class ResourceView:
         through the cheapest adjacent switch — the traffic leaves on one
         interface and re-enters on another, crossing that link twice.
         """
+        if min_bandwidth > 0:
+            return self._solve(src, dst, min_bandwidth)
+        try:
+            path = self._paths[src, dst]
+        except KeyError:
+            path = self._paths[src, dst] = self._solve(src, dst, 0.0)
+        # a fresh list: callers keep and edit what they are given
+        return None if path is None else list(path)
+
+    def _solve(self, src: str, dst: str,
+               min_bandwidth: float) -> Optional[List[str]]:
         if src == dst:
             return self._hairpin(src, min_bandwidth)
-        if min_bandwidth > 0 or self._down_edges:
-            usable = [(a, b) for a, b, data in self.graph.edges(data=True)
-                      if (frozenset((a, b)) not in self._down_edges)
-                      and (min_bandwidth <= 0
-                           or data["bandwidth"] is None
-                           or data["bandwidth"] - data["bw_used"]
-                           >= min_bandwidth - 1e-9)]
-            graph = self.graph.edge_subgraph(usable)
-            if src not in graph or dst not in graph:
-                return None
-        else:
-            graph = self.graph
         try:
-            return nx.shortest_path(graph, src, dst, weight="delay")
+            return nx.shortest_path(self.routable(min_bandwidth), src, dst,
+                                    weight="delay")
         except (nx.NetworkXNoPath, nx.NodeNotFound):
             return None
+
+    def routable(self, min_bandwidth: float = 0.0) -> nx.Graph:
+        """The substrate restricted to links that are up and have at
+        least ``min_bandwidth`` residual: what any path search runs on.
+        Nodes left without a link are not in it."""
+        if min_bandwidth <= 0 and not self._down_edges:
+            return self.graph
+        return self.graph.edge_subgraph(
+            (a, b) for a, b, data in self.graph.edges(data=True)
+            if frozenset((a, b)) not in self._down_edges
+            and (min_bandwidth <= 0 or data["bandwidth"] is None
+                 or data["bandwidth"] - data["bw_used"]
+                 >= min_bandwidth - 1e-9))
 
     def _hairpin(self, node: str,
                  min_bandwidth: float = 0.0) -> Optional[List[str]]:
@@ -357,6 +381,8 @@ class ResourceView:
     def copy(self) -> "ResourceView":
         clone = ResourceView()
         clone.graph = self.graph.copy()
+        clone._down_edges = set(self._down_edges)
+        clone._paths = dict(self._paths)
         return clone
 
     def snapshot(self) -> Dict[str, dict]:

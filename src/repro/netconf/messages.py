@@ -27,9 +27,73 @@ def namespace_of(tag: str) -> Optional[str]:
     return None
 
 
+class _NotPlain(Exception):
+    """The tree has a feature :func:`to_xml` leaves to ElementTree."""
+
+
+# ElementTree's own escape rules and its registry of well-known
+# prefixes: read, not re-implemented, so the two serialisers agree on
+# every interpreter version
+_escape_text = ET._escape_cdata
+_escape_attribute = ET._escape_attrib
+_known_prefixes = ET._namespace_map
+
+
 def to_xml(element: ET.Element) -> bytes:
-    return ET.tostring(element, encoding="utf-8",
-                       xml_declaration=True)
+    """The bytes ``ET.tostring(element, encoding="utf-8",
+    xml_declaration=True)`` gives, written in one pass for the trees
+    this package builds: Clark-qualified tags, unqualified attribute
+    names, plain ``str`` attribute values and text, no tails.  Any
+    other tree goes to ``ET.tostring`` itself."""
+    parts = ["<?xml version='1.0' encoding='utf-8'?>\n"]
+    qnames: dict = {}    # Clark tag -> "nsN:local"
+    prefixes: dict = {}  # namespace uri -> "nsN", in first-seen order
+    try:
+        _write_element(element, parts, qnames, prefixes)
+    except _NotPlain:
+        return ET.tostring(element, encoding="utf-8",
+                           xml_declaration=True)
+    # every namespace is declared on the root, ordered by prefix *text*
+    # (ns10 before ns2); parts[1] is the root's "<nsN:local"
+    parts[1] += "".join(
+        ' xmlns:%s="%s"' % (prefix, _escape_attribute(uri))
+        for uri, prefix in sorted(prefixes.items(),
+                                  key=lambda item: item[1]))
+    return "".join(parts).encode("utf-8", "xmlcharrefreplace")
+
+
+def _write_element(element: ET.Element, parts: List[str], qnames: dict,
+                   prefixes: dict) -> None:
+    tag = element.tag
+    text = element.text
+    name = qnames.get(tag)
+    if name is None:
+        if not isinstance(tag, str) or tag[:1] != "{" or "}" not in tag:
+            raise _NotPlain
+        uri, local = tag[1:].rsplit("}", 1)
+        prefix = prefixes.get(uri)
+        if prefix is None:
+            if uri in _known_prefixes:
+                raise _NotPlain
+            prefix = prefixes[uri] = "ns%d" % len(prefixes)
+        name = qnames[tag] = "%s:%s" % (prefix, local)
+    if element.tail or not (text is None or isinstance(text, str)):
+        raise _NotPlain
+    parts.append("<" + name)
+    for key, value in element.items():
+        if not (isinstance(key, str) and isinstance(value, str)) \
+                or key[:1] == "{":
+            raise _NotPlain
+        parts.append(' %s="%s"' % (key, _escape_attribute(value)))
+    if text or len(element):
+        parts.append(">")
+        if text:
+            parts.append(_escape_text(text))
+        for child in element:
+            _write_element(child, parts, qnames, prefixes)
+        parts.append("</%s>" % name)
+    else:
+        parts.append(" />")
 
 
 def from_xml(data: Union[bytes, str]) -> ET.Element:

@@ -31,13 +31,13 @@ from repro.telemetry.introspect import (IntrospectError, build_report,
 from repro.telemetry.metrics import (Counter, Gauge, Histogram, Metric,
                                      MetricError, MetricsRegistry, Series)
 from repro.telemetry.profiler import NULL_REGION, Profiler, RegionStat
-from repro.telemetry.trace import NULL_SPAN, Span, Tracer
+from repro.telemetry.trace import Span, Tracer
 
 __all__ = [
     "Counter", "DEBUG", "ERROR", "Event", "EventError", "EventLog",
     "FlowTrace", "FlowTraceError", "Gauge", "Histogram", "INFO",
     "IntrospectError", "Metric", "MetricError", "MetricsRegistry",
-    "NULL_REGION", "NULL_SPAN", "Profiler", "RegionStat", "SEVERITIES",
+    "NULL_REGION", "Profiler", "RegionStat", "SEVERITIES",
     "Series", "Span", "Telemetry", "Tracer", "WARN", "build_report",
     "diff_reports", "load_flowtrace_report", "load_report",
     "render_flowtrace_report", "report_from_bundle", "report_from_jsonl",

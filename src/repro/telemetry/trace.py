@@ -113,19 +113,6 @@ class Span:
                                         self.status)
 
 
-class _NullSpan:
-    """No-op stand-in returned when a sampled span is skipped."""
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *_exc) -> bool:
-        return False
-
-
-NULL_SPAN = _NullSpan()
-
-
 class Tracer:
     """Creates spans, tracks the active stack, keeps finished traces.
 
@@ -146,15 +133,6 @@ class Tracer:
     def span(self, name: str, **tags: Any) -> Span:
         """A new span; use as ``with tracer.span("x"): ...``."""
         return Span(self, name, next(self._ids), tags)
-
-    def sampled_span(self, name: str, seq: int, every: int,
-                     **tags: Any):
-        """``span(name)`` once per ``every`` calls (by the caller's
-        ``seq`` counter); :data:`NULL_SPAN` otherwise.  For per-packet
-        dataplane sampling."""
-        if every <= 0 or seq % every:
-            return NULL_SPAN
-        return self.span(name, **tags)
 
     # -- stack management (driven by Span's context protocol) -------------
 

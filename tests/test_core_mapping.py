@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.core import (BacktrackingMapper, GreedyMapper, MappingError,
-                        ResourceView, ServiceGraph, ShortestPathMapper,
-                        default_catalog)
+from repro.core import (BacktrackingMapper, CongestionAwareMapper,
+                        GreedyMapper, MappingError, ResourceView,
+                        ServiceGraph, ShortestPathMapper, default_catalog)
 
 MAPPERS = [GreedyMapper, ShortestPathMapper, BacktrackingMapper]
+ALL_MAPPERS = MAPPERS + [CongestionAwareMapper]
 
 
 def star_view(containers=2, cpu=2.0, mem=1024.0):
@@ -104,6 +105,143 @@ class TestAllMappers:
         with pytest.raises(MappingError):
             mapper.map(
                 ServiceGraphFactory.second_chain(bandwidth=60e6), view)
+
+
+def detour_view():
+    """h1 -- s1 -- s2 -- h2 with a slower s1 -- s3 -- s2 detour; the
+    only container hangs off s2, so every chain crosses the core."""
+    view = ResourceView()
+    for name in ("h1", "h2"):
+        view.add_sap(name)
+    for index, name in enumerate(("s1", "s2", "s3")):
+        view.add_switch(name, index + 1)
+    view.add_link("h1", "s1", delay=0.001)
+    view.add_link("s1", "s2", delay=0.002)
+    view.add_link("s1", "s3", delay=0.004)
+    view.add_link("s3", "s2", delay=0.004)
+    view.add_link("h2", "s2", delay=0.001)
+    view.add_container("nc1", cpu=2.0, mem=1024.0)
+    view.add_link("nc1", "s2", delay=0.0005)
+    return view
+
+
+def test_copy_keeps_the_down_set():
+    view = detour_view()
+    view.set_link_up("s1", "s2", False)
+    clone = view.copy()
+    assert clone.down_links() == [("s1", "s2")]
+    assert clone.shortest_path("h1", "h2") == ["h1", "s1", "s3", "s2", "h2"]
+    clone.set_link_up("s1", "s2", True)
+    assert view.down_links() == [("s1", "s2")]
+    assert view.shortest_path("h1", "h2") == ["h1", "s1", "s3", "s2", "h2"]
+
+
+@pytest.mark.parametrize("mapper_cls", ALL_MAPPERS)
+class TestDownLinks:
+    def test_mapping_routes_around_a_down_link(self, mapper_cls):
+        view = detour_view()
+        mapper = mapper_cls(default_catalog())
+        up = mapper.map(chain_sg(1), view)
+        assert up.link_paths[("h1", "v0")] == ["h1", "s1", "s2", "nc1"]
+        mapper.release(up, view)
+        view.set_link_up("s1", "s2", False)
+        down = mapper.map(chain_sg(1), view)
+        assert down.link_paths[("h1", "v0")] == \
+            ["h1", "s1", "s3", "s2", "nc1"]
+        for path in down.link_paths.values():
+            assert all(view.link_is_up(a, b)
+                       for a, b in zip(path, path[1:]))
+        mapper.release(down, view)
+        view.set_link_up("s1", "s2", True)
+        again = mapper.map(chain_sg(1), view)
+        assert again.link_paths == up.link_paths
+
+
+def loaded_view():
+    """h1 -- s1 -- s2 -- h2, one container per switch, with a standing
+    chain whose demands (cpu 0.1, 0.1 bit/s) have no exact binary form:
+    adding 0.2 to them and subtracting it again does not give them
+    back, so a rollback that subtracts shows."""
+    view = ResourceView()
+    for name in ("h1", "h2"):
+        view.add_sap(name)
+    view.add_switch("s1", 1)
+    view.add_switch("s2", 2)
+    view.add_link("h1", "s1", delay=0.001)
+    view.add_link("s1", "s2", delay=0.002, bandwidth=1.0)
+    view.add_link("h2", "s2", delay=0.001)
+    for name, switch in (("nc1", "s1"), ("nc2", "s2")):
+        view.add_container(name, cpu=0.5, mem=1024.0)
+        view.add_link(name, switch, delay=0.0005)
+    standing = ServiceGraph("standing")
+    standing.add_sap("h1")
+    standing.add_sap("h2")
+    standing.add_vnf("a", "forwarder", cpu=0.1, mem=0.1)
+    standing.add_vnf("b", "forwarder", cpu=0.1, mem=0.1)
+    standing.add_chain(["h1", "a", "b", "h2"], bandwidth=0.1)
+    mapping = ShortestPathMapper(default_catalog()).map(standing, view)
+    assert set(mapping.vnf_placement.values()) == {"nc1"}
+    return view
+
+
+def doomed_sg(stage):
+    """A two-VNF chain that reserves before it fails at ``stage``."""
+    sg = ServiceGraph("doomed")
+    sg.add_sap("h1")
+    sg.add_sap("h2")
+    sg.add_vnf("x", "forwarder", cpu=0.2, mem=0.2)
+    # nc1 has 0.1 cpu left once x joins the standing chain there, nc2
+    # has 0.5: only "no container" asks for more than either
+    sg.add_vnf("y", "forwarder", mem=0.2,
+               cpu=0.6 if stage == "no container" else 0.2)
+    # x and y cannot share nc1, so some link crosses the spine, which
+    # has 1.0 - 0.1 bit/s free
+    sg.add_chain(["h1", "x", "y", "h2"],
+                 bandwidth=0.95 if stage == "no bandwidth" else 0.2)
+    if stage == "max_delay":
+        sg.add_requirement("h1", "h2", max_delay=1e-6)
+    return sg
+
+
+REJECTIONS = [(mapper_cls, stage) for mapper_cls in ALL_MAPPERS
+              for stage in ("no container", "no bandwidth", "max_delay")
+              # the greedy strategy does not read requirements
+              if not (mapper_cls is GreedyMapper and stage == "max_delay")]
+
+
+class TestRejectedMappingLeavesViewUntouched:
+    @staticmethod
+    def state(view):
+        return (view.snapshot(),
+                {edge: dict(view.graph.edges[edge])
+                 for edge in view.graph.edges})
+
+    @pytest.mark.parametrize("mapper_cls,stage", REJECTIONS)
+    def test_view_is_restored_exactly(self, mapper_cls, stage):
+        view = loaded_view()
+        before = self.state(view)
+        assert before[0]["nc1"]["cpu_used"] == 0.2
+        mapper = mapper_cls(default_catalog())
+        with pytest.raises(MappingError):
+            mapper.map(doomed_sg(stage), view)
+        assert self.state(view) == before
+        # and the view still takes what does fit
+        mapping = mapper.map(doomed_sg("fits"), view)
+        assert set(mapping.vnf_placement) == {"x", "y"}
+
+    def test_any_exception_rolls_back(self):
+        """Not only MappingError: a strategy that blows up half way
+        leaves nothing behind either."""
+        class Exploding(GreedyMapper):
+            def _route_links(self, sg, view, mapping, undo):
+                super()._route_links(sg, view, mapping, undo)
+                raise RuntimeError("boom")
+
+        view = loaded_view()
+        before = self.state(view)
+        with pytest.raises(RuntimeError):
+            Exploding(default_catalog()).map(doomed_sg("fits"), view)
+        assert self.state(view) == before
 
 
 class ServiceGraphFactory:

@@ -2,11 +2,14 @@
 
 import random
 import struct
+import xml.etree.ElementTree as ET
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.nffg import ResourceView
+from repro.netconf import messages as nc
 from repro.netconf.framing import ChunkedFramer, EomFramer
 from repro.openflow import (ControllerChannel, FlowEntry, FlowMod, FlowTable,
                             Group, GroupBucket, GroupMod, Match,
@@ -188,6 +191,220 @@ def test_shortest_path_is_optimal(seed):
     best = min(view.path_delay(candidate) for candidate in
                nx.all_simple_paths(view.graph, "s0", "s4"))
     assert found_delay <= best + 1e-12
+
+
+# -- memoised shortest paths vs a view that has no memo yet ----------------
+
+_NAMES = ["s0", "s1", "s2", "s3", "c0", "late"]
+_name = st.sampled_from(_NAMES)
+_view_op = st.one_of(
+    st.tuples(st.just("link"), _name, _name,
+              st.sampled_from([0.001, 0.002, 0.003]),   # ties are likely
+              st.sampled_from([None, 10.0, 10.0])),
+    # (re)declare a node: a switch that turns container is no hairpin
+    st.tuples(st.just("node"), _name, st.booleans()),
+    # the n-th link goes down or comes back
+    st.tuples(st.just("up"), st.integers(0, 14), st.booleans()),
+    st.tuples(st.just("reserve"), _name, _name, st.sampled_from([4.0, 6.0])))
+
+
+def _declare(view, name, switch):
+    if switch:
+        view.add_switch(name)
+    else:
+        view.add_container(name, cpu=1.0, mem=1.0)
+
+
+@given(st.lists(_view_op, min_size=1, max_size=30))
+@settings(max_examples=120, deadline=None)
+def test_memoised_shortest_path_equals_a_fresh_view(ops):
+    """Whatever was asked before, ``shortest_path`` answers as a view
+    does that was built the same way and has answered nothing yet -
+    same path, same tie-break, with and without a bandwidth floor - and
+    editing an answer changes no later one."""
+    live = ResourceView()
+    built = []   # the add_* / add_link calls made on ``live``, in order
+
+    def fresh():
+        view = ResourceView()
+        for step in built:
+            if step[0] == "node":
+                _declare(view, *step[1:])
+            else:
+                view.add_link(*step[1:])
+        for node1, node2 in live.down_links():
+            view.set_link_up(node1, node2, False)
+        for node1, node2, data in live.graph.edges(data=True):
+            view.graph.edges[node1, node2]["bw_used"] = data["bw_used"]
+        return view
+
+    def check():
+        reference = fresh()
+        for src in live.graph:
+            for dst in live.graph:
+                for floor in (0.0, 5.0):
+                    expected = reference.shortest_path(src, dst, floor)
+                    answer = live.shortest_path(src, dst, floor)
+                    assert answer == expected
+                    if answer is not None:
+                        assert all(live.link_free_bandwidth(a, b) >= floor
+                                   for a, b in zip(answer, answer[1:]))
+                        answer.reverse()
+                        answer.append("poison")
+        return reference
+
+    # a ring of four switches with a container on it, then the edits
+    start = [("node", name, name.startswith("s")) for name in _NAMES[:-1]]
+    start += [("link", "s%d" % index, "s%d" % ((index + 1) % 4), 0.001,
+               10.0) for index in range(4)] + [("link", "c0", "s0", 0.001,
+                                                10.0)]
+    for op in start + ops:
+        kind = op[0]
+        present = all(name in live.graph for name in op[1:3]
+                      if isinstance(name, str))
+        if kind == "node":
+            built.append(op)
+            _declare(live, *op[1:])
+        elif kind == "link" and present and op[1] != op[2]:
+            built.append(op)
+            live.add_link(*op[1:])
+        elif kind == "up" and live.graph.number_of_edges():
+            edges = sorted(live.graph.edges)
+            live.set_link_up(*edges[op[1] % len(edges)], op[2])
+        elif kind == "reserve" and present:
+            path = live.shortest_path(op[1], op[2], op[3])
+            if path is not None:
+                try:
+                    live.reserve_path_bandwidth(path, op[3])
+                except ValueError:
+                    pass   # a hairpin asks its one link twice
+        reference = check()
+    # a copy keeps the down set; Graph.copy() re-adds edges node by
+    # node, so it may break a tie the other way - equal cost, not
+    # equal path
+    clone = live.copy()
+    clone._paths.clear()
+    for src in live.graph:
+        for dst in live.graph:
+            path = clone.shortest_path(src, dst)
+            expected = reference.shortest_path(src, dst)
+            assert (path is None) == (expected is None)
+            if path is not None:
+                assert all(clone.link_is_up(a, b)
+                           for a, b in zip(path, path[1:]))
+                assert clone.path_delay(path) == pytest.approx(
+                    reference.path_delay(expected), abs=1e-12)
+
+
+# -- one-pass NETCONF serialiser vs ElementTree ----------------------------
+
+_URIS = ["urn:example:n%d" % index for index in range(13)] + [
+    nc.BASE_NS, "", "urn:x&y", 'urn:"quoted"<uri>']
+_chars = st.text(alphabet=st.sampled_from(
+    list("ab -:/;()") + ["&", "<", ">", '"', "'", "\r", "\n", "\t",
+                         "\u00e9", "\u20ac", "\ud800"]), max_size=12)
+_attributes = st.dictionaries(
+    st.sampled_from(["message-id", "type", "a", "xmlns-like"]), _chars,
+    max_size=3)
+
+
+def _reference(tree):
+    return ET.tostring(tree, encoding="utf-8", xml_declaration=True)
+
+
+def _outcome(serialise, tree):
+    try:
+        return serialise(tree)
+    except Exception as exc:
+        return type(exc)
+
+
+#: every tree shape ``to_xml`` hands to ElementTree, as an edit of one
+#: element of an otherwise plain tree
+_QUIRKS = {
+    "unqualified tag": lambda el: setattr(el, "tag", "plain"),
+    "well-known namespace": lambda el: setattr(
+        el, "tag", "{http://www.w3.org/2001/XMLSchema-instance}nil"),
+    "xml namespace": lambda el: setattr(
+        el, "tag", "{http://www.w3.org/XML/1998/namespace}lang"),
+    "unterminated namespace": lambda el: setattr(el, "tag", "{urn:oops"),
+    "QName tag": lambda el: setattr(el, "tag", ET.QName("urn:q", "t")),
+    "no tag": lambda el: setattr(el, "tag", None),
+    "comment": lambda el: el.append(ET.Comment("note")),
+    "processing instruction": lambda el: el.append(
+        ET.ProcessingInstruction("target", "data")),
+    "qualified attribute": lambda el: el.set("{urn:attr}a", "1"),
+    "QName attribute name": lambda el: el.set(ET.QName("urn:q", "a"), "1"),
+    "QName attribute value": lambda el: el.set("a", ET.QName("urn:q", "v")),
+    "QName text": lambda el: setattr(el, "text", ET.QName("urn:q", "v")),
+    "int attribute value": lambda el: el.set("a", 7),
+    "int text": lambda el: setattr(el, "text", 7),
+    "bytes text": lambda el: setattr(el, "text", b"raw"),
+    "tail": lambda el: setattr(el, "tail", "after"),
+}
+
+
+@st.composite
+def _trees(draw, quirks=False):
+    """An Element tree of the shape NETCONF builds; with ``quirks``,
+    some elements are edited into shapes it never builds."""
+    edits = []
+
+    def element(depth):
+        tag = "{%s}%s" % (draw(st.sampled_from(_URIS)),
+                          draw(st.sampled_from(["rpc", "ok", "a-b", "x"])))
+        node = ET.Element(tag, draw(_attributes))
+        node.text = draw(st.one_of(st.none(), _chars))
+        if depth < 3:
+            for _ in range(draw(st.integers(0, 2 if depth else 4))):
+                node.append(element(depth + 1))
+        if quirks and draw(st.integers(0, 9)) == 0:
+            edits.append((draw(st.sampled_from(sorted(_QUIRKS))), node))
+        return node
+
+    root = element(0)
+    for name, node in edits:
+        _QUIRKS[name](node)
+    return root
+
+
+@given(_trees())
+@settings(max_examples=400, deadline=None)
+def test_one_pass_serialiser_equals_elementtree(tree):
+    with mock.patch.object(ET, "tostring", wraps=ET.tostring) as slow:
+        fast = nc.to_xml(tree)
+    assert not slow.called
+    assert fast == _reference(tree)
+
+
+@given(_trees(quirks=True))
+@settings(max_examples=400, deadline=None)
+def test_serialiser_equals_elementtree_on_any_tree(tree):
+    assert _outcome(nc.to_xml, tree) == _outcome(_reference, tree)
+
+
+@pytest.mark.parametrize("quirk", sorted(_QUIRKS))
+@pytest.mark.parametrize("where", ["root", "leaf"])
+def test_serialiser_leaves_other_shapes_to_elementtree(quirk, where):
+    rpc = nc.build_rpc(7, nc.build_get_config(
+        "running", ET.Element(nc.qn("vnfs", "urn:example:vnf"))))
+    _QUIRKS[quirk](rpc if where == "root" else list(rpc.iter())[-1])
+    expected = _outcome(_reference, rpc)
+    with mock.patch.object(ET, "tostring", wraps=ET.tostring) as slow:
+        assert _outcome(nc.to_xml, rpc) == expected
+    assert slow.call_count == 1
+
+
+def test_serialiser_orders_prefixes_as_text():
+    """Twelve namespaces: ``ns10`` and ``ns11`` are declared before
+    ``ns2``, as ElementTree's sort on the prefix string does."""
+    root = ET.Element("{urn:example:n0}root")
+    for index in range(1, 12):
+        ET.SubElement(root, "{urn:example:n%d}leaf" % index)
+    ET.SubElement(root[4], "{urn:example:n2}again")
+    data = nc.to_xml(root)
+    assert data == _reference(root)
+    assert data.index(b"xmlns:ns10=") < data.index(b"xmlns:ns2=")
 
 
 # -- click packet paint roundtrip ------------------------------------------

@@ -219,17 +219,6 @@ class TestTracer:
         assert len(tracer.traces) == 3
         assert tracer.last_trace.name == "t9"
 
-    def test_sampled_span_honours_rate(self):
-        tracer = Tracer()
-        for seq in range(512):
-            with tracer.sampled_span("pkt", seq, 256):
-                pass
-        # only seq 0 and 256 produced real spans
-        assert len(tracer.traces) == 2
-        with tracer.sampled_span("pkt", 0, 0):
-            pass  # rate 0 disables sampling entirely
-        assert len(tracer.traces) == 2
-
     def test_render_shows_tree_and_tags(self):
         tracer = Tracer()
         with tracer.span("parent", service="demo"):
