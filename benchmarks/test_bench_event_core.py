@@ -1,8 +1,9 @@
 """EVT — event-core efficiency of the notifier-driven pull path.
 
-PR 7's dispatch accounting showed the fixed-interval ``_PullDriver``
-poll dominating every profile: a parked pull driver still burned one
-event per interval whether or not a packet existed.  With Click-style
+A per-event-kind dispatch table showed the fixed-interval
+``_PullDriver`` poll dominating every profile: a parked pull driver
+still burned one event per interval whether or not a packet existed.
+With Click-style
 notifiers the drivers sleep on empty upstreams and are woken by the
 0->1 push transition, so this suite pins the property that made the
 rewrite worth doing:
@@ -41,18 +42,16 @@ def test_idle_click_pipeline_dispatches_zero_events(benchmark):
     router.start()
     sim.run(until=sim.now + 1.0)  # drain the priming traffic
     assert int(router.read_handler("cnt.count")) == 100
-    acct = sim.accounting
-    acct.reset()
-    acct.enable()
+    before = sim.processed
     rounds = 3
 
     def idle():
         sim.run(until=sim.now + IDLE_SIM_SECONDS)
     benchmark.pedantic(idle, rounds=rounds, iterations=1)
-    acct.disable()
-    rate = acct.dispatched / (rounds * IDLE_SIM_SECONDS)
+    dispatched = sim.processed - before
+    rate = dispatched / (rounds * IDLE_SIM_SECONDS)
     benchmark.extra_info["events_per_sim_second"] = rate
-    assert acct.dispatched == 0
+    assert dispatched == 0
 
 
 def test_idle_escape_network_event_rate(benchmark):
@@ -66,19 +65,22 @@ def test_idle_escape_network_event_rate(benchmark):
     escape = started_escape(containers=2, container_ports=4)
     escape.deploy_service(chain_sg(1, name="idle-chain"))
     escape.run(1.0)  # let deployment-time control traffic settle
-    acct = escape.accounting
-    acct.reset()
-    acct.enable()
+    sim, profiler = escape.sim, escape.profiler
+    before, polls_before = sim.processed, sim.polls
+    profiler.reset()
+    profiler.enable()
 
     def idle():
         escape.run(IDLE_SIM_SECONDS)
     benchmark.pedantic(idle, rounds=1, iterations=1)
-    acct.disable()
-    rate = acct.dispatched / IDLE_SIM_SECONDS
+    profiler.disable()
+    rate = (sim.processed - before) / IDLE_SIM_SECONDS
     benchmark.extra_info["events_per_sim_second"] = rate
-    benchmark.extra_info["dispatch_kinds"] = sorted(acct.kinds)
-    assert not any("_PullDriver" in kind for kind in acct.kinds)
-    assert acct.polls == 0
+    # every event kind that ran (and the regions nested under them)
+    kinds = sorted(profiler.stats)
+    benchmark.extra_info["dispatch_kinds"] = kinds
+    assert kinds and not any("_PullDriver" in kind for kind in kinds)
+    assert sim.polls == polls_before
     assert rate < 100.0
 
 
@@ -109,22 +111,20 @@ def test_busy_pipeline_events_track_packets(benchmark):
         " -> q :: Queue(256) -> Unqueue(BURST 32)"
         " -> cnt :: Counter -> Discard;" % packets, sim=sim)
     router.start()
-    acct = sim.accounting
-    acct.enable()
+    before = sim.processed
 
     def drain():
         sim.run(until=sim.now + 2.0)
     benchmark.pedantic(drain, rounds=1, iterations=1)
-    acct.disable()
+    dispatched = sim.processed - before
     assert int(router.read_handler("cnt.count")) == packets
-    benchmark.extra_info["events_per_packet"] = (
-        acct.dispatched / packets)
+    benchmark.extra_info["events_per_packet"] = dispatched / packets
     # one source credit shot + one wake-drain per packet (the source
     # meters packets out one at a time, so trains never build up); the
     # point is the count tracks *packets*, not duration/interval, and
     # no blind interval polls fired at all
-    assert acct.dispatched <= 2 * packets + 2
-    assert acct.polls == 0
+    assert dispatched <= 2 * packets + 2
+    assert sim.polls == 0
 
 
 #: Python-level calls per delivered datagram on the two-switch demo chain

@@ -146,6 +146,38 @@ def test_profiler_enabled_region_cost(benchmark):
     assert profiler.overhead > 0.0
 
 
+def test_profiler_disabled_dispatch_cost(benchmark):
+    """The event loop's disabled hot path: one attribute read per
+    dispatched event."""
+    from repro.sim import Simulator
+    sim = Simulator()
+    assert not sim.telemetry.profiler.enabled
+
+    def dispatch_event():
+        sim.schedule(0.0, lambda: None)
+        sim.step()
+    benchmark(dispatch_event)
+    assert sim.telemetry.profiler.entries == 0
+
+
+def test_profiler_enabled_dispatch_cost(benchmark):
+    """A kind-named dispatch: cached kind lookup plus one region
+    enter/exit around the callback."""
+    from repro.sim import Simulator
+    sim = Simulator()
+    profiler = sim.telemetry.profiler.enable()
+
+    def tick():
+        pass
+
+    def dispatch_event():
+        sim.schedule(0.0, tick)
+        sim.step()
+    benchmark(dispatch_event)
+    (kind, stat), = profiler.stats.items()
+    assert kind.endswith("tick") and stat.calls == sim.processed
+
+
 def test_profiler_enabled_captures_all_layers(forwarding_escape):
     """With the profiler on, one workload burst attributes time to the
     dataplane regions of every layer it crosses — and accounts for its
@@ -157,11 +189,11 @@ def test_profiler_enabled_captures_all_layers(forwarding_escape):
         _udp_workload(escape)
     finally:
         profiler.disable()
-    for region in ("sim.event.dispatch", "netem.link.transmit",
+    for region in ("netem.link.Link._deliver", "netem.link.transmit",
                    "click.element.push"):
         stat = profiler.region(region)
         assert stat is not None and stat.calls > 0, region
-    dispatch = profiler.region("sim.event.dispatch")
+    dispatch = profiler.region("netem.link.Link._deliver")
     assert dispatch.cum >= dispatch.self_time > 0.0
     assert profiler.overhead > 0.0
     assert profiler.collapsed()
@@ -222,8 +254,8 @@ def test_flowtrace_disabled_no_regression(forwarding_escape):
     ``test_flowtrace_disabled_record_cost`` (one attribute check,
     tens of ns — well under 1% of per-packet dataplane cost); this
     end-to-end A/B gates at the same 5% machine-noise budget as the
-    profiler and accounting guards, with the two populations
-    interleaved so clock drift hits both sides equally."""
+    profiler guard, with the two populations interleaved so clock
+    drift hits both sides equally."""
     escape = forwarding_escape
     flowtrace = escape.flowtrace
     assert not flowtrace.enabled
@@ -266,88 +298,6 @@ def test_flowtrace_enabled_dataplane(benchmark, forwarding_escape):
         flowtrace.disable()
         flowtrace.reset()
     attach_telemetry(benchmark, escape)
-
-
-# -- dispatch accounting overhead ---------------------------------------------
-
-def test_accounting_disabled_dispatch_cost(benchmark):
-    """The disabled hot path: one attribute read per dispatched event,
-    same budget as the disabled profiler."""
-    from repro.sim import Simulator
-    sim = Simulator()
-    assert not sim.accounting.enabled
-
-    def dispatch_event():
-        sim.schedule(0.0, lambda: None)
-        sim.step()
-    benchmark(dispatch_event)
-    assert sim.accounting.dispatched == 0
-
-
-def test_accounting_enabled_dispatch_cost(benchmark):
-    """Full per-event bookkeeping: kind lookup, lag, self-time."""
-    from repro.sim import Simulator
-    sim = Simulator()
-    sim.accounting.enable()
-
-    def dispatch_event():
-        sim.schedule(0.0, lambda: None)
-        sim.step()
-    benchmark(dispatch_event)
-    assert sim.accounting.dispatched > 0
-    assert sim.accounting.kind_stats()
-
-
-def test_unaccounted_dataplane_no_regression(forwarding_escape):
-    """The <5% guardrail extended to dispatch accounting: after it has
-    been on and off again, the unaccounted dataplane must cost what it
-    did before accounting ever ran (min-of-N to de-noise)."""
-    escape = forwarding_escape
-    accounting = escape.accounting
-    assert not accounting.enabled
-
-    _udp_workload(escape)  # warm-up
-    baseline = _min_of(lambda: _udp_workload(escape))
-
-    accounting.enable()
-    _udp_workload(escape)
-    accounting.disable()
-    accounting.reset()
-
-    retimed = _min_of(lambda: _udp_workload(escape))
-    assert retimed <= baseline * 1.05, (
-        "unaccounted dataplane regressed: %.4fs vs %.4fs baseline"
-        % (retimed, baseline))
-
-
-def test_attribution_reconciles_with_profiler(forwarding_escape):
-    """The acceptance criterion: per-kind self-times sum to within 10%
-    of the profiler's inclusive sim.event.dispatch time over one
-    workload burst (both layers watching the same events)."""
-    from repro.telemetry.introspect import COVERAGE_TOLERANCE, build_report
-    escape = forwarding_escape
-    profiler = escape.profiler
-    accounting = escape.accounting
-    profiler.reset()
-    profiler.enable()
-    accounting.reset()
-    accounting.enable()
-    try:
-        _udp_workload(escape)
-    finally:
-        profiler.disable()
-        accounting.disable()
-    report = build_report(profiler, accounting)
-    coverage = report["coverage"]
-    assert coverage["ratio"] is not None
-    assert abs(coverage["ratio"] - 1.0) <= COVERAGE_TOLERANCE, (
-        "kind self-times %.6fs vs dispatch cum %.6fs (ratio %.3f)"
-        % (coverage["kinds_self_s"], coverage["dispatch_cum_s"],
-           coverage["ratio"]))
-    assert report["dispatch"]["dispatched"] == \
-        profiler.region("sim.event.dispatch").calls
-    profiler.reset()
-    accounting.reset()
 
 
 def test_series_sampling_sweep(benchmark):

@@ -20,12 +20,13 @@ exits non-zero when any chain deploy failed, any chain stayed
 unrecovered, or the workload delivered nothing (the CI scenario-smoke
 criterion).
 
-``perf report`` renders one perf-attribution report (dispatch
-accounting + profiler regions + throughput); ``perf diff`` compares
-two and exits non-zero when a guarded region or throughput floor
-regressed beyond the threshold.  Both accept an attribution report, a
-``BENCH_profile.json`` snapshot, a result ``bundle.json``, or a
-results directory holding exactly one bundle.
+``perf report`` renders one perf-attribution report (event count,
+the profiler's region table — event kinds and the regions nested under
+them — and throughput); ``perf diff`` compares two and exits non-zero
+when a guarded region or throughput floor regressed beyond the
+threshold.  Both accept an attribution report, a result
+``bundle.json``, or a results directory holding exactly one bundle;
+the region table is there when the scenario set ``profile: true``.
 
 ``flowtrace`` renders the per-chain hop-latency breakdown (p50/p99
 per hop, attributed share of one-way delay, conformance counts) from
@@ -85,9 +86,8 @@ def _add_perf_parser(subparsers) -> None:
     report = actions.add_parser(
         "report", help="render one attribution report")
     report.add_argument("source",
-                        help="attribution report, BENCH_profile.json, "
-                             "bundle.json, or a results dir with one "
-                             "bundle")
+                        help="attribution report, bundle.json, or a "
+                             "results dir with one bundle")
     report.add_argument("--json", action="store_true",
                         help="emit the report as JSON")
     report.add_argument("--limit", type=int, default=12, metavar="N",

@@ -97,8 +97,8 @@ class PullActivation:
     ``floor`` (optional callable → absolute sim time) is the earliest
     useful activation — a rated driver returns its next credit instant
     so wakes never fire before credit accrues.  Wakeups and polls are
-    counted into the always-on ``DispatchAccounting`` so the
-    event-driven win stays attributable.
+    counted on the simulator (``sim.wakeups`` / ``sim.polls``, always
+    on) so the event-driven win stays attributable.
     """
 
     __slots__ = ("element", "fire", "port", "interval", "floor",
@@ -153,7 +153,7 @@ class PullActivation:
     def _on_wake(self) -> None:
         """Upstream went non-empty: schedule a drain (never pull
         synchronously from inside the producer's push)."""
-        self.sim.accounting.wakeups += 1
+        self.sim.wakeups += 1
         self.wakeup.arm_before(self._target())
 
     def wake_at(self, when: float) -> None:
@@ -162,13 +162,13 @@ class PullActivation:
         floor = self._target()
         if when < floor:
             when = floor
-        self.sim.accounting.wakeups += 1
+        self.sim.wakeups += 1
         self.wakeup.arm_at(when)
 
     def poll(self) -> None:
         """Legacy blind re-arm after ``interval`` (no notifier, or no
         usable hint)."""
-        self.sim.accounting.polls += 1
+        self.sim.polls += 1
         self.wakeup.arm(self.interval)
 
     def park(self) -> None:

@@ -237,7 +237,6 @@ class ESCAPE:
         registry.gauge("click.element.pushes").set(pushes)
         registry.gauge("click.element.pulls").set(pulls)
         registry.gauge("netem.container.running_vnfs").set(running)
-        acct = self.sim.accounting
         registry.gauge("sim.heap.depth",
                        "events pending in the scheduler heap").set(
             self.sim.heap_depth)
@@ -245,30 +244,24 @@ class ESCAPE:
                        "events scheduled since simulator start").set(
             self.sim.scheduled)
         registry.gauge("sim.events.dispatched",
-                       "events dispatched while accounting was on").set(
-            acct.dispatched)
-        registry.gauge("sim.events.coalescable",
-                       "dispatched events sharing a timestamp with "
-                       "their predecessor").set(acct.coalescable)
+                       "callbacks executed since simulator start").set(
+            self.sim.processed)
         registry.gauge("sim.events.cancelled_popped",
                        "cancelled events discarded by the loop").set(
-            acct.cancelled_popped)
+            self.sim.cancelled_popped)
         registry.gauge("sim.events.wakeups",
                        "pull-driver activations armed event-driven "
                        "(notifier edges, hint/credit shots)").set(
-            acct.wakeups)
+            self.sim.wakeups)
         registry.gauge("sim.events.polls",
                        "pull-driver activations armed as blind "
-                       "interval polls").set(acct.polls)
+                       "interval polls").set(self.sim.polls)
         registry.gauge("sim.events.pending",
                        "not-cancelled events queued (O(1) live "
                        "counter)").set(self.sim.pending)
         registry.gauge("sim.heap.compactions",
                        "dead-entry heap compactions performed").set(
             self.sim.compactions)
-        registry.gauge("sim.heap.max_depth",
-                       "peak heap depth seen while accounting was on"
-                       ).set(acct.max_heap_depth)
 
     # -- construction -------------------------------------------------------
 
@@ -350,14 +343,21 @@ class ESCAPE:
                     priority=self.GUARD_PRIORITY))
 
     def stop(self) -> None:
+        """Tear the framework down; afterwards no live event is left
+        on the heap (the emulator's ``mn -c``)."""
         self._stop_series_sampler()
+        self.discovery.stop()
+        self.stats.stop()
         for monitor in self.sla_monitors.values():
             if monitor.running:
                 monitor.stop()
         self.sla_monitors.clear()
         self.recorder.detach_all()
-        for chain in list(self.service_layer.services.values()):
+        chains = list(self.service_layer.services.values())
+        for chain in chains:
             chain.undeploy()
+        if chains:
+            self.net.run(0.01)  # let the teardown flow-mods land
         self.net.stop()
         self.started = False
 
@@ -549,12 +549,6 @@ class ESCAPE:
         return self.telemetry.profiler
 
     @property
-    def accounting(self):
-        """Per-event-kind dispatch accounting on the simulator loop
-        (off by default, same overhead budget as the profiler)."""
-        return self.sim.accounting
-
-    @property
     def flowtrace(self):
         """Sampled per-packet path tracing (off by default; see
         :mod:`repro.telemetry.flowtrace`)."""
@@ -564,9 +558,8 @@ class ESCAPE:
         """The interactive console: Mininet-style network commands plus
         ESCAPE service commands (services / deploy / undeploy / migrate
         / topology / metrics / trace), the observability commands
-        (health / sla / events / record / flowtrace / profile /
-        dispatch / flame / top / series) and fault-injection commands
-        (chaos)."""
+        (health / sla / events / record / flowtrace / profile / flame
+        / top / series) and fault-injection commands (chaos)."""
         console = CLI(self.net)
         console.commands.update({
             "services": self._cli_services,
@@ -585,7 +578,6 @@ class ESCAPE:
             "flowtrace": self._cli_flowtrace,
             "chaos": self._cli_chaos,
             "profile": self._cli_profile,
-            "dispatch": self._cli_dispatch,
             "flame": self._cli_flame,
             "top": self._cli_top,
             "series": self._cli_series,
@@ -943,26 +935,6 @@ class ESCAPE:
             profiler.reset()
             return "profiler statistics cleared"
         return "usage: profile [on|off|reset|report]"
-
-    def _cli_dispatch(self, args) -> str:
-        acct = self.sim.accounting
-        if not args or args[0] in ("report", "status"):
-            state = "on" if acct.enabled else "off"
-            if not acct.kinds:
-                return ("dispatch accounting is %s, no events recorded "
-                        "(dispatch on, then run traffic)" % state)
-            return acct.render_top(limit=0)
-        command = args[0]
-        if command == "on":
-            acct.enable()
-            return "dispatch accounting enabled"
-        if command == "off":
-            acct.disable()
-            return "dispatch accounting disabled"
-        if command == "reset":
-            acct.reset()
-            return "dispatch accounting cleared"
-        return "usage: dispatch [on|off|reset|report]"
 
     def _cli_flame(self, args) -> str:
         profiler = self.telemetry.profiler

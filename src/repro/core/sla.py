@@ -150,6 +150,7 @@ class SLAMonitor:
         self._clean_streak = 0
         self._seq = itertools.count(1)
         self._pending: Dict[int, List[_PendingBurst]] = {}
+        self._deadlines: Dict[int, object] = {}  # seq -> _evaluate event
         self._bound_hosts: List[Host] = []
         self._task = None
         self._alerts: List[Callable] = []
@@ -209,6 +210,12 @@ class SLAMonitor:
         if self._task is not None:
             self._task.cancel()
             self._task = None
+        # rounds still waiting for their deadline are abandoned: a
+        # stopped monitor leaves nothing on the heap
+        for deadline in self._deadlines.values():
+            deadline.cancel()
+        self._deadlines.clear()
+        self._pending.clear()
         for host in self._bound_hosts:
             host.unbind_udp(self.probe_port)
         self._bound_hosts = []
@@ -229,7 +236,8 @@ class SLAMonitor:
         for requirement in self.requirements:
             bursts.append(self._send_burst(requirement, seq))
         self._pending[seq] = bursts
-        self.sim.schedule(self.timeout, self._evaluate, seq)
+        self._deadlines[seq] = self.sim.schedule(self.timeout,
+                                                 self._evaluate, seq)
         self._task = self.sim.schedule(self.interval, self._round)
 
     def _send_burst(self, requirement: Requirement,
@@ -271,6 +279,7 @@ class SLAMonitor:
     # -- evaluation --------------------------------------------------------
 
     def _evaluate(self, seq: int) -> None:
+        self._deadlines.pop(seq, None)
         bursts = self._pending.pop(seq, None)
         if bursts is None or not self.running:
             return

@@ -49,13 +49,22 @@ class Discovery(EventMixin):
         self._last_seen: Dict[Tuple[int, int], float] = {}
         self.probes_sent = 0
         self._started = False
+        self._task = None
         nexus.add_listener(ConnectionUp, self._handle_connection_up)
         nexus.add_listener(PacketInEvent, self._handle_packet_in)
 
     def _handle_connection_up(self, event: ConnectionUp) -> None:
         if not self._started:
             self._started = True
-            self.sim.schedule(0.0, self._probe_round)
+            self._task = self.sim.schedule(0.0, self._probe_round)
+
+    def stop(self) -> None:
+        """Cancel the LLDP heartbeat (the next ConnectionUp restarts
+        it), as :meth:`StatsCollector.stop` does for the stats poll."""
+        if self._task is not None:
+            self._task.cancel()
+            self._task = None
+        self._started = False
 
     def _probe_round(self) -> None:
         for dpid, connection in list(self.nexus.connections.items()):
@@ -68,7 +77,8 @@ class Discovery(EventMixin):
                                           data=frame.pack()))
                 self.probes_sent += 1
         self._expire_links()
-        self.sim.schedule(self.send_interval, self._probe_round)
+        self._task = self.sim.schedule(self.send_interval,
+                                       self._probe_round)
 
     def _expire_links(self) -> None:
         now = self.sim.now

@@ -6,8 +6,8 @@ per scenario — a row per seed plus a mean row — over the headline
 columns: delivered pps (simulated and wall-clock), p50/p99 one-way
 delay, loss ratio, SLA violation ratio, average and median MTTR,
 dataplane fast-failover flips (schema-3 bundles), unrecovered chain
-count, and (for schema-2+ bundles) dispatched-event count and
-same-timestamp coalescability ratio.  :func:`report_dict` exposes the
+count, and (schema-5 bundles) the dispatched-event count.
+:func:`report_dict` exposes the
 same aggregation as JSON for dashboards and trajectory tracking, and
 :func:`render_csv` flattens the per-seed rows to CSV for external
 plotting.
@@ -67,7 +67,6 @@ def _row(bundle: Dict[str, Any]) -> Dict[str, Any]:
     recovery = bundle.get("recovery", {})
     sla = bundle.get("sla", {})
     throughput = bundle.get("throughput", {})
-    dispatch = bundle.get("dispatch") or {}
     protection = bundle.get("protection") or {}
     return {
         "seed": bundle.get("seed"),
@@ -86,8 +85,7 @@ def _row(bundle: Dict[str, Any]) -> Dict[str, Any]:
                                .get("deployed") or ()),
         "chains_failed": len(bundle.get("chains", {})
                              .get("failed") or ()),
-        "events": dispatch.get("dispatched"),
-        "coalesce_ratio": dispatch.get("coalescable_ratio"),
+        "events": bundle.get("dispatched"),
     }
 
 
@@ -109,7 +107,7 @@ class CampaignReport:
     def aggregate(self) -> Dict[str, Any]:
         keys = ("pps_sim", "pps_wall", "delay_p50", "delay_p99",
                 "loss_ratio", "sla_violation_ratio", "mttr_avg",
-                "mttr_p50", "flips", "events", "coalesce_ratio")
+                "mttr_p50", "flips", "events")
         summary: Dict[str, Any] = {
             key: _mean([row[key] for row in self.rows]) for key in keys}
         summary["seeds"] = [row["seed"] for row in self.rows]
@@ -147,7 +145,7 @@ def _fmt(value: Optional[float], pattern: str = "%.4g") -> str:
 _COLUMNS = (
     ("seed", 6), ("pps_sim", 9), ("pps_wall", 9), ("p50[ms]", 8),
     ("p99[ms]", 8), ("loss", 7), ("sla-viol", 8), ("mttr[s]", 8),
-    ("flips", 5), ("unrec", 5), ("events", 8), ("coalesce", 8),
+    ("flips", 5), ("unrec", 5), ("events", 8),
 )
 
 
@@ -164,7 +162,6 @@ def _render_row(label: str, row: Dict[str, Any]) -> str:
         _fmt(row.get("flips"), "%.0f"),
         str(row["unrecovered"]),
         _fmt(row.get("events"), "%.0f"),
-        _fmt(row.get("coalesce_ratio"), "%.3f"),
     )
     return "  ".join(cell.rjust(width)
                      for cell, (_name, width) in zip(cells, _COLUMNS))
@@ -194,8 +191,7 @@ def render_report(bundles: List[Dict[str, Any]]) -> str:
 CSV_FIELDS = ("scenario", "seed", "pps_sim", "pps_wall", "delay_p50",
               "delay_p99", "loss_ratio", "sla_violation_ratio",
               "mttr_avg", "mttr_p50", "flips", "repairs", "unrecovered",
-              "chains_deployed", "chains_failed", "events",
-              "coalesce_ratio")
+              "chains_deployed", "chains_failed", "events")
 
 
 def render_csv(bundles: List[Dict[str, Any]]) -> str:

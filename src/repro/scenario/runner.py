@@ -11,7 +11,7 @@ subscriber workload, and writes one **result bundle** under::
         events.jsonl    # the structured event log of the run
         flowtrace.jsonl # per-packet postcards (flowtrace scenarios)
 
-Bundle schema (``schema`` = 4): ``scenario`` (the spec), ``seed``,
+Bundle schema (``schema`` = 5): ``scenario`` (the spec), ``seed``,
 ``workload`` (delivery + p50/p99 one-way delay), ``chains``
 (deployed/failed), ``sla`` (per-chain state, breach/violation counts,
 violation ratio), ``recovery`` (actions, MTTR stats with percentiles,
@@ -19,15 +19,16 @@ unrecovered), ``protection`` (fast-failover state: enabled flag,
 protected path count, dataplane bucket flips), ``chaos`` (the
 injection ledger), ``throughput`` (``udp_pps_wall``,
 ``udp_pps_sim``), ``metrics`` (the full telemetry snapshot),
-``dispatch`` (per-event-kind accounting report, unless the scenario
-sets ``accounting: false``), ``calibration_s`` (host-speed
-normalizer, so ``escape perf diff`` can compare bundles from
-different machines), ``profiler`` (per-region report when the
-scenario enables profiling), and ``flowtrace`` (per-chain hop-latency
-breakdown + conformance, when the scenario carries a ``flowtrace``
-section).  Schema 1 bundles lacked ``dispatch`` and
-``calibration_s``; schema 2 lacked ``protection`` and the MTTR
-percentiles; schema 3 lacked ``flowtrace``.
+``dispatched`` (events the simulator executed over the measured
+window, exact), ``calibration_s`` (host-speed normalizer, so ``escape
+perf diff`` can compare bundles from different machines),
+``profiler`` (the one region table — event kinds and the regions
+nested under them — when the scenario sets ``profile: true``), and
+``flowtrace`` (per-chain hop-latency breakdown + conformance, when the
+scenario carries a ``flowtrace`` section).  Schema 2 lacked
+``protection`` and the MTTR percentiles; schema 3 lacked
+``flowtrace``; schema 4 kept a second per-event-kind table beside
+``profiler`` and the event count inside it.
 
 The runner never swallows a failed run: chain deploys that raise are
 recorded and counted, and :meth:`CampaignRunner.gate` reproduces the
@@ -44,9 +45,9 @@ from repro.core.sgfile import load_service_graph
 from repro.scenario.spec import Scenario, load_scenario
 from repro.scenario.workload import WorkloadDriver, build_workload
 from repro.scenario.zoo import build_topology
-from repro.telemetry.regression import calibrate
+from repro.telemetry.introspect import calibrate
 
-BUNDLE_SCHEMA = 4
+BUNDLE_SCHEMA = 5
 BUNDLE_NAME = "bundle.json"
 EVENTS_NAME = "events.jsonl"
 FLOWTRACE_NAME = "flowtrace.jsonl"
@@ -192,9 +193,7 @@ class CampaignRunner:
         if scenario.profile:
             escape.profiler.reset()
             escape.profiler.enable()
-        if scenario.accounting:
-            escape.accounting.reset()
-            escape.accounting.enable()
+        processed_before = escape.sim.processed
         if scenario.flowtrace:
             flowtrace_spec = scenario.flowtrace
             escape.flowtrace.reset()
@@ -213,10 +212,9 @@ class CampaignRunner:
         # grace window: in-flight tails, probe deadlines, repairs
         escape.run(min(1.0, scenario.duration * 0.25))
         wall_run = time.perf_counter() - run_started
+        dispatched = escape.sim.processed - processed_before
         if scenario.profile:
             escape.profiler.disable()
-        if scenario.accounting:
-            escape.accounting.disable()
         flowtrace_report = None
         if scenario.flowtrace:
             escape.flowtrace.disable()
@@ -252,10 +250,9 @@ class CampaignRunner:
                                 if scenario.duration else 0.0),
             },
             "metrics": escape.metrics_snapshot(),
+            "dispatched": dispatched,
             "calibration_s": self.calibration(),
         }
-        if scenario.accounting:
-            bundle["dispatch"] = escape.accounting.report()
         if scenario.profile:
             bundle["profiler"] = escape.profiler.report()
         if flowtrace_report is not None:

@@ -233,7 +233,6 @@ class Scenario:
                  chaos: Optional[Dict[str, Any]] = None,
                  mapper: str = "shortest-path",
                  profile: bool = False,
-                 accounting: bool = True,
                  flowtrace: Optional[Dict[str, Any]] = None,
                  escape_options: Optional[Dict[str, Any]] = None):
         if not name:
@@ -253,9 +252,6 @@ class Scenario:
         self.chaos = dict(chaos) if chaos else None
         self.mapper = mapper
         self.profile = bool(profile)
-        # dispatch accounting is cheap enough to default on: bundles
-        # then always carry a per-event-kind attribution section
-        self.accounting = bool(accounting)
         # sampled per-packet path tracing: {"rate": N, "seed": S,
         # "chains": {name: coarser-rate}}; seed defaults to the run
         # seed so sampled sets replay bit-identically
@@ -267,7 +263,7 @@ class Scenario:
 
     KNOWN_KEYS = ("name", "description", "topology", "duration", "seeds",
                   "workload", "chains", "sla", "chaos", "mapper",
-                  "profile", "accounting", "flowtrace", "escape_options")
+                  "profile", "flowtrace", "escape_options")
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "Scenario":
@@ -296,7 +292,6 @@ class Scenario:
             "chains": self.chains,
             "mapper": self.mapper,
             "profile": self.profile,
-            "accounting": self.accounting,
         }
         if self.sla:
             data["sla"] = self.sla

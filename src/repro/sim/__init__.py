@@ -18,14 +18,11 @@ The API is intentionally small:
   (event-driven pull drivers sleep/wake through one of these).
 """
 
-from repro.sim.core import (DispatchAccounting, Event, KindStat, Process,
-                            Signal, SimulationError, Simulator, Wakeup,
-                            classify_callback)
+from repro.sim.core import (Event, Process, Signal, SimulationError,
+                            Simulator, Wakeup, classify_callback)
 
 __all__ = [
-    "DispatchAccounting",
     "Event",
-    "KindStat",
     "Process",
     "Signal",
     "SimulationError",

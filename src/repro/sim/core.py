@@ -2,9 +2,7 @@
 
 import functools
 import heapq
-import time
-from collections import deque
-from typing import Any, Callable, Dict, Generator, Iterable, List, Optional
+from typing import Any, Callable, Dict, Generator, Iterable, Optional
 
 from repro.telemetry import Telemetry
 
@@ -127,9 +125,8 @@ class Wakeup:
       listener wants).
     * :meth:`disarm` — cancel the pending shot, keep the wakeup.
 
-    The scheduled callback is the consumer's own bound method, so
-    dispatch accounting attributes the work to the consumer, not to
-    this wrapper.
+    The scheduled callback is the consumer's own bound method, so the
+    profiler names the dispatch after the consumer, not this wrapper.
     """
 
     __slots__ = ("sim", "callback", "args", "event")
@@ -201,258 +198,6 @@ def classify_callback(callback: Callable[..., Any]) -> str:
     elif module in ("builtins", "__main__"):
         module = ""
     return "%s.%s" % (module, name) if module else name
-
-
-class KindStat:
-    """Dispatch totals for one event kind (callback owner)."""
-
-    __slots__ = ("kind", "count", "self_seconds")
-
-    def __init__(self, kind: str):
-        self.kind = kind
-        self.count = 0
-        self.self_seconds = 0.0
-
-    @property
-    def per_call(self) -> float:
-        """Mean self seconds per dispatch of this kind."""
-        return self.self_seconds / self.count if self.count else 0.0
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"count": self.count, "self_s": self.self_seconds,
-                "per_call_s": self.per_call}
-
-    def __repr__(self) -> str:
-        return "KindStat(%s, count=%d, self=%.6fs)" % (
-            self.kind, self.count, self.self_seconds)
-
-
-class DispatchAccounting:
-    """Event-loop introspection: who the dispatcher works for.
-
-    The profiler answers *how much* time ``sim.event.dispatch`` burns;
-    this layer answers *on what*.  When enabled, every dispatched event
-    is classified by its callback owner (see :func:`classify_callback`)
-    and charged wall-clock self-time — nested dispatches (``step``
-    pumping inside a callback) are subtracted from the outer event, so
-    kind self-times sum to the loop's inclusive dispatch time without
-    double counting.  Alongside the per-kind table it tracks:
-
-    * *coalescability* — events that fire at exactly the timestamp of
-      the event dispatched before them.  This is the packet-train
-      headroom number: a batch dispatcher could hand all such events to
-      their callbacks without re-entering the heap.
-    * *scheduling lag* — how late an event fired relative to its
-      scheduled time.  Zero today (pops are time-ordered and the clock
-      only advances); the histogram is the tripwire for a batching
-      dispatcher that would run events at a clock already past their
-      timestamp.
-    * *cancelled churn* — cancelled events the loop popped and threw
-      away, plus dead entries swept by heap compaction (counted even
-      while accounting is disabled: the discards happen regardless and
-      the counter costs nothing on the live path).
-    * *wakeups vs polls* — pull-driver activations split by cause:
-      notifier-driven wakeups and exact rate-credit shots versus blind
-      interval polls (counted always-on by the Click drivers; the
-      event-driven pull path should drive polls to ~zero).
-    * *peak heap depth* — the deepest backlog observed while enabled.
-
-    Off by default.  The disabled dispatch path pays a single attribute
-    check, the same contract (and the same <5% benchmark guard) as the
-    profiler.
-    """
-
-    LAG_WINDOW = 2048  # positive lags kept for percentile queries
-
-    def __init__(self, clock: Optional[Callable[[], float]] = None):
-        self._clock = clock or time.perf_counter
-        self.enabled = False
-        self.kinds: Dict[str, KindStat] = {}
-        self._kind_cache: Dict[Any, str] = {}
-        self._stack: List[list] = []
-        self.dispatched = 0
-        self.self_seconds = 0.0
-        self.coalescable = 0
-        self._last_time: Optional[float] = None
-        self.cancelled_popped = 0
-        self.wakeups = 0
-        self.polls = 0
-        self.late = 0
-        self.lag_sum = 0.0
-        self.lag_max = 0.0
-        self._lags: deque = deque(maxlen=self.LAG_WINDOW)
-        self.max_heap_depth = 0
-
-    # -- control -----------------------------------------------------------
-
-    def enable(self) -> "DispatchAccounting":
-        self.enabled = True
-        return self
-
-    def disable(self) -> "DispatchAccounting":
-        self.enabled = False
-        self._stack = []
-        return self
-
-    def reset(self) -> None:
-        """Drop every recorded number (keeps the enabled state and the
-        kind cache — classifications do not go stale)."""
-        self._stack = []
-        self.kinds = {}
-        self.dispatched = 0
-        self.self_seconds = 0.0
-        self.coalescable = 0
-        self._last_time = None
-        self.cancelled_popped = 0
-        self.wakeups = 0
-        self.polls = 0
-        self.late = 0
-        self.lag_sum = 0.0
-        self.lag_max = 0.0
-        self._lags.clear()
-        self.max_heap_depth = 0
-
-    # -- recording (called by the Simulator loop) --------------------------
-
-    def begin(self, event: Event, now: float,
-              heap_depth: int = 0) -> list:
-        """Pre-dispatch bookkeeping; returns the frame for
-        :meth:`finish`.  ``now`` is the clock *before* it advances to
-        the event's timestamp; ``heap_depth`` is the backlog left
-        behind the popped event (sampled here so the disabled
-        ``schedule`` path stays untouched)."""
-        if heap_depth > self.max_heap_depth:
-            self.max_heap_depth = heap_depth
-        time_stamp = event.time
-        if time_stamp == self._last_time:
-            self.coalescable += 1
-        self._last_time = time_stamp
-        lag = now - time_stamp
-        if lag > 0.0:
-            self.late += 1
-            self.lag_sum += lag
-            if lag > self.lag_max:
-                self.lag_max = lag
-            self._lags.append(lag)
-        callback = event.callback
-        func = getattr(callback, "__func__", callback)
-        try:
-            kind = self._kind_cache.get(func)
-            if kind is None:
-                kind = classify_callback(callback)
-                self._kind_cache[func] = kind
-        except TypeError:  # unhashable callable: classify uncached
-            kind = classify_callback(callback)
-        frame = [kind, self._clock(), 0.0]
-        self._stack.append(frame)
-        return frame
-
-    def finish(self, frame: list, end: Optional[float] = None) -> None:
-        if end is None:
-            end = self._clock()
-        stack = self._stack
-        if stack:
-            stack.pop()
-        elapsed = end - frame[1]
-        if elapsed < 0.0:
-            elapsed = 0.0
-        self_s = elapsed - frame[2]
-        if self_s < 0.0:
-            self_s = 0.0
-        kind = frame[0]
-        stat = self.kinds.get(kind)
-        if stat is None:
-            stat = self.kinds[kind] = KindStat(kind)
-        stat.count += 1
-        stat.self_seconds += self_s
-        self.dispatched += 1
-        self.self_seconds += self_s
-        if stack:
-            stack[-1][2] += elapsed
-
-    # -- queries -----------------------------------------------------------
-
-    def kind_stats(self) -> List[KindStat]:
-        """All kinds, hottest (most self-time) first."""
-        return sorted(self.kinds.values(),
-                      key=lambda stat: (-stat.self_seconds, stat.kind))
-
-    @property
-    def coalescable_ratio(self) -> float:
-        """Fraction of dispatched events sharing a timestamp with their
-        predecessor — the same-timestamp batching headroom."""
-        return self.coalescable / self.dispatched if self.dispatched \
-            else 0.0
-
-    def _lag_percentile(self, p: float) -> Optional[float]:
-        if not self._lags:
-            return None
-        ordered = sorted(self._lags)
-        rank = max(1, int(-(-p * len(ordered) // 100)))  # ceil
-        return ordered[rank - 1]
-
-    def report(self) -> Dict[str, Any]:
-        """The machine-readable dispatch section (bundle schema 2 /
-        attribution reports)."""
-        total = self.self_seconds
-        kinds: Dict[str, Any] = {}
-        for stat in self.kind_stats():
-            entry = stat.to_dict()
-            entry["share"] = stat.self_seconds / total if total else 0.0
-            kinds[stat.kind] = entry
-        return {
-            "enabled": self.enabled,
-            "dispatched": self.dispatched,
-            "self_seconds": self.self_seconds,
-            "kinds": kinds,
-            "coalescable": self.coalescable,
-            "coalescable_ratio": self.coalescable_ratio,
-            "cancelled_popped": self.cancelled_popped,
-            "wakeups": self.wakeups,
-            "polls": self.polls,
-            "lag": {
-                "late": self.late,
-                "sum_s": self.lag_sum,
-                "max_s": self.lag_max,
-                "p50_s": self._lag_percentile(50),
-                "p99_s": self._lag_percentile(99),
-                "window": len(self._lags),
-            },
-            "heap": {"max_depth": self.max_heap_depth},
-        }
-
-    def render_top(self, limit: int = 10) -> str:
-        """A ``top``-style per-kind table, most self-time first.
-        ``limit=0`` shows every kind."""
-        stats = self.kind_stats()
-        if limit > 0:
-            stats = stats[:limit]
-        if not stats:
-            return ("no dispatch accounting recorded "
-                    "(accounting %s)" % ("on" if self.enabled else "off"))
-        total = self.self_seconds or 1.0
-        lines = ["%-44s %10s %12s %8s %12s"
-                 % ("event kind", "count", "self(s)", "self%",
-                    "per-call")]
-        for stat in stats:
-            lines.append("%-44s %10d %12.6f %7.1f%% %12.9f"
-                         % (stat.kind, stat.count, stat.self_seconds,
-                            100.0 * stat.self_seconds / total,
-                            stat.per_call))
-        lines.append(
-            "dispatched %d event(s), %.6fs self; coalescable %d "
-            "(%.1f%%), cancelled churn %d, wakeups %d / polls %d, "
-            "late %d (max lag %.6fs), peak heap %d"
-            % (self.dispatched, self.self_seconds, self.coalescable,
-               100.0 * self.coalescable_ratio, self.cancelled_popped,
-               self.wakeups, self.polls,
-               self.late, self.lag_max, self.max_heap_depth))
-        return "\n".join(lines)
-
-    def __repr__(self) -> str:
-        return "DispatchAccounting(%s, %d kinds, %d dispatched)" % (
-            "on" if self.enabled else "off", len(self.kinds),
-            self.dispatched)
 
 
 class Signal:
@@ -588,16 +333,19 @@ class Simulator:
         self._live = 0   # not-cancelled events still queued
         self._dead = 0   # cancelled + stale entries awaiting discard
         self.compactions = 0
+        # always-on counts: cancelled events the loop or a compaction
+        # threw away; Click pull-driver activations by cause
+        # (notifier/credit wakeups vs blind interval polls)
+        self.cancelled_popped = 0
+        self.wakeups = 0
+        self.polls = 0
         # the emulation's one telemetry bundle, clocked by this
         # simulator: every component reads its instruments from the sim
         # it is built on.  While its profiler is enabled every event
-        # callback runs inside a "sim.event.dispatch" region — the root
-        # of the framework's flamegraph
+        # callback runs inside a region named by the event's kind (see
+        # classify_callback) — the roots of the framework's flamegraph
         self.telemetry = Telemetry(self)
-        # dispatch accounting: always present, off by default — the
-        # flight deck enables it to attribute dispatch time to event
-        # kinds (see DispatchAccounting)
-        self.accounting = DispatchAccounting()
+        self._kinds: Dict[Any, str] = {}
 
     # -- scheduling ------------------------------------------------------
 
@@ -673,20 +421,19 @@ class Simulator:
         heapq.heapify(heap)
         self._dead = 0
         self.compactions += 1
-        self.accounting.cancelled_popped += swept_cancelled
+        self.cancelled_popped += swept_cancelled
 
     def _surface(self) -> Optional[tuple]:
         """Discard dead heap heads and lazily re-key deferred ones;
         return the live head entry (still queued) or None."""
         heap = self._heap
-        acct = self.accounting
         while heap:
             entry = heap[0]
             event = entry[2]
             if event.cancelled:
                 heapq.heappop(heap)
                 self._dead -= 1
-                acct.cancelled_popped += 1
+                self.cancelled_popped += 1
                 continue
             if event.fired or entry[1] != event.seq:
                 heapq.heappop(heap)  # stale reschedule leftover
@@ -703,6 +450,22 @@ class Simulator:
 
     # -- running ---------------------------------------------------------
 
+    def _kind(self, callback: Callable[..., Any]) -> str:
+        """:func:`classify_callback`, cached by code object (per-event
+        closures and partials neither grow the cache nor are kept alive
+        by it): the region a profiled dispatch of ``callback`` runs in."""
+        while isinstance(callback, functools.partial):
+            callback = callback.func
+        func = getattr(callback, "__func__", callback)
+        key = getattr(func, "__code__", func)
+        try:
+            kind = self._kinds.get(key)
+            if kind is None:
+                kind = self._kinds[key] = classify_callback(callback)
+        except TypeError:  # unhashable callable: classify uncached
+            kind = classify_callback(callback)
+        return kind
+
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> int:
         """Drain the event heap.
@@ -716,13 +479,9 @@ class Simulator:
         self._running = True
         executed = 0
         heap = self._heap
-        acct = self.accounting
         surface = self._surface
         pop = heapq.heappop
         profiler = self.telemetry.profiler
-        # the dispatch region is a per-name singleton on the profiler;
-        # resolve it once per run instead of per event
-        region = None
         try:
             while heap:
                 if max_events is not None and executed >= max_events:
@@ -745,36 +504,14 @@ class Simulator:
                 pop(heap)
                 event.fired = True
                 self._live -= 1
-                if acct.enabled:
-                    frame = acct.begin(event, self.now, len(heap) + 1)
-                    self.now = entry[0]
-                    if profiler.enabled:
-                        # fused path: accounting already stamped the
-                        # start (frame[1]); share one clock pair
-                        # between the kind stats and the
-                        # sim.event.dispatch region instead of four
-                        # reads per event
-                        pframe = profiler.open_frame(
-                            "sim.event.dispatch", frame[1])
-                        try:
-                            event.callback(*event.args)
-                        finally:
-                            end = acct._clock()
-                            profiler.close_frame(pframe, end)
-                            acct.finish(frame, end)
-                    else:
+                self.now = entry[0]
+                if profiler.enabled:
+                    with profiler.profile(self._kind(event.callback)):
                         event.callback(*event.args)
-                        acct.finish(frame)
                 else:
-                    self.now = entry[0]
-                    if profiler.enabled:
-                        if region is None:
-                            region = profiler.profile("sim.event.dispatch")
-                        with region:
-                            event.callback(*event.args)
-                    else:
-                        event.callback(*event.args)
+                    event.callback(*event.args)
                 executed += 1
+                self._processed += 1
             else:
                 if until is not None and until > self.now:
                     self.now = until
@@ -782,7 +519,6 @@ class Simulator:
                 self.now = until
         finally:
             self._running = False
-            self._processed += executed
         return executed
 
     def step(self) -> bool:
@@ -802,31 +538,13 @@ class Simulator:
         event = entry[2]
         event.fired = True
         self._live -= 1
-        acct = self.accounting
+        self.now = entry[0]
         profiler = self.telemetry.profiler
-        if acct.enabled:
-            frame = acct.begin(event, self.now, len(self._heap) + 1)
-            self.now = entry[0]
-            if profiler.enabled:
-                # same fused clock pair as the run() loop
-                pframe = profiler.open_frame("sim.event.dispatch",
-                                             frame[1])
-                try:
-                    event.callback(*event.args)
-                finally:
-                    end = acct._clock()
-                    profiler.close_frame(pframe, end)
-                    acct.finish(frame, end)
-            else:
+        if profiler.enabled:
+            with profiler.profile(self._kind(event.callback)):
                 event.callback(*event.args)
-                acct.finish(frame)
         else:
-            self.now = entry[0]
-            if profiler.enabled:
-                with profiler.profile("sim.event.dispatch"):
-                    event.callback(*event.args)
-            else:
-                event.callback(*event.args)
+            event.callback(*event.args)
         self._processed += 1
         return True
 
@@ -854,7 +572,8 @@ class Simulator:
 
     @property
     def processed(self) -> int:
-        """Total callbacks executed over the simulator's lifetime."""
+        """Total callbacks executed over the simulator's lifetime
+        (current mid-run: gauges sample it from inside callbacks)."""
         return self._processed
 
     def run_all(self, batches: Iterable[float] = ()) -> int:

@@ -25,9 +25,6 @@ from repro.telemetry.flowtrace import (FlowTrace, FlowTraceError,
                                        load_flowtrace_report,
                                        render_flowtrace_report,
                                        report_from_jsonl)
-from repro.telemetry.introspect import (IntrospectError, build_report,
-                                        diff_reports, load_report,
-                                        report_from_bundle)
 from repro.telemetry.metrics import (Counter, Gauge, Histogram, Metric,
                                      MetricError, MetricsRegistry, Series)
 from repro.telemetry.profiler import NULL_REGION, Profiler, RegionStat
@@ -36,13 +33,11 @@ from repro.telemetry.trace import Span, Tracer
 __all__ = [
     "Counter", "DEBUG", "ERROR", "Event", "EventError", "EventLog",
     "FlowTrace", "FlowTraceError", "Gauge", "Histogram", "INFO",
-    "IntrospectError", "Metric", "MetricError", "MetricsRegistry",
-    "NULL_REGION", "Profiler", "RegionStat", "SEVERITIES",
-    "Series", "Span", "Telemetry", "Tracer", "WARN", "build_report",
-    "diff_reports", "load_flowtrace_report", "load_report",
-    "render_flowtrace_report", "report_from_bundle", "report_from_jsonl",
-    "snapshot_dict", "to_json", "to_prometheus", "writable_path",
-    "write_snapshot",
+    "Metric", "MetricError", "MetricsRegistry", "NULL_REGION", "Profiler",
+    "RegionStat", "SEVERITIES", "Series", "Span", "Telemetry", "Tracer",
+    "WARN", "load_flowtrace_report", "render_flowtrace_report",
+    "report_from_jsonl", "snapshot_dict", "to_json", "to_prometheus",
+    "writable_path", "write_snapshot",
 ]
 
 

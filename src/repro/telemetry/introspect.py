@@ -1,125 +1,114 @@
-"""The event-core flight deck: unified perf attribution and diffing.
+"""Perf attribution reports: where the wall-clock went, and diffing.
 
-The measurement layers each answer one question — the profiler *how
-much* wall-clock the framework burns per region, the simulator's
-dispatch accounting *which event kinds* the dispatcher works for, the
-workload drivers *what throughput* came out the other end.  This module
-merges the three into one **attribution report**: a machine-readable
-JSON structure plus a top-consumers rendering, built from live objects
-(:func:`build_report`), from a scenario result bundle
-(:func:`report_from_bundle`), or from any JSON file a perf workflow
-already produces (:func:`load_report` understands attribution reports,
-``BENCH_profile.json`` snapshots, and schema-2 ``bundle.json`` files).
+The profiler is the one instrument that times the framework: event
+kinds (the simulator opens every dispatch under its callback's name)
+and the hand-placed regions nested under them live in one table.  This
+module wraps that table, the dispatched-event count and the workload's
+throughput numbers into one **attribution report** — a JSON structure
+plus a top-consumers rendering — built from live objects
+(:func:`build_report`) or from a scenario result bundle
+(:func:`report_from_bundle`; :func:`load_report` reads either from
+disk).
 
-Reports embed the same *calibration unit* the regression harness uses
-(:mod:`repro.telemetry.regression`), so :func:`diff_reports` can
-compare two reports taken on different machines by their
-calibration-normalized scores — ``escape perf diff`` is the
-before/after tool of the perf arc, and it reuses the committed
-``BENCH_profile.json`` threshold gate in CI.
+Raw wall-clock numbers are machine-dependent, so every report embeds a
+*calibration unit* (:func:`calibrate`: the cost of a fixed pure-Python
+loop on the same machine).  :func:`diff_reports` — ``escape perf
+diff``, the before/after tool — compares two reports region by region
+in those units (``per_call_self / calibration``) and gates on the
+guarded regions and throughput floors.
 """
 
 import json
 import os
+import time
 from typing import Any, Dict, List, Optional
 
-from repro.telemetry.regression import (DEFAULT_GUARDED, compare_profiles,
-                                        render_comparison)
+from repro.telemetry.profiler import RegionStat, render_regions
 
-REPORT_SCHEMA = 1
+REPORT_SCHEMA = 2
 
-#: Dispatch-time coverage tolerance: per-kind self-times must sum to
-#: within this fraction of the profiler's inclusive dispatch time for
-#: the two layers to corroborate each other.
-COVERAGE_TOLERANCE = 0.10
+#: Regions the diff gate guards by default: present in every run of a
+#: chain workload and hot enough that a slowdown there is a real
+#: finding, not noise.
+DEFAULT_GUARDED = (
+    "netem.link.Link._deliver",
+    "netem.link.transmit",
+    "click.element.push",
+    "openflow.wire.encode",
+    "openflow.wire.decode",
+    "netconf.rpc.encode",
+    "netconf.rpc.decode",
+    "core.mapping.solve",
+    "pox.steering.install",
+)
 
-DISPATCH_REGION = "sim.event.dispatch"
+#: Throughput numbers the gate *requires*: unlike the opportunistic
+#: baseline-driven comparison (any shared number is checked), a guarded
+#: throughput key missing from the current report is itself a failure —
+#: a workload change cannot silently drop the floor.
+GUARDED_THROUGHPUT = ("udp_pps_wall",)
+
+CALIBRATION_LOOPS = 200_000
+
+#: What every region record carries.
+REGION_FIELDS = frozenset(RegionStat("").to_dict())
 
 
 class IntrospectError(Exception):
     """Unreadable or unrecognizable perf source."""
 
 
-def _scored(entries: Dict[str, Any],
-            calibration: Optional[float]) -> Dict[str, Any]:
-    """Copy of ``entries`` with a calibration-normalized ``score``
-    (``per_call_s / calibration``) on every record."""
-    scored: Dict[str, Any] = {}
-    for name in sorted(entries):
-        entry = dict(entries[name])
-        if calibration and calibration > 0:
-            entry["score"] = entry.get("per_call_s", 0.0) / calibration
-        else:
-            entry.setdefault("score", 0.0)
-        scored[name] = entry
-    return scored
+def calibrate(loops: int = CALIBRATION_LOOPS) -> float:
+    """Seconds one fixed arithmetic loop takes on this machine — the
+    normalization unit embedded in every bundle and report."""
+    best = None
+    for _ in range(3):
+        started = time.perf_counter()
+        total = 0
+        for index in range(loops):
+            total += index * 3 % 7
+        elapsed = time.perf_counter() - started
+        if best is None or elapsed < best:
+            best = elapsed
+    return best
 
 
-def _coverage(dispatch: Dict[str, Any],
-              regions: Dict[str, Any]) -> Dict[str, Any]:
-    """How well per-kind self-times reconcile with the profiler's
-    inclusive ``sim.event.dispatch`` time (None ratio when either side
-    did not measure)."""
-    kinds_self = dispatch.get("self_seconds")
-    dispatch_region = regions.get(DISPATCH_REGION, {})
-    dispatch_cum = dispatch_region.get("cum_s")
-    ratio = None
-    if kinds_self is not None and dispatch_cum:
-        ratio = kinds_self / dispatch_cum
+def _report(regions: Dict[str, Any], dispatched: Optional[int],
+            throughput: Optional[Dict[str, float]],
+            calibration: Optional[float],
+            meta: Dict[str, Any]) -> Dict[str, Any]:
     return {
-        "kinds_self_s": kinds_self,
-        "dispatch_cum_s": dispatch_cum,
-        "ratio": ratio,
-        "tolerance": COVERAGE_TOLERANCE,
+        "schema": REPORT_SCHEMA,
+        "kind": "attribution",
+        "calibration_s": calibration,
+        "regions": dict(regions),
+        "dispatched": dispatched,
+        "throughput": dict(throughput or {}),
+        "meta": meta,
     }
 
 
-def build_report(profiler=None, accounting=None,
+def build_report(profiler=None, dispatched: Optional[int] = None,
                  throughput: Optional[Dict[str, float]] = None,
                  calibration: Optional[float] = None,
                  meta: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
     """One attribution report from live measurement objects.
 
-    Any of the three sources may be absent (``None``); the report
-    carries whatever was measured.  ``calibration`` is the
-    machine-speed unit from :func:`repro.telemetry.regression.
-    calibrate` — without it scores default to 0 and the report can
-    still be rendered, but not meaningfully diffed across machines.
+    Any source may be absent (``None``); the report carries whatever
+    was measured.  ``dispatched`` is the event count of the measured
+    window (a ``sim.processed`` delta).  Without ``calibration``
+    (:func:`calibrate`) the report still renders, but diffs against it
+    compare raw seconds — meaningless across machines.
     """
-    regions: Dict[str, Any] = {}
-    if profiler is not None:
-        regions = _scored(
-            {name: stat.to_dict()
-             for name, stat in profiler.stats.items()}, calibration)
-    dispatch: Dict[str, Any] = {}
-    if accounting is not None:
-        # a live DispatchAccounting, or an already-rendered report
-        # dict (e.g. kept from the best benchmark round)
-        dispatch = (dict(accounting) if isinstance(accounting, dict)
-                    else accounting.report())
-    if dispatch.get("kinds"):
-        dispatch["kinds"] = _scored(dispatch["kinds"], calibration)
-    return {
-        "schema": REPORT_SCHEMA,
-        "kind": "attribution",
-        "calibration_s": calibration,
-        "regions": regions,
-        "dispatch": dispatch,
-        "throughput": dict(throughput or {}),
-        "coverage": _coverage(dispatch, regions),
-        "meta": dict(meta or {}),
-    }
+    regions = profiler.report() if profiler is not None else {}
+    return _report(regions, dispatched, throughput, calibration,
+                   dict(meta or {}))
 
 
 def report_from_bundle(bundle: Dict[str, Any]) -> Dict[str, Any]:
-    """An attribution report out of a scenario result bundle
-    (schema 2: carries ``dispatch`` and ``calibration_s``; a
-    ``profiler`` section appears when the scenario enabled
-    profiling)."""
-    calibration = bundle.get("calibration_s")
-    dispatch = dict(bundle.get("dispatch") or {})
-    if dispatch.get("kinds"):
-        dispatch["kinds"] = _scored(dispatch["kinds"], calibration)
+    """An attribution report out of a scenario result bundle (schema
+    5: ``dispatched`` and ``calibration_s`` always, the ``profiler``
+    region table when the scenario set ``profile: true``)."""
     meta = {
         "source": "bundle",
         "scenario": bundle.get("scenario", {}).get("name"),
@@ -127,51 +116,33 @@ def report_from_bundle(bundle: Dict[str, Any]) -> Dict[str, Any]:
         "sim_duration": bundle.get("sim_duration"),
         "wall_seconds": bundle.get("wall_seconds"),
     }
-    regions = _scored(bundle.get("profiler") or {}, calibration)
-    return {
-        "schema": REPORT_SCHEMA,
-        "kind": "attribution",
-        "calibration_s": calibration,
-        "regions": regions,
-        "dispatch": dispatch,
-        "throughput": dict(bundle.get("throughput") or {}),
-        "coverage": _coverage(dispatch, regions),
-        "meta": meta,
-    }
+    return _report(bundle.get("profiler") or {}, bundle.get("dispatched"),
+                   bundle.get("throughput"), bundle.get("calibration_s"),
+                   meta)
 
 
 def coerce_report(data: Dict[str, Any],
                   source: str = "<data>") -> Dict[str, Any]:
-    """Normalize any recognized perf JSON into an attribution report.
-
-    Recognized shapes: an attribution report (passed through), a
-    scenario result bundle (``seed`` + ``workload``/``scenario``), and
-    a ``BENCH_profile.json`` regression snapshot (``regions`` +
-    ``calibration_s``)."""
+    """Normalize recognized perf JSON into an attribution report: an
+    attribution report passes through, a scenario result bundle
+    (``seed`` + ``workload``/``scenario``) is converted."""
     if not isinstance(data, dict):
         raise IntrospectError("%s: perf source must be a JSON object"
                               % source)
     if data.get("kind") == "attribution":
-        return data
-    if "seed" in data and ("workload" in data or "scenario" in data):
-        return report_from_bundle(data)
-    if "regions" in data:
-        calibration = data.get("calibration_s")
-        return {
-            "schema": REPORT_SCHEMA,
-            "kind": "attribution",
-            "calibration_s": calibration,
-            "regions": _scored(data.get("regions") or {}, calibration),
-            "dispatch": dict(data.get("dispatch") or {}),
-            "throughput": dict(data.get("throughput") or {}),
-            "coverage": _coverage(data.get("dispatch") or {},
-                                  data.get("regions") or {}),
-            "meta": dict(data.get("meta") or {},
-                         source="profile-snapshot"),
-        }
-    raise IntrospectError(
-        "%s: not an attribution report, profile snapshot, or result "
-        "bundle (keys: %s)" % (source, ", ".join(sorted(data)[:8])))
+        report = data
+    elif "seed" in data and ("workload" in data or "scenario" in data):
+        report = report_from_bundle(data)
+    else:
+        raise IntrospectError(
+            "%s: not an attribution report or result bundle (keys: %s)"
+            % (source, ", ".join(sorted(data)[:8])))
+    for name, entry in (report.get("regions") or {}).items():
+        if not (isinstance(entry, dict) and REGION_FIELDS <= set(entry)):
+            raise IntrospectError(
+                "%s: region %r is not a {%s} record"
+                % (source, name, ", ".join(sorted(REGION_FIELDS))))
+    return report
 
 
 def load_report(path) -> Dict[str, Any]:
@@ -203,70 +174,71 @@ def load_report(path) -> Dict[str, Any]:
 # -- diffing ------------------------------------------------------------------
 
 
-def _score_deltas(base: Dict[str, Any], cur: Dict[str, Any],
-                  value_key: str = "score") -> List[Dict[str, Any]]:
+def _deltas(base: Dict[str, float],
+            cur: Dict[str, float]) -> List[Dict[str, Any]]:
     """Fractional change of every name present in both maps with a
-    positive baseline value, biggest mover first."""
-    deltas = []
+    positive baseline value."""
+    rows = []
     for name in sorted(set(base) & set(cur)):
-        base_value = base[name].get(value_key, 0.0) or 0.0
-        cur_value = cur[name].get(value_key, 0.0) or 0.0
-        if base_value <= 0.0:
+        if not base[name] or base[name] <= 0.0:
             continue
-        deltas.append({
-            "name": name,
-            "baseline": base_value,
-            "current": cur_value,
-            "delta": cur_value / base_value - 1.0,
-        })
-    deltas.sort(key=lambda item: (-abs(item["delta"]), item["name"]))
-    return deltas
+        rows.append({"name": name, "baseline": base[name],
+                     "current": cur[name],
+                     "delta": cur[name] / base[name] - 1.0})
+    return rows
 
 
 def diff_reports(baseline: Dict[str, Any], current: Dict[str, Any],
                  threshold: float = 0.15,
                  guarded: Optional[List[str]] = None) -> Dict[str, Any]:
-    """Calibration-normalized comparison of two attribution reports.
+    """Comparison of two attribution reports.
 
-    ``regions`` and ``dispatch`` deltas compare normalized scores
-    (machine speed cancels), ``throughput`` compares raw numbers.
-    ``findings`` reuses the regression harness's guarded gate
-    (:func:`repro.telemetry.regression.compare_profiles`): guarded
-    regions that slowed beyond ``threshold``, throughput floors that
-    dropped or vanished.  An empty findings list means the gate
-    passes."""
+    ``regions`` deltas compare per-call self time in calibration units
+    (machine speed cancels; raw seconds when either report lacks its
+    calibration), biggest mover first; ``throughput`` compares raw
+    numbers.  ``findings`` is the gate over those deltas: guarded
+    regions (:data:`DEFAULT_GUARDED` unless ``guarded`` names others)
+    that slowed beyond ``threshold`` and throughput numbers that
+    *dropped* beyond it.  A region absent from either report is
+    skipped (a renamed region is a baseline update, not a regression)
+    — but a :data:`GUARDED_THROUGHPUT` name the baseline carries must
+    be in the current report too: a run that stops measuring
+    ``udp_pps_wall`` would otherwise pass with the floor silently
+    gone.  An empty findings list means the gate passes."""
     baseline = coerce_report(baseline, "<baseline>")
     current = coerce_report(current, "<current>")
-    region_deltas = _score_deltas(baseline.get("regions") or {},
-                                  current.get("regions") or {})
-    kind_deltas = _score_deltas(
-        (baseline.get("dispatch") or {}).get("kinds") or {},
-        (current.get("dispatch") or {}).get("kinds") or {})
-    throughput_deltas = []
+    if guarded is None:
+        guarded = DEFAULT_GUARDED
+    normalized = bool(baseline.get("calibration_s")
+                      and current.get("calibration_s"))
+
+    def scores(report: Dict[str, Any]) -> Dict[str, float]:
+        unit = report["calibration_s"] if normalized else 1.0
+        return {name: entry["per_call_s"] / unit
+                for name, entry in (report.get("regions") or {}).items()}
+
+    region_deltas = _deltas(scores(baseline), scores(current))
+    region_deltas.sort(key=lambda item: (-abs(item["delta"]), item["name"]))
     base_tp = baseline.get("throughput") or {}
     cur_tp = current.get("throughput") or {}
-    for name in sorted(set(base_tp) & set(cur_tp)):
-        if not base_tp[name]:
-            continue
-        throughput_deltas.append({
-            "name": name, "baseline": base_tp[name],
-            "current": cur_tp[name],
-            "delta": cur_tp[name] / base_tp[name] - 1.0,
-        })
-    findings = compare_profiles(baseline, current, threshold=threshold,
-                                guarded=guarded)
-    all_deltas = [item["delta"] for item in
-                  region_deltas + kind_deltas + throughput_deltas]
+    throughput_deltas = _deltas(base_tp, cur_tp)
+    findings = [dict(item, kind="region") for item in region_deltas
+                if item["name"] in guarded and item["delta"] > threshold]
+    findings += [dict(item, kind="throughput") for item in throughput_deltas
+                 if item["delta"] < -threshold]
+    findings += [{"kind": "throughput_missing", "name": name,
+                  "baseline": base_tp[name]}
+                 for name in GUARDED_THROUGHPUT
+                 if base_tp.get(name, 0.0) > 0.0 and name not in cur_tp]
     return {
         "threshold": threshold,
-        "guarded": list(guarded if guarded is not None
-                        else DEFAULT_GUARDED),
-        "normalized": bool(baseline.get("calibration_s")
-                           and current.get("calibration_s")),
+        "guarded": list(guarded),
+        "normalized": normalized,
         "regions": region_deltas,
-        "dispatch": kind_deltas,
         "throughput": throughput_deltas,
-        "max_abs_delta": max((abs(d) for d in all_deltas), default=0.0),
+        "max_abs_delta": max(
+            (abs(item["delta"])
+             for item in region_deltas + throughput_deltas), default=0.0),
         "findings": findings,
     }
 
@@ -274,99 +246,41 @@ def diff_reports(baseline: Dict[str, Any], current: Dict[str, Any],
 # -- rendering ----------------------------------------------------------------
 
 
-def _fmt_seconds(value: Optional[float]) -> str:
-    return "%.6f" % value if value is not None else "-"
-
-
 def render_report(report: Dict[str, Any], limit: int = 12) -> str:
     """The human top-consumers view of one attribution report."""
     report = coerce_report(report)
-    lines: List[str] = []
     meta = report.get("meta") or {}
     header = "perf attribution"
     if meta.get("scenario") is not None:
         header += " — %s seed %s" % (meta["scenario"], meta.get("seed"))
-    calibration = report.get("calibration_s")
-    if calibration:
-        header += " (calibration %.6fs)" % calibration
-    lines.append(header)
-
-    dispatch = report.get("dispatch") or {}
-    kinds = dispatch.get("kinds") or {}
-    if kinds:
-        total = dispatch.get("self_seconds") or sum(
-            entry.get("self_s", 0.0) for entry in kinds.values()) or 1.0
-        lines.append("dispatch accounting — %d event(s), %ss self"
-                     % (dispatch.get("dispatched", 0),
-                        _fmt_seconds(dispatch.get("self_seconds"))))
-        lines.append("  %-42s %9s %11s %7s %10s"
-                     % ("event kind", "count", "self(s)", "self%",
-                        "score"))
-        ordered = sorted(kinds.items(),
-                         key=lambda item: -item[1].get("self_s", 0.0))
-        for name, entry in ordered[:limit] if limit else ordered:
-            lines.append("  %-42s %9d %11.6f %6.1f%% %10.4g"
-                         % (name, entry.get("count", 0),
-                            entry.get("self_s", 0.0),
-                            100.0 * entry.get("self_s", 0.0) / total,
-                            entry.get("score", 0.0)))
-        if limit and len(kinds) > limit:
-            lines.append("  ... %d more kind(s)" % (len(kinds) - limit))
-        lines.append(
-            "  coalescable %d/%d (%.1f%%), cancelled churn %d, "
-            "late %d, peak heap %d"
-            % (dispatch.get("coalescable", 0),
-               dispatch.get("dispatched", 0),
-               100.0 * dispatch.get("coalescable_ratio", 0.0),
-               dispatch.get("cancelled_popped", 0),
-               (dispatch.get("lag") or {}).get("late", 0),
-               (dispatch.get("heap") or {}).get("max_depth", 0)))
-
+    if report.get("calibration_s"):
+        header += " (calibration %.6fs)" % report["calibration_s"]
+    lines = [header]
+    if report.get("dispatched") is not None:
+        lines.append("dispatched %d event(s)" % report["dispatched"])
     regions = report.get("regions") or {}
     if regions:
-        lines.append("profiler regions")
-        lines.append("  %-42s %9s %11s %11s %10s"
-                     % ("region", "calls", "self(s)", "cum(s)", "score"))
-        ordered = sorted(regions.items(),
-                         key=lambda item: -item[1].get("self_s", 0.0))
-        for name, entry in ordered[:limit] if limit else ordered:
-            lines.append("  %-42s %9d %11.6f %11.6f %10.4g"
-                         % (name, entry.get("calls", 0),
-                            entry.get("self_s", 0.0),
-                            entry.get("cum_s", 0.0),
-                            entry.get("score", 0.0)))
-        if limit and len(regions) > limit:
-            lines.append("  ... %d more region(s)"
-                         % (len(regions) - limit))
-
-    coverage = report.get("coverage") or {}
-    if coverage.get("ratio") is not None:
-        lines.append(
-            "coverage: kind self-times sum to %.1f%% of profiler "
-            "%s cum (%ss / %ss)"
-            % (100.0 * coverage["ratio"], DISPATCH_REGION,
-               _fmt_seconds(coverage.get("kinds_self_s")),
-               _fmt_seconds(coverage.get("dispatch_cum_s"))))
-
+        lines.extend(render_regions(regions, limit))
+    elif meta.get("source") == "bundle":
+        lines.append("no region table: the scenario ran without "
+                     "`profile: true`")
     throughput = report.get("throughput") or {}
     if throughput:
         lines.append("throughput: " + "  ".join(
             "%s=%.4g" % item for item in sorted(throughput.items())))
     if len(lines) == 1:
-        lines.append("(no dispatch, region, or throughput data)")
+        lines.append("(no region, event or throughput data)")
     return "\n".join(lines)
 
 
 def render_diff(diff: Dict[str, Any], limit: int = 10) -> str:
     """The human view of :func:`diff_reports` output."""
-    lines: List[str] = []
-    lines.append(
-        "perf diff (%s scores, threshold %.0f%%): max |delta| %.2f%%"
-        % ("calibration-normalized" if diff.get("normalized")
-           else "raw per-call", diff["threshold"] * 100,
-           100.0 * diff.get("max_abs_delta", 0.0)))
+    threshold = diff["threshold"]
+    lines = [
+        "perf diff (%s per-call, threshold %.0f%%): max |delta| %.2f%%"
+        % ("calibration-normalized" if diff.get("normalized") else "raw",
+           threshold * 100, 100.0 * diff.get("max_abs_delta", 0.0))]
     for section, label in (("regions", "region"),
-                           ("dispatch", "dispatch kind"),
                            ("throughput", "throughput")):
         deltas = diff.get(section) or []
         if not deltas:
@@ -378,6 +292,21 @@ def render_diff(diff: Dict[str, Any], limit: int = 10) -> str:
                             item["current"], item["delta"] * 100))
         if len(deltas) > limit:
             lines.append("  ... %d more" % (len(deltas) - limit))
-    lines.append(render_comparison(diff.get("findings") or [],
-                                   diff["threshold"]))
+    findings = diff.get("findings") or []
+    if not findings:
+        lines.append("perf gate PASS: no guarded region or throughput "
+                     "number regressed beyond %.0f%%" % (threshold * 100))
+    else:
+        lines.append("perf gate FAIL: %d regression(s) beyond %.0f%%"
+                     % (len(findings), threshold * 100))
+    for finding in findings:
+        if finding["kind"] == "throughput_missing":
+            lines.append(
+                "  throughput %-32s %.4g -> MISSING (guarded floor not "
+                "measured)" % (finding["name"], finding["baseline"]))
+        else:
+            lines.append(
+                "  %s %-36s %.4g -> %.4g (%+.1f%%)"
+                % (finding["kind"], finding["name"], finding["baseline"],
+                   finding["current"], finding["delta"] * 100))
     return "\n".join(lines)

@@ -17,7 +17,14 @@ region accumulates
 
 and every unique region *path* accumulates self-time separately, which
 is exactly the collapsed-stack format flamegraph tooling consumes
-(``sim.event.dispatch;netem.link.transmit 1234``).
+(``netem.link.Link._deliver;netem.link.transmit 1234``).
+
+``Simulator.run`` / ``step`` open every dispatch under the event's
+*kind* (``repro.sim.classify_callback``: the callback's
+``module.Qualname``), so event kinds and the hand-placed regions
+nested under them are one table.  Every region is a root or charged
+to its parent as child time, hence all self times sum to the roots'
+cumulative time — there is no second instrument to reconcile with.
 
 The profiler is off by default and the disabled path is a single
 attribute check — instrumentation stays in place permanently and the
@@ -55,6 +62,28 @@ class RegionStat:
     def __repr__(self) -> str:
         return "RegionStat(%s, calls=%d, self=%.6fs, cum=%.6fs)" % (
             self.name, self.calls, self.self_time, self.cum)
+
+
+def render_regions(regions: Dict[str, Dict[str, Any]],
+                   limit: int = 10) -> List[str]:
+    """The region table the console (``profile`` / ``top``) and
+    ``escape perf report`` both print: :meth:`RegionStat.to_dict`
+    records by name, most self-time first; ``limit=0`` shows all."""
+    ordered = sorted(regions.items(),
+                     key=lambda item: (-item[1]["self_s"], item[0]))
+    shown = ordered[:limit] if limit > 0 else ordered
+    total = sum(entry["self_s"] for entry in regions.values()) or 1.0
+    # event kinds are module.Qualname: size the column to them
+    width = max([36] + [len(name) for name, _entry in shown])
+    lines = ["%-*s %10s %12s %12s %8s %12s"
+             % (width, "region", "calls", "self(s)", "cum(s)", "self%",
+                "per-call")]
+    for name, entry in shown:
+        lines.append("%-*s %10d %12.6f %12.6f %7.1f%% %12.9f"
+                     % (width, name, entry["calls"], entry["self_s"],
+                        entry["cum_s"], 100.0 * entry["self_s"] / total,
+                        entry["per_call_s"]))
+    return lines
 
 
 class _NullRegion:
@@ -119,7 +148,23 @@ class _Region:
                 break
         else:
             return False
-        prof._finish_frame(frame, end)
+        elapsed = end - frame[1]
+        if elapsed < 0.0:
+            elapsed = 0.0
+        self_time = elapsed - frame[2]
+        if self_time < 0.0:
+            self_time = 0.0
+        stat = prof.stats.get(self.name)
+        if stat is None:
+            stat = prof.stats[self.name] = RegionStat(self.name)
+        stat.calls += 1
+        stat.cum += elapsed
+        stat.self_time += self_time
+        paths = prof._paths
+        paths[frame[3]] = paths.get(frame[3], 0.0) + self_time
+        if stack:
+            stack[-1][2] += elapsed
+        prof.entries += 1
         prof.overhead += prof._clock() - end
         return False
 
@@ -174,75 +219,17 @@ class Profiler:
             region = self._regions[name] = _Region(self, name)
         return region
 
-    def open_frame(self, name: str, start: float) -> list:
-        """Push a region frame with a caller-provided start stamp.
-
-        The frame-protocol half of :class:`_Region` for callers that
-        already hold a timestamp (the simulator's fused dispatch path
-        shares one clock pair between dispatch accounting and the
-        ``sim.event.dispatch`` region instead of stamping four).  Must
-        be balanced with :meth:`close_frame`.
-        """
-        stack = self._stack
-        if stack:
-            frame = [name, start, 0.0, stack[-1][3] + ";" + name]
-        else:
-            frame = [name, start, 0.0, name]
-        stack.append(frame)
-        return frame
-
-    def close_frame(self, frame: list, end: float) -> None:
-        """Pop + record a frame opened by :meth:`open_frame` (lenient
-        about foreign frames a callback failed to close)."""
-        stack = self._stack
-        if stack and stack[-1] is frame:
-            stack.pop()
-            self._finish_frame(frame, end)
-            return
-        while stack:
-            if stack.pop() is frame:
-                self._finish_frame(frame, end)
-                return
-
-    def _finish_frame(self, frame: list, end: float) -> None:
-        """Record a popped frame: stat, flame path, parent child-time."""
-        elapsed = end - frame[1]
-        if elapsed < 0.0:
-            elapsed = 0.0
-        self_time = elapsed - frame[2]
-        if self_time < 0.0:
-            self_time = 0.0
-        name = frame[0]
-        stat = self.stats.get(name)
-        if stat is None:
-            stat = self.stats[name] = RegionStat(name)
-        stat.calls += 1
-        stat.cum += elapsed
-        stat.self_time += self_time
-        path = frame[3]
-        paths = self._paths
-        paths[path] = paths.get(path, 0.0) + self_time
-        stack = self._stack
-        if stack:
-            stack[-1][2] += elapsed
-        self.entries += 1
-
     # -- queries -----------------------------------------------------------
 
     def region(self, name: str) -> Optional[RegionStat]:
         return self.stats.get(name)
-
-    def regions(self) -> List[RegionStat]:
-        """All region stats, hottest (most self-time) first."""
-        return sorted(self.stats.values(),
-                      key=lambda stat: (-stat.self_time, stat.name))
 
     @property
     def total_self(self) -> float:
         return sum(stat.self_time for stat in self.stats.values())
 
     def report(self) -> Dict[str, Dict[str, Any]]:
-        """{region name: stat dict} — the BENCH_profile.json payload."""
+        """{region name: stat dict} — a bundle's ``profiler`` section."""
         return {name: stat.to_dict()
                 for name, stat in sorted(self.stats.items())}
 
@@ -262,21 +249,10 @@ class Profiler:
     def render_top(self, limit: int = 10) -> str:
         """A ``top``-style hot-path table, most self-time first.
         ``limit=0`` shows every region."""
-        regions = self.regions()
-        if limit > 0:
-            regions = regions[:limit]
-        if not regions:
+        if not self.stats:
             return ("no profile data recorded "
                     "(profiler %s)" % ("on" if self.enabled else "off"))
-        total = self.total_self or 1.0
-        lines = ["%-36s %10s %12s %12s %8s %12s"
-                 % ("region", "calls", "self(s)", "cum(s)", "self%",
-                    "per-call")]
-        for stat in regions:
-            lines.append("%-36s %10d %12.6f %12.6f %7.1f%% %12.9f"
-                         % (stat.name, stat.calls, stat.self_time,
-                            stat.cum, 100.0 * stat.self_time / total,
-                            stat.per_call))
+        lines = render_regions(self.report(), limit)
         lines.append("profiler: %d entries, %.6fs self-overhead (%s)"
                      % (self.entries, self.overhead,
                         "on" if self.enabled else "off"))

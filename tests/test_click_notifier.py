@@ -1,12 +1,12 @@
 """Tests for the event-driven pull path: Click-style notifiers.
 
-PR 7's dispatch accounting measured the timer storm (97%+ of all
+A per-event-kind dispatch table measured the timer storm (97%+ of all
 events were ``_PullDriver._fire`` polls); this suite pins the fix —
 queues own an empty-note :class:`Notifier`, pass-through pull elements
 forward it, and pull drivers sleep on empty upstreams instead of
 polling.  The determinism tests are the hard constraint: the same seed
-must produce the same scenario bundle whether or not dispatch
-accounting observes the run.
+must produce the same scenario bundle whether or not the profiler
+observes the run.
 """
 
 import json
@@ -187,7 +187,7 @@ class TestDriverSleepWake:
         sim.run(until=1.0)
         assert router.read_handler("c.count") == "3"
         assert not queue.notifier.active  # drained → parked again
-        assert sim.accounting.wakeups > 0
+        assert sim.wakeups > 0
 
     def test_unqueue_burst_continuation_is_packet_train(self):
         """More backlog than one burst: the driver re-arms at the same
@@ -288,18 +288,17 @@ class TestDriverSleepWake:
         assert router.read_handler("c.count") == "5"
         used = sim.processed - events_before
         assert used <= 15, "hint shots degenerated into polling: %d" % used
-        assert sim.accounting.wakeups > 0
+        assert sim.wakeups > 0
 
     def test_wakeups_and_polls_counters_always_on(self):
         sim = Simulator()
-        assert not sim.accounting.enabled
+        assert not sim.telemetry.profiler.enabled
         router = started(
             "Idle -> q :: Queue(10); q -> Unqueue -> Discard;", sim=sim)
         router.element("q").push(0, packet())
         sim.run(until=0.5)
-        assert sim.accounting.wakeups >= 1
-        report = sim.accounting.report()
-        assert "wakeups" in report and "polls" in report
+        assert sim.wakeups >= 1
+        assert sim.polls == 0  # a notifier upstream: nothing polls
 
 
 class TestSourceBackpressure:
@@ -352,40 +351,39 @@ FATTREE_SMOKE = {
     "sla": {"max_delay": 0.1},
 }
 
-# observer- or host-speed-dependent sections: wall-clock timings, the
-# telemetry snapshot (self-overhead gauges measure the host, and the
-# sim.* dispatch gauges measure the *observer*, which this test
-# toggles).  Everything else in a bundle is driven by the sim clock
-# and the seed alone.
+# host-speed-dependent sections: wall-clock timings and the telemetry
+# snapshot (its self-overhead gauges measure the host).  Everything
+# else in a bundle — the dispatched-event count included — is driven
+# by the sim clock and the seed alone.
 NONDETERMINISTIC_KEYS = ("wall_seconds", "throughput", "calibration_s",
-                         "dispatch", "profiler", "events", "metrics")
+                         "profiler", "events", "metrics")
 
 
 def deterministic_view(bundle):
     view = {key: value for key, value in bundle.items()
             if key not in NONDETERMINISTIC_KEYS}
-    for key, value in view.items():
-        # the bundle echoes the scenario spec; its observer toggles
-        # (accounting/profile) are the very thing the toggle test
-        # flips, so mask them while keeping the rest of the echo
-        if isinstance(value, dict) and "accounting" in value:
-            view[key] = {k: v for k, v in value.items()
-                         if k not in ("accounting", "profile")}
+    # the bundle echoes the scenario spec; its ``profile`` key is the
+    # very thing the toggle test flips, so mask it and keep the rest
+    view["scenario"] = {key: value
+                        for key, value in view["scenario"].items()
+                        if key != "profile"}
     return view
 
 
 class TestDeterminism:
-    def test_same_seed_bundle_byte_identical_with_accounting_toggle(self):
-        """The hard constraint: observing the run (dispatch accounting
-        on/off) must not perturb the simulated schedule — same seed,
-        byte-identical deterministic bundle either way."""
-        with_acct = run_scenario(dict(FATTREE_SMOKE), write=False)[0]
-        without = run_scenario(dict(FATTREE_SMOKE, accounting=False),
-                               write=False)[0]
-        assert "dispatch" in with_acct and "dispatch" not in without
-        assert json.dumps(deterministic_view(with_acct),
+    def test_same_seed_bundle_byte_identical_with_profile_toggle(self):
+        """The hard constraint: observing the run (profiler on/off)
+        must not perturb the simulated schedule — same seed, same
+        events dispatched, byte-identical deterministic bundle either
+        way."""
+        profiled = run_scenario(dict(FATTREE_SMOKE, profile=True),
+                                write=False)[0]
+        unset = run_scenario(dict(FATTREE_SMOKE), write=False)[0]
+        assert "profiler" in profiled and "profiler" not in unset
+        assert profiled["dispatched"] == unset["dispatched"] > 0
+        assert json.dumps(deterministic_view(profiled),
                           sort_keys=True) == \
-            json.dumps(deterministic_view(without), sort_keys=True)
+            json.dumps(deterministic_view(unset), sort_keys=True)
 
     def test_same_seed_twice_is_byte_identical(self):
         one = run_scenario(dict(FATTREE_SMOKE), write=False)[0]
@@ -395,10 +393,11 @@ class TestDeterminism:
 
     def test_pull_driver_no_longer_top_dispatch_kind(self):
         """ROADMAP item 1's acceptance: the pull-driver poll storm is
-        gone from the fat-tree dispatch table."""
-        bundle = run_scenario(dict(FATTREE_SMOKE), write=False)[0]
-        kinds = bundle["dispatch"]["kinds"]
-        assert kinds
+        gone from the fat-tree region table."""
+        bundle = run_scenario(dict(FATTREE_SMOKE, profile=True),
+                              write=False)[0]
+        kinds = bundle["profiler"]
+        assert "netem.link.Link._deliver" in kinds
         top = max(kinds.items(), key=lambda kv: kv[1]["self_s"])[0]
         assert "_PullDriver" not in top and "_fire" not in top
         # wakeup-driven fires may still appear as a kind; the *storm*
@@ -407,4 +406,4 @@ class TestDeterminism:
         storm = kinds.get("click.elements.queues._PullDriver._fire")
         if storm is not None:
             moved = bundle["workload"]["packets_received"]
-            assert storm["count"] <= max(50, 4 * moved)
+            assert storm["calls"] <= max(50, 4 * moved)

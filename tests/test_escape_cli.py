@@ -132,7 +132,9 @@ class TestProfilingCommands:
         assert escape.profiler.enabled
         self._profiled_traffic(escape, cli, sg_path)
         report = cli.run_command("profile")
-        assert "sim.event.dispatch" in report
+        # event kinds and hand-placed regions, one table
+        assert "netem.link.Link._deliver" in report
+        assert "netem.link.transmit" in report
         assert "core.mapping.solve" in report
         assert "disabled" in cli.run_command("profile off")
         assert not escape.profiler.enabled
@@ -155,8 +157,10 @@ class TestProfilingCommands:
         assert "no profile data" in cli.run_command("flame")
         self._profiled_traffic(escape, cli, sg_path)
         text = cli.run_command("flame")
-        assert any(line.startswith("sim.event.dispatch;")
-                   for line in text.splitlines())
+        paths = [line.rsplit(" ", 1)[0] for line in text.splitlines()]
+        # a region entered during a dispatch hangs under that event's
+        # kind, so a hop reads as one stack
+        assert "netem.link.Link._deliver;netem.link.transmit" in paths
         target = tmp_path / "flames" / "demo.folded"
         output = cli.run_command("flame %s" % target)
         assert "wrote" in output
@@ -177,9 +181,14 @@ class TestProfilingCommands:
         assert "no metric" in cli.run_command("series no.such.metric")
         assert "usage" in cli.run_command(
             "series netem.link.delivered soon")
+        # the dispatched-events series moves with the run, no
+        # instrument switched on for it
+        dispatched = cli.run_command("series sim.events.dispatched")
+        assert "delta=0 " not in dispatched and "rate=" in dispatched
 
     def test_help_includes_profiling_commands(self, console):
         _escape, cli, _sg = console
         output = cli.run_command("help")
         for command in ("profile", "flame", "top", "series"):
             assert command in output
+        assert "dispatch" not in output

@@ -501,4 +501,10 @@ class TestInstanceIsolation:
             assert len(escape.telemetry.events) > 0
             assert escape.profiler.entries > 0
             escape.stop()
+            # the emulator's `mn -c`: no heartbeat (LLDP, stats poll,
+            # series sampler, SLA probe deadline) outlives stop(), so
+            # an open-ended run has nothing to do and returns
+            assert escape.sim.pending == 0
+            assert escape.sim.run() == 0
             escape.stop()  # idempotent
+            assert escape.sim.pending == 0

@@ -1,21 +1,18 @@
 """Unit tests for repro.telemetry.profiler (scoped wall-clock regions)
-and the perf-regression comparator built on its reports.
+and the perf gate ``diff_reports`` runs on its reports.
 
 A fake monotonic clock makes attribution assertions exact: each clock
 read advances by a scripted amount, so self/cumulative splits and
 overhead accounting can be checked to the tick.
 """
 
-import json
-
 import pytest
 
 from repro.sim import Simulator
 from repro.telemetry import NULL_REGION, Profiler
-from repro.telemetry.regression import (DEFAULT_GUARDED, SCHEMA_VERSION,
-                                        calibrate, compare_profiles,
-                                        load_profile, profile_snapshot,
-                                        render_comparison, write_profile)
+from repro.telemetry.introspect import (DEFAULT_GUARDED, build_report,
+                                        calibrate, diff_reports,
+                                        render_diff)
 
 
 class FakeClock:
@@ -90,9 +87,9 @@ class TestProfilerCore:
         clock = FakeClock(step=0.0)
         profiler = Profiler(clock=clock).enable()
         for _ in range(4):
-            with profiler.profile("sim.event.dispatch"):
+            with profiler.profile("netem.link.transmit"):
                 clock.advance(0.5)
-        stat = profiler.region("sim.event.dispatch")
+        stat = profiler.region("netem.link.transmit")
         assert stat.calls == 4
         assert stat.cum == pytest.approx(2.0)
         assert stat.per_call == pytest.approx(0.5)
@@ -162,8 +159,6 @@ class TestProfilerCore:
         # hottest-first ordering and limit=0 meaning "all"
         full = profiler.render_top(limit=0)
         assert full.index("hot") < full.index("cold")
-        names = [stat.name for stat in profiler.regions()]
-        assert names == ["hot", "cold"]
 
 
 class TestSimIntegration:
@@ -175,111 +170,106 @@ class TestSimIntegration:
         sim.schedule(0.2, fired.append, "b")
         sim.run(until=1.0)
         assert fired == ["a", "b"]
-        assert profiler.region("sim.event.dispatch").calls == 2
+        # the dispatch region carries the event's kind as its name
+        assert profiler.region("list.append").calls == 2
+        assert list(profiler.stats) == ["list.append"]
 
     def test_step_also_profiled_and_disabled_is_free(self):
         sim = Simulator()
         profiler = sim.telemetry.profiler  # disabled
         sim.schedule(0.1, lambda: None)
+        sim.schedule(0.2, sorted, ())
         sim.step()
         assert profiler.stats == {}
+        profiler.enable()
+        sim.step()
+        assert profiler.region("sorted").calls == 1
 
 
 class TestRegressionHarness:
-    def _snapshot(self, scores, throughput=1000.0):
+    def _report(self, scores, throughput=1000.0):
         clock = FakeClock(step=0.0)
         profiler = Profiler(clock=clock).enable()
         calibration = 0.001
         for name, per_call in scores.items():
             with profiler.profile(name):
                 clock.advance(per_call * calibration)
-        return profile_snapshot(profiler,
-                                throughput={"udp_pps": throughput},
-                                calibration=calibration)
+        return build_report(profiler, throughput={"udp_pps": throughput},
+                            calibration=calibration)
 
-    def test_snapshot_structure(self):
-        snap = self._snapshot({"core.mapping.solve": 2.0})
-        assert snap["schema"] == SCHEMA_VERSION
-        assert snap["calibration_s"] == 0.001
-        region = snap["regions"]["core.mapping.solve"]
-        assert region["calls"] == 1
-        assert region["score"] == pytest.approx(2.0)
-        assert snap["throughput"] == {"udp_pps": 1000.0}
-
-    def test_write_and_load_round_trip(self, tmp_path):
-        snap = self._snapshot({"core.mapping.solve": 2.0})
-        target = tmp_path / "bench" / "BENCH_profile.json"
-        write_profile(target, snap)
-        loaded = load_profile(target)
-        assert loaded == json.loads(json.dumps(snap))
+    def _findings(self, base, cur, **kwargs):
+        return diff_reports(base, cur, threshold=0.15, **kwargs)["findings"]
 
     def test_comparator_passes_within_threshold(self):
-        base = self._snapshot({"core.mapping.solve": 2.0,
-                               "netem.link.transmit": 1.0})
-        cur = self._snapshot({"core.mapping.solve": 2.2,
-                              "netem.link.transmit": 1.05})
-        assert compare_profiles(base, cur, threshold=0.15) == []
+        base = self._report({"core.mapping.solve": 2.0,
+                             "netem.link.transmit": 1.0})
+        cur = self._report({"core.mapping.solve": 2.2,
+                            "netem.link.transmit": 1.05})
+        assert self._findings(base, cur) == []
 
     def test_comparator_flags_slow_regions(self):
-        base = self._snapshot({"core.mapping.solve": 2.0,
-                               "netem.link.transmit": 1.0})
-        cur = self._snapshot({"core.mapping.solve": 2.5,  # +25%
-                              "netem.link.transmit": 1.0})
-        findings = compare_profiles(base, cur, threshold=0.15)
+        base = self._report({"core.mapping.solve": 2.0,
+                             "netem.link.transmit": 1.0})
+        cur = self._report({"core.mapping.solve": 2.5,  # +25%
+                            "netem.link.transmit": 1.0})
+        diff = diff_reports(base, cur, threshold=0.15)
+        findings = diff["findings"]
         assert len(findings) == 1
         assert findings[0]["kind"] == "region"
         assert findings[0]["name"] == "core.mapping.solve"
-        assert findings[0]["change"] == pytest.approx(0.25)
-        text = render_comparison(findings, 0.15)
+        assert findings[0]["delta"] == pytest.approx(0.25)
+        text = render_diff(diff)
         assert "FAIL" in text and "core.mapping.solve" in text
-        assert "PASS" in render_comparison([], 0.15)
+        assert "PASS" in render_diff(diff_reports(base, base))
 
     def test_comparator_flags_throughput_drop(self):
-        base = self._snapshot({"core.mapping.solve": 2.0},
-                              throughput=1000.0)
-        cur = self._snapshot({"core.mapping.solve": 2.0},
-                             throughput=700.0)  # -30%
-        findings = compare_profiles(base, cur, threshold=0.15)
-        assert [(f["kind"], f["name"]) for f in findings] == [
+        base = self._report({"core.mapping.solve": 2.0},
+                            throughput=1000.0)
+        cur = self._report({"core.mapping.solve": 2.0},
+                           throughput=700.0)  # -30%
+        assert [(f["kind"], f["name"])
+                for f in self._findings(base, cur)] == [
             ("throughput", "udp_pps")]
 
     def test_comparator_flags_missing_guarded_throughput(self):
-        base = self._snapshot({"core.mapping.solve": 2.0})
+        base = self._report({"core.mapping.solve": 2.0})
         base["throughput"] = {"udp_pps_wall": 1500.0}
-        cur = self._snapshot({"core.mapping.solve": 2.0})
+        cur = self._report({"core.mapping.solve": 2.0})
         cur["throughput"] = {}
-        findings = compare_profiles(base, cur, threshold=0.15)
-        assert [(f["kind"], f["name"]) for f in findings] == [
+        diff = diff_reports(base, cur, threshold=0.15)
+        assert [(f["kind"], f["name"]) for f in diff["findings"]] == [
             ("throughput_missing", "udp_pps_wall")]
-        text = render_comparison(findings, 0.15)
+        text = render_diff(diff)
         assert "MISSING" in text and "udp_pps_wall" in text
 
     def test_comparator_skips_missing_unguarded_throughput(self):
-        base = self._snapshot({"core.mapping.solve": 2.0})
+        base = self._report({"core.mapping.solve": 2.0})
         base["throughput"] = {"sim_ratio": 3.0}
-        cur = self._snapshot({"core.mapping.solve": 2.0})
+        cur = self._report({"core.mapping.solve": 2.0})
         cur["throughput"] = {}
-        assert compare_profiles(base, cur, threshold=0.15) == []
+        assert self._findings(base, cur) == []
 
     def test_comparator_skips_absent_regions(self):
-        base = self._snapshot({"core.mapping.solve": 2.0,
-                               "pox.steering.install": 1.0})
-        cur = self._snapshot({"core.mapping.solve": 2.0})
-        assert compare_profiles(base, cur, threshold=0.15) == []
+        base = self._report({"core.mapping.solve": 2.0,
+                             "pox.steering.install": 1.0})
+        cur = self._report({"core.mapping.solve": 2.0})
+        assert self._findings(base, cur) == []
 
     def test_only_guarded_regions_are_compared(self):
-        base = self._snapshot({"some.experimental.region": 1.0})
-        cur = self._snapshot({"some.experimental.region": 10.0})
-        assert compare_profiles(base, cur, threshold=0.15) == []
-        findings = compare_profiles(
-            base, cur, threshold=0.15,
-            guarded=("some.experimental.region",))
+        base = self._report({"some.experimental.region": 1.0})
+        cur = self._report({"some.experimental.region": 10.0})
+        assert self._findings(base, cur) == []
+        findings = self._findings(
+            base, cur, guarded=("some.experimental.region",))
         assert len(findings) == 1
 
     def test_default_guard_list_covers_all_layers(self):
+        """Event kinds and hand-placed regions are one namespace: the
+        guard list names both, across every layer."""
         prefixes = {name.split(".")[0] for name in DEFAULT_GUARDED}
-        assert {"sim", "netem", "click", "openflow", "netconf",
+        assert {"netem", "click", "openflow", "netconf",
                 "core", "pox"} <= prefixes
+        assert "netem.link.Link._deliver" in DEFAULT_GUARDED
 
     def test_calibration_is_positive(self):
         assert calibrate(loops=10_000) > 0.0

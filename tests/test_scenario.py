@@ -95,9 +95,11 @@ chaos:
             load_scenario("does/not/exist.yaml")
 
     def test_unknown_key_rejected(self):
-        bad = dict(SMOKE_SCENARIO, typo_key=1)
-        with pytest.raises(SpecError, match="typo_key"):
-            load_scenario(bad)
+        # "accounting" was a key until schema 5: no compat shim, it is
+        # named like any other stranger
+        for key, value in (("typo_key", 1), ("accounting", False)):
+            with pytest.raises(SpecError, match=key):
+                load_scenario(dict(SMOKE_SCENARIO, **{key: value}))
 
     def test_validation(self):
         with pytest.raises(SpecError, match="name"):
@@ -222,7 +224,7 @@ class TestCampaignRunner:
     @pytest.fixture(scope="class")
     def campaign(self, tmp_path_factory):
         results = tmp_path_factory.mktemp("results")
-        runner = CampaignRunner(dict(SMOKE_SCENARIO),
+        runner = CampaignRunner(dict(SMOKE_SCENARIO, profile=True),
                                 results_dir=str(results))
         runner.run()
         return runner
@@ -234,7 +236,7 @@ class TestCampaignRunner:
 
     def test_bundle_contents(self, campaign):
         bundle = campaign.bundles[0]
-        assert bundle["schema"] == 4
+        assert bundle["schema"] == 5
         assert bundle["seed"] == 1
         assert bundle["scenario"]["name"] == "smoke"
         workload = bundle["workload"]
@@ -251,24 +253,20 @@ class TestCampaignRunner:
             "enabled": False, "protected_paths": 0, "flips": 0}
         assert bundle["throughput"]["udp_pps_wall"] > 0
 
-    def test_bundle_carries_dispatch_accounting(self, campaign):
-        """Schema 2: accounting defaults on, the dispatch section is
-        non-empty and internally consistent (the CI smoke criterion)."""
+    def test_bundle_carries_dispatched_count_and_region_table(
+            self, campaign):
+        """Schema 5 (the CI smoke criterion): the exact event count
+        always, and under ``profile: true`` one region table holding
+        event kinds and the hand-placed regions nested under them."""
         bundle = campaign.bundles[0]
         assert bundle["calibration_s"] > 0
-        dispatch = bundle["dispatch"]
-        assert dispatch["dispatched"] > 0
-        assert dispatch["kinds"]
-        assert sum(entry["count"] for entry in
-                   dispatch["kinds"].values()) == dispatch["dispatched"]
-        assert any(kind.startswith("netem.link.")
-                   for kind in dispatch["kinds"])
-        assert 0.0 <= dispatch["coalescable_ratio"] <= 1.0
-
-    def test_accounting_false_omits_dispatch_section(self):
-        spec = dict(SMOKE_SCENARIO, accounting=False, duration=1.0)
-        bundles = run_scenario(spec, write=False)
-        assert "dispatch" not in bundles[0]
+        assert bundle["dispatched"] > 0
+        assert "dispatch" not in bundle
+        regions = bundle["profiler"]
+        deliver = regions["netem.link.Link._deliver"]
+        assert 0 < deliver["calls"] <= bundle["dispatched"]
+        assert deliver["cum_s"] >= deliver["self_s"] > 0
+        assert regions["netem.link.transmit"]["calls"] > 0
 
     def test_gate_passes(self, campaign):
         assert campaign.gate() == []
@@ -340,7 +338,7 @@ class TestAnalyzerAndCli:
         assert cli_main(["scenario", "report", results_dir]) == 0
         out = capsys.readouterr().out
         assert "campaign smoke" in out
-        assert "coalesce" in out
+        assert "events" in out
 
     def test_cli_report_format_csv(self, results_dir, capsys):
         assert cli_main(["scenario", "report", results_dir,
@@ -348,7 +346,8 @@ class TestAnalyzerAndCli:
         lines = capsys.readouterr().out.strip().splitlines()
         header = lines[0].split(",")
         assert header[:2] == ["scenario", "seed"]
-        assert "events" in header and "coalesce_ratio" in header
+        assert header[-1] == "events"
+        assert int(lines[1].rsplit(",", 1)[1]) > 0
         assert len(lines) == 3  # header + one row per seed
         assert lines[1].startswith("smoke,1,")
         assert lines[2].startswith("smoke,2,")
@@ -367,8 +366,11 @@ class TestAnalyzerAndCli:
         path = bundles[0]["_path"]
         assert cli_main(["perf", "report", path]) == 0
         out = capsys.readouterr().out
-        assert "dispatch accounting" in out
-        assert "coalescable" in out
+        # the smoke scenario ran unprofiled: count and throughput,
+        # and a line saying why there is no table
+        assert "dispatched %d event(s)" % bundles[0]["dispatched"] in out
+        assert "udp_pps_wall=" in out
+        assert "without `profile: true`" in out
 
     def test_cli_perf_diff_same_seed_near_zero(self, results_dir,
                                                capsys):

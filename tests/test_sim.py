@@ -3,6 +3,8 @@
 import pytest
 
 from repro.sim import Process, Signal, SimulationError, Simulator
+from repro.telemetry import Profiler
+from tests.test_profiler import FakeClock
 
 
 class TestScheduling:
@@ -332,35 +334,32 @@ class TestOrderingUnderLoad:
         sim.run()
         assert woken == ["a", "b", "c", "d"]
 
-    def test_accounting_reconciles_with_profiler_entries(self):
-        """Dispatch-accounting totals and the profiler watch the same
-        stream: counts match exactly, times within tolerance."""
-        sim = Simulator()
-        sim.telemetry.profiler.enable()
-        sim.accounting.enable()
 
-        def tick():
-            if sim.now < 0.2:
-                sim.schedule(0.001, tick)
-        sim.schedule(0.0, tick)
-        sim.run()
-        dispatch = sim.telemetry.profiler.region("sim.event.dispatch")
-        assert dispatch.calls == sim.accounting.dispatched
-        assert dispatch.calls == sim.telemetry.profiler.entries
-        # whole-callback self-times track the inclusive dispatch time
-        assert sim.accounting.self_seconds >= dispatch.self_time * 0.5
-        stats = sim.accounting.kind_stats()
-        assert sum(stat.count for stat in stats) == dispatch.calls
+def _profiled_sim():
+    """A simulator whose profiler runs on a fake clock that only moves
+    when a callback advances it — attribution is exact to the tick."""
+    sim = Simulator()
+    clock = FakeClock(step=0.0)
+    sim.telemetry.profiler = Profiler(clock=clock).enable()
+    return sim, clock, sim.telemetry.profiler
 
 
-class TestDispatchAccounting:
+class TestDispatchProfiling:
+    """The event loop opens every dispatch as a profiler region named
+    by the event's kind — the one wall-clock instrument."""
+
     def test_off_by_default_and_records_nothing(self):
         sim = Simulator()
+        profiler = sim.telemetry.profiler
+        assert not profiler.enabled
         sim.schedule(0.0, lambda: None)
-        sim.run()
-        assert not sim.accounting.enabled
-        assert sim.accounting.dispatched == 0
-        assert sim.accounting.kinds == {}
+        sim.schedule(1.0, lambda: None)
+        sim.run(until=0.5)
+        assert sim.step() is True
+        assert sim.processed == 2
+        assert profiler.stats == {}
+        assert profiler.entries == 0
+        assert profiler.render_flame() == ""
 
     def test_kind_classification(self):
         from functools import partial
@@ -375,30 +374,39 @@ class TestDispatchAccounting:
         assert not kind.startswith("repro.")
         assert classify_callback(partial(owner.method)) == kind
 
-    def test_per_kind_counts_and_coalescability(self):
-        sim = Simulator()
-        sim.accounting.enable()
+    def test_partials_and_instances_share_one_kind(self):
+        from functools import partial
+        sim, clock, profiler = _profiled_sim()
+
+        class Owner:
+            def method(self, seconds=1.0):
+                clock.advance(seconds)
+        sim.schedule(0.0, Owner().method)
+        sim.schedule(0.0, Owner().method)
+        sim.schedule(0.0, partial(Owner().method, 2.0))
+        sim.schedule(0.0, partial(partial(Owner().method), 3.0))
+        sim.run()
+        (kind, stat), = profiler.stats.items()
+        assert kind.endswith("Owner.method")
+        assert stat.calls == 4
+        assert stat.self_time == 7.0
+
+    def test_per_kind_counts_are_exact(self):
+        sim, _clock, profiler = _profiled_sim()
         fired = []
         for _ in range(5):
-            sim.schedule(1.0, fired.append, "x")  # one shared timestamp
-        sim.schedule(2.0, fired.append, "y")
-        sim.run()
-        acct = sim.accounting
-        assert acct.dispatched == 6
-        # 4 of the 5 t=1.0 events share a timestamp with a predecessor
-        assert acct.coalescable == 4
-        assert acct.coalescable_ratio == pytest.approx(4 / 6)
-        report = acct.report()
-        assert report["dispatched"] == 6
-        assert report["coalescable"] == 4
-        (kind, entry), = report["kinds"].items()
-        assert kind == "list.append"
-        assert entry["count"] == 6
-        assert entry["share"] == pytest.approx(1.0)
+            sim.schedule(1.0, fired.append, "x")
+        sim.schedule(2.0, sorted, [3, 1])
+        sim.run(until=1.5)
+        assert sim.step() is True  # step() names its dispatch too
+        assert {name: stat.calls
+                for name, stat in profiler.stats.items()} == {
+            "list.append": 5, "sorted": 1}
+        assert profiler.entries == sim.processed == 6
 
     def test_cancel_heavy_workload_counts_churn(self):
         """Cancelled events popped by the loop are counted, not
-        silently skipped — and that works with accounting off too."""
+        silently skipped — always on, no instrument needed."""
         sim = Simulator()
         fired = []
         keep = []
@@ -410,7 +418,7 @@ class TestDispatchAccounting:
                 keep.append(index)
         sim.run()
         assert fired == keep
-        assert sim.accounting.cancelled_popped == 100
+        assert sim.cancelled_popped == 100
 
     def test_step_and_peek_count_cancelled_churn(self):
         sim = Simulator()
@@ -418,76 +426,143 @@ class TestDispatchAccounting:
         sim.schedule(2.0, lambda: None)
         first.cancel()
         assert sim.peek() == 2.0  # peek discards the cancelled head
-        assert sim.accounting.cancelled_popped == 1
+        assert sim.cancelled_popped == 1
         assert sim.step() is True
         assert sim.step() is False
 
     def test_nested_step_pumping_subtracts_self_time(self):
         """A callback that pumps step() is charged only its own time;
-        the inner event keeps its share (no double counting)."""
-        sim = Simulator()
-        sim.accounting.enable()
+        the pumped event is charged to its own kind, nested under the
+        pumping one in the flame paths (no double counting)."""
+        sim, clock, profiler = _profiled_sim()
 
         def inner():
-            pass
+            clock.advance(3.0)
 
         def outer():
+            clock.advance(1.0)
             sim.schedule(0.0, inner)
             sim.step()
+            clock.advance(0.5)
         sim.schedule(1.0, outer)
         sim.run()
-        acct = sim.accounting
-        assert acct.dispatched == 2
-        total = sum(s.self_seconds for s in acct.kind_stats())
-        assert total == pytest.approx(acct.self_seconds)
-        # the nested dispatch ran with the clock already at t=1.0
-        assert acct.late == 0
+        outer_stat, = [stat for name, stat in profiler.stats.items()
+                       if name.endswith(".outer")]
+        inner_stat, = [stat for name, stat in profiler.stats.items()
+                       if name.endswith(".inner")]
+        assert (outer_stat.calls, inner_stat.calls) == (1, 1)
+        assert outer_stat.cum == 4.5
+        assert outer_stat.self_time == 1.5
+        assert inner_stat.self_time == inner_stat.cum == 3.0
+        assert profiler.collapsed(unit=0.5) == [
+            "%s 3" % outer_stat.name,
+            "%s;%s 6" % (outer_stat.name, inner_stat.name)]
+
+    def test_self_times_sum_to_root_cumulative_time(self):
+        """Every region is a root or charged to its parent as child
+        time, so there is nothing to reconcile: the self times of all
+        regions — event kinds, pumped kinds, hand-placed regions —
+        sum exactly to the cumulative time of the root regions."""
+        sim, clock, profiler = _profiled_sim()
+
+        def leaf():
+            clock.advance(0.25)
+            with profiler.profile("netem.link.transmit"):
+                clock.advance(2.0)
+
+        def pumping():
+            clock.advance(1.0)
+            with profiler.profile("netconf.rpc.dispatch"):
+                clock.advance(0.5)
+                sim.step()          # a leaf, nested two regions deep
+            clock.advance(0.125)
+        sim.schedule(0.0, pumping)
+        for _ in range(3):
+            sim.schedule(0.0, leaf)
+        sim.run()
+        by_suffix = {name.rsplit(".", 1)[-1]: stat
+                     for name, stat in profiler.stats.items()}
+        assert by_suffix["leaf"].calls == 3
+        roots = {path.split(";")[0] for path in profiler._paths}
+        assert roots == {by_suffix["pumping"].name, by_suffix["leaf"].name}
+        # the pumped leaf's time is inside pumping's cum: count root
+        # entries only — one pumping dispatch and the two leaves the
+        # run loop itself dispatched
+        root_cum = by_suffix["pumping"].cum + 2 * 2.25
+        assert by_suffix["pumping"].cum == 1.0 + 0.5 + 2.25 + 0.125
+        assert profiler.total_self == root_cum == 8.375
+        for path in profiler._paths:
+            if "netem.link.transmit" in path:
+                assert path.split(";")[-2] == by_suffix["leaf"].name
+
+    def test_raising_callback_still_closes_its_region(self):
+        sim, clock, profiler = _profiled_sim()
+
+        def failing():
+            clock.advance(1.0)
+            raise ValueError("boom")
+        sim.schedule(0.0, failing)
+        sim.schedule(0.0, failing)
+        with pytest.raises(ValueError):
+            sim.run()
+        with pytest.raises(ValueError):
+            sim.step()
+        stat, = profiler.stats.values()
+        assert stat.name.endswith(".failing")
+        assert (stat.calls, stat.cum) == (2, 2.0)
+        assert profiler._stack == []
 
     def test_nested_pumping_never_dispatches_late(self):
         """Nested step() pops in time order and only advances the
-        clock, so scheduling lag stays zero — the lag histogram is the
-        tripwire for a future batch dispatcher that would run events
-        at a clock already past their timestamp."""
+        clock: every callback, pumped or not, runs at exactly its
+        scheduled time."""
         sim = Simulator()
-        sim.accounting.enable()
+        ran_at = []
 
         def outer():
             # pump both pending events from inside a callback
             sim.step()
             sim.step()
-        sim.schedule(1.0, lambda: None)
-        sim.schedule(2.0, lambda: None)
-        straggler_done = []
+        for when in (1.0, 2.0, 3.0):
+            sim.schedule(when, lambda when=when: ran_at.append(
+                (when, sim.now)))
         sim.schedule(0.5, outer)
-        sim.schedule(3.0, straggler_done.append, True)
         sim.run()
-        acct = sim.accounting
-        assert acct.late == 0
-        assert acct.lag_max == 0.0
-        assert acct.report()["lag"]["p99_s"] is None
-        assert straggler_done == [True]
+        assert ran_at == [(1.0, 1.0), (2.0, 2.0), (3.0, 3.0)]
 
     def test_heap_depth_gauges(self):
         sim = Simulator()
-        sim.accounting.enable()
         for index in range(10):
             sim.schedule(float(index), lambda: None)
         assert sim.heap_depth == 10
         assert sim.scheduled == 10
         sim.run()
         assert sim.heap_depth == 0
-        assert sim.accounting.max_heap_depth == 10
+        assert sim.processed == 10
+
+    def test_processed_is_current_inside_a_run(self):
+        """Gauges sample ``processed`` from inside callbacks (the
+        series sampler): it counts every callback already returned."""
+        sim = Simulator()
+        seen = []
+        for index in range(3):
+            sim.schedule(float(index), lambda: seen.append(sim.processed))
+        sim.run()
+        assert seen == [0, 1, 2]
+        assert sim.processed == 3
 
     def test_reset_keeps_enabled_state(self):
-        sim = Simulator()
-        sim.accounting.enable()
-        sim.schedule(0.0, lambda: None)
+        sim, _clock, profiler = _profiled_sim()
+        sim.schedule(0.0, sorted, ())
         sim.run()
-        assert sim.accounting.dispatched == 1
-        sim.accounting.reset()
-        assert sim.accounting.enabled
-        assert sim.accounting.dispatched == 0
-        assert sim.accounting.kinds == {}
+        assert profiler.region("sorted").calls == 1
+        profiler.reset()
+        assert profiler.enabled
+        assert profiler.stats == {}
+        # the simulator's cached kind names outlive the reset
+        sim.schedule(0.0, sorted, ())
+        sim.run()
+        assert profiler.region("sorted").calls == 1
 
     def test_event_repr_names_the_kind(self):
         sim = Simulator()
@@ -499,20 +574,17 @@ class TestDispatchAccounting:
         assert "cancelled" in repr(event)
 
     def test_render_top_lists_hottest_kind_first(self):
-        sim = Simulator()
-        sim.accounting.enable()
+        sim, clock, profiler = _profiled_sim()
 
         def busy():
-            sum(range(2000))
+            clock.advance(2.0)
 
         def idle():
-            pass
+            clock.advance(0.001)
         for index in range(20):
             sim.schedule(float(index), busy)
         sim.schedule(30.0, idle)
         sim.run()
-        text = sim.accounting.render_top()
-        lines = text.splitlines()
-        assert "event kind" in lines[0]
-        assert "busy" in lines[1]
-        assert "coalescable" in lines[-1]
+        lines = profiler.render_top().splitlines()
+        assert "region" in lines[0]
+        assert "busy" in lines[1] and "idle" in lines[2]
