@@ -86,14 +86,17 @@ def test_step4_traffic(benchmark):
     escape = started_escape(containers=2)
     chain = escape.deploy_service(chain_sg(2, name="traffic-chain"))
     h1, h2 = escape.net.get("h1"), escape.net.get("h2")
+    sent = []
 
     def ping_train():
         result = h1.ping(h2.ip, count=5, interval=0.05)
         escape.run(1.0)
         assert result.received == 5
+        sent.append(result.sent)
         return result
     benchmark.pedantic(ping_train, rounds=5, iterations=1)
-    assert int(chain.read_handler("v0", "cnt_in.count")) >= 25
+    # --benchmark-disable runs one round, not five
+    assert int(chain.read_handler("v0", "cnt_in.count")) >= sum(sent) > 0
     attach_telemetry(benchmark, escape)
 
 

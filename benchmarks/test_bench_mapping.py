@@ -9,14 +9,17 @@ greedy on quality, reversed on runtime.
 
 import collections
 import random
+import timeit
 
-import networkx as nx
 import pytest
 
 from repro.core import (ESCAPE, BacktrackingMapper, CongestionAwareMapper,
                         GreedyMapper, MappingError, ResourceView,
                         ServiceGraph, ShortestPathMapper,
                         default_catalog)
+from repro.core.graph import Graph
+from repro.core.orchestrator import build_resource_view
+from repro.netem import Network
 from repro.scenario.workload import build_chain_requests
 from repro.scenario.zoo import FatTreeTopo
 
@@ -126,9 +129,9 @@ def test_warm_deploy_cycle_searches_no_graph(benchmark, monkeypatch):
     deployed and torn down once on an unchanged k=4 fat-tree, a further
     round of the same eight requests - placement, routing and the return
     path - is answered from the view's memoised paths on the view
-    itself: 0 ``networkx`` path searches, 0 graph copies.  Exact counts
-    from patched entry points, not a speed; before the memo and the undo
-    log a deploy made about 13 searches and 1 copy here."""
+    itself: 0 graph searches, 0 graph copies.  Exact counts from patched
+    entry points, not a speed; before the memo and the undo log a deploy
+    made about 13 searches and 1 copy here."""
     topo = FatTreeTopo(k=4, containers_per_pod=2, container_ports=6)
     requests = build_chain_requests(
         topo, {"templates": ["web", "bump", "secure", "shaped"],
@@ -151,12 +154,8 @@ def test_warm_deploy_cycle_searches_no_graph(benchmark, monkeypatch):
             return function(*args, **kwargs)
         return wrapper
 
-    for owner, name in ((nx, "shortest_path"), (nx, "dijkstra_path"),
-                        (nx, "single_source_dijkstra"),
-                        (nx, "bidirectional_dijkstra"),
-                        (nx.Graph, "copy")):
-        monkeypatch.setattr(owner, name,
-                            counted(name, getattr(owner, name)))
+    for name in ("shortest_path", "dijkstra_path", "copy"):
+        monkeypatch.setattr(Graph, name, counted(name, getattr(Graph, name)))
     benchmark.pedantic(one_round, rounds=1, iterations=1)
     benchmark.extra_info["calls"] = dict(calls)
     assert not calls
@@ -165,3 +164,26 @@ def test_warm_deploy_cycle_searches_no_graph(benchmark, monkeypatch):
         requests[0]["src"], requests[0]["dst"], 1.0) is not None
     assert calls["shortest_path"] == 1
     escape.stop()
+
+
+@pytest.mark.parametrize("k", [4, 8])
+def test_path_query_cost(benchmark, k):
+    """One path search on the k-ary fat-tree, with and without a
+    bandwidth floor, in microseconds (200 seeded SAP pairs, best of 5).
+    The memo is bypassed: a floor is never memoised, so this is what
+    every bandwidth-constrained SG link costs at every deploy."""
+    view = build_resource_view(Network.build(
+        FatTreeTopo(k=k, containers_per_pod=2, container_ports=6)))
+    rng = random.Random(5)
+    pairs = [tuple(rng.sample(view.saps(), 2)) for _ in range(200)]
+
+    def solve_all(floor):
+        for src, dst in pairs:
+            assert view._solve(src, dst, floor) is not None
+
+    for label, floor in (("constrained_us", 1.0), ("unconstrained_us", 0.0)):
+        best = min(timeit.repeat(lambda: solve_all(floor), number=1,
+                                 repeat=5))
+        benchmark.extra_info[label] = round(best / len(pairs) * 1e6, 1)
+    benchmark.pedantic(solve_all, args=(1.0,), rounds=5, iterations=1)
+    print("\nk=%d fat-tree path query: %s" % (k, benchmark.extra_info))

@@ -94,7 +94,6 @@ def compute_backup_paths(sg: ServiceGraph, mapping: Mapping,
     the backup only carries traffic after a failure, and a fresh one is
     re-provisioned afterwards (make-before-break).
     """
-    import networkx as nx
     backups: Dict[tuple, List[str]] = {}
     for (src, dst), primary in mapping.link_paths.items():
         key = (src, dst)
@@ -110,20 +109,17 @@ def compute_backup_paths(sg: ServiceGraph, mapping: Mapping,
                          for pair in zip(primary, primary[1:])}
         attachment_edges = {frozenset(primary[:2]),
                             frozenset(primary[-2:])}
-        candidate = view.routable(bandwidth)
+        usable = view.routable(bandwidth)
 
         def weight(node1, node2, data):
+            if not usable(node1, node2, data):
+                return None
             delay = data["delay"] or 1e-9
             if frozenset((node1, node2)) in primary_edges:
                 return delay + _SHARED_EDGE_PENALTY
             return delay
 
-        head, tail = primary[0], primary[-1]
-        try:
-            backup = nx.dijkstra_path(candidate, head, tail,
-                                      weight=weight)
-        except (nx.NetworkXNoPath, nx.NodeNotFound):
-            backup = None
+        backup = view.graph.dijkstra_path(primary[0], primary[-1], weight)
         if backup is None:
             mapping.backup_info[key] = {"disjoint": False,
                                         "reason": "no path"}
@@ -425,15 +421,12 @@ class CongestionAwareMapper(ShortestPathMapper):
 
     def _find_path(self, view: ResourceView, src: str, dst: str,
                    min_bandwidth: float) -> Optional[List[str]]:
-        import networkx as nx
         if src == dst:
             return view.shortest_path(src, dst, min_bandwidth)
-        try:
-            return nx.shortest_path(
-                view.routable(min_bandwidth), src, dst,
-                weight=lambda a, b, _d: self._edge_weight(view, a, b))
-        except (nx.NetworkXNoPath, nx.NodeNotFound):
-            return None
+        usable = view.routable(min_bandwidth)
+        return view.graph.shortest_path(
+            src, dst, lambda a, b, data:
+            self._edge_weight(view, a, b) if usable(a, b, data) else None)
 
     def _path_cost(self, view: ResourceView, src: str,
                    dst: str) -> Optional[float]:

@@ -9,13 +9,14 @@ on SAP-to-SAP subpaths.
 The resource view is the orchestrator's global picture of the
 infrastructure: container nodes with CPU/memory headroom, switch nodes,
 SAP attachment points, and substrate links with delay and residual
-bandwidth.  It is a networkx graph under the hood, which the mapping
-algorithms traverse.
+bandwidth.  Underneath is :class:`repro.core.graph.Graph` — the
+package's own adjacency and path searches, standard library only —
+which the mapping algorithms traverse.
 """
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional
 
-import networkx as nx
+from repro.core.graph import Graph
 
 
 class SAP:
@@ -190,7 +191,7 @@ class ResourceView:
     CONTAINER = "container"
 
     def __init__(self):
-        self.graph = nx.Graph()
+        self.graph = Graph()
         # substrate edges currently marked down (frozenset node pairs);
         # kept separately so the fault-free path pays one falsy check
         self._down_edges: set = set()
@@ -220,9 +221,9 @@ class ResourceView:
 
     def add_link(self, node1: str, node2: str, delay: float = 0.0,
                  bandwidth: Optional[float] = None) -> None:
-        self._paths.clear()
         self.graph.add_edge(node1, node2, delay=delay,
                             bandwidth=bandwidth, bw_used=0.0)
+        self._paths.clear()
 
     # -- substrate link state -------------------------------------------------
 
@@ -338,42 +339,42 @@ class ResourceView:
                min_bandwidth: float) -> Optional[List[str]]:
         if src == dst:
             return self._hairpin(src, min_bandwidth)
-        try:
-            return nx.shortest_path(self.routable(min_bandwidth), src, dst,
-                                    weight="delay")
-        except (nx.NetworkXNoPath, nx.NodeNotFound):
-            return None
+        usable = self.routable(min_bandwidth)
+        return self.graph.shortest_path(
+            src, dst, lambda node1, node2, data:
+            data["delay"] if usable(node1, node2, data) else None)
 
-    def routable(self, min_bandwidth: float = 0.0) -> nx.Graph:
-        """The substrate restricted to links that are up and have at
-        least ``min_bandwidth`` residual: what any path search runs on.
-        Nodes left without a link are not in it."""
-        if min_bandwidth <= 0 and not self._down_edges:
-            return self.graph
-        return self.graph.edge_subgraph(
-            (a, b) for a, b, data in self.graph.edges(data=True)
-            if frozenset((a, b)) not in self._down_edges
-            and (min_bandwidth <= 0 or data["bandwidth"] is None
-                 or data["bandwidth"] - data["bw_used"]
-                 >= min_bandwidth - 1e-9))
+    def routable(self, min_bandwidth: float = 0.0) -> Callable[..., bool]:
+        """What any path search may cross, as a predicate over
+        ``(node1, node2, edge attributes)``: links that are up and have
+        at least ``min_bandwidth`` residual.  A search asks it of the
+        edges it relaxes and gives the others no weight."""
+        down = self._down_edges
+        floor = min_bandwidth - 1e-9
+
+        def usable(node1: str, node2: str, data: dict) -> bool:
+            if down and frozenset((node1, node2)) in down:
+                return False
+            return (min_bandwidth <= 0 or data["bandwidth"] is None
+                    or data["bandwidth"] - data["bw_used"] >= floor)
+        return usable
 
     def _hairpin(self, node: str,
                  min_bandwidth: float = 0.0) -> Optional[List[str]]:
+        if node not in self.graph:
+            return None
+        # the hairpin crosses the link twice, so twice the bandwidth
+        # must be free on it
+        usable = self.routable(2 * min_bandwidth)
         best = None
         best_delay = None
         for neighbor in self.graph.neighbors(node):
-            if self.kind(neighbor) != self.SWITCH:
+            data = self.graph.edges[node, neighbor]
+            if self.kind(neighbor) != self.SWITCH \
+                    or not usable(node, neighbor, data):
                 continue
-            if frozenset((node, neighbor)) in self._down_edges:
-                continue
-            # the hairpin crosses the link twice, so twice the bandwidth
-            # must be free on it
-            if min_bandwidth > 0 and self.link_free_bandwidth(
-                    node, neighbor) < 2 * min_bandwidth - 1e-9:
-                continue
-            delay = self.graph.edges[node, neighbor]["delay"]
-            if best_delay is None or delay < best_delay:
-                best, best_delay = neighbor, delay
+            if best_delay is None or data["delay"] < best_delay:
+                best, best_delay = neighbor, data["delay"]
         if best is None:
             return None
         return [node, best, node]

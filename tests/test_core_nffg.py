@@ -144,6 +144,25 @@ class TestResourceView:
         view.add_sap("island")
         assert view.shortest_path("h1", "island") is None
 
+    @pytest.mark.parametrize("src,dst", [("h1", "nope"), ("nope", "h1"),
+                                         ("nope", "nope")])
+    @pytest.mark.parametrize("floor", [0.0, 1e6])
+    def test_unknown_endpoint_returns_none(self, src, dst, floor):
+        assert self._view().shortest_path(src, dst, floor) is None
+
+    def test_link_to_undeclared_node_rejected(self):
+        view = self._view()
+        view.shortest_path("h1", "h2")
+        for ends in (("h1", "ghost"), ("ghost", "h1")):
+            with pytest.raises(ValueError, match="ghost"):
+                view.add_link(*ends)
+        assert "ghost" not in view.graph
+        assert view.graph.number_of_edges() == 4
+        assert view._paths    # nothing changed, so nothing was forgotten
+        assert view.saps() == ["h1", "h2"]
+        assert view.switches() == ["s1", "s2"]
+        assert view.containers() == ["nc1"]
+
     def test_copy_is_independent(self):
         view = self._view()
         clone = view.copy()
