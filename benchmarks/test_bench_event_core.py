@@ -14,17 +14,27 @@ rewrite worth doing:
 * re-arming a :class:`Wakeup` (the hot operation of the rated pull
   path) stays O(1) amortized instead of heap cancel/push churn;
 * a datagram crossing the demo chain costs a bounded number of Python
-  calls: the per-hop path stays one call per layer per hop.
+  calls: the per-hop path stays one call per layer per hop;
+* the dataplane parses a frame once, not once per hop, and keeps no
+  frame longer than the bounded table of known frames does.
 """
 
+import gc
+import random
+import resource
 import struct
 import sys
+import types
 
 import pytest
 
 from benchmarks.helpers import chain_sg, started_escape
 from repro.click import Router
-from repro.sim import Simulator, Wakeup
+from repro.core import ESCAPE
+from repro.openflow import match as match_module, switch as switch_module
+from repro.scenario.workload import build_chain_requests
+from repro.scenario.zoo import FatTreeTopo
+from repro.sim import KnownFrames, Simulator, Wakeup
 
 IDLE_SIM_SECONDS = 100.0
 
@@ -129,21 +139,23 @@ def test_busy_pipeline_events_track_packets(benchmark):
 
 #: Python-level calls per delivered datagram on the two-switch demo chain
 #: (h1 - s1 - VNF - s1 - s2 - h2: five links, three switch passes, one
-#: four-element Click graph).  Measured 78 / 57 on CPython 3.11 and 3.12
-#: when the per-hop path was flattened (168 / 102 before).  The headroom
-#: is for interpreters that count the control plane's heartbeats
-#: (comprehensions, generators) differently, and for one more thin call
-#: per hop - not for a second one.
-CALL_BUDGET = {"send_udp": 110, "start_udp_flow": 80}
+#: four-element Click graph).  Measured 67 / 51 on CPython 3.11 with one
+#: parse per datagram and the switch pass calling neither
+#: ``FlowTable.expire`` nor ``FlowEntry.note_hit`` (79 / 57 with a parse
+#: per pass; 168 / 102 before the per-hop path was flattened).  The
+#: headroom is for interpreters that count the control plane's
+#: heartbeats (comprehensions, generators) differently, and for one more
+#: thin call per hop - not for a second one.
+CALL_BUDGET = {"send_udp": 98, "start_udp_flow": 74}
 
 
 @pytest.mark.parametrize("source", sorted(CALL_BUDGET))
 def test_calls_per_datagram_stay_in_budget(benchmark, source):
     """Counts ``call`` events with ``sys.setprofile`` while 2,000
     datagrams cross the chain: distinct payloads on 64 flows through
-    ``Host.send_udp`` (every switch pass misses the exact-frame memo),
-    or one ``Host.start_udp_flow`` of identical frames.  Deterministic;
-    a count, not a speed."""
+    ``Host.send_udp`` (every frame is a new object, parsed once), or
+    one ``Host.start_udp_flow`` replaying one frame object.
+    Deterministic; a count, not a speed."""
     datagrams, rate = 2000, 5000.0
     escape = started_escape()
     escape.deploy_service(chain_sg(1))
@@ -185,3 +197,108 @@ def test_calls_per_datagram_stay_in_budget(benchmark, source):
     per_datagram = calls[0] / datagrams
     benchmark.extra_info["calls_per_datagram"] = per_datagram
     assert per_datagram <= CALL_BUDGET[source]
+
+
+
+def _reachable_frames(root, marker):
+    """``bytes`` objects holding ``marker`` behind a header, reachable
+    from ``root`` through instance data (bytes are not gc-tracked, so
+    they are found from what refers to them)."""
+    skip = (type, types.ModuleType, types.FunctionType, types.CodeType)
+    seen, frames, stack = {id(root)}, 0, [root]
+    while stack:
+        for referent in gc.get_referents(stack.pop()):
+            if id(referent) in seen or isinstance(referent, skip):
+                continue
+            seen.add(id(referent))
+            if type(referent) is bytes:
+                frames += marker in referent[14:]
+            else:
+                stack.append(referent)
+    return frames
+
+
+def test_dataplane_retains_no_frames(benchmark, monkeypatch):
+    """Twenty ``fattree_vnf_mix`` segments' worth of distinct datagrams
+    (10,240 after a warm-up; eight chains over four templates on the
+    k=4 fat-tree, payloads 64-1400 bytes).  The frames still reachable
+    from the emulation afterwards - switches, hosts, the table of known
+    frames - number at most the table's cap, whatever was sent, and
+    ``flow_key`` ran about once per datagram, not once per hop (6.25
+    with a parse per pass).  Exact counts; the resident-memory growth is
+    reported (the exact-frame memos grew it by 19 MB here) and only
+    loosely guarded."""
+    segments, per_segment, rate = 20, 512, 4000.0
+    marker, sizes = b"retained?", (64, 64, 512, 1400)
+    rng = random.Random(20)
+    topo = FatTreeTopo(k=4, containers_per_pod=2, container_ports=6)
+    requests = build_chain_requests(
+        topo, {"templates": ["web", "bump", "secure", "shaped"],
+               "count": 8}, None, rng)
+    escape = ESCAPE.from_topology(topo)
+    escape.start()
+    escape.net.static_arp()
+    for request in requests:
+        assert escape.deploy_service(request["sg"]).active
+    sim, net = escape.sim, escape.net
+    filler = rng.randbytes(max(sizes))
+    delivered = [0]
+
+    def receive(_srcip, _sport, payload):
+        delivered[0] += payload.startswith(marker)
+
+    for request in requests:
+        net.get(request["dst"]).bind_udp(47000, receive)
+    parses = [0]
+
+    def counted(data, flow_key=match_module.flow_key):
+        parses[0] += 1
+        return flow_key(data)
+
+    monkeypatch.setattr(switch_module, "flow_key", counted)
+    monkeypatch.setattr(match_module, "flow_key", counted)
+
+    def send(index, last):
+        request = requests[index % len(requests)]
+        payload = (marker + struct.pack("!Id", index, sim.now)
+                   + filler)[:sizes[index % len(sizes)]]
+        net.get(request["src"]).send_udp(
+            net.get(request["dst"]).ip, 47000, payload,
+            40000 + index // len(requests) % 32)
+        if index + 1 < last:
+            sim.schedule(1.0 / rate, send, index + 1, last)
+
+    def segment(first, count):
+        send(first, first + count)
+        escape.run(count / rate + 0.05)
+
+    def peak_rss_mb():
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+    segment(0, per_segment // 4)  # warm-up, as the ladder's
+    assert delivered[0] == per_segment // 4
+    warm, delivered[0], parses[0] = peak_rss_mb(), 0, 0
+    offered = segments * per_segment
+
+    def run():
+        for index in range(segments):
+            segment(per_segment // 4 + index * per_segment, per_segment)
+
+    benchmark.pedantic(run, rounds=1, iterations=1)
+    assert delivered[0] == offered >= 10000
+    retained = _reachable_frames(escape, marker)
+    growth = peak_rss_mb() - warm
+    benchmark.extra_info.update(
+        retained_frames=retained, rss_growth_mb=round(growth, 2),
+        parses_per_datagram=parses[0] / offered,
+        table_resets=sim.frames.resets)
+    assert len(sim.frames) <= KnownFrames.CAP
+    assert 0 < retained <= KnownFrames.CAP
+    assert not any(hasattr(node, name) for name in
+                   ("_microflow", "_udp_rx_cache")
+                   for node in net.hosts() + [switch.datapath for switch
+                                              in net.switches()])
+    assert 1.0 <= parses[0] / offered <= 1.1
+    assert growth <= 8.0
+    escape.stop()
+    assert _reachable_frames(escape, marker) == 0

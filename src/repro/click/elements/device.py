@@ -33,14 +33,17 @@ class Device:
         self.tx_packets = 0
         self.rx_bytes = 0
         self.tx_bytes = 0
+        self.rx_dropped = 0
         self.tx_dropped = 0
 
     def deliver(self, data: bytes) -> None:
         """Called by the container when a frame arrives for the VNF."""
+        if self.receiver is None:  # no FromDevice reads this interface
+            self.rx_dropped += 1
+            return
         self.rx_packets += 1
         self.rx_bytes += len(data)
-        if self.receiver is not None:
-            self.receiver(data)
+        self.receiver(data)
 
     def send(self, data: bytes) -> None:
         """Called by the VNF (ToDevice) to transmit a frame."""

@@ -213,6 +213,10 @@ class ESCAPE:
             total("group_flip_count"))
         registry.gauge("openflow.switch.group_entries").set(
             sum(len(dp.groups) for dp in datapaths))
+        frames = self.sim.frames
+        for name in ("parsed", "known", "resets"):
+            registry.gauge("dataplane.frames." + name).set(
+                getattr(frames, name))
         link_stats = self.net.link_stats()
         registry.gauge("netem.link.delivered").set(
             link_stats["delivered"])
@@ -359,6 +363,7 @@ class ESCAPE:
         if chains:
             self.net.run(0.01)  # let the teardown flow-mods land
         self.net.stop()
+        self.sim.frames.clear()
         self.started = False
 
     def run(self, duration: float) -> None:

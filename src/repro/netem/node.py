@@ -77,7 +77,6 @@ class Host(Node):
     """
 
     ARP_TIMEOUT = 1.0  # seconds before a pending ARP resolution drops
-    RX_CACHE_CAP = 1024  # memoized parses of byte-identical datagrams
 
     def __init__(self, name: str, sim: Simulator,
                  ip: Union[str, IPAddr], mac: Union[str, EthAddr],
@@ -95,10 +94,8 @@ class Host(Node):
         self._pings: Dict[int, PendingPing] = {}
         self._next_ping_id = 1
         self._captures: List = []
-        # rx front tier: constant-rate flows deliver byte-identical
-        # frames, so what the one-pass parse found is memoized per wire
-        # image (DESIGN.md "Per-hop path and host datagram codec")
-        self._udp_rx_cache: Dict[bytes, tuple] = {}
+        self.arp_dropped = 0  # frames queued behind an unanswered request
+        self._frames = sim.frames  # slot 2: (interface, *its datagram)
 
     # -- convenience accessors ------------------------------------------------
 
@@ -144,30 +141,35 @@ class Host(Node):
         self.sim.schedule(self.ARP_TIMEOUT, self._arp_expire, target)
 
     def _arp_expire(self, target: IPAddr) -> None:
-        self._arp_pending.pop(target, None)
+        unsent = len(self._arp_pending.pop(target, ()))
+        if unsent:
+            self.arp_dropped += unsent
+            self.sim.telemetry.events.warn(
+                "netem.host", "arp.timeout", "%s: %s" % (self.name, target),
+                host=self.name, target=str(target), frames=unsent)
 
     # -- receive path ---------------------------------------------------------
 
     def _receive(self, intf: Interface, data: bytes) -> None:
         # Fast path, for what one struct pass can recognise: a plain UDP
-        # datagram to this interface's own MAC and IP.  Captures want
-        # frame objects, and the memo (keyed on the bytes alone) is only
-        # sound single-homed.  Everything else takes the object codec.
+        # datagram to this interface's own MAC and IP; the known frame
+        # keeps it for a replay of the same object.  Captures want frame
+        # objects.  Everything else takes the object codec.
         if not self._captures and intf.ip is not None:
-            memo = self._udp_rx_cache
-            found = memo.get(data) if len(self.interfaces) == 1 else None
-            if found is None:
-                parsed = unpack_udp_frame(data, intf.mac.raw,
-                                          intf.ip.to_int())
-                if parsed is not None:
-                    srcip, srcport, dstport, payload = parsed
-                    found = (IPAddr(srcip), srcport, dstport, payload,
-                             payload.startswith(PROBE_MAGIC))
-                    if len(memo) >= self.RX_CACHE_CAP:
-                        memo.clear()
-                    memo[data] = found
-            if found is not None:
-                self._deliver_udp(*found)
+            frames = self._frames
+            record = frames.get(id(data)) or frames.admit(data)
+            view = record[2]
+            if view is not None and view[0] is intf:
+                frames.known += 1
+                self._deliver_udp(*view[1:])
+                return
+            frames.parsed += 1
+            parsed = unpack_udp_frame(data, intf.mac.raw, intf.ip.to_int())
+            if parsed is not None:
+                srcip, srcport, dstport, payload = parsed
+                view = record[2] = (intf, IPAddr(srcip), srcport, dstport,
+                                    payload, payload.startswith(PROBE_MAGIC))
+                self._deliver_udp(*view[1:])
                 return
         try:
             frame = Ethernet.unpack(data)

@@ -141,11 +141,14 @@ class FlowTable:
 
     # -- lookup ---------------------------------------------------------------
 
-    def lookup(self, packet, in_port: int, now: float) -> Optional[FlowEntry]:
+    def lookup(self, packet, in_port: int, now: float,
+               fields: Optional[tuple] = None) -> Optional[FlowEntry]:
         """Highest-priority matching, non-expired entry (hit counters
-        updated by the caller via :meth:`FlowEntry.note_hit`)."""
+        updated by the caller, see :meth:`FlowEntry.note_hit`).
+        ``fields`` is ``flow_key(packet)`` from a caller that has it."""
         self.expire(now)
-        concrete = Match.from_packet(packet, in_port)
+        concrete = (Match.from_packet(packet, in_port) if fields is None
+                    else Match(in_port, *fields))
         for entry in self.entries:
             if entry.match.matches(concrete):
                 return entry

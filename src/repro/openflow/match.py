@@ -26,10 +26,11 @@ def flow_key(data: bytes) -> tuple:
     """The OF 1.0 fields of a frame, ``MATCH_FIELDS[1:]`` in order, read
     in one ``struct`` pass: MACs as 6 raw bytes, addresses as ints.
 
-    This is the single definition of what the datapath can see.  It
-    accepts exactly what the :mod:`repro.packet` classes parse: a layer
-    they would leave as raw bytes (truncated, bad IPv4 version / IHL /
-    length / header checksum, bad UDP or TCP length, bad ICMP checksum,
+    This is the single definition of what the datapath can see, run once
+    per frame object: ``Simulator.frames`` keeps the result.  It accepts
+    exactly what the :mod:`repro.packet` classes parse: a layer they
+    would leave as raw bytes (truncated, bad IPv4 version / IHL / length
+    / header checksum, bad UDP or TCP length, bad ICMP checksum,
     non-Ethernet/IPv4 ARP) leaves its fields ``None``.  As there, only
     the outermost 802.1Q tag sets ``dl_vlan``/``dl_type`` while stacked
     tags are still skipped to reach the network layer.  Raises

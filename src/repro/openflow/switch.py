@@ -85,7 +85,7 @@ class OpenFlowSwitch:
     """
 
     EXPIRY_INTERVAL = 0.5  # seconds between timeout sweeps
-    MICROFLOW_CAP = 4096  # entries per flow-cache tier before a reset
+    MICROFLOW_CAP = 4096  # flow-cache entries before a reset
 
     def __init__(self, sim: Simulator, dpid: int, name: str = "",
                  n_buffers: int = 256, miss_send_len: int = 128):
@@ -112,16 +112,13 @@ class OpenFlowSwitch:
         self.table_hit_count = 0
         self.table_miss_count = 0
         self.microflow_hit_count = 0
-        # Flow cache, two tiers (DESIGN.md "Switch flow cache").  The
-        # datapath is a pure function of in_port, the header fields the
-        # installed matches examine, the group table and port liveness:
-        # _flows maps (in_port, those fields) -> (entry, rewrite
-        # actions, out_ports), and _microflow memoizes its verdicts per
-        # exact (in_port, frame bytes) -> (entry, wire, out_ports) so a
-        # repeated frame costs one dict probe.  Any table mutation bumps
-        # table.version; that, a GroupMod or a port flip flushes both.
+        # Flow cache (DESIGN.md "Switch flow cache").  The datapath is a
+        # pure function of in_port, the header fields the installed
+        # matches examine, the group table and port liveness: _flows
+        # maps (in_port, those fields) -> (entry, rewrites, out_ports),
+        # flushed by a table mutation (table.version), GroupMod or port flip
         self._flows: Dict[tuple, tuple] = {}
-        self._microflow: Dict[tuple, tuple] = {}
+        self._frames = sim.frames  # slot 1: flow_key fields, parsed once
         self._flush_caches()
         # flowtrace handle bound once; the disabled path is one
         # attribute check per frame
@@ -210,52 +207,59 @@ class OpenFlowSwitch:
     # -- datapath -------------------------------------------------------------
 
     def process_packet(self, in_port: int, data: bytes) -> None:
-        """Run one frame through the flow table."""
+        """Run one frame through the flow table: fields from the known
+        frames (parsed here if no hop has yet), verdict from the cache."""
         flowtrace = self._flowtrace
         if flowtrace.enabled:
-            # recorded ahead of the pipeline so microflow hits are
+            # recorded ahead of the pipeline so flow-cache hits are
             # postcarded too — the conformance checker needs every
             # switch a sampled packet visits
             flowtrace.record("switch", self.name, self.sim.now, data,
                              dpid=self.dpid)
         now = self.sim.now
-        # expire() early-exits on a float compare until something
-        # can actually time out; removals bump table.version which
-        # flushes the caches below.
-        self.table.expire(now)
-        if self._cache_version != self.table.version:
+        table = self.table
+        if now >= table._next_expiry:
+            table.expire(now)  # removals bump table.version: a flush below
+        if self._cache_version != table.version:
             self._flush_caches()
-        cached = self._microflow.get((in_port, data))
-        if cached is not None:
-            entry, wire, out_ports = cached
-            self.microflow_hit_count += 1
+        frames = self._frames
+        record = frames.get(id(data)) or frames.admit(data)
+        fields = record[1]
+        if fields is not None:
+            frames.known += 1
         else:
+            frames.parsed += 1
             try:
-                key = (in_port, self._examined(flow_key(data)))
+                fields = record[1] = flow_key(data)
             except PacketError:  # runt frame: nothing to match on
                 self.dropped_count += 1
                 return
-            verdict = self._flows.get(key)
-            if verdict is not None:
-                self.microflow_hit_count += 1
-            else:
-                entry = self.table.lookup(data, in_port, now)
-                if entry is None:
-                    self.table_miss_count += 1
-                    self._table_miss(in_port, data)
-                    return
-                verdict = (entry,) + self._compile(entry.actions)
-                if len(self._flows) >= self.MICROFLOW_CAP:
-                    self._flows.clear()
-                self._flows[key] = verdict
-            entry, rewrites, out_ports = verdict
-            wire = self._rewrite(rewrites, data) if out_ports else None
-            if len(self._microflow) >= self.MICROFLOW_CAP:
-                self._microflow.clear()
-            self._microflow[(in_port, data)] = (entry, wire, out_ports)
+        key = (in_port, self._examined(fields))
+        verdict = self._flows.get(key)
+        if verdict is not None:
+            self.microflow_hit_count += 1
+        else:
+            entry = table.lookup(data, in_port, now, fields)
+            if entry is None:
+                self.table_miss_count += 1
+                if self.channel is None or not self.channel.connected:
+                    self.dropped_count += 1
+                else:
+                    self._send_packet_in(in_port, data,
+                                         msg.PacketIn.REASON_NO_MATCH)
+                return
+            verdict = (entry,) + self._compile(entry.actions)
+            if len(self._flows) >= self.MICROFLOW_CAP:
+                self._flows.clear()
+            self._flows[key] = verdict
+        entry, rewrites, out_ports = verdict
         self.table_hit_count += 1
-        entry.note_hit(len(data), now)
-        if wire is None:
+        entry.packet_count += 1  # FlowEntry.note_hit, in place
+        entry.byte_count += len(data)
+        entry.last_used = now
+        wire = (self._rewrite(rewrites, data) if rewrites and out_ports
+                else data)
+        if wire is None or not out_ports:
             self.dropped_count += 1
             return
         ports = self.ports
@@ -271,10 +275,9 @@ class OpenFlowSwitch:
             port.transmit(wire)
 
     def _flush_caches(self) -> None:
-        """Empty both cache tiers and re-derive the key mask: the fields
+        """Empty the flow cache and re-derive the key mask: the fields
         some installed match examines (in_port is always in the key)."""
         self._flows.clear()
-        self._microflow.clear()
         self._cache_version = self.table.version
         examined = [index for index, field in enumerate(MATCH_FIELDS[1:])
                     if any(getattr(entry.match, field) is not None
@@ -383,12 +386,6 @@ class OpenFlowSwitch:
             return
         port.send(data)
         self.forwarded_count += 1
-
-    def _table_miss(self, in_port: int, data: bytes) -> None:
-        if self.channel is None or not self.channel.connected:
-            self.dropped_count += 1
-            return
-        self._send_packet_in(in_port, data, msg.PacketIn.REASON_NO_MATCH)
 
     def _send_packet_in(self, in_port: int, data: bytes,
                         reason: int) -> None:

@@ -16,13 +16,17 @@ The API is intentionally small:
 * :class:`Signal` — a one-shot wakeup primitive processes can wait on.
 * :class:`Wakeup` — a re-armable timer for recurring consumers
   (event-driven pull drivers sleep/wake through one of these).
+* :class:`KnownFrames` — ``Simulator.frames``, what the dataplane has
+  already parsed of the frames in flight.
 """
 
-from repro.sim.core import (Event, Process, Signal, SimulationError,
-                            Simulator, Wakeup, classify_callback)
+from repro.sim.core import (Event, KnownFrames, Process, Signal,
+                            SimulationError, Simulator, Wakeup,
+                            classify_callback)
 
 __all__ = [
     "Event",
+    "KnownFrames",
     "Process",
     "Signal",
     "SimulationError",

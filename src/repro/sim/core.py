@@ -308,6 +308,46 @@ class Process:
         return "Process(%s, %s)" % (self.name, state)
 
 
+class KnownFrames(dict):
+    """What the dataplane already knows about the frames in flight:
+    ``id(frame) -> [frame, flow_key fields or None, host view or None]``.
+
+    A frame is plain ``bytes`` at every interface and the same object
+    from hop to hop, so whoever parses it first leaves the result here
+    and every later hop finds it with one probe by identity.  The record
+    holds the frame, so its ``id`` cannot be handed to another object
+    while the record lives: a probe that finds a record has found this
+    frame.  An action or element that rewrites a header makes a new
+    object, which nobody knows yet - there is nothing to invalidate.
+    Only exact ``bytes`` are remembered (a mutable buffer could change
+    under its record); the table is cleared when it holds :attr:`CAP`
+    records - frames then in flight are parsed once more - and is never
+    iterated, so no ``id`` reaches an output.  Slots are filled by their
+    readers: 1 by ``OpenFlowSwitch.process_packet``, 2 by
+    ``Host._receive``.  DESIGN.md "Switch flow cache".
+    """
+
+    __slots__ = ("parsed", "known", "resets")
+
+    CAP = 1024  # records; sized to what is in flight, not to a working set
+
+    def __init__(self):
+        super().__init__()
+        # plain ints, pulled by ESCAPE._collect_metrics: times a hop ran
+        # its parser, times it found the slot filled, clears at the cap
+        self.parsed = self.known = self.resets = 0
+
+    def admit(self, frame) -> list:
+        """A fresh record for ``frame``, remembered if it is ``bytes``."""
+        record = [frame, None, None]
+        if type(frame) is bytes:
+            if len(self) >= self.CAP:
+                self.clear()
+                self.resets += 1
+            self[id(frame)] = record
+        return record
+
+
 class Simulator:
     """Deterministic discrete-event loop with a floating-point clock.
 
@@ -346,6 +386,8 @@ class Simulator:
         # classify_callback) — the roots of the framework's flamegraph
         self.telemetry = Telemetry(self)
         self._kinds: Dict[Any, str] = {}
+        # likewise the emulation's one table of parsed frames
+        self.frames = KnownFrames()
 
     # -- scheduling ------------------------------------------------------
 

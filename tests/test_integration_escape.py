@@ -1,8 +1,13 @@
 """End-to-end tests: the five demo steps of the paper, plus failure
 paths, teardown and multi-chain coexistence."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.core import ESCAPE, MappingError, OrchestratorError
 from repro.core.nffg import ServiceGraph
 from repro.core.sgfile import load_service_graph, load_topology
@@ -487,6 +492,35 @@ class TestInstanceIsolation:
         first.stop()
         second.stop()
 
+    def test_known_frames_belong_to_one_instance(self):
+        first = ESCAPE.from_topology(load_topology(TOPOLOGY))
+        second = ESCAPE.from_topology(load_topology(TOPOLOGY))
+        for escape in (first, second):
+            escape.start()
+            escape.net.static_arp()
+        assert first.sim.frames is not second.sim.frames
+        h1, h2 = first.net.get("h1"), first.net.get("h2")
+        for index in range(20):
+            h1.send_udp(h2.ip, 7000, b"datagram %d" % index)
+        first.run(0.5)
+        second.run(0.5)
+        assert h2.udp_rx_count == 20
+        mine, other = first.sim.frames, second.sim.frames
+        # two emulations that did the same control work differ by the
+        # traffic of one: per datagram a parse by the first switch and
+        # one by the host for its own view, while the second switch
+        # found the frame known
+        assert (len(mine), mine.parsed, mine.known) \
+            == (len(other) + 20, other.parsed + 40, other.known + 20)
+        for escape, table in ((first, mine), (second, other)):
+            snapshot = escape.metrics_snapshot()
+            assert [snapshot["dataplane.frames." + name]["value"]
+                    for name in ("parsed", "known", "resets")] \
+                == [table.parsed, table.known, 0]
+        first.stop()
+        assert len(first.sim.frames) == 0  # no frame outlives stop()
+        second.stop()
+
     def test_rebuilt_instances_start_clean(self):
         for _round in range(3):
             escape = ESCAPE.from_topology(load_topology(TOPOLOGY))
@@ -508,3 +542,64 @@ class TestInstanceIsolation:
             assert escape.sim.run() == 0
             escape.stop()  # idempotent
             assert escape.sim.pending == 0
+
+
+_KNOWN_FRAMES_SCENARIO = """
+import struct
+from repro.core import ESCAPE
+from repro.core.sgfile import load_topology
+from repro.sim import KnownFrames
+
+TOPOLOGY = %r
+KnownFrames.CAP = 16   # far fewer than are in flight: forgotten mid-path
+escape = ESCAPE.from_topology(load_topology(TOPOLOGY))
+escape.start()
+escape.deploy_service({"name": "c", "saps": ["h1", "h2"],
+                       "vnfs": [{"name": "v0", "type": "forwarder"}],
+                       "chain": ["h1", "v0", "h2"]})
+sim, h1, h2 = escape.sim, escape.net.get("h1"), escape.net.get("h2")
+h2.bind_udp(7000, lambda srcip, sport, payload: print(
+    "rx", repr(sim.now), sport, len(payload)))
+h1.send_udp(h2.ip, 7000, b"resolve ARP first")
+escape.run(0.5)
+for index in range(300):
+    sim.schedule(index / 5000.0, h1.send_udp, h2.ip, 7000,
+                 struct.pack("!I", index).ljust(64 + index %% 7, b"."),
+                 40000 + index %% 16)
+h1.start_udp_flow(h2.ip, 7000, rate_pps=2000.0, duration=0.05,
+                  payload_size=100, sport=50000)
+escape.run(0.5)
+for switch in escape.net.switches():
+    datapath = switch.datapath
+    print(switch.name, datapath.table_hit_count, datapath.table_miss_count,
+          datapath.microflow_hit_count, datapath.packet_in_count,
+          datapath.forwarded_count, datapath.dropped_count)
+frames = sim.frames
+print("frames", frames.parsed, frames.known, frames.resets, len(frames))
+print("sim", sim.processed, h2.udp_rx_count, h2.udp_rx_bytes)
+escape.stop()
+print("stopped", len(frames), sim.pending)
+"""
+
+
+def test_known_frames_leave_no_trace_of_their_ids():
+    """The table is keyed by ``id()``, which differs from process to
+    process; nothing a run prints or counts may."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+
+    def run(hash_seed):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        return subprocess.run(
+            [sys.executable, "-c", _KNOWN_FRAMES_SCENARIO % (TOPOLOGY,)],
+            env=env, check=True, capture_output=True,
+            text=True).stdout.splitlines()
+
+    first, second = run("1"), run("2")
+    assert first == second
+    assert len([line for line in first if line.startswith("rx")]) == 401
+    parsed, known, resets, held = map(int, first[-3].split()[1:])
+    assert resets > 20 and held <= 16
+    # 400 frames, 3 switch passes and a host each: with 16 records for
+    # twice as many frames in flight most hops find theirs forgotten
+    assert parsed > 800 and known > 100
+    assert first[-1] == "stopped 0 0"

@@ -453,6 +453,10 @@ class TestPortCounters:
                 "in0 rx": process.devices["in0"].rx_packets,
                 "out0 tx": process.devices["out0"].tx_packets,
                 "out0 tx_dropped": process.devices["out0"].tx_dropped,
+                "s1>out0 tx": from_vnf.tx_packets,
+                "nc1 out rx": nc_out.rx_packets,
+                "out0 rx": process.devices["out0"].rx_packets,
+                "out0 rx_dropped": process.devices["out0"].rx_dropped,
                 "nc1 out tx": nc_out.tx_packets,
                 "s1<vnf rx": from_vnf.rx_packets,
                 "s1>s2 tx": to_s2.tx_packets,
@@ -470,6 +474,10 @@ class TestPortCounters:
         sim.schedule(0.050, s2.datapath.set_port_up, to_h2.port_no, False)
         sim.schedule(0.070, s2.datapath.set_port_up, to_h2.port_no, True)
         sim.schedule(0.080, nc1.disconnect_vnf, process.vnf_id, "out0")
+        # what a discovery round or an ARP flood does: frames out of the
+        # port facing the VNF's output side, which no FromDevice reads
+        for index in range(3):
+            sim.schedule(0.010 * index, from_vnf.send, b"flooded %d" % index)
         escape.run(0.5)
         after = counters()
         moved = {hop: after[hop] - before[hop] for hop in before}
@@ -489,6 +497,22 @@ class TestPortCounters:
             assert moved[hop] == moved["out0 tx"], hop
         assert moved["s2>h2 tx"] == moved["s2<s1 rx"] - dead_out
         assert moved["h2 rx"] == moved["h2 udp"] == moved["s2>h2 tx"]
+        # the other way: nobody reads out0, and the device says so
+        assert moved["s1>out0 tx"] == moved["nc1 out rx"] == 3
+        assert (moved["out0 rx"], moved["out0 rx_dropped"]) == (0, 3)
+
+        # datagrams queued behind an ARP request that nobody answers
+        sent = h1.default_interface().tx_packets
+        for index in range(3):
+            h1.send_udp("10.0.0.99", 7000, b"anybody? %d" % index)
+        assert h1.arp_dropped == 0
+        escape.run(h1.ARP_TIMEOUT + 0.1)
+        assert h1.default_interface().tx_packets == sent + 1  # the request
+        assert h1.arp_dropped == 3
+        timeout, = [event for event in escape.telemetry.events.events()
+                    if event.name == "arp.timeout"]
+        assert timeout.tags["target"] == "10.0.0.99"
+        assert timeout.tags["frames"] == 3
 
     def test_a_loose_end_counts_what_it_cannot_carry(self):
         intf = Interface("x-eth0", None, EthAddr(1))

@@ -10,9 +10,11 @@ from repro.openflow import (BarrierReply, BarrierRequest, ControllerChannel,
                             PortStatsReply, PortStatsRequest, PortStatus,
                             SetDlDst, SetTpDst, SetVlan, StripVlan,
                             OFPP_CONTROLLER, OFPP_FLOOD, OFPP_IN_PORT)
+from repro.openflow import match as match_module, switch as switch_module
 from repro.openflow.actions import apply_actions
+from repro.openflow.match import flow_key
 from repro.packet import Ethernet, IPv4, UDP
-from repro.sim import Simulator
+from repro.sim import KnownFrames, Simulator
 
 
 def frame_bytes(dst="00:00:00:00:00:02", src="00:00:00:00:00:01",
@@ -387,13 +389,160 @@ class TestFlowCache:
         assert [len(harness.sent[n]) for n in (2, 3)] == [2, 1]
 
     def test_tiers_are_capped(self):
-        harness = self.harness(FlowMod(Match(tp_src=1), [Output(2)]))
+        harness = self.harness(FlowMod(Match(nw_dst="10.0.0.0/24"),
+                                       [Output(2)]))
         switch = harness.switch
         switch.MICROFLOW_CAP = 4
         for index in range(10):
-            switch.ports[1].receive(frame_bytes(payload=b"%d" % index))
-        assert len(switch._microflow) <= 4 and len(switch._flows) == 1
+            switch.ports[1].receive(frame_bytes(dstip="10.0.0.%d" % index))
+            assert 1 <= len(switch._flows) <= 4
+        assert switch.microflow_hit_count == 0
         assert len(harness.sent[2]) == 10
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """Every frame ``flow_key`` is run on, wherever the datapath reaches
+    it from (the switch pass, ``Match.from_packet``)."""
+    seen = []
+
+    def counted(data):
+        seen.append(data)
+        return flow_key(data)
+
+    monkeypatch.setattr(switch_module, "flow_key", counted)
+    monkeypatch.setattr(match_module, "flow_key", counted)
+    return seen
+
+
+class TestKnownFrames:
+    """``Simulator.frames``: a frame object is parsed by the first hop
+    that needs its fields and by nobody after it."""
+
+    def pair(self):
+        """Two 3-port switches on one simulator; the first forwards
+        in_port 1 -> 2 and 2 -> 3, the second everything -> 1."""
+        first = HarnessedSwitch(ports=3)
+        second = OpenFlowSwitch(first.sim, dpid=2)
+        arrived = []
+        for number in (1, 2, 3):
+            second.add_port(number).transmit = arrived.append
+        for switch, flow_mod in (
+                (first.switch, FlowMod(Match(in_port=1), [Output(2)])),
+                (first.switch, FlowMod(Match(in_port=2), [Output(3)])),
+                (second, FlowMod(Match(dl_type=0x0800), [Output(1)]))):
+            switch._handle_controller_message(flow_mod)
+        return first, second, arrived
+
+    def test_a_header_tier_miss_parses_the_frame_once(self, parses):
+        harness = HarnessedSwitch(ports=3)
+        harness.channel.send_to_switch(
+            FlowMod(Match(nw_dst="10.0.0.2"), [Output(2)]))
+        harness.run()
+        hit, missed, other = (frame_bytes(dstip="10.0.0.%d" % host)
+                              for host in (2, 3, 4))
+        for frame in (hit, missed, missed, other):
+            harness.switch.ports[1].receive(frame)
+        harness.run()
+        # a table hit, two misses of one object, a miss of another: each
+        # object was parsed once, by the pass, not again by the look-up
+        assert [id(frame) for frame in parses] \
+            == [id(hit), id(missed), id(other)]
+        switch = harness.switch
+        assert (switch.table_hit_count, switch.table_miss_count,
+                switch.microflow_hit_count) == (1, 3, 0)
+        assert len(harness.messages(PacketIn)) == 3
+        assert harness.sent[2] == [hit]
+        entry, = switch.table.entries
+        assert (entry.packet_count, entry.byte_count) == (1, len(hit))
+
+    def test_equal_content_in_distinct_objects(self, parses):
+        first, _second, _arrived = self.pair()
+        frame = frame_bytes()
+        copy = bytes(bytearray(frame))
+        assert copy == frame and copy is not frame
+        for data in (frame, copy, frame):
+            first.switch.ports[1].receive(data)
+        # identity, not content: the copy is parsed for itself (and then
+        # finds the verdict its header fields share)
+        assert [id(data) for data in parses] == [id(frame), id(copy)]
+        assert first.switch.microflow_hit_count == 2
+        assert [id(data) for data in first.sent[2]] \
+            == [id(frame), id(copy), id(frame)]
+        frames = first.sim.frames
+        assert (frames.parsed, frames.known, len(frames)) == (2, 1, 2)
+
+    def test_one_object_at_two_ports_and_two_switches(self, parses):
+        first, second, arrived = self.pair()
+        frame = frame_bytes()
+        first.switch.ports[1].receive(frame)
+        first.switch.ports[2].receive(frame)
+        second.ports[3].receive(frame)
+        # one parse, three verdicts: what is remembered is the frame's
+        # fields, never what a switch decided about them
+        assert len(parses) == 1
+        assert (first.sent[2], first.sent[3], arrived) == ([frame],) * 3
+        assert first.sim.frames.known == 2
+
+    def test_a_rewrite_is_a_new_frame(self, parses):
+        first, second, arrived = self.pair()
+        first.switch._handle_controller_message(FlowMod(
+            Match(in_port=3), [SetVlan(7), Output(1)]))
+        second._handle_controller_message(FlowMod(
+            Match(dl_vlan=7), [StripVlan(), Output(2)], priority=0x9000))
+        frame = frame_bytes()
+        first.switch.ports[3].receive(frame)
+        tagged, = first.sent[1]
+        second.ports[1].receive(tagged)
+        assert [id(data) for data in parses] == [id(frame), id(tagged)]
+        assert flow_key(tagged)[2] == 7 and arrived == [frame]
+        assert arrived[0] is not frame
+
+    def test_only_parsed_bytes_are_remembered(self, parses):
+        first, _second, _arrived = self.pair()
+        port, frames = first.switch.ports[1], first.sim.frames
+        runt = b"\x00" * 10
+        port.receive(runt)
+        port.receive(runt)
+        # a runt is known as a frame, never as parsed
+        assert len(parses) == 2 and first.switch.dropped_count == 2
+        assert frames[id(runt)][1] is None
+        # a mutable buffer is parsed every time and never kept: what it
+        # holds when it comes back is what gets matched
+        held = len(frames)
+        buffer = bytearray(frame_bytes())
+        port.receive(buffer)
+        buffer[12:14] = b"\x08\x06"  # no longer IPv4
+        port.receive(buffer)
+        assert len(frames) == held and len(parses) == 4
+        assert flow_key(parses[-1])[3] == 0x0806
+        assert len(first.sent[2]) == 2
+
+    def test_frames_forgotten_mid_path_are_parsed_again(self, parses,
+                                                        monkeypatch):
+        sent = {}
+        for cap in (KnownFrames.CAP, 4):
+            monkeypatch.setattr(KnownFrames, "CAP", cap)
+            del parses[:]
+            first, second, arrived = self.pair()
+            offered = [frame_bytes(payload=b"%d" % index)
+                       for index in range(10)]
+            for frame in offered:  # all ten in flight between the two
+                first.switch.ports[1].receive(frame)
+            for frame in first.sent[2]:
+                second.ports[2].receive(frame)
+            sent[cap] = (first.sent[2], arrived)
+            frames = first.sim.frames
+            assert len(frames) <= cap
+            if cap == 4:
+                # the table emptied under every frame before its second
+                # hop: twenty parses for ten frames, nothing else differs
+                assert len(parses) == 20 and frames.resets == 4
+            else:
+                assert len(parses) == 10 and frames.resets == 0
+            assert [id(frame) for frame in arrived] \
+                == [id(frame) for frame in offered]
+        assert sent[4] == sent[KnownFrames.CAP]
 
 
 class TestChannel:

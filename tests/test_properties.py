@@ -1,5 +1,6 @@
 """Property-based tests (hypothesis) on the core data structures."""
 
+import functools
 import random
 import struct
 import xml.etree.ElementTree as ET
@@ -740,49 +741,104 @@ def _host_frames(draw):
 @settings(max_examples=1000, deadline=None)
 def test_host_receives_the_same_datagrams_on_either_codec(frames):
     fast, reference = _host(captured=False), _host(captured=True)
-    for frame in frames + frames[:1]:  # the repeat is a memo hit
+    # each frame as one object twice (the second finds the known frame's
+    # view) and as an equal-content copy (which nobody knows yet)
+    offered = [same for frame in frames
+               for same in (frame, frame, bytes(bytearray(frame)))]
+    for frame in offered + frames[:1]:
         for host in (fast, reference):
             host._receive(host.default_interface(), frame)
     assert fast.got == reference.got
+    assert not reference.sim.frames  # the object codec remembers nothing
     # and the parser alone never claims a frame the classes refuse
+    claimed = 0
     for frame in frames:
         parsed = unpack_udp_frame(frame, _HOST_MAC, _HOST_IP)
         if parsed is not None:
+            claimed += 1
             udp = Ethernet.unpack(frame).find(UDP)
             assert parsed[1:] == (udp.srcport, udp.dstport,
                                   udp.raw_payload())
+    # what it claims, the second delivery of the object found known
+    assert fast.sim.frames.known >= claimed
+
+
+_SECOND_MAC = bytes.fromhex("020000000011")
+_SECOND_IP = 0x0A000011
+
+
+@given(st.lists(st.tuples(_datagram, st.booleans(), st.booleans()),
+                min_size=1, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_two_interface_host_answers_per_interface(datagrams):
+    """One frame object handed to both interfaces of a multi-homed host
+    is judged against each interface's own MAC and IP - the known
+    frame's view names the interface that accepted it."""
+    fast, reference = _host(captured=False), _host(captured=True)
+    for host in (fast, reference):
+        host.add_interface(_SECOND_MAC, _SECOND_IP)
+    for payload, for_second, second_first in datagrams:
+        dl_dst, nw_dst = ((_SECOND_MAC, _SECOND_IP) if for_second
+                          else (_HOST_MAC, _HOST_IP))
+        frame = pack_udp_frame(dl_dst, _NOT_HOST_MACS[0], _PEER_IP, nw_dst,
+                               1000, 2000, payload)
+        for host in (fast, reference):
+            first, second = host.interfaces.values()
+            before = len(host.got)
+            for intf in (second, first, second) if second_first \
+                    else (first, second, first):
+                host._receive(intf, frame)
+            # accepted on its own interface (twice), refused on the other
+            assert len(host.got) == before + (
+                2 if for_second == second_first else 1)
+    assert fast.got == reference.got
 
 
 # -- cached switch vs an uncached twin --------------------------------------
 
 
 class _Twin:
-    """A 4-port switch with a (never answered) controller; every frame
-    it sends is recorded per port."""
+    """One 4-port switch - or two in series on one simulator, ports 3
+    and 4 of the first feeding ports 1 and 2 of the second - each with a
+    (never answered) controller; every frame a switch sends is recorded
+    per switch and port.  The uncached twin is the parse-every-time
+    oracle: before every frame a switch receives it forgets all flow
+    caches and all known frames."""
 
-    def __init__(self, cached):
+    def __init__(self, cached, switches=1):
         self.cached = cached
         self.sim = Simulator()
-        self.switch = OpenFlowSwitch(self.sim, dpid=1)
+        self.switches = [OpenFlowSwitch(self.sim, dpid=dpid)
+                         for dpid in range(1, switches + 1)]
         self.sent = []
-        for number in range(1, 5):
-            self.switch.add_port(number).transmit = (
-                lambda data, number=number: self.sent.append((number, data)))
-        self.switch.connect_controller(ControllerChannel(self.sim))
+        for switch in self.switches:
+            for number in range(1, 5):
+                switch.add_port(number).transmit = functools.partial(
+                    self._send, switch.dpid, number)
+            switch.connect_controller(ControllerChannel(self.sim))
 
-    def receive(self, in_port, frame):
+    def _send(self, dpid, number, data):
+        self.sent.append((dpid, number, data))
+        if dpid < len(self.switches) and number > 2:
+            self.receive(dpid, number - 2, data)
+
+    def receive(self, index, in_port, frame):
         if not self.cached:
-            self.switch._flush_caches()
-        self.switch.ports[in_port].receive(frame)
+            for switch in self.switches:
+                switch._flush_caches()
+            self.sim.frames.clear()
+        self.switches[index].ports[in_port].receive(frame)
 
     def state(self):
-        switch = self.switch
         return (self.sent,
-                [getattr(switch, name + "_count") for name in (
+                [[getattr(switch, name + "_count") for name in (
                     "table_hit", "table_miss", "dropped", "forwarded",
-                    "packet_in", "group_flip")],
-                [(entry.priority, entry.match, entry.packet_count,
-                  entry.byte_count) for entry in switch.table.entries])
+                    "packet_in", "group_flip")]
+                 for switch in self.switches],
+                [(switch.dpid, entry.priority, entry.match,
+                  entry.packet_count, entry.byte_count)
+                 for switch in self.switches
+                 for entry in switch.table.entries])
 
 
 def _twin_frames(rng):
@@ -836,18 +892,18 @@ def _twin_actions(rng):
         [Output(port), SetNwDst("10.9.9.9"), Group(1)]])
 
 
-def _twin_operation(rng, frames):
+def _twin_operation(rng, frames, switches):
     """One random step, as a function applied to both twins."""
-    kind = rng.random()
+    kind, index = rng.random(), rng.randrange(switches)
     if kind < 0.6:
         in_port, frame = rng.randint(1, 4), rng.choice(frames)
-        return lambda twin: twin.receive(in_port, frame)
+        return lambda twin: twin.receive(index, in_port, frame)
     if kind < 0.66:
         delay = rng.choice([0.1, 0.4, 0.7])
         return lambda twin: twin.sim.run(until=twin.sim.now + delay)
     if kind < 0.72:
         port, up = rng.randint(1, 4), rng.random() < 0.5
-        return lambda twin: twin.switch.set_port_up(port, up)
+        return lambda twin: twin.switches[index].set_port_up(port, up)
     if kind < 0.8:
         buckets = [GroupBucket([Output(port)], watch_port=port)
                    for port in rng.sample([1, 2, 3, 4], rng.randint(1, 3))]
@@ -862,20 +918,38 @@ def _twin_operation(rng, frames):
             priority=rng.randint(0, 4),
             idle_timeout=rng.choice([0.0, 0.0, 0.5]),
             hard_timeout=rng.choice([0.0, 0.0, 0.0, 1.0]))
-    return lambda twin: twin.switch._handle_controller_message(message)
+    return lambda twin: twin.switches[index]._handle_controller_message(
+        message)
 
 
-@given(st.integers(min_value=0, max_value=2 ** 32 - 1))
-@settings(max_examples=120, deadline=None)
-def test_cached_switch_equals_uncached_twin(seed):
-    """Both cache tiers replay exactly what the full lookup + action
-    path does, across table, group and port-state changes."""
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.sampled_from([1, 2]))
+@settings(max_examples=200, deadline=None)
+def test_cached_switch_equals_uncached_twin(seed, switches):
+    """The flow cache and the known frames replay exactly what the full
+    parse + lookup + action path does, across table, group and
+    port-state changes - on one switch, and on two in series, where the
+    second meets frame objects the first has parsed, rewritten
+    (SetVlan / StripVlan / SetNwDst) or passed on untouched."""
     rng = random.Random(seed)
     frames = _twin_frames(rng)
-    cached, uncached = _Twin(cached=True), _Twin(cached=False)
+    cached, uncached = (_Twin(cached=True, switches=switches),
+                        _Twin(cached=False, switches=switches))
+    if switches > 1:  # until a random FlowMod says otherwise, pass it on
+        for twin in (cached, uncached):
+            for flow_mod in (
+                    FlowMod(Match(), [Output(3)], priority=0),
+                    FlowMod(Match(dl_vlan=5), [StripVlan(), Output(4)],
+                            priority=1),
+                    FlowMod(Match(nw_tos=32), [SetNwDst("10.9.9.9"),
+                                               Output(3), Output(4)],
+                            priority=2)):
+                twin.switches[0]._handle_controller_message(flow_mod)
     for _ in range(rng.randint(20, 120)):
-        operation = _twin_operation(rng, frames)
+        operation = _twin_operation(rng, frames, switches)
         operation(cached)
         operation(uncached)
         assert cached.state() == uncached.state()
-    assert uncached.switch.microflow_hit_count == 0
+    assert all(switch.microflow_hit_count == 0
+               for switch in uncached.switches)
+    assert uncached.sim.frames.known == 0
