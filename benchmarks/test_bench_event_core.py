@@ -11,8 +11,8 @@ rewrite worth doing:
 * an **idle** network dispatches (almost) zero events per simulated
   second — exactly zero for a bare Click pipeline, and only the
   telemetry series sampler for a full started ESCAPE substrate;
-* re-arming a :class:`Wakeup` (the hot operation of the rated pull
-  path) stays O(1) amortized instead of heap cancel/push churn;
+* re-arming an armed :class:`Wakeup` stays O(log n) amortized - one
+  cancel, one push, and a heap that compaction keeps bounded;
 * a datagram crossing the demo chain costs a bounded number of Python
   calls: the per-hop path stays one call per layer per hop;
 * the dataplane parses a frame once, not once per hop, and keeps no
@@ -95,19 +95,22 @@ def test_idle_escape_network_event_rate(benchmark):
 
 
 def test_wakeup_rearm_cost(benchmark):
-    """Pushing an armed Wakeup's deadline later must be a lazy re-key
-    (no cancel/push churn), so the rated pull path can retarget its
-    credit instant every packet without growing the heap."""
+    """Moving an armed Wakeup's shot cancels it and schedules a fresh
+    one: however often a pull path retargets, one event stays pending
+    and compaction keeps the cancelled ones from piling up."""
     sim = Simulator()
     wakeup = Wakeup(sim, lambda: None)
     wakeup.arm(1.0)
     deadline = [sim.now + 1.0]
+    deepest = [0]
 
     def rearm():
         deadline[0] += 1e-6
         wakeup.arm_at(deadline[0])
+        deepest[0] = max(deepest[0], sim.heap_depth)
     benchmark(rearm)
     assert sim.pending == 1
+    assert deepest[0] < 2 * sim.COMPACT_MIN
 
 
 def test_busy_pipeline_events_track_packets(benchmark):

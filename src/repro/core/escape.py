@@ -57,16 +57,12 @@ class ESCAPE:
                  discovery_interval: float = 1.0,
                  control_network: str = "outband",
                  of_wire: bool = False,
-                 sla_autostart: bool = True,
                  protection: bool = False):
         self.net = net
         # proactive chain protection: precomputed backup paths behind
         # fast-failover groups (requires exact steering; see
         # Orchestrator)
         self.protection = protection
-        # chains deployed with NFFG requirements get an SLAMonitor
-        # automatically (see deploy_service); opt out per instance
-        self.sla_autostart = sla_autostart
         net.serialize_openflow = of_wire
         self.sim: Simulator = net.sim
         # one telemetry bundle per emulation, owned by the simulator:
@@ -181,7 +177,6 @@ class ESCAPE:
         self.telemetry.metrics.add_collector(self._collect_metrics)
         # time-series sampler: a recurring sim event sweeping every
         # metric into its history ring (powers `series` / rate queries)
-        self.series_interval = self.SERIES_INTERVAL
         self._series_event = None
         self.started = False
 
@@ -286,11 +281,10 @@ class ESCAPE:
         self.net.run(settle if settle is not None else self.STARTUP_SETTLE)
         # the OF handshake must complete before guards/steering can be
         # installed, whatever settle the caller picked
-        deadline = self.sim.now + 5.0
-        while len(self.nexus.connections) < len(self.net.switches()):
-            if self.sim.peek() is None or self.sim.now > deadline:
-                raise RuntimeError("OpenFlow handshake did not complete")
-            self.sim.step()
+        switches = len(self.net.switches())
+        if not self.sim.wait(
+                lambda: len(self.nexus.connections) >= switches, 5.0):
+            raise RuntimeError("OpenFlow handshake did not complete")
         for client in self.netconf_clients.values():
             client.wait_connected()
         self._install_container_port_guards()
@@ -306,11 +300,11 @@ class ESCAPE:
 
         def sample() -> None:
             self.telemetry.metrics.sample()
-            self._series_event = self.sim.schedule(self.series_interval,
+            self._series_event = self.sim.schedule(self.SERIES_INTERVAL,
                                                    sample)
 
         self.telemetry.metrics.sample()  # t=now baseline point
-        self._series_event = self.sim.schedule(self.series_interval,
+        self._series_event = self.sim.schedule(self.SERIES_INTERVAL,
                                                sample)
 
     def _stop_series_sampler(self) -> None:
@@ -399,7 +393,7 @@ class ESCAPE:
             request = ServiceRequest(sg, match=match,
                                      return_path=return_path)
             chain = self.service_layer.submit(request, mapper)
-        if self.sla_autostart and sg.requirements:
+        if sg.requirements:  # a chain with an SLA is watched from birth
             self.watch_sla(chain)
         return chain
 

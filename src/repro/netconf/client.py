@@ -72,18 +72,13 @@ class PendingReply:
     def result(self, sim: Simulator, timeout: float = 10.0) -> ET.Element:
         """Run the simulation until the reply lands; raises RpcError on
         an error reply, RpcTimeout when the deadline passes."""
-        deadline = sim.now + timeout
-        while not self.done:
-            next_time = sim.peek()
-            if next_time is None or next_time > deadline:
-                if self._owner is not None:
-                    # deregister too — a late reply must not find us
-                    self._owner._expire(self.message_id)
-                else:
-                    self._fail(RpcTimeout("rpc %d timed out after %.3fs"
-                                          % (self.message_id, timeout)))
-                break
-            sim.step()
+        if not sim.wait(lambda: self.done, timeout):
+            if self._owner is not None:
+                # deregister too — a late reply must not find us
+                self._owner._expire(self.message_id)
+            else:
+                self._fail(RpcTimeout("rpc %d timed out after %.3fs"
+                                      % (self.message_id, timeout)))
         if self.error is not None:
             raise self.error
         return self.reply
@@ -285,18 +280,12 @@ class NetconfClient:
         """Advance simulated time by ``delay`` (nested-pump safe)."""
         fired: List[bool] = []
         self.sim.schedule(delay, fired.append, True)
-        while not fired:
-            if not self.sim.step():
-                break
+        self.sim.wait(lambda: fired, delay)
 
     def wait_connected(self, timeout: float = 5.0) -> None:
         """Pump the simulator until the hello exchange completes."""
-        deadline = self.sim.now + timeout
-        while self.session_id is None:
-            next_time = self.sim.peek()
-            if next_time is None or next_time > deadline:
-                raise SessionError("hello exchange timed out")
-            self.sim.step()
+        if not self.sim.wait(lambda: self.session_id is not None, timeout):
+            raise SessionError("hello exchange timed out")
 
     # -- session recovery ------------------------------------------------------
 

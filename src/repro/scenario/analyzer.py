@@ -19,7 +19,8 @@ import json
 import os
 from typing import Any, Dict, Iterable, List, Optional, Union
 
-from repro.scenario.runner import BUNDLE_NAME
+from repro.scenario.runner import BUNDLE_NAME, BUNDLE_SCHEMA
+from repro.telemetry.export import find_files
 
 
 class AnalyzerError(Exception):
@@ -37,9 +38,7 @@ def load_bundles(paths: Union[str, os.PathLike,
     for path in paths:
         path = os.fspath(path)
         if os.path.isdir(path):
-            for root, _dirs, names in os.walk(path):
-                files.extend(os.path.join(root, name)
-                             for name in names if name == BUNDLE_NAME)
+            files.extend(find_files(path, (BUNDLE_NAME,)))
         elif os.path.isfile(path):
             files.append(path)
         else:
@@ -55,6 +54,11 @@ def load_bundles(paths: Union[str, os.PathLike,
                 bundle = json.load(handle)
             except ValueError as exc:
                 raise AnalyzerError("%s: invalid JSON (%s)" % (name, exc))
+        schema = bundle.get("schema") if isinstance(bundle, dict) else None
+        if schema != BUNDLE_SCHEMA:
+            raise AnalyzerError(
+                "%s: bundle schema %r, this analyzer reads schema %d "
+                "(re-run the scenario)" % (name, schema, BUNDLE_SCHEMA))
         bundle.setdefault("_path", name)
         bundles.append(bundle)
     bundles.sort(key=lambda b: (b.get("scenario", {}).get("name", ""),

@@ -46,6 +46,7 @@ from repro.scenario.spec import Scenario, load_scenario
 from repro.scenario.workload import WorkloadDriver, build_workload
 from repro.scenario.zoo import build_topology
 from repro.telemetry.introspect import calibrate
+from repro.telemetry.metrics import nearest_rank
 
 BUNDLE_SCHEMA = 5
 BUNDLE_NAME = "bundle.json"
@@ -89,15 +90,6 @@ def _sla_summary(escape: ESCAPE) -> Dict[str, Any]:
     }
 
 
-def _percentile(values: List[float], q: float) -> Optional[float]:
-    """Nearest-rank percentile (q in [0, 1]); None on empty input."""
-    if not values:
-        return None
-    ordered = sorted(values)
-    index = min(len(ordered) - 1, int(round(q * (len(ordered) - 1))))
-    return ordered[index]
-
-
 def _recovery_summary(escape: ESCAPE) -> Dict[str, Any]:
     actions = [dict(action) for action in escape.recovery.actions]
     mttrs = [action["mttr"] for action in actions
@@ -109,8 +101,8 @@ def _recovery_summary(escape: ESCAPE) -> Dict[str, Any]:
         "flips": sum(1 for action in actions
                      if action.get("kind") == "flip"),
         "mttr_avg": (sum(mttrs) / len(mttrs)) if mttrs else None,
-        "mttr_p50": _percentile(mttrs, 0.5),
-        "mttr_p90": _percentile(mttrs, 0.9),
+        "mttr_p50": nearest_rank(mttrs, 50),
+        "mttr_p90": nearest_rank(mttrs, 90),
         "mttr_max": max(mttrs) if mttrs else None,
         "unrecovered": escape.recovery.unrecovered(),
         "pending": ["%s/%s" % key for key in escape.recovery.pending()],

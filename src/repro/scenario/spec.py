@@ -22,11 +22,12 @@ A scenario is everything one reproducible experiment needs::
       faults:
         - {kind: link_down, at: 2.0, duration: 1.5}
 
-Files may be YAML or JSON.  PyYAML is used when importable; otherwise
-a built-in parser covering the indentation-based subset above (nested
-maps, ``-`` lists, inline ``{}``/``[]``, scalars, comments) keeps the
-engine dependency-free — the reference scenarios under
-``examples/scenarios/`` stay inside that subset.
+Files may be JSON or the indentation-based YAML subset above (nested
+maps, ``-`` lists, inline ``{}``/``[]``, scalars, comments), read by the
+parser below and by nothing else: an installed PyYAML is never
+consulted, because it reads some scalars differently (``1e3``, ``yes``,
+``010``, ``12:30``, dates) and one file must mean one scenario on every
+machine.
 """
 
 import json
@@ -184,7 +185,7 @@ def _parse_block(lines: List[tuple], start: int, indent: int):
 
 
 def parse_simple_yaml(text: str) -> Any:
-    """The built-in YAML-subset parser (used when PyYAML is absent)."""
+    """The one scenario-file parser: JSON, or the YAML subset."""
     stripped = text.lstrip()
     if stripped.startswith(("{", "[")):
         return json.loads(text)
@@ -204,18 +205,6 @@ def parse_simple_yaml(text: str) -> Any:
     if consumed != len(lines):
         raise SpecError("trailing content near %r" % (lines[consumed][1],))
     return value
-
-
-def load_structured(text: str) -> Any:
-    """YAML (PyYAML if importable, else the subset parser) or JSON."""
-    try:
-        import yaml
-    except ImportError:
-        return parse_simple_yaml(text)
-    try:
-        return yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise SpecError("invalid YAML: %s" % exc)
 
 
 # -- the scenario object ------------------------------------------------------
@@ -321,5 +310,4 @@ def load_scenario(source: Union[str, Dict[str, Any], os.PathLike]
             raise SpecError("no such scenario file: %s" % text)
         with open(text) as handle:
             text = handle.read()
-    data = load_structured(text)
-    return Scenario.from_dict(data)
+    return Scenario.from_dict(parse_simple_yaml(text))

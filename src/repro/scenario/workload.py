@@ -29,6 +29,7 @@ import struct
 from typing import Dict, List, Optional, Tuple
 
 from repro.netem.topo import Topo
+from repro.telemetry.metrics import nearest_rank
 
 #: chain-template catalog: template name -> ordered (vnf_type, params)
 CHAIN_TEMPLATES: Dict[str, List[Tuple[str, dict]]] = {
@@ -349,18 +350,10 @@ class WorkloadDriver:
         self.bytes_received += len(payload)
         self.delays.append(self.sim.now - sent_at)
 
-    @staticmethod
-    def _percentile(ordered: List[float], p: float) -> Optional[float]:
-        if not ordered:
-            return None
-        index = min(len(ordered) - 1,
-                    max(0, int(math.ceil(p / 100.0 * len(ordered))) - 1))
-        return ordered[index]
-
     def results(self) -> dict:
         sent = sum(self.sent.values())
         received = sum(self.received.values())
-        ordered = sorted(self.delays)
+        delays = self.delays
         completed = sum(1 for flow_id, count in self.sent.items()
                         if count and self.received[flow_id] == count)
         return {
@@ -372,8 +365,8 @@ class WorkloadDriver:
             "packets_received": received,
             "bytes_received": self.bytes_received,
             "loss_ratio": ((sent - received) / sent) if sent else 0.0,
-            "delay_p50": self._percentile(ordered, 50.0),
-            "delay_p99": self._percentile(ordered, 99.0),
-            "delay_max": ordered[-1] if ordered else None,
-            "delay_samples": len(ordered),
+            "delay_p50": nearest_rank(delays, 50),
+            "delay_p99": nearest_rank(delays, 99),
+            "delay_max": max(delays) if delays else None,
+            "delay_samples": len(delays),
         }

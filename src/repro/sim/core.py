@@ -1,8 +1,10 @@
-"""Heap-driven discrete-event simulator with generator processes."""
+"""Heap-driven discrete-event simulator: a heap of ``(time, seq,
+event)``, cancellation with dead-entry compaction, re-armable wakeups
+and kind-named dispatch."""
 
 import functools
 import heapq
-from typing import Any, Callable, Dict, Generator, Iterable, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.telemetry import Telemetry
 
@@ -16,22 +18,17 @@ class Event:
     """A callback scheduled at a simulated time.
 
     Events are created through :meth:`Simulator.schedule` and may be
-    cancelled with :meth:`Simulator.cancel` (or :meth:`cancel`) any time
-    before they fire, or moved with :meth:`reschedule` /
-    :meth:`reschedule_at`.
-
-    The heap stores ``(time, seq, event)`` tuples, so ordering is
-    decided by C-level tuple comparison — the event object itself never
-    participates in heap sift comparisons.  ``time`` on the event is the
-    *target* fire time; ``_key_time`` is the time of the heap entry that
-    currently carries the event.  Rescheduling to a later time only
-    moves ``time`` (the stale entry re-keys itself lazily when it pops);
-    rescheduling earlier pushes a fresh entry under a fresh ``seq`` and
-    the old entry is skipped as stale when it surfaces.
+    cancelled with :meth:`cancel` any time before they fire.  An event
+    has exactly one heap entry, ``(time, seq, event)``, from the moment
+    it is scheduled until the loop pops it, so ordering is decided by
+    C-level tuple comparison — the event object itself never
+    participates in heap sift comparisons — and an event never moves:
+    to fire later or earlier, cancel it and schedule another
+    (:class:`Wakeup` does exactly that).
     """
 
     __slots__ = ("sim", "time", "seq", "callback", "args",
-                 "cancelled", "fired", "_key_time")
+                 "cancelled", "fired")
 
     def __init__(self, sim: "Simulator", time: float, seq: int,
                  callback: Callable[..., Any], args: tuple):
@@ -42,7 +39,6 @@ class Event:
         self.args = args
         self.cancelled = False
         self.fired = False
-        self._key_time = time
 
     def cancel(self) -> None:
         """Mark the event so the loop skips (and counts) it when it
@@ -53,50 +49,6 @@ class Event:
         sim = self.sim
         sim._live -= 1
         sim._note_dead()
-
-    def reschedule(self, delay: float) -> "Event":
-        """Move a pending event to ``now + delay`` without cancel/
-        re-schedule churn (see :meth:`reschedule_at`)."""
-        return self.reschedule_at(self.sim.now + delay)
-
-    def reschedule_at(self, when: float) -> "Event":
-        """Move a pending event to absolute time ``when``.
-
-        Moving *later* is free: only the target time changes, and the
-        existing heap entry lazily re-keys itself when it pops.  Moving
-        *earlier* pushes one fresh heap entry (the old one is skipped as
-        stale when it surfaces).  Raises if the event already fired or
-        was cancelled — a fired event cannot be revived (arm a fresh
-        one; :class:`Wakeup` does exactly that).
-        """
-        if self.fired:
-            raise SimulationError("cannot reschedule fired %r" % self)
-        if self.cancelled:
-            raise SimulationError("cannot reschedule cancelled %r" % self)
-        sim = self.sim
-        if when < sim.now:
-            raise SimulationError(
-                "cannot reschedule to %.9f, %.9fs in the past"
-                % (when, sim.now - when))
-        if when == self.time:
-            return self
-        if when >= self._key_time:
-            # deferred: the queued entry pops at _key_time and re-keys
-            # itself to the new target — no heap operation now
-            self.time = when
-            return self
-        # earlier than the queued entry: re-key under a fresh seq; the
-        # old entry goes stale and is skipped when it pops
-        self.time = when
-        self._key_time = when
-        self.seq = sim._seq
-        sim._seq += 1
-        heapq.heappush(sim._heap, (when, self.seq, self))
-        sim._note_dead()
-        return self
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
 
     def __repr__(self) -> str:
         if self.cancelled:
@@ -110,16 +62,14 @@ class Event:
 
 
 class Wakeup:
-    """A re-armable timer for recurring consumers.
+    """A re-armable timer for a consumer that sleeps and wakes
+    thousands of times (a pull driver parked on an empty queue): one
+    callback, at most one pending shot.
 
-    One-shot :class:`Signal` does not fit a consumer that sleeps and
-    wakes thousands of times (a pull driver parked on an empty queue):
-    every fire would need a fresh signal plus re-subscription.  A
-    ``Wakeup`` wraps one callback and keeps re-arming cheap:
-
-    * :meth:`arm` / :meth:`arm_at` — schedule the callback; if already
-      armed, the pending event is *rescheduled* (no cancel churn; see
-      :meth:`Event.reschedule_at`).
+    * :meth:`arm` / :meth:`arm_at` — schedule the callback; an armed
+      shot for another instant is cancelled and a fresh one scheduled,
+      which therefore runs after the events already queued for its
+      instant.  Dead shots are the heap compaction's to bound.
     * :meth:`arm_before` — only pull an armed deadline earlier, never
       push it later (the "wake me no later than" operation a notifier
       listener wants).
@@ -155,9 +105,11 @@ class Wakeup:
             when = sim.now
         event = self.event
         if event is not None and not event.fired and not event.cancelled:
-            return event.reschedule_at(when)
-        event = sim.schedule_at(when, self.callback, *self.args)
-        self.event = event
+            if event.time == when:
+                return event
+            event.cancel()
+        event = self.event = sim.schedule_at(when, self.callback,
+                                             *self.args)
         return event
 
     def arm_before(self, when: float) -> Event:
@@ -198,114 +150,6 @@ def classify_callback(callback: Callable[..., Any]) -> str:
     elif module in ("builtins", "__main__"):
         module = ""
     return "%s.%s" % (module, name) if module else name
-
-
-class Signal:
-    """One-shot wakeup primitive.
-
-    A :class:`Process` can ``yield`` a signal to suspend until someone
-    calls :meth:`fire`.  The value passed to ``fire`` becomes the result
-    of the ``yield`` expression inside the process.
-    """
-
-    __slots__ = ("sim", "_waiters", "fired", "value")
-
-    def __init__(self, sim: "Simulator"):
-        self.sim = sim
-        self._waiters: list = []
-        self.fired = False
-        self.value: Any = None
-
-    def fire(self, value: Any = None) -> None:
-        """Wake every process waiting on this signal (idempotent).
-        Waiters resume in the order they started waiting: each gets a
-        fresh zero-delay event, and the heap breaks timestamp ties by
-        schedule sequence."""
-        if self.fired:
-            return
-        self.fired = True
-        self.value = value
-        waiters, self._waiters = self._waiters, []
-        for proc in waiters:
-            self.sim.schedule(0.0, proc._resume, value)
-
-    def _add_waiter(self, proc: "Process") -> None:
-        if self.fired:
-            self.sim.schedule(0.0, proc._resume, self.value)
-        else:
-            self._waiters.append(proc)
-
-
-class Process:
-    """A generator-based coroutine running in simulated time.
-
-    The generator may yield:
-
-    * a number — sleep that many simulated seconds,
-    * a :class:`Signal` — suspend until it fires,
-    * another :class:`Process` — suspend until that process finishes,
-    * ``None`` — yield the floor (resume on the next event tick).
-
-    When the generator returns, :attr:`done` becomes ``True`` and the
-    completion signal fires with the generator's return value.
-    """
-
-    def __init__(self, sim: "Simulator",
-                 gen: Generator[Any, Any, Any], name: str = ""):
-        self.sim = sim
-        self.gen = gen
-        self.name = name or getattr(gen, "__name__", "process")
-        self.done = False
-        self.result: Any = None
-        self.completion = Signal(sim)
-        self._pending_event: Optional[Event] = None
-
-    def start(self) -> "Process":
-        """Schedule the first step of the generator at the current time."""
-        self.sim.schedule(0.0, self._resume, None)
-        return self
-
-    def interrupt(self) -> None:
-        """Stop the process; its generator is closed, completion fires."""
-        if self.done:
-            return
-        if self._pending_event is not None:
-            self._pending_event.cancel()
-            self._pending_event = None
-        self.gen.close()
-        self._finish(None)
-
-    def _finish(self, result: Any) -> None:
-        self.done = True
-        self.result = result
-        self.completion.fire(result)
-
-    def _resume(self, value: Any) -> None:
-        if self.done:
-            return
-        self._pending_event = None
-        try:
-            target = self.gen.send(value)
-        except StopIteration as stop:
-            self._finish(stop.value)
-            return
-        if target is None:
-            self._pending_event = self.sim.schedule(0.0, self._resume, None)
-        elif isinstance(target, (int, float)):
-            self._pending_event = self.sim.schedule(
-                float(target), self._resume, None)
-        elif isinstance(target, Signal):
-            target._add_waiter(self)
-        elif isinstance(target, Process):
-            target.completion._add_waiter(self)
-        else:
-            raise SimulationError(
-                "process %r yielded unsupported value %r"
-                % (self.name, target))
-
-    def __repr__(self) -> str:
-        state = "done" if self.done else "running"
-        return "Process(%s, %s)" % (self.name, state)
 
 
 class KnownFrames(dict):
@@ -351,15 +195,15 @@ class KnownFrames(dict):
 class Simulator:
     """Deterministic discrete-event loop with a floating-point clock.
 
-    The heap holds ``(time, seq, event)`` tuples so sift comparisons
-    stay in C.  Entries can go *dead* without being popped: a cancelled
-    event, or the stale entry left behind by an earlier-bound
-    :meth:`Event.reschedule_at`.  Dead entries are skipped (and
-    counted) when they surface; when they outnumber live entries the
-    heap is compacted in place so a cancel-heavy workload can't bloat
-    the backlog.  A live-entry counter keeps :attr:`pending` O(1) — it
-    is sampled into gauges every 0.25s of sim time by the recurring
-    series sampler, which used to make it an O(n) scan on the hot path.
+    The heap holds one ``(time, seq, event)`` tuple per scheduled event,
+    so sift comparisons stay in C and, between dispatches, ``scheduled
+    == processed + cancelled_popped + heap_depth``.  A cancelled event
+    stays queued as a *dead* entry: it is skipped (and counted) when it
+    surfaces, and when the dead outnumber the live the heap is compacted
+    in place, so neither a cancel-heavy workload nor a wakeup re-armed
+    thousands of times can bloat the backlog.  A live-entry counter
+    keeps :attr:`pending` O(1) — the series sampler reads it into a
+    gauge every 0.25s of sim time.
     """
 
     COMPACT_MIN = 64  # never bother compacting tiny heaps
@@ -371,7 +215,7 @@ class Simulator:
         self._running = False
         self._processed = 0
         self._live = 0   # not-cancelled events still queued
-        self._dead = 0   # cancelled + stale entries awaiting discard
+        self._dead = 0   # cancelled entries awaiting discard
         self.compactions = 0
         # always-on counts: cancelled events the loop or a compaction
         # threw away; Click pull-driver activations by cause
@@ -409,85 +253,43 @@ class Simulator:
         """Run ``callback(*args)`` at absolute simulated time ``time``."""
         return self.schedule(time - self.now, callback, *args)
 
-    def cancel(self, event: Event) -> None:
-        """Cancel a pending event (no-op if it already fired)."""
-        event.cancel()
-
     def wakeup(self, callback: Callable[..., Any], *args: Any) -> Wakeup:
         """Create a re-armable :class:`Wakeup` around ``callback``."""
         return Wakeup(self, callback, *args)
 
-    def process(self, gen: Generator[Any, Any, Any],
-                name: str = "") -> Process:
-        """Wrap a generator into a :class:`Process` and start it."""
-        return Process(self, gen, name).start()
-
-    def signal(self) -> Signal:
-        """Create a fresh :class:`Signal` bound to this simulator."""
-        return Signal(self)
-
     # -- heap hygiene ------------------------------------------------------
 
     def _note_dead(self) -> None:
-        """One more heap entry went dead (cancel or stale reschedule);
-        compact when the dead outnumber the live."""
+        """One more queued event was cancelled; compact when the dead
+        outnumber the live."""
         self._dead += 1
         if self._dead * 2 > len(self._heap) and \
                 len(self._heap) >= self.COMPACT_MIN:
             self._compact()
 
     def _compact(self) -> None:
-        """Rebuild the heap in place, dropping dead entries.
-
-        Cancelled events swept here count into the always-on
-        ``cancelled_popped`` churn counter exactly as if the loop had
-        popped them.  Deferred entries (target time moved later) are
-        re-keyed at their target so they stop surfacing early.
-        """
+        """Rebuild the heap in place without its cancelled entries,
+        which count into ``cancelled_popped`` exactly as if the loop
+        had popped them."""
         heap = self._heap
-        live: list = []
-        swept_cancelled = 0
-        for entry in heap:
-            event = entry[2]
-            if event.cancelled:
-                swept_cancelled += 1
-                continue
-            if event.fired or entry[1] != event.seq:
-                continue  # stale duplicate from an earlier reschedule
-            if event.time > entry[0]:
-                event._key_time = event.time
-                live.append((event.time, entry[1], event))
-            else:
-                live.append(entry)
-        heap[:] = live
+        depth = len(heap)
+        heap[:] = [entry for entry in heap if not entry[2].cancelled]
         heapq.heapify(heap)
         self._dead = 0
         self.compactions += 1
-        self.cancelled_popped += swept_cancelled
+        self.cancelled_popped += depth - len(heap)
 
     def _surface(self) -> Optional[tuple]:
-        """Discard dead heap heads and lazily re-key deferred ones;
-        return the live head entry (still queued) or None."""
+        """Discard cancelled heap heads; return the live head entry
+        (still queued) or None."""
         heap = self._heap
         while heap:
             entry = heap[0]
-            event = entry[2]
-            if event.cancelled:
-                heapq.heappop(heap)
-                self._dead -= 1
-                self.cancelled_popped += 1
-                continue
-            if event.fired or entry[1] != event.seq:
-                heapq.heappop(heap)  # stale reschedule leftover
-                self._dead -= 1
-                continue
-            if event.time > entry[0]:
-                # deferred: re-key at the target time, keep the seq
-                heapq.heappop(heap)
-                event._key_time = event.time
-                heapq.heappush(heap, (event.time, event.seq, event))
-                continue
-            return entry
+            if not entry[2].cancelled:
+                return entry
+            heapq.heappop(heap)
+            self._dead -= 1
+            self.cancelled_popped += 1
         return None
 
     # -- running ---------------------------------------------------------
@@ -521,7 +323,6 @@ class Simulator:
         self._running = True
         executed = 0
         heap = self._heap
-        surface = self._surface
         pop = heapq.heappop
         profiler = self.telemetry.profiler
         try:
@@ -530,17 +331,13 @@ class Simulator:
                     break
                 entry = heap[0]
                 event = entry[2]
-                if (event.cancelled or event.fired or entry[1] != event.seq
-                        or event.time > entry[0]):
-                    # dead or deferred head: discard / re-key it
-                    entry = surface()
-                    if entry is None:
-                        break
-                    event = entry[2]
+                if event.cancelled:
+                    self._surface()  # discard the dead heads
+                    continue
                 if until is not None and entry[0] > until:
-                    # nested step() pumping (e.g. a recovery action
-                    # blocking on an RPC reply) may already have moved
-                    # the clock past the horizon; never rewind it
+                    # nested pumping (e.g. a recovery action blocking
+                    # on an RPC reply) may already have moved the clock
+                    # past the horizon; never rewind it
                     self.now = max(self.now, until)
                     break
                 pop(heap)
@@ -557,8 +354,6 @@ class Simulator:
             else:
                 if until is not None and until > self.now:
                     self.now = until
-            if not heap and until is not None and until > self.now:
-                self.now = until
         finally:
             self._running = False
         return executed
@@ -567,11 +362,9 @@ class Simulator:
         """Execute exactly one pending event; return False when idle.
 
         Unlike :meth:`run`, ``step`` is safe to call from *inside* a
-        running simulation: blocking-style code (``PendingReply.
-        result``, recovery actions reacting to fault events) pumps the
-        shared heap one event at a time until its condition holds.
-        Events pop in time order, so nested pumping never reorders or
-        rewinds the clock — it only advances it early.
+        running simulation.  Events pop in time order, so nested pumping
+        never reorders or rewinds the clock — it only advances it
+        early.  Blocking-style code calls it through :meth:`wait`.
         """
         entry = self._surface()
         if entry is None:
@@ -588,6 +381,21 @@ class Simulator:
         else:
             event.callback(*event.args)
         self._processed += 1
+        return True
+
+    def wait(self, done: Callable[[], Any], timeout: float) -> bool:
+        """Pump :meth:`step` until ``done()`` holds: the one way
+        blocking-style code (an RPC reply, a handshake, a back-off)
+        waits, from driver code or from inside a callback alike.
+        Returns False, with ``done()`` still false, once no event is
+        due within ``timeout`` seconds of the call; the clock stays at
+        the last event executed, never past ``now + timeout``."""
+        deadline = self.now + timeout
+        while not done():
+            entry = self._surface()
+            if entry is None or entry[0] > deadline:
+                return False
+            self.step()
         return True
 
     def peek(self) -> Optional[float]:
@@ -617,14 +425,6 @@ class Simulator:
         """Total callbacks executed over the simulator's lifetime
         (current mid-run: gauges sample it from inside callbacks)."""
         return self._processed
-
-    def run_all(self, batches: Iterable[float] = ()) -> int:
-        """Convenience: run to exhaustion (optionally in until= batches)."""
-        total = 0
-        for until in batches:
-            total += self.run(until=until)
-        total += self.run()
-        return total
 
     def __repr__(self) -> str:
         return "Simulator(now=%.9f, pending=%d)" % (self.now, self.pending)

@@ -26,7 +26,8 @@ from repro.telemetry.flowtrace import (FlowTrace, FlowTraceError,
                                        render_flowtrace_report,
                                        report_from_jsonl)
 from repro.telemetry.metrics import (Counter, Gauge, Histogram, Metric,
-                                     MetricError, MetricsRegistry, Series)
+                                     MetricError, MetricsRegistry, Series,
+                                     nearest_rank)
 from repro.telemetry.profiler import NULL_REGION, Profiler, RegionStat
 from repro.telemetry.trace import Span, Tracer
 
@@ -35,7 +36,8 @@ __all__ = [
     "FlowTrace", "FlowTraceError", "Gauge", "Histogram", "INFO",
     "Metric", "MetricError", "MetricsRegistry", "NULL_REGION", "Profiler",
     "RegionStat", "SEVERITIES", "Series", "Span", "Telemetry", "Tracer",
-    "WARN", "load_flowtrace_report", "render_flowtrace_report",
+    "WARN", "load_flowtrace_report", "nearest_rank",
+    "render_flowtrace_report",
     "report_from_jsonl", "snapshot_dict", "to_json", "to_prometheus",
     "writable_path", "write_snapshot",
 ]
@@ -46,16 +48,13 @@ class Telemetry:
     the first three sharing one (simulated) clock, the profiler on
     host wall-clock (it measures the framework, not the simulation)."""
 
-    def __init__(self, sim=None, max_traces: int = 16,
-                 event_capacity: int = 4096, series_capacity: int = 512):
+    def __init__(self, sim=None, max_traces: int = 16):
         self.sim = sim
         clock: Optional[Callable[[], float]] = (
             (lambda: sim.now) if sim is not None else None)
-        self.metrics = MetricsRegistry(clock=clock,
-                                       series_capacity=series_capacity)
+        self.metrics = MetricsRegistry(clock=clock)
         self.tracer = Tracer(clock=clock, max_traces=max_traces)
-        self.events = EventLog(clock=clock, capacity=event_capacity,
-                               tracer=self.tracer)
+        self.events = EventLog(clock=clock, tracer=self.tracer)
         self.profiler = Profiler()
         self.flowtrace = FlowTrace(events=self.events)
         self.metrics.add_collector(self._collect_event_counts)

@@ -8,7 +8,7 @@ byte-identical output — snapshots can be diffed across runs.
 import json
 import os
 import re
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.telemetry.events import EventLog
 from repro.telemetry.metrics import Histogram, MetricsRegistry
@@ -113,6 +113,14 @@ def writable_path(path) -> str:
     if parent:
         os.makedirs(parent, exist_ok=True)
     return path
+
+
+def find_files(root, names=("bundle.json",)) -> List[str]:
+    """Every file under directory ``root`` called one of ``names``,
+    sorted: the one search behind the result-bundle readers."""
+    return sorted(os.path.join(folder, name)
+                  for folder, _dirs, files in os.walk(os.fspath(root))
+                  for name in files if name in names)
 
 
 def write_snapshot(path, registry: MetricsRegistry,

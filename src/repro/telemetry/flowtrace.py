@@ -45,6 +45,9 @@ import zlib
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional
 
+from repro.telemetry.export import find_files, writable_path
+from repro.telemetry.metrics import nearest_rank
+
 __all__ = ["FlowTrace", "FlowTraceError", "load_flowtrace_report",
            "render_flowtrace_report", "report_from_jsonl"]
 
@@ -77,15 +80,6 @@ def _iter_deltas(hops: List[tuple]):
         prev_t = hops[index - 1][0]
         t, kind, hop = hops[index][0], hops[index][1], hops[index][2]
         yield _delta_label(kind, hop), t - prev_t
-
-
-def _percentile(values: List[float], q: float) -> Optional[float]:
-    """Nearest-rank percentile (q in [0, 1]); None on empty input."""
-    if not values:
-        return None
-    ordered = sorted(values)
-    index = min(len(ordered) - 1, int(round(q * (len(ordered) - 1))))
-    return ordered[index]
 
 
 class _Trace:
@@ -378,7 +372,7 @@ class FlowTrace:
         """One line per sampled packet (plus a leading meta line);
         returns the number of trace lines written."""
         records = self.trace_records()
-        with open(path, "w") as handle:
+        with open(writable_path(path), "w") as handle:
             meta = {"meta": {"rate": self.rate, "seed": self.seed,
                              "traces": len(records),
                              "postcards": self.postcards,
@@ -411,8 +405,8 @@ def _summarize_chain(bucket: Dict[str, Any]) -> Dict[str, Any]:
         attributed += hop_total
         hops.append({
             "hop": label,
-            "p50": _percentile(deltas, 0.5),
-            "p99": _percentile(deltas, 0.99),
+            "p50": nearest_rank(deltas, 50),
+            "p99": nearest_rank(deltas, 99),
             "mean": hop_total / len(deltas),
             "share": (hop_total / total_one_way
                       if total_one_way else 0.0),
@@ -422,8 +416,8 @@ def _summarize_chain(bucket: Dict[str, Any]) -> Dict[str, Any]:
         "traces": len(one_ways),
         "nonconformant": bucket["nonconformant"],
         "one_way": {
-            "p50": _percentile(one_ways, 0.5),
-            "p99": _percentile(one_ways, 0.99),
+            "p50": nearest_rank(one_ways, 50),
+            "p99": nearest_rank(one_ways, 99),
             "mean": (total_one_way / len(one_ways)
                      if one_ways else 0.0),
         },
@@ -479,14 +473,9 @@ def load_flowtrace_report(source: str) -> Dict[str, Any]:
     """A flowtrace report from a ``bundle.json``, a
     ``flowtrace.jsonl``, or a directory containing either."""
     if os.path.isdir(source):
-        candidates = []
-        for root, _dirs, files in os.walk(source):
-            for name in files:
-                if name in ("bundle.json", "flowtrace.jsonl"):
-                    candidates.append(os.path.join(root, name))
-        jsonls = [c for c in candidates if c.endswith(".jsonl")]
-        bundles = [c for c in candidates if c.endswith("bundle.json")]
-        for path in sorted(bundles) + sorted(jsonls):
+        found = find_files(source, ("bundle.json", "flowtrace.jsonl"))
+        # bundles first: their report is already summarised
+        for path in sorted(found, key=lambda p: p.endswith(".jsonl")):
             try:
                 return load_flowtrace_report(path)
             except FlowTraceError:

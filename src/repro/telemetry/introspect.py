@@ -23,6 +23,7 @@ import os
 import time
 from typing import Any, Dict, List, Optional
 
+from repro.telemetry.export import find_files
 from repro.telemetry.profiler import RegionStat, render_regions
 
 REPORT_SCHEMA = 2
@@ -150,16 +151,13 @@ def load_report(path) -> Dict[str, Any]:
     containing exactly one ``bundle.json``."""
     path = os.fspath(path)
     if os.path.isdir(path):
-        found: List[str] = []
-        for root, _dirs, names in os.walk(path):
-            found.extend(os.path.join(root, name) for name in names
-                         if name == "bundle.json")
+        found = find_files(path)
         if not found:
             raise IntrospectError("%s: no bundle.json underneath" % path)
         if len(found) > 1:
             raise IntrospectError(
                 "%s: %d bundles underneath — name one (%s, ...)"
-                % (path, len(found), sorted(found)[0]))
+                % (path, len(found), found[0]))
         path = found[0]
     if not os.path.isfile(path):
         raise IntrospectError("no such perf source: %s" % path)

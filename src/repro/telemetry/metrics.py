@@ -35,6 +35,20 @@ class MetricError(Exception):
     """Bad metric name, kind conflict, or illegal operation."""
 
 
+def nearest_rank(values, p: float) -> Optional[float]:
+    """The one percentile rule: the smallest value with at least ``p``
+    percent of the samples at or below it (rank ``ceil(p * n / 100)``,
+    so the median of an even count is the lower middle).  ``p`` in
+    [0, 100] or :class:`MetricError`, whatever the sample count; None
+    on no samples."""
+    if p < 0 or p > 100:
+        raise MetricError("percentile must be in [0, 100], got %r" % p)
+    if not values:
+        return None
+    ordered = sorted(values)
+    return ordered[max(1, int(-(-p * len(ordered) // 100))) - 1]  # ceil
+
+
 def _default_clock() -> float:
     return 0.0
 
@@ -201,16 +215,8 @@ class Histogram(Metric):
         return pairs
 
     def percentile(self, p: float) -> Optional[float]:
-        """Nearest-rank percentile over the window (p in [0, 100])."""
-        if not self._window:
-            return None
-        if p < 0 or p > 100:
-            raise MetricError("percentile must be in [0, 100], got %r" % p)
-        ordered = sorted(self._window)
-        if p == 0:
-            return ordered[0]
-        rank = max(1, int(-(-p * len(ordered) // 100)))  # ceil
-        return ordered[rank - 1]
+        """:func:`nearest_rank` over the window (p in [0, 100])."""
+        return nearest_rank(self._window, p)
 
     @property
     def window_values(self) -> List[float]:
@@ -308,20 +314,9 @@ class Series:
 
     def percentile(self, p: float,
                    since: Optional[float] = None) -> Optional[float]:
-        """Nearest-rank percentile of the windowed values.  None on an
-        empty window; a single sample is every percentile of itself.
-        An out-of-range ``p`` raises regardless of window size — a bad
-        argument is a caller bug, not a data condition."""
-        if p < 0 or p > 100:
-            raise MetricError("percentile must be in [0, 100], got %r" % p)
-        values = self.values(since)
-        if not values:
-            return None
-        ordered = sorted(values)
-        if p == 0:
-            return ordered[0]
-        rank = max(1, int(-(-p * len(ordered) // 100)))  # ceil
-        return ordered[rank - 1]
+        """:func:`nearest_rank` of the windowed values.  None on an
+        empty window; a single sample is every percentile of itself."""
+        return nearest_rank(self.values(since), p)
 
     def stats(self, since: Optional[float] = None) -> Dict[str, Any]:
         """One-call summary the CLI ``series`` command renders.

@@ -1,11 +1,13 @@
 """Tests for the ESCAPE-level CLI commands."""
 
 import json
+import os
 
 import pytest
 
 from repro.core import ESCAPE
 from repro.core.sgfile import load_topology
+from tests.test_scenario import SMOKE_SCENARIO
 
 TOPOLOGY = {
     "nodes": [
@@ -192,3 +194,152 @@ class TestProfilingCommands:
         for command in ("profile", "flame", "top", "series"):
             assert command in output
         assert "dispatch" not in output
+
+
+class TestFlowtraceCommands:
+    def _traffic(self, escape, count=64):
+        # distinct payloads: sampling hashes the frame tail, a replayed
+        # frame is sampled always or never
+        h1, h2 = escape.net.get("h1"), escape.net.get("h2")
+        for index in range(count):
+            escape.sim.schedule(0.001 * index, h1.send_udp, h2.ip, 5001,
+                                b"datagram %03d" % index)
+        escape.run(1.0)
+
+    def test_sampling_session(self, console, tmp_path):
+        escape, cli, sg_path = console
+        assert cli.run_command("flowtrace").startswith("flowtrace off")
+        assert "no sampled traces" in cli.run_command("flowtrace traces")
+        assert (cli.run_command("flowtrace on 4 1")
+                == "flowtrace on: sampling 1/4, seed 1")
+        assert escape.flowtrace.enabled
+        cli.run_command("deploy %s" % sg_path)
+        self._traffic(escape)
+        status = cli.run_command("flowtrace status")
+        assert status.startswith("flowtrace on: 1/4 sampling (seed 1), ")
+        sampled = len(escape.flowtrace)
+        assert 4 <= sampled <= 40 and "%d trace(s)" % sampled in status
+
+        rows = cli.run_command("flowtrace traces 3").splitlines()
+        assert rows[0].split() == ["TRACE", "T", "HOPS", "CHAIN",
+                                   "ONE-WAY", "CONFORMANT"]
+        assert len(rows) == 4
+        assert any("cli-chain" in row and row.endswith("yes")
+                   for row in rows[1:])
+
+        report = cli.run_command("flowtrace report")
+        assert "cli-chain: " in report and "one-way p50=3.000ms" in report
+        assert "vnf:nc1/cli-chain-fw-1" in report or \
+            "vnf:nc2/cli-chain-fw-1" in report
+        assert cli.run_command("flowtrace report cli-chain").count(
+            "cli-chain: ") == 1
+        assert "no flowtrace data for chain 'ghost'" in cli.run_command(
+            "flowtrace report ghost")
+
+        assert (cli.run_command("flowtrace chain cli-chain 8")
+                == "chain cli-chain sampled at 1/8")
+        assert "multiple of the base rate" in cli.run_command(
+            "flowtrace chain cli-chain 6")
+
+        target = tmp_path / "traces" / "flowtrace.jsonl"
+        assert cli.run_command("flowtrace jsonl %s" % target) == (
+            "wrote %d trace(s) to %s" % (sampled, target))
+        lines = [json.loads(line)
+                 for line in target.read_text().splitlines()]
+        assert lines[0]["meta"]["rate"] == 4 and len(lines) == sampled + 1
+
+        assert cli.run_command("flowtrace off") == (
+            "flowtrace off (%d trace(s) kept)" % sampled)
+        assert not escape.flowtrace.enabled
+        assert cli.run_command("flowtrace reset") == "flowtrace reset"
+        assert len(escape.flowtrace) == 0
+
+    def test_usage_and_bad_arguments(self, console):
+        _escape, cli, _sg = console
+        assert cli.run_command("flowtrace bogus").startswith(
+            "usage: flowtrace [status] | on [rate] [seed] | off")
+        assert cli.run_command("flowtrace chain only-a-name") == (
+            "usage: flowtrace chain <name> <rate>")
+        assert cli.run_command("flowtrace jsonl") == (
+            "usage: flowtrace jsonl <output-file>")
+        assert cli.run_command("flowtrace on fast").startswith("*** ")
+        assert cli.run_command("flowtrace chain x fast").startswith("*** ")
+
+
+class TestChaosCommands:
+    SCENARIO = {"name": "cli-chaos", "seed": 3,
+                "faults": [{"kind": "vnf_crash", "at": 0.2},
+                           {"kind": "link_down", "at": 0.4}]}
+
+    def test_run_status_heal_recovery(self, console, tmp_path):
+        escape, cli, sg_path = console
+        assert "no chaos scenarios armed" in cli.run_command("chaos")
+        cli.run_command("deploy %s" % sg_path)
+        scenario = tmp_path / "chaos.json"
+        scenario.write_text(json.dumps(self.SCENARIO))
+        assert cli.run_command("chaos run %s" % scenario) == (
+            "armed cli-chaos: 2 fault(s), seed 3")
+        assert cli.run_command("chaos status") == (
+            "cli-chaos: seed=3, 0 injected, 0 active")
+        escape.run(1.0)
+        status = cli.run_command("chaos status").splitlines()
+        assert status[0] == "cli-chaos: seed=3, 2 injected, 2 active"
+        assert [line.split()[1] for line in status[1:]] == [
+            "vnf_crash", "link_down"]
+        assert "cli-chain-fw-1" in status[1]
+        assert cli.run_command("chaos heal") == "healed 2 active fault(s)"
+        assert cli.run_command("chaos heal") == "healed 0 active fault(s)"
+        escape.run(1.0)
+        recovery = cli.run_command("chaos recovery").splitlines()
+        assert recovery[0] == "2 repair(s), 0 pending, unrecovered: none"
+        assert [line.split()[1] for line in recovery[1:]] == ["vnf", "link"]
+        assert all("mttr=" in line for line in recovery[1:])
+
+    def test_usage_and_bad_files(self, console, tmp_path):
+        _escape, cli, _sg = console
+        assert cli.run_command("chaos bogus") == (
+            "usage: chaos [status] | run <scenario.json> | heal | recovery")
+        assert cli.run_command("chaos run") == (
+            "usage: chaos run <scenario.json path>")
+        assert cli.run_command("chaos run %s" % (tmp_path / "missing.json")
+                               ).startswith("*** ")
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"faults": [{"kind": "meteor", "at": 1}]}))
+        assert "unknown kind 'meteor'" in cli.run_command(
+            "chaos run %s" % bad)
+        assert cli.run_command("chaos recovery") == (
+            "0 repair(s), 0 pending, unrecovered: none")
+
+
+class TestScenarioCommands:
+    def test_list_show_report(self, console, tmp_path):
+        from repro.scenario import run_scenario
+        _escape, cli, _sg = console
+        listing = cli.run_command("scenario list")
+        assert listing == cli.run_command("scenario")
+        assert "fat_tree" in listing and "chain templates:" in listing
+        reference = os.path.join(os.path.dirname(__file__), os.pardir,
+                                 "examples", "scenarios",
+                                 "wan_chaos_soak.yaml")
+        shown = cli.run_command("scenario show %s" % reference)
+        assert shown.startswith("Scenario(wan-chaos-soak, topology=wan")
+        assert "seeded fault schedule" in shown
+        bundle, = run_scenario(dict(SMOKE_SCENARIO),
+                               results_dir=str(tmp_path))
+        assert bundle["workload"]["packets_received"] > 0
+        report = cli.run_command("scenario report %s" % tmp_path)
+        assert report.startswith("campaign smoke (1 run(s))")
+        assert "%10d" % bundle["dispatched"] in report
+
+    def test_usage_and_bad_paths(self, console, tmp_path):
+        _escape, cli, _sg = console
+        assert cli.run_command("scenario bogus").startswith(
+            "usage: scenario [list] | show <file> | report ")
+        assert cli.run_command("scenario show") == (
+            "usage: scenario show <scenario file>")
+        assert cli.run_command("scenario report") == (
+            "usage: scenario report <bundle|results-dir>...")
+        assert "no such scenario file" in cli.run_command(
+            "scenario show %s" % (tmp_path / "ghost.yaml"))
+        assert "no bundle.json found" in cli.run_command(
+            "scenario report %s" % tmp_path)

@@ -73,6 +73,35 @@ class TestRpcTimeout:
         assert pending.error is not None
         assert metric_value(sim, "netconf.client.late_replies") == before + 1
 
+    def test_reply_due_after_the_deadline_times_out_at_the_deadline(self):
+        """``result`` waits through ``Simulator.wait``: the reply is
+        queued but due later than the deadline, so the wait gives up
+        without running it or moving the clock past the deadline, and
+        the handle is failed and deregistered."""
+        sim, _server, client = connected_pair()
+        client.transport.peer.fault_latency = 2.0  # slow server->client
+        start = sim.now
+        pending = client.request(nc.build_get())  # no expiry event armed
+        with pytest.raises(RpcTimeout):
+            pending.result(sim, timeout=0.5)
+        assert start < sim.now <= start + 0.5  # the request was delivered
+        assert sim.pending == 1                # the reply is still queued
+        assert pending.done and pending.reply is None
+        assert pending.message_id not in client._pending
+        # and from inside a callback, with the run loop underneath
+        waited = []
+
+        def blocking_call():
+            called_at = sim.now
+            with pytest.raises(RpcTimeout):
+                client.call(nc.build_get(), timeout=0.5)
+            waited.append(sim.now - called_at)
+
+        sim.schedule(3.0, blocking_call)
+        sim.run(until=sim.now + 10.0)
+        assert waited == [pytest.approx(0.5)]  # ended by its own expiry
+        assert client._pending == {}
+
     def test_default_timeout_expires_event_driven_rpcs(self):
         sim = Simulator()
         pair = TransportPair(sim, latency=0.001)

@@ -60,6 +60,141 @@ def test_simulator_cancellation_is_exact(entries):
     assert set(fired) == expected
 
 
+# -- event core vs a sorted-list model -----------------------------------
+
+# multiples of 1/32: every sum of them is exact in a float, so the model
+# can compare instants with ==
+_ticks = st.integers(min_value=0, max_value=96).map(lambda k: k / 32.0)
+_core_ops = st.one_of(
+    st.tuples(st.just("schedule"), _ticks),
+    st.tuples(st.just("cancel"), st.integers(0, 999)),
+    st.tuples(st.sampled_from(["arm", "arm_at", "arm_before"]),
+              st.integers(0, 1), _ticks),
+    st.tuples(st.just("disarm"), st.integers(0, 1)),
+    st.tuples(st.just("step")),
+    st.tuples(st.just("run"), _ticks),
+    st.tuples(st.just("wait"), st.integers(0, 3), _ticks))
+
+
+class _SortedListCore:
+    """What ``repro.sim`` promises, with no heap: live entries ``(time,
+    seq, label)`` in a list, the next to fire is their minimum."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.seq = 0
+        self.live = []
+        self.log = []
+        self.armed = [None, None]  # the pending entry of each wakeup
+
+    def add(self, when, label):
+        entry = (when, self.seq, label)
+        self.seq += 1
+        self.live.append(entry)
+        return entry
+
+    def drop(self, entry):
+        if entry in self.live:
+            self.live.remove(entry)
+
+    def arm_at(self, index, when):
+        when = max(when, self.now)
+        entry = self.armed[index]
+        if entry is not None:
+            if entry[0] == when:
+                return
+            self.live.remove(entry)
+        self.armed[index] = self.add(when, ("wakeup", index))
+
+    def fire_next(self, horizon=None):
+        if not self.live or (horizon is not None
+                             and min(self.live)[0] > horizon):
+            return False
+        when, _seq, label = entry = min(self.live)
+        self.live.remove(entry)
+        self.now = when
+        self.log.append((when, label))
+        if label[0] == "wakeup":
+            self.armed[label[1]] = None
+        return True
+
+
+@given(st.lists(_core_ops, min_size=1, max_size=60))
+@settings(max_examples=400, deadline=None)
+def test_event_core_equals_a_sorted_list(ops):
+    """Random interleavings of everything the core offers: callbacks
+    fire in (time, seq) order, a wakeup fires once at its last armed
+    instant, and every scheduled event has exactly one heap entry until
+    it is dispatched or discarded."""
+    sim = Simulator()
+    sim.COMPACT_MIN = 2  # compactions within reach of 60 operations
+    model = _SortedListCore()
+    log = []
+
+    def record(label):
+        log.append((sim.now, label))
+
+    wakeups = [sim.wakeup(record, ("wakeup", index)) for index in (0, 1)]
+    events = []  # (sim event, model entry)
+    for op in ops:
+        kind = op[0]
+        if kind == "schedule":
+            label = ("event", len(events))
+            events.append((sim.schedule(op[1], record, label),
+                           model.add(model.now + op[1], label)))
+        elif kind == "cancel":
+            if events:
+                event, entry = events[op[1] % len(events)]
+                event.cancel()
+                model.drop(entry)
+        elif kind == "arm":
+            wakeups[op[1]].arm(op[2])
+            model.arm_at(op[1], model.now + op[2])
+        elif kind == "arm_at":
+            when = model.now + op[2] - 1.0  # a third of them in the past
+            wakeups[op[1]].arm_at(when)
+            model.arm_at(op[1], when)
+        elif kind == "arm_before":
+            when = model.now + op[2]
+            wakeups[op[1]].arm_before(when)
+            entry = model.armed[op[1]]
+            if entry is None or entry[0] > when:
+                model.arm_at(op[1], when)
+        elif kind == "disarm":
+            wakeups[op[1]].disarm()
+            if model.armed[op[1]] is not None:
+                model.drop(model.armed[op[1]])
+                model.armed[op[1]] = None
+        elif kind == "step":
+            assert sim.step() == model.fire_next()
+        elif kind == "run":
+            horizon = model.now + op[1]
+            expected = 0
+            while model.fire_next(horizon):
+                expected += 1
+            model.now = horizon
+            assert sim.run(until=horizon) == expected
+        else:
+            goal, deadline = len(log) + op[1], model.now + op[2]
+            expected = True
+            while len(model.log) < goal and expected:
+                expected = model.fire_next(deadline)
+            assert sim.wait(lambda: len(log) >= goal, op[2]) is expected
+        assert log == model.log
+        assert sim.now == model.now
+        assert sim.pending == len(model.live)
+        assert sim.processed == len(log)
+        assert sim.scheduled == (sim.processed + sim.cancelled_popped
+                                 + sim.heap_depth)
+        for wakeup, entry in zip(wakeups, model.armed):
+            assert wakeup.armed == (entry is not None)
+            assert entry is None or wakeup.event.time == entry[0]
+    sim.run()
+    while model.fire_next():
+        pass
+    assert log == model.log and sim.heap_depth == 0
+
+
 # -- flow table vs brute force ------------------------------------------
 
 

@@ -80,6 +80,41 @@ chaos:
         with pytest.raises(SpecError, match="tabs"):
             parse_simple_yaml("a:\n\tb: 1")
 
+    def test_scalars_mean_what_the_built_in_parser_says(self):
+        """One file, one meaning: these are the scalars PyYAML reads
+        differently ('1e3', True, 8, 'None', 750, a date object)."""
+        data = parse_simple_yaml(
+            "a: 1e3\nb: yes\nc: 010\nd: None\ne: 12:30\n"
+            "f: 2024-01-02\ng: 0x10\nh: ~\n")
+        assert data == {"a": 1000.0, "b": "yes", "c": 10.0, "d": None,
+                        "e": "12:30", "f": "2024-01-02", "g": 16,
+                        "h": None}
+        assert type(data["a"]) is float and type(data["g"]) is int
+        scenario = load_scenario(
+            "name: x\nduration: 1e3\ntopology:\n  kind: wan\n")
+        assert scenario.duration == 1000.0
+
+    def test_load_scenario_never_imports_yaml(self):
+        """Same Scenario whether or not PyYAML is importable: it is
+        never asked (the subprocess starts without it loaded)."""
+        import subprocess
+        import sys
+        import repro
+        code = (
+            "import sys, json\n"
+            "from repro.scenario import load_scenario\n"
+            "s = load_scenario(sys.argv[1])\n"
+            "assert 'yaml' not in sys.modules, 'PyYAML was imported'\n"
+            "print(json.dumps(s.to_dict(), sort_keys=True))\n")
+        path = os.path.join(os.path.dirname(__file__), os.pardir,
+                            "examples", "scenarios", "wan_chaos_soak.yaml")
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        out = subprocess.run(
+            [sys.executable, "-c", code, path], check=True,
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert json.loads(out.stdout) == load_scenario(path).to_dict()
+
     def test_load_scenario_from_dict_string_and_file(self, tmp_path):
         from_dict = load_scenario(dict(SMOKE_SCENARIO))
         from_string = load_scenario(self.YAML)
@@ -418,3 +453,19 @@ class TestAnalyzerAndCli:
     def test_load_bundles_rejects_empty_dir(self, tmp_path):
         with pytest.raises(AnalyzerError, match="no bundle.json"):
             load_bundles(str(tmp_path))
+
+    def test_load_bundles_names_the_schema_it_refuses(self, tmp_path):
+        """A bundle of another schema is refused by number, not read
+        into a row of dashes."""
+        stale = tmp_path / "old" / "bundle.json"
+        stale.parent.mkdir()
+        stale.write_text(json.dumps(
+            {"schema": 4, "seed": 1, "scenario": {"name": "old"},
+             "dispatch": {}}))
+        for source in (str(stale), str(tmp_path)):
+            with pytest.raises(AnalyzerError,
+                               match=r"schema 4, .* reads schema 5"):
+                load_bundles(source)
+        (tmp_path / "bundle.json").write_text(json.dumps([1, 2]))
+        with pytest.raises(AnalyzerError, match="schema None"):
+            load_bundles(str(tmp_path / "bundle.json"))

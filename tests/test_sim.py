@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Process, Signal, SimulationError, Simulator
+from repro.sim import SimulationError, Simulator
 from repro.telemetry import Profiler
 from tests.test_profiler import FakeClock
 
@@ -76,7 +76,7 @@ class TestCancellation:
         sim = Simulator()
         fired = []
         event = sim.schedule(1.0, fired.append, True)
-        sim.cancel(event)
+        event.cancel()
         sim.run()
         assert fired == []
 
@@ -165,136 +165,151 @@ class TestRunControl:
         assert sim.processed == 4
 
 
-class TestProcess:
-    def test_yield_number_sleeps(self):
+class TestWakeup:
+    """One callback, at most one pending shot, however often re-armed."""
+
+    def test_arm_fires_once_at_the_last_armed_instant(self):
         sim = Simulator()
-        trace = []
-
-        def proc():
-            trace.append(sim.now)
-            yield 2.0
-            trace.append(sim.now)
-
-        sim.process(proc())
+        fired = []
+        wakeup = sim.wakeup(lambda: fired.append(sim.now))
+        wakeup.arm(5.0)
+        wakeup.arm_at(2.0)   # earlier
+        wakeup.arm_at(3.0)   # later again
+        assert wakeup.armed and sim.pending == 1
         sim.run()
-        assert trace == [0.0, 2.0]
+        assert fired == [3.0]
+        assert not wakeup.armed
 
-    def test_yield_none_resumes_immediately(self):
+    def test_same_instant_keeps_the_shot(self):
         sim = Simulator()
-        trace = []
+        wakeup = sim.wakeup(lambda: None)
+        event = wakeup.arm_at(2.0)
+        assert wakeup.arm_at(2.0) is event
+        assert sim.scheduled == 1 and sim.heap_depth == 1
 
-        def proc():
-            yield None
-            trace.append(sim.now)
-
-        sim.process(proc())
+    def test_arm_before_only_pulls_earlier(self):
+        sim = Simulator()
+        fired = []
+        wakeup = sim.wakeup(lambda: fired.append(sim.now))
+        first = wakeup.arm_before(4.0)       # idle: arms
+        assert wakeup.arm_before(6.0) is first  # never pushes later
+        assert wakeup.arm_before(1.0).time == 1.0
         sim.run()
-        assert trace == [0.0]
+        assert fired == [1.0]
 
-    def test_return_value_recorded(self):
+    def test_past_instants_clamp_to_now(self):
         sim = Simulator()
+        sim.run(until=3.0)
+        assert sim.wakeup(lambda: None).arm_at(1.0).time == 3.0
 
-        def proc():
-            yield 1.0
-            return 42
-
-        process = sim.process(proc())
+    def test_disarm_then_rearm(self):
+        sim = Simulator()
+        fired = []
+        wakeup = sim.wakeup(fired.append, "x")
+        wakeup.arm(1.0)
+        wakeup.disarm()
+        assert not wakeup.armed and sim.pending == 0
         sim.run()
-        assert process.done
-        assert process.result == 42
-
-    def test_wait_on_signal(self):
-        sim = Simulator()
-        signal = sim.signal()
-        got = []
-
-        def proc():
-            value = yield signal
-            got.append((sim.now, value))
-
-        sim.process(proc())
-        sim.schedule(3.0, signal.fire, "hello")
+        assert fired == []
+        wakeup.arm(1.0)
         sim.run()
-        assert got == [(3.0, "hello")]
+        assert fired == ["x"]
 
-    def test_signal_fire_is_idempotent(self):
+    def test_moved_shot_runs_after_events_already_queued_there(self):
+        """A re-armed shot is a fresh event: it takes a fresh ``seq``
+        and so runs after whatever was already queued for its new
+        instant - whether it moved later or earlier."""
         sim = Simulator()
-        signal = sim.signal()
-        signal.fire("first")
-        signal.fire("second")
-        assert signal.value == "first"
-
-    def test_wait_on_already_fired_signal(self):
-        sim = Simulator()
-        signal = sim.signal()
-        signal.fire("early")
-        got = []
-
-        def proc():
-            value = yield signal
-            got.append(value)
-
-        sim.process(proc())
+        order = []
+        wakeup = sim.wakeup(order.append, "wakeup")
+        wakeup.arm_at(1.0)                       # armed first ...
+        sim.schedule_at(2.0, order.append, "a")
+        sim.schedule_at(0.5, order.append, "b")
+        wakeup.arm_at(2.0)                       # ... moved later: after a
+        sim.run(until=1.5)
+        assert order == ["b"]
         sim.run()
-        assert got == ["early"]
-
-    def test_wait_on_other_process(self):
-        sim = Simulator()
-        trace = []
-
-        def worker():
-            yield 2.0
-            return "done"
-
-        def waiter(target):
-            result = yield target
-            trace.append((sim.now, result))
-
-        target = sim.process(worker())
-        sim.process(waiter(target))
+        assert order == ["b", "a", "wakeup"]
+        order.clear()
+        wakeup.arm(5.0)
+        sim.schedule(1.0, order.append, "c")
+        wakeup.arm(1.0)                          # moved earlier: after c
         sim.run()
-        assert trace == [(2.0, "done")]
+        assert order == ["c", "wakeup"]
 
-    def test_interrupt_stops_process(self):
+    def test_10000_rearms_hold_one_event_and_a_bounded_heap(self):
+        """Every re-arm leaves a cancelled entry behind; compaction is
+        the one mechanism that bounds them."""
         sim = Simulator()
-        trace = []
-
-        def proc():
-            yield 5.0
-            trace.append("should not happen")
-
-        process = sim.process(proc())
-        sim.schedule(1.0, process.interrupt)
+        fired = []
+        wakeup = sim.wakeup(lambda: fired.append(sim.now))
+        for index in range(10000):
+            wakeup.arm_at(1.0 + (index % 7) * 0.125)
+            assert sim.pending == 1
+            assert sim.heap_depth < 2 * sim.COMPACT_MIN
+        assert sim.compactions > 100
+        assert sim.scheduled == (sim.processed + sim.cancelled_popped
+                                 + sim.heap_depth)
         sim.run()
-        assert trace == []
-        assert process.done
+        assert fired == [1.0 + (9999 % 7) * 0.125]
+        assert sim.heap_depth == 0
 
-    def test_bad_yield_raises(self):
+
+class TestWait:
+    """``Simulator.wait``: the one loop blocking-style code pumps."""
+
+    def test_true_at_once_when_done_already_holds(self):
         sim = Simulator()
+        sim.schedule(0.0, lambda: None)
+        assert sim.wait(lambda: True, 0.0) is True
+        assert sim.processed == 0 and sim.now == 0.0
 
-        def proc():
-            yield "not a valid target"
-
-        sim.process(proc())
-        with pytest.raises(SimulationError):
-            sim.run()
-
-    def test_many_processes_interleave_deterministically(self):
+    def test_pumps_until_done(self):
         sim = Simulator()
-        trace = []
+        out = []
+        for delay in (1.0, 2.0, 3.0):
+            sim.schedule(delay, out.append, delay)
+        assert sim.wait(lambda: len(out) == 2, 10.0) is True
+        assert out == [1.0, 2.0] and sim.now == 2.0
+        assert sim.pending == 1
 
-        def proc(name, period):
-            for _ in range(3):
-                yield period
-                trace.append((sim.now, name))
+    def test_false_without_advancing_past_the_deadline(self):
+        sim = Simulator()
+        out = []
+        sim.schedule(1.0, out.append, "early")
+        sim.schedule(2.0, out.append, "on the deadline")
+        sim.schedule(2.5, out.append, "late")
+        assert sim.wait(lambda: False, 2.0) is False
+        assert out == ["early", "on the deadline"]
+        assert sim.now == 2.0 and sim.pending == 1
+        # nothing due at all: the clock stays where it is
+        assert sim.wait(lambda: False, 0.25) is False
+        assert sim.now == 2.0
 
-        sim.process(proc("a", 1.0))
-        sim.process(proc("b", 1.5))
+    def test_false_on_an_empty_heap(self):
+        sim = Simulator()
+        assert sim.wait(lambda: False, 5.0) is False
+        assert sim.now == 0.0
+
+    def test_nested_inside_a_callback_inside_run(self):
+        sim = Simulator()
+        order = []
+
+        def blocking():
+            order.append(("blocking", sim.now))
+            assert sim.wait(lambda: ("reply", 2.0) in order, 5.0)
+            order.append(("resumed", sim.now))
+
+        sim.schedule(1.0, blocking)
+        sim.schedule(1.5, lambda: order.append(("other", sim.now)))
+        sim.schedule(2.0, lambda: order.append(("reply", sim.now)))
+        sim.schedule(3.0, lambda: order.append(("after", sim.now)))
+        assert sim.run(until=2.5) == 1  # the rest ran inside the wait
+        assert order == [("blocking", 1.0), ("other", 1.5),
+                         ("reply", 2.0), ("resumed", 2.0)]
+        assert sim.now == 2.5 and sim.processed == 3
         sim.run()
-        # at t=3.0 both fire; "b" scheduled its event first (at t=1.5,
-        # before "a" rescheduled at t=2.0), so it runs first.
-        assert trace == [(1.0, "a"), (1.5, "b"), (2.0, "a"), (3.0, "b"),
-                         (3.0, "a"), (4.5, "b")]
+        assert order[-1] == ("after", 3.0)
 
 
 class TestOrderingUnderLoad:
@@ -316,23 +331,6 @@ class TestOrderingUnderLoad:
         assert at_2 == sorted(at_2)
         assert fired == [item for item in fired if item[0] == 1.0] + \
             [item for item in fired if item[0] == 2.0]
-
-    def test_signal_fire_wakes_waiters_in_wait_order(self):
-        sim = Simulator()
-        signal = Signal(sim)
-        woken = []
-
-        def waiter(name):
-            yield signal
-            woken.append(name)
-
-        for name in ("a", "b", "c", "d"):
-            sim.process(waiter(name), name=name)
-        sim.run()  # all parked on the signal
-        assert woken == []
-        signal.fire("go")
-        sim.run()
-        assert woken == ["a", "b", "c", "d"]
 
 
 def _profiled_sim():

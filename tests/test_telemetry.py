@@ -3,13 +3,14 @@ histogram percentiles, span nesting under the simulated clock, and the
 JSON / Prometheus exporters."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
 from repro.sim import Simulator
 from repro.telemetry import (Counter, Gauge, Histogram, MetricError,
                              MetricsRegistry, Telemetry, Tracer,
-                             snapshot_dict, to_json,
+                             nearest_rank, snapshot_dict, to_json,
                              to_prometheus, write_snapshot)
 
 
@@ -107,6 +108,70 @@ class TestHistogram:
     def test_rejects_nonpositive_window(self):
         with pytest.raises(MetricError):
             Histogram("layer.component.latency", size=0)
+
+
+class TestNearestRank:
+    """One percentile rule for every p50/p90/p99 a bundle reports."""
+
+    def test_hand_cases(self):
+        assert nearest_rank([1, 2, 3, 4], 50) == 2   # lower middle
+        assert nearest_rank([4, 1, 3, 2], 50) == 2   # any input order
+        assert nearest_rank([1, 2, 3, 4], 51) == 3
+        assert nearest_rank([1, 2, 3, 4, 5, 6], 50) == 3
+        assert nearest_rank(range(1, 9), 50) == 4
+        assert nearest_rank(range(1, 101), 99) == 99
+        assert nearest_rank(range(1, 101), 99.5) == 100
+
+    def test_one_and_two_samples(self):
+        for p in (0, 1, 50, 99, 100):
+            assert nearest_rank([7.0], p) == 7.0
+        assert [nearest_rank([1.0, 2.0], p)
+                for p in (0, 50, 50.1, 100)] == [1.0, 1.0, 2.0, 2.0]
+
+    def test_empty_is_none_and_p_is_checked_first(self):
+        assert nearest_rank([], 50) is None
+        for samples in ([], [1.0]):
+            for p in (-1, 100.5):
+                with pytest.raises(MetricError):
+                    nearest_rank(samples, p)
+
+    @pytest.mark.parametrize("count", [1, 2, 4, 6, 8, 9])
+    def test_every_reader_reports_the_same_median(self, count):
+        """Histogram, Series, flowtrace hops and one-way delay, MTTR and
+        workload delay over the same samples: one p50.  The flowtrace
+        and MTTR readers used ``int(round(q * (n - 1)))``, the upper
+        middle for 4 and 8 samples."""
+        from repro.scenario.runner import _recovery_summary
+        from repro.scenario.workload import WorkloadDriver
+        from repro.telemetry.flowtrace import _summarize_chain
+        samples = [float(value) for value in range(count, 0, -1)]
+        expected = nearest_rank(samples, 50)
+        assert expected == float((count + 1) // 2)
+        hist = Histogram("layer.component.latency")
+        registry = MetricsRegistry()
+        gauge = registry.gauge("layer.component.depth")
+        for value in samples:
+            hist.observe(value)
+            gauge.set(value)
+            registry.sample()
+        assert hist.percentile(50) == expected
+        assert registry.series("layer.component.depth").percentile(
+            50) == expected
+        chain = _summarize_chain({"rate": 1, "nonconformant": 0,
+                                  "one_ways": samples,
+                                  "hops": {"a->b": samples}})
+        assert chain["one_way"]["p50"] == expected
+        assert chain["hops"][0]["p50"] == expected
+        recovery = SimpleNamespace(
+            actions=[{"ok": True, "kind": "reroute", "mttr": value}
+                     for value in samples],
+            unrecovered=lambda: [], pending=lambda: [])
+        assert _recovery_summary(SimpleNamespace(recovery=recovery))[
+            "mttr_p50"] == expected
+        driver = WorkloadDriver(SimpleNamespace(sim=None),
+                                SimpleNamespace(flows=[]))
+        driver.delays = list(samples)
+        assert driver.results()["delay_p50"] == expected
 
 
 class TestRegistry:
