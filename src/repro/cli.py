@@ -7,9 +7,7 @@
     escape scenario list [DIR]...
     escape scenario report <bundle.json|results-dir>... \\
                            [--format table|json|csv]
-    escape perf report <source> [--json] [--limit N]
-    escape perf diff <baseline> <current> [--threshold F] \\
-                     [--json] [--no-gate]
+    escape perf report <bundle.json|results-dir>... [--limit N]
     escape flowtrace <bundle.json|flowtrace.jsonl|results-dir> \\
                      [--chain NAME] [--json]
 
@@ -20,13 +18,11 @@ exits non-zero when any chain deploy failed, any chain stayed
 unrecovered, or the workload delivered nothing (the CI scenario-smoke
 criterion).
 
-``perf report`` renders one perf-attribution report (event count,
+``perf report`` prints, for every bundle it finds, the event count,
 the profiler's region table — event kinds and the regions nested under
-them — and throughput); ``perf diff`` compares two and exits non-zero
-when a guarded region or throughput floor regressed beyond the
-threshold.  Both accept an attribution report, a result
-``bundle.json``, or a results directory holding exactly one bundle;
-the region table is there when the scenario set ``profile: true``.
+them, there when the scenario set ``profile: true`` — and the
+throughput.  To compare two versions of the code, run the benchmark
+ladder's interleaved pairs (``benchmarks/ladder/``), not two bundles.
 
 ``flowtrace`` renders the per-chain hop-latency breakdown (p50/p99
 per hop, attributed share of one-way delay, conformance counts) from
@@ -80,32 +76,15 @@ def _add_scenario_parser(subparsers) -> None:
 
 def _add_perf_parser(subparsers) -> None:
     perf = subparsers.add_parser(
-        "perf", help="perf attribution reports and cross-run diffing")
+        "perf", help="where a run's wall-clock went")
     actions = perf.add_subparsers(dest="action")
 
     report = actions.add_parser(
-        "report", help="render one attribution report")
-    report.add_argument("source",
-                        help="attribution report, bundle.json, or a "
-                             "results dir with one bundle")
-    report.add_argument("--json", action="store_true",
-                        help="emit the report as JSON")
+        "report", help="render the region table of result bundles")
+    report.add_argument("paths", nargs="+",
+                        help="bundle files or results directories")
     report.add_argument("--limit", type=int, default=12, metavar="N",
                         help="rows per table (0 = all; default 12)")
-
-    diff = actions.add_parser(
-        "diff", help="calibration-normalized delta of two perf sources")
-    diff.add_argument("baseline", help="baseline perf source")
-    diff.add_argument("current", help="current perf source")
-    diff.add_argument("--threshold", type=float, default=0.15,
-                      metavar="F",
-                      help="guarded regression threshold "
-                           "(default 0.15 = 15%%)")
-    diff.add_argument("--json", action="store_true",
-                      help="emit the diff as JSON")
-    diff.add_argument("--no-gate", action="store_true",
-                      help="exit 0 even when the gate found "
-                           "regressions")
 
 
 def _add_flowtrace_parser(subparsers) -> None:
@@ -207,38 +186,14 @@ def _cmd_scenario_report(args) -> int:
 
 
 def _cmd_perf_report(args) -> int:
-    import json
-    from repro.telemetry.introspect import (IntrospectError, load_report,
-                                            render_report)
+    from repro.scenario import load_bundles
+    from repro.scenario.analyzer import AnalyzerError, render_perf_report
     try:
-        report = load_report(args.source)
-    except IntrospectError as exc:
+        bundles = load_bundles(args.paths)
+    except AnalyzerError as exc:
         print("*** %s" % exc, file=sys.stderr)
         return 2
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(render_report(report, limit=args.limit))
-    return 0
-
-
-def _cmd_perf_diff(args) -> int:
-    import json
-    from repro.telemetry.introspect import (IntrospectError, diff_reports,
-                                            load_report, render_diff)
-    try:
-        baseline = load_report(args.baseline)
-        current = load_report(args.current)
-        diff = diff_reports(baseline, current, threshold=args.threshold)
-    except IntrospectError as exc:
-        print("*** %s" % exc, file=sys.stderr)
-        return 2
-    if args.json:
-        print(json.dumps(diff, indent=2, sort_keys=True))
-    else:
-        print(render_diff(diff))
-    if diff["findings"] and not args.no_gate:
-        return 1
+    print(render_perf_report(bundles, limit=args.limit))
     return 0
 
 
@@ -263,8 +218,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "perf":
         if args.action == "report":
             return _cmd_perf_report(args)
-        if args.action == "diff":
-            return _cmd_perf_diff(args)
         parser.parse_args(["perf", "--help"])
         return 2
     if args.command == "flowtrace":

@@ -341,8 +341,12 @@ class ESCAPE:
                     priority=self.GUARD_PRIORITY))
 
     def stop(self) -> None:
-        """Tear the framework down; afterwards no live event is left
-        on the heap (the emulator's ``mn -c``)."""
+        """Tear the framework down (the emulator's ``mn -c``): what it
+        started stops and leaves no event on the heap.  Host traffic
+        sources (``Host.start_udp_flow``) and armed chaos engines belong
+        to whoever started them and are *not* stopped — run past the
+        flow's end and the scenario's last heal first when an empty
+        heap matters."""
         self._stop_series_sampler()
         self.discovery.stop()
         self.stats.stop()

@@ -154,25 +154,32 @@ class NetconfClient:
 
     def _handle_message(self, payload: bytes) -> None:
         profiler = self._profiler
-        if profiler.enabled:
-            with profiler.profile("netconf.rpc.decode"):
+        try:
+            if profiler.enabled:
+                with profiler.profile("netconf.rpc.decode"):
+                    kind, root = nc.parse_message(payload)
+            else:
                 kind, root = nc.parse_message(payload)
-        else:
-            kind, root = nc.parse_message(payload)
-        if kind == "hello":
-            self.server_capabilities = nc.hello_capabilities(root)
-            self.session_id = nc.hello_session_id(root)
-            if (nc.CAP_BASE_11 in self.capabilities
-                    and nc.CAP_BASE_11 in self.server_capabilities):
-                self._rx_framer = ChunkedFramer()
-                self._tx_framer = ChunkedFramer()
+            if kind == "hello":
+                session_id = nc.hello_session_id(root)
+                self.server_capabilities = nc.hello_capabilities(root)
+                self.session_id = session_id
+                if (nc.CAP_BASE_11 in self.capabilities
+                        and nc.CAP_BASE_11 in self.server_capabilities):
+                    self._rx_framer = ChunkedFramer()
+                    self._tx_framer = ChunkedFramer()
+                return
+            if kind != "rpc-reply" or root.get("message-id") is None:
+                return  # unsolicited error without id: nothing to match
+            message_id = nc.rpc_message_id(root)
+        except NetconfError as exc:
+            # a frame that cannot be read is dropped; the RPC it may
+            # have answered runs into its deadline
+            self.sim.telemetry.events.warn(
+                "netconf.client", "message.malformed", str(exc),
+                session=self.session_id)
             return
-        if kind != "rpc-reply":
-            return
-        message_id_text = root.get("message-id")
-        if message_id_text is None:
-            return  # unsolicited error without id: nothing to match
-        pending = self._pending.pop(int(message_id_text), None)
+        pending = self._pending.pop(message_id, None)
         if pending is None or pending.done:
             # the RPC already expired (or was never ours): the reply is
             # late — count it, never resolve the dead handle

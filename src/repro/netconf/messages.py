@@ -97,9 +97,11 @@ def _write_element(element: ET.Element, parts: List[str], qnames: dict,
 
 
 def from_xml(data: Union[bytes, str]) -> ET.Element:
+    """Parse one message; bytes the parser cannot read, an unknown
+    declared encoding (``utf-9``) included, are a :class:`NetconfError`."""
     try:
         return ET.fromstring(data)
-    except ET.ParseError as exc:
+    except (ET.ParseError, LookupError, ValueError) as exc:
         raise NetconfError("malformed XML: %s" % exc)
 
 
@@ -224,14 +226,23 @@ def hello_capabilities(hello: ET.Element) -> List[str]:
 
 def hello_session_id(hello: ET.Element) -> Optional[int]:
     node = hello.find(qn("session-id"))
-    return int(node.text) if node is not None and node.text else None
+    if node is None or not node.text:
+        return None
+    return _integer(node.text, "hello session-id")
 
 
 def rpc_message_id(rpc: ET.Element) -> int:
     value = rpc.get("message-id")
     if value is None:
         raise NetconfError("rpc without message-id")
-    return int(value)
+    return _integer(value, "rpc message-id")
+
+
+def _integer(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise NetconfError("%s %r is not an integer" % (what, text))
 
 
 def rpc_operation(rpc: ET.Element) -> ET.Element:

@@ -206,6 +206,15 @@ def pack_actions(actions: List[Action]) -> bytes:
     return b"".join(pack_action(action) for action in actions)
 
 
+#: The one wire length of every action type the codec knows.
+_ACTION_LENGTHS = {
+    OFPAT_OUTPUT: 8, OFPAT_SET_VLAN_VID: 8, OFPAT_STRIP_VLAN: 8,
+    OFPAT_SET_DL_SRC: 16, OFPAT_SET_DL_DST: 16, OFPAT_SET_NW_SRC: 8,
+    OFPAT_SET_NW_DST: 8, OFPAT_SET_TP_SRC: 8, OFPAT_SET_TP_DST: 8,
+    OFPAT_GROUP: 8,
+}
+
+
 def unpack_actions(data: bytes) -> List[Action]:
     actions: List[Action] = []
     offset = 0
@@ -213,8 +222,12 @@ def unpack_actions(data: bytes) -> List[Action]:
         if len(data) - offset < 4:
             raise WireError("truncated action header")
         action_type, length = struct.unpack_from("!HH", data, offset)
-        if length < 8 or offset + length > len(data):
-            raise WireError("bad action length %d" % length)
+        expected = _ACTION_LENGTHS.get(action_type)
+        if expected is None:
+            raise WireError("unknown action type %d" % action_type)
+        if length != expected or offset + length > len(data):
+            raise WireError("action type %d is %d bytes, not %d"
+                            % (action_type, expected, length))
         body = data[offset + 4: offset + length]
         if action_type == OFPAT_OUTPUT:
             port, _max_len = struct.unpack("!HH", body)
@@ -235,10 +248,8 @@ def unpack_actions(data: bytes) -> List[Action]:
             actions.append(SetTpSrc(struct.unpack("!Hxx", body)[0]))
         elif action_type == OFPAT_SET_TP_DST:
             actions.append(SetTpDst(struct.unpack("!Hxx", body)[0]))
-        elif action_type == OFPAT_GROUP:
+        else:  # OFPAT_GROUP
             actions.append(Group(struct.unpack("!I", body)[0]))
-        else:
-            raise WireError("unknown action type %d" % action_type)
         offset += length
     return actions
 
@@ -291,6 +302,19 @@ def _unpack_buckets(data: bytes) -> List[msg.GroupBucket]:
             if watch == OFPP_ANY_WIRE else watch))
         offset += length
     return buckets
+
+
+def _sec_nsec(duration: float) -> Tuple[int, int]:
+    """A duration as OF's (seconds, nanoseconds), rounded to the
+    nearest nanosecond (truncation reads 0.127 s as 126,999,999 ns)."""
+    return divmod(round(duration * 1e9), 10 ** 9)
+
+
+def _duration(seconds: int, nanoseconds: int) -> float:
+    if nanoseconds >= 10 ** 9:
+        raise WireError("duration_nsec %d is a second or more"
+                        % nanoseconds)
+    return seconds + nanoseconds * 1e-9
 
 
 def pack_message(message: msg.Message) -> bytes:
@@ -349,8 +373,7 @@ def pack_message(message: msg.Message) -> bytes:
                          for bucket in message.buckets)
         return _header(OFPT_GROUP_MOD, xid, len(body)) + body
     if isinstance(message, msg.FlowRemoved):
-        duration_sec = int(message.duration)
-        duration_nsec = int((message.duration - duration_sec) * 1e9)
+        duration_sec, duration_nsec = _sec_nsec(message.duration)
         body = pack_match(message.match)
         body += struct.pack("!QHBxIIH2xQQ", message.cookie,
                             message.priority, message.reason,
@@ -379,8 +402,7 @@ def pack_message(message: msg.Message) -> bytes:
         body = struct.pack("!HH", OFPST_FLOW, 0)
         for stat in message.stats:
             actions = pack_actions(stat.actions)
-            duration_sec = int(stat.duration)
-            duration_nsec = int((stat.duration - duration_sec) * 1e9)
+            duration_sec, duration_nsec = _sec_nsec(stat.duration)
             entry = struct.pack("!HBx", 88 + len(actions), 0)
             entry += pack_match(stat.match)
             entry += struct.pack("!IIHHH6xQQQ", duration_sec,
@@ -406,7 +428,16 @@ def pack_message(message: msg.Message) -> bytes:
 
 
 def unpack_message(data: bytes) -> msg.Message:
-    """Parse OF 1.0 wire bytes back into a message object."""
+    """Parse OF 1.0 wire bytes back into a message object.  Bytes that
+    are no message — a body too short for its type, a field out of its
+    range, a port name that is not UTF-8 — raise :class:`WireError`."""
+    try:
+        return _unpack_message(data)
+    except (struct.error, ValueError) as exc:
+        raise WireError("malformed message: %s" % exc) from exc
+
+
+def _unpack_message(data: bytes) -> msg.Message:
     if len(data) < 8:
         raise WireError("message shorter than the OF header")
     version, msg_type, length, xid = struct.unpack_from("!BBHI", data)
@@ -474,7 +505,7 @@ def unpack_message(data: bytes) -> msg.Message:
          _idle, packet_count, byte_count) = struct.unpack_from(
             "!QHBxIIH2xQQ", body, 40)
         return msg.FlowRemoved(match, cookie, priority, reason,
-                               duration_sec + duration_nsec * 1e-9,
+                               _duration(duration_sec, duration_nsec),
                                packet_count, byte_count, xid=xid)
     if msg_type == OFPT_PORT_STATUS:
         reason = struct.unpack_from("!B", body)[0]
@@ -521,7 +552,7 @@ def _unpack_flow_stats_reply(body: bytes, xid: int) -> msg.FlowStatsReply:
         actions = unpack_actions(body[offset + 88: offset + entry_len])
         stats.append(msg.FlowStats(
             match, priority, cookie,
-            duration_sec + duration_nsec * 1e-9,
+            _duration(duration_sec, duration_nsec),
             packet_count, byte_count, actions))
         offset += entry_len
     return msg.FlowStatsReply(stats, xid=xid)

@@ -5,12 +5,13 @@ under the given paths, groups them by scenario, and renders one table
 per scenario — a row per seed plus a mean row — over the headline
 columns: delivered pps (simulated and wall-clock), p50/p99 one-way
 delay, loss ratio, SLA violation ratio, average and median MTTR,
-dataplane fast-failover flips (schema-3 bundles), unrecovered chain
-count, and (schema-5 bundles) the dispatched-event count.
-:func:`report_dict` exposes the
-same aggregation as JSON for dashboards and trajectory tracking, and
+dataplane fast-failover flips, unrecovered chain count, and the
+dispatched-event count.  :func:`report_dict` exposes
+the same aggregation as JSON for dashboards and trajectory tracking,
 :func:`render_csv` flattens the per-seed rows to CSV for external
-plotting.
+plotting, and :func:`render_perf_report` (``escape perf report``)
+prints each bundle's event count, profiler region table and
+throughput.
 """
 
 import csv
@@ -21,6 +22,7 @@ from typing import Any, Dict, Iterable, List, Optional, Union
 
 from repro.scenario.runner import BUNDLE_NAME, BUNDLE_SCHEMA
 from repro.telemetry.export import find_files
+from repro.telemetry.profiler import render_regions
 
 
 class AnalyzerError(Exception):
@@ -213,3 +215,24 @@ def render_csv(bundles: List[Dict[str, Any]]) -> str:
                            for key in CSV_FIELDS if key != "scenario"})
             writer.writerow(record)
     return buffer.getvalue().rstrip()
+
+
+def render_perf_report(bundles: List[Dict[str, Any]],
+                       limit: int = 12) -> str:
+    """Where each run's wall-clock went: the dispatched-event count,
+    the profiler's region table (event kinds and the regions nested
+    under them; ``limit=0`` shows every row) and the throughput."""
+    lines: List[str] = []
+    for bundle in bundles:
+        lines.append("perf attribution — %s seed %s"
+                     % (bundle["scenario"]["name"], bundle["seed"]))
+        lines.append("dispatched %d event(s)" % bundle["dispatched"])
+        if bundle.get("profiler"):
+            lines.extend(render_regions(bundle["profiler"], limit))
+        else:
+            lines.append("no region table: the scenario ran without "
+                         "`profile: true`")
+        lines.append("throughput: " + "  ".join(
+            "%s=%.4g" % item for item in sorted(bundle["throughput"].items())))
+        lines.append("")
+    return "\n".join(lines).rstrip()

@@ -11,7 +11,7 @@ subscriber workload, and writes one **result bundle** under::
         events.jsonl    # the structured event log of the run
         flowtrace.jsonl # per-packet postcards (flowtrace scenarios)
 
-Bundle schema (``schema`` = 5): ``scenario`` (the spec), ``seed``,
+Bundle schema (``schema`` = 6): ``scenario`` (the spec), ``seed``,
 ``workload`` (delivery + p50/p99 one-way delay), ``chains``
 (deployed/failed), ``sla`` (per-chain state, breach/violation counts,
 violation ratio), ``recovery`` (actions, MTTR stats with percentiles,
@@ -20,15 +20,15 @@ protected path count, dataplane bucket flips), ``chaos`` (the
 injection ledger), ``throughput`` (``udp_pps_wall``,
 ``udp_pps_sim``), ``metrics`` (the full telemetry snapshot),
 ``dispatched`` (events the simulator executed over the measured
-window, exact), ``calibration_s`` (host-speed normalizer, so ``escape
-perf diff`` can compare bundles from different machines),
-``profiler`` (the one region table — event kinds and the regions
-nested under them — when the scenario sets ``profile: true``), and
+window, exact), ``profiler`` (the one region table — event kinds and
+the regions nested under them — when the scenario sets ``profile:
+true``), and
 ``flowtrace`` (per-chain hop-latency breakdown + conformance, when the
 scenario carries a ``flowtrace`` section).  Schema 2 lacked
 ``protection`` and the MTTR percentiles; schema 3 lacked
 ``flowtrace``; schema 4 kept a second per-event-kind table beside
-``profiler`` and the event count inside it.
+``profiler`` and the event count inside it; schema 5 carried a
+host-speed loop timing as well.
 
 The runner never swallows a failed run: chain deploys that raise are
 recorded and counted, and :meth:`CampaignRunner.gate` reproduces the
@@ -45,10 +45,9 @@ from repro.core.sgfile import load_service_graph
 from repro.scenario.spec import Scenario, load_scenario
 from repro.scenario.workload import WorkloadDriver, build_workload
 from repro.scenario.zoo import build_topology
-from repro.telemetry.introspect import calibrate
 from repro.telemetry.metrics import nearest_rank
 
-BUNDLE_SCHEMA = 5
+BUNDLE_SCHEMA = 6
 BUNDLE_NAME = "bundle.json"
 EVENTS_NAME = "events.jsonl"
 FLOWTRACE_NAME = "flowtrace.jsonl"
@@ -130,13 +129,6 @@ class CampaignRunner:
         self.results_dir = os.fspath(results_dir)
         self.bundles: List[Dict[str, Any]] = []
         self._print = printer or (lambda _line: None)
-        self._calibration: Optional[float] = None
-
-    def calibration(self) -> float:
-        """Host-speed normalizer, measured once per campaign."""
-        if self._calibration is None:
-            self._calibration = calibrate()
-        return self._calibration
 
     # -- single run --------------------------------------------------------
 
@@ -243,7 +235,6 @@ class CampaignRunner:
             },
             "metrics": escape.metrics_snapshot(),
             "dispatched": dispatched,
-            "calibration_s": self.calibration(),
         }
         if scenario.profile:
             bundle["profiler"] = escape.profiler.report()

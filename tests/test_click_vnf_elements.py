@@ -332,6 +332,18 @@ class TestIPRewriter:
         router.write_handler("rw.flush", "")
         assert router.read_handler("rw.mappings") == "0"
 
+    def test_table_handler_dumps_mappings_by_external_port(self):
+        router = self._router()
+        rw = router.element("rw")
+        assert router.read_handler("rw.table") == ""
+        rw.push(0, ip_packet(UDP(srcport=2222, dstport=53),
+                             srcip="10.0.0.6"))
+        rw.push(0, ip_packet(TCP(srcport=1111, dstport=80),
+                             srcip="10.0.0.5", protocol=6))
+        assert router.read_handler("rw.table").splitlines() == [
+            "proto=17 10.0.0.6:2222 <-> 192.168.0.1:10000",
+            "proto=6 10.0.0.5:1111 <-> 192.168.0.1:10001"]
+
 
 class TestStringMatcher:
     def _router(self):

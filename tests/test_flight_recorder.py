@@ -180,6 +180,22 @@ class TestTraceJoin:
         assert span.name == "sla.probe"
         assert span.tags["chain"] == "rec-chain"
 
+    def test_render_is_one_line_naming_the_probe(self, escape):
+        chain = escape.deploy_service(SG)
+        escape.recorder.attach_chain(chain)
+        escape.run(2.0)
+        report = escape.sla_monitors["rec-chain"].last_report("h1", "h2")
+        record = escape.recorder.records(trace_id=report.trace_id)[0]
+        probe = record.probe
+        text = record.render()
+        assert "\n" not in text
+        assert text.startswith("%.6f %-3s %s" % (
+            record.time, record.direction, record.link_name))
+        assert "%d bytes" % len(record.data) in text
+        assert text.endswith("  probe rec-chain #%d.%d trace=%d" % (
+            probe.seq, probe.index, report.trace_id))
+        assert repr(record) == "TapRecord(%s)" % text
+
     def test_non_probe_frames_have_no_trace(self):
         sim, net, h1, h2 = small_net()
         recorder = FlightRecorder(net)
@@ -190,6 +206,8 @@ class TestTraceJoin:
                        if record.frame.find(UDP) is not None]
         assert udp_records
         assert all(record.trace_id is None for record in udp_records)
+        assert all("probe" not in record.render()
+                   for record in udp_records)
 
 
 class TestChainAndPortTaps:

@@ -364,7 +364,7 @@ class TestScenarioDeterminism:
 
     def test_bundle_carries_flowtrace_report(self, twin_runs):
         bundle = twin_runs[0].bundles[0]
-        assert bundle["schema"] == 5
+        assert bundle["schema"] == 6
         report = bundle["flowtrace"]
         assert report["rate"] == 8
         assert report["seed"] == 1  # defaults to the run seed

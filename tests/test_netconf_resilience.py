@@ -10,8 +10,9 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from repro.netconf import (NetconfClient, NetconfServer, RpcError,
-                           RpcTimeout, SessionError, TransportPair)
+from repro.netconf import (NetconfClient, NetconfError, NetconfServer,
+                           RpcError, RpcTimeout, SessionError,
+                           TransportPair)
 from repro.netconf import messages as nc
 from repro.sim import Simulator
 
@@ -140,6 +141,25 @@ class TestRetry:
             client.call_with_retry(nc.build_get(), timeout=0.2,
                                    retries=2, backoff=0.05)
 
+    def test_custom_rpc_retry_rides_out_a_transient_blackhole(self):
+        sim, server, client = connected_pair()
+        seen = []
+
+        def echo(operation):
+            seen.append({nc.local_name(child.tag): child.text
+                         for child in operation})
+            return [element("echoed", operation[0].text)]
+
+        server.register_rpc("echo", echo)
+        client.transport.blackhole = True
+        sim.schedule(0.3, setattr, client.transport, "blackhole", False)
+        sent_before = client.rpcs_sent
+        reply = client.rpc_retry("echo", "urn:test", {"word": "hi"},
+                                 timeout=0.2, retries=3, backoff=0.05)
+        assert reply.find(nc.qn("echoed", "urn:test")).text == "hi"
+        assert seen == [{"word": "hi"}]  # the lost attempts never ran
+        assert client.rpcs_sent - sent_before >= 2
+
     def test_rpc_error_is_final_no_retry(self):
         sim, server, client = connected_pair()
 
@@ -166,6 +186,79 @@ class TestRetry:
         # blackholed attempts expire without advancing the clock; the
         # elapsed time is the backoff sleeps: 0.2 + 0.4
         assert sim.now - start >= 0.6 - 1e-9
+
+
+def _with_encoding(element, encoding):
+    """``element`` serialised with ``encoding`` in its XML declaration
+    in place of ``utf-8``."""
+    data = nc.to_xml(element)
+    assert b"encoding='utf-8'" in data
+    return data.replace(b"utf-8", encoding, 1)
+
+
+class TestMalformedFrames:
+    """A frame the XML parser cannot read is a ``NetconfError`` however
+    it fails — a syntax error, or a declared encoding that does not
+    exist (``utf-9``, a ``LookupError`` inside the parser) — and a
+    ``NetconfError`` inside a simulator callback is answered or
+    dropped, never raised out of ``sim.run``."""
+
+    def test_every_bit_flip_of_the_encoding_is_a_netconf_error(self):
+        clean = _with_encoding(nc.build_rpc(7, element("get")), b"utf-8")
+        start = clean.index(b"utf-8")
+        unknown = 0
+        for bit in range(5 * 8):
+            data = bytearray(clean)
+            data[start + bit // 8] ^= 1 << (bit % 8)
+            try:
+                nc.parse_message(bytes(data))
+            except NetconfError as exc:
+                unknown += "encoding" in str(exc)
+        assert unknown >= 18  # utf-9, ttf-8, utf-x, ...
+        for encoding in (b"utf-9", b"utf-32"):
+            with pytest.raises(NetconfError, match="malformed XML"):
+                nc.from_xml(_with_encoding(nc.build_rpc_reply(1),
+                                           encoding))
+
+    def test_non_integer_message_id_is_a_netconf_error(self):
+        rpc = nc.build_rpc(7, element("get"))
+        rpc.set("message-id", "7q")
+        with pytest.raises(NetconfError, match="not an integer"):
+            nc.rpc_message_id(rpc)
+
+    def test_server_answers_malformed_message_and_keeps_serving(self):
+        sim, server, client = connected_pair()
+        answered = []
+        send = server.transport.send
+        server.transport.send = lambda data: (answered.append(data),
+                                              send(data))
+        bad = _with_encoding(nc.build_rpc(99, nc.build_get()), b"utf-9")
+        client.transport.send(client._tx_framer.frame(bad))
+        sim.run(until=sim.now + 0.1)  # raises nothing
+        [reply] = answered
+        assert b"malformed-message" in reply
+        assert b"unknown encoding" in reply
+        assert client.get().result(sim) is not None
+
+    def test_client_drops_a_reply_it_cannot_read(self):
+        sim, server, client = connected_pair()
+        client.transport.blackhole = True  # the server never sees it
+        pending = client.get()
+        for encoding in (b"utf-9", b"utf-8"):
+            reply = nc.build_rpc_reply(pending.message_id)
+            if encoding == b"utf-8":
+                reply.set("message-id", "%dq" % pending.message_id)
+            server.transport.send(server._tx_framer.frame(
+                _with_encoding(reply, encoding)))
+        with pytest.raises(RpcTimeout):
+            pending.result(sim, timeout=0.5)
+        dropped = sim.telemetry.events.query(source="netconf.client",
+                                             name="message.malformed")
+        assert [("unknown encoding" in event.message,
+                 "not an integer" in event.message)
+                for event in dropped] == [(True, False), (False, True)]
+        client.transport.blackhole = False
+        assert client.get().result(sim) is not None
 
 
 class TestReconnect:

@@ -1,5 +1,4 @@
-"""Unit tests for repro.telemetry.profiler (scoped wall-clock regions)
-and the perf gate ``diff_reports`` runs on its reports.
+"""Unit tests for repro.telemetry.profiler (scoped wall-clock regions).
 
 A fake monotonic clock makes attribution assertions exact: each clock
 read advances by a scripted amount, so self/cumulative splits and
@@ -10,9 +9,6 @@ import pytest
 
 from repro.sim import Simulator
 from repro.telemetry import NULL_REGION, Profiler
-from repro.telemetry.introspect import (DEFAULT_GUARDED, build_report,
-                                        calibrate, diff_reports,
-                                        render_diff)
 
 
 class FakeClock:
@@ -184,92 +180,3 @@ class TestSimIntegration:
         profiler.enable()
         sim.step()
         assert profiler.region("sorted").calls == 1
-
-
-class TestRegressionHarness:
-    def _report(self, scores, throughput=1000.0):
-        clock = FakeClock(step=0.0)
-        profiler = Profiler(clock=clock).enable()
-        calibration = 0.001
-        for name, per_call in scores.items():
-            with profiler.profile(name):
-                clock.advance(per_call * calibration)
-        return build_report(profiler, throughput={"udp_pps": throughput},
-                            calibration=calibration)
-
-    def _findings(self, base, cur, **kwargs):
-        return diff_reports(base, cur, threshold=0.15, **kwargs)["findings"]
-
-    def test_comparator_passes_within_threshold(self):
-        base = self._report({"core.mapping.solve": 2.0,
-                             "netem.link.transmit": 1.0})
-        cur = self._report({"core.mapping.solve": 2.2,
-                            "netem.link.transmit": 1.05})
-        assert self._findings(base, cur) == []
-
-    def test_comparator_flags_slow_regions(self):
-        base = self._report({"core.mapping.solve": 2.0,
-                             "netem.link.transmit": 1.0})
-        cur = self._report({"core.mapping.solve": 2.5,  # +25%
-                            "netem.link.transmit": 1.0})
-        diff = diff_reports(base, cur, threshold=0.15)
-        findings = diff["findings"]
-        assert len(findings) == 1
-        assert findings[0]["kind"] == "region"
-        assert findings[0]["name"] == "core.mapping.solve"
-        assert findings[0]["delta"] == pytest.approx(0.25)
-        text = render_diff(diff)
-        assert "FAIL" in text and "core.mapping.solve" in text
-        assert "PASS" in render_diff(diff_reports(base, base))
-
-    def test_comparator_flags_throughput_drop(self):
-        base = self._report({"core.mapping.solve": 2.0},
-                            throughput=1000.0)
-        cur = self._report({"core.mapping.solve": 2.0},
-                           throughput=700.0)  # -30%
-        assert [(f["kind"], f["name"])
-                for f in self._findings(base, cur)] == [
-            ("throughput", "udp_pps")]
-
-    def test_comparator_flags_missing_guarded_throughput(self):
-        base = self._report({"core.mapping.solve": 2.0})
-        base["throughput"] = {"udp_pps_wall": 1500.0}
-        cur = self._report({"core.mapping.solve": 2.0})
-        cur["throughput"] = {}
-        diff = diff_reports(base, cur, threshold=0.15)
-        assert [(f["kind"], f["name"]) for f in diff["findings"]] == [
-            ("throughput_missing", "udp_pps_wall")]
-        text = render_diff(diff)
-        assert "MISSING" in text and "udp_pps_wall" in text
-
-    def test_comparator_skips_missing_unguarded_throughput(self):
-        base = self._report({"core.mapping.solve": 2.0})
-        base["throughput"] = {"sim_ratio": 3.0}
-        cur = self._report({"core.mapping.solve": 2.0})
-        cur["throughput"] = {}
-        assert self._findings(base, cur) == []
-
-    def test_comparator_skips_absent_regions(self):
-        base = self._report({"core.mapping.solve": 2.0,
-                             "pox.steering.install": 1.0})
-        cur = self._report({"core.mapping.solve": 2.0})
-        assert self._findings(base, cur) == []
-
-    def test_only_guarded_regions_are_compared(self):
-        base = self._report({"some.experimental.region": 1.0})
-        cur = self._report({"some.experimental.region": 10.0})
-        assert self._findings(base, cur) == []
-        findings = self._findings(
-            base, cur, guarded=("some.experimental.region",))
-        assert len(findings) == 1
-
-    def test_default_guard_list_covers_all_layers(self):
-        """Event kinds and hand-placed regions are one namespace: the
-        guard list names both, across every layer."""
-        prefixes = {name.split(".")[0] for name in DEFAULT_GUARDED}
-        assert {"netem", "click", "openflow", "netconf",
-                "core", "pox"} <= prefixes
-        assert "netem.link.Link._deliver" in DEFAULT_GUARDED
-
-    def test_calibration_is_positive(self):
-        assert calibrate(loops=10_000) > 0.0

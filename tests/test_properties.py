@@ -19,7 +19,11 @@ from repro.openflow import (ControllerChannel, FlowEntry, FlowMod, FlowTable,
                             OFPP_IN_PORT)
 from repro.netem import Host
 from repro.netem.traffic import PacketCapture
+from repro.openflow import messages as of_msg
+from repro.openflow.actions import (SetDlDst, SetDlSrc, SetNwSrc, SetTpDst,
+                                    SetTpSrc)
 from repro.openflow.match import NO_VLAN, flow_key
+from repro.openflow.wire import WireError, pack_message, unpack_message
 from repro.packet import (ARP, ICMP, EthAddr, Ethernet, IPAddr, IPv4, TCP,
                           UDP, Vlan, pack_udp_frame, unpack_udp_frame)
 from repro.packet.base import PacketError, checksum
@@ -584,6 +588,121 @@ def test_match_subset_implication(seed):
                                              dstport=dport))).pack()
                 if match_a.matches_packet(packet, in_port):
                     assert match_b.matches_packet(packet, in_port)
+
+
+# -- the OpenFlow decoder under corruption ----------------------------------
+
+
+def _wire_match(rng):
+    match = _random_match(rng)
+    if rng.random() < 0.5:
+        match.dl_src = EthAddr("00:00:00:00:00:%02x" % rng.randint(1, 255))
+    if rng.random() < 0.5:
+        match.dl_vlan = rng.randint(0, 4095)
+    if rng.random() < 0.5:
+        match.nw_dst = (IPAddr("10.1.0.0"), rng.randint(1, 31))
+    return match
+
+
+def _wire_actions(rng):
+    mac = "00:00:00:00:00:%02x" % rng.randint(1, 255)
+    pool = [Output(rng.randint(1, 48)), SetVlan(rng.randint(0, 4095)),
+            StripVlan(), SetDlSrc(mac), SetDlDst(mac),
+            SetNwSrc("10.0.0.%d" % rng.randint(1, 254)),
+            SetNwDst("10.0.0.%d" % rng.randint(1, 254)),
+            SetTpSrc(rng.randint(0, 65535)), SetTpDst(rng.randint(0, 65535)),
+            Group(rng.randint(0, 2 ** 32 - 1))]
+    return rng.sample(pool, rng.randint(1, len(pool)))
+
+
+def _wire_port(rng):
+    return of_msg.PortDescription(
+        rng.randint(1, 48), "s%d-eth%d" % (rng.randint(1, 9),
+                                           rng.randint(1, 9)),
+        "00:00:00:00:01:%02x" % rng.randint(0, 255),
+        state=rng.randint(0, 1))
+
+
+#: A random instance of each message class ``pack_message`` serialises.
+_WIRE_MESSAGES = {
+    "Hello": lambda rng: of_msg.Hello(),
+    "EchoRequest": lambda rng: of_msg.EchoRequest(rng.randbytes(4)),
+    "EchoReply": lambda rng: of_msg.EchoReply(rng.randbytes(4)),
+    "FeaturesRequest": lambda rng: of_msg.FeaturesRequest(),
+    "FeaturesReply": lambda rng: of_msg.FeaturesReply(
+        rng.randint(1, 2 ** 40), [_wire_port(rng), _wire_port(rng)]),
+    "PacketIn": lambda rng: of_msg.PacketIn(
+        rng.choice([None, rng.randint(0, 1000)]), rng.randint(1, 48),
+        rng.randbytes(rng.randint(0, 30))),
+    "PacketOut": lambda rng: of_msg.PacketOut(
+        _wire_actions(rng), data=rng.randbytes(rng.randint(1, 20)),
+        in_port=rng.choice([None, rng.randint(1, 48)])),
+    "FlowMod": lambda rng: FlowMod(
+        _wire_match(rng), _wire_actions(rng), priority=rng.randint(0, 99),
+        cookie=rng.randint(0, 2 ** 64 - 1)),
+    "GroupMod": lambda rng: GroupMod(
+        rng.randint(0, 2), rng.randint(0, 99), buckets=[
+            GroupBucket(_wire_actions(rng), watch_port=rng.randint(1, 48)),
+            GroupBucket(_wire_actions(rng))]),
+    "FlowRemoved": lambda rng: of_msg.FlowRemoved(
+        _wire_match(rng), rng.randint(0, 99), rng.randint(0, 99),
+        rng.randint(0, 2), rng.randint(0, 10 ** 6) / 1000.0,
+        rng.randint(0, 10 ** 6), rng.randint(0, 10 ** 9)),
+    "PortStatus": lambda rng: of_msg.PortStatus(rng.randint(0, 2),
+                                                _wire_port(rng)),
+    "BarrierRequest": lambda rng: of_msg.BarrierRequest(),
+    "BarrierReply": lambda rng: of_msg.BarrierReply(),
+    "FlowStatsRequest": lambda rng: of_msg.FlowStatsRequest(
+        _wire_match(rng)),
+    "PortStatsRequest": lambda rng: of_msg.PortStatsRequest(
+        rng.choice([None, rng.randint(1, 48)])),
+    "FlowStatsReply": lambda rng: of_msg.FlowStatsReply([
+        of_msg.FlowStats(_wire_match(rng), rng.randint(0, 99),
+                         rng.randint(0, 99), rng.randint(0, 999) / 8.0,
+                         rng.randint(0, 999), rng.randint(0, 999),
+                         _wire_actions(rng))
+        for _ in range(rng.randint(1, 2))]),
+    "PortStatsReply": lambda rng: of_msg.PortStatsReply([
+        of_msg.PortStats(*(rng.randint(0, 999) for _ in range(7)))]),
+    "ErrorMessage": lambda rng: of_msg.ErrorMessage(
+        rng.randint(0, 5), rng.randint(0, 9), rng.randbytes(8)),
+}
+
+
+def _decodes_to_a_message_or_wire_error(data):
+    try:
+        message = unpack_message(data)
+    except WireError:
+        return
+    pack_message(message)
+
+
+@pytest.mark.parametrize("kind", sorted(_WIRE_MESSAGES))
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+@settings(max_examples=20, deadline=None)
+def test_corrupt_openflow_bytes_end_in_wire_error_or_a_message(kind, seed):
+    """Every single-bit flip and every truncation of a packed message
+    either decodes to a message that packs again or raises
+    ``WireError`` — never a ``struct.error`` or ``ValueError`` from
+    deeper down, such as the MAC parser handed 4 bytes by a flipped
+    action type."""
+    message = _WIRE_MESSAGES[kind](random.Random(seed))
+    message.xid = seed
+    packed = pack_message(message)
+    assert pack_message(unpack_message(packed)) == packed
+    for bit in range(len(packed) * 8):
+        flipped = bytearray(packed)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        _decodes_to_a_message_or_wire_error(bytes(flipped))
+    for length in range(len(packed)):
+        _decodes_to_a_message_or_wire_error(packed[:length])
+
+
+def test_set_dl_action_shorter_than_16_bytes_is_a_wire_error():
+    packed = bytearray(pack_message(FlowMod(Match(), [Output(2)])))
+    packed[73] ^= 0x04  # OFPAT_OUTPUT -> OFPAT_SET_DL_SRC, still 8 bytes
+    with pytest.raises(WireError, match="action type 4 is 16 bytes"):
+        unpack_message(bytes(packed))
 
 
 # -- flow_key vs the packet classes -----------------------------------------

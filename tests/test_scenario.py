@@ -271,7 +271,7 @@ class TestCampaignRunner:
 
     def test_bundle_contents(self, campaign):
         bundle = campaign.bundles[0]
-        assert bundle["schema"] == 5
+        assert bundle["schema"] == 6
         assert bundle["seed"] == 1
         assert bundle["scenario"]["name"] == "smoke"
         workload = bundle["workload"]
@@ -294,7 +294,7 @@ class TestCampaignRunner:
         always, and under ``profile: true`` one region table holding
         event kinds and the hand-placed regions nested under them."""
         bundle = campaign.bundles[0]
-        assert bundle["calibration_s"] > 0
+        assert "calibration_s" not in bundle
         assert bundle["dispatched"] > 0
         assert "dispatch" not in bundle
         regions = bundle["profiler"]
@@ -407,36 +407,10 @@ class TestAnalyzerAndCli:
         assert "udp_pps_wall=" in out
         assert "without `profile: true`" in out
 
-    def test_cli_perf_diff_same_seed_near_zero(self, results_dir,
-                                               capsys):
-        """Acceptance criterion: two same-seed runs diff near zero —
-        here literally the same bundle against itself, plus the gate
-        passing across the two seeds of one campaign."""
-        bundles = load_bundles(results_dir)
-        path = bundles[0]["_path"]
-        assert cli_main(["perf", "diff", path, path, "--json"]) == 0
-        diff = json.loads(capsys.readouterr().out)
-        assert diff["max_abs_delta"] == 0.0
-        assert diff["findings"] == []
-
-    def test_cli_perf_diff_gate_failure_exit_code(self, results_dir,
-                                                  tmp_path, capsys):
-        bundles = load_bundles(results_dir)
-        path = bundles[0]["_path"]
-        with open(path) as handle:
-            worse = json.load(handle)
-        worse["throughput"]["udp_pps_wall"] *= 0.5
-        worse_path = tmp_path / "worse.json"
-        worse_path.write_text(json.dumps(worse))
-        assert cli_main(["perf", "diff", path, str(worse_path)]) == 1
-        capsys.readouterr()
-        assert cli_main(["perf", "diff", path, str(worse_path),
-                         "--no-gate"]) == 0
-        capsys.readouterr()
-
     def test_cli_perf_report_bad_source(self, capsys):
         assert cli_main(["perf", "report", "not/a/real/path"]) == 2
-        assert "no such perf source" in capsys.readouterr().err
+        assert "no such file or directory: not/a/real/path" in (
+            capsys.readouterr().err)
 
     def test_cli_report_missing_path(self, capsys):
         assert cli_main(["scenario", "report",
@@ -464,8 +438,52 @@ class TestAnalyzerAndCli:
              "dispatch": {}}))
         for source in (str(stale), str(tmp_path)):
             with pytest.raises(AnalyzerError,
-                               match=r"schema 4, .* reads schema 5"):
+                               match=r"schema 4, .* reads schema 6"):
                 load_bundles(source)
         (tmp_path / "bundle.json").write_text(json.dumps([1, 2]))
         with pytest.raises(AnalyzerError, match="schema None"):
             load_bundles(str(tmp_path / "bundle.json"))
+
+
+#: What a bundle may differ in from one process to the next: host
+#: timings and the path the bundle was written to.
+WALL_CLOCK_FIELDS = (("wall_seconds",), ("throughput", "udp_pps_wall"),
+                     ("events", "path"),
+                     ("metrics", "telemetry.metrics.collect_seconds"),
+                     ("metrics", "telemetry.metrics.sample_seconds"))
+
+
+def test_same_seed_is_the_same_bytes_under_any_hash_seed(tmp_path):
+    """Same scenario + same seed in two processes whose ``str`` hashes
+    differ (``PYTHONHASHSEED`` 1 and 2): the event log is byte-identical
+    and the bundles are equal outside wall-clock fields — on a lossy,
+    chaos-injected WAN, where any set or dict iterated in hash order
+    would reorder the run."""
+    import subprocess
+    import sys
+    import repro
+    spec = os.path.join(os.path.dirname(__file__), os.pardir, "examples",
+                        "scenarios", "wan_chaos_soak.yaml")
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    runs = []
+    for hash_seed in ("1", "2"):
+        results = tmp_path / hash_seed
+        subprocess.run(
+            [sys.executable, "-m", "repro", "scenario", "run", spec,
+             "--seed", "3", "--results-dir", str(results), "--quiet"],
+            env=dict(os.environ, PYTHONHASHSEED=hash_seed,
+                     PYTHONPATH=src),
+            check=True, capture_output=True)
+        run_dir = results / "wan-chaos-soak" / "seed-3"
+        bundle = json.loads((run_dir / "bundle.json").read_text())
+        for *parents, leaf in WALL_CLOCK_FIELDS:
+            section = bundle
+            for key in parents:
+                section = section[key]
+            del section[leaf]
+        runs.append(((run_dir / "events.jsonl").read_bytes(), bundle))
+    (events_1, bundle_1), (events_2, bundle_2) = runs
+    assert events_1 == events_2
+    assert events_1.count(b"\n") == bundle_1["events"]["count"] > 20
+    assert bundle_1 == bundle_2
+    assert bundle_1["chaos"]["injections"]
