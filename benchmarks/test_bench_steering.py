@@ -6,7 +6,8 @@ import pytest
 
 from repro.netem import LinearTopo, Network
 from repro.openflow import Match
-from repro.pox import Core, OpenFlowNexus, PathHop, TrafficSteering
+from repro.pox import (Core, OpenFlowNexus, PathHop, SteeringChange,
+                       TrafficSteering)
 
 
 def steering_rig(switches, mode):
@@ -29,11 +30,11 @@ def test_path_install_latency(benchmark, mode, switches):
     def install_remove():
         counter["n"] += 1
         path_id = "p%d" % counter["n"]
-        steering.install_path(path_id, hops,
-                              Match(nw_src="10.0.0.%d"
-                                    % (counter["n"] % 250 + 1)))
+        steering.apply(SteeringChange().install(
+            path_id, hops, Match(nw_src="10.0.0.%d"
+                                 % (counter["n"] % 250 + 1))))
         net.run(0.05)  # flow-mods land on the switches
-        steering.remove_path(path_id)
+        steering.apply(SteeringChange().remove(path_id))
         net.run(0.05)
     benchmark.pedantic(install_remove, rounds=5, iterations=1)
 
@@ -48,8 +49,8 @@ def test_flow_mod_count_table(benchmark):
             counts = {}
             for mode in ("exact", "vlan"):
                 _net, steering, hops = steering_rig(switches, mode)
-                steering.install_path("p", hops,
-                                      Match(nw_src="10.0.0.1"))
+                steering.apply(SteeringChange().install(
+                    "p", hops, Match(nw_src="10.0.0.1")))
                 counts[mode] = steering.flow_mod_count("p")
             rows.append((switches, counts["exact"], counts["vlan"]))
     benchmark.pedantic(measure, rounds=1, iterations=1)
@@ -70,10 +71,9 @@ def test_vlan_core_entries_are_narrow(benchmark):
     i.e. per-chain state in the core is independent of the flowspec."""
     _net, steering, hops = steering_rig(4, "vlan")
     benchmark.pedantic(
-        lambda: steering.install_path("p", hops,
-                                      Match(nw_src="10.0.0.1",
-                                            nw_dst="10.0.0.2",
-                                            tp_dst=80)),
+        lambda: steering.apply(SteeringChange().install(
+            "p", hops, Match(nw_src="10.0.0.1", nw_dst="10.0.0.2",
+                             tp_dst=80))),
         rounds=1, iterations=1)
     core_mods = [flow_mod for _dpid, flow_mod
                  in steering.paths["p"].flow_mods[1:-1]]
@@ -91,13 +91,14 @@ def test_many_chains_install_throughput(benchmark, chains):
     def install_burst():
         round_counter["n"] += 1
         base = round_counter["n"] * chains
-        for index in range(chains):
-            steering.install_path(
-                "burst-%d" % (base + index), hops,
-                Match(nw_src="10.%d.%d.1"
-                      % ((base + index) // 250, (base + index) % 250)))
+        burst = ["burst-%d" % (base + index) for index in range(chains)]
+        install = SteeringChange()
+        for index, path_id in enumerate(burst):
+            install.install(path_id, hops, Match(
+                nw_src="10.%d.%d.1"
+                % ((base + index) // 250, (base + index) % 250)))
+        steering.apply(install)
         net.run(0.1)
-        for index in range(chains):
-            steering.remove_path("burst-%d" % (base + index))
+        steering.apply(SteeringChange().remove(*burst))
         net.run(0.1)
     benchmark.pedantic(install_burst, rounds=3, iterations=1)

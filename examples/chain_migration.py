@@ -4,9 +4,10 @@ introduction says today's hardware-bound service deployment lacks.
 
 A firewall chain runs between two hosts while we move the firewall
 from an edge container to a core container mid-traffic.  The
-orchestrator does make-before-break: the replacement instance starts,
-the steering re-routes, then the old instance stops — and the ping
-train running across the event keeps completing.
+replacement instance starts, one steering change removes the old
+segments and installs the new ones (break-before-make: a frame reaching
+a switch between the two misses steering), then the old instance stops
+— and the ping train running across the event keeps completing.
 
 Run:  python examples/chain_migration.py
 """

@@ -168,7 +168,7 @@ def run_once(seed, protection):
                   % (action["time"], action["kind"], action["target"],
                      action["error"]))
         elif action.get("mttr") is None:  # reprotect: no outage to time
-            print("  %7.3f %-9s %-28s (make-before-break)"
+            print("  %7.3f %-9s %-28s (re-provisioned)"
                   % (action["time"], action["kind"], action["target"]))
         else:
             print("  %7.3f %-9s %-28s mttr=%6.3fs attempts=%d"

@@ -15,6 +15,9 @@ probe frames join back to their ``sla.probe`` spans.
 Run:  python examples/monitoring_dashboard.py
 """
 
+import os
+import tempfile
+
 from repro.core import ESCAPE
 from repro.core.sgfile import load_service_graph, load_topology
 
@@ -95,7 +98,10 @@ def sla_and_flight_recorder_demo():
     span = escape.recorder.find_span(frames[0])
     print("\n%d captured frames for probe trace %d; span: %s"
           % (len(frames), report.trace_id, span))
-    print(console.run_command("record pcap sla-chain.pcap"))
+    # the capture goes to a fresh temporary directory (printed), not
+    # into the working directory
+    pcap = os.path.join(tempfile.mkdtemp(prefix="escape-"), "sla-chain.pcap")
+    print(console.run_command("record pcap %s" % pcap))
     escape.stop()
 
 

@@ -92,7 +92,7 @@ def compute_backup_paths(sg: ServiceGraph, mapping: Mapping,
 
     Backup bandwidth is *not* reserved: protection is shared, 1:N —
     the backup only carries traffic after a failure, and a fresh one is
-    re-provisioned afterwards (make-before-break).
+    re-provisioned afterwards by a control-plane reroute.
     """
     backups: Dict[tuple, List[str]] = {}
     for (src, dst), primary in mapping.link_paths.items():

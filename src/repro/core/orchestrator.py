@@ -13,6 +13,8 @@ Deployment follows the paper's flow exactly:
    and teardown.
 """
 
+from contextlib import contextmanager
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.catalog import VNFCatalog
@@ -27,7 +29,8 @@ from repro.netem import Network, VNFContainer
 from repro.netem.node import Host, Switch
 from repro.openflow import Match
 from repro.packet import Ethernet
-from repro.pox.steering import MODE_EXACT, PathHop, TrafficSteering
+from repro.pox.steering import (MODE_EXACT, PathHop, SteeringChange,
+                                TrafficSteering)
 
 
 class OrchestratorError(Exception):
@@ -288,12 +291,11 @@ class Orchestrator:
             if self.protection:
                 with tracer.span("orchestrator.protect",
                                  service=sg.name):
-                    self._compute_backup_paths(sg, mapping)
+                    compute_backup_paths(sg, mapping, self.view)
+                    self._warn_unprotected(sg, mapping)
                     compute_backup_placement(sg, mapping, self.view,
                                              self.catalog)
             vnfs: Dict[str, DeployedVNF] = {}
-            path_ids: List[str] = []
-            segment_paths: Dict[tuple, str] = {}
             try:
                 for vnf_name in sg.vnfs:
                     with tracer.span("orchestrator.start_vnf",
@@ -302,32 +304,27 @@ class Orchestrator:
                                                          vnf_name)
                 base_match = match if match is not None \
                     else self._default_match(sg)
-                for link in sg.links:
-                    with tracer.span("orchestrator.install_segment",
-                                     segment="%s->%s" % (link.src,
-                                                         link.dst)):
-                        path_id = self._install_segment(
-                            sg, mapping, vnfs, link, base_match)
-                    path_ids.append(path_id)
-                    segment_paths[(link.src, link.dst)] = path_id
-                return_ids: List[str] = []
-                return_substrate: Optional[List[str]] = None
-                if return_path == "direct":
-                    return_ids, return_substrate = \
-                        self._install_return_path(sg, base_match)
-                elif return_path == "chain":
-                    return_ids = self._install_chain_return(
-                        sg, mapping, vnfs, base_match)
-                path_ids.extend(return_ids)
+                change = SteeringChange()
+                segments = [(link, self._add_segment(
+                    change, sg, mapping, vnfs, link, base_match,
+                    partial(tracer.span, "orchestrator.install_segment",
+                            segment="%s->%s" % (link.src, link.dst))))
+                    for link in sg.links]
+                return_ids, return_substrate = self._add_return(
+                    change, sg, mapping, vnfs, base_match, return_path)
+                self.steering.apply(change)
             except Exception as exc:
                 self._m_deploy_failures.inc()
                 events.error("core.orchestrator",
                              "orchestrator.deploy_failed",
                              "%s: %s" % (sg.name, exc), service=sg.name)
-                self._rollback(sg, mapping, mapper, vnfs, path_ids)
+                self._rollback(sg, mapping, mapper, vnfs)
                 raise
-        chain = DeployedChain(self, sg, mapping, mapper, vnfs, path_ids,
-                              segment_paths)
+            self._count_protected(path_id for _link, path_id in segments)
+        chain = DeployedChain(
+            self, sg, mapping, mapper, vnfs,
+            [path_id for _link, path_id in segments] + return_ids,
+            {(link.src, link.dst): path_id for link, path_id in segments})
         chain.base_match = base_match
         chain.return_mode = return_path
         chain.return_path_ids = return_ids
@@ -345,11 +342,9 @@ class Orchestrator:
 
     # -- VNF lifecycle over NETCONF -------------------------------------------
 
-    def _compute_backup_paths(self, sg: ServiceGraph,
-                              mapping: Mapping) -> None:
-        """(Re)compute ``mapping``'s backup paths and warn in the event
-        log about every segment left unprotected or under-protected."""
-        compute_backup_paths(sg, mapping, self.view)
+    def _warn_unprotected(self, sg: ServiceGraph, mapping: Mapping) -> None:
+        """Warn in the event log about every segment ``mapping``'s
+        backup paths leave unprotected or under-protected."""
         events = self.telemetry.events
         for src, dst in mapping.link_paths:
             info = mapping.backup_info[(src, dst)]
@@ -407,14 +402,21 @@ class Orchestrator:
         except Exception:
             # the VNF already runs: stop it so a failed deploy leaves
             # nothing behind (rollback only sees registered VNFs)
-            try:
-                client.rpc("stopVNF", VNF_NS,
-                           {"id": vnf_id}).result(self.net.sim)
-            except Exception:
-                pass
+            self._stop_vnf(container_name, vnf_id, quiet=True)
             raise
         return DeployedVNF(vnf_name, vnf_id, container_name,
                            device_interfaces, cpu, mem)
+
+    def _stop_vnf(self, container: str, vnf_id: str, timeout: float = 10.0,
+                  quiet: bool = False) -> None:
+        """``stopVNF`` over NETCONF; ``quiet`` ignores any failure."""
+        try:
+            self.netconf_client(container).rpc(
+                "stopVNF", VNF_NS, {"id": vnf_id}).result(self.net.sim,
+                                                          timeout)
+        except Exception:
+            if not quiet:
+                raise
 
     # -- steering -------------------------------------------------------------
 
@@ -473,9 +475,11 @@ class Orchestrator:
             dst_hint = deployed.device_interfaces[device]
         return src_hint, dst_hint
 
-    def _install_segment(self, sg: ServiceGraph, mapping: Mapping,
-                         vnfs: Dict[str, DeployedVNF], link,
-                         base_match: Match) -> str:
+    def _add_segment(self, change: SteeringChange, sg: ServiceGraph,
+                     mapping: Mapping, vnfs: Dict[str, DeployedVNF], link,
+                     base_match: Match, within=None) -> str:
+        """Add the install of one SG link's mapped path (protected by
+        its backup path, if any) to ``change``; returns its path id."""
         path = mapping.link_paths[(link.src, link.dst)]
         src_hint, dst_hint = self._segment_hints(sg, vnfs, link)
         hops = self._path_hops(path, src_hint, dst_hint)
@@ -485,20 +489,14 @@ class Orchestrator:
         backup = (mapping.backup_paths.get((link.src, link.dst))
                   if self.protection else None)
         if backup is not None:
-            backup_hops = self._path_hops(backup, src_hint, dst_hint)
-            groups = self.steering.install_protected_path(
-                path_id, hops, backup_hops, base_match)
-            if groups:
-                self._m_protected_segments.inc()
-            else:
-                self.telemetry.events.warn(
-                    "core.orchestrator", "protection.no_divergence",
-                    "%s: primary and backup never diverge on a shared "
-                    "switch; segment unprotected" % path_id,
-                    service=sg.name, path=path_id)
-            return path_id
-        self.steering.install_path(path_id, hops, base_match)
+            backup = self._path_hops(backup, src_hint, dst_hint)
+        change.install(path_id, hops, base_match, backup, within)
         return path_id
+
+    def _count_protected(self, path_ids) -> None:
+        count = len(set(path_ids) & set(self.steering.protected_paths()))
+        if count:
+            self._m_protected_segments.inc(count)
 
     def _path_hops(self, path: List[str], src_intf: Optional[str],
                    dst_intf: Optional[str]) -> List[PathHop]:
@@ -519,13 +517,32 @@ class Orchestrator:
             raise OrchestratorError("path %r crosses no switch" % (path,))
         return hops
 
-    def _install_return_path(self, sg: ServiceGraph, base_match: Match
-                             ) -> Tuple[List[str], List[str]]:
-        """Direct (chain-bypassing) steering for reply traffic.
-
-        Returns the steering path ids and the substrate node path, so
-        callers can later detect when a failed link invalidates it.
-        """
+    def _add_return(self, change: SteeringChange, sg: ServiceGraph,
+                    mapping: Mapping, vnfs: Dict[str, DeployedVNF],
+                    base_match: Match, mode: str
+                    ) -> Tuple[List[str], Optional[List[str]]]:
+        """Add reply steering to ``change``: ``direct`` along the
+        shortest path, bypassing the chain; ``chain`` back through the
+        VNFs in reverse; or ``none``.  Returns the steering path ids
+        and, for ``direct``, the substrate node path, so a failed link
+        on it can be detected later."""
+        if mode == "chain":
+            reverse_match = Match(dl_type=base_match.dl_type,
+                                  nw_src=base_match.nw_dst,
+                                  nw_dst=base_match.nw_src)
+            path_ids = []
+            for link in reversed(sg.links):
+                path = list(reversed(mapping.link_paths[(link.src,
+                                                         link.dst)]))
+                src_hint, dst_hint = self._segment_hints(sg, vnfs, link)
+                hops = self._path_hops(path, dst_hint, src_hint)
+                self._path_counter += 1
+                path_ids.append("%s/rev/%s->%s/%d" % (
+                    sg.name, link.dst, link.src, self._path_counter))
+                change.install(path_ids[-1], hops, reverse_match)
+            return path_ids, None
+        if mode == "none":
+            return [], None
         source, sink = self._chain_endpoints(sg)
         path = self.view.shortest_path(sink, source)
         if path is None:
@@ -540,27 +557,8 @@ class Orchestrator:
         hops = self._path_hops(path, None, None)
         self._path_counter += 1
         path_id = "%s/return/%d" % (sg.name, self._path_counter)
-        self.steering.install_path(path_id, hops, reverse_match)
+        change.install(path_id, hops, reverse_match)
         return [path_id], path
-
-    def _install_chain_return(self, sg: ServiceGraph, mapping: Mapping,
-                              vnfs: Dict[str, DeployedVNF],
-                              base_match: Match) -> List[str]:
-        """Steer replies back through the chain in reverse."""
-        reverse_match = Match(dl_type=base_match.dl_type,
-                              nw_src=base_match.nw_dst,
-                              nw_dst=base_match.nw_src)
-        path_ids = []
-        for link in reversed(sg.links):
-            path = list(reversed(mapping.link_paths[(link.src, link.dst)]))
-            src_hint, dst_hint = self._segment_hints(sg, vnfs, link)
-            hops = self._path_hops(path, dst_hint, src_hint)
-            self._path_counter += 1
-            path_id = "%s/rev/%s->%s/%d" % (sg.name, link.dst, link.src,
-                                            self._path_counter)
-            self.steering.install_path(path_id, hops, reverse_match)
-            path_ids.append(path_id)
-        return path_ids
 
     # -- topology verification ------------------------------------------------
 
@@ -601,11 +599,11 @@ class Orchestrator:
                     target_container: str, force: bool = False) -> None:
         """Move a chain VNF to ``target_container`` and re-steer.
 
-        Make-before-break: the replacement instance starts on the
-        target, the affected segments are re-routed and re-installed,
-        then the old instance stops.  Raises OrchestratorError (leaving
-        the chain on its old placement) when the target cannot host the
-        VNF or no feasible re-route exists.
+        The replacement instance starts on the target, the affected
+        segments are re-routed and re-steered (break-before-make, see
+        :meth:`_reroute_segments`), then the old instance stops.  Raises
+        OrchestratorError (leaving the chain on its old placement) when
+        the target cannot host the VNF or no feasible re-route exists.
 
         ``force`` tolerates a failing stop of the old instance (its
         container crashed or its agent is unreachable) — the chain
@@ -640,24 +638,18 @@ class Orchestrator:
             chain.mapping.vnf_placement[vnf_name] = old_placement
             chain.vnfs[vnf_name] = deployed
             if new_deployed is not None:
-                try:
-                    self.netconf_client(target_container).rpc(
-                        "stopVNF", VNF_NS,
-                        {"id": new_deployed.vnf_id}).result(self.net.sim)
-                except Exception:
-                    pass
+                self._stop_vnf(target_container, new_deployed.vnf_id,
+                               quiet=True)
             self.view.release_container(target_container, cpu, mem,
                                         ports)
             raise
 
-        # break: stop the old instance, release its resources
+        # stop the old instance, release its resources
         try:
-            old_client = self.netconf_client(deployed.container)
             # under force the old container is likely unreachable: use
             # a short deadline so failover doesn't stall on the timeout
-            old_client.rpc("stopVNF", VNF_NS,
-                           {"id": deployed.vnf_id}).result(
-                self.net.sim, timeout=2.0 if force else 10.0)
+            self._stop_vnf(deployed.container, deployed.vnf_id,
+                           2.0 if force else 10.0)
         except Exception as exc:
             if not force:
                 raise
@@ -678,66 +670,68 @@ class Orchestrator:
     def _reroute_segments(self, chain: DeployedChain,
                           vnf_name: Optional[str] = None,
                           affected_links: Optional[list] = None) -> None:
-        """Recompute + reinstall the steering of every SG link touching
-        ``vnf_name`` (or the explicit ``affected_links`` set) under the
-        chain's updated placement.
+        """Re-route and re-steer every SG link touching ``vnf_name`` (or
+        the explicit ``affected_links`` set) under the chain's updated
+        placement, as one steering change.
 
-        Break-before-make *across the affected set*: old and new
-        segments can carry identical (match, in-port) entries on shared
-        switches, so interleaving per-segment removal with installation
-        would delete freshly installed entries.  All old paths go
-        first, then all new ones.
+        The change removes the old segments before it installs the new
+        ones: old and new segments can carry identical (match, in-port)
+        entries on shared switches, which an add would replace and a
+        delete would hit.  So this is break-before-make, and a frame
+        reaching a switch between the two misses steering (ROADMAP.md,
+        "consistent chain updates").  Nothing is sent, and the view and
+        mapping are restored, when no re-route exists or the change is
+        refused.
         """
-        sg = chain.sg
-        base_match = getattr(chain, "base_match", None) \
-            or self._default_match(sg)
-        if affected_links is not None:
-            affected = list(affected_links)
-        else:
-            affected = [link for link in sg.links
-                        if vnf_name in (link.src, link.dst)]
-        # phase 1: route everything (bandwidth moves over atomically)
-        new_paths = {}
-        for link in affected:
-            src = chain.mapper._place_node(sg, link.src,
-                                           chain.mapping.vnf_placement)
-            dst = chain.mapper._place_node(sg, link.dst,
-                                           chain.mapping.vnf_placement)
-            bandwidth = chain.mapper._link_bandwidth(sg, link.src,
-                                                     link.dst)
-            old_path = chain.mapping.link_paths[(link.src, link.dst)]
-            self.view.release_path_bandwidth(old_path, bandwidth)
-            new_path = self.view.shortest_path(src, dst, bandwidth)
-            if new_path is None:
+        sg, mapping = chain.sg, chain.mapping
+        affected = (list(affected_links) if affected_links is not None
+                    else [link for link in sg.links
+                          if vnf_name in (link.src, link.dst)])
+        moved = {}  # (src, dst) -> (new path, bandwidth, old path)
+        try:
+            for link in affected:
+                key = (link.src, link.dst)
+                src, dst = (chain.mapper._place_node(
+                    sg, node, mapping.vnf_placement) for node in key)
+                bandwidth = chain.mapper._link_bandwidth(sg, *key)
+                old_path = mapping.link_paths[key]
+                self.view.release_path_bandwidth(old_path, bandwidth)
+                new_path = self.view.shortest_path(src, dst, bandwidth)
+                if new_path is None:
+                    self.view.reserve_path_bandwidth(old_path, bandwidth)
+                    raise OrchestratorError(
+                        "no feasible re-route %s -> %s" % (src, dst))
+                self.view.reserve_path_bandwidth(new_path, bandwidth)
+                moved[key] = (new_path, bandwidth, old_path)
+                mapping.link_paths[key] = new_path
+            change = SteeringChange().remove(
+                *(chain.segment_paths[key] for key in moved))
+            notes = None
+            if self.protection:
+                # re-provision backups against the updated view (the
+                # old ones may traverse the edge that just died); the
+                # gaps are logged once the old segments are gone
+                compute_backup_paths(sg, mapping, self.view)
+                notes = partial(self._noting_unprotected, sg, mapping)
+            new_ids = [self._add_segment(
+                change, sg, mapping, chain.vnfs, link, chain.base_match,
+                notes if link is affected[0] else None) for link in affected]
+            self.steering.apply(change)
+        except Exception:
+            for key, (new_path, bandwidth, old_path) in moved.items():
+                self.view.release_path_bandwidth(new_path, bandwidth)
                 self.view.reserve_path_bandwidth(old_path, bandwidth)
-                for done_link, (done_path, done_bw, done_old) \
-                        in new_paths.items():
-                    self.view.release_path_bandwidth(done_path, done_bw)
-                    self.view.reserve_path_bandwidth(done_old, done_bw)
-                raise OrchestratorError(
-                    "no feasible re-route %s -> %s" % (src, dst))
-            self.view.reserve_path_bandwidth(new_path, bandwidth)
-            new_paths[(link.src, link.dst)] = (new_path, bandwidth,
-                                               old_path)
-        # phase 2: remove every old affected path
-        for link in affected:
-            old_id = chain.segment_paths[(link.src, link.dst)]
-            self.steering.remove_path(old_id)
-            chain.path_ids.remove(old_id)
-        # phase 3: install the new ones
-        for link in affected:
-            chain.mapping.link_paths[(link.src, link.dst)] = \
-                new_paths[(link.src, link.dst)][0]
-        if self.protection:
-            # re-provision backups against the updated view (the old
-            # ones may traverse the edge that just died) — the chain's
-            # traffic is already on its way, this is make-before-break
-            self._compute_backup_paths(sg, chain.mapping)
-        for link in affected:
-            new_id = self._install_segment(sg, chain.mapping,
-                                           chain.vnfs, link, base_match)
-            chain.path_ids.append(new_id)
-            chain.segment_paths[(link.src, link.dst)] = new_id
+                mapping.link_paths[key] = old_path
+            raise
+        chain.path_ids = [path_id for path_id in chain.path_ids
+                          if path_id not in change.removals] + new_ids
+        chain.segment_paths.update(zip(moved, new_ids))
+        self._count_protected(new_ids)
+
+    @contextmanager
+    def _noting_unprotected(self, sg: ServiceGraph, mapping: Mapping):
+        self._warn_unprotected(sg, mapping)
+        yield
 
     # -- resilience (driven by repro.core.recovery) ---------------------------
 
@@ -756,12 +750,8 @@ class Orchestrator:
         deployed = chain.vnfs.get(vnf_name)
         if deployed is None:
             raise OrchestratorError("chain has no VNF %r" % vnf_name)
-        client = self.netconf_client(deployed.container)
-        try:
-            client.rpc("stopVNF", VNF_NS,
-                       {"id": deployed.vnf_id}).result(self.net.sim)
-        except Exception:
-            pass  # already reaped, or raced with a container outage
+        # may fail: already reaped, or raced with a container outage
+        self._stop_vnf(deployed.container, deployed.vnf_id, quiet=True)
         new_deployed = self._start_vnf(chain.sg, chain.mapping, vnf_name)
         chain.vnfs[vnf_name] = new_deployed
         self._reroute_segments(chain, vnf_name)
@@ -783,23 +773,19 @@ class Orchestrator:
 
     def reinstall_return_path(self, chain: DeployedChain) -> None:
         """Recompute + re-steer a chain's direct return path (after a
-        substrate link failure invalidated the old one)."""
+        substrate link failure invalidated the old one) as one change;
+        without a new path, the old one stays."""
         if chain.return_mode != "direct":
             return
-        base_match = getattr(chain, "base_match", None) \
-            or self._default_match(chain.sg)
-        for path_id in chain.return_path_ids:
-            try:
-                self.steering.remove_path(path_id)
-            except Exception:
-                pass
-            if path_id in chain.path_ids:
-                chain.path_ids.remove(path_id)
-        new_ids, substrate = self._install_return_path(chain.sg,
-                                                       base_match)
+        change = SteeringChange().remove(*chain.return_path_ids)
+        new_ids, substrate = self._add_return(
+            change, chain.sg, chain.mapping, chain.vnfs, chain.base_match,
+            "direct")
+        self.steering.apply(change)
+        chain.path_ids = [path_id for path_id in chain.path_ids
+                          if path_id not in change.removals] + new_ids
         chain.return_path_ids = new_ids
         chain.return_substrate_path = substrate
-        chain.path_ids.extend(new_ids)
 
     def chains_over_edge(self, node1: str, node2: str) -> List[str]:
         """Names of deployed chains whose steering traverses substrate
@@ -846,29 +832,18 @@ class Orchestrator:
     # -- teardown -------------------------------------------------------------
 
     def _rollback(self, sg: ServiceGraph, mapping: Mapping, mapper: Mapper,
-                  vnfs: Dict[str, DeployedVNF],
-                  path_ids: List[str]) -> None:
-        for path_id in path_ids:
-            try:
-                self.steering.remove_path(path_id)
-            except Exception:
-                pass
+                  vnfs: Dict[str, DeployedVNF]) -> None:
+        """Undo a failed deploy: stop its VNFs, release its mapping.  A
+        deploy's steering is one change, applied last, so a failure
+        left none behind."""
         for deployed in vnfs.values():
-            try:
-                client = self.netconf_client(deployed.container)
-                client.rpc("stopVNF", VNF_NS,
-                           {"id": deployed.vnf_id}).result(self.net.sim)
-            except Exception:
-                pass
+            self._stop_vnf(deployed.container, deployed.vnf_id, quiet=True)
         mapper.release(mapping, self.view)
 
     def _undeploy(self, chain: DeployedChain) -> None:
-        for path_id in chain.path_ids:
-            self.steering.remove_path(path_id)
+        self.steering.apply(SteeringChange().remove(*chain.path_ids))
         for deployed in chain.vnfs.values():
-            client = self.netconf_client(deployed.container)
-            client.rpc("stopVNF", VNF_NS,
-                       {"id": deployed.vnf_id}).result(self.net.sim)
+            self._stop_vnf(deployed.container, deployed.vnf_id)
         chain.mapper.release(chain.mapping, self.view)
         self.deployed.pop(chain.sg.name, None)
         self.telemetry.events.info("core.orchestrator",

@@ -54,8 +54,8 @@ class RecoveryManager:
         self.retry_backoff = retry_backoff
         # protection-aware mode: a fast-failover bucket flip in the
         # dataplane IS the recovery (MTTR = fault to flip); the
-        # control-plane reroute that follows is make-before-break
-        # re-provisioning of fresh backups, recorded without MTTR
+        # control-plane reroute that follows re-provisions fresh
+        # backups and is recorded without MTTR
         self.protection = protection
         self.telemetry = self.sim.telemetry
         # completed repair attempts, oldest first (the recovery ledger:
@@ -273,9 +273,10 @@ class RecoveryManager:
 
     def _reprotected(self, key: Tuple[str, str], services: List[str],
                      attempt: int, **extra) -> None:
-        """Make-before-break re-provisioning finished: the chains kept
-        forwarding on their backups the whole time, so no MTTR is
-        observed — the flip actions already carry it."""
+        """Re-provisioning finished: the chains were riding their
+        backups when the reroute began, so no MTTR is observed — the
+        flip actions already carry it.  (The reroute itself swaps the
+        steering break-before-make, like every reroute.)"""
         self._inflight.discard(key)
         self._m_repairs.inc()
         for service in services:

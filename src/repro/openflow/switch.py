@@ -391,7 +391,13 @@ class OpenFlowSwitch:
                         reason: int) -> None:
         buffer_id: Optional[int] = None
         payload = data
-        if len(self._buffers) < self.n_buffers:
+        if self.n_buffers:
+            if len(self._buffers) >= self.n_buffers:
+                # a full pool reuses the buffer held longest, as real
+                # datapaths do: a packet-in the controller consumes
+                # without releasing it (an LLDP probe, say) would
+                # otherwise hold its buffer forever
+                del self._buffers[next(iter(self._buffers))]
             buffer_id = self._next_buffer
             self._next_buffer += 1
             self._buffers[buffer_id] = (data, in_port)

@@ -29,7 +29,8 @@ from repro.pox.events import (BarrierIn, ConnectionDown, ConnectionUp,
 from repro.pox.l2_learning import L2LearningSwitch
 from repro.pox.nexus import Connection, OpenFlowNexus
 from repro.pox.stats import StatsCollector
-from repro.pox.steering import PathHop, SteeringError, TrafficSteering
+from repro.pox.steering import (PathHop, SteeringChange, SteeringError,
+                                TrafficSteering)
 
 __all__ = [
     "BarrierIn",
@@ -50,6 +51,7 @@ __all__ = [
     "PortStatsReceived",
     "PortStatusEvent",
     "StatsCollector",
+    "SteeringChange",
     "SteeringError",
     "TrafficSteering",
 ]

@@ -3,8 +3,10 @@
 The orchestrator hands this component concrete paths — sequences of
 (switch, in-port, out-port) hops produced by the mapping algorithm —
 and it installs/removes the OpenFlow entries that pin chain traffic to
-those paths.  Two granularities are supported (an ablation the
-benchmarks compare):
+those paths.  Every change to the dataplane is one
+:class:`SteeringChange` given to :meth:`TrafficSteering.apply`, which
+checks the whole change before it sends anything.  Two granularities
+are supported (an ablation the benchmarks compare):
 
 * ``exact`` — every hop matches the full flow template plus its in-port,
 * ``vlan``  — the first hop tags the chain's traffic with a dedicated
@@ -13,7 +15,8 @@ benchmarks compare):
 """
 
 import copy
-from typing import Dict, List, Optional
+from contextlib import nullcontext
+from typing import Callable, ContextManager, Dict, List, Optional
 
 from repro.openflow import (FlowMod, Group, GroupBucket, GroupMod, Match,
                             Output, SetVlan, StripVlan)
@@ -54,17 +57,45 @@ def _clone_match(match: Match, **overrides) -> Match:
     return clone
 
 
+class SteeringChange:
+    """Paths to remove and paths to install, which
+    :meth:`TrafficSteering.apply` makes as one.  Both methods return
+    the change, so calls chain."""
+
+    def __init__(self):
+        self.removals: List[str] = []
+        self.installs: List[tuple] = []
+
+    def remove(self, *path_ids: str) -> "SteeringChange":
+        self.removals.extend(path_ids)
+        return self
+
+    def install(self, path_id: str, hops: List[PathHop], match: Match,
+                backup_hops: Optional[List[PathHop]] = None,
+                within: Optional[Callable[[], ContextManager]] = None
+                ) -> "SteeringChange":
+        """Steer ``match`` traffic along ``hops``, protected by
+        ``backup_hops`` if given (exact steering only; see
+        :meth:`TrafficSteering._flow_mods`).  ``match`` should not
+        constrain in_port or dl_vlan; the module owns those fields.
+        ``within`` returns a context manager entered around sending
+        this install (a caller's trace span, say); it is called only
+        then."""
+        self.installs.append((path_id, list(hops), match,
+                              list(backup_hops or ()), within))
+        return self
+
+
 class _InstalledPath:
     def __init__(self, path_id: str, hops: List[PathHop],
                  flow_mods: List[tuple], vlan: Optional[int],
-                 group_mods: Optional[List[tuple]] = None,
-                 backup_hops: Optional[List[PathHop]] = None):
+                 group_mods: List[tuple], backup_hops: List[PathHop]):
         self.path_id = path_id
         self.hops = hops
         self.flow_mods = flow_mods  # (dpid, FlowMod) pairs, for removal
         self.vlan = vlan
-        self.group_mods = group_mods or []  # (dpid, GroupMod) pairs
-        self.backup_hops = backup_hops or []
+        self.group_mods = group_mods  # (dpid, GroupMod) pairs
+        self.backup_hops = backup_hops
 
 
 class TrafficSteering:
@@ -73,20 +104,14 @@ class TrafficSteering:
     FIRST_VLAN = 100
 
     def __init__(self, nexus: OpenFlowNexus, mode: str = MODE_EXACT,
-                 priority: int = STEERING_PRIORITY,
-                 idle_timeout: float = 0.0, hard_timeout: float = 0.0,
                  restore: bool = True):
         if mode not in (MODE_EXACT, MODE_VLAN):
             raise SteeringError("unknown steering mode %r" % mode)
         self.nexus = nexus
         self.mode = mode
-        self.priority = priority
-        self.idle_timeout = idle_timeout
-        self.hard_timeout = hard_timeout
         # self-healing: steering entries carry SEND_FLOW_REM, and any
         # FlowRemoved matching an installed path is re-installed — a
-        # flushed table or an expired entry cannot silently break a
-        # chain.
+        # flushed table cannot silently break a chain.
         self.restore = restore
         self.paths: Dict[str, _InstalledPath] = {}
         self._vlans_in_use: set = set()
@@ -120,8 +145,6 @@ class TrafficSteering:
         nexus.add_listener(PortStatusEvent, self._handle_port_status)
 
     def _handle_flow_removed(self, event) -> None:
-        if not self.restore:
-            return
         for installed in self.paths.values():
             for dpid, flow_mod in installed.flow_mods:
                 if dpid != event.dpid:
@@ -130,10 +153,8 @@ class TrafficSteering:
                     continue
                 if flow_mod.match != event.ofp.match:
                     continue
-                self.nexus.send(dpid, flow_mod)
-                self.flow_mods_sent += 1
+                self._send(dpid, flow_mod)
                 self.restorations += 1
-                self._m_flow_mods.inc()
                 self._m_restorations.inc()
                 # a chain entry vanished out from under us — restored,
                 # but the operator should know the table was disturbed
@@ -169,98 +190,160 @@ class TrafficSteering:
              chains=",".join(sorted({path_id.split("/", 1)[0]
                                      for path_id in affected})))
 
-    # -- path installation -------------------------------------------------
+    # -- changes -------------------------------------------------------------
 
-    def _register_expected_path(self, path_id: str, match: Match,
-                                hops: List[PathHop],
-                                backup_hops=None) -> None:
-        """Tell the flow-telemetry conformance checker what path this
-        match is *supposed* to take; the chain name is the path id's
-        leading segment (``<chain>/<segment>``).  Backup dpids are
-        registered as acceptable alternates so a fast-failover flip is
-        not reported as mis-steering."""
-        self.telemetry.flowtrace.register_path(
-            path_id, path_id.split("/", 1)[0], match,
-            [hop.dpid for hop in hops],
-            alt_dpids=[hop.dpid for hop in (backup_hops or [])])
+    def apply(self, change: SteeringChange) -> None:
+        """Make ``change``: check all of it, then send all of it.
 
-    def install_path(self, path_id: str, hops: List[PathHop],
-                     match: Match) -> None:
-        """Install flow entries steering ``match`` traffic along ``hops``.
-
-        ``match`` should not constrain in_port or dl_vlan; the module
-        owns those fields.
+        A change that names an unknown or duplicate path, a path with
+        no hops, a switch that is not connected or more VLANs than are
+        free raises :class:`SteeringError` having sent nothing.
+        Otherwise every removal is sent in the order given, then every
+        install, each install's failover groups before its flows.
         """
-        if path_id in self.paths:
-            raise SteeringError("path %r already installed" % path_id)
-        if not hops:
-            raise SteeringError("path %r has no hops" % path_id)
-        for hop in hops:
-            if hop.dpid not in self.nexus.connections:
-                raise SteeringError("switch dpid=%d not connected"
-                                    % hop.dpid)
+        self._check(change)
+        for path_id in change.removals:
+            self.remove_path(path_id)
+        for path_id, hops, match, backup_hops, within in change.installs:
+            with within() if within is not None else nullcontext():
+                self.install_path(path_id, hops, match, backup_hops)
+
+    def _check(self, change: SteeringChange) -> None:
+        for path_id in change.removals:
+            if path_id not in self.paths:
+                raise SteeringError("no path %r installed" % path_id)
+        removing = set(change.removals)
+        if len(removing) < len(change.removals):
+            raise SteeringError("a change removes a path twice")
+        vlans = len(self._vlans_in_use) - sum(
+            self.paths[path_id].vlan is not None for path_id in removing)
+        taken = set(self.paths) - removing
+        for path_id, hops, _match, backup_hops, _within in change.installs:
+            if path_id in taken:
+                raise SteeringError("path %r already installed" % path_id)
+            taken.add(path_id)
+            if not hops:
+                raise SteeringError("path %r has no hops" % path_id)
+            if backup_hops and self.mode != MODE_EXACT:
+                raise SteeringError("backup hops need exact steering")
+            for hop in hops + backup_hops:
+                if hop.dpid not in self.nexus.connections:
+                    raise SteeringError("switch dpid=%d not connected"
+                                        % hop.dpid)
+            if self.mode == MODE_VLAN and len(hops) > 1:
+                vlans += 1
+        if vlans > 4096 - self.FIRST_VLAN:
+            raise SteeringError("VLAN space exhausted")
+
+    def _send(self, dpid: int, message) -> None:
+        self.nexus.send(dpid, message)
+        if isinstance(message, GroupMod):
+            self.group_mods_sent += 1
+            self._m_group_mods.inc()
+        else:
+            self.flow_mods_sent += 1
+            self._m_flow_mods.inc()
+
+    # -- the steps of apply (benchmarks/ladder/tracer.py times these) --------
+
+    def install_path(self, path_id: str, hops: List[PathHop], match: Match,
+                     backup_hops: List[PathHop]) -> None:
+        """Send one install :meth:`apply` has checked."""
+        vlan = None
         if self.mode == MODE_VLAN and len(hops) > 1:
             vlan = self._allocate_vlan()
-            flow_mods = self._vlan_flow_mods(hops, match, vlan)
+            flow_mods, group_mods = self._vlan_flow_mods(hops, match,
+                                                         vlan), []
         else:
-            vlan = None
-            flow_mods = self._exact_flow_mods(hops, match)
+            flow_mods, group_mods = self._flow_mods(path_id, hops, match,
+                                                    backup_hops)
+        groups = {"groups": len(group_mods)} if backup_hops else {}
         tracer = self.telemetry.tracer
         with self.telemetry.profiler.profile("pox.steering.install"), \
                 tracer.span("steering.install_path", path=path_id,
-                            mode=self.mode, hops=len(hops)):
+                            mode=self.mode, hops=len(hops), **groups):
+            # groups first: the flow entries reference them
+            for dpid, group_mod in group_mods:
+                with tracer.span("openflow.group_mod", dpid=dpid):
+                    self._send(dpid, group_mod)
             for dpid, flow_mod in flow_mods:
                 with tracer.span("openflow.flow_mod", dpid=dpid):
-                    self.nexus.send(dpid, flow_mod)
-                self.flow_mods_sent += 1
-                self._m_flow_mods.inc()
-        self.paths[path_id] = _InstalledPath(path_id, list(hops),
-                                             flow_mods, vlan)
-        self._register_expected_path(path_id, match, hops)
-        self.telemetry.events.debug(
-            "pox.steering", "steering.path_installed",
-            "%s: %d hops, %d flow-mods" % (path_id, len(hops),
-                                           len(flow_mods)),
-            path=path_id, mode=self.mode)
+                    self._send(dpid, flow_mod)
+        self.paths[path_id] = _InstalledPath(path_id, hops, flow_mods, vlan,
+                                             group_mods, backup_hops)
+        # the conformance checker learns the path this match should
+        # take; backup dpids are acceptable alternates, so a
+        # fast-failover flip is not reported as mis-steering
+        self.telemetry.flowtrace.register_path(
+            path_id, path_id.split("/", 1)[0], match,
+            [hop.dpid for hop in hops],
+            alt_dpids=[hop.dpid for hop in backup_hops])
+        events = self.telemetry.events
+        detail = ("%d+%d hops, %d flow-mods, %d failover group(s)"
+                  % (len(hops), len(backup_hops), len(flow_mods),
+                     len(group_mods)) if backup_hops
+                  else "%d hops, %d flow-mods" % (len(hops), len(flow_mods)))
+        events.debug("pox.steering", "steering.path_installed",
+                     "%s: %s" % (path_id, detail),
+                     path=path_id, mode=self.mode, **groups)
+        if backup_hops and not group_mods:
+            events.warn("pox.steering", "protection.no_divergence",
+                        "%s: primary and backup never diverge on a shared "
+                        "switch; path unprotected" % path_id,
+                        service=path_id.split("/", 1)[0], path=path_id)
 
-    def install_protected_path(self, path_id: str, hops: List[PathHop],
-                               backup_hops: List[PathHop],
-                               match: Match) -> int:
-        """Install a primary path plus its precomputed backup.
+    def remove_path(self, path_id: str) -> None:
+        """Send one removal :meth:`apply` has checked.  Switches that
+        have disconnected since the install are skipped."""
+        installed = self.paths.pop(path_id)
+        for dpid, flow_mod in installed.flow_mods:
+            if dpid in self.nexus.connections:
+                self._send(dpid, FlowMod(
+                    flow_mod.match, command=FlowMod.DELETE_STRICT,
+                    priority=flow_mod.priority))
+        for dpid, group_mod in installed.group_mods:
+            self._group_index.pop((dpid, group_mod.group_id), None)
+            if dpid in self.nexus.connections:
+                self._send(dpid, GroupMod(GroupMod.DELETE,
+                                          group_mod.group_id))
+        if installed.vlan is not None:
+            self._vlans_in_use.discard(installed.vlan)
+        self.telemetry.flowtrace.unregister_path(path_id)
+        self.telemetry.events.debug("pox.steering",
+                                    "steering.path_removed", path_id,
+                                    path=path_id)
 
-        Where the two paths diverge (same switch, same in-port,
-        different out-port — the head end, for a link-disjoint backup)
-        the primary entry forwards through a FAST_FAILOVER group whose
-        first bucket watches the primary out-port and whose second
-        points down the backup.  The backup's remaining entries are
-        pre-installed, so when the watched port dies the very next
-        frame already rides the alternate — repair happens in the
-        dataplane, without a controller round trip.
+    # -- flow-mod builders ---------------------------------------------------
 
-        Returns the number of failover groups installed (0 means the
-        paths never diverge on a shared switch and the path is
-        effectively unprotected).  Exact-match steering only: the
-        VLAN ablation re-tags per path and cannot share core entries
-        between primary and backup.
+    @property
+    def _flags(self) -> int:
+        return FlowMod.SEND_FLOW_REM if self.restore else 0
+
+    def _flow_mod(self, dpid: int, match: Match, actions: list,
+                  priority: int = STEERING_PRIORITY) -> tuple:
+        return dpid, FlowMod(match, actions, priority=priority,
+                             flags=self._flags)
+
+    def _flow_mods(self, path_id: str, hops: List[PathHop], match: Match,
+                   backup_hops: List[PathHop]) -> tuple:
+        """Exact-match (flow mods, group mods) steering along ``hops``.
+
+        Where ``backup_hops`` leave a primary switch through another
+        port from the same in-port (the head end, for a link-disjoint
+        backup), the primary entry forwards through a FAST_FAILOVER
+        group whose first bucket watches the primary out-port and whose
+        second points down the backup; the backup's remaining entries
+        are pre-installed.  When the watched port dies the very next
+        frame rides the alternate, without a controller round trip.  A
+        path without backup hops has no groups.
         """
-        if self.mode != MODE_EXACT:
-            raise SteeringError("protected paths require exact steering")
-        if path_id in self.paths:
-            raise SteeringError("path %r already installed" % path_id)
-        if not hops or not backup_hops:
-            raise SteeringError("path %r needs primary and backup hops"
-                                % path_id)
-        for hop in list(hops) + list(backup_hops):
-            if hop.dpid not in self.nexus.connections:
-                raise SteeringError("switch dpid=%d not connected"
-                                    % hop.dpid)
         backup_by_dpid = {hop.dpid: hop for hop in backup_hops}
         flow_mods: List[tuple] = []
         group_mods: List[tuple] = []
         diverging: set = set()  # (dpid, in_port) steered by a group
         for hop in hops:
             backup = backup_by_dpid.get(hop.dpid)
-            hop_match = _clone_match(match, in_port=hop.in_port)
+            actions = [Output(hop.out_port)]
             if backup is not None and backup.in_port == hop.in_port \
                     and backup.out_port != hop.out_port:
                 group_id = self._next_group_id
@@ -276,12 +359,8 @@ class TrafficSteering:
                 self._group_index[(hop.dpid, group_id)] = path_id
                 diverging.add((hop.dpid, hop.in_port))
                 actions = [Group(group_id)]
-            else:
-                actions = [Output(hop.out_port)]
-            flow_mods.append((hop.dpid, FlowMod(
-                hop_match, actions, priority=self.priority,
-                idle_timeout=self.idle_timeout,
-                hard_timeout=self.hard_timeout, flags=self._flags)))
+            flow_mods.append(self._flow_mod(
+                hop.dpid, _clone_match(match, in_port=hop.in_port), actions))
         primary_inputs = {(hop.dpid, hop.in_port) for hop in hops}
         for hop in backup_hops:
             key = (hop.dpid, hop.in_port)
@@ -291,42 +370,36 @@ class TrafficSteering:
             # primary (e.g. shared attachment edges on a maximally-
             # disjoint backup) sits one priority below, so the primary
             # entry wins while it exists
-            priority = (self.priority - 1 if key in primary_inputs
-                        else self.priority)
-            flow_mods.append((hop.dpid, FlowMod(
-                _clone_match(match, in_port=hop.in_port),
-                [Output(hop.out_port)], priority=priority,
-                idle_timeout=self.idle_timeout,
-                hard_timeout=self.hard_timeout, flags=self._flags)))
-        tracer = self.telemetry.tracer
-        with self.telemetry.profiler.profile("pox.steering.install"), \
-                tracer.span("steering.install_protected_path",
-                            path=path_id, hops=len(hops),
-                            backup_hops=len(backup_hops),
-                            groups=len(group_mods)):
-            # groups first: the flow entries reference them
-            for dpid, group_mod in group_mods:
-                with tracer.span("openflow.group_mod", dpid=dpid):
-                    self.nexus.send(dpid, group_mod)
-                self.group_mods_sent += 1
-                self._m_group_mods.inc()
-            for dpid, flow_mod in flow_mods:
-                with tracer.span("openflow.flow_mod", dpid=dpid):
-                    self.nexus.send(dpid, flow_mod)
-                self.flow_mods_sent += 1
-                self._m_flow_mods.inc()
-        self.paths[path_id] = _InstalledPath(
-            path_id, list(hops), flow_mods, None,
-            group_mods=group_mods, backup_hops=list(backup_hops))
-        self._register_expected_path(path_id, match, hops,
-                                     backup_hops=backup_hops)
-        self.telemetry.events.debug(
-            "pox.steering", "steering.path_installed",
-            "%s: %d+%d hops, %d flow-mods, %d failover group(s)"
-            % (path_id, len(hops), len(backup_hops), len(flow_mods),
-               len(group_mods)),
-            path=path_id, mode=self.mode, groups=len(group_mods))
-        return len(group_mods)
+            flow_mods.append(self._flow_mod(
+                hop.dpid, _clone_match(match, in_port=hop.in_port),
+                [Output(hop.out_port)], STEERING_PRIORITY - 1
+                if key in primary_inputs else STEERING_PRIORITY))
+        return flow_mods, group_mods
+
+    def _vlan_flow_mods(self, hops: List[PathHop], match: Match,
+                        vlan: int) -> List[tuple]:
+        first, last = hops[0], hops[-1]
+        # ingress: classify + tag; core: match only the tag + in-port;
+        # egress: strip
+        return ([self._flow_mod(first.dpid,
+                                _clone_match(match, in_port=first.in_port),
+                                [SetVlan(vlan), Output(first.out_port)])]
+                + [self._flow_mod(hop.dpid,
+                                  Match(in_port=hop.in_port, dl_vlan=vlan),
+                                  [Output(hop.out_port)])
+                   for hop in hops[1:-1]]
+                + [self._flow_mod(last.dpid,
+                                  Match(in_port=last.in_port, dl_vlan=vlan),
+                                  [StripVlan(), Output(last.out_port)])])
+
+    def _allocate_vlan(self) -> int:
+        vlan = self.FIRST_VLAN
+        while vlan in self._vlans_in_use:
+            vlan += 1
+        self._vlans_in_use.add(vlan)
+        return vlan
+
+    # -- queries -------------------------------------------------------------
 
     def path_for_group(self, dpid: int, group_id: int) -> Optional[str]:
         """The installed path a failover group belongs to (flip-event
@@ -336,87 +409,6 @@ class TrafficSteering:
     def protected_paths(self) -> List[str]:
         """Path ids with at least one failover group installed."""
         return sorted(set(self._group_index.values()))
-
-    @property
-    def _flags(self) -> int:
-        return FlowMod.SEND_FLOW_REM if self.restore else 0
-
-    def _exact_flow_mods(self, hops: List[PathHop],
-                         match: Match) -> List[tuple]:
-        flow_mods = []
-        for hop in hops:
-            hop_match = _clone_match(match, in_port=hop.in_port)
-            flow_mods.append((hop.dpid, FlowMod(
-                hop_match, [Output(hop.out_port)], priority=self.priority,
-                idle_timeout=self.idle_timeout,
-                hard_timeout=self.hard_timeout, flags=self._flags)))
-        return flow_mods
-
-    def _vlan_flow_mods(self, hops: List[PathHop], match: Match,
-                        vlan: int) -> List[tuple]:
-        flow_mods = []
-        first, last = hops[0], hops[-1]
-        # ingress: classify + tag
-        ingress_match = _clone_match(match, in_port=first.in_port)
-        flow_mods.append((first.dpid, FlowMod(
-            ingress_match, [SetVlan(vlan), Output(first.out_port)],
-            priority=self.priority, idle_timeout=self.idle_timeout,
-            hard_timeout=self.hard_timeout, flags=self._flags)))
-        # core: match only the tag + in-port
-        for hop in hops[1:-1]:
-            flow_mods.append((hop.dpid, FlowMod(
-                Match(in_port=hop.in_port, dl_vlan=vlan),
-                [Output(hop.out_port)], priority=self.priority,
-                idle_timeout=self.idle_timeout,
-                hard_timeout=self.hard_timeout, flags=self._flags)))
-        # egress: strip
-        flow_mods.append((last.dpid, FlowMod(
-            Match(in_port=last.in_port, dl_vlan=vlan),
-            [StripVlan(), Output(last.out_port)], priority=self.priority,
-            idle_timeout=self.idle_timeout,
-            hard_timeout=self.hard_timeout, flags=self._flags)))
-        return flow_mods
-
-    def _allocate_vlan(self) -> int:
-        vlan = self.FIRST_VLAN
-        while vlan in self._vlans_in_use:
-            vlan += 1
-            if vlan >= 4096:
-                raise SteeringError("VLAN space exhausted")
-        self._vlans_in_use.add(vlan)
-        return vlan
-
-    # -- removal -----------------------------------------------------------
-
-    def remove_path(self, path_id: str) -> None:
-        installed = self.paths.pop(path_id, None)
-        if installed is None:
-            raise SteeringError("no path %r installed" % path_id)
-        for dpid, flow_mod in installed.flow_mods:
-            if dpid not in self.nexus.connections:
-                continue
-            self.nexus.send(dpid, FlowMod(
-                flow_mod.match, command=FlowMod.DELETE_STRICT,
-                priority=flow_mod.priority))
-            self.flow_mods_sent += 1
-            self._m_flow_mods.inc()
-        for dpid, group_mod in installed.group_mods:
-            self._group_index.pop((dpid, group_mod.group_id), None)
-            if dpid not in self.nexus.connections:
-                continue
-            self.nexus.send(dpid, GroupMod(GroupMod.DELETE,
-                                           group_mod.group_id))
-            self.group_mods_sent += 1
-            self._m_group_mods.inc()
-        if installed.vlan is not None:
-            self._vlans_in_use.discard(installed.vlan)
-        self.telemetry.flowtrace.unregister_path(path_id)
-        self.telemetry.events.debug("pox.steering",
-                                    "steering.path_removed", path_id,
-                                    path=path_id)
-
-    def installed_paths(self) -> List[str]:
-        return sorted(self.paths)
 
     def flow_mod_count(self, path_id: str) -> int:
         installed = self.paths.get(path_id)

@@ -31,6 +31,31 @@ TOPOLOGY = {
 }
 
 
+#: The only container hangs off s3, between the SAP switches s1 and
+#: s2; the direct return path h2 -> h1 takes the faster s4 instead.
+DETOUR_TOPOLOGY = {
+    "nodes": [
+        {"name": "h1", "role": "host"},
+        {"name": "h2", "role": "host"},
+        {"name": "s1", "role": "switch"},
+        {"name": "s2", "role": "switch"},
+        {"name": "s3", "role": "switch"},
+        {"name": "s4", "role": "switch"},
+        {"name": "nc1", "role": "vnf_container", "cpu": 4, "mem": 2048},
+    ],
+    "links": [
+        {"from": "h1", "to": "s1", "delay": 0.001},
+        {"from": "h2", "to": "s2", "delay": 0.001},
+        {"from": "s1", "to": "s3", "delay": 0.002},
+        {"from": "s3", "to": "s2", "delay": 0.002},
+        {"from": "s1", "to": "s4", "delay": 0.001},
+        {"from": "s4", "to": "s2", "delay": 0.001},
+        {"from": "nc1", "to": "s3", "delay": 0.0005},
+        {"from": "nc1", "to": "s3", "delay": 0.0005},
+    ],
+}
+
+
 def simple_sg(name="fi-chain"):
     return load_service_graph({
         "name": name,
@@ -171,6 +196,35 @@ class TestControlPlaneFailures:
         from repro.core import MappingError
         with pytest.raises((OrchestratorError, Exception)):
             escape.deploy_service(simple_sg())
+
+    @pytest.mark.parametrize("dead_switch", ["s2", "s4"])
+    def test_refused_deploy_sends_nothing(self, dead_switch):
+        """The chain's steering is one change, checked before anything
+        is sent.  ``s2`` carries the second segment (fw -> h2) only;
+        ``s4`` carries the direct return path only.  With either
+        disconnected the deploy is refused having sent no message, and
+        leaves no path, flow entry, VNF or reservation behind."""
+        from repro.pox import SteeringError
+        from repro.pox.steering import STEERING_PRIORITY
+        escape = ESCAPE.from_topology(load_topology(DETOUR_TOPOLOGY))
+        escape.start()
+        escape.run(0.1)
+        dpid = escape.net.get(dead_switch).dpid
+        escape.nexus.disconnect(dpid)
+        sent = []
+        send = escape.nexus.send
+        escape.nexus.send = lambda *args: (sent.append(args), send(*args))
+        with pytest.raises(SteeringError, match="dpid=%d " % dpid):
+            escape.deploy_service(simple_sg())
+        escape.run(0.1)
+        assert sent == []
+        assert escape.steering.paths == {}
+        assert not any(entry.priority >= STEERING_PRIORITY - 1
+                       for switch in escape.net.switches()
+                       for entry in switch.datapath.table.entries)
+        assert escape.net.get("nc1").vnfs == {}
+        for snapshot in escape.orchestrator.view.snapshot().values():
+            assert snapshot.get("cpu_used", 0.0) == pytest.approx(0.0)
 
     def test_learning_survives_without_steered_chain(self, escape):
         """Plain traffic keeps flowing when no chain is deployed even

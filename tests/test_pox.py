@@ -6,7 +6,7 @@ from repro.netem import Network
 from repro.openflow import Match, Output
 from repro.pox import (ConnectionUp, Core, Discovery, L2LearningSwitch,
                        LinkEvent, OpenFlowNexus, PacketInEvent, PathHop,
-                       SteeringError, TrafficSteering)
+                       SteeringChange, SteeringError, TrafficSteering)
 from repro.pox.events import Event, EventMixin
 from repro.sim import Simulator
 
@@ -215,6 +215,37 @@ class TestDiscovery:
         net.run(2.0)
         assert any(event.added for event in events)
 
+    def test_consumed_probes_do_not_exhaust_switch_buffers(self):
+        """Discovery consumes LLDP packet-ins without releasing their
+        buffers.  On a looped topology with a four-buffer pool, a table
+        miss after a few probe rounds must still be buffered: a
+        ``miss_send_len`` slice with a buffer id, not the whole frame."""
+        from repro.packet import EthAddr, IPAddr
+        net = Network()
+        nexus = OpenFlowNexus(Core(net.sim))
+        Discovery(nexus)
+        h1 = net.add_host("h1")
+        s1, s2, s3 = (net.add_switch(name) for name in ("s1", "s2", "s3"))
+        for a, b in ((s1, s2), (s2, s3), (s3, s1)):
+            net.add_link(a, b, delay=0.001)
+        net.add_link(h1, s1, delay=0.001)
+        for switch in (s1, s2, s3):
+            switch.datapath.n_buffers = 4
+        net.add_controller(nexus)
+        net.start()
+        net.run(5.0)  # two probes reach each switch per round
+        assert s1.datapath.packet_in_count > 4
+        misses = []
+        nexus.add_listener(PacketInEvent, misses.append)
+        h1.arp_table[IPAddr("10.0.0.99")] = EthAddr("00:00:00:00:00:99")
+        h1.send_udp("10.0.0.99", 9, bytes(400))
+        net.run(0.1)
+        miss, = [event.ofp for event in misses if event.parsed.type
+                 == event.parsed.IP_TYPE]
+        assert miss.buffer_id is not None
+        assert len(miss.data) == s1.datapath.miss_send_len < miss.total_len
+        assert len(s1.datapath._buffers) == 4
+
 
 class TestSteering:
     def _ready(self, mode="exact"):
@@ -228,10 +259,15 @@ class TestSteering:
         net.run(0.1)
         return net, steering
 
+    @staticmethod
+    def _install(steering, path_id, hops, match=None, **options):
+        steering.apply(SteeringChange().install(
+            path_id, hops, match or Match(), **options))
+
     def test_exact_mode_one_flowmod_per_hop(self):
         net, steering = self._ready("exact")
         hops = [PathHop(1, 1, 2), PathHop(2, 1, 2)]
-        steering.install_path("p1", hops, Match(nw_src="10.0.0.1"))
+        self._install(steering, "p1", hops, Match(nw_src="10.0.0.1"))
         assert steering.flow_mod_count("p1") == 2
         net.run(0.1)
         assert len(net.get("s1").datapath.table) == 1
@@ -240,7 +276,7 @@ class TestSteering:
     def test_vlan_mode_structure(self):
         net, steering = self._ready("vlan")
         hops = [PathHop(1, 1, 2), PathHop(2, 1, 2)]
-        steering.install_path("p1", hops, Match(nw_src="10.0.0.1"))
+        self._install(steering, "p1", hops, Match(nw_src="10.0.0.1"))
         net.run(0.1)
         s1_entry = net.get("s1").datapath.table.entries[0]
         s2_entry = net.get("s2").datapath.table.entries[0]
@@ -251,53 +287,117 @@ class TestSteering:
 
     def test_vlan_tags_unique_per_path(self):
         net, steering = self._ready("vlan")
-        steering.install_path("p1", [PathHop(1, 1, 2), PathHop(2, 1, 2)],
-                              Match(nw_src="10.0.0.1"))
-        steering.install_path("p2", [PathHop(1, 2, 1), PathHop(2, 2, 1)],
-                              Match(nw_src="10.0.0.2"))
+        steering.apply(SteeringChange()
+                       .install("p1", [PathHop(1, 1, 2), PathHop(2, 1, 2)],
+                                Match(nw_src="10.0.0.1"))
+                       .install("p2", [PathHop(1, 2, 1), PathHop(2, 2, 1)],
+                                Match(nw_src="10.0.0.2")))
         vlans = {installed.vlan
                  for installed in steering.paths.values()}
         assert len(vlans) == 2
 
     def test_remove_path_clears_entries(self):
         net, steering = self._ready("exact")
-        steering.install_path("p1", [PathHop(1, 1, 2)],
-                              Match(nw_src="10.0.0.1"))
+        self._install(steering, "p1", [PathHop(1, 1, 2)],
+                      Match(nw_src="10.0.0.1"))
         net.run(0.1)
         assert len(net.get("s1").datapath.table) == 1
-        steering.remove_path("p1")
+        steering.apply(SteeringChange().remove("p1"))
         net.run(0.1)
         assert len(net.get("s1").datapath.table) == 0
 
     def test_duplicate_path_id_rejected(self):
         _net, steering = self._ready()
-        steering.install_path("p1", [PathHop(1, 1, 2)], Match())
+        self._install(steering, "p1", [PathHop(1, 1, 2)])
         with pytest.raises(SteeringError):
-            steering.install_path("p1", [PathHop(1, 1, 2)], Match())
+            self._install(steering, "p1", [PathHop(1, 1, 2)])
+        with pytest.raises(SteeringError):
+            steering.apply(SteeringChange()
+                           .install("p2", [PathHop(1, 1, 2)], Match())
+                           .install("p2", [PathHop(2, 1, 2)], Match()))
+        with pytest.raises(SteeringError):
+            steering.apply(SteeringChange().remove("p1", "p1"))
+        assert sorted(steering.paths) == ["p1"]
 
     def test_empty_hops_rejected(self):
         _net, steering = self._ready()
         with pytest.raises(SteeringError):
-            steering.install_path("p1", [], Match())
+            self._install(steering, "p1", [])
 
     def test_unknown_switch_rejected(self):
         _net, steering = self._ready()
         with pytest.raises(SteeringError):
-            steering.install_path("p1", [PathHop(77, 1, 2)], Match())
+            self._install(steering, "p1", [PathHop(77, 1, 2)])
+        with pytest.raises(SteeringError):
+            self._install(steering, "p1", [PathHop(1, 1, 2)],
+                          backup_hops=[PathHop(77, 1, 2)])
 
     def test_remove_unknown_rejected(self):
         _net, steering = self._ready()
         with pytest.raises(SteeringError):
-            steering.remove_path("ghost")
+            steering.apply(SteeringChange().remove("ghost"))
+
+    def test_refused_change_sends_nothing(self):
+        """The bad install comes last; the removal and the good install
+        before it are not sent either."""
+        net, steering = self._ready()
+        self._install(steering, "old", [PathHop(1, 1, 2)])
+        sent = steering.flow_mods_sent
+        with pytest.raises(SteeringError, match="dpid=77"):
+            steering.apply(SteeringChange()
+                           .remove("old")
+                           .install("new", [PathHop(1, 1, 2)], Match())
+                           .install("bad", [PathHop(77, 1, 2)], Match()))
+        assert steering.flow_mods_sent == sent
+        assert sorted(steering.paths) == ["old"]
+        net.run(0.1)
+        assert len(net.get("s1").datapath.table) == 1
+
+    def test_change_removes_before_it_installs(self):
+        """A path may be re-installed under its own id in one change:
+        the DELETE_STRICT goes first, so the fresh entry survives."""
+        from repro.openflow import FlowMod
+        net, steering = self._ready()
+        self._install(steering, "p1", [PathHop(1, 1, 2)],
+                      Match(nw_src="10.0.0.1"))
+        commands = []
+        send = steering.nexus.send
+        steering.nexus.send = lambda dpid, message: (
+            commands.append(message.command), send(dpid, message))
+        steering.apply(SteeringChange().remove("p1").install(
+            "p1", [PathHop(1, 1, 2)], Match(nw_src="10.0.0.1")))
+        assert commands == [FlowMod.DELETE_STRICT, FlowMod.ADD]
+        net.run(0.1)
+        assert len(net.get("s1").datapath.table) == 1
+
+    def test_protected_path_needs_exact_mode(self):
+        _net, steering = self._ready("vlan")
+        with pytest.raises(SteeringError, match="exact"):
+            self._install(steering, "p1", [PathHop(1, 1, 2)],
+                          backup_hops=[PathHop(1, 1, 3)])
+
+    def test_vlan_space_checked_before_sending(self):
+        _net, steering = self._ready("vlan")
+        steering._vlans_in_use.update(
+            range(steering.FIRST_VLAN, 4096 - 1))
+        self._install(steering, "last", [PathHop(1, 1, 2), PathHop(2, 1, 2)])
+        assert steering.paths["last"].vlan == 4095
+        with pytest.raises(SteeringError, match="VLAN space"):
+            self._install(steering, "p1", [PathHop(1, 1, 2),
+                                           PathHop(2, 1, 2)])
+        # freeing a tag in the same change makes room
+        steering.apply(SteeringChange().remove("last").install(
+            "p1", [PathHop(1, 1, 2), PathHop(2, 1, 2)], Match()))
+        assert steering.paths["p1"].vlan == 4095
 
     def test_vlan_released_on_removal(self):
         _net, steering = self._ready("vlan")
-        steering.install_path("p1", [PathHop(1, 1, 2), PathHop(2, 1, 2)],
-                              Match(nw_src="10.0.0.1"))
+        self._install(steering, "p1", [PathHop(1, 1, 2), PathHop(2, 1, 2)],
+                      Match(nw_src="10.0.0.1"))
         first_vlan = steering.paths["p1"].vlan
-        steering.remove_path("p1")
-        steering.install_path("p2", [PathHop(1, 1, 2), PathHop(2, 1, 2)],
-                              Match(nw_src="10.0.0.2"))
+        steering.apply(SteeringChange().remove("p1"))
+        self._install(steering, "p2", [PathHop(1, 1, 2), PathHop(2, 1, 2)],
+                      Match(nw_src="10.0.0.2"))
         assert steering.paths["p2"].vlan == first_vlan
 
     def test_steering_beats_learning_priority(self):
@@ -313,22 +413,22 @@ class TestSteering:
 
 
 class TestSteeringRestoration:
-    def _ready(self):
+    def _ready(self, restore=True):
         net = Network()
         core = Core(net.sim)
         nexus = OpenFlowNexus(core)
-        steering = TrafficSteering(nexus, mode="exact")
+        steering = TrafficSteering(nexus, mode="exact", restore=restore)
         two_switch_topo(net)
         net.add_controller(nexus)
         net.start()
+        net.run(0.1)
+        steering.apply(SteeringChange().install(
+            "p1", [PathHop(1, 1, 2)], Match(nw_src="10.0.0.1")))
         net.run(0.1)
         return net, steering
 
     def test_flushed_entry_is_reinstalled(self):
         net, steering = self._ready()
-        steering.install_path("p1", [PathHop(1, 1, 2)],
-                              Match(nw_src="10.0.0.1"))
-        net.run(0.1)
         switch = net.get("s1")
         assert len(switch.datapath.table) == 1
         # an operator flushes the table behind the controller's back
@@ -338,44 +438,15 @@ class TestSteeringRestoration:
         assert len(switch.datapath.table) == 1
         assert steering.restorations == 1
 
-    def test_expired_entry_is_reinstalled(self):
-        net = Network()
-        core = Core(net.sim)
-        nexus = OpenFlowNexus(core)
-        steering = TrafficSteering(nexus, mode="exact",
-                                   hard_timeout=0.5)
-        two_switch_topo(net)
-        net.add_controller(nexus)
-        net.start()
-        net.run(0.1)
-        steering.install_path("p1", [PathHop(1, 1, 2)],
-                              Match(nw_src="10.0.0.1"))
-        net.run(3.0)  # several expiry+restore cycles
-        assert steering.restorations >= 2
-        assert len(net.get("s1").datapath.table) >= 1
-
     def test_removed_path_is_not_restored(self):
         net, steering = self._ready()
-        steering.install_path("p1", [PathHop(1, 1, 2)],
-                              Match(nw_src="10.0.0.1"))
-        net.run(0.1)
-        steering.remove_path("p1")
+        steering.apply(SteeringChange().remove("p1"))
         net.run(0.5)
         assert len(net.get("s1").datapath.table) == 0
         assert steering.restorations == 0
 
     def test_restore_can_be_disabled(self):
-        net = Network()
-        core = Core(net.sim)
-        nexus = OpenFlowNexus(core)
-        steering = TrafficSteering(nexus, mode="exact", restore=False)
-        two_switch_topo(net)
-        net.add_controller(nexus)
-        net.start()
-        net.run(0.1)
-        steering.install_path("p1", [PathHop(1, 1, 2)],
-                              Match(nw_src="10.0.0.1"))
-        net.run(0.1)
+        net, _steering = self._ready(restore=False)
         switch = net.get("s1")
         switch.datapath.table.delete(Match(), now=net.sim.now)
         net.run(0.5)

@@ -446,30 +446,40 @@ class TestAnalyzerAndCli:
 
 
 #: What a bundle may differ in from one process to the next: host
-#: timings and the path the bundle was written to.
+#: timings and the paths the bundle's files were written to.
 WALL_CLOCK_FIELDS = (("wall_seconds",), ("throughput", "udp_pps_wall"),
-                     ("events", "path"),
+                     ("events", "path"), ("flowtrace", "jsonl", "path"),
                      ("metrics", "telemetry.metrics.collect_seconds"),
                      ("metrics", "telemetry.metrics.sample_seconds"))
 
 
 def test_same_seed_is_the_same_bytes_under_any_hash_seed(tmp_path):
     """Same scenario + same seed in two processes whose ``str`` hashes
-    differ (``PYTHONHASHSEED`` 1 and 2): the event log is byte-identical
-    and the bundles are equal outside wall-clock fields — on a lossy,
-    chaos-injected WAN, where any set or dict iterated in hash order
-    would reorder the run."""
+    differ (``PYTHONHASHSEED`` 1 and 2): the event log and the flowtrace
+    postcards are byte-identical and the bundles are equal outside
+    wall-clock fields — on a lossy, chaos-injected WAN whose links
+    jitter, with flowtrace sampling on, where any set or dict iterated
+    in hash order would reorder the run."""
     import subprocess
     import sys
     import repro
-    spec = os.path.join(os.path.dirname(__file__), os.pardir, "examples",
-                        "scenarios", "wan_chaos_soak.yaml")
+    shipped = os.path.join(os.path.dirname(__file__), os.pardir, "examples",
+                           "scenarios", "wan_chaos_soak.yaml")
+    with open(shipped) as handle:
+        scenario = parse_simple_yaml(handle.read())
+    # four seeded links jitter for the whole run (two of them carry
+    # about a thousand chain frames at seed 3)
+    scenario["chaos"]["faults"] += [{"kind": "link_degrade", "at": 0.2,
+                                     "duration": 11.5, "jitter": 0.003}] * 4
+    scenario["flowtrace"] = {"rate": 8}
+    spec = tmp_path / "jittery.json"
+    spec.write_text(json.dumps(scenario))
     src = os.path.dirname(os.path.dirname(repro.__file__))
     runs = []
     for hash_seed in ("1", "2"):
         results = tmp_path / hash_seed
         subprocess.run(
-            [sys.executable, "-m", "repro", "scenario", "run", spec,
+            [sys.executable, "-m", "repro", "scenario", "run", str(spec),
              "--seed", "3", "--results-dir", str(results), "--quiet"],
             env=dict(os.environ, PYTHONHASHSEED=hash_seed,
                      PYTHONPATH=src),
@@ -481,9 +491,13 @@ def test_same_seed_is_the_same_bytes_under_any_hash_seed(tmp_path):
             for key in parents:
                 section = section[key]
             del section[leaf]
-        runs.append(((run_dir / "events.jsonl").read_bytes(), bundle))
-    (events_1, bundle_1), (events_2, bundle_2) = runs
+        runs.append(((run_dir / "events.jsonl").read_bytes(),
+                     (run_dir / "flowtrace.jsonl").read_bytes(), bundle))
+    (events_1, traces_1, bundle_1), (events_2, traces_2, bundle_2) = runs
     assert events_1 == events_2
     assert events_1.count(b"\n") == bundle_1["events"]["count"] > 20
+    assert traces_1 == traces_2
+    # a meta record, then one line per sampled packet
+    assert traces_1.count(b"\n") - 1 == bundle_1["flowtrace"]["traces"] > 20
     assert bundle_1 == bundle_2
     assert bundle_1["chaos"]["injections"]
