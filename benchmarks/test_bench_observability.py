@@ -58,15 +58,24 @@ def test_event_query_warn_of_mixed_log(benchmark):
 
 # -- dataplane tap overhead ---------------------------------------------------
 
-def _udp_workload(escape, packets=300):
-    """Drive a burst of UDP through the deployed chain, return the
-    host-process wall-clock seconds the simulation took."""
+# The idle heartbeats (LLDP probes and stats polls every 1.0 s, expiry
+# sweeps every 0.5 s) fall on a whole-second grid, so every window of
+# one simulated second dispatches the same events wherever it starts.
+# A shorter window sometimes misses the LLDP and stats rounds and runs
+# ~15% faster; a min-of-N would then time only those windows.
+WINDOW_SECONDS = 1.0
+
+
+def _udp_workload(escape, packets=800):
+    """Drive a burst of UDP through the deployed chain for one
+    heartbeat-aligned window, return the host-process wall-clock
+    seconds the simulation took."""
     h1, h2 = escape.net.get("h1"), escape.net.get("h2")
     before = h2.udp_rx_count
     h1.start_udp_flow(h2.ip, 5001, rate_pps=1000,
                       duration=packets / 1000.0, payload_size=200)
     started = time.perf_counter()
-    escape.run(packets / 1000.0 + 0.5)
+    escape.run(WINDOW_SECONDS)
     elapsed = time.perf_counter() - started
     assert h2.udp_rx_count - before == packets
     return elapsed
@@ -142,7 +151,7 @@ def test_profiler_enabled_region_cost(benchmark):
         with profiler.profile("bench.region.hot"):
             pass
     benchmark(enabled_path)
-    assert profiler.region("bench.region.hot").calls > 0
+    assert profiler.stats["bench.region.hot"].calls > 0
     assert profiler.overhead > 0.0
 
 
@@ -191,12 +200,11 @@ def test_profiler_enabled_captures_all_layers(forwarding_escape):
         profiler.disable()
     for region in ("netem.link.Link._deliver", "netem.link.transmit",
                    "click.element.push"):
-        stat = profiler.region(region)
+        stat = profiler.stats.get(region)
         assert stat is not None and stat.calls > 0, region
-    dispatch = profiler.region("netem.link.Link._deliver")
+    dispatch = profiler.stats["netem.link.Link._deliver"]
     assert dispatch.cum >= dispatch.self_time > 0.0
     assert profiler.overhead > 0.0
-    assert profiler.collapsed()
     profiler.reset()
 
 
@@ -298,23 +306,6 @@ def test_flowtrace_enabled_dataplane(benchmark, forwarding_escape):
         flowtrace.disable()
         flowtrace.reset()
     attach_telemetry(benchmark, escape)
-
-
-def test_series_sampling_sweep(benchmark):
-    """One registry.sample() sweep over a realistically sized registry
-    (the recurring cost the series sampler pays 4x per sim second)."""
-    from repro.telemetry import MetricsRegistry
-    ticks = {"now": 0.0}
-    registry = MetricsRegistry(clock=lambda: ticks["now"])
-    for index in range(100):
-        registry.counter("bench.c%d.value" % index).inc(index)
-
-    def sweep():
-        ticks["now"] += 1.0
-        registry.sample()
-    benchmark(sweep)
-    assert registry.sample_count > 0
-    assert registry.sample_seconds > 0.0
 
 
 def test_sla_monitor_overhead(benchmark):

@@ -211,9 +211,7 @@ class _MgmtFault(Fault):
     """Base for faults acting on a container's management plane."""
 
     def _transports(self, escape, target: str) -> List[Any]:
-        """Both current transport endpoints of a container's NETCONF
-        session, resolved at call time — a client reconnect mid-fault
-        swaps the pipes, and heal must touch the live ones."""
+        """Both transport endpoints of a container's NETCONF session."""
         transports = []
         client = escape.netconf_clients.get(target)
         if client is not None:

@@ -219,11 +219,6 @@ class Router:
         pulls = sum(e.pulled_count for e in self.elements.values())
         return pushes, pulls
 
-    def element_counts(self) -> Dict[str, Tuple[int, int]]:
-        """Per-element (pushed, pulled) packet-transfer counters."""
-        return {name: (element.pushed_count, element.pulled_count)
-                for name, element in self.elements.items()}
-
     def flat_config(self) -> str:
         """Regenerate a canonical config string (Click's flatconfig)."""
         lines = []

@@ -84,9 +84,6 @@ class VNFCatalog:
     def __contains__(self, name: str) -> bool:
         return name in self._entries
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def __repr__(self) -> str:
         return "VNFCatalog(%s)" % ", ".join(self.names())
 

@@ -103,13 +103,9 @@ class ESCAPE:
             self._build_inband_control_network(control_latency)
         else:
             for container in net.vnf_containers():
-                client = NetconfClient(
+                self.netconf_clients[container.name] = NetconfClient(
                     self._outband_dial(container, control_latency),
                     default_timeout=self.RPC_TIMEOUT)
-                client.set_transport_factory(
-                    lambda c=container: self._outband_dial(
-                        c, control_latency))
-                self.netconf_clients[container.name] = client
 
         # orchestrator + service layer
         self._finish_init(net)
@@ -117,10 +113,8 @@ class ESCAPE:
     RPC_TIMEOUT = 10.0  # per-RPC deadline on outband NETCONF sessions
 
     def _outband_dial(self, container, control_latency: float):
-        """Fresh control pipe to ``container``: a new transport pair
-        with the agent re-homed on the server end.  Used at
-        construction and by client reconnects after a session died
-        (e.g. a chaos-injected management blackhole)."""
+        """Control pipe to ``container``: a new transport pair with the
+        container's agent on the server end."""
         pair = TransportPair(self.sim, latency=control_latency)
         self.agents[container.name] = VNFAgent(container, pair.server)
         return pair.client
@@ -175,9 +169,6 @@ class ESCAPE:
         self._m_service_deploys = self.telemetry.metrics.counter(
             "service.layer.deploys", "service requests submitted")
         self.telemetry.metrics.add_collector(self._collect_metrics)
-        # time-series sampler: a recurring sim event sweeping every
-        # metric into its history ring (powers `series` / rate queries)
-        self._series_event = None
         self.started = False
 
     def _collect_metrics(self, registry) -> None:
@@ -289,28 +280,7 @@ class ESCAPE:
             client.wait_connected()
         self._install_container_port_guards()
         self.net.run(0.01)  # let the guard flow-mods land
-        self._start_series_sampler()
         self.started = True
-
-    SERIES_INTERVAL = 0.25  # simulated seconds between series samples
-
-    def _start_series_sampler(self) -> None:
-        if self._series_event is not None:
-            return
-
-        def sample() -> None:
-            self.telemetry.metrics.sample()
-            self._series_event = self.sim.schedule(self.SERIES_INTERVAL,
-                                                   sample)
-
-        self.telemetry.metrics.sample()  # t=now baseline point
-        self._series_event = self.sim.schedule(self.SERIES_INTERVAL,
-                                               sample)
-
-    def _stop_series_sampler(self) -> None:
-        if self._series_event is not None:
-            self._series_event.cancel()
-            self._series_event = None
 
     GUARD_PRIORITY = 0x3000  # above l2_learning, below steering
 
@@ -347,7 +317,6 @@ class ESCAPE:
         to whoever started them and are *not* stopped — run past the
         flow's end and the scenario's last heal first when an empty
         heap matters."""
-        self._stop_series_sampler()
         self.discovery.stop()
         self.stats.stop()
         for monitor in self.sla_monitors.values():
@@ -561,8 +530,8 @@ class ESCAPE:
         """The interactive console: Mininet-style network commands plus
         ESCAPE service commands (services / deploy / undeploy / migrate
         / topology / metrics / trace), the observability commands
-        (health / sla / events / record / flowtrace / profile / flame
-        / top / series) and fault-injection commands (chaos)."""
+        (health / sla / events / record / flowtrace / profile) and
+        fault-injection commands (chaos)."""
         console = CLI(self.net)
         console.commands.update({
             "services": self._cli_services,
@@ -581,10 +550,6 @@ class ESCAPE:
             "flowtrace": self._cli_flowtrace,
             "chaos": self._cli_chaos,
             "profile": self._cli_profile,
-            "flame": self._cli_flame,
-            "top": self._cli_top,
-            "series": self._cli_series,
-            "scenario": self._cli_scenario,
         })
         return console
 
@@ -920,13 +885,17 @@ class ESCAPE:
         return "usage: chaos [status] | run <scenario.json> | heal | recovery"
 
     def _cli_profile(self, args) -> str:
+        from repro.telemetry.profiler import render_regions
         profiler = self.telemetry.profiler
         if not args or args[0] in ("report", "status"):
             state = "on" if profiler.enabled else "off"
             if not profiler.stats:
                 return ("profiler is %s, no regions recorded "
                         "(profile on, then run traffic)" % state)
-            return profiler.render_top(limit=0)
+            lines = render_regions(profiler.report(), 0)
+            lines.append("profiler: %d entries, %.6fs self-overhead (%s)"
+                         % (profiler.entries, profiler.overhead, state))
+            return "\n".join(lines)
         command = args[0]
         if command == "on":
             profiler.enable()
@@ -938,105 +907,6 @@ class ESCAPE:
             profiler.reset()
             return "profiler statistics cleared"
         return "usage: profile [on|off|reset|report]"
-
-    def _cli_flame(self, args) -> str:
-        profiler = self.telemetry.profiler
-        text = profiler.render_flame()
-        if not text:
-            return ("no profile data recorded "
-                    "(profile on, then run traffic)")
-        if args:
-            from repro.telemetry import writable_path
-            path = writable_path(args[0])
-            with open(path, "w") as handle:
-                handle.write(text + "\n")
-            return ("wrote %d collapsed stack(s) to %s"
-                    % (len(text.splitlines()), path))
-        return text
-
-    def _cli_top(self, args) -> str:
-        profiler = self.telemetry.profiler
-        limit = 10
-        if args:
-            try:
-                limit = int(args[0])
-            except ValueError:
-                return "usage: top [n]"
-        if not profiler.stats:
-            return ("no profile data recorded "
-                    "(profile on, then run traffic)")
-        return profiler.render_top(limit=limit)
-
-    def _cli_series(self, args) -> str:
-        registry = self.telemetry.metrics
-        if not args:
-            names = registry.series_names()
-            if not names:
-                return ("no series recorded yet "
-                        "(the sampler runs while the simulation "
-                        "advances)")
-            return "\n".join(names)
-        name = args[0]
-        window = None
-        if len(args) > 1:
-            try:
-                window = float(args[1])
-            except ValueError:
-                return "usage: series [<metric> [window-seconds]]"
-        from repro.telemetry import MetricError
-        try:
-            series = registry.series(name)
-        except MetricError as exc:
-            return "*** %s" % exc
-        since = (self.sim.now - window) if window is not None else None
-        stats = series.stats(since=since)
-        if not stats["points"]:
-            return "%s: no points in window" % name
-        lines = ["%s: %d point(s)%s"
-                 % (name, stats["points"],
-                    " in last %.3fs" % window if window else "")]
-        lines.append("  latest=%.6g  min=%.6g  max=%.6g  mean=%.6g"
-                     % (stats["latest"], stats["min"], stats["max"],
-                        stats["mean"]))
-        if stats.get("rate") is not None:
-            lines.append("  rate=%.6g/s  delta=%.6g  p50=%.6g  p90=%.6g"
-                         % (stats["rate"], stats["delta"], stats["p50"],
-                            stats["p90"]))
-        if stats["evicted"]:
-            lines.append("  (%d older point(s) evicted from the ring)"
-                         % stats["evicted"])
-        return "\n".join(lines)
-
-    def _cli_scenario(self, args) -> str:
-        """Read-only scenario-engine access from the console; full
-        campaigns run through ``escape scenario run`` (repro.cli),
-        which builds its own framework instance per seed."""
-        from repro.scenario import (CHAIN_TEMPLATES, TOPOLOGY_KINDS,
-                                    load_bundles, load_scenario,
-                                    render_report)
-        if not args or args[0] == "list":
-            return ("topology kinds:  %s\nchain templates: %s"
-                    % (", ".join(sorted(TOPOLOGY_KINDS)),
-                       ", ".join(sorted(CHAIN_TEMPLATES))))
-        command, rest = args[0], args[1:]
-        if command == "show":
-            if len(rest) != 1:
-                return "usage: scenario show <scenario file>"
-            try:
-                scenario = load_scenario(rest[0])
-            except Exception as exc:
-                return "*** %s" % exc
-            return ("%r\n%s" % (scenario, scenario.description)).rstrip()
-        if command == "report":
-            if not rest:
-                return "usage: scenario report <bundle|results-dir>..."
-            try:
-                return render_report(load_bundles(rest))
-            except Exception as exc:
-                return "*** %s" % exc
-        return ("usage: scenario [list] | show <file> | "
-                "report <bundle|results-dir>... "
-                "(campaigns: `escape scenario run` from the shell)")
 
     def _cli_catalog(self, args) -> str:
         lines = []

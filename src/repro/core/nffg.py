@@ -132,9 +132,6 @@ class ServiceGraph:
 
     # -- queries -----------------------------------------------------------
 
-    def node_names(self) -> List[str]:
-        return list(self.saps) + list(self.vnfs)
-
     def successors(self, name: str) -> List[str]:
         return [link.dst for link in self.links if link.src == name]
 

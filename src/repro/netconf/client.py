@@ -1,24 +1,17 @@
 """NETCONF client (the orchestrator's manager side).
 
-Resilience model (exercised by :mod:`repro.chaos`):
-
-* every RPC can carry a per-request deadline — on expiry the pending
-  handle fails exactly once, deregisters, and any late reply is
-  counted (``netconf.client.late_replies``) but never resolves it,
-* :meth:`rpc_retry` / :meth:`call_with_retry` wrap an operation in
-  exponential-backoff retries (timeouts and transport failures retry;
-  application ``rpc-error`` replies do not),
-* :meth:`reconnect` abandons a dead session and re-runs the hello
-  exchange over a fresh transport produced by an installed factory —
-  the in-memory analog of re-dialing SSH after a manager crash.
+Resilience model (exercised by :mod:`repro.chaos`): every RPC can carry
+a per-request deadline — on expiry the pending handle fails exactly
+once, deregisters, and any late reply is counted
+(``netconf.client.late_replies``) but never resolves it; a frame that
+cannot be read is dropped with a ``message.malformed`` warn event.
 """
 
 import itertools
 import xml.etree.ElementTree as ET
 from typing import Callable, Dict, List, Optional
 
-from repro.netconf.errors import (NetconfError, RpcError, RpcTimeout,
-                                  SessionError)
+from repro.netconf.errors import NetconfError, RpcTimeout, SessionError
 from repro.netconf.framing import ChunkedFramer, EomFramer
 from repro.netconf import messages as nc
 from repro.netconf.transport import InMemoryTransport
@@ -110,11 +103,8 @@ class NetconfClient:
         self._tx_framer = EomFramer()
         self._message_ids = itertools.count(101)
         self._pending: Dict[int, PendingReply] = {}
-        self._transport_factory: Optional[
-            Callable[[], InMemoryTransport]] = None
         self.closed = False
         self.rpcs_sent = 0
-        self.reconnects = 0
         metrics = self.sim.telemetry.metrics
         self._m_rpcs = metrics.counter(
             "netconf.client.rpcs", "RPCs issued by the orchestrator")
@@ -126,12 +116,6 @@ class NetconfClient:
         self._m_late_replies = metrics.counter(
             "netconf.client.late_replies",
             "replies that arrived after their RPC already timed out")
-        self._m_retries = metrics.counter(
-            "netconf.client.rpc_retries",
-            "RPC attempts re-issued after a timeout/transport failure")
-        self._m_reconnects = metrics.counter(
-            "netconf.client.reconnects",
-            "sessions re-established over a fresh transport")
         self._m_rpc_latency = metrics.histogram(
             "netconf.client.rpc_latency",
             "simulated request-to-reply seconds")
@@ -251,90 +235,10 @@ class NetconfClient:
             # whatever ended the wait, never leave the handle registered
             self._pending.pop(pending.message_id, None)
 
-    def call_with_retry(self, operation: ET.Element, timeout: float = 5.0,
-                        retries: int = 3, backoff: float = 0.25,
-                        backoff_factor: float = 2.0) -> ET.Element:
-        """``call`` with exponential-backoff retries.
-
-        Timeouts and transport/session failures retry (reconnecting
-        first when the session died and a transport factory is
-        installed); an application ``rpc-error`` reply is final and
-        raises immediately.  The last failure propagates after
-        ``retries`` re-attempts.
-        """
-        attempt = 0
-        while True:
-            try:
-                if not self.connected and self._transport_factory:
-                    self.reconnect()
-                return self.call(operation, timeout=timeout)
-            except RpcError:
-                raise  # the server answered: retrying cannot help
-            except NetconfError:
-                attempt += 1
-                if attempt > retries:
-                    raise
-                delay = backoff * (backoff_factor ** (attempt - 1))
-                self._m_retries.inc()
-                self.sim.telemetry.events.warn(
-                    "netconf.client", "rpc.retry",
-                    "attempt %d/%d in %.3fs" % (attempt, retries, delay),
-                    attempt=attempt, backoff=delay,
-                    session=self.session_id)
-                self._sleep(delay)
-
-    def _sleep(self, delay: float) -> None:
-        """Advance simulated time by ``delay`` (nested-pump safe)."""
-        fired: List[bool] = []
-        self.sim.schedule(delay, fired.append, True)
-        self.sim.wait(lambda: fired, delay)
-
     def wait_connected(self, timeout: float = 5.0) -> None:
         """Pump the simulator until the hello exchange completes."""
         if not self.sim.wait(lambda: self.session_id is not None, timeout):
             raise SessionError("hello exchange timed out")
-
-    # -- session recovery ------------------------------------------------------
-
-    def set_transport_factory(
-            self, factory: Callable[[], InMemoryTransport]) -> None:
-        """Install the re-dial hook: ``factory()`` must return a fresh
-        transport already wired to a listening server endpoint."""
-        self._transport_factory = factory
-
-    def reconnect(self, timeout: float = 5.0) -> None:
-        """Abandon the current session and re-run the hello exchange
-        over a fresh transport.  Every in-flight RPC fails with
-        SessionError (their replies, if any, would arrive on the dead
-        pipe)."""
-        if self._transport_factory is None:
-            raise SessionError("no transport factory installed; "
-                               "cannot reconnect")
-        for pending in list(self._pending.values()):
-            pending._fail(SessionError("session re-established; rpc %d "
-                                       "abandoned" % pending.message_id))
-        self._pending.clear()
-        old = self.transport
-        old.receiver = None
-        if not old.closed:
-            old.close()
-        self.transport = self._transport_factory()
-        self.sim = self.transport.sim
-        self.session_id = None
-        self.server_capabilities = None
-        self.closed = False
-        self._rx_framer = EomFramer()
-        self._tx_framer = EomFramer()
-        self.reconnects += 1
-        self._m_reconnects.inc()
-        self.sim.telemetry.events.warn(
-            "netconf.client", "session.reconnect",
-            "re-dialing over a fresh transport",
-            reconnects=self.reconnects)
-        self.transport.set_receiver(self._receive)
-        self.transport.send(self._tx_framer.frame(
-            nc.to_xml(nc.build_hello(self.capabilities))))
-        self.wait_connected(timeout)
 
     # -- convenience operations -----------------------------------------------
 
@@ -363,15 +267,6 @@ class NetconfClient:
             params: Optional[Dict[str, str]] = None) -> PendingReply:
         """Invoke a custom RPC with simple leaf parameters."""
         return self.request(self._build_custom(name, namespace, params))
-
-    def rpc_retry(self, name: str, namespace: str,
-                  params: Optional[Dict[str, str]] = None,
-                  timeout: float = 5.0, retries: int = 3,
-                  backoff: float = 0.25) -> ET.Element:
-        """Custom RPC via :meth:`call_with_retry` (blocking style)."""
-        return self.call_with_retry(
-            self._build_custom(name, namespace, params),
-            timeout=timeout, retries=retries, backoff=backoff)
 
     def commit(self) -> PendingReply:
         """candidate -> running."""

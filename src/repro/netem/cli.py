@@ -33,14 +33,16 @@ class CLI:
 
     def run_command(self, line: str) -> str:
         """Execute one command line; returns its output (or an error)."""
-        parts = shlex.split(line.strip())
-        if not parts:
-            return ""
-        command, args = parts[0], parts[1:]
-        handler = self.commands.get(command)
-        if handler is None:
-            return "*** Unknown command: %s (try 'help')" % command
         try:
+            # a malformed line (an unclosed quote) is an error like any
+            # other failing command
+            parts = shlex.split(line.strip())
+            if not parts:
+                return ""
+            command, args = parts[0], parts[1:]
+            handler = self.commands.get(command)
+            if handler is None:
+                return "*** Unknown command: %s (try 'help')" % command
             return handler(args)
         except Exception as exc:  # surfaced, not swallowed: CLI UX
             return "*** Error: %s" % exc

@@ -128,9 +128,6 @@ class LinkTap:
                                       direction, intf.name, data))
         self._seq += 1
 
-    def clear(self) -> None:
-        self.records.clear()
-
     def __len__(self) -> int:
         return len(self.records)
 

@@ -135,12 +135,6 @@ class PacketCapture:
         if len(self.frames) < self.limit:
             self.frames.append(CapturedFrame(time, direction, frame))
 
-    def __len__(self) -> int:
-        return len(self.frames)
-
-    def dump(self) -> str:
-        return "\n".join(repr(entry) for entry in self.frames)
-
     def write_pcap(self, path: str, snaplen: int = 65535) -> int:
         """Write the captured frames as a classic pcap file (linktype
         Ethernet), loadable in Wireshark/tcpdump.  Returns the number

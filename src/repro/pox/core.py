@@ -33,9 +33,6 @@ class Core:
             raise KeyError("no component registered as %r" % name)
         return self._components[name]
 
-    def components(self) -> Dict[str, Any]:
-        return dict(self._components)
-
     def __getattr__(self, name: str) -> Any:
         # Called only when normal attribute lookup fails.
         components = object.__getattribute__(self, "_components")

@@ -34,12 +34,6 @@ class Connection:
     def _receive(self, message) -> None:
         self.nexus._dispatch(self, message)
 
-    def port_no_by_name(self, name: str) -> Optional[int]:
-        for desc in self.ports:
-            if desc.name == name:
-                return desc.port_no
-        return None
-
     def __repr__(self) -> str:
         return "Connection(dpid=%s, %s)" % (
             self.dpid, "up" if self.connected else "handshaking")

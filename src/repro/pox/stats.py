@@ -34,7 +34,7 @@ class StatsCollector:
 
     * :meth:`port_rate` — (rx bits/s, tx bits/s) over the last interval,
     * :meth:`port_counters` — latest absolute counters,
-    * :meth:`flow_count` / :meth:`flow_entries` — table contents,
+    * :meth:`flow_count` — table size,
     * :meth:`busiest_ports` — top-N ports by tx rate.
     """
 
@@ -116,9 +116,6 @@ class StatsCollector:
 
     def flow_count(self, dpid: int) -> int:
         return len(self._flow_stats.get(dpid, []))
-
-    def flow_entries(self, dpid: int) -> list:
-        return list(self._flow_stats.get(dpid, []))
 
     def busiest_ports(self, top: int = 5) -> List[tuple]:
         """[(dpid, port, tx_bps)] sorted by tx rate, descending."""

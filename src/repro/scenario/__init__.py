@@ -4,7 +4,7 @@ Turns the chaos/SLA/profiler stack from hand-rolled demo scripts into
 a reproducible benchmark suite:
 
 * :mod:`repro.scenario.zoo` — parameterised topology generators
-  (fat-tree, Waxman random graphs, an Abilene-style WAN) layered on
+  (fat-tree, an Abilene-style WAN) layered on
   :class:`repro.netem.topo.Topo`,
 * :mod:`repro.scenario.workload` — seeded subscriber-driven workload
   builders (flow-arrival processes with diurnal rate profiles, chain
@@ -28,11 +28,11 @@ from repro.scenario.spec import Scenario, load_scenario
 from repro.scenario.workload import (CHAIN_TEMPLATES, Workload,
                                      WorkloadSchedule, build_workload)
 from repro.scenario.zoo import (TOPOLOGY_KINDS, FatTreeTopo, WanTopo,
-                                WaxmanTopo, build_topology)
+                                build_topology)
 
 __all__ = [
     "CampaignReport", "CampaignRunner", "CHAIN_TEMPLATES", "FatTreeTopo",
-    "Scenario", "ScenarioError", "TOPOLOGY_KINDS", "WanTopo", "WaxmanTopo",
+    "Scenario", "ScenarioError", "TOPOLOGY_KINDS", "WanTopo",
     "Workload", "WorkloadSchedule", "build_topology", "build_workload",
     "load_bundles", "load_scenario", "render_csv", "render_report",
     "report_dict", "run_scenario",

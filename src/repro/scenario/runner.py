@@ -203,7 +203,7 @@ class CampaignRunner:
         if scenario.flowtrace:
             escape.flowtrace.disable()
             # publish() pushes per-chain gauges into the registry so
-            # the metrics snapshot below carries flowtrace.* series
+            # the metrics snapshot below carries flowtrace.* gauges
             flowtrace_report = escape.flowtrace.publish(
                 escape.telemetry.metrics)
         if engine is not None:

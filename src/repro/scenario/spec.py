@@ -240,7 +240,10 @@ class Scenario:
         self.sla = dict(sla) if sla else None
         self.chaos = dict(chaos) if chaos else None
         self.mapper = mapper
-        self.profile = bool(profile)
+        if not isinstance(profile, bool):
+            raise SpecError("profile must be true or false, got %r"
+                            % (profile,))
+        self.profile = profile
         # sampled per-packet path tracing: {"rate": N, "seed": S,
         # "chains": {name: coarser-rate}}; seed defaults to the run
         # seed so sampled sets replay bit-identically

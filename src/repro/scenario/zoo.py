@@ -13,8 +13,6 @@ Naming follows the existing examples: hosts ``h*``, switches ``s``-
 prefixed with a tier tag, containers ``nc*``.
 """
 
-import math
-import random
 from typing import Dict, Optional
 
 from repro.netem.topo import Topo
@@ -97,75 +95,6 @@ class FatTreeTopo(Topo):
                                   **container_opts)
 
 
-class WaxmanTopo(Topo):
-    """A seeded Waxman random graph of ``n`` switches on the unit
-    square: nodes ``u, v`` connect with probability
-    ``alpha * exp(-d(u, v) / (beta * L))`` where ``L`` is the maximum
-    possible distance.  A spanning chain over the placement order keeps
-    the graph connected regardless of the draw.  Each switch carries
-    ``hosts_per_switch`` hosts; every ``container_every``-th switch
-    gets a VNF container.  Link delays scale with euclidean distance
-    (``delay_per_unit`` seconds across the whole square).
-    """
-
-    def __init__(self, n: int = 8, alpha: float = 0.4, beta: float = 0.4,
-                 seed: int = 0, hosts_per_switch: int = 1,
-                 container_every: int = 2, container_ports: int = 4,
-                 container_cpu: float = 8.0, container_mem: float = 8192.0,
-                 delay_per_unit: float = 0.01,
-                 tier_opts: Optional[Dict[str, dict]] = None):
-        super().__init__()
-        if n < 2:
-            raise ValueError("Waxman graph needs n >= 2, got %r" % n)
-        if not (0.0 < alpha <= 1.0) or beta <= 0.0:
-            raise ValueError("Waxman parameters need 0 < alpha <= 1 and "
-                             "beta > 0 (got alpha=%r beta=%r)"
-                             % (alpha, beta))
-        self.seed = seed
-        rng = random.Random(seed)
-        host_opts = _tier_opts(tier_opts, "host")
-        edge_opts = _tier_opts(tier_opts, "edge")
-        container_opts = _tier_opts(tier_opts, "container")
-
-        positions = [(rng.random(), rng.random()) for _ in range(n)]
-        switches = [self.add_switch("sw%d" % (i + 1)) for i in range(n)]
-        scale = math.sqrt(2.0)  # max distance on the unit square
-
-        def link(i: int, j: int) -> None:
-            distance = math.dist(positions[i], positions[j])
-            opts = dict(edge_opts)
-            opts["delay"] = max(opts.get("delay") or 0.0,
-                                distance * delay_per_unit)
-            self.add_link(switches[i], switches[j], **opts)
-
-        wired = set()
-        for i in range(n):
-            for j in range(i + 1, n):
-                distance = math.dist(positions[i], positions[j])
-                if rng.random() < alpha * math.exp(
-                        -distance / (beta * scale)):
-                    link(i, j)
-                    wired.add((i, j))
-        for i in range(n - 1):  # connectivity backbone
-            if (i, i + 1) not in wired:
-                link(i, i + 1)
-
-        host_index = 0
-        container_index = 0
-        for i in range(n):
-            for _ in range(hosts_per_switch):
-                host_index += 1
-                self.add_link(self.add_host("h%d" % host_index),
-                              switches[i], **host_opts)
-            if container_every and i % container_every == 0:
-                container_index += 1
-                container = self.add_vnf_container(
-                    "nc%d" % container_index, cpu=container_cpu,
-                    mem=container_mem)
-                for _ in range(container_ports):
-                    self.add_link(container, switches[i], **container_opts)
-
-
 #: Abilene research backbone: 11 PoPs, 14 trunks; delays approximate
 #: great-circle latency between the PoP cities (one-way, seconds).
 ABILENE_POPS = ("sea", "sun", "lax", "den", "kan", "hou",
@@ -226,7 +155,6 @@ class WanTopo(Topo):
 
 TOPOLOGY_KINDS = {
     "fat_tree": FatTreeTopo,
-    "waxman": WaxmanTopo,
     "wan": WanTopo,
 }
 

@@ -202,8 +202,8 @@ class Simulator:
     surfaces, and when the dead outnumber the live the heap is compacted
     in place, so neither a cancel-heavy workload nor a wakeup re-armed
     thousands of times can bloat the backlog.  A live-entry counter
-    keeps :attr:`pending` O(1) — the series sampler reads it into a
-    gauge every 0.25s of sim time.
+    keeps :attr:`pending` O(1) — the metrics collector reads it into a
+    gauge at every snapshot.
     """
 
     COMPACT_MIN = 64  # never bother compacting tiny heaps
@@ -227,7 +227,7 @@ class Simulator:
         # simulator: every component reads its instruments from the sim
         # it is built on.  While its profiler is enabled every event
         # callback runs inside a region named by the event's kind (see
-        # classify_callback) — the roots of the framework's flamegraph
+        # classify_callback) — the roots of the profiler's region table
         self.telemetry = Telemetry(self)
         self._kinds: Dict[Any, str] = {}
         # likewise the emulation's one table of parsed frames

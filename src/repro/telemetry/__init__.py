@@ -26,7 +26,7 @@ from repro.telemetry.flowtrace import (FlowTrace, FlowTraceError,
                                        render_flowtrace_report,
                                        report_from_jsonl)
 from repro.telemetry.metrics import (Counter, Gauge, Histogram, Metric,
-                                     MetricError, MetricsRegistry, Series,
+                                     MetricError, MetricsRegistry,
                                      nearest_rank)
 from repro.telemetry.profiler import NULL_REGION, Profiler, RegionStat
 from repro.telemetry.trace import Span, Tracer
@@ -35,7 +35,7 @@ __all__ = [
     "Counter", "DEBUG", "ERROR", "Event", "EventError", "EventLog",
     "FlowTrace", "FlowTraceError", "Gauge", "Histogram", "INFO",
     "Metric", "MetricError", "MetricsRegistry", "NULL_REGION", "Profiler",
-    "RegionStat", "SEVERITIES", "Series", "Span", "Telemetry", "Tracer",
+    "RegionStat", "SEVERITIES", "Span", "Telemetry", "Tracer",
     "WARN", "load_flowtrace_report", "nearest_rank",
     "render_flowtrace_report",
     "report_from_jsonl", "snapshot_dict", "to_json", "to_prometheus",
@@ -86,12 +86,6 @@ class Telemetry:
         registry.gauge("telemetry.metrics.collect_seconds",
                        "host seconds spent running snapshot collectors"
                        ).set(registry.collect_seconds)
-        registry.gauge("telemetry.metrics.sample_seconds",
-                       "host seconds spent recording series samples").set(
-            registry.sample_seconds)
-        registry.gauge("telemetry.metrics.samples",
-                       "series sampling sweeps taken").set(
-            registry.sample_count)
 
     def _collect_flowtrace(self, registry: MetricsRegistry) -> None:
         flowtrace = self.flowtrace

@@ -214,11 +214,6 @@ class EventLog:
 
     # -- export ------------------------------------------------------------
 
-    def to_jsonl(self, min_severity: str = DEBUG) -> str:
-        """The retained events as JSON lines, oldest first."""
-        return "\n".join(event.to_json()
-                         for event in self.query(min_severity))
-
     def write_jsonl(self, path, min_severity: str = DEBUG) -> int:
         """Write the retained events to ``path`` (str or Path; missing
         parent directories are created); returns the count."""
@@ -231,13 +226,6 @@ class EventLog:
             for event in events:
                 handle.write(event.to_json() + "\n")
         return len(events)
-
-    def render(self, min_severity: str = DEBUG,
-               limit: Optional[int] = 20) -> str:
-        events = self.query(min_severity, limit=limit)
-        if not events:
-            return "no events recorded"
-        return "\n".join(event.render() for event in events)
 
     def __repr__(self) -> str:
         return "EventLog(%d kept / %d emitted, capacity=%d)" % (

@@ -348,8 +348,8 @@ class FlowTrace:
 
     def publish(self, registry) -> Dict[str, Any]:
         """Run :meth:`aggregate` and push the per-chain results into a
-        :class:`MetricsRegistry` (gauges get series rings for free via
-        the sampler).  Returns the report."""
+        :class:`MetricsRegistry` as labelled gauges.  Returns the
+        report."""
         report = self.aggregate()
         for chain, summary in report["chains"].items():
             labels = {"chain": chain}

@@ -218,10 +218,6 @@ class Histogram(Metric):
         """:func:`nearest_rank` over the window (p in [0, 100])."""
         return nearest_rank(self._window, p)
 
-    @property
-    def window_values(self) -> List[float]:
-        return list(self._window)
-
     def snapshot(self) -> Dict[str, Any]:
         window = list(self._window)
         data = self._base_snapshot()
@@ -245,107 +241,6 @@ class Histogram(Metric):
         return data
 
 
-class Series:
-    """Bounded (time, value) history of one metric — the trajectory
-    behind a point-in-time snapshot.
-
-    Points are appended by :meth:`MetricsRegistry.sample`; the ring
-    bounds memory (oldest points evict first) and the query helpers
-    turn the raw points into the questions operators actually ask:
-    *how fast is this counter moving* (:meth:`rate`), *what has this
-    gauge looked like recently* (:meth:`percentile`, :meth:`stats`).
-    """
-
-    def __init__(self, key: str, capacity: int = 512):
-        if capacity <= 0:
-            raise MetricError("series %s needs a positive capacity" % key)
-        self.key = key
-        self.capacity = capacity
-        self._ring: deque = deque(maxlen=capacity)
-        self.recorded = 0
-
-    def append(self, time_stamp: float, value: float) -> None:
-        self._ring.append((time_stamp, value))
-        self.recorded += 1
-
-    def __len__(self) -> int:
-        return len(self._ring)
-
-    @property
-    def evicted(self) -> int:
-        """Points pushed out of the ring by newer ones."""
-        return self.recorded - len(self._ring)
-
-    @property
-    def points(self) -> List[Tuple[float, float]]:
-        return list(self._ring)
-
-    def window(self, since: Optional[float] = None
-               ) -> List[Tuple[float, float]]:
-        """Points with timestamp >= ``since`` (all when None)."""
-        if since is None:
-            return list(self._ring)
-        return [point for point in self._ring if point[0] >= since]
-
-    def latest(self) -> Optional[Tuple[float, float]]:
-        return self._ring[-1] if self._ring else None
-
-    def values(self, since: Optional[float] = None) -> List[float]:
-        return [value for _t, value in self.window(since)]
-
-    def delta(self, since: Optional[float] = None) -> Optional[float]:
-        """Value change across the window (None with <2 points)."""
-        points = self.window(since)
-        if len(points) < 2:
-            return None
-        return points[-1][1] - points[0][1]
-
-    def rate(self, since: Optional[float] = None) -> Optional[float]:
-        """Mean value change per time unit across the window — turns a
-        sampled counter into events/second.  None with <2 points or a
-        zero time span."""
-        points = self.window(since)
-        if len(points) < 2:
-            return None
-        span = points[-1][0] - points[0][0]
-        if span <= 0:
-            return None
-        return (points[-1][1] - points[0][1]) / span
-
-    def percentile(self, p: float,
-                   since: Optional[float] = None) -> Optional[float]:
-        """:func:`nearest_rank` of the windowed values.  None on an
-        empty window; a single sample is every percentile of itself."""
-        return nearest_rank(self.values(since), p)
-
-    def stats(self, since: Optional[float] = None) -> Dict[str, Any]:
-        """One-call summary the CLI ``series`` command renders.
-
-        The key set is fixed regardless of window size, so consumers
-        can index without guarding: value keys are None on an empty
-        window, and ``rate``/``delta`` are additionally None with
-        fewer than two points (or a zero time span)."""
-        values = self.values(since)
-        data: Dict[str, Any] = {
-            "points": len(values),
-            "recorded": self.recorded,
-            "evicted": self.evicted,
-            "latest": values[-1] if values else None,
-            "min": min(values) if values else None,
-            "max": max(values) if values else None,
-            "mean": sum(values) / len(values) if values else None,
-            "p50": self.percentile(50, since),
-            "p90": self.percentile(90, since),
-            "rate": self.rate(since),
-            "delta": self.delta(since),
-        }
-        return data
-
-    def __repr__(self) -> str:
-        return "Series(%s, %d/%d points)" % (self.key, len(self._ring),
-                                             self.capacity)
-
-
 class MetricsRegistry:
     """All instruments of one framework instance, by dotted name.
 
@@ -356,19 +251,13 @@ class MetricsRegistry:
     export plain-integer counters without paying per-event costs.
     """
 
-    def __init__(self, clock: Optional[Callable[[], float]] = None,
-                 series_capacity: int = 512):
+    def __init__(self, clock: Optional[Callable[[], float]] = None):
         self.clock = clock or _default_clock
         self._metrics: Dict[str, Metric] = {}
         self._collectors: List[Callable[["MetricsRegistry"], None]] = []
-        self.series_capacity = series_capacity
-        self._series: Dict[str, Series] = {}
         # self-overhead accounting: the metrics layer measures its own
         # cost (host wall-clock) as first-class numbers
         self.collect_seconds = 0.0
-        self.collect_count = 0
-        self.sample_seconds = 0.0
-        self.sample_count = 0
 
     # -- instrument creation ----------------------------------------------
 
@@ -437,56 +326,12 @@ class MetricsRegistry:
         for collector in self._collectors:
             collector(self)
         self.collect_seconds += time.perf_counter() - started
-        self.collect_count += 1
 
     def snapshot(self) -> Dict[str, Dict[str, Any]]:
         """{name: metric snapshot}, after running the collectors."""
         self.collect()
         return {name: metric.snapshot()
                 for name, metric in sorted(self._metrics.items())}
-
-    # -- time-series history ----------------------------------------------
-
-    def sample(self) -> int:
-        """Record one history point per metric (after running the
-        collectors): counters and gauges contribute their value,
-        histograms their lifetime observation count.  Returns the
-        number of series appended to."""
-        started = time.perf_counter()
-        self.collect()
-        now = self.clock()
-        appended = 0
-        for key, metric in self._metrics.items():
-            series = self._series.get(key)
-            if series is None:
-                series = self._series[key] = Series(
-                    key, self.series_capacity)
-            if isinstance(metric, Histogram):
-                value = float(metric.count)
-            else:
-                value = float(metric.value)
-            series.append(now, value)
-            appended += 1
-        self.sample_seconds += time.perf_counter() - started
-        self.sample_count += 1
-        return appended
-
-    def series(self, name: str,
-               labels: Optional[Dict[str, str]] = None) -> Series:
-        """The history ring of one metric.  The metric must exist;
-        a metric never sampled yet returns an empty series."""
-        key = labelled_key(name, labels)
-        if key not in self._metrics:
-            raise MetricError("no metric %r to read a series from" % key)
-        series = self._series.get(key)
-        if series is None:
-            series = self._series[key] = Series(key, self.series_capacity)
-        return series
-
-    def series_names(self) -> List[str]:
-        """Keys that have at least one recorded history point."""
-        return sorted(key for key, series in self._series.items()
-                      if len(series))
 
     def __repr__(self) -> str:
         return "MetricsRegistry(%d metrics, %d collectors)" % (

@@ -13,11 +13,7 @@ region accumulates
 
 * ``calls`` — how many times it was entered,
 * ``cum`` — cumulative (inclusive) seconds, children included,
-* ``self`` — seconds minus time spent in nested regions,
-
-and every unique region *path* accumulates self-time separately, which
-is exactly the collapsed-stack format flamegraph tooling consumes
-(``netem.link.Link._deliver;netem.link.transmit 1234``).
+* ``self`` — seconds minus time spent in nested regions.
 
 ``Simulator.run`` / ``step`` open every dispatch under the event's
 *kind* (``repro.sim.classify_callback``: the callback's
@@ -66,8 +62,8 @@ class RegionStat:
 
 def render_regions(regions: Dict[str, Dict[str, Any]],
                    limit: int = 10) -> List[str]:
-    """The region table the console (``profile`` / ``top``) and
-    ``escape perf report`` both print: :meth:`RegionStat.to_dict`
+    """The region table the console (``profile``) and ``escape perf
+    report`` both print: :meth:`RegionStat.to_dict`
     records by name, most self-time first; ``limit=0`` shows all."""
     ordered = sorted(regions.items(),
                      key=lambda item: (-item[1]["self_s"], item[0]))
@@ -104,21 +100,21 @@ NULL_REGION = _NullRegion()
 class _Region:
     """One live region entry (context manager).
 
-    Frame layout on the profiler stack: ``[name, start, child_seconds,
-    path]``.  ``start`` is stamped *after* the enter bookkeeping and
-    the exit timestamp is read *before* the exit bookkeeping, so the
-    region's measured span excludes the profiler's own work.  Exit
-    bookkeeping is charged to :attr:`Profiler.overhead`; the (smaller)
-    enter bookkeeping leaks into the parent's self time rather than
-    paying a second clock read per entry.
+    Frame layout on the profiler stack: ``[name, start,
+    child_seconds]``.  ``start`` is stamped *after* the enter
+    bookkeeping and the exit timestamp is read *before* the exit
+    bookkeeping, so the region's measured span excludes the profiler's
+    own work.  Exit bookkeeping is charged to
+    :attr:`Profiler.overhead`; the (smaller) enter bookkeeping leaks
+    into the parent's self time rather than paying a second clock read
+    per entry.
     """
 
-    __slots__ = ("profiler", "name", "_suffix")
+    __slots__ = ("profiler", "name")
 
     def __init__(self, profiler: "Profiler", name: str):
         self.profiler = profiler
         self.name = name
-        self._suffix = ";" + name
 
     def __enter__(self) -> "_Region":
         # bookkeeping first, *then* stamp: the enter cost leaks into
@@ -126,13 +122,8 @@ class _Region:
         # second clock read per entry — these run per event on the hot
         # path, so clock reads are budgeted
         prof = self.profiler
-        stack = prof._stack
-        name = self.name
-        if stack:
-            frame = [name, 0.0, 0.0, stack[-1][3] + self._suffix]
-        else:
-            frame = [name, 0.0, 0.0, name]
-        stack.append(frame)
+        frame = [self.name, 0.0, 0.0]
+        prof._stack.append(frame)
         frame[1] = prof._clock()
         return self
 
@@ -160,8 +151,6 @@ class _Region:
         stat.calls += 1
         stat.cum += elapsed
         stat.self_time += self_time
-        paths = prof._paths
-        paths[frame[3]] = paths.get(frame[3], 0.0) + self_time
         if stack:
             stack[-1][2] += elapsed
         prof.entries += 1
@@ -181,7 +170,6 @@ class Profiler:
         self.enabled = False
         self._stack: List[list] = []
         self.stats: Dict[str, RegionStat] = {}
-        self._paths: Dict[str, float] = {}
         # _Region keeps no per-entry state (frames live on _stack), so
         # one instance per name serves every entry — hot regions skip
         # an allocation per call
@@ -204,7 +192,6 @@ class Profiler:
         """Drop every recorded sample (keeps the enabled state)."""
         self._stack = []
         self.stats = {}
-        self._paths = {}
         self.entries = 0
         self.overhead = 0.0
 
@@ -221,42 +208,10 @@ class Profiler:
 
     # -- queries -----------------------------------------------------------
 
-    def region(self, name: str) -> Optional[RegionStat]:
-        return self.stats.get(name)
-
-    @property
-    def total_self(self) -> float:
-        return sum(stat.self_time for stat in self.stats.values())
-
     def report(self) -> Dict[str, Dict[str, Any]]:
         """{region name: stat dict} — a bundle's ``profiler`` section."""
         return {name: stat.to_dict()
                 for name, stat in sorted(self.stats.items())}
-
-    def collapsed(self, unit: float = 1e-6) -> List[str]:
-        """Collapsed-stack lines (``path value``), flamegraph.pl /
-        speedscope compatible.  ``unit`` scales seconds to the integer
-        sample value (default: microseconds)."""
-        lines = []
-        for path in sorted(self._paths):
-            value = int(round(self._paths[path] / unit))
-            lines.append("%s %d" % (path, value))
-        return lines
-
-    def render_flame(self) -> str:
-        return "\n".join(self.collapsed())
-
-    def render_top(self, limit: int = 10) -> str:
-        """A ``top``-style hot-path table, most self-time first.
-        ``limit=0`` shows every region."""
-        if not self.stats:
-            return ("no profile data recorded "
-                    "(profiler %s)" % ("on" if self.enabled else "off"))
-        lines = render_regions(self.report(), limit)
-        lines.append("profiler: %d entries, %.6fs self-overhead (%s)"
-                     % (self.entries, self.overhead,
-                        "on" if self.enabled else "off"))
-        return "\n".join(lines)
 
     def __repr__(self) -> str:
         return "Profiler(%s, %d regions, %d entries)" % (

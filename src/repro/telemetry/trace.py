@@ -180,14 +180,6 @@ class Tracer:
                     return span
         return None
 
-    def render_last(self) -> str:
-        trace = self.last_trace
-        return trace.render() if trace is not None else ""
-
-    def reset(self) -> None:
-        self._stack = []
-        self.traces.clear()
-
     def __repr__(self) -> str:
         return "Tracer(%d traces kept, %d spans started, depth=%d)" % (
             len(self.traces), self.spans_started, len(self._stack))

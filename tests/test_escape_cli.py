@@ -1,13 +1,11 @@
 """Tests for the ESCAPE-level CLI commands."""
 
 import json
-import os
 
 import pytest
 
 from repro.core import ESCAPE
 from repro.core.sgfile import load_topology
-from tests.test_scenario import SMOKE_SCENARIO
 
 TOPOLOGY = {
     "nodes": [
@@ -138,62 +136,28 @@ class TestProfilingCommands:
         assert "netem.link.Link._deliver" in report
         assert "netem.link.transmit" in report
         assert "core.mapping.solve" in report
+        # every region, the table `escape perf report` prints, then the
+        # profiler's own cost
+        lines = report.splitlines()
+        assert lines[0].startswith("region ") and "self(s)" in lines[0]
+        assert len(lines) == len(escape.profiler.stats) + 2
+        assert lines[-1].startswith("profiler: %d entries"
+                                    % escape.profiler.entries)
         assert "disabled" in cli.run_command("profile off")
         assert not escape.profiler.enabled
         cli.run_command("profile reset")
         assert escape.profiler.stats == {}
         assert "usage" in cli.run_command("profile bogus")
 
-    def test_top_limits_rows(self, console):
-        escape, cli, sg_path = console
-        assert "no profile data" in cli.run_command("top")
-        self._profiled_traffic(escape, cli, sg_path)
-        lines = cli.run_command("top 2").splitlines()
-        # header + 2 regions + overhead footer
-        assert len(lines) == 4
-        assert "usage" in cli.run_command("top many")
-
-    def test_flame_prints_and_writes_collapsed_stacks(self, console,
-                                                      tmp_path):
-        escape, cli, sg_path = console
-        assert "no profile data" in cli.run_command("flame")
-        self._profiled_traffic(escape, cli, sg_path)
-        text = cli.run_command("flame")
-        paths = [line.rsplit(" ", 1)[0] for line in text.splitlines()]
-        # a region entered during a dispatch hangs under that event's
-        # kind, so a hop reads as one stack
-        assert "netem.link.Link._deliver;netem.link.transmit" in paths
-        target = tmp_path / "flames" / "demo.folded"
-        output = cli.run_command("flame %s" % target)
-        assert "wrote" in output
-        content = target.read_text().splitlines()
-        assert content and all(
-            line.rsplit(" ", 1)[1].isdigit() for line in content)
-
-    def test_series_lists_and_queries(self, console):
-        escape, cli, sg_path = console
-        names = cli.run_command("series")
-        assert "netem.link.delivered" in names
-        self._profiled_traffic(escape, cli, sg_path)
-        output = cli.run_command("series netem.link.delivered")
-        assert "point(s)" in output
-        assert "latest=" in output and "rate=" in output
-        windowed = cli.run_command("series netem.link.delivered 0.5")
-        assert "in last 0.500s" in windowed
-        assert "no metric" in cli.run_command("series no.such.metric")
-        assert "usage" in cli.run_command(
-            "series netem.link.delivered soon")
-        # the dispatched-events series moves with the run, no
-        # instrument switched on for it
-        dispatched = cli.run_command("series sim.events.dispatched")
-        assert "delta=0 " not in dispatched and "rate=" in dispatched
-
     def test_help_includes_profiling_commands(self, console):
         _escape, cli, _sg = console
-        output = cli.run_command("help")
-        for command in ("profile", "flame", "top", "series"):
-            assert command in output
-        assert "dispatch" not in output
+        output = cli.run_command("help").split()
+        assert "profile" in output
+        # the region table is `profile report` (and `escape perf
+        # report`); campaigns are `escape scenario` from the shell
+        for command in ("dispatch", "flame", "top", "series", "scenario"):
+            assert command not in output
+        assert len(cli.commands) == 26
 
 
 class TestFlowtraceCommands:
@@ -309,37 +273,3 @@ class TestChaosCommands:
             "chaos run %s" % bad)
         assert cli.run_command("chaos recovery") == (
             "0 repair(s), 0 pending, unrecovered: none")
-
-
-class TestScenarioCommands:
-    def test_list_show_report(self, console, tmp_path):
-        from repro.scenario import run_scenario
-        _escape, cli, _sg = console
-        listing = cli.run_command("scenario list")
-        assert listing == cli.run_command("scenario")
-        assert "fat_tree" in listing and "chain templates:" in listing
-        reference = os.path.join(os.path.dirname(__file__), os.pardir,
-                                 "examples", "scenarios",
-                                 "wan_chaos_soak.yaml")
-        shown = cli.run_command("scenario show %s" % reference)
-        assert shown.startswith("Scenario(wan-chaos-soak, topology=wan")
-        assert "seeded fault schedule" in shown
-        bundle, = run_scenario(dict(SMOKE_SCENARIO),
-                               results_dir=str(tmp_path))
-        assert bundle["workload"]["packets_received"] > 0
-        report = cli.run_command("scenario report %s" % tmp_path)
-        assert report.startswith("campaign smoke (1 run(s))")
-        assert "%10d" % bundle["dispatched"] in report
-
-    def test_usage_and_bad_paths(self, console, tmp_path):
-        _escape, cli, _sg = console
-        assert cli.run_command("scenario bogus").startswith(
-            "usage: scenario [list] | show <file> | report ")
-        assert cli.run_command("scenario show") == (
-            "usage: scenario show <scenario file>")
-        assert cli.run_command("scenario report") == (
-            "usage: scenario report <bundle|results-dir>...")
-        assert "no such scenario file" in cli.run_command(
-            "scenario show %s" % (tmp_path / "ghost.yaml"))
-        assert "no bundle.json found" in cli.run_command(
-            "scenario report %s" % tmp_path)

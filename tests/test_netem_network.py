@@ -276,6 +276,17 @@ class TestCLI:
         cli = CLI(self._net())
         assert cli.run_command("   ") == ""
 
+    def test_unclosed_quote_is_an_error_not_a_crash(self):
+        cli = CLI(self._net())
+        assert cli.run_command('ping "h1 h2') == (
+            "*** Error: No closing quotation")
+        script = iter(['ping "h1 h2', "nodes", "exit"])
+        outputs = []
+        cli.interact(input_fn=lambda prompt: next(script),
+                     output_fn=outputs.append)
+        assert outputs[1] == "*** Error: No closing quotation"
+        assert "h1" in outputs[2]  # the REPL kept reading
+
     def test_vnfs_and_resources_empty(self):
         cli = CLI(self._net())
         assert "no VNF containers" in cli.run_command("vnfs")

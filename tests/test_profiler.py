@@ -9,6 +9,7 @@ import pytest
 
 from repro.sim import Simulator
 from repro.telemetry import NULL_REGION, Profiler
+from repro.telemetry.profiler import render_regions
 
 
 class FakeClock:
@@ -57,7 +58,7 @@ class TestProfilerCore:
         profiler = Profiler(clock=clock).enable()
         with profiler.profile("netem.link.transmit"):
             clock.advance(2.0)
-        stat = profiler.region("netem.link.transmit")
+        stat = profiler.stats.get("netem.link.transmit")
         assert stat.calls == 1
         assert stat.cum == pytest.approx(2.0)
         assert stat.self_time == pytest.approx(2.0)
@@ -71,13 +72,14 @@ class TestProfilerCore:
             with profiler.profile("inner"):
                 clock.advance(3.0)
             clock.advance(1.0)
-        outer = profiler.region("outer")
-        inner = profiler.region("inner")
+        outer = profiler.stats.get("outer")
+        inner = profiler.stats.get("inner")
         assert inner.cum == pytest.approx(3.0)
         assert inner.self_time == pytest.approx(3.0)
         assert outer.cum == pytest.approx(5.0)  # includes the child
         assert outer.self_time == pytest.approx(2.0)  # child excluded
-        assert profiler.total_self == pytest.approx(5.0)
+        assert sum(stat.self_time for stat in profiler.stats.values()
+                   ) == pytest.approx(5.0)
 
     def test_repeated_entries_accumulate(self):
         clock = FakeClock(step=0.0)
@@ -85,25 +87,11 @@ class TestProfilerCore:
         for _ in range(4):
             with profiler.profile("netem.link.transmit"):
                 clock.advance(0.5)
-        stat = profiler.region("netem.link.transmit")
+        stat = profiler.stats.get("netem.link.transmit")
         assert stat.calls == 4
         assert stat.cum == pytest.approx(2.0)
         assert stat.per_call == pytest.approx(0.5)
         assert profiler.entries == 4
-
-    def test_collapsed_stacks_for_flamegraphs(self):
-        clock = FakeClock(step=0.0)
-        profiler = Profiler(clock=clock).enable()
-        with profiler.profile("dispatch"):
-            clock.advance(1.0)
-            with profiler.profile("transmit"):
-                clock.advance(2.0)
-        with profiler.profile("dispatch"):
-            clock.advance(0.5)
-        lines = profiler.collapsed(unit=0.5)
-        assert "dispatch 3" in lines  # (1.0 + 0.5) / 0.5
-        assert "dispatch;transmit 4" in lines  # 2.0 / 0.5
-        assert profiler.render_flame() == "\n".join(profiler.collapsed())
 
     def test_exception_still_closes_region(self):
         clock = FakeClock(step=0.0)
@@ -112,7 +100,7 @@ class TestProfilerCore:
             with profiler.profile("failing"):
                 clock.advance(1.0)
                 raise ValueError("boom")
-        stat = profiler.region("failing")
+        stat = profiler.stats.get("failing")
         assert stat.calls == 1
         assert stat.cum == pytest.approx(1.0)
         assert profiler._stack == []
@@ -125,7 +113,7 @@ class TestProfilerCore:
         profiler = Profiler(clock=clock).enable()
         with profiler.profile("a.b"):
             pass
-        stat = profiler.region("a.b")
+        stat = profiler.stats.get("a.b")
         # start is read at tick 1, end at tick 2 -> span exactly 1 tick
         assert stat.cum == pytest.approx(1.0)
         # exit bookkeeping charged 1 tick (end->done)
@@ -150,10 +138,10 @@ class TestProfilerCore:
         assert set(report) == {"hot", "cold"}
         assert report["hot"]["self_s"] == pytest.approx(3.0)
         assert report["hot"]["calls"] == 1
-        text = profiler.render_top(limit=1)
+        text = "\n".join(render_regions(report, limit=1))
         assert "hot" in text and "cold" not in text
         # hottest-first ordering and limit=0 meaning "all"
-        full = profiler.render_top(limit=0)
+        full = "\n".join(render_regions(report, limit=0))
         assert full.index("hot") < full.index("cold")
 
 
@@ -167,7 +155,7 @@ class TestSimIntegration:
         sim.run(until=1.0)
         assert fired == ["a", "b"]
         # the dispatch region carries the event's kind as its name
-        assert profiler.region("list.append").calls == 2
+        assert profiler.stats.get("list.append").calls == 2
         assert list(profiler.stats) == ["list.append"]
 
     def test_step_also_profiled_and_disabled_is_free(self):
@@ -179,4 +167,4 @@ class TestSimIntegration:
         assert profiler.stats == {}
         profiler.enable()
         sim.step()
-        assert profiler.region("sorted").calls == 1
+        assert profiler.stats.get("sorted").calls == 1

@@ -4,6 +4,7 @@ import pytest
 
 from repro.sim import SimulationError, Simulator
 from repro.telemetry import Profiler
+from repro.telemetry.profiler import render_regions
 from tests.test_profiler import FakeClock
 
 
@@ -357,7 +358,6 @@ class TestDispatchProfiling:
         assert sim.processed == 2
         assert profiler.stats == {}
         assert profiler.entries == 0
-        assert profiler.render_flame() == ""
 
     def test_kind_classification(self):
         from functools import partial
@@ -430,8 +430,8 @@ class TestDispatchProfiling:
 
     def test_nested_step_pumping_subtracts_self_time(self):
         """A callback that pumps step() is charged only its own time;
-        the pumped event is charged to its own kind, nested under the
-        pumping one in the flame paths (no double counting)."""
+        the pumped event is charged to its own kind, inside the pumping
+        one's cumulative time (no double counting)."""
         sim, clock, profiler = _profiled_sim()
 
         def inner():
@@ -452,9 +452,6 @@ class TestDispatchProfiling:
         assert outer_stat.cum == 4.5
         assert outer_stat.self_time == 1.5
         assert inner_stat.self_time == inner_stat.cum == 3.0
-        assert profiler.collapsed(unit=0.5) == [
-            "%s 3" % outer_stat.name,
-            "%s;%s 6" % (outer_stat.name, inner_stat.name)]
 
     def test_self_times_sum_to_root_cumulative_time(self):
         """Every region is a root or charged to its parent as child
@@ -481,17 +478,17 @@ class TestDispatchProfiling:
         by_suffix = {name.rsplit(".", 1)[-1]: stat
                      for name, stat in profiler.stats.items()}
         assert by_suffix["leaf"].calls == 3
-        roots = {path.split(";")[0] for path in profiler._paths}
-        assert roots == {by_suffix["pumping"].name, by_suffix["leaf"].name}
         # the pumped leaf's time is inside pumping's cum: count root
         # entries only — one pumping dispatch and the two leaves the
         # run loop itself dispatched
         root_cum = by_suffix["pumping"].cum + 2 * 2.25
         assert by_suffix["pumping"].cum == 1.0 + 0.5 + 2.25 + 0.125
-        assert profiler.total_self == root_cum == 8.375
-        for path in profiler._paths:
-            if "netem.link.transmit" in path:
-                assert path.split(";")[-2] == by_suffix["leaf"].name
+        assert by_suffix["dispatch"].cum == 0.5 + 2.25
+        assert sum(stat.self_time for stat in profiler.stats.values()
+                   ) == root_cum == 8.375
+        # the hand-placed region is charged to the leaf it ran in
+        assert by_suffix["leaf"].cum - by_suffix["leaf"].self_time == \
+            by_suffix["transmit"].cum == 3 * 2.0
 
     def test_raising_callback_still_closes_its_region(self):
         sim, clock, profiler = _profiled_sim()
@@ -553,14 +550,14 @@ class TestDispatchProfiling:
         sim, _clock, profiler = _profiled_sim()
         sim.schedule(0.0, sorted, ())
         sim.run()
-        assert profiler.region("sorted").calls == 1
+        assert profiler.stats["sorted"].calls == 1
         profiler.reset()
         assert profiler.enabled
         assert profiler.stats == {}
         # the simulator's cached kind names outlive the reset
         sim.schedule(0.0, sorted, ())
         sim.run()
-        assert profiler.region("sorted").calls == 1
+        assert profiler.stats["sorted"].calls == 1
 
     def test_event_repr_names_the_kind(self):
         sim = Simulator()
@@ -583,6 +580,6 @@ class TestDispatchProfiling:
             sim.schedule(float(index), busy)
         sim.schedule(30.0, idle)
         sim.run()
-        lines = profiler.render_top().splitlines()
+        lines = render_regions(profiler.report())
         assert "region" in lines[0]
         assert "busy" in lines[1] and "idle" in lines[2]

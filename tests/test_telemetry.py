@@ -91,7 +91,7 @@ class TestHistogram:
         for value in range(10):
             hist.observe(float(value))
         assert hist.count == 10
-        assert len(hist.window_values) == 4
+        assert hist.snapshot()["window"] == 4
         # only the last 4 observations (6..9) remain in the window
         assert hist.percentile(0) == 6.0
 
@@ -137,7 +137,7 @@ class TestNearestRank:
 
     @pytest.mark.parametrize("count", [1, 2, 4, 6, 8, 9])
     def test_every_reader_reports_the_same_median(self, count):
-        """Histogram, Series, flowtrace hops and one-way delay, MTTR and
+        """Histogram, flowtrace hops and one-way delay, MTTR and
         workload delay over the same samples: one p50.  The flowtrace
         and MTTR readers used ``int(round(q * (n - 1)))``, the upper
         middle for 4 and 8 samples."""
@@ -148,15 +148,9 @@ class TestNearestRank:
         expected = nearest_rank(samples, 50)
         assert expected == float((count + 1) // 2)
         hist = Histogram("layer.component.latency")
-        registry = MetricsRegistry()
-        gauge = registry.gauge("layer.component.depth")
         for value in samples:
             hist.observe(value)
-            gauge.set(value)
-            registry.sample()
         assert hist.percentile(50) == expected
-        assert registry.series("layer.component.depth").percentile(
-            50) == expected
         chain = _summarize_chain({"rate": 1, "nonconformant": 0,
                                   "one_ways": samples,
                                   "hops": {"a->b": samples}})
@@ -289,7 +283,7 @@ class TestTracer:
         with tracer.span("parent", service="demo"):
             with tracer.span("child"):
                 pass
-        text = tracer.render_last()
+        text = tracer.last_trace.render()
         lines = text.splitlines()
         assert lines[0].startswith("parent")
         assert "service=demo" in lines[0]
@@ -417,170 +411,6 @@ class TestExporters:
         assert count >= 1
         lines = target.read_text().splitlines()
         assert json.loads(lines[-1])["message"] == "hello"
-
-
-class TestSeries:
-    def _sampled_registry(self):
-        ticks = {"now": 0.0}
-        registry = MetricsRegistry(clock=lambda: ticks["now"])
-        return registry, ticks
-
-    def test_sample_records_points_per_metric(self):
-        registry, ticks = self._sampled_registry()
-        counter = registry.counter("netem.link.delivered")
-        gauge = registry.gauge("netem.link.queue")
-        for step in range(1, 4):
-            ticks["now"] = float(step)
-            counter.inc(10)
-            gauge.set(step * 2)
-            registry.sample()
-        series = registry.series("netem.link.delivered")
-        assert series.points == [(1.0, 10.0), (2.0, 20.0), (3.0, 30.0)]
-        assert registry.series("netem.link.queue").latest() == (3.0, 6.0)
-        assert registry.sample_count == 3
-        assert sorted(registry.series_names()) == [
-            "netem.link.delivered", "netem.link.queue"]
-
-    def test_rate_and_delta_queries(self):
-        registry, ticks = self._sampled_registry()
-        counter = registry.counter("netconf.client.rpcs")
-        for step in range(1, 6):
-            ticks["now"] = float(step)
-            counter.inc(5)
-            registry.sample()
-        series = registry.series("netconf.client.rpcs")
-        assert series.rate() == pytest.approx(5.0)  # 5 rpcs per second
-        assert series.delta() == pytest.approx(20.0)
-        # windowed: only the last two points
-        assert series.rate(since=4.0) == pytest.approx(5.0)
-        assert series.delta(since=4.0) == pytest.approx(5.0)
-        # degenerate windows answer None, not garbage
-        assert series.rate(since=5.0) is None
-        assert registry.series("netconf.client.rpcs").percentile(
-            50) == 15.0
-
-    def test_ring_evicts_at_capacity(self):
-        registry, ticks = self._sampled_registry()
-        registry.series_capacity = 4
-        gauge = registry.gauge("netem.link.queue")
-        for step in range(10):
-            ticks["now"] = float(step)
-            gauge.set(step)
-            registry.sample()
-        series = registry.series("netem.link.queue")
-        assert len(series) == 4
-        assert series.recorded == 10
-        assert series.evicted == 6
-        # oldest points are gone: only 6..9 remain
-        assert series.values() == [6.0, 7.0, 8.0, 9.0]
-        assert series.points[0] == (6.0, 6.0)
-
-    def test_histograms_sample_their_lifetime_count(self):
-        registry, ticks = self._sampled_registry()
-        hist = registry.histogram("core.orchestrator.deploy_time")
-        hist.observe(0.5)
-        hist.observe(0.7)
-        ticks["now"] = 1.0
-        registry.sample()
-        assert registry.series(
-            "core.orchestrator.deploy_time").latest() == (1.0, 2.0)
-
-    def test_series_requires_existing_metric(self):
-        registry, _ticks = self._sampled_registry()
-        with pytest.raises(MetricError):
-            registry.series("no.such.metric")
-        # an existing but never-sampled metric yields an empty series
-        registry.counter("netconf.client.rpcs")
-        series = registry.series("netconf.client.rpcs")
-        assert len(series) == 0
-        assert series.latest() is None
-        assert "netconf.client.rpcs" not in registry.series_names()
-
-    def test_labelled_series(self):
-        registry, ticks = self._sampled_registry()
-        registry.counter("telemetry.events.emitted",
-                         labels={"severity": "warn"}).inc(3)
-        ticks["now"] = 1.0
-        registry.sample()
-        series = registry.series("telemetry.events.emitted",
-                                 labels={"severity": "warn"})
-        assert series.latest() == (1.0, 3.0)
-
-    def test_stats_summary(self):
-        registry, ticks = self._sampled_registry()
-        gauge = registry.gauge("netem.link.queue")
-        for step in range(1, 5):
-            ticks["now"] = float(step)
-            gauge.set(step * 10)
-            registry.sample()
-        stats = registry.series("netem.link.queue").stats()
-        assert stats["points"] == 4
-        assert stats["latest"] == 40.0
-        assert stats["min"] == 10.0
-        assert stats["max"] == 40.0
-        assert stats["mean"] == pytest.approx(25.0)
-        assert stats["rate"] == pytest.approx(10.0)
-
-    STATS_KEYS = {"points", "recorded", "evicted", "latest", "min",
-                  "max", "mean", "p50", "p90", "rate", "delta"}
-
-    def test_empty_ring_queries_are_well_defined(self):
-        registry, _ticks = self._sampled_registry()
-        registry.gauge("netem.link.queue")
-        series = registry.series("netem.link.queue")
-        assert series.rate() is None
-        assert series.delta() is None
-        assert series.percentile(99) is None
-        stats = series.stats()
-        assert set(stats) == self.STATS_KEYS
-        assert stats["points"] == 0
-        for key in ("latest", "min", "max", "mean", "p50", "p90",
-                    "rate", "delta"):
-            assert stats[key] is None, key
-
-    def test_single_sample_ring_queries(self):
-        registry, ticks = self._sampled_registry()
-        gauge = registry.gauge("netem.link.queue")
-        ticks["now"] = 1.0
-        gauge.set(7.0)
-        registry.sample()
-        series = registry.series("netem.link.queue")
-        # one point: every percentile is that point, rate/delta need two
-        assert series.percentile(0) == 7.0
-        assert series.percentile(50) == 7.0
-        assert series.percentile(100) == 7.0
-        assert series.rate() is None
-        assert series.delta() is None
-        stats = series.stats()
-        assert set(stats) == self.STATS_KEYS
-        assert stats["points"] == 1
-        assert stats["latest"] == stats["min"] == stats["max"] == 7.0
-        assert stats["mean"] == 7.0
-        assert stats["p50"] == stats["p90"] == 7.0
-        assert stats["rate"] is None and stats["delta"] is None
-
-    def test_zero_time_span_rate_is_none(self):
-        registry, ticks = self._sampled_registry()
-        gauge = registry.gauge("netem.link.queue")
-        ticks["now"] = 2.0
-        gauge.set(1.0)
-        registry.sample()
-        gauge.set(3.0)
-        registry.sample()  # same timestamp: two points, zero span
-        series = registry.series("netem.link.queue")
-        assert len(series) == 2
-        assert series.rate() is None
-        assert series.delta() == pytest.approx(2.0)
-        assert series.stats()["rate"] is None
-
-    def test_percentile_validates_p_even_when_empty(self):
-        registry, _ticks = self._sampled_registry()
-        registry.gauge("netem.link.queue")
-        series = registry.series("netem.link.queue")
-        with pytest.raises(MetricError):
-            series.percentile(101)
-        with pytest.raises(MetricError):
-            series.percentile(-1)
 
 
 class TestTelemetryBundle:

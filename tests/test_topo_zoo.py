@@ -1,5 +1,5 @@
 """Unit tests for repro.scenario.zoo — the parameterised substrate
-generators (fat-tree, Waxman, Abilene WAN) and the declarative
+generators (fat-tree, Abilene WAN) and the declarative
 build_topology dispatcher.
 """
 
@@ -7,8 +7,7 @@ import pytest
 
 from repro.netem import Network
 from repro.scenario.zoo import (ABILENE_POPS, ABILENE_TRUNKS, FatTreeTopo,
-                                TOPOLOGY_KINDS, WanTopo, WaxmanTopo,
-                                build_topology)
+                                TOPOLOGY_KINDS, WanTopo, build_topology)
 
 
 class TestFatTreeTopo:
@@ -54,38 +53,6 @@ class TestFatTreeTopo:
         net = Network.build(FatTreeTopo(k=2))
         assert len(net.hosts()) == 2
         assert len(net.switches()) == 5
-
-
-class TestWaxmanTopo:
-    def test_counts_and_containers(self):
-        topo = WaxmanTopo(n=6, seed=3, hosts_per_switch=2,
-                          container_every=2, container_ports=2)
-        assert len(topo.switches()) == 6
-        assert len(topo.hosts()) == 12
-        assert len(topo.vnf_containers()) == 3  # switches 0, 2, 4
-
-    def test_same_seed_same_graph(self):
-        one = WaxmanTopo(n=10, seed=7)
-        two = WaxmanTopo(n=10, seed=7)
-        assert one.links == two.links
-        assert one.nodes == two.nodes
-
-    def test_connectivity_backbone(self):
-        # alpha tiny -> almost no random links; the spanning chain
-        # must still connect every switch
-        topo = WaxmanTopo(n=8, alpha=0.001, beta=0.1, seed=1,
-                          container_every=0)
-        switch_links = [(n1, n2) for n1, n2, _o in topo.links
-                        if n1.startswith("sw") and n2.startswith("sw")]
-        assert len(switch_links) >= 7  # at least the chain
-
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError, match="n >= 2"):
-            WaxmanTopo(n=1)
-        with pytest.raises(ValueError, match="alpha"):
-            WaxmanTopo(n=4, alpha=0.0)
-        with pytest.raises(ValueError, match="alpha"):
-            WaxmanTopo(n=4, beta=-1.0)
 
 
 class TestWanTopo:
@@ -135,12 +102,11 @@ class TestBuildTopology:
         topo = build_topology({"kind": "fat_tree", "k": 2})
         assert isinstance(topo, FatTreeTopo)
         assert isinstance(build_topology({"kind": "wan"}), WanTopo)
-        assert isinstance(build_topology({"kind": "waxman", "n": 4,
-                                          "seed": 1}), WaxmanTopo)
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown topology kind"):
-            build_topology({"kind": "torus"})
+        for kind in ("torus", "waxman"):
+            with pytest.raises(ValueError, match="unknown topology kind"):
+                build_topology({"kind": kind})
         with pytest.raises(ValueError, match="unknown topology kind"):
             build_topology({})
 
@@ -154,4 +120,4 @@ class TestBuildTopology:
         assert spec == {"kind": "fat_tree", "k": 2}
 
     def test_registry_names(self):
-        assert set(TOPOLOGY_KINDS) == {"fat_tree", "waxman", "wan"}
+        assert set(TOPOLOGY_KINDS) == {"fat_tree", "wan"}
