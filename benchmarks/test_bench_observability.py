@@ -7,9 +7,9 @@ Three questions, answered in wall-clock terms:
 * what does an attached flight-recorder tap add to the dataplane,
 * and — the guardrail — does the *untapped* dataplane stay fast?  The
   tap hook in ``Link.transmit``/``_deliver`` is a single falsy check
-  when no tap is attached; this suite re-times the untapped path after
-  an attach/detach cycle and fails if it regressed more than 10%
-  against the taps-never-attached baseline measured in the same run.
+  when no tap is attached; this suite times the untapped path before
+  and after attach/detach cycles, interleaved, and fails if it
+  regressed more than 10%.
 """
 
 import time
@@ -81,8 +81,18 @@ def _udp_workload(escape, packets=800):
     return elapsed
 
 
-def _min_of(samples_fn, rounds=5):
-    return min(samples_fn() for _ in range(rounds))
+def _interleaved(escape, toggle_on, toggle_off, rounds=5):
+    """``rounds`` x (baseline window, toggle on, one window, toggle off,
+    retimed window); returns the minimum of each side.  Interleaving
+    puts any drift within the process on both sides alike."""
+    before, after = [], []
+    for _ in range(rounds):
+        before.append(_udp_workload(escape))
+        toggle_on()
+        _udp_workload(escape)
+        toggle_off()
+        after.append(_udp_workload(escape))
+    return min(before), min(after)
 
 
 @pytest.fixture(scope="module")
@@ -108,20 +118,18 @@ def test_tap_attached_dataplane(benchmark, forwarding_escape):
 
 def test_untapped_dataplane_no_regression(forwarding_escape):
     """The 10% guardrail: after taps come and go, the no-tap path must
-    cost what it did before any tap existed (min-of-N to de-noise)."""
+    cost what it did before (min-of-N to de-noise)."""
     escape = forwarding_escape
     chain = escape.service_layer.services["obs-chain"]
     assert all(not link.taps for link in escape.net.links)
 
+    def detach():
+        escape.recorder.detach_all()
+        assert all(not link.taps for link in escape.net.links)
+
     _udp_workload(escape)  # warm-up
-    baseline = _min_of(lambda: _udp_workload(escape))
-
-    escape.recorder.attach_chain(chain)
-    _udp_workload(escape)
-    escape.recorder.detach_all()
-    assert all(not link.taps for link in escape.net.links)
-
-    retimed = _min_of(lambda: _udp_workload(escape))
+    baseline, retimed = _interleaved(
+        escape, lambda: escape.recorder.attach_chain(chain), detach)
     assert retimed <= baseline * 1.10, (
         "untapped dataplane regressed: %.4fs vs %.4fs baseline"
         % (retimed, baseline))
@@ -209,22 +217,19 @@ def test_profiler_enabled_captures_all_layers(forwarding_escape):
 
 
 def test_unprofiled_dataplane_no_regression(forwarding_escape):
-    """The <5% guardrail the ISSUE promises: after the profiler has
-    been on and off again, the no-profile dataplane must cost what it
-    did before the profiler ever ran (min-of-N to de-noise)."""
+    """The <5% guardrail: after the profiler has been on and off again,
+    the no-profile dataplane must cost what it did before (min-of-N to
+    de-noise)."""
     escape = forwarding_escape
     profiler = escape.profiler
     assert not profiler.enabled
 
+    def disable():
+        profiler.disable()
+        profiler.reset()
+
     _udp_workload(escape)  # warm-up
-    baseline = _min_of(lambda: _udp_workload(escape))
-
-    profiler.enable()
-    _udp_workload(escape)
-    profiler.disable()
-    profiler.reset()
-
-    retimed = _min_of(lambda: _udp_workload(escape))
+    baseline, retimed = _interleaved(escape, profiler.enable, disable)
     assert retimed <= baseline * 1.05, (
         "unprofiled dataplane regressed: %.4fs vs %.4fs baseline"
         % (retimed, baseline))
@@ -268,24 +273,20 @@ def test_flowtrace_disabled_no_regression(forwarding_escape):
     flowtrace = escape.flowtrace
     assert not flowtrace.enabled
 
-    def measure():
-        before, after = [], []
-        for _ in range(5):
-            before.append(_udp_workload(escape))
-            flowtrace.enable(rate=1, seed=1)
-            _udp_workload(escape)
-            assert flowtrace.postcards > 0
-            flowtrace.disable()
-            flowtrace.reset()
-            after.append(_udp_workload(escape))
-        return min(before), min(after)
+    def enable():
+        flowtrace.enable(rate=1, seed=1)
+
+    def disable():
+        assert flowtrace.postcards > 0
+        flowtrace.disable()
+        flowtrace.reset()
 
     _udp_workload(escape)  # warm-up
     # a load burst on a shared box can still skew one whole pass, so
     # only fail when the regression reproduces on every attempt — a
     # real slowdown does, a scheduling artifact does not
     for _ in range(3):
-        baseline, retimed = measure()
+        baseline, retimed = _interleaved(escape, enable, disable)
         if retimed <= baseline * 1.05:
             break
     else:

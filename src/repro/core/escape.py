@@ -24,7 +24,7 @@ Typical use::
 
 from typing import Dict, Optional, Union
 
-from repro.core.catalog import VNFCatalog, default_catalog
+from repro.core.catalog import default_catalog
 from repro.core.mapping import (BacktrackingMapper, CongestionAwareMapper,
                                 GreedyMapper, Mapper,
                                 ShortestPathMapper)
@@ -49,16 +49,15 @@ class ESCAPE:
     """The prototyping framework, fully assembled."""
 
     STARTUP_SETTLE = 0.1  # simulated seconds for handshakes/discovery
+    CONTROL_LATENCY = 0.001  # one-way seconds on the management network
 
-    def __init__(self, net: Network,
-                 catalog: Optional[VNFCatalog] = None,
-                 steering_mode: str = "exact",
-                 control_latency: float = 0.001,
+    def __init__(self, topo: Topo, steering_mode: str = "exact",
                  discovery_interval: float = 1.0,
                  control_network: str = "outband",
                  of_wire: bool = False,
                  protection: bool = False):
-        self.net = net
+        """Demo step (1): containers + the rest of the topology."""
+        net = self.net = Network.build(topo)
         # proactive chain protection: precomputed backup paths behind
         # fast-failover groups (requires exact steering; see
         # Orchestrator)
@@ -69,7 +68,7 @@ class ESCAPE:
         # the substrate built before this facade and every layer
         # constructed below read their instruments from the same sim
         self.telemetry = self.sim.telemetry
-        self.catalog = catalog or default_catalog()
+        self.catalog = default_catalog()
 
         # orchestration layer: controller platform
         self.core = Core(self.sim)
@@ -100,11 +99,11 @@ class ESCAPE:
         self.agents: Dict[str, VNFAgent] = {}
         self.netconf_clients: Dict[str, NetconfClient] = {}
         if control_network == "inband":
-            self._build_inband_control_network(control_latency)
+            self._build_inband_control_network()
         else:
             for container in net.vnf_containers():
                 self.netconf_clients[container.name] = NetconfClient(
-                    self._outband_dial(container, control_latency),
+                    self._outband_dial(container),
                     default_timeout=self.RPC_TIMEOUT)
 
         # orchestrator + service layer
@@ -112,15 +111,14 @@ class ESCAPE:
 
     RPC_TIMEOUT = 10.0  # per-RPC deadline on outband NETCONF sessions
 
-    def _outband_dial(self, container, control_latency: float):
+    def _outband_dial(self, container):
         """Control pipe to ``container``: a new transport pair with the
         container's agent on the server end."""
-        pair = TransportPair(self.sim, latency=control_latency)
+        pair = TransportPair(self.sim, latency=self.CONTROL_LATENCY)
         self.agents[container.name] = VNFAgent(container, pair.server)
         return pair.client
 
-    def _build_inband_control_network(self,
-                                      control_latency: float) -> None:
+    def _build_inband_control_network(self) -> None:
         """Hang every container's management interface (and one
         orchestrator-side interface per agent) off a dedicated hub."""
         from repro.netconf.ethtransport import EthTransport
@@ -130,9 +128,9 @@ class ESCAPE:
             PlainNode("orchestrator-mgmt", self.sim))
         for container in self.net.vnf_containers():
             orch_link = self.net.add_link(self.mgmt_node, self.mgmt_hub,
-                                          delay=control_latency / 2)
+                                          delay=self.CONTROL_LATENCY / 2)
             agent_link = self.net.add_link(container, self.mgmt_hub,
-                                           delay=control_latency / 2)
+                                           delay=self.CONTROL_LATENCY / 2)
             orch_intf = (orch_link.intf1
                          if orch_link.intf1.node is self.mgmt_node
                          else orch_link.intf2)
@@ -253,25 +251,20 @@ class ESCAPE:
                        "dead-entry heap compactions performed").set(
             self.sim.compactions)
 
-    # -- construction -------------------------------------------------------
-
-    @classmethod
-    def from_topology(cls, topo: Topo, sim: Optional[Simulator] = None,
-                      **options) -> "ESCAPE":
-        """Demo step (1): containers + the rest of the topology."""
-        return cls(Network.build(topo, sim=sim), **options)
+    #: the constructor, under the name every demo script builds through
+    from_topology = classmethod(type.__call__)
 
     # -- lifecycle ------------------------------------------------------------
 
-    def start(self, settle: Optional[float] = None) -> None:
+    def start(self) -> None:
         """Bring the framework up: OF handshakes, NETCONF hellos, LLDP."""
         if self.started:
             return
         self.net.static_arp()
         self.net.start()
-        self.net.run(settle if settle is not None else self.STARTUP_SETTLE)
+        self.net.run(self.STARTUP_SETTLE)
         # the OF handshake must complete before guards/steering can be
-        # installed, whatever settle the caller picked
+        # installed
         switches = len(self.net.switches())
         if not self.sim.wait(
                 lambda: len(self.nexus.connections) >= switches, 5.0):
@@ -395,13 +388,13 @@ class ESCAPE:
         monitor.watch_catalog_defaults()
         return monitor
 
-    def watch_sla(self, chain: DeployedChain, **options) -> SLAMonitor:
+    def watch_sla(self, chain: DeployedChain) -> SLAMonitor:
         """Start (or return the running) SLA conformance monitor for a
         deployed chain carrying NFFG requirements."""
         existing = self.sla_monitors.get(chain.sg.name)
         if existing is not None and existing.running:
             return existing
-        monitor = SLAMonitor(chain, **options)
+        monitor = SLAMonitor(chain)
         monitor.start()
         self.sla_monitors[chain.sg.name] = monitor
         return monitor

@@ -41,17 +41,15 @@ CHAIN_FAILED = 2
 class RecoveryManager:
     """Event-log-driven fault repair for deployed chains."""
 
+    reaction_delay = 0.05  # simulated seconds from fault event to repair
+    max_attempts = 3
+    retry_backoff = 0.5    # first retry delay; doubles per attempt
+
     def __init__(self, orchestrator: Orchestrator, net: Network,
-                 reaction_delay: float = 0.05, max_attempts: int = 3,
-                 retry_backoff: float = 0.5, enabled: bool = True,
                  protection: bool = False):
         self.orchestrator = orchestrator
         self.net = net
         self.sim = net.sim
-        self.enabled = enabled
-        self.reaction_delay = reaction_delay
-        self.max_attempts = max_attempts
-        self.retry_backoff = retry_backoff
         # protection-aware mode: a fast-failover bucket flip in the
         # dataplane IS the recovery (MTTR = fault to flip); the
         # control-plane reroute that follows re-provisions fresh
@@ -109,8 +107,6 @@ class RecoveryManager:
     # -- event intake -------------------------------------------------------
 
     def _on_event(self, event: Event) -> None:
-        if not self.enabled:
-            return
         if event.name == "vnf.crashed":
             vnf_id = event.tags.get("vnf_id")
             if vnf_id:
@@ -141,7 +137,7 @@ class RecoveryManager:
         discovery.add_listener(LinkEvent, self._on_link_event)
 
     def _on_link_event(self, event) -> None:
-        if event.added or not self.enabled:
+        if event.added:
             return
         name1 = self._node_of_dpid(event.dpid1)
         name2 = self._node_of_dpid(event.dpid2)
@@ -500,7 +496,6 @@ class RecoveryManager:
                        reaped=len(zombies), container=container_name)
 
     def __repr__(self) -> str:
-        return "RecoveryManager(%d repairs, %d pending, %s)" % (
+        return "RecoveryManager(%d repairs, %d pending)" % (
             len([a for a in self.actions if a.get("ok")]),
-            len(self._inflight),
-            "enabled" if self.enabled else "disabled")
+            len(self._inflight))

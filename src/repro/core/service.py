@@ -68,8 +68,9 @@ class ServiceLayer:
             raise KeyError("no deployed service %r" % name)
         chain.undeploy()
 
-    def verify_sla(self, name: str, probes: int = 5,
-                   probe_interval: float = 0.2) -> List[SLAReport]:
+    PROBE_INTERVAL = 0.2  # seconds between the pings of one check
+
+    def verify_sla(self, name: str, probes: int = 5) -> List[SLAReport]:
         """Measure each requirement of a deployed service with pings.
 
         The one-way chain-delay requirement is compared against half the
@@ -86,8 +87,8 @@ class ServiceLayer:
             src_host = net.get(requirement.src)
             dst_host = net.get(requirement.dst)
             result = src_host.ping(dst_host.ip, count=probes,
-                                   interval=probe_interval)
-            net.run(probes * probe_interval + 2.0)
+                                   interval=self.PROBE_INTERVAL)
+            net.run(probes * self.PROBE_INTERVAL + 2.0)
             measured = (result.avg_rtt / 2.0
                         if result.avg_rtt is not None else None)
             satisfied = True

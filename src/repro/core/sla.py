@@ -8,9 +8,9 @@ running :class:`~repro.core.orchestrator.DeployedChain` (the probes
 ride the chain's steering entries like any other SAP-to-SAP traffic),
 measures what actually arrives, and drives a per-chain state machine::
 
-    OK --breach--> WARN --violate_after consecutive--> VIOLATED
+    OK --breach--> WARN --VIOLATE_AFTER consecutive--> VIOLATED
      ^                                                     |
-     +---------- recover_after consecutive clean ----------+
+     +---------- RECOVER_AFTER consecutive clean ----------+
 
 Measurements per probe round and requirement:
 
@@ -109,36 +109,28 @@ class RequirementReport:
 class SLAMonitor:
     """Probes a deployed chain against its NFFG requirements.
 
-    ``interval`` — seconds between probe rounds; ``burst`` — probes
-    per requirement per round (≥2 enables the dispersion bandwidth
-    estimate); ``violate_after`` — consecutive breached rounds before
-    WARN escalates to VIOLATED; ``recover_after`` — consecutive clean
-    rounds before returning to OK; ``timeout`` — how long a round
-    waits before scoring missing probes as lost (defaults to 80% of
-    the interval).
+    Every ``INTERVAL`` seconds a round sends ``BURST`` probes per
+    requirement (≥2 enables the dispersion bandwidth estimate) and
+    scores them ``TIMEOUT`` later, missing probes as lost.
+    ``VIOLATE_AFTER`` consecutive breached rounds escalate WARN to
+    VIOLATED; ``RECOVER_AFTER`` consecutive clean rounds return to OK.
     """
 
-    def __init__(self, chain: DeployedChain, interval: float = 0.5,
-                 burst: int = 4, payload_size: int = 512,
-                 violate_after: int = 3, recover_after: int = 2,
-                 timeout: Optional[float] = None,
-                 probe_port: Optional[int] = None):
+    INTERVAL = 0.5
+    BURST = 4
+    PAYLOAD_SIZE = 512
+    VIOLATE_AFTER = 3
+    RECOVER_AFTER = 2
+    TIMEOUT = 0.4   # 80 % of the interval
+
+    def __init__(self, chain: DeployedChain):
         if not chain.sg.requirements:
             raise SLAError("chain %r carries no requirements to monitor"
                            % chain.sg.name)
-        if burst < 1:
-            raise SLAError("burst must be >= 1")
         self.chain = chain
         self.sim = chain.orchestrator.net.sim
         self.net = chain.orchestrator.net
-        self.interval = interval
-        self.burst = burst
-        self.payload_size = payload_size
-        self.violate_after = violate_after
-        self.recover_after = recover_after
-        self.timeout = timeout if timeout is not None else interval * 0.8
-        self.probe_port = (probe_port if probe_port is not None
-                           else next(_PROBE_PORTS))
+        self.probe_port = next(_PROBE_PORTS)
         self.requirements = list(chain.sg.requirements)
 
         self.state = OK
@@ -202,7 +194,7 @@ class SLAMonitor:
         self.events.info("core.sla", "monitor.started",
                          chain=self.chain.sg.name,
                          requirements=len(self.requirements),
-                         interval=self.interval)
+                         interval=self.INTERVAL)
         self._task = self.sim.schedule(0.0, self._round)
 
     def stop(self) -> None:
@@ -236,9 +228,9 @@ class SLAMonitor:
         for requirement in self.requirements:
             bursts.append(self._send_burst(requirement, seq))
         self._pending[seq] = bursts
-        self._deadlines[seq] = self.sim.schedule(self.timeout,
+        self._deadlines[seq] = self.sim.schedule(self.TIMEOUT,
                                                  self._evaluate, seq)
-        self._task = self.sim.schedule(self.interval, self._round)
+        self._task = self.sim.schedule(self.INTERVAL, self._round)
 
     def _send_burst(self, requirement: Requirement,
                     seq: int) -> _PendingBurst:
@@ -251,12 +243,12 @@ class SLAMonitor:
                               requirement="%s->%s" % (requirement.src,
                                                       requirement.dst),
                               seq=seq) as span:
-            burst = _PendingBurst(requirement, seq, span, self.burst,
+            burst = _PendingBurst(requirement, seq, span, self.BURST,
                                   self.sim.now)
-            for index in range(self.burst):
+            for index in range(self.BURST):
                 payload = pack_probe(span.span_id, seq, index,
                                      self.sim.now, self.chain.sg.name,
-                                     pad_to=self.payload_size)
+                                     pad_to=self.PAYLOAD_SIZE)
                 source.send_udp(sink.ip, self.probe_port, payload)
                 self._m_sent.inc()
         return burst
@@ -358,12 +350,12 @@ class SLAMonitor:
             if self.state == OK:
                 self._transition(WARN, detail)
             elif self.state == WARN \
-                    and self._breach_streak >= self.violate_after:
+                    and self._breach_streak >= self.VIOLATE_AFTER:
                 self._transition(VIOLATED, detail)
         else:
             self._breach_streak = 0
             self._clean_streak += 1
-            if self.state != OK and self._clean_streak >= self.recover_after:
+            if self.state != OK and self._clean_streak >= self.RECOVER_AFTER:
                 self._transition(OK, detail)
 
     def _transition(self, new_state: str, detail: Dict[str, dict]) -> None:

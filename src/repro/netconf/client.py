@@ -89,13 +89,13 @@ class NetconfClient:
     :class:`RpcTimeout` once and count ``netconf.client.rpc_timeouts``.
     """
 
+    CAPABILITIES = (nc.CAP_BASE_10, nc.CAP_BASE_11)
+    HELLO_TIMEOUT = 5.0  # simulated seconds wait_connected waits
+
     def __init__(self, transport: InMemoryTransport,
-                 capabilities: Optional[List[str]] = None,
                  default_timeout: Optional[float] = None):
         self.transport = transport
         self.sim = transport.sim
-        self.capabilities = list(capabilities or []) or [nc.CAP_BASE_10,
-                                                         nc.CAP_BASE_11]
         self.server_capabilities: Optional[List[str]] = None
         self.session_id: Optional[int] = None
         self.default_timeout = default_timeout
@@ -122,7 +122,7 @@ class NetconfClient:
         self._profiler = self.sim.telemetry.profiler
         transport.set_receiver(self._receive)
         self.transport.send(self._tx_framer.frame(
-            nc.to_xml(nc.build_hello(self.capabilities))))
+            nc.to_xml(nc.build_hello(self.CAPABILITIES))))
 
     @property
     def connected(self) -> bool:
@@ -148,8 +148,7 @@ class NetconfClient:
                 session_id = nc.hello_session_id(root)
                 self.server_capabilities = nc.hello_capabilities(root)
                 self.session_id = session_id
-                if (nc.CAP_BASE_11 in self.capabilities
-                        and nc.CAP_BASE_11 in self.server_capabilities):
+                if nc.CAP_BASE_11 in self.server_capabilities:
                     self._rx_framer = ChunkedFramer()
                     self._tx_framer = ChunkedFramer()
                 return
@@ -235,9 +234,10 @@ class NetconfClient:
             # whatever ended the wait, never leave the handle registered
             self._pending.pop(pending.message_id, None)
 
-    def wait_connected(self, timeout: float = 5.0) -> None:
+    def wait_connected(self) -> None:
         """Pump the simulator until the hello exchange completes."""
-        if not self.sim.wait(lambda: self.session_id is not None, timeout):
+        if not self.sim.wait(lambda: self.session_id is not None,
+                             self.HELLO_TIMEOUT):
             raise SessionError("hello exchange timed out")
 
     # -- convenience operations -----------------------------------------------

@@ -16,20 +16,16 @@ from repro.packet import EthAddr, Ethernet
 from repro.packet.base import PacketError
 
 ETHERTYPE_MGMT = 0x88B5  # IEEE 802 local experimental
-DEFAULT_MTU = 1400
+MTU = 1400  # payload bytes per management frame
 
 
 class EthTransport:
     """One endpoint of a management session riding an interface."""
 
-    def __init__(self, intf: Interface, peer_mac: Union[str, EthAddr],
-                 mtu: int = DEFAULT_MTU):
-        if mtu <= 0:
-            raise ValueError("mtu must be positive")
+    def __init__(self, intf: Interface, peer_mac: Union[str, EthAddr]):
         self.intf = intf
         self.sim = intf.node.sim
         self.peer_mac = EthAddr(peer_mac)
-        self.mtu = mtu
         self.closed = False
         self.receiver: Optional[Callable[[bytes], None]] = None
         self.on_close: Optional[Callable[[], None]] = None
@@ -44,10 +40,10 @@ class EthTransport:
         if self.closed:
             return
         self.tx_bytes += len(data)
-        for start in range(0, len(data), self.mtu):
+        for start in range(0, len(data), MTU):
             frame = Ethernet(src=self.intf.mac, dst=self.peer_mac,
                              type=ETHERTYPE_MGMT,
-                             payload=data[start:start + self.mtu])
+                             payload=data[start:start + MTU])
         # single-chunk fast path falls through the loop naturally
             self.intf.send(frame.pack())
 

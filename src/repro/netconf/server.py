@@ -27,14 +27,13 @@ class NetconfServer:
 
     def __init__(self, transport: InMemoryTransport,
                  capabilities: Optional[List[str]] = None,
-                 datastores: Optional[Dict[str, Datastore]] = None,
                  candidate: bool = True):
         self.transport = transport
         self.session_id = next(_session_ids)
         self.capabilities = list(capabilities or []) or [nc.CAP_BASE_10,
                                                          nc.CAP_BASE_11]
-        self.datastores = datastores or {"running": Datastore("running")}
-        if candidate and "candidate" not in self.datastores:
+        self.datastores = {"running": Datastore("running")}
+        if candidate:
             self.datastores["candidate"] = Datastore("candidate")
             if nc.CAP_CANDIDATE not in self.capabilities:
                 self.capabilities.append(nc.CAP_CANDIDATE)

@@ -37,7 +37,7 @@ class Link:
     def __init__(self, sim: Simulator, intf1: Interface, intf2: Interface,
                  bandwidth: Optional[float] = None, delay: float = 0.0,
                  loss: float = 0.0, max_queue: int = 1000,
-                 jitter: float = 0.0, name: str = ""):
+                 jitter: float = 0.0):
         if loss < 0.0 or loss > 1.0:
             raise ValueError("loss must be in [0,1], got %r" % loss)
         if bandwidth is not None and bandwidth <= 0:
@@ -56,7 +56,7 @@ class Link:
         self.jitter = jitter
         self.loss = loss
         self.max_queue = max_queue
-        self.name = name or "%s<->%s" % (intf1.name, intf2.name)
+        self.name = "%s<->%s" % (intf1.name, intf2.name)
         self.up = True
         # Flight-recorder taps (see repro.netem.recorder).  Kept as a
         # plain list so the dataplane hot path pays one falsy check

@@ -281,7 +281,9 @@ class Network:
                 return link
         raise NetworkError("no link named %r" % name)
 
-    def ping_all(self, timeout: float = 5.0) -> Tuple[int, int]:
+    PING_ALL_TIMEOUT = 5.0  # seconds allowed after the last ping
+
+    def ping_all(self) -> Tuple[int, int]:
         """Ping between every ordered host pair (Mininet's pingall).
 
         Returns (sent, received) across all pairs; pairs are staggered
@@ -297,7 +299,7 @@ class Network:
                 self.sim.schedule(offset, lambda s=src, d=dst:
                                   results.append(s.ping(d.ip, count=1)))
                 offset += 0.001
-        self.run(offset + timeout)
+        self.run(offset + self.PING_ALL_TIMEOUT)
         sent = sum(result.sent for result in results)
         received = sum(result.received for result in results)
         return sent, received

@@ -114,9 +114,10 @@ class Host(Node):
     # -- transmit path --------------------------------------------------------
 
     def send_frame(self, frame: Ethernet) -> None:
+        data = frame.pack()
         for capture in self._captures:
-            capture.observe(self.sim.now, "tx", frame)
-        self._primary.send(frame.pack())
+            capture.observe(self.sim.now, "tx", frame, data)
+        self._primary.send(data)
 
     def send_ip(self, packet: IPv4) -> None:
         """Resolve the destination and send (queues behind ARP)."""
@@ -176,7 +177,7 @@ class Host(Node):
         except PacketError:
             return
         for capture in self._captures:
-            capture.observe(self.sim.now, "rx", frame)
+            capture.observe(self.sim.now, "rx", frame, data)
         if frame.dst != intf.mac and not frame.dst.is_multicast \
                 and not frame.dst.is_broadcast:
             return

@@ -101,15 +101,14 @@ class LinkTap:
     """
 
     def __init__(self, link: Link, capacity: int = 2048,
-                 port: Optional[str] = None, label: str = ""):
+                 port: Optional[str] = None):
         if capacity <= 0:
             raise RecorderError("tap capacity must be positive, got %r"
                                 % capacity)
         self.link = link
         self.capacity = capacity
         self.port = port
-        self.label = label or (
-            "%s:%s" % (link.name, port) if port else link.name)
+        self.label = "%s:%s" % (link.name, port) if port else link.name
         self.records = deque(maxlen=capacity)
         self.observed = 0
         self.matched = 0
@@ -144,10 +143,11 @@ class FlightRecorder:
     paths traverse.
     """
 
-    def __init__(self, network, capacity: int = 2048):
+    CAPACITY = 2048  # records per tap ring
+
+    def __init__(self, network):
         self.network = network
         self.telemetry = network.sim.telemetry
-        self.capacity = capacity
         self.taps: Dict[str, LinkTap] = {}
         tm = self.telemetry.metrics
         self._m_recorded = tm.counter("netem.recorder.frames",
@@ -173,7 +173,7 @@ class FlightRecorder:
         existing = self.taps.get(label)
         if existing is not None:
             return existing
-        tap = LinkTap(link, capacity or self.capacity, port=port)
+        tap = LinkTap(link, capacity or self.CAPACITY, port=port)
         link.taps.append(tap)
         self.taps[tap.label] = tap
         self.telemetry.events.info("netem.recorder", "recorder.attached",
@@ -182,8 +182,7 @@ class FlightRecorder:
                                    capacity=tap.capacity)
         return tap
 
-    def attach_port(self, switch, port_no: int,
-                    capacity: Optional[int] = None) -> LinkTap:
+    def attach_port(self, switch, port_no: int) -> LinkTap:
         """Tap one switch port: frames entering/leaving that interface."""
         if isinstance(switch, str):
             switch = self.network.get(switch)
@@ -192,11 +191,10 @@ class FlightRecorder:
                 if intf.link is None:
                     raise RecorderError("%s port %d is not connected"
                                         % (switch.name, port_no))
-                return self.attach(intf.link, capacity, port=intf.name)
+                return self.attach(intf.link, port=intf.name)
         raise RecorderError("%s has no port %d" % (switch.name, port_no))
 
-    def attach_chain(self, chain, capacity: Optional[int] = None
-                     ) -> List[LinkTap]:
+    def attach_chain(self, chain) -> List[LinkTap]:
         """Tap every substrate link on a deployed chain's mapped paths."""
         taps = []
         seen = set()
@@ -206,7 +204,7 @@ class FlightRecorder:
                     if link.name in seen:
                         continue
                     seen.add(link.name)
-                    taps.append(self.attach(link, capacity))
+                    taps.append(self.attach(link))
         if not taps:
             raise RecorderError("chain %r has no mapped substrate links"
                                 % chain.sg.name)
@@ -231,11 +229,8 @@ class FlightRecorder:
 
     # -- query / export -------------------------------------------------------
 
-    def records(self, link: Optional[str] = None,
-                trace_id: Optional[int] = None,
-                flow_trace: Optional[int] = None,
-                since: Optional[float] = None,
-                limit: Optional[int] = None) -> List[TapRecord]:
+    def records(self, trace_id: Optional[int] = None,
+                flow_trace: Optional[int] = None) -> List[TapRecord]:
         """Merged records across taps, in capture order.
 
         ``trace_id`` keeps only frames carrying an SLA probe emitted
@@ -246,11 +241,7 @@ class FlightRecorder:
         """
         selected = []
         for tap in self.taps.values():
-            if link is not None and tap.link.name != link:
-                continue
             for record in tap.records:
-                if since is not None and record.time < since:
-                    continue
                 if trace_id is not None and record.trace_id != trace_id:
                     continue
                 if flow_trace is not None and \
@@ -258,8 +249,6 @@ class FlightRecorder:
                     continue
                 selected.append(record)
         selected.sort(key=lambda record: (record.time, record.seq))
-        if limit is not None:
-            selected = selected[-limit:]
         return selected
 
     def flow_trace_id(self, record: TapRecord) -> int:
@@ -274,8 +263,7 @@ class FlightRecorder:
             return None
         return self.telemetry.tracer.find_span(record.trace_id)
 
-    def export_pcap(self, path: str, link: Optional[str] = None,
-                    trace_id: Optional[int] = None,
+    def export_pcap(self, path: str, trace_id: Optional[int] = None,
                     direction: str = "rx") -> int:
         """Write matching records as classic pcap; returns the count.
 
@@ -284,7 +272,7 @@ class FlightRecorder:
         ``direction="both"`` keeps the duplicates, ``"tx"`` shows what
         entered the link (including frames later lost).
         """
-        selected = self.records(link=link, trace_id=trace_id)
+        selected = self.records(trace_id=trace_id)
         if direction != "both":
             selected = [record for record in selected
                         if record.direction == direction]

@@ -12,17 +12,17 @@ def write_pcap(path: str, entries: Iterable, snaplen: int = 65535) -> int:
     Ethernet), loadable in Wireshark/tcpdump.
 
     ``entries`` is any iterable of records with ``time`` (seconds) and
-    ``frame`` (an :class:`Ethernet`) attributes — host captures and
-    flight-recorder taps both qualify.  Returns the record count.
+    ``data`` (the frame's bytes as they crossed the wire) attributes —
+    host captures and flight-recorder taps both qualify.  Timestamps
+    are rounded to the nearest microsecond.  Returns the record count.
     """
     written = 0
     with open(path, "wb") as handle:
         handle.write(struct.pack("!IHHiIII", 0xA1B2C3D4, 2, 4,
                                  0, 0, snaplen, 1))
         for entry in entries:
-            wire = entry.frame.pack()
-            ts_sec = int(entry.time)
-            ts_usec = int((entry.time - ts_sec) * 1e6)
+            wire = entry.data
+            ts_sec, ts_usec = divmod(round(entry.time * 1e6), 1000000)
             captured = wire[:snaplen]
             handle.write(struct.pack("!IIII", ts_sec, ts_usec,
                                      len(captured), len(wire)))
@@ -102,12 +102,14 @@ class TrafficReport:
 
 
 class CapturedFrame:
-    """One line of the capture."""
+    """One line of the capture: the parsed frame and its wire bytes."""
 
-    def __init__(self, time: float, direction: str, frame: Ethernet):
+    def __init__(self, time: float, direction: str, frame: Ethernet,
+                 data: bytes):
         self.time = time
         self.direction = direction  # "rx" or "tx"
         self.frame = frame
+        self.data = data
 
     def __repr__(self) -> str:
         return "%.6f %s %r" % (self.time, self.direction, self.frame)
@@ -127,13 +129,14 @@ class PacketCapture:
         self.matched = 0
         self.observed = 0
 
-    def observe(self, time: float, direction: str, frame: Ethernet) -> None:
+    def observe(self, time: float, direction: str, frame: Ethernet,
+                data: bytes) -> None:
         self.observed += 1
         if self.filter_fn is not None and not self.filter_fn(frame):
             return
         self.matched += 1
         if len(self.frames) < self.limit:
-            self.frames.append(CapturedFrame(time, direction, frame))
+            self.frames.append(CapturedFrame(time, direction, frame, data))
 
     def write_pcap(self, path: str, snaplen: int = 65535) -> int:
         """Write the captured frames as a classic pcap file (linktype

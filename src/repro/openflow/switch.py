@@ -86,9 +86,10 @@ class OpenFlowSwitch:
 
     EXPIRY_INTERVAL = 0.5  # seconds between timeout sweeps
     MICROFLOW_CAP = 4096  # flow-cache entries before a reset
+    n_buffers = 256      # packet-in buffer pool
+    miss_send_len = 128  # bytes of a missed packet sent with its buffer id
 
-    def __init__(self, sim: Simulator, dpid: int, name: str = "",
-                 n_buffers: int = 256, miss_send_len: int = 128):
+    def __init__(self, sim: Simulator, dpid: int, name: str = ""):
         self.sim = sim
         self.dpid = dpid
         self.name = name or ("s%d" % dpid)
@@ -96,8 +97,6 @@ class OpenFlowSwitch:
         self.table = FlowTable(on_removed=self._flow_removed)
         self.groups = GroupTable()
         self.channel: Optional[ControllerChannel] = None
-        self.n_buffers = n_buffers
-        self.miss_send_len = miss_send_len
         self._buffers: Dict[int, tuple] = {}
         self._next_buffer = 1
         self._expiry_task = None
@@ -389,22 +388,19 @@ class OpenFlowSwitch:
 
     def _send_packet_in(self, in_port: int, data: bytes,
                         reason: int) -> None:
-        buffer_id: Optional[int] = None
-        payload = data
-        if self.n_buffers:
-            if len(self._buffers) >= self.n_buffers:
-                # a full pool reuses the buffer held longest, as real
-                # datapaths do: a packet-in the controller consumes
-                # without releasing it (an LLDP probe, say) would
-                # otherwise hold its buffer forever
-                del self._buffers[next(iter(self._buffers))]
-            buffer_id = self._next_buffer
-            self._next_buffer += 1
-            self._buffers[buffer_id] = (data, in_port)
-            payload = data[: self.miss_send_len]
+        if len(self._buffers) >= self.n_buffers:
+            # a full pool reuses the buffer held longest, as real
+            # datapaths do: a packet-in the controller consumes without
+            # releasing it (an LLDP probe, say) would otherwise hold its
+            # buffer forever
+            del self._buffers[next(iter(self._buffers))]
+        buffer_id = self._next_buffer
+        self._next_buffer += 1
+        self._buffers[buffer_id] = (data, in_port)
         self.packet_in_count += 1
         self.channel.send_to_controller(msg.PacketIn(
-            buffer_id, in_port, payload, reason, total_len=len(data)))
+            buffer_id, in_port, data[:self.miss_send_len], reason,
+            total_len=len(data)))
 
     # -- controller message handling ------------------------------------------
 

@@ -13,16 +13,15 @@ from repro.pox.events import ConnectionUp, PacketInEvent
 from repro.pox.nexus import OpenFlowNexus
 
 LEARNING_PRIORITY = 0x1000  # below steering entries
+IDLE_TIMEOUT = 10.0   # seconds a learned forward may sit unused
+HARD_TIMEOUT = 30.0   # seconds a learned forward lives at most
 
 
 class L2LearningSwitch:
     """Learn source MACs per switch; install exact dl_dst forwards."""
 
-    def __init__(self, nexus: OpenFlowNexus, idle_timeout: float = 10.0,
-                 hard_timeout: float = 30.0):
+    def __init__(self, nexus: OpenFlowNexus):
         self.nexus = nexus
-        self.idle_timeout = idle_timeout
-        self.hard_timeout = hard_timeout
         # (dpid, mac string) -> port
         self.mac_table: Dict[Tuple[int, str], int] = {}
         self.flows_installed = 0
@@ -56,8 +55,7 @@ class L2LearningSwitch:
         event.connection.send(FlowMod(
             Match(dl_dst=frame.dst), [Output(out_port)],
             priority=LEARNING_PRIORITY,
-            idle_timeout=self.idle_timeout,
-            hard_timeout=self.hard_timeout,
+            idle_timeout=IDLE_TIMEOUT, hard_timeout=HARD_TIMEOUT,
             buffer_id=event.ofp.buffer_id))
         if event.ofp.buffer_id is None:
             event.connection.send(PacketOut(

@@ -34,6 +34,9 @@ import json
 import os
 from typing import Any, Dict, List, Optional, Union
 
+from repro.core.escape import ESCAPE
+from repro.scenario.zoo import TOPOLOGY_KINDS
+
 
 class SpecError(Exception):
     pass
@@ -252,6 +255,24 @@ class Scenario:
                             "chains), got %r" % (flowtrace,))
         self.flowtrace = dict(flowtrace) if flowtrace else None
         self.escape_options = dict(escape_options or {})
+        self._check_constructors()
+
+    def _check_constructors(self) -> None:
+        """The topology generator and ESCAPE must accept the keys given
+        to them: a misspelt one fails here, not mid-run."""
+        import inspect  # here: importing it costs every ladder launch ~9 ms
+        params = dict(self.topology)
+        kind = params.pop("kind")
+        if kind not in TOPOLOGY_KINDS:
+            raise SpecError("topology: unknown kind %r (have: %s)"
+                            % (kind, ", ".join(sorted(TOPOLOGY_KINDS))))
+        for key, constructor, positional, keywords in (
+                ("topology", TOPOLOGY_KINDS[kind], (), params),
+                ("escape_options", ESCAPE, ("topo",), self.escape_options)):
+            try:
+                inspect.signature(constructor).bind(*positional, **keywords)
+            except TypeError as exc:
+                raise SpecError("%s: %s" % (key, exc))
 
     KNOWN_KEYS = ("name", "description", "topology", "duration", "seeds",
                   "workload", "chains", "sla", "chaos", "mapper",

@@ -48,12 +48,14 @@ class Telemetry:
     the first three sharing one (simulated) clock, the profiler on
     host wall-clock (it measures the framework, not the simulation)."""
 
-    def __init__(self, sim=None, max_traces: int = 16):
+    MAX_TRACES = 16  # deployment traces the tracer keeps
+
+    def __init__(self, sim=None):
         self.sim = sim
         clock: Optional[Callable[[], float]] = (
             (lambda: sim.now) if sim is not None else None)
         self.metrics = MetricsRegistry(clock=clock)
-        self.tracer = Tracer(clock=clock, max_traces=max_traces)
+        self.tracer = Tracer(clock=clock, max_traces=self.MAX_TRACES)
         self.events = EventLog(clock=clock, tracer=self.tracer)
         self.profiler = Profiler()
         self.flowtrace = FlowTrace(events=self.events)

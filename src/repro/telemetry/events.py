@@ -187,7 +187,6 @@ class EventLog:
 
     def query(self, min_severity: str = DEBUG,
               source: Optional[str] = None, name: Optional[str] = None,
-              since: Optional[float] = None,
               trace_id: Optional[int] = None,
               limit: Optional[int] = None) -> List[Event]:
         """Filter retained events; ``source`` matches prefixes, so
@@ -203,8 +202,6 @@ class EventLog:
                 continue
             if name is not None and event.name != name:
                 continue
-            if since is not None and event.time < since:
-                continue
             if trace_id is not None and event.trace_id != trace_id:
                 continue
             selected.append(event)
@@ -214,10 +211,10 @@ class EventLog:
 
     # -- export ------------------------------------------------------------
 
-    def write_jsonl(self, path, min_severity: str = DEBUG) -> int:
+    def write_jsonl(self, path) -> int:
         """Write the retained events to ``path`` (str or Path; missing
         parent directories are created); returns the count."""
-        events = self.query(min_severity)
+        events = self.events()
         path = os.fspath(path)
         parent = os.path.dirname(path)
         if parent:

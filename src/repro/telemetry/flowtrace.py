@@ -295,7 +295,7 @@ class FlowTrace:
             records.append(record)
         return records
 
-    def aggregate(self, emit_events: bool = True) -> Dict[str, Any]:
+    def aggregate(self) -> Dict[str, Any]:
         """The per-chain hop-latency breakdown + conformance report."""
         report: Dict[str, Any] = {
             "enabled": self.enabled,
@@ -326,7 +326,7 @@ class FlowTrace:
                 bucket["hops"].setdefault(label, []).append(delta)
             if record["conformant"] is False:
                 bucket["nonconformant"] += 1
-                if emit_events and self._events is not None \
+                if self._events is not None \
                         and record["trace"] not in self._flagged:
                     self._flagged.add(record["trace"])
                     observed = [hop[3] for hop in record["hops"]

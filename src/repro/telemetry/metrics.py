@@ -290,10 +290,9 @@ class MetricsRegistry:
 
     def histogram(self, name: str, help: str = "",
                   labels: Optional[Dict[str, str]] = None,
-                  size: int = 1024,
                   buckets: Optional[List[float]] = None) -> Histogram:
         return self._get_or_create(Histogram, name, help, labels,
-                                   size=size, buckets=buckets)
+                                   buckets=buckets)
 
     # -- access -----------------------------------------------------------
 

@@ -7,7 +7,7 @@ import pytest
 from repro.core import ESCAPE
 from repro.core.sgfile import load_topology
 from repro.netem import FlightRecorder, Network, RecorderError
-from repro.packet import Ethernet, IPv4, UDP
+from repro.packet import Ethernet, IPv4, UDP, frame_probe
 from repro.sim import Simulator
 
 TOPOLOGY = {
@@ -154,6 +154,19 @@ class TestPcapExport:
         assert rx_only == both // 2
 
 
+    def test_records_the_bytes_that_crossed_the_wire(self, tmp_path):
+        from tests.test_netem_jitter_pcap import padded_udp_frame, pcap_records
+        sim, net, h1, h2 = small_net()
+        recorder = FlightRecorder(net)
+        recorder.attach(net.links[0])
+        wire = padded_udp_frame(h1, h2)
+        sim.schedule(0.0157, h1._primary.send, wire)
+        net.run(0.5)
+        path = tmp_path / "tx.pcap"
+        assert recorder.export_pcap(str(path), direction="tx") == 1
+        assert pcap_records(path) == [(0, 15700, wire)]
+
+
 class TestTraceJoin:
     def test_probe_frames_carry_trace_ids(self, escape):
         chain = escape.deploy_service(SG)
@@ -248,3 +261,23 @@ class TestChainAndPortTaps:
         assert pcap.exists()
         assert "stopped" in cli.run_command("record stop all")
         assert "no taps" in cli.run_command("record")
+
+    def test_cli_record_pcap_keeps_one_probe_trace(self, escape, tmp_path):
+        from tests.test_netem_jitter_pcap import pcap_records
+        cli = escape.cli()
+        escape.deploy_service(SG)
+        cli.run_command("record chain rec-chain")
+        escape.run(1.0)
+        report = escape.sla_monitors["rec-chain"].last_report("h1", "h2")
+        wanted = [record for record
+                  in escape.recorder.records(trace_id=report.trace_id)
+                  if record.direction == "rx"]
+        assert wanted
+        pcap = tmp_path / "probe.pcap"
+        out = cli.run_command("record pcap %s %d" % (pcap, report.trace_id))
+        assert out == "wrote %d frames to %s" % (len(wanted), pcap)
+        written = pcap_records(pcap)
+        assert [data for _s, _u, data in written] == [
+            record.data for record in wanted]
+        assert {frame_probe(Ethernet.unpack(data)).trace_id
+                for _s, _u, data in written} == {report.trace_id}

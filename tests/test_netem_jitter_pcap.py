@@ -1,11 +1,13 @@
 """Tests for link jitter and pcap export."""
 
 import struct
+from types import SimpleNamespace
 
 import pytest
 
 from repro.netem import Interface, Link, Network, PacketCapture
-from repro.packet import EthAddr, Ethernet
+from repro.netem.traffic import write_pcap
+from repro.packet import EthAddr, Ethernet, pack_udp_frame
 from repro.pox import Core, L2LearningSwitch, OpenFlowNexus
 from repro.sim import Simulator
 
@@ -133,3 +135,65 @@ class TestPcapExport:
             "!IIII", blob, 24)
         assert incl_len == 20
         assert orig_len > 20
+
+
+def padded_udp_frame(src, dst):
+    """A 2-byte datagram with no UDP checksum (0), padded to Ethernet's
+    60-byte minimum: re-serializing it gives different bytes."""
+    wire = bytearray(pack_udp_frame(dst.mac.raw, src.mac.raw,
+                                    src.ip.to_int(), dst.ip.to_int(),
+                                    40000, 5001, b"hi"))
+    wire[40:42] = b"\x00\x00"
+    return bytes(wire.ljust(60, b"\x00"))
+
+
+def pcap_records(path):
+    blob = path.read_bytes()
+    offset, records = 24, []
+    while offset < len(blob):
+        sec, usec, incl_len, _orig = struct.unpack_from("!IIII", blob,
+                                                        offset)
+        offset += 16
+        records.append((sec, usec, blob[offset:offset + incl_len]))
+        offset += incl_len
+    return records
+
+
+class TestPcapFidelity:
+    def test_capture_writes_the_received_bytes(self, tmp_path):
+        net = Network()
+        h1, h2 = net.add_host("h1"), net.add_host("h2")
+        net.add_link(h1, h2, delay=0.001)
+        net.static_arp()
+        net.start()
+        capture = PacketCapture()
+        h2.attach_capture(capture)
+        wire = padded_udp_frame(h1, h2)
+        h1._primary.send(wire)
+        net.run(0.5)
+        assert h2.udp_rx_count == 1
+        path = tmp_path / "rx.pcap"
+        capture.write_pcap(str(path))
+        assert [data for _s, _u, data in pcap_records(path)] == [wire]
+
+    def test_capture_timestamps_round_to_the_microsecond(self, tmp_path):
+        net = Network()
+        h1, h2 = net.add_host("h1"), net.add_host("h2")
+        net.add_link(h1, h2)
+        net.static_arp()
+        net.start()
+        capture = PacketCapture()
+        h1.attach_capture(capture)
+        net.sim.schedule(0.0157, h1.send_udp, h2.ip, 5001, b"x")
+        net.run(0.5)
+        path = tmp_path / "tx.pcap"
+        capture.write_pcap(str(path))
+        assert [(sec, usec) for sec, usec, _d in pcap_records(path)] == [
+            (0, 15700)]
+
+    def test_rounding_carries_into_the_seconds(self, tmp_path):
+        path = tmp_path / "carry.pcap"
+        write_pcap(str(path), [SimpleNamespace(time=1.9999996,
+                                               data=b"\x00" * 60)])
+        assert [(sec, usec) for sec, usec, _d in pcap_records(path)] == [
+            (2, 0)]

@@ -136,6 +136,28 @@ chaos:
             with pytest.raises(SpecError, match=key):
                 load_scenario(dict(SMOKE_SCENARIO, **{key: value}))
 
+    @pytest.mark.parametrize("override, key, bad", [
+        ({"escape_options": {"protecton": True}}, "escape_options",
+         "protecton"),
+        ({"topology": {"kind": "fattree"}}, "topology", "fattree"),
+        ({"topology": {"kind": "fat_tree", "kk": 2}}, "topology", "kk"),
+    ])
+    def test_constructor_keys_checked_at_load(self, override, key, bad):
+        """A key ESCAPE or the topology generator would refuse is a
+        SpecError naming it when the file loads, not a traceback after
+        the topology has been built."""
+        with pytest.raises(SpecError, match="^%s: .*%s" % (key, bad)):
+            load_scenario(dict(SMOKE_SCENARIO, **override))
+
+    def test_cli_list_marks_a_bad_escape_option_unreadable(self, tmp_path,
+                                                           capsys):
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps(dict(
+            SMOKE_SCENARIO, escape_options={"protecton": True})))
+        assert cli_main(["scenario", "list", str(path)]) == 0
+        assert ("UNREADABLE: escape_options: got an unexpected keyword "
+                "argument 'protecton'") in capsys.readouterr().out
+
     def test_profile_must_be_a_boolean(self):
         """``profile: no`` is the string 'no' to the built-in parser and
         ``"false"`` in JSON is a string too; neither may switch the
