@@ -10,7 +10,7 @@ The benchmark measures the cost of that bring-up.
 import pytest
 
 from benchmarks.helpers import demo_topology
-from repro.core import ESCAPE
+from repro.core import ESCAPE, verify_sla
 
 
 def build_and_verify():
@@ -32,8 +32,11 @@ def build_and_verify():
     assert escape.orchestrator.view.containers()     # global resource view
     # -- service layer
     assert escape.catalog.names()                    # VNF catalog
-    assert escape.service_layer is not None          # SG / SLA handling
+    for api in (escape.deploy_service, escape.terminate_service,
+                escape.watch_sla, verify_sla):       # SG / SLA handling
+        assert callable(api)
     escape.stop()
+    assert escape.orchestrator.deployed == {}        # one registry
     return escape
 
 

@@ -105,7 +105,7 @@ def forwarding_escape():
 def test_tap_attached_dataplane(benchmark, forwarding_escape):
     """Dataplane cost with every chain link tapped (ring appends)."""
     escape = forwarding_escape
-    chain = escape.service_layer.services["obs-chain"]
+    chain = escape.orchestrator.deployed["obs-chain"]
     taps = escape.recorder.attach_chain(chain)
     try:
         benchmark.pedantic(lambda: _udp_workload(escape),
@@ -120,7 +120,7 @@ def test_untapped_dataplane_no_regression(forwarding_escape):
     """The 10% guardrail: after taps come and go, the no-tap path must
     cost what it did before (min-of-N to de-noise)."""
     escape = forwarding_escape
-    chain = escape.service_layer.services["obs-chain"]
+    chain = escape.orchestrator.deployed["obs-chain"]
     assert all(not link.taps for link in escape.net.links)
 
     def detach():

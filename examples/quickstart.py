@@ -8,7 +8,7 @@ reads the VNF's counters — demo steps (1) through (5).
 Run:  python examples/quickstart.py
 """
 
-from repro.core import ESCAPE
+from repro.core import ESCAPE, verify_sla
 from repro.core.sgfile import load_service_graph, load_topology
 
 TOPOLOGY = {
@@ -63,7 +63,7 @@ def main():
              chain.read_handler("fw", "fw.dropped")))
 
     # SLA check against the requirement in the service graph.
-    for report in escape.service_layer.verify_sla("quickstart-chain"):
+    for report in verify_sla(chain):
         print("SLA: measured one-way delay %.2f ms (limit %.0f ms) -> %s"
               % (report.measured_delay * 1e3,
                  report.requirement.max_delay * 1e3,

@@ -10,7 +10,7 @@ and a flood), and read each VNF's verdict from its handlers.
 Run:  python examples/web_service_chain.py
 """
 
-from repro.core import ESCAPE
+from repro.core import ESCAPE, verify_sla
 from repro.core.sgfile import load_service_graph, load_topology
 from repro.openflow import Match
 from repro.packet import Ethernet, IPv4
@@ -106,7 +106,7 @@ def main():
     print("server   : %d datagrams delivered (flood sent %d)"
           % (server.udp_rx_count, flood.sent + 25))
 
-    for report in escape.service_layer.verify_sla("web-chain"):
+    for report in verify_sla(chain):
         delay_text = ("%.2f ms" % (report.measured_delay * 1e3)
                       if report.measured_delay is not None else "n/a")
         print("SLA      : delay %s -> %s"

@@ -8,8 +8,8 @@
   algorithms (greedy / shortest-path / backtracking),
 * :mod:`~repro.core.orchestrator` — deploys a mapped graph: VNFs over
   NETCONF, steering entries over the POX module,
-* :mod:`~repro.core.service` — service-layer request handling + SLA
-  verification,
+* :mod:`~repro.core.sla` — SLA checks on a running chain: the
+  one-shot :func:`verify_sla` and the always-on :class:`SLAMonitor`,
 * :mod:`~repro.core.monitor` — Clicky-analog VNF monitoring,
 * :mod:`~repro.core.sgfile` — JSON topology/SG descriptions (the
   MiniEdit GUI replacement),
@@ -29,9 +29,8 @@ from repro.core.orchestrator import (DeployedChain, Orchestrator,
                                      OrchestratorError)
 from repro.core.recovery import (CHAIN_FAILED, CHAIN_HEALTHY,
                                  CHAIN_RECOVERING, RecoveryManager)
-from repro.core.service import ServiceLayer, ServiceRequest
 from repro.core.sla import (OK, RequirementReport, SLAError, SLAMonitor,
-                            VIOLATED, WARN)
+                            SLAReport, VIOLATED, WARN, verify_sla)
 from repro.core.sgfile import (load_service_graph, load_topology,
                                save_service_graph, save_topology)
 
@@ -60,9 +59,8 @@ __all__ = [
     "SGLink",
     "SLAError",
     "SLAMonitor",
+    "SLAReport",
     "ServiceGraph",
-    "ServiceLayer",
-    "ServiceRequest",
     "ShortestPathMapper",
     "VIOLATED",
     "VNFCatalog",
@@ -74,4 +72,5 @@ __all__ = [
     "load_topology",
     "save_service_graph",
     "save_topology",
+    "verify_sla",
 ]

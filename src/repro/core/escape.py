@@ -32,7 +32,6 @@ from repro.core.monitor import VNFMonitor
 from repro.core.nffg import ServiceGraph
 from repro.core.orchestrator import DeployedChain, Orchestrator
 from repro.core.recovery import RecoveryManager
-from repro.core.service import ServiceLayer, ServiceRequest
 from repro.core.sgfile import load_service_graph
 from repro.core.sla import SLAMonitor
 from repro.netconf import NetconfClient, TransportPair, VNFAgent
@@ -43,6 +42,7 @@ from repro.pox import (Core, Discovery, L2LearningSwitch, OpenFlowNexus,
 from repro.sim import Simulator
 from repro.telemetry import (FlowTraceError, to_json, to_prometheus,
                              write_snapshot)
+from repro.telemetry.metrics import nearest_rank
 
 
 class ESCAPE:
@@ -155,15 +155,12 @@ class ESCAPE:
             "backtracking": BacktrackingMapper(self.catalog),
             "congestion-aware": CongestionAwareMapper(self.catalog),
         }
-        self.service_layer = ServiceLayer(self.orchestrator,
-                                          self.mappers["shortest-path"])
         self.recorder = FlightRecorder(net)
         self.recovery = RecoveryManager(
             self.orchestrator, net,
             protection=self.orchestrator.protection)
         self.recovery.watch_discovery(self.discovery)
         self.chaos_engines: list = []
-        self.sla_monitors: Dict[str, SLAMonitor] = {}
         self._m_service_deploys = self.telemetry.metrics.counter(
             "service.layer.deploys", "service requests submitted")
         self.telemetry.metrics.add_collector(self._collect_metrics)
@@ -312,14 +309,10 @@ class ESCAPE:
         heap matters."""
         self.discovery.stop()
         self.stats.stop()
-        for monitor in self.sla_monitors.values():
-            if monitor.running:
-                monitor.stop()
-        self.sla_monitors.clear()
         self.recorder.detach_all()
-        chains = list(self.service_layer.services.values())
+        chains = list(self.orchestrator.deployed.values())
         for chain in chains:
-            chain.undeploy()
+            chain.undeploy()  # stops the chain's SLA monitor first
         if chains:
             self.net.run(0.01)  # let the teardown flow-mods land
         self.net.stop()
@@ -356,18 +349,17 @@ class ESCAPE:
                         % (mapper, ", ".join(sorted(self.mappers))))
                 mapper = self.mappers[mapper]
             self._m_service_deploys.inc()
-            request = ServiceRequest(sg, match=match,
-                                     return_path=return_path)
-            chain = self.service_layer.submit(request, mapper)
+            chain = self.orchestrator.deploy(sg, mapper, match=match,
+                                             return_path=return_path)
         if sg.requirements:  # a chain with an SLA is watched from birth
             self.watch_sla(chain)
         return chain
 
     def terminate_service(self, name: str) -> None:
-        monitor = self.sla_monitors.pop(name, None)
-        if monitor is not None and monitor.running:
-            monitor.stop()
-        self.service_layer.terminate(name)
+        chain = self.orchestrator.deployed.get(name)
+        if chain is None:
+            raise KeyError("no deployed service %r" % name)
+        chain.undeploy()
 
     def inject_chaos(self, scenario) -> "ChaosEngine":
         """Arm a chaos scenario (a :class:`~repro.chaos.ChaosScenario`,
@@ -390,51 +382,109 @@ class ESCAPE:
 
     def watch_sla(self, chain: DeployedChain) -> SLAMonitor:
         """Start (or return the running) SLA conformance monitor for a
-        deployed chain carrying NFFG requirements."""
-        existing = self.sla_monitors.get(chain.sg.name)
-        if existing is not None and existing.running:
-            return existing
-        monitor = SLAMonitor(chain)
-        monitor.start()
-        self.sla_monitors[chain.sg.name] = monitor
+        deployed chain carrying NFFG requirements; the monitor hangs
+        off the chain and stops when the chain is torn down."""
+        monitor = chain.sla_monitor
+        if monitor is None or not monitor.running:
+            monitor = chain.sla_monitor = SLAMonitor(chain)
+            monitor.start()
         return monitor
 
+    @property
+    def sla_monitors(self) -> Dict[str, SLAMonitor]:
+        """The SLA monitors of the deployed chains, by chain name (a
+        view over ``orchestrator.deployed``, built on each read)."""
+        return {name: chain.sla_monitor for name, chain
+                in self.orchestrator.deployed.items()
+                if chain.sla_monitor is not None}
+
+    # -- summaries (health() and the scenario bundle) -------------------------
+
+    def sla_summary(self) -> dict:
+        """Per-chain SLA state, breach/violation counts and the overall
+        violation ratio."""
+        per_chain = {}
+        total_rounds = 0
+        breach_rounds = 0
+        for name, monitor in sorted(self.sla_monitors.items()):
+            breaches = self.telemetry.metrics.get(
+                "sla.breaches", labels={"chain": name})
+            lost = self.telemetry.metrics.get(
+                "sla.probes_lost", labels={"chain": name})
+            breached = int(breaches.value) if breaches is not None else 0
+            violations = sum(1 for _t, _old, new in monitor.transitions
+                             if new == "VIOLATED")
+            per_chain[name] = {
+                "state": monitor.state,
+                "rounds": monitor.rounds,
+                "breach_rounds": breached,
+                "violations": violations,
+                "probes_lost": int(lost.value) if lost is not None else 0,
+                "transitions": [list(item)
+                                for item in monitor.transitions],
+            }
+            total_rounds += monitor.rounds
+            breach_rounds += breached
+        return {
+            "per_chain": per_chain,
+            "monitored_chains": len(per_chain),
+            "rounds": total_rounds,
+            "breach_rounds": breach_rounds,
+            "violation_ratio": (breach_rounds / total_rounds
+                                if total_rounds else 0.0),
+        }
+
+    def recovery_summary(self) -> dict:
+        """The recovery manager's actions, MTTR statistics and the
+        chains it left unrecovered or pending."""
+        actions = [dict(action) for action in self.recovery.actions]
+        mttrs = [action["mttr"] for action in actions
+                 if action.get("ok") and action.get("mttr") is not None]
+        return {
+            "actions": actions,
+            "repairs": sum(1 for action in actions if action.get("ok")),
+            "gave_up": sum(1 for action in actions
+                           if not action.get("ok")),
+            "flips": sum(1 for action in actions
+                         if action.get("kind") == "flip"),
+            "mttr_avg": (sum(mttrs) / len(mttrs)) if mttrs else None,
+            "mttr_p50": nearest_rank(mttrs, 50),
+            "mttr_p90": nearest_rank(mttrs, 90),
+            "mttr_max": max(mttrs) if mttrs else None,
+            "unrecovered": self.recovery.unrecovered(),
+            "pending": ["%s/%s" % key for key in self.recovery.pending()],
+        }
+
+    def protection_summary(self) -> dict:
+        """Fast-failover state: enabled flag, protected path count and
+        dataplane bucket flips."""
+        return {
+            "enabled": self.orchestrator.protection,
+            "protected_paths": len(self.steering.protected_paths()),
+            "flips": sum(switch.datapath.group_flip_count
+                         for switch in self.net.switches()),
+        }
+
     def health(self) -> dict:
-        """One-look operational summary: per-chain SLA state, recent
+        """One-look operational summary: deployed services, the
+        bundle's SLA / recovery / protection sections, recent
         WARN/ERROR events, per-cause link drop attribution and
         flight-recorder occupancy."""
         from repro.telemetry import WARN as EV_WARN
-        slas = {name: {"state": monitor.state,
-                       "rounds": monitor.rounds,
-                       "running": monitor.running}
-                for name, monitor in sorted(self.sla_monitors.items())}
         alerts = [event.to_dict() for event in
                   self.telemetry.events.query(min_severity=EV_WARN,
                                               limit=20)]
         return {
             "time": self.sim.now,
             "services": {name: chain.active for name, chain
-                         in self.service_layer.services.items()},
-            "sla": slas,
+                         in self.orchestrator.deployed.items()},
+            "sla": self.sla_summary(),
             "alerts": alerts,
             "links": self.net.link_stats(),
             "flowtrace": self.telemetry.flowtrace.status(),
             "recorder": self.recorder.status(),
-            "recovery": {
-                "chain_state": dict(self.recovery.chain_state),
-                "unrecovered": self.recovery.unrecovered(),
-                "pending": self.recovery.pending(),
-                "repairs": len([action for action
-                                in self.recovery.actions
-                                if action.get("ok")]),
-            },
-            "protection": {
-                "enabled": self.orchestrator.protection,
-                "protected_paths":
-                    len(self.steering.protected_paths()),
-                "flips": sum(switch.datapath.group_flip_count
-                             for switch in self.net.switches()),
-            },
+            "recovery": self.recovery_summary(),
+            "protection": self.protection_summary(),
         }
 
     def status(self) -> dict:
@@ -442,7 +492,7 @@ class ESCAPE:
         management information" the paper's orchestration layer exposes.
         """
         services = {}
-        for name, chain in self.service_layer.services.items():
+        for name, chain in self.orchestrator.deployed.items():
             services[name] = {
                 "active": chain.active,
                 "mapper": chain.mapper.name,
@@ -549,10 +599,10 @@ class ESCAPE:
     # -- CLI command handlers -------------------------------------------------
 
     def _cli_services(self, args) -> str:
-        if not self.service_layer.services:
+        if not self.orchestrator.deployed:
             return "no services deployed"
         lines = []
-        for name, chain in sorted(self.service_layer.services.items()):
+        for name, chain in sorted(self.orchestrator.deployed.items()):
             placement = ", ".join("%s->%s" % item for item
                                   in chain.mapping.vnf_placement.items())
             lines.append("%s: %s [%s]"
@@ -579,7 +629,7 @@ class ESCAPE:
     def _cli_migrate(self, args) -> str:
         if len(args) != 3:
             return "usage: migrate <service-name> <vnf> <container>"
-        chain = self.service_layer.services.get(args[0])
+        chain = self.orchestrator.deployed.get(args[0])
         if chain is None:
             return "*** no service %r" % args[0]
         chain.migrate(args[1], args[2])
@@ -623,7 +673,7 @@ class ESCAPE:
         lines = ["t=%.3f  %d service(s)" % (health["time"],
                                             len(health["services"]))]
         for name, active in sorted(health["services"].items()):
-            sla = health["sla"].get(name)
+            sla = health["sla"]["per_chain"].get(name)
             sla_text = sla["state"] if sla else "unmonitored"
             lines.append("  %-20s %-8s sla=%s"
                          % (name, "active" if active else "down",
@@ -708,7 +758,7 @@ class ESCAPE:
         if command == "chain":
             if len(rest) != 1:
                 return "usage: record chain <service-name>"
-            chain = self.service_layer.services.get(rest[0])
+            chain = self.orchestrator.deployed.get(rest[0])
             if chain is None:
                 return "*** no service %r" % rest[0]
             taps = recorder.attach_chain(chain)

@@ -154,6 +154,9 @@ class DeployedChain:
         self.return_path_ids: List[str] = []
         self.return_substrate_path: Optional[List[str]] = None
         self.active = True
+        # the SLAMonitor watching this chain (ESCAPE.watch_sla); it
+        # is stopped when the chain is torn down
+        self.sla_monitor = None
 
     def migrate(self, vnf_name: str, target_container: str) -> None:
         """Move one VNF to another container, rerouting its segments."""
@@ -187,6 +190,8 @@ class DeployedChain:
     def undeploy(self) -> None:
         if not self.active:
             return
+        if self.sla_monitor is not None and self.sla_monitor.running:
+            self.sla_monitor.stop()
         self.orchestrator._undeploy(self)
         self.active = False
 

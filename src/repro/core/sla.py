@@ -1,4 +1,8 @@
-"""Runtime SLA conformance monitoring for deployed chains.
+"""SLA checks on deployed chains: one-shot and continuous.
+
+:func:`verify_sla` is the one-shot check a script runs after deploying:
+a few pings per requirement, half the mean round-trip against the
+requirement's max delay, any loss a violation.
 
 The service graph carries end-to-end :class:`~repro.core.nffg.
 Requirement`s (max delay, min bandwidth) that, before this module,
@@ -104,6 +108,54 @@ class RequirementReport:
         return "RequirementReport(%s->%s, delay=%s, bw=%s, %s)" % (
             self.requirement.src, self.requirement.dst, self.delay,
             self.bandwidth, "BREACH" if self.breached else "ok")
+
+
+class SLAReport:
+    """Outcome of verifying one requirement against measurements."""
+
+    def __init__(self, requirement, measured_delay: Optional[float],
+                 loss_percent: Optional[float], satisfied: bool):
+        self.requirement = requirement
+        self.measured_delay = measured_delay
+        self.loss_percent = loss_percent
+        self.satisfied = satisfied
+
+    def __repr__(self) -> str:
+        return "SLAReport(%r, delay=%s, loss=%s%%, %s)" % (
+            self.requirement, self.measured_delay, self.loss_percent,
+            "OK" if self.satisfied else "VIOLATED")
+
+
+PROBE_INTERVAL = 0.2  # seconds between the pings of one verify_sla check
+
+
+def verify_sla(chain: DeployedChain, probes: int = 5) -> List[SLAReport]:
+    """Measure each requirement of a deployed chain with pings.
+
+    The one-way chain-delay requirement is compared against half the
+    measured round-trip (the return path is the direct route, so the
+    RTT upper-bounds chain delay + direct delay; using RTT/2 keeps the
+    check conservative for symmetric topologies).
+    """
+    reports: List[SLAReport] = []
+    net = chain.orchestrator.net
+    for requirement in chain.sg.requirements:
+        src_host = net.get(requirement.src)
+        dst_host = net.get(requirement.dst)
+        result = src_host.ping(dst_host.ip, count=probes,
+                               interval=PROBE_INTERVAL)
+        net.run(probes * PROBE_INTERVAL + 2.0)
+        measured = (result.avg_rtt / 2.0
+                    if result.avg_rtt is not None else None)
+        satisfied = True
+        if requirement.max_delay is not None:
+            satisfied = (measured is not None
+                         and measured <= requirement.max_delay)
+        if result.loss_percent > 0.0:
+            satisfied = False
+        reports.append(SLAReport(requirement, measured,
+                                 result.loss_percent, satisfied))
+    return reports
 
 
 class SLAMonitor:

@@ -45,7 +45,6 @@ from repro.core.sgfile import load_service_graph
 from repro.scenario.spec import Scenario, load_scenario
 from repro.scenario.workload import WorkloadDriver, build_workload
 from repro.scenario.zoo import build_topology
-from repro.telemetry.metrics import nearest_rank
 
 BUNDLE_SCHEMA = 6
 BUNDLE_NAME = "bundle.json"
@@ -55,66 +54,6 @@ FLOWTRACE_NAME = "flowtrace.jsonl"
 
 class ScenarioError(Exception):
     pass
-
-
-def _sla_summary(escape: ESCAPE) -> Dict[str, Any]:
-    per_chain: Dict[str, Any] = {}
-    total_rounds = 0
-    breach_rounds = 0
-    for name, monitor in sorted(escape.sla_monitors.items()):
-        breaches = escape.telemetry.metrics.get(
-            "sla.breaches", labels={"chain": name})
-        lost = escape.telemetry.metrics.get(
-            "sla.probes_lost", labels={"chain": name})
-        breached = int(breaches.value) if breaches is not None else 0
-        violations = sum(1 for _t, _old, new in monitor.transitions
-                        if new == "VIOLATED")
-        per_chain[name] = {
-            "state": monitor.state,
-            "rounds": monitor.rounds,
-            "breach_rounds": breached,
-            "violations": violations,
-            "probes_lost": int(lost.value) if lost is not None else 0,
-            "transitions": [list(item) for item in monitor.transitions],
-        }
-        total_rounds += monitor.rounds
-        breach_rounds += breached
-    return {
-        "per_chain": per_chain,
-        "monitored_chains": len(per_chain),
-        "rounds": total_rounds,
-        "breach_rounds": breach_rounds,
-        "violation_ratio": (breach_rounds / total_rounds
-                            if total_rounds else 0.0),
-    }
-
-
-def _recovery_summary(escape: ESCAPE) -> Dict[str, Any]:
-    actions = [dict(action) for action in escape.recovery.actions]
-    mttrs = [action["mttr"] for action in actions
-             if action.get("ok") and action.get("mttr") is not None]
-    return {
-        "actions": actions,
-        "repairs": sum(1 for action in actions if action.get("ok")),
-        "gave_up": sum(1 for action in actions if not action.get("ok")),
-        "flips": sum(1 for action in actions
-                     if action.get("kind") == "flip"),
-        "mttr_avg": (sum(mttrs) / len(mttrs)) if mttrs else None,
-        "mttr_p50": nearest_rank(mttrs, 50),
-        "mttr_p90": nearest_rank(mttrs, 90),
-        "mttr_max": max(mttrs) if mttrs else None,
-        "unrecovered": escape.recovery.unrecovered(),
-        "pending": ["%s/%s" % key for key in escape.recovery.pending()],
-    }
-
-
-def _protection_summary(escape: ESCAPE) -> Dict[str, Any]:
-    return {
-        "enabled": escape.orchestrator.protection,
-        "protected_paths": len(escape.steering.protected_paths()),
-        "flips": sum(switch.datapath.group_flip_count
-                     for switch in escape.net.switches()),
-    }
 
 
 class CampaignRunner:
@@ -223,9 +162,9 @@ class CampaignRunner:
             "workload": workload_results,
             "schedule_meta": schedule.meta,
             "chains": {"deployed": deployed, "failed": failed},
-            "sla": _sla_summary(escape),
-            "recovery": _recovery_summary(escape),
-            "protection": _protection_summary(escape),
+            "sla": escape.sla_summary(),
+            "recovery": escape.recovery_summary(),
+            "protection": escape.protection_summary(),
             "chaos": {"injections": chaos_ledger,
                       "armed": engine is not None},
             "throughput": {

@@ -58,7 +58,7 @@ class TestServiceCommands:
     def test_deploy_with_mapper(self, console):
         escape, cli, sg_path = console
         cli.run_command("deploy %s backtracking" % sg_path)
-        chain = escape.service_layer.services["cli-chain"]
+        chain = escape.orchestrator.deployed["cli-chain"]
         assert chain.mapper.name == "backtracking"
 
     def test_undeploy(self, console):
@@ -74,7 +74,7 @@ class TestServiceCommands:
     def test_migrate(self, console):
         escape, cli, sg_path = console
         cli.run_command("deploy %s" % sg_path)
-        chain = escape.service_layer.services["cli-chain"]
+        chain = escape.orchestrator.deployed["cli-chain"]
         source = chain.mapping.vnf_placement["fw"]
         target = "nc2" if source == "nc1" else "nc1"
         output = cli.run_command("migrate cli-chain fw %s" % target)

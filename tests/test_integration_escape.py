@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import repro
-from repro.core import ESCAPE, MappingError, OrchestratorError
+from repro.core import ESCAPE, MappingError, OrchestratorError, verify_sla
 from repro.core.nffg import ServiceGraph
 from repro.core.sgfile import load_service_graph, load_topology
 from repro.openflow import Match
@@ -175,8 +175,8 @@ class TestStep4LiveTraffic:
         assert chained.avg_rtt > 0.0
 
     def test_sla_verification(self, escape):
-        escape.deploy_service(FIREWALL_SG)
-        reports = escape.service_layer.verify_sla("fw-chain", probes=3)
+        chain = escape.deploy_service(FIREWALL_SG)
+        reports = verify_sla(chain, probes=3)
         assert len(reports) == 1
         assert reports[0].satisfied
         assert reports[0].measured_delay < 0.05
@@ -284,7 +284,7 @@ class TestMultiChain:
             "chain": ["h2", "mon", "h1"],
         }
         chain2 = escape.deploy_service(second, return_path="none")
-        assert len(escape.service_layer.services) == 2
+        assert len(escape.orchestrator.deployed) == 2
         assert chain2.mapping.vnf_placement["mon"] in ("nc1", "nc2")
 
     def test_multi_vnf_chain_same_container_hairpin(self, escape):

@@ -88,6 +88,36 @@ class TestLifecycle:
         assert not monitor.running
         assert "sla-chain" not in escape.sla_monitors
 
+    def test_handle_undeploy_leaves_no_residue(self, escape):
+        chain = escape.deploy_service(SG)
+        monitor = escape.sla_monitors["sla-chain"]
+        escape.run(1.0)
+        chain.undeploy()
+        assert not monitor.running
+        assert "sla-chain" not in escape.status()["services"]
+        health = escape.health()
+        assert "sla-chain" not in health["services"]
+        assert "sla-chain" not in health["sla"]["per_chain"]
+        assert "sla-chain" not in escape.sla_monitors
+
+    def test_terminate_after_handle_undeploy_raises(self, escape):
+        escape.deploy_service(SG).undeploy()
+        with pytest.raises(KeyError):
+            escape.terminate_service("sla-chain")
+
+    def test_redeploy_gets_a_fresh_running_monitor(self, escape):
+        first = escape.deploy_service(SG)
+        old = escape.sla_monitors["sla-chain"]
+        escape.run(0.2)
+        first.undeploy()
+        second = escape.deploy_service(SG)
+        monitor = escape.sla_monitors["sla-chain"]
+        assert monitor is not old
+        assert monitor.chain is second
+        escape.run(1.0)
+        assert monitor.running
+        assert monitor.rounds >= 2
+
     def test_monitor_stands_down_with_chain(self, escape):
         chain = escape.deploy_service(SG)
         monitor = escape.sla_monitors["sla-chain"]

@@ -55,8 +55,8 @@ def make_sg(name, rng):
 
 
 def check_invariants(escape):
-    active = [chain for chain in escape.service_layer.services.values()
-              if chain.active]
+    active = list(escape.orchestrator.deployed.values())
+    assert all(chain.active for chain in active)
 
     # 1. view usage == sum of active chains' demands, per container
     expected = {name: [0.0, 0.0, 0]  # cpu, mem, ports
@@ -104,9 +104,7 @@ def test_random_operation_sequences_preserve_invariants(seed):
     for _step in range(40):
         operation = rng.choice(["deploy", "deploy", "undeploy",
                                 "migrate", "traffic", "run"])
-        active = [chain for chain
-                  in escape.service_layer.services.values()
-                  if chain.active]
+        active = list(escape.orchestrator.deployed.values())
         if operation == "deploy":
             counter += 1
             name = "svc-%d-%d" % (seed, counter)
@@ -119,7 +117,6 @@ def test_random_operation_sequences_preserve_invariants(seed):
         elif operation == "undeploy" and active:
             chain = rng.choice(active)
             chain.undeploy()
-            escape.service_layer.services.pop(chain.sg.name, None)
         elif operation == "migrate" and active:
             chain = rng.choice(active)
             vnf_name = rng.choice(list(chain.vnfs))
@@ -137,10 +134,9 @@ def test_random_operation_sequences_preserve_invariants(seed):
             escape.run(rng.uniform(0.05, 0.5))
         check_invariants(escape)
     # teardown everything and verify the substrate is pristine
-    for chain in list(escape.service_layer.services.values()):
-        if chain.active:
-            chain.undeploy()
-    escape.service_layer.services.clear()
+    for chain in list(escape.orchestrator.deployed.values()):
+        chain.undeploy()
+    assert escape.status()["services"] == {}
     check_invariants(escape)
     for container in escape.net.vnf_containers():
         assert container.budget.cpu_used == pytest.approx(0.0)

@@ -141,7 +141,7 @@ class TestNearestRank:
         workload delay over the same samples: one p50.  The flowtrace
         and MTTR readers used ``int(round(q * (n - 1)))``, the upper
         middle for 4 and 8 samples."""
-        from repro.scenario.runner import _recovery_summary
+        from repro.core import ESCAPE
         from repro.scenario.workload import WorkloadDriver
         from repro.telemetry.flowtrace import _summarize_chain
         samples = [float(value) for value in range(count, 0, -1)]
@@ -160,7 +160,7 @@ class TestNearestRank:
             actions=[{"ok": True, "kind": "reroute", "mttr": value}
                      for value in samples],
             unrecovered=lambda: [], pending=lambda: [])
-        assert _recovery_summary(SimpleNamespace(recovery=recovery))[
+        assert ESCAPE.recovery_summary(SimpleNamespace(recovery=recovery))[
             "mttr_p50"] == expected
         driver = WorkloadDriver(SimpleNamespace(sim=None),
                                 SimpleNamespace(flows=[]))
