@@ -27,7 +27,7 @@ from repro.netem.recorder import (FlightRecorder, LinkTap, RecorderError,
                                   TapRecord)
 from repro.netem.resources import ResourceBudget, ResourceError
 from repro.netem.topo import LinearTopo, SingleSwitchTopo, Topo, TreeTopo
-from repro.netem.traffic import PacketCapture, PingResult, TrafficReport
+from repro.netem.traffic import PingResult, TrafficReport
 from repro.netem.vnf import VNFContainer, VNFProcess
 from repro.netem.cli import CLI
 
@@ -42,7 +42,6 @@ __all__ = [
     "Network",
     "NetworkError",
     "Node",
-    "PacketCapture",
     "RecorderError",
     "TapRecord",
     "PingResult",

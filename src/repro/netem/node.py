@@ -73,7 +73,8 @@ class Host(Node):
     This is the stand-in for "use standard tools to send and inspect
     live traffic" (demo step 4): :meth:`ping` is ``ping``,
     :meth:`send_udp` / :meth:`start_udp_flow` are the ``iperf`` side,
-    and :mod:`repro.netem.traffic`'s PacketCapture is ``tcpdump``.
+    and a flight-recorder tap on the host's port
+    (:meth:`repro.netem.recorder.FlightRecorder.attach`) is ``tcpdump``.
     """
 
     ARP_TIMEOUT = 1.0  # seconds before a pending ARP resolution drops
@@ -93,7 +94,6 @@ class Host(Node):
         self.probe_rx_count = 0
         self._pings: Dict[int, PendingPing] = {}
         self._next_ping_id = 1
-        self._captures: List = []
         self.arp_dropped = 0  # frames queued behind an unanswered request
         self._frames = sim.frames  # slot 2: (interface, *its datagram)
 
@@ -107,17 +107,10 @@ class Host(Node):
     def mac(self) -> EthAddr:
         return self._primary.mac
 
-    def attach_capture(self, capture) -> None:
-        """Register a PacketCapture to observe this host's frames."""
-        self._captures.append(capture)
-
     # -- transmit path --------------------------------------------------------
 
     def send_frame(self, frame: Ethernet) -> None:
-        data = frame.pack()
-        for capture in self._captures:
-            capture.observe(self.sim.now, "tx", frame, data)
-        self._primary.send(data)
+        self._primary.send(frame.pack())
 
     def send_ip(self, packet: IPv4) -> None:
         """Resolve the destination and send (queues behind ARP)."""
@@ -154,9 +147,9 @@ class Host(Node):
     def _receive(self, intf: Interface, data: bytes) -> None:
         # Fast path, for what one struct pass can recognise: a plain UDP
         # datagram to this interface's own MAC and IP; the known frame
-        # keeps it for a replay of the same object.  Captures want frame
-        # objects.  Everything else takes the object codec.
-        if not self._captures and intf.ip is not None:
+        # keeps it for a replay of the same object.  Everything else
+        # takes the object codec.
+        if intf.ip is not None:
             frames = self._frames
             record = frames.get(id(data)) or frames.admit(data)
             view = record[2]
@@ -172,12 +165,16 @@ class Host(Node):
                                     payload, payload.startswith(PROBE_MAGIC))
                 self._deliver_udp(*view[1:])
                 return
+        self._receive_objects(intf, data)
+
+    def _receive_objects(self, intf: Interface, data: bytes) -> None:
+        """The object codec: the receive path for whatever the one pass
+        does not claim, and the reference the one pass is tested
+        against."""
         try:
             frame = Ethernet.unpack(data)
         except PacketError:
             return
-        for capture in self._captures:
-            capture.observe(self.sim.now, "rx", frame, data)
         if frame.dst != intf.mac and not frame.dst.is_multicast \
                 and not frame.dst.is_broadcast:
             return
@@ -254,9 +251,8 @@ class Host(Node):
                  payload: bytes, sport: int = 40000) -> None:
         dst = IPAddr(dst)
         dst_mac = self.arp_table.get(dst)
-        if dst_mac is None or self._captures:
-            # object codec: the frame queues behind ARP, or a capture
-            # wants to see it
+        if dst_mac is None:
+            # object codec: the frame queues behind ARP
             self.send_ip(IPv4(srcip=self.ip, dstip=dst,
                               protocol=IPv4.UDP_PROTOCOL,
                               payload=UDP(srcport=sport, dstport=dport,
@@ -329,7 +325,7 @@ class Host(Node):
                 report.finished = True
                 return
             dst_mac = self.arp_table.get(dst)
-            if dst_mac is None or self._captures:
+            if dst_mac is None:
                 self.send_udp(dst, dport, payload, sport)
             else:
                 if dst_mac is not wire_mac:

@@ -1,11 +1,12 @@
 """Flight recorder: always-on-capable capture taps on substrate links.
 
-A host-side :class:`~repro.netem.traffic.PacketCapture` sees what one
-endpoint sees; debugging a *deployed chain* needs the view from the
-middle — which frames crossed which substrate link, when, and on behalf
-of which pipeline operation.  The flight recorder attaches bounded ring
-buffers ("taps") to :class:`~repro.netem.link.Link` objects (optionally
-narrowed to one switch port) and records every frame the link carries:
+The recorder is the one way to capture frames.  ``tcpdump -i h1-eth0``
+is a tap on ``h1-eth0``'s link narrowed to that port; debugging a
+*deployed chain* needs the view from the middle — which frames crossed
+which substrate link, when, and on behalf of which pipeline operation.
+The flight recorder attaches bounded ring buffers ("taps") to
+:class:`~repro.netem.link.Link` objects (optionally narrowed to one
+host or switch port) and records every frame the link carries:
 
 * ``tx`` records when a frame enters the link, ``rx`` when it is
   delivered — a frame that appears as ``tx`` but never ``rx`` was
@@ -23,6 +24,8 @@ narrowed to one switch port) and records every frame the link carries:
 The dataplane cost when **no** tap is attached is a single falsy check
 in ``Link.transmit``/``Link._deliver``; with a tap attached, a record
 is a timestamped append — parsing happens only on query or export.
+The ``netem.recorder.frames`` / ``evicted`` counters are brought up to
+date when a metrics snapshot is taken.
 """
 
 from collections import deque
@@ -96,8 +99,8 @@ class LinkTap:
     """Bounded ring of :class:`TapRecord` on one link.
 
     ``port`` narrows the tap to frames entering or leaving one
-    interface (a switch port); without it, both directions of every
-    frame on the link are kept.
+    interface (a host or switch port); without it, both directions of
+    every frame on the link are kept.
     """
 
     def __init__(self, link: Link, capacity: int = 2048,
@@ -154,6 +157,20 @@ class FlightRecorder:
                                       "frames recorded by flight taps")
         self._m_evicted = tm.counter("netem.recorder.evicted",
                                      "tap ring evictions")
+        # what the attached taps have added to the counters so far
+        self._counted_frames = self._counted_evicted = 0
+        tm.add_collector(self._collect)
+
+    def _collect(self, registry=None) -> None:
+        """Bring the counters up to what the attached taps have
+        recorded; a counter is touched only when its value moves."""
+        frames = sum(tap.matched for tap in self.taps.values())
+        evicted = sum(tap.evicted for tap in self.taps.values())
+        if frames > self._counted_frames:
+            self._m_recorded.inc(frames - self._counted_frames)
+        if evicted > self._counted_evicted:
+            self._m_evicted.inc(evicted - self._counted_evicted)
+        self._counted_frames, self._counted_evicted = frames, evicted
 
     # -- attach / detach ------------------------------------------------------
 
@@ -167,8 +184,13 @@ class FlightRecorder:
 
     def attach(self, link, capacity: Optional[int] = None,
                port: Optional[str] = None) -> LinkTap:
-        """Tap a link (by object or name); idempotent per label."""
+        """Tap a link (by object or name); idempotent per label.
+        ``port``, if given, must name one of the link's two ends."""
         link = self._resolve_link(link)
+        if port is not None and port not in (link.intf1.name,
+                                             link.intf2.name):
+            raise RecorderError("%r is not an end of link %s"
+                                % (port, link.name))
         label = "%s:%s" % (link.name, port) if port else link.name
         existing = self.taps.get(label)
         if existing is not None:
@@ -211,13 +233,14 @@ class FlightRecorder:
         return taps
 
     def detach(self, label: str) -> None:
-        tap = self.taps.pop(label, None)
-        if tap is None:
+        if label not in self.taps:
             raise RecorderError("no tap %r" % (label,))
+        self._collect()
+        tap = self.taps.pop(label)
+        self._counted_frames -= tap.matched
+        self._counted_evicted -= tap.evicted
         if tap in tap.link.taps:
             tap.link.taps.remove(tap)
-        self._m_recorded.inc(tap.matched)
-        self._m_evicted.inc(tap.evicted)
         self.telemetry.events.info("netem.recorder", "recorder.detached",
                                    "tap off %s (%d frames)" % (label,
                                                                tap.matched),

@@ -1,10 +1,9 @@
-"""Traffic measurement objects: ping results, UDP flow reports, and a
-tcpdump-style capture (demo step 4's "standard tools")."""
+"""Traffic measurement objects: ping results, UDP flow reports, and the
+classic-pcap writer behind the flight recorder's tcpdump-style taps
+(demo step 4's "standard tools")."""
 
 import struct
 from typing import Iterable, List, Optional
-
-from repro.packet import Ethernet
 
 
 def write_pcap(path: str, entries: Iterable, snaplen: int = 65535) -> int:
@@ -12,8 +11,8 @@ def write_pcap(path: str, entries: Iterable, snaplen: int = 65535) -> int:
     Ethernet), loadable in Wireshark/tcpdump.
 
     ``entries`` is any iterable of records with ``time`` (seconds) and
-    ``data`` (the frame's bytes as they crossed the wire) attributes —
-    host captures and flight-recorder taps both qualify.  Timestamps
+    ``data`` (the frame's bytes as they crossed the wire) attributes,
+    such as a flight-recorder tap's records.  Timestamps
     are rounded to the nearest microsecond.  Returns the record count.
     """
     written = 0
@@ -99,51 +98,3 @@ class TrafficReport:
         return "TrafficReport(%s->%s:%d, sent=%d, %s)" % (
             self.src, self.dst, self.dport, self.sent,
             "done" if self.finished else "running")
-
-
-class CapturedFrame:
-    """One line of the capture: the parsed frame and its wire bytes."""
-
-    def __init__(self, time: float, direction: str, frame: Ethernet,
-                 data: bytes):
-        self.time = time
-        self.direction = direction  # "rx" or "tx"
-        self.frame = frame
-        self.data = data
-
-    def __repr__(self) -> str:
-        return "%.6f %s %r" % (self.time, self.direction, self.frame)
-
-
-class PacketCapture:
-    """tcpdump stand-in: attach to a Host to record its frames.
-
-    ``filter_fn`` (Ethernet -> bool) limits what is kept; ``limit``
-    bounds memory.
-    """
-
-    def __init__(self, filter_fn=None, limit: int = 10000):
-        self.filter_fn = filter_fn
-        self.limit = limit
-        self.frames: List[CapturedFrame] = []
-        self.matched = 0
-        self.observed = 0
-
-    def observe(self, time: float, direction: str, frame: Ethernet,
-                data: bytes) -> None:
-        self.observed += 1
-        if self.filter_fn is not None and not self.filter_fn(frame):
-            return
-        self.matched += 1
-        if len(self.frames) < self.limit:
-            self.frames.append(CapturedFrame(time, direction, frame, data))
-
-    def write_pcap(self, path: str, snaplen: int = 65535) -> int:
-        """Write the captured frames as a classic pcap file (linktype
-        Ethernet), loadable in Wireshark/tcpdump.  Returns the number
-        of records written."""
-        return write_pcap(path, self.frames, snaplen)
-
-    def __repr__(self) -> str:
-        return "PacketCapture(%d kept / %d seen)" % (len(self.frames),
-                                                     self.observed)

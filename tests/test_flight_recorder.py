@@ -110,6 +110,45 @@ class TestLinkTap:
         with pytest.raises(RecorderError):
             recorder.attach("no-such-link")
 
+    def test_attach_rejects_a_port_that_is_not_an_end(self):
+        sim, net, _h1, _h2 = small_net()
+        recorder = FlightRecorder(net)
+        with pytest.raises(RecorderError, match="h9-eth0.*h1-eth0<->h2-eth0"):
+            recorder.attach(net.links[0], port="h9-eth0")
+        assert net.links[0].taps == [] and not recorder.taps
+        assert recorder.attach(net.links[0], port="h2-eth0").port \
+            == "h2-eth0"
+
+    def test_counters_move_while_taps_record(self):
+        sim, net, h1, h2 = small_net()
+        recorder = FlightRecorder(net)
+        metrics = sim.telemetry.metrics
+
+        def counter(name):
+            return metrics.snapshot()["netem.recorder." + name]
+
+        # no tap, no change: the counters stay untouched
+        assert counter("frames") == counter("evicted") == {
+            "type": "counter", "last_updated": None, "value": 0}
+        tap = recorder.attach(net.links[0], capacity=4)
+        for _ in range(10):
+            h1.send_udp(h2.ip, 5000, b"x")
+        net.run(1.0)
+        # read while the tap is still attached
+        assert counter("frames")["value"] == tap.matched == 20
+        assert counter("evicted")["value"] == tap.evicted == 16
+        stamp = counter("frames")["last_updated"]
+        net.run(1.0)  # nothing more crosses the link
+        assert counter("frames")["last_updated"] == stamp
+        # detach counts nothing twice; a later tap adds to the total
+        recorder.detach(tap.label)
+        assert counter("frames")["value"] == 20
+        recorder.attach(net.links[0])
+        h1.send_udp(h2.ip, 5000, b"x")
+        net.run(1.0)
+        assert counter("frames")["value"] == 22
+        assert counter("evicted")["value"] == 16
+
 
 class TestPcapExport:
     def test_round_trip(self, tmp_path):

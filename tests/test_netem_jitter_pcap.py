@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.netem import Interface, Link, Network, PacketCapture
+from repro.netem import FlightRecorder, Interface, Link, Network
 from repro.netem.traffic import write_pcap
 from repro.packet import EthAddr, Ethernet, pack_udp_frame
 from repro.pox import Core, L2LearningSwitch, OpenFlowNexus
@@ -63,6 +63,13 @@ class TestJitter:
             Link(sim, intf1, intf2, jitter=-0.1)
 
 
+def port_tap(net, host):
+    """``tcpdump -i`` on the host's interface: a flight-recorder tap
+    narrowed to the host's end of its link."""
+    intf = host.default_interface()
+    return FlightRecorder(net).attach(intf.link, port=intf.name)
+
+
 class TestPcapExport:
     def _capture_some_traffic(self):
         net = Network()
@@ -75,17 +82,16 @@ class TestPcapExport:
         net.add_controller(nexus)
         net.start()
         net.static_arp()
-        capture = PacketCapture()
-        h2.attach_capture(capture)
+        tap = port_tap(net, h2)
         h1.send_udp(h2.ip, 5001, b"payload-for-pcap")
         net.run(1.0)
-        return capture
+        return tap
 
     def test_pcap_global_header(self, tmp_path):
-        capture = self._capture_some_traffic()
+        tap = self._capture_some_traffic()
         path = tmp_path / "trace.pcap"
-        written = capture.write_pcap(str(path))
-        assert written == len(capture.frames) > 0
+        written = write_pcap(str(path), tap.records)
+        assert written == len(tap.records) > 0
         blob = path.read_bytes()
         magic, major, minor, _tz, _sig, snaplen, linktype = \
             struct.unpack("!IHHiIII", blob[:24])
@@ -94,9 +100,9 @@ class TestPcapExport:
         assert linktype == 1  # Ethernet
 
     def test_records_parse_back_to_frames(self, tmp_path):
-        capture = self._capture_some_traffic()
+        tap = self._capture_some_traffic()
         path = tmp_path / "trace.pcap"
-        capture.write_pcap(str(path))
+        write_pcap(str(path), tap.records)
         blob = path.read_bytes()
         offset = 24
         frames = []
@@ -107,15 +113,15 @@ class TestPcapExport:
             offset += 16
             frames.append(Ethernet.unpack(blob[offset:offset + incl_len]))
             offset += incl_len
-        assert len(frames) == len(capture.frames)
+        assert len(frames) == len(tap.records)
         payloads = [frame.raw_payload() for frame in frames]
         assert any(b"payload-for-pcap" in payload
                    for payload in payloads)
 
     def test_timestamps_monotonic(self, tmp_path):
-        capture = self._capture_some_traffic()
+        tap = self._capture_some_traffic()
         path = tmp_path / "trace.pcap"
-        capture.write_pcap(str(path))
+        write_pcap(str(path), tap.records)
         blob = path.read_bytes()
         offset = 24
         stamps = []
@@ -127,9 +133,9 @@ class TestPcapExport:
         assert stamps == sorted(stamps)
 
     def test_snaplen_truncates(self, tmp_path):
-        capture = self._capture_some_traffic()
+        tap = self._capture_some_traffic()
         path = tmp_path / "short.pcap"
-        capture.write_pcap(str(path), snaplen=20)
+        write_pcap(str(path), tap.records, snaplen=20)
         blob = path.read_bytes()
         _sec, _usec, incl_len, orig_len = struct.unpack_from(
             "!IIII", blob, 24)
@@ -166,14 +172,13 @@ class TestPcapFidelity:
         net.add_link(h1, h2, delay=0.001)
         net.static_arp()
         net.start()
-        capture = PacketCapture()
-        h2.attach_capture(capture)
+        tap = port_tap(net, h2)
         wire = padded_udp_frame(h1, h2)
         h1._primary.send(wire)
         net.run(0.5)
         assert h2.udp_rx_count == 1
         path = tmp_path / "rx.pcap"
-        capture.write_pcap(str(path))
+        write_pcap(str(path), tap.records)
         assert [data for _s, _u, data in pcap_records(path)] == [wire]
 
     def test_capture_timestamps_round_to_the_microsecond(self, tmp_path):
@@ -182,12 +187,11 @@ class TestPcapFidelity:
         net.add_link(h1, h2)
         net.static_arp()
         net.start()
-        capture = PacketCapture()
-        h1.attach_capture(capture)
+        tap = port_tap(net, h1)
         net.sim.schedule(0.0157, h1.send_udp, h2.ip, 5001, b"x")
         net.run(0.5)
         path = tmp_path / "tx.pcap"
-        capture.write_pcap(str(path))
+        write_pcap(str(path), tap.records)
         assert [(sec, usec) for sec, usec, _d in pcap_records(path)] == [
             (0, 15700)]
 

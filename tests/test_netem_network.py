@@ -5,8 +5,8 @@ import struct
 import pytest
 
 from repro.core import ESCAPE
-from repro.netem import (CLI, Interface, LinearTopo, Network, NetworkError,
-                         PacketCapture, SingleSwitchTopo, Topo, TreeTopo)
+from repro.netem import (CLI, FlightRecorder, Interface, LinearTopo, Network,
+                         NetworkError, SingleSwitchTopo, Topo, TreeTopo)
 from repro.openflow import PortStatsRequest
 from repro.packet import EthAddr, Ethernet, IPv4, UDP
 from repro.pox import Core, L2LearningSwitch, OpenFlowNexus
@@ -163,12 +163,13 @@ class TestPingAndUdp:
         net.add_link(h2, s1)
         net.start()
         net.static_arp()
-        capture = PacketCapture(
-            filter_fn=lambda f: f.type == Ethernet.ARP_TYPE)
-        h1.attach_capture(capture)
+        intf = h1.default_interface()
+        tap = FlightRecorder(net).attach(intf.link, port=intf.name)
         h1.ping(h2.ip, count=1)
         net.run(1.0)
-        assert capture.matched == 0
+        assert tap.records  # the ping crossed h1's port
+        assert not any(record.frame.type == Ethernet.ARP_TYPE
+                       for record in tap.records)
 
     def test_capture_records_frames(self):
         net = controlled_network()
@@ -178,12 +179,12 @@ class TestPingAndUdp:
         net.add_link(h2, s1)
         net.start()
         net.static_arp()
-        capture = PacketCapture()
-        h2.attach_capture(capture)
+        intf = h2.default_interface()
+        tap = FlightRecorder(net).attach(intf.link, port=intf.name)
         h1.send_udp(h2.ip, 1234, b"x")
         net.run(1.0)
-        assert capture.matched >= 1
-        assert any(entry.direction == "rx" for entry in capture.frames)
+        assert tap.matched >= 1
+        assert any(record.direction == "rx" for record in tap.records)
 
 
 class TestTopoBuilders:

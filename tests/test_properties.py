@@ -18,7 +18,6 @@ from repro.openflow import (ControllerChannel, FlowEntry, FlowMod, FlowTable,
                             StripVlan, OFPP_CONTROLLER, OFPP_FLOOD,
                             OFPP_IN_PORT)
 from repro.netem import Host
-from repro.netem.traffic import PacketCapture
 from repro.openflow import messages as of_msg
 from repro.openflow.actions import (SetDlDst, SetDlSrc, SetNwSrc, SetTpDst,
                                     SetTpSrc)
@@ -892,13 +891,10 @@ _NOT_HOST_MACS = [bytes.fromhex("020000000002"), bytes.fromhex("020000000101"),
                   bytes.fromhex("01005e000001"), b"\xff" * 6]
 
 
-def _host(captured):
+def _host():
     """A host at ``_HOST_MAC`` / ``_HOST_IP`` that knows its peer's MAC
-    and records what leaves its interface and what its stack delivers.
-    With a capture attached both directions take the header classes."""
+    and records what leaves its interface and what its stack delivers."""
     host = Host("h", Simulator(), _HOST_IP, _HOST_MAC)
-    if captured:
-        host.attach_capture(PacketCapture())
     host.arp_table[IPAddr(_PEER_IP)] = EthAddr(_NOT_HOST_MACS[0])
     host.sent, host.got = [], []
     host.default_interface().send = host.sent.append
@@ -910,12 +906,27 @@ def _host(captured):
 @settings(max_examples=200, deadline=None)
 def test_host_sends_the_same_bytes_on_either_codec(sport, dport, payload,
                                                    repeats):
-    fast, reference = _host(captured=False), _host(captured=True)
+    """The one-pass sends against the header classes: the reference
+    host builds every datagram as ``Ethernet(IPv4(UDP()))`` through
+    ``send_ip``, addressed to the MAC its ARP table holds at that send,
+    at the instants the flow sends."""
+    fast, reference = _host(), _host()
+
+    def send_with_classes(data):
+        reference.send_ip(IPv4(srcip=reference.ip, dstip=IPAddr(_PEER_IP),
+                               protocol=IPv4.UDP_PROTOCOL,
+                               payload=UDP(srcport=sport, dstport=dport,
+                                           payload=data)))
+
+    for _ in range(repeats):
+        fast.send_udp(_PEER_IP, dport, payload, sport)
+        send_with_classes(payload)
+    fast.start_udp_flow(_PEER_IP, dport, rate_pps=10.0, duration=0.4,
+                        payload_size=len(payload), sport=sport)
+    for index in range(4):
+        reference.sim.schedule(index / 10.0, send_with_classes,
+                               bytes(len(payload)))
     for host in (fast, reference):
-        for _ in range(repeats):
-            host.send_udp(_PEER_IP, dport, payload, sport)
-        host.start_udp_flow(_PEER_IP, dport, rate_pps=10.0, duration=0.4,
-                            payload_size=len(payload), sport=sport)
         # the peer moves to another MAC halfway through the flow
         host.sim.schedule(0.15, host.arp_table.__setitem__,
                           IPAddr(_PEER_IP), EthAddr(_NOT_HOST_MACS[1]))
@@ -994,14 +1005,16 @@ def _host_frames(draw):
 @given(st.lists(_host_frames(), min_size=1, max_size=4))
 @settings(max_examples=1000, deadline=None)
 def test_host_receives_the_same_datagrams_on_either_codec(frames):
-    fast, reference = _host(captured=False), _host(captured=True)
+    """``_receive`` against its own object-codec half, which the
+    reference host is handed every frame through."""
+    fast, reference = _host(), _host()
     # each frame as one object twice (the second finds the known frame's
     # view) and as an equal-content copy (which nobody knows yet)
     offered = [same for frame in frames
                for same in (frame, frame, bytes(bytearray(frame)))]
     for frame in offered + frames[:1]:
-        for host in (fast, reference):
-            host._receive(host.default_interface(), frame)
+        fast._receive(fast.default_interface(), frame)
+        reference._receive_objects(reference.default_interface(), frame)
     assert fast.got == reference.got
     assert not reference.sim.frames  # the object codec remembers nothing
     # and the parser alone never claims a frame the classes refuse
@@ -1028,7 +1041,7 @@ def test_two_interface_host_answers_per_interface(datagrams):
     """One frame object handed to both interfaces of a multi-homed host
     is judged against each interface's own MAC and IP - the known
     frame's view names the interface that accepted it."""
-    fast, reference = _host(captured=False), _host(captured=True)
+    fast, reference = _host(), _host()
     for host in (fast, reference):
         host.add_interface(_SECOND_MAC, _SECOND_IP)
     for payload, for_second, second_first in datagrams:
@@ -1036,12 +1049,13 @@ def test_two_interface_host_answers_per_interface(datagrams):
                           else (_HOST_MAC, _HOST_IP))
         frame = pack_udp_frame(dl_dst, _NOT_HOST_MACS[0], _PEER_IP, nw_dst,
                                1000, 2000, payload)
-        for host in (fast, reference):
+        for host, receive in ((fast, fast._receive),
+                              (reference, reference._receive_objects)):
             first, second = host.interfaces.values()
             before = len(host.got)
             for intf in (second, first, second) if second_first \
                     else (first, second, first):
-                host._receive(intf, frame)
+                receive(intf, frame)
             # accepted on its own interface (twice), refused on the other
             assert len(host.got) == before + (
                 2 if for_second == second_first else 1)
