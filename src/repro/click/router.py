@@ -182,6 +182,22 @@ class Router:
         for element in self.elements.values():
             element.cleanup()
 
+    def dismantle(self) -> None:
+        """Stop, then drop the graph's internal references (element <->
+        router, port <-> element, port <-> peer, handler closures), so
+        reference counting frees the whole graph once its owner lets go.
+        A dismantled router has no elements: read counters first."""
+        self.stop()
+        for element in self.elements.values():
+            for port in element.inputs + element.outputs:
+                port.element = None
+                port.peers = []
+            element.inputs = element.outputs = []
+            element._read_handlers.clear()
+            element._write_handlers.clear()
+            element.router = None
+        self.elements = {}
+
     # -- handler namespace ----------------------------------------------------
 
     def element(self, name: str) -> Element:

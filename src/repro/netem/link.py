@@ -4,9 +4,11 @@ Each direction models: serialization at ``bandwidth`` bits/s, a
 transmit queue bounded by ``max_queue`` packets, fixed propagation
 ``delay``, and Bernoulli ``loss``.  The RNG is seeded from a CRC of the
 link name (not ``hash()``, which is salted per process) so packet-loss
-experiments replay identically in any process.
+experiments replay identically in any process; it is built at the first
+draw, so a link with neither loss nor jitter never allocates one.
 """
 
+import functools
 import random
 import zlib
 from typing import Optional
@@ -62,7 +64,6 @@ class Link:
         # plain list so the dataplane hot path pays one falsy check
         # when no recorder is attached.
         self.taps = []
-        self._rng = random.Random(zlib.crc32(self.name.encode()))
         self._dir1 = _Direction(intf2)  # intf1 -> intf2
         self._dir2 = _Direction(intf1)  # intf2 -> intf1
         # profiler/flowtrace handles bound once, same contract as click
@@ -79,6 +80,10 @@ class Link:
         self.dropped_queue = 0
         intf1.attach(self)
         intf2.attach(self)
+
+    @functools.cached_property
+    def _rng(self) -> random.Random:
+        return random.Random(zlib.crc32(self.name.encode()))
 
     @property
     def dropped(self) -> int:

@@ -122,7 +122,9 @@ class VNFContainer(Node):
             raise ValueError("%s: no VNF %r" % (self.name, vnf_id))
         for devname in list(process.devices):
             self._unsplice(vnf_id, devname)
-        process.router.stop()
+        # a reaped VNF is gone for good (a zombie, see crash_vnf, is
+        # only stopped and stays readable until it is reaped here)
+        process.router.dismantle()
         if process.status != FAILED:
             process.status = STOPPED
         if self.isolation == ISOLATION_CGROUP:

@@ -33,15 +33,14 @@ from typing import Any, Callable, Dict, Iterator, List, Optional
 class Span:
     """One timed operation in a trace tree."""
 
-    __slots__ = ("tracer", "name", "span_id", "parent", "tags", "start",
-                 "end", "children", "status")
+    __slots__ = ("tracer", "name", "span_id", "tags", "start", "end",
+                 "children", "status")
 
     def __init__(self, tracer: "Tracer", name: str, span_id: int,
                  tags: Dict[str, Any]):
         self.tracer = tracer
         self.name = name
         self.span_id = span_id
-        self.parent: Optional["Span"] = None
         self.tags = tags
         self.start: Optional[float] = None
         self.end: Optional[float] = None
@@ -116,10 +115,11 @@ class Span:
 class Tracer:
     """Creates spans, tracks the active stack, keeps finished traces.
 
-    Finished *root* spans (those with no parent) are retained in a
-    bounded ring (``max_traces``); :attr:`last_trace` is the most
-    recently completed one — for a chain deployment, the full deploy
-    tree.
+    Finished *root* spans (those opened while no span was open) are
+    retained in a bounded ring (``max_traces``); :attr:`last_trace` is
+    the most recently completed one — for a chain deployment, the full
+    deploy tree.  A span holds only its children, so a trace that leaves
+    the ring is a tree that reference counting frees.
     """
 
     def __init__(self, clock: Optional[Callable[[], float]] = None,
@@ -139,21 +139,21 @@ class Tracer:
     def _open(self, span: Span) -> None:
         span.start = self.clock()
         if self._stack:
-            span.parent = self._stack[-1]
-            span.parent.children.append(span)
+            self._stack[-1].children.append(span)
         self._stack.append(span)
         self.spans_started += 1
 
     def _close(self, span: Span, error: bool = False) -> None:
         span.end = self.clock()
         span.status = "error" if error else "ok"
-        # LIFO discipline: with-blocks close innermost first.  Be
-        # lenient about a missing frame (a span closed twice).
-        while self._stack:
-            top = self._stack.pop()
-            if top is span:
-                break
-        if span.parent is None:
+        stack = self._stack
+        if span not in stack:
+            return  # closed twice, or never opened: no frame to pop
+        # LIFO discipline: with-blocks close innermost first; spans
+        # left open above this one are abandoned with it
+        while stack.pop() is not span:
+            pass
+        if not stack:
             self.traces.append(span)
 
     # -- queries -----------------------------------------------------------

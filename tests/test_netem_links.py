@@ -1,8 +1,10 @@
 """Tests for interfaces, shaped links and resource budgets."""
 
 import os
+import random
 import subprocess
 import sys
+import zlib
 
 import pytest
 
@@ -105,6 +107,42 @@ class TestLink:
         first, second = run_once(), run_once()
         assert first == second
         assert 50 < first < 95
+
+    def test_loss_free_link_builds_no_rng(self):
+        sim = Simulator()
+        intf1, intf2, link = make_pair(sim, bandwidth=8000.0, delay=0.01)
+        got = []
+        intf2.receive = got.append
+        for _ in range(5):
+            intf1.send(b"x")
+        sim.run()
+        assert len(got) == 5
+        assert "_rng" not in vars(link)
+
+    def test_degraded_link_draws_as_its_name_seeds(self):
+        """A link made lossy and jittery in place builds its RNG at the
+        first draw, with the seed it always had: drops and delays are
+        exactly what a fresh ``Random(crc32(name))`` predicts."""
+        sim = Simulator()
+        intf1, intf2, link = make_pair(sim, delay=0.001)
+        got = {}
+        intf2.receive = lambda data: got.setdefault(data, sim.now)
+        intf1.send(b"clean")
+        sim.run()
+        link.set_degradation(loss=0.3, jitter=0.004)
+        start = sim.now
+        for seq in range(100):
+            sim.schedule(seq * 0.001, intf1.send, b"%d" % seq)
+        sim.run()
+        rng = random.Random(zlib.crc32(link.name.encode()))
+        expected = {b"clean": pytest.approx(0.001)}
+        for seq in range(100):
+            if rng.random() < 0.3:
+                continue
+            expected[b"%d" % seq] = pytest.approx(
+                start + seq * 0.001 + 0.001 + rng.uniform(0.0, 0.004))
+        assert got == expected
+        assert link.dropped_loss == 100 - (len(expected) - 1) > 0
 
     def test_down_link_drops(self):
         sim = Simulator()

@@ -1,7 +1,11 @@
-"""Tests for VNF containers: lifecycle, isolation, splicing."""
+"""Tests for VNF containers: lifecycle, isolation, splicing, reaping."""
+
+import gc
+import weakref
 
 import pytest
 
+from repro.click import HandlerError
 from repro.netem import Network, ResourceError, VNFContainer
 from repro.netem.vnf import FAILED, STOPPED, UP
 from repro.sim import Simulator
@@ -9,6 +13,10 @@ from repro.sim import Simulator
 SIMPLE_VNF = ("src :: RatedSource(RATE 100, LIMIT 1000)"
               " -> cnt :: Counter -> Discard;")
 WIRE_VNF = "FromDevice(in0) -> cnt :: Counter -> ToDevice(out0);"
+# push and pull paths, a notifier, a source's timer and a pull driver
+QUEUED_VNF = ("FromDevice(in0) -> cnt_in :: Counter -> Queue(8)"
+              " -> ToDevice(out0);"
+              " RatedSource(RATE 100) -> Queue(4) -> Unqueue -> Discard;")
 
 
 class TestVNFLifecycle:
@@ -146,3 +154,63 @@ class TestSplicing:
         devices = container.status_report()["v1"]["devices"]
         assert devices["in0"] == "nc1-eth0"
         assert devices["out0"] is None
+
+
+class TestReaping:
+    """A reaped VNF is freed by reference counting; a zombie is not
+    reaped, so it stays readable."""
+
+    def _running(self):
+        net = Network()
+        container = net.add_vnf_container("nc1")
+        container.add_interface("00:00:00:00:01:01", name="nc1-eth0")
+        container.add_interface("00:00:00:00:01:02", name="nc1-eth1")
+        process = container.start_vnf("v1", QUEUED_VNF, ["in0", "out0"])
+        container.connect_vnf("v1", "in0", "nc1-eth0")
+        container.connect_vnf("v1", "out0", "nc1-eth1")
+        for _ in range(3):
+            process.devices["in0"].deliver(b"frame")
+        net.run(0.5)
+        assert process.read_handler("cnt_in.count") == "3"
+        return net, container, process
+
+    @pytest.mark.parametrize("crash_first", [False, True])
+    def test_reaped_vnf_leaves_no_cyclic_garbage(self, crash_first):
+        net, container, process = self._running()
+        elements = weakref.WeakSet(process.router.elements.values())
+        gc.collect()
+        gc.disable()
+        try:
+            if crash_first:
+                container.crash_vnf("v1")
+            container.stop_vnf("v1")
+            owners = [getattr(event.callback, "__self__", None)
+                      for _when, _seq, event in net.sim._heap
+                      if not event.cancelled]
+            assert not any(owner in elements
+                           or getattr(owner, "element", None) in elements
+                           for owner in owners)
+            del process
+            net.run(1.0)  # the cancelled timers' heap entries surface
+            assert len(elements) == 0
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_reaped_router_has_no_elements(self):
+        _net, container, process = self._running()
+        container.stop_vnf("v1")
+        assert process.status == STOPPED
+        with pytest.raises(HandlerError):
+            process.read_handler("cnt_in.count")
+
+    def test_zombie_stays_readable_until_reaped(self):
+        net, container, process = self._running()
+        container.crash_vnf("v1")
+        net.run(0.5)
+        assert process.status == FAILED
+        assert process.read_handler("cnt_in.count") == "3"
+        container.stop_vnf("v1")
+        assert process.status == FAILED
+        with pytest.raises(HandlerError):
+            process.read_handler("cnt_in.count")

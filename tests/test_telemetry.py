@@ -270,6 +270,40 @@ class TestTracer:
         assert len(tracer.traces) == 1
         assert tracer.traces[0].name == "root"
 
+    def test_closing_a_span_twice_leaves_the_stack_alone(self):
+        """The second close of ``b`` has no frame to pop: it must not
+        pop ``a``, so ``c`` still nests under ``a``."""
+        tracer = Tracer()
+        a, b = tracer.span("a"), tracer.span("b")
+        a.__enter__()
+        b.__enter__()
+        b.__exit__(None, None, None)
+        b.__exit__(None, None, None)
+        assert tracer.current is a
+        with tracer.span("c") as c:
+            pass
+        assert a.children == [b, c]
+        assert len(tracer.traces) == 0
+        a.__exit__(None, None, None)
+        assert list(tracer.traces) == [a]
+        assert tracer.current is None
+
+    def test_root_is_the_span_at_the_bottom_of_the_stack(self):
+        """Spans keep no back-pointer; closing the bottom span makes a
+        trace, even when it abandons a span left open above it, and
+        that span's late close adds no trace."""
+        tracer = Tracer()
+        outer, inner = tracer.span("outer"), tracer.span("inner")
+        outer.__enter__()
+        inner.__enter__()
+        outer.__exit__(None, None, None)
+        assert list(tracer.traces) == [outer]
+        assert tracer.current is None
+        inner.__exit__(None, None, None)
+        assert list(tracer.traces) == [outer]
+        assert outer.children == [inner] and inner.children == []
+        assert not hasattr(inner, "parent")
+
     def test_traces_ring_is_bounded(self):
         tracer = Tracer(max_traces=3)
         for index in range(10):
