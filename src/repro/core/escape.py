@@ -159,11 +159,11 @@ class ESCAPE:
         self.recovery = RecoveryManager(
             self.orchestrator, net,
             protection=self.orchestrator.protection)
-        self.recovery.watch_discovery(self.discovery)
         self.chaos_engines: list = []
         self._m_service_deploys = self.telemetry.metrics.counter(
             "service.layer.deploys", "service requests submitted")
         self.telemetry.metrics.add_collector(self._collect_metrics)
+        self._last_deploy = None
         self.started = False
 
     def _collect_metrics(self, registry) -> None:
@@ -338,6 +338,7 @@ class ESCAPE:
             raise RuntimeError("call start() before deploying services")
         tracer = self.telemetry.tracer
         with tracer.span("service.deploy") as root:
+            self._last_deploy = root
             with tracer.span("service.parse_sg"):
                 if not isinstance(sg, ServiceGraph):
                     sg = load_service_graph(sg)
@@ -551,12 +552,10 @@ class ESCAPE:
         raise ValueError("unknown export format %r (json or prom)" % fmt)
 
     def last_trace(self):
-        """The most recent chain-deployment trace tree (root Span), or
-        None.  SLA probe and recovery traces are skipped."""
-        for trace in reversed(self.telemetry.tracer.traces):
-            if trace.name == "service.deploy":
-                return trace
-        return None
+        """The trace tree (root Span) of the most recent
+        :meth:`deploy_service`, or None.  It is kept here, not looked up
+        in the tracer's ring, which SLA probes and recoveries refill."""
+        return self._last_deploy
 
     @property
     def profiler(self):

@@ -137,29 +137,30 @@ class DeployedChain:
 
     def __init__(self, orchestrator: "Orchestrator", sg: ServiceGraph,
                  mapping: Mapping, mapper: Mapper,
-                 vnfs: Dict[str, DeployedVNF], path_ids: List[str],
-                 segment_paths: Optional[Dict[tuple, str]] = None):
+                 vnfs: Dict[str, DeployedVNF], base_match: Match):
         self.orchestrator = orchestrator
         self.sg = sg
         self.mapping = mapping
         self.mapper = mapper
         self.vnfs = vnfs
-        self.path_ids = path_ids
-        # (link.src, link.dst) -> steering path id, for migration
-        self.segment_paths = dict(segment_paths or {})
-        # return-path bookkeeping, filled in by deploy(): mode, the
-        # steering ids and (direct mode) the substrate node path — so
-        # link-down recovery can detect and re-install reply steering
-        self.return_mode = "none"
-        self.return_path_ids: List[str] = []
-        self.return_substrate_path: Optional[List[str]] = None
+        self.base_match = base_match
+        # route key -> (steering path id, substrate node path), in
+        # install order: ("seg", src, dst) per SG link, ("rev", src,
+        # dst) per SG link steered back through the chain, ("return",)
+        # for the direct return path
+        self.routes: Dict[tuple, Tuple[str, List[str]]] = {}
         self.active = True
         # the SLAMonitor watching this chain (ESCAPE.watch_sla); it
         # is stopped when the chain is torn down
         self.sla_monitor = None
 
+    @property
+    def path_ids(self) -> List[str]:
+        """The chain's steering path ids, in install order."""
+        return [path_id for path_id, _path in self.routes.values()]
+
     def migrate(self, vnf_name: str, target_container: str) -> None:
-        """Move one VNF to another container, rerouting its segments."""
+        """Move one VNF to another container, re-steering its routes."""
         self.orchestrator.migrate_vnf(self, vnf_name, target_container)
 
     def read_handler(self, vnf_name: str, handler: str) -> str:
@@ -307,16 +308,19 @@ class Orchestrator:
                                      vnf=vnf_name):
                         vnfs[vnf_name] = self._start_vnf(sg, mapping,
                                                          vnf_name)
-                base_match = match if match is not None \
-                    else self._default_match(sg)
+                chain = DeployedChain(
+                    self, sg, mapping, mapper, vnfs,
+                    match if match is not None else self._default_match(sg))
                 change = SteeringChange()
-                segments = [(link, self._add_segment(
-                    change, sg, mapping, vnfs, link, base_match,
-                    partial(tracer.span, "orchestrator.install_segment",
-                            segment="%s->%s" % (link.src, link.dst))))
-                    for link in sg.links]
-                return_ids, return_substrate = self._add_return(
-                    change, sg, mapping, vnfs, base_match, return_path)
+                kinds = ("seg", self._RETURN_ROUTES[return_path])
+                for key in self._route_order(sg):
+                    if key[0] in kinds:
+                        chain.routes[key] = self._add_route(
+                            change, chain, key,
+                            partial(tracer.span,
+                                    "orchestrator.install_segment",
+                                    segment="%s->%s" % key[1:])
+                            if key[0] == "seg" else None)
                 self.steering.apply(change)
             except Exception as exc:
                 self._m_deploy_failures.inc()
@@ -325,15 +329,7 @@ class Orchestrator:
                              "%s: %s" % (sg.name, exc), service=sg.name)
                 self._rollback(sg, mapping, mapper, vnfs)
                 raise
-            self._count_protected(path_id for _link, path_id in segments)
-        chain = DeployedChain(
-            self, sg, mapping, mapper, vnfs,
-            [path_id for _link, path_id in segments] + return_ids,
-            {(link.src, link.dst): path_id for link, path_id in segments})
-        chain.base_match = base_match
-        chain.return_mode = return_path
-        chain.return_path_ids = return_ids
-        chain.return_substrate_path = return_substrate
+            self._count_protected(chain.path_ids)
         self.deployed[sg.name] = chain
         self._m_deploys.inc()
         self._m_deploy_time.observe(self.net.sim.now - started_at)
@@ -459,44 +455,85 @@ class Orchestrator:
         raise OrchestratorError("VNF has no egress device #%d" % index)
 
     def _segment_hints(self, sg: ServiceGraph, vnfs: Dict[str, DeployedVNF],
-                       link) -> Tuple[Optional[str], Optional[str]]:
-        """Interface names anchoring a segment at container endpoints."""
+                       src: str, dst: str
+                       ) -> Tuple[Optional[str], Optional[str]]:
+        """Interface names anchoring the segment ``src -> dst`` at
+        container endpoints."""
         src_hint = None
         dst_hint = None
-        if link.src in sg.vnfs:
-            deployed = vnfs[link.src]
-            entry = self.catalog.get(sg.vnfs[link.src].vnf_type)
+        if src in sg.vnfs:
+            entry = self.catalog.get(sg.vnfs[src].vnf_type)
             # successive SG links out of one VNF use out0, out1, ...
-            out_index = [l for l in sg.links
-                         if l.src == link.src].index(link)
+            out_index = [l.dst for l in sg.links if l.src == src].index(dst)
             device = self._egress_device(entry.devices, out_index)
-            src_hint = deployed.device_interfaces[device]
-        if link.dst in sg.vnfs:
-            deployed = vnfs[link.dst]
-            entry = self.catalog.get(sg.vnfs[link.dst].vnf_type)
-            in_index = [l for l in sg.links
-                        if l.dst == link.dst].index(link)
+            src_hint = vnfs[src].device_interfaces[device]
+        if dst in sg.vnfs:
+            entry = self.catalog.get(sg.vnfs[dst].vnf_type)
+            in_index = [l.src for l in sg.links if l.dst == dst].index(src)
             device = self._ingress_device(entry.devices, in_index)
-            dst_hint = deployed.device_interfaces[device]
+            dst_hint = vnfs[dst].device_interfaces[device]
         return src_hint, dst_hint
 
-    def _add_segment(self, change: SteeringChange, sg: ServiceGraph,
-                     mapping: Mapping, vnfs: Dict[str, DeployedVNF], link,
-                     base_match: Match, within=None) -> str:
-        """Add the install of one SG link's mapped path (protected by
-        its backup path, if any) to ``change``; returns its path id."""
-        path = mapping.link_paths[(link.src, link.dst)]
-        src_hint, dst_hint = self._segment_hints(sg, vnfs, link)
-        hops = self._path_hops(path, src_hint, dst_hint)
+    # the route kind each deploy(return_path=...) adds beside segments
+    _RETURN_ROUTES = {"direct": "return", "chain": "rev", "none": None}
+
+    @staticmethod
+    def _route_order(sg: ServiceGraph) -> List[tuple]:
+        """Every route key a chain of ``sg`` can have, in install order:
+        its segments, the reverse segments, the direct return path."""
+        return ([("seg", link.src, link.dst) for link in sg.links]
+                + [("rev", link.src, link.dst)
+                   for link in reversed(sg.links)]
+                + [("return",)])
+
+    def _add_route(self, change: SteeringChange, chain: DeployedChain,
+                   key: tuple, within=None) -> Tuple[str, List[str]]:
+        """Add the install of one of ``chain``'s routes to ``change``:
+        a segment along its mapped path (protected by its backup path,
+        if any), a reverse segment back along that path, or the direct
+        return path along the view's shortest path, bypassing the
+        chain.  Returns its path id and substrate node path."""
+        sg, base = chain.sg, chain.base_match
+        kind = key[0]
+        backup = None
+        if kind == "return":
+            source, sink = self._chain_endpoints(sg)
+            path = self.view.shortest_path(sink, source)
+            if path is None:
+                raise OrchestratorError("no return path %s -> %s"
+                                        % (sink, source))
+            hops = self._path_hops(path, None, None)
+            label = "return"
+        else:
+            src, dst = key[1:]
+            path = chain.mapping.link_paths[(src, dst)]
+            src_hint, dst_hint = self._segment_hints(sg, chain.vnfs, src,
+                                                     dst)
+            if kind == "rev":
+                path = path[::-1]
+                hops = self._path_hops(path, dst_hint, src_hint)
+                label = "rev/%s->%s" % (dst, src)
+            else:
+                hops = self._path_hops(path, src_hint, dst_hint)
+                label = "%s->%s" % (src, dst)
+                backup = (chain.mapping.backup_paths.get((src, dst))
+                          if self.protection else None)
+                if backup is not None:
+                    backup = self._path_hops(backup, src_hint, dst_hint)
         self._path_counter += 1
-        path_id = "%s/%s->%s/%d" % (sg.name, link.src, link.dst,
-                                    self._path_counter)
-        backup = (mapping.backup_paths.get((link.src, link.dst))
-                  if self.protection else None)
-        if backup is not None:
-            backup = self._path_hops(backup, src_hint, dst_hint)
-        change.install(path_id, hops, base_match, backup, within)
-        return path_id
+        path_id = "%s/%s/%d" % (sg.name, label, self._path_counter)
+        if kind == "seg":
+            match = base
+        else:
+            # replies: addresses swapped; the direct path swaps ports too
+            direct = kind == "return"
+            match = Match(dl_type=base.dl_type, nw_src=base.nw_dst,
+                          nw_dst=base.nw_src,
+                          nw_proto=base.nw_proto if direct else None,
+                          tp_src=base.tp_dst if direct else None,
+                          tp_dst=base.tp_src if direct else None)
+        change.install(path_id, hops, match, backup, within)
+        return path_id, path
 
     def _count_protected(self, path_ids) -> None:
         count = len(set(path_ids) & set(self.steering.protected_paths()))
@@ -521,49 +558,6 @@ class Orchestrator:
         if not hops:
             raise OrchestratorError("path %r crosses no switch" % (path,))
         return hops
-
-    def _add_return(self, change: SteeringChange, sg: ServiceGraph,
-                    mapping: Mapping, vnfs: Dict[str, DeployedVNF],
-                    base_match: Match, mode: str
-                    ) -> Tuple[List[str], Optional[List[str]]]:
-        """Add reply steering to ``change``: ``direct`` along the
-        shortest path, bypassing the chain; ``chain`` back through the
-        VNFs in reverse; or ``none``.  Returns the steering path ids
-        and, for ``direct``, the substrate node path, so a failed link
-        on it can be detected later."""
-        if mode == "chain":
-            reverse_match = Match(dl_type=base_match.dl_type,
-                                  nw_src=base_match.nw_dst,
-                                  nw_dst=base_match.nw_src)
-            path_ids = []
-            for link in reversed(sg.links):
-                path = list(reversed(mapping.link_paths[(link.src,
-                                                         link.dst)]))
-                src_hint, dst_hint = self._segment_hints(sg, vnfs, link)
-                hops = self._path_hops(path, dst_hint, src_hint)
-                self._path_counter += 1
-                path_ids.append("%s/rev/%s->%s/%d" % (
-                    sg.name, link.dst, link.src, self._path_counter))
-                change.install(path_ids[-1], hops, reverse_match)
-            return path_ids, None
-        if mode == "none":
-            return [], None
-        source, sink = self._chain_endpoints(sg)
-        path = self.view.shortest_path(sink, source)
-        if path is None:
-            raise OrchestratorError("no return path %s -> %s"
-                                    % (sink, source))
-        reverse_match = Match(dl_type=base_match.dl_type,
-                              nw_src=base_match.nw_dst,
-                              nw_dst=base_match.nw_src,
-                              nw_proto=base_match.nw_proto,
-                              tp_src=base_match.tp_dst,
-                              tp_dst=base_match.tp_src)
-        hops = self._path_hops(path, None, None)
-        self._path_counter += 1
-        path_id = "%s/return/%d" % (sg.name, self._path_counter)
-        change.install(path_id, hops, reverse_match)
-        return [path_id], path
 
     # -- topology verification ------------------------------------------------
 
@@ -604,9 +598,9 @@ class Orchestrator:
                     target_container: str, force: bool = False) -> None:
         """Move a chain VNF to ``target_container`` and re-steer.
 
-        The replacement instance starts on the target, the affected
-        segments are re-routed and re-steered (break-before-make, see
-        :meth:`_reroute_segments`), then the old instance stops.  Raises
+        The replacement instance starts on the target, the routes into
+        and out of it are re-routed and re-steered (break-before-make,
+        see :meth:`_resteer`), then the old instance stops.  Raises
         OrchestratorError (leaving the chain on its old placement) when
         the target cannot host the VNF or no feasible re-route exists.
 
@@ -638,7 +632,7 @@ class Orchestrator:
         try:
             new_deployed = self._start_vnf(sg, chain.mapping, vnf_name)
             chain.vnfs[vnf_name] = new_deployed  # segments splice to it
-            self._reroute_segments(chain, vnf_name)
+            self._resteer(chain, self._routes_of_vnf(chain, vnf_name))
         except Exception:
             chain.mapping.vnf_placement[vnf_name] = old_placement
             chain.vnfs[vnf_name] = deployed
@@ -672,15 +666,15 @@ class Orchestrator:
                                  target_container),
             service=chain.sg.name, vnf=vnf_name)
 
-    def _reroute_segments(self, chain: DeployedChain,
-                          vnf_name: Optional[str] = None,
-                          affected_links: Optional[list] = None) -> None:
-        """Re-route and re-steer every SG link touching ``vnf_name`` (or
-        the explicit ``affected_links`` set) under the chain's updated
-        placement, as one steering change.
+    def _resteer(self, chain: DeployedChain, keys) -> None:
+        """Recompute ``keys`` of ``chain.routes`` under the chain's
+        current placement and view, and re-steer them as one steering
+        change: a segment takes a fresh path, a reverse segment follows
+        its segment back, the direct return path takes the view's
+        shortest path.
 
-        The change removes the old segments before it installs the new
-        ones: old and new segments can carry identical (match, in-port)
+        The change removes the old routes before it installs the new
+        ones: old and new routes can carry identical (match, in-port)
         entries on shared switches, which an add would replace and a
         delete would hit.  So this is break-before-make, and a frame
         reaching a switch between the two misses steering (ROADMAP.md,
@@ -689,17 +683,17 @@ class Orchestrator:
         refused.
         """
         sg, mapping = chain.sg, chain.mapping
-        affected = (list(affected_links) if affected_links is not None
-                    else [link for link in sg.links
-                          if vnf_name in (link.src, link.dst)])
-        moved = {}  # (src, dst) -> (new path, bandwidth, old path)
+        keys = [key for key in self._route_order(sg) if key in keys]
+        moved = {}  # SG link -> (new path, bandwidth, old path)
         try:
-            for link in affected:
-                key = (link.src, link.dst)
+            for key in keys:
+                if key[0] != "seg":
+                    continue
+                link = key[1:]
                 src, dst = (chain.mapper._place_node(
-                    sg, node, mapping.vnf_placement) for node in key)
-                bandwidth = chain.mapper._link_bandwidth(sg, *key)
-                old_path = mapping.link_paths[key]
+                    sg, node, mapping.vnf_placement) for node in link)
+                bandwidth = chain.mapper._link_bandwidth(sg, *link)
+                old_path = mapping.link_paths[link]
                 self.view.release_path_bandwidth(old_path, bandwidth)
                 new_path = self.view.shortest_path(src, dst, bandwidth)
                 if new_path is None:
@@ -707,31 +701,31 @@ class Orchestrator:
                     raise OrchestratorError(
                         "no feasible re-route %s -> %s" % (src, dst))
                 self.view.reserve_path_bandwidth(new_path, bandwidth)
-                moved[key] = (new_path, bandwidth, old_path)
-                mapping.link_paths[key] = new_path
+                moved[link] = (new_path, bandwidth, old_path)
+                mapping.link_paths[link] = new_path
             change = SteeringChange().remove(
-                *(chain.segment_paths[key] for key in moved))
+                *(chain.routes[key][0] for key in keys))
             notes = None
-            if self.protection:
+            if self.protection and moved:
                 # re-provision backups against the updated view (the
                 # old ones may traverse the edge that just died); the
                 # gaps are logged once the old segments are gone
                 compute_backup_paths(sg, mapping, self.view)
                 notes = partial(self._noting_unprotected, sg, mapping)
-            new_ids = [self._add_segment(
-                change, sg, mapping, chain.vnfs, link, chain.base_match,
-                notes if link is affected[0] else None) for link in affected]
+            routes = {key: self._add_route(
+                change, chain, key, notes if key == keys[0] else None)
+                for key in keys}
             self.steering.apply(change)
         except Exception:
-            for key, (new_path, bandwidth, old_path) in moved.items():
+            for link, (new_path, bandwidth, old_path) in moved.items():
                 self.view.release_path_bandwidth(new_path, bandwidth)
                 self.view.reserve_path_bandwidth(old_path, bandwidth)
-                mapping.link_paths[key] = old_path
+                mapping.link_paths[link] = old_path
             raise
-        chain.path_ids = [path_id for path_id in chain.path_ids
-                          if path_id not in change.removals] + new_ids
-        chain.segment_paths.update(zip(moved, new_ids))
-        self._count_protected(new_ids)
+        for key, route in routes.items():
+            del chain.routes[key]  # re-steered routes move to the end
+            chain.routes[key] = route
+        self._count_protected(path_id for path_id, _path in routes.values())
 
     @contextmanager
     def _noting_unprotected(self, sg: ServiceGraph, mapping: Mapping):
@@ -745,7 +739,7 @@ class Orchestrator:
 
         Best-effort reap of the crashed instance first (``stopVNF``
         frees the budget the zombie still holds), then a fresh start
-        from the catalog and a re-install of the segments touching it —
+        from the catalog and a re-steer of the routes touching it —
         the replacement may splice to different container interfaces.
         The resource view is untouched: placement does not change.
         """
@@ -759,7 +753,7 @@ class Orchestrator:
         self._stop_vnf(deployed.container, deployed.vnf_id, quiet=True)
         new_deployed = self._start_vnf(chain.sg, chain.mapping, vnf_name)
         chain.vnfs[vnf_name] = new_deployed
-        self._reroute_segments(chain, vnf_name)
+        self._resteer(chain, self._routes_of_vnf(chain, vnf_name))
         self._m_restarts.inc()
         self.telemetry.events.info(
             "core.orchestrator", "orchestrator.restarted",
@@ -770,68 +764,47 @@ class Orchestrator:
             container=deployed.container)
 
     @staticmethod
-    def _path_uses_edge(path: Optional[List[str]], edge: frozenset) -> bool:
-        if not path:
-            return False
-        return any(frozenset((path[i], path[i + 1])) == edge
-                   for i in range(len(path) - 1))
+    def _routes_of_vnf(chain: DeployedChain, vnf_name: str) -> List[tuple]:
+        """The keys of ``chain``'s routes into or out of ``vnf_name``."""
+        return [key for key in chain.routes if vnf_name in key[1:]]
 
-    def reinstall_return_path(self, chain: DeployedChain) -> None:
-        """Recompute + re-steer a chain's direct return path (after a
-        substrate link failure invalidated the old one) as one change;
-        without a new path, the old one stays."""
-        if chain.return_mode != "direct":
-            return
-        change = SteeringChange().remove(*chain.return_path_ids)
-        new_ids, substrate = self._add_return(
-            change, chain.sg, chain.mapping, chain.vnfs, chain.base_match,
-            "direct")
-        self.steering.apply(change)
-        chain.path_ids = [path_id for path_id in chain.path_ids
-                          if path_id not in change.removals] + new_ids
-        chain.return_path_ids = new_ids
-        chain.return_substrate_path = substrate
+    @staticmethod
+    def _routes_over_edge(chain: DeployedChain, edge: frozenset
+                          ) -> List[tuple]:
+        """The keys of ``chain``'s routes whose node path crosses the
+        substrate edge ``edge``."""
+        return [key for key, (_path_id, path) in chain.routes.items()
+                if any(frozenset(pair) == edge
+                       for pair in zip(path, path[1:]))]
 
     def chains_over_edge(self, node1: str, node2: str) -> List[str]:
-        """Names of deployed chains whose steering traverses substrate
-        edge ``node1 -- node2`` (segment paths or direct return path)."""
+        """Names of deployed chains with a route over substrate edge
+        ``node1 -- node2``."""
         edge = frozenset((node1, node2))
-        return sorted(
-            chain.sg.name for chain in self.deployed.values()
-            if any(self._path_uses_edge(
-                chain.mapping.link_paths[(link.src, link.dst)], edge)
-                for link in chain.sg.links)
-            or self._path_uses_edge(chain.return_substrate_path, edge))
+        return sorted(chain.sg.name for chain in self.deployed.values()
+                      if self._routes_over_edge(chain, edge))
 
     def reroute_chains_for_edge(self, node1: str, node2: str) -> List[str]:
-        """Re-route every deployed chain mapped over substrate edge
-        ``node1 -- node2`` (just marked down in the resource view).
+        """Re-route every deployed chain with a route over substrate
+        edge ``node1 -- node2`` (just marked down in the resource view).
 
         Returns the names of the chains that were re-steered.  Raises
-        OrchestratorError when some segment has no feasible detour —
+        OrchestratorError when some route has no feasible detour —
         callers decide whether to retry (e.g. after the link heals).
         """
         edge = frozenset((node1, node2))
         rerouted: List[str] = []
         for chain in list(self.deployed.values()):
-            affected = [
-                link for link in chain.sg.links
-                if self._path_uses_edge(
-                    chain.mapping.link_paths[(link.src, link.dst)], edge)]
-            touched = False
-            if affected:
-                self._reroute_segments(chain, affected_links=affected)
-                touched = True
-            if self._path_uses_edge(chain.return_substrate_path, edge):
-                self.reinstall_return_path(chain)
-                touched = True
-            if touched:
-                rerouted.append(chain.sg.name)
-                self.telemetry.events.info(
-                    "core.orchestrator", "orchestrator.rerouted",
-                    "%s re-steered around %s--%s" % (chain.sg.name,
-                                                     node1, node2),
-                    service=chain.sg.name, edge="%s--%s" % (node1, node2))
+            keys = self._routes_over_edge(chain, edge)
+            if not keys:
+                continue
+            self._resteer(chain, keys)
+            rerouted.append(chain.sg.name)
+            self.telemetry.events.info(
+                "core.orchestrator", "orchestrator.rerouted",
+                "%s re-steered around %s--%s" % (chain.sg.name,
+                                                 node1, node2),
+                service=chain.sg.name, edge="%s--%s" % (node1, node2))
         return rerouted
 
     # -- teardown -------------------------------------------------------------

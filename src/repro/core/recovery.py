@@ -129,36 +129,6 @@ class RecoveryManager:
         elif event.name == "of.group.flip":
             self._note_flip(event)
 
-    def watch_discovery(self, discovery) -> None:
-        """Also react to POX-layer LLDP link-timeout detection — the
-        control-plane's own view of a dead link, which catches failures
-        the infrastructure layer never reported."""
-        from repro.pox.discovery import LinkEvent
-        discovery.add_listener(LinkEvent, self._on_link_event)
-
-    def _on_link_event(self, event) -> None:
-        if event.added:
-            return
-        name1 = self._node_of_dpid(event.dpid1)
-        name2 = self._node_of_dpid(event.dpid2)
-        if name1 is None or name2 is None:
-            return
-        view = self.orchestrator.view
-        try:
-            if not view.link_is_up(name1, name2):
-                return  # already being handled via the netem event
-        except Exception:
-            return
-        edge = "%s--%s" % tuple(sorted((name1, name2)))
-        self._schedule(("edge", edge), self._recover_edge,
-                       (name1, name2), self.sim.now)
-
-    def _node_of_dpid(self, dpid: int) -> Optional[str]:
-        for switch in self.net.switches():
-            if switch.dpid == dpid:
-                return switch.name
-        return None
-
     # -- scheduling & bookkeeping ------------------------------------------
 
     def _schedule(self, key: Tuple[str, str], func, target,
@@ -356,33 +326,17 @@ class RecoveryManager:
         except Exception:
             self._abandon(key)
             return
+        node1 = link.intf1.node.name
+        node2 = link.intf2.node.name
         if link.up:
             # the flap healed before we reacted; chains marked
             # recovering by an earlier attempt are served again
-            self._clear_stranded_over_edge(link.intf1.node.name,
-                                           link.intf2.node.name,
+            self._clear_stranded_over_edge(node1, node2,
                                            (CHAIN_RECOVERING,))
             self._abandon(key)
             return
-        node1 = link.intf1.node.name
-        node2 = link.intf2.node.name
-        self._repair_edge(key, node1, node2, fault_time, attempt,
-                          self._recover_link, link_name)
-
-    def _recover_edge(self, nodes: Tuple[str, str], fault_time: float,
-                      attempt: int) -> None:
-        """Discovery-detected dead inter-switch edge (no netem event)."""
-        node1, node2 = nodes
-        key = ("edge", "%s--%s" % tuple(sorted(nodes)))
-        self._repair_edge(key, node1, node2, fault_time, attempt,
-                          self._recover_edge, nodes)
-
-    def _repair_edge(self, key: Tuple[str, str], node1: str, node2: str,
-                     fault_time: float, attempt: int, retry_func,
-                     retry_target) -> None:
-        view = self.orchestrator.view
         try:
-            view.set_link_up(node1, node2, False)
+            self.orchestrator.view.set_link_up(node1, node2, False)
         except ValueError:
             self._abandon(key)  # outside the resource graph (mgmt link)
             return
@@ -415,8 +369,8 @@ class RecoveryManager:
                 rerouted = self.orchestrator.reroute_chains_for_edge(
                     node1, node2)
         except Exception as exc:
-            self._retry_or_fail(key, affected, exc, retry_func,
-                                retry_target, fault_time, attempt)
+            self._retry_or_fail(key, affected, exc, self._recover_link,
+                                link_name, fault_time, attempt)
             return
         services = sorted(set(rerouted) | set(affected))
         if services and set(services) <= set(protected):

@@ -43,7 +43,7 @@ import json
 import os
 import zlib
 from collections import OrderedDict
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.telemetry.export import find_files, writable_path
 from repro.telemetry.metrics import nearest_rank
@@ -297,7 +297,10 @@ class FlowTrace:
 
     def aggregate(self) -> Dict[str, Any]:
         """The per-chain hop-latency breakdown + conformance report."""
-        report: Dict[str, Any] = {
+        chains, unclassified = _summarize_chains(
+            self.trace_records(), self.rate, self._chain_rates,
+            self._flag_nonconformant if self._events is not None else None)
+        return {
             "enabled": self.enabled,
             "rate": self.rate,
             "seed": self.seed,
@@ -306,41 +309,22 @@ class FlowTrace:
             "evicted": self.evicted,
             "truncated": self.truncated,
             "paths_registered": len(self._paths),
-            "unclassified": 0,
-            "chains": {},
+            "unclassified": unclassified,
+            "chains": chains,
         }
-        buckets: Dict[str, Dict[str, Any]] = {}
-        for record in self.trace_records():
-            chain = record["chain"]
-            if chain is None:
-                report["unclassified"] += 1
-                continue
-            chain_rate = self._chain_rates.get(chain, self.rate)
-            if record["trace"] % chain_rate:
-                continue  # chain sampled coarser than the base rate
-            bucket = buckets.setdefault(chain, {
-                "rate": chain_rate, "one_ways": [],
-                "hops": OrderedDict(), "nonconformant": 0})
-            bucket["one_ways"].append(record["one_way"])
-            for label, delta in _iter_deltas(record["hops"]):
-                bucket["hops"].setdefault(label, []).append(delta)
-            if record["conformant"] is False:
-                bucket["nonconformant"] += 1
-                if self._events is not None \
-                        and record["trace"] not in self._flagged:
-                    self._flagged.add(record["trace"])
-                    observed = [hop[3] for hop in record["hops"]
-                                if hop[1] == "switch"]
-                    self._events.warn(
-                        "telemetry.flowtrace", "flowtrace.nonconformant",
-                        "chain %s packet %08x visited dpids %r off its "
-                        "installed path" % (chain, record["trace"],
-                                            observed),
-                        chain=chain, trace=record["trace"],
-                        observed=",".join(str(d) for d in observed))
-        for chain, bucket in sorted(buckets.items()):
-            report["chains"][chain] = _summarize_chain(bucket)
-        return report
+
+    def _flag_nonconformant(self, chain: str, record: Dict[str, Any]) -> None:
+        """Warn once per packet seen off its chain's installed path."""
+        if record["trace"] in self._flagged:
+            return
+        self._flagged.add(record["trace"])
+        observed = [hop[3] for hop in record["hops"] if hop[1] == "switch"]
+        self._events.warn(
+            "telemetry.flowtrace", "flowtrace.nonconformant",
+            "chain %s packet %08x visited dpids %r off its installed "
+            "path" % (chain, record["trace"], observed),
+            chain=chain, trace=record["trace"],
+            observed=",".join(str(d) for d in observed))
 
     report = aggregate
 
@@ -377,6 +361,8 @@ class FlowTrace:
                              "traces": len(records),
                              "postcards": self.postcards,
                              "evicted": self.evicted}}
+            if self._chain_rates:
+                meta["meta"]["chain_rates"] = dict(self._chain_rates)
             handle.write(json.dumps(meta, sort_keys=True) + "\n")
             for record in records:
                 handle.write(json.dumps(record, sort_keys=True) + "\n")
@@ -393,6 +379,38 @@ class FlowTrace:
         return "FlowTrace(%s, 1/%d, %d traces, %d postcards)" % (
             "on" if self.enabled else "off", self.rate,
             len(self._traces), self.postcards)
+
+
+def _summarize_chains(records, rate: int, chain_rates: Dict[str, int],
+                      flag=None) -> Tuple[Dict[str, Any], int]:
+    """Bucket trace records by chain and summarise each bucket: the
+    per-chain hop-latency breakdown of a report, live or offline.  A
+    chain with its own (coarser) rate keeps only the traces whose id it
+    selects.  ``flag(chain, record)`` is called for each nonconformant
+    trace kept.  Returns the summaries by chain and the count of
+    unclassified traces."""
+    buckets: Dict[str, Dict[str, Any]] = {}
+    unclassified = 0
+    for record in records:
+        chain = record.get("chain")
+        if chain is None:
+            unclassified += 1
+            continue
+        chain_rate = chain_rates.get(chain, rate)
+        if chain_rate and record["trace"] % chain_rate:
+            continue  # chain sampled coarser than the base rate
+        bucket = buckets.setdefault(chain, {
+            "rate": chain_rate, "one_ways": [],
+            "hops": OrderedDict(), "nonconformant": 0})
+        bucket["one_ways"].append(record["one_way"])
+        for label, delta in _iter_deltas(record["hops"]):
+            bucket["hops"].setdefault(label, []).append(delta)
+        if record.get("conformant") is False:
+            bucket["nonconformant"] += 1
+            if flag is not None:
+                flag(chain, record)
+    return ({chain: _summarize_chain(bucket)
+             for chain, bucket in sorted(buckets.items())}, unclassified)
 
 
 def _summarize_chain(bucket: Dict[str, Any]) -> Dict[str, Any]:
@@ -433,9 +451,8 @@ def report_from_jsonl(path: str) -> Dict[str, Any]:
     """Rebuild the aggregated report from a ``flowtrace.jsonl`` file
     (chain classification and conformance were already resolved when
     the lines were written)."""
-    buckets: Dict[str, Dict[str, Any]] = {}
     meta: Dict[str, Any] = {}
-    traces = unclassified = 0
+    records = []
     with open(path) as handle:
         for line in handle:
             line = line.strip()
@@ -444,29 +461,16 @@ def report_from_jsonl(path: str) -> Dict[str, Any]:
             record = json.loads(line)
             if "meta" in record:
                 meta = record["meta"]
-                continue
-            traces += 1
-            chain = record.get("chain")
-            if chain is None:
-                unclassified += 1
-                continue
-            bucket = buckets.setdefault(chain, {
-                "rate": meta.get("rate", 0), "one_ways": [],
-                "hops": OrderedDict(), "nonconformant": 0})
-            bucket["one_ways"].append(record["one_way"])
-            for label, delta in _iter_deltas(record["hops"]):
-                bucket["hops"].setdefault(label, []).append(delta)
-            if record.get("conformant") is False:
-                bucket["nonconformant"] += 1
-    report = {
+            else:
+                records.append(record)
+    chains, unclassified = _summarize_chains(
+        records, meta.get("rate", 0), meta.get("chain_rates", {}))
+    return {
         "rate": meta.get("rate"), "seed": meta.get("seed"),
-        "traces": traces, "postcards": meta.get("postcards", 0),
+        "traces": len(records), "postcards": meta.get("postcards", 0),
         "evicted": meta.get("evicted", 0),
-        "unclassified": unclassified, "chains": {},
+        "unclassified": unclassified, "chains": chains,
     }
-    for chain, bucket in sorted(buckets.items()):
-        report["chains"][chain] = _summarize_chain(bucket)
-    return report
 
 
 def load_flowtrace_report(source: str) -> Dict[str, Any]:

@@ -94,6 +94,52 @@ class TestBidirectionalChain:
         assert through_chain.avg_rtt > direct_result.avg_rtt
 
 
+def pings_through(escape, chain):
+    """Ping h1 -> h2 four times; the replies received and how far the
+    chain VNF's reverse counter advanced meanwhile."""
+    before = int(chain.read_handler("fwd", "cnt_rev.count"))
+    h1, h2 = escape.net.get("h1"), escape.net.get("h2")
+    result = h1.ping(h2.ip, count=4, interval=0.2)
+    escape.run(3.0)
+    return (result.received,
+            int(chain.read_handler("fwd", "cnt_rev.count")) - before)
+
+
+class TestReverseChainRepair:
+    """A chain whose replies come back through its VNFs keeps them
+    coming back that way after every repair."""
+
+    def test_replies_follow_a_migrated_vnf(self, quiet_escape):
+        escape = quiet_escape
+        chain = escape.deploy_service(bidir_sg(), return_path="chain")
+        assert pings_through(escape, chain)[0] == 4
+        source = chain.mapping.vnf_placement["fwd"]
+        chain.migrate("fwd", "nc2" if source == "nc1" else "nc1")
+        escape.run(0.1)
+        received, replies_through_vnf = pings_through(escape, chain)
+        assert received == 4
+        assert replies_through_vnf >= 4
+
+    def test_replies_follow_a_segment_rerouted_around_a_dead_link(self):
+        topology = dict(TOPOLOGY, nodes=TOPOLOGY["nodes"] + [
+            {"name": "s3", "role": "switch"}], links=TOPOLOGY["links"] + [
+            {"from": "s1", "to": "s3", "delay": 0.002},
+            {"from": "s3", "to": "s2", "delay": 0.002}])
+        escape = ESCAPE.from_topology(load_topology(topology),
+                                      discovery_interval=3600.0)
+        escape.start()
+        chain = escape.deploy_service(bidir_sg(), return_path="chain")
+        assert pings_through(escape, chain)[0] == 4
+        escape.net.links_between("s1", "s2")[0].set_up(False)
+        escape.run(1.0)
+        assert any("s3" in path
+                   for path in chain.mapping.link_paths.values())
+        assert escape.recovery.unrecovered() == []
+        received, replies_through_vnf = pings_through(escape, chain)
+        assert received == 4
+        assert replies_through_vnf >= 4
+
+
 class TestMigration:
     def _deploy(self, escape, name="mig-chain"):
         sg = load_service_graph({

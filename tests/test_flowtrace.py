@@ -329,6 +329,22 @@ class TestEscapeIntegration:
         assert offline_chain["nonconformant"] == \
             live_chain["nonconformant"]
 
+    def test_jsonl_report_keeps_chain_rates(self, escape, tmp_path):
+        """One run gives one per-chain report, whether it is read from
+        the bundle (publish) or rebuilt from the JSONL file."""
+        escape.deploy_service(load_service_graph(CHAIN_SG))
+        escape.flowtrace.enable(rate=1)
+        escape.flowtrace.set_chain_rate("trace-chain", 4)
+        drive_unique_udp(escape, packets=64)
+        live = escape.flowtrace.publish(escape.telemetry.metrics)
+        path = str(tmp_path / "flowtrace.jsonl")
+        escape.flowtrace.write_jsonl(path)
+        offline = report_from_jsonl(path)
+        assert live["chains"]["trace-chain"]["rate"] == 4
+        assert 0 < live["chains"]["trace-chain"]["traces"] \
+            < offline["traces"]
+        assert offline["chains"] == live["chains"]
+
     def test_publish_exports_chain_gauges(self, escape):
         escape.deploy_service(load_service_graph(CHAIN_SG))
         escape.flowtrace.enable(rate=1)

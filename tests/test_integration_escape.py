@@ -382,9 +382,11 @@ class TestTelemetry:
         assert "connectVNF" in rpc_ops
 
     def test_last_trace_survives_traffic(self, escape):
-        """Dataplane traffic must not evict the deploy trace from the
-        16-entry trace ring: 6,000 datagrams are > 16 x 256 passes
-        through each switch on the chain."""
+        """Neither dataplane traffic nor SLA probes may evict the deploy
+        trace: 6,000 datagrams are > 16 x 256 passes through each switch
+        on the chain, and the chain's SLA is probed every 0.5 s, so ten
+        seconds leave 20 ``sla.probe`` traces, more than the tracer's
+        16-trace ring holds.  The console's ``trace`` prints it."""
         sg = dict(FIREWALL_SG, vnfs=[
             {"name": "fw", "type": "firewall",
              "params": {"rules": "allow udp, drop all"}}])
@@ -392,10 +394,12 @@ class TestTelemetry:
         h1, h2 = escape.net.get("h1"), escape.net.get("h2")
         h1.start_udp_flow(h2.ip, 5001, rate_pps=5000, duration=1.2,
                           payload_size=64)
-        escape.run(2.0)
+        escape.run(10.0)
         assert h2.udp_rx_count == 6000
         trace = escape.last_trace()
         assert trace is not None and trace.name == "service.deploy"
+        assert escape.cli().run_command("trace").startswith(
+            "service.deploy")
 
     def test_snapshot_covers_all_three_layers(self, escape):
         escape.deploy_service(FIREWALL_SG)

@@ -9,7 +9,13 @@ Invariants checked after every operation:
 * every active chain's steering paths are installed; no orphan steering
   paths exist,
 * every active chain's VNFs are running in the containers the mapping
-  says; no orphan VNF processes exist.
+  says; no orphan VNF processes exist,
+* every steering path of an active chain, forward or reverse, enters
+  and leaves containers only through interfaces the chain's running
+  VNFs are spliced to.
+
+Each deployed chain steers its replies ``direct`` or back through the
+``chain``, drawn at random per deploy.
 """
 
 import random
@@ -18,6 +24,8 @@ import pytest
 
 from repro.core import ESCAPE, MappingError, OrchestratorError
 from repro.core.sgfile import load_service_graph, load_topology
+from repro.netem import VNFContainer
+from repro.netem.node import Switch
 
 
 def topology():
@@ -92,6 +100,26 @@ def check_invariants(escape):
         assert set(container.vnfs) \
             == expected_vnfs.get(container.name, set()), container.name
 
+    # 4. steering reaches containers only through live VNF interfaces
+    peer_of = {}  # (dpid, port) -> the interface at the link's far end
+    for link in escape.net.links:
+        for intf, peer in ((link.intf1, link.intf2),
+                           (link.intf2, link.intf1)):
+            if isinstance(intf.node, Switch):
+                peer_of[(intf.node.dpid,
+                         intf.node.port_number(intf))] = peer
+    for chain in active:
+        spliced = {(deployed.container, intf_name)
+                   for deployed in chain.vnfs.values()
+                   for intf_name in deployed.device_interfaces.values()}
+        for path_id in chain.path_ids:
+            for hop in escape.steering.paths[path_id].hops:
+                for port in (hop.in_port, hop.out_port):
+                    peer = peer_of[(hop.dpid, port)]
+                    if isinstance(peer.node, VNFContainer):
+                        assert (peer.node.name, peer.name) in spliced, \
+                            path_id
+
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
 def test_random_operation_sequences_preserve_invariants(seed):
@@ -111,7 +139,8 @@ def test_random_operation_sequences_preserve_invariants(seed):
             try:
                 escape.deploy_service(
                     make_sg(name, rng),
-                    mapper=rng.choice(["greedy", "shortest-path"]))
+                    mapper=rng.choice(["greedy", "shortest-path"]),
+                    return_path=rng.choice(["direct", "chain"]))
             except (MappingError, OrchestratorError):
                 pass  # substrate full: fine, invariants must still hold
         elif operation == "undeploy" and active:
