@@ -10,8 +10,14 @@ Three questions, answered in wall-clock terms:
   when no tap is attached; this suite times the untapped path before
   and after attach/detach cycles, interleaved, and fails if it
   regressed more than 10%.
+
+Each timed guard has a counted twin: the Python calls per datagram
+after the feature was on and off again must equal those of a control
+that never turned it on.  Counts are exact, so the twin does not
+depend on the machine's load.
 """
 
+import sys
 import time
 
 import pytest
@@ -95,11 +101,52 @@ def _interleaved(escape, toggle_on, toggle_off, rounds=5):
     return min(before), min(after)
 
 
-@pytest.fixture(scope="module")
-def forwarding_escape():
+def _calls_per_datagram(escape, packets=800):
+    """Python calls per datagram of one :func:`_udp_workload` window,
+    counted with ``sys.setprofile``."""
+    calls = [0]
+
+    def count(_frame, event, _arg):
+        if event == "call":
+            calls[0] += 1
+
+    sys.setprofile(count)
+    try:
+        _udp_workload(escape, packets)
+    finally:
+        sys.setprofile(None)
+    return calls[0] / packets
+
+
+def _forwarding_chain():
     escape = started_escape(containers=2, container_ports=4)
     escape.deploy_service(chain_sg(1, name="obs-chain"))
     return escape
+
+
+def _counted_twin(turn_on, turn_off):
+    """(control, toggled) calls per datagram, each on a fresh chain
+    with the same history: a warm-up window, a second window, then the
+    counted one.  On the toggled chain the feature is on for the
+    second window and off again before the count; the control never
+    turns it on.  Same instants, same heartbeats, so any difference is
+    what the feature left behind."""
+    counts = []
+    for toggled in (False, True):
+        escape = _forwarding_chain()
+        _udp_workload(escape)  # warm-up
+        if toggled:
+            turn_on(escape)
+        _udp_workload(escape)
+        if toggled:
+            turn_off(escape)
+        counts.append(_calls_per_datagram(escape))
+    return counts
+
+
+@pytest.fixture(scope="module")
+def forwarding_escape():
+    return _forwarding_chain()
 
 
 def test_tap_attached_dataplane(benchmark, forwarding_escape):
@@ -133,6 +180,21 @@ def test_untapped_dataplane_no_regression(forwarding_escape):
     assert retimed <= baseline * 1.10, (
         "untapped dataplane regressed: %.4fs vs %.4fs baseline"
         % (retimed, baseline))
+
+
+def test_untapped_dataplane_counted_twin():
+    """Counted twin of the 10% guardrail: once the taps are gone, the
+    dataplane makes exactly the calls it made without them."""
+    def attach(escape):
+        chain = escape.orchestrator.deployed["obs-chain"]
+        escape.recorder.attach_chain(chain)
+
+    def detach(escape):
+        escape.recorder.detach_all()
+        assert all(not link.taps for link in escape.net.links)
+
+    control, toggled = _counted_twin(attach, detach)
+    assert toggled == control
 
 
 # -- profiler overhead --------------------------------------------------------
@@ -235,6 +297,18 @@ def test_unprofiled_dataplane_no_regression(forwarding_escape):
         % (retimed, baseline))
 
 
+def test_unprofiled_dataplane_counted_twin():
+    """Counted twin of the <5% guardrail: the profiler, enabled and
+    then disabled and reset, leaves no call behind on the dataplane."""
+    def disable(escape):
+        escape.profiler.disable()
+        escape.profiler.reset()
+
+    control, toggled = _counted_twin(
+        lambda escape: escape.profiler.enable(), disable)
+    assert toggled == control
+
+
 # -- flowtrace (sampled path tracing) overhead --------------------------------
 
 def test_flowtrace_disabled_record_cost(benchmark):
@@ -293,6 +367,19 @@ def test_flowtrace_disabled_no_regression(forwarding_escape):
         raise AssertionError(
             "flowtrace-disabled dataplane regressed: %.4fs vs %.4fs "
             "baseline" % (retimed, baseline))
+
+
+def test_flowtrace_disabled_counted_twin():
+    """Counted twin of the flowtrace guard: sampling every packet, then
+    off and reset, leaves no call behind on the dataplane."""
+    def disable(escape):
+        assert escape.flowtrace.postcards > 0
+        escape.flowtrace.disable()
+        escape.flowtrace.reset()
+
+    control, toggled = _counted_twin(
+        lambda escape: escape.flowtrace.enable(rate=1, seed=1), disable)
+    assert toggled == control
 
 
 def test_flowtrace_enabled_dataplane(benchmark, forwarding_escape):

@@ -279,7 +279,10 @@ class Host(Node):
         session = PendingPing(result, count)
         self._pings[ping_id] = session
 
-        def send_next(seq: int) -> None:
+        # the sender is handed to each event it schedules instead of
+        # closing over itself, so a finished session is freed by
+        # reference counting, not left to the cyclic collector
+        def send_next(seq: int, again: Callable) -> None:
             if seq > count:
                 return
             session.sent_at[seq] = self.sim.now
@@ -297,9 +300,9 @@ class Host(Node):
                                            id=ping_id, seq=seq,
                                            payload=padded)))
             if seq < count:
-                self.sim.schedule(interval, send_next, seq + 1)
+                self.sim.schedule(interval, again, seq + 1, again)
 
-        send_next(1)
+        send_next(1, send_next)
         return result
 
     def start_udp_flow(self, dst: Union[str, IPAddr], dport: int,
@@ -319,7 +322,7 @@ class Host(Node):
         # packed once and replayed (rebuilt if ARP re-resolves)
         wire_mac = wire = None
 
-        def send_next(index: int) -> None:
+        def send_next(index: int, again: Callable) -> None:  # as in ping
             nonlocal wire_mac, wire
             if index >= total:
                 report.finished = True
@@ -334,9 +337,9 @@ class Host(Node):
                                           sport)
                 self._primary.send(wire)
             report.sent += 1
-            self.sim.schedule(interval, send_next, index + 1)
+            self.sim.schedule(interval, again, index + 1, again)
 
-        send_next(0)
+        send_next(0, send_next)
         return report
 
 

@@ -103,23 +103,17 @@ class TrafficSteering:
 
     FIRST_VLAN = 100
 
-    def __init__(self, nexus: OpenFlowNexus, mode: str = MODE_EXACT,
-                 restore: bool = True):
+    def __init__(self, nexus: OpenFlowNexus, mode: str = MODE_EXACT):
         if mode not in (MODE_EXACT, MODE_VLAN):
             raise SteeringError("unknown steering mode %r" % mode)
         self.nexus = nexus
         self.mode = mode
-        # self-healing: steering entries carry SEND_FLOW_REM, and any
-        # FlowRemoved matching an installed path is re-installed — a
-        # flushed table cannot silently break a chain.
-        self.restore = restore
         self.paths: Dict[str, _InstalledPath] = {}
         self._vlans_in_use: set = set()
         # benchmarks assert exact values on these plain ints; the
         # registry counters below mirror them for unified snapshots
         self.flow_mods_sent = 0
         self.group_mods_sent = 0
-        self.restorations = 0
         # protection bookkeeping: fast-failover groups installed for a
         # path, and the reverse index a flip event resolves through
         self._next_group_id = 1
@@ -131,39 +125,11 @@ class TrafficSteering:
         self._m_group_mods = metrics.counter(
             "pox.steering.group_mods",
             "group-mods sent for fast-failover protection")
-        self._m_restorations = metrics.counter(
-            "pox.steering.restorations",
-            "self-healing re-installs after FlowRemoved")
         self._m_paths = metrics.gauge(
             "pox.steering.paths", "steered paths currently installed")
         self._m_paths.set_function(lambda: len(self.paths))
-        if restore:
-            from repro.pox.events import FlowRemovedEvent
-            nexus.add_listener(FlowRemovedEvent,
-                               self._handle_flow_removed)
         from repro.pox.events import PortStatusEvent
         nexus.add_listener(PortStatusEvent, self._handle_port_status)
-
-    def _handle_flow_removed(self, event) -> None:
-        for installed in self.paths.values():
-            for dpid, flow_mod in installed.flow_mods:
-                if dpid != event.dpid:
-                    continue
-                if flow_mod.priority != event.ofp.priority:
-                    continue
-                if flow_mod.match != event.ofp.match:
-                    continue
-                self._send(dpid, flow_mod)
-                self.restorations += 1
-                self._m_restorations.inc()
-                # a chain entry vanished out from under us — restored,
-                # but the operator should know the table was disturbed
-                self.telemetry.events.warn(
-                    "pox.steering", "steering.path_restored",
-                    "re-installed %s entry on dpid=%d after FlowRemoved"
-                    % (installed.path_id, dpid),
-                    path=installed.path_id, dpid=dpid)
-                return
 
     def _handle_port_status(self, event) -> None:
         """Deterministic PortStatus intake: correlate the port change
@@ -293,14 +259,29 @@ class TrafficSteering:
                         service=path_id.split("/", 1)[0], path=path_id)
 
     def remove_path(self, path_id: str) -> None:
-        """Send one removal :meth:`apply` has checked.  Switches that
-        have disconnected since the install are skipped."""
+        """Send one removal :meth:`apply` has checked.
+
+        Live paths may share an entry (dpid, match, priority); the
+        newest install holds it in the table.  Each entry this path
+        holds goes back to the next newest path that installed it, or
+        is deleted if none did; an entry a newer path holds is left as
+        it is.  Switches that have disconnected since the install are
+        skipped."""
+        newest_first = list(reversed(self.paths.values()))
         installed = self.paths.pop(path_id)
         for dpid, flow_mod in installed.flow_mods:
-            if dpid in self.nexus.connections:
-                self._send(dpid, FlowMod(
-                    flow_mod.match, command=FlowMod.DELETE_STRICT,
-                    priority=flow_mod.priority))
+            if dpid not in self.nexus.connections:
+                continue
+            sharers = (mod for other in newest_first
+                       for other_dpid, mod in other.flow_mods
+                       if other_dpid == dpid
+                       and mod.priority == flow_mod.priority
+                       and mod.match == flow_mod.match)
+            if next(sharers) is not flow_mod:
+                continue
+            self._send(dpid, next(sharers, None) or FlowMod(
+                flow_mod.match, command=FlowMod.DELETE_STRICT,
+                priority=flow_mod.priority))
         for dpid, group_mod in installed.group_mods:
             self._group_index.pop((dpid, group_mod.group_id), None)
             if dpid in self.nexus.connections:
@@ -315,14 +296,9 @@ class TrafficSteering:
 
     # -- flow-mod builders ---------------------------------------------------
 
-    @property
-    def _flags(self) -> int:
-        return FlowMod.SEND_FLOW_REM if self.restore else 0
-
     def _flow_mod(self, dpid: int, match: Match, actions: list,
                   priority: int = STEERING_PRIORITY) -> tuple:
-        return dpid, FlowMod(match, actions, priority=priority,
-                             flags=self._flags)
+        return dpid, FlowMod(match, actions, priority=priority)
 
     def _flow_mods(self, path_id: str, hops: List[PathHop], match: Match,
                    backup_hops: List[PathHop]) -> tuple:

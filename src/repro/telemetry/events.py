@@ -7,8 +7,8 @@ correlated to the active trace — into one bounded ring buffer per
 framework instance.  The log is queryable (by severity, source, name,
 time window), streamable (subscriber callbacks, for live dashboards)
 and exportable as JSON lines, so a degraded chain can be explained
-after the fact: the SLA transition event, the steering restoration it
-triggered, and the link flap that caused both all share one timeline.
+after the fact: the link flap, the SLA transition it caused and the
+re-steer that repaired it all share one timeline.
 
 Severity follows syslog's spirit with four levels::
 

@@ -15,6 +15,8 @@ from repro.core import (CHAIN_FAILED, CHAIN_HEALTHY, ESCAPE,
                         OrchestratorError)
 from repro.core.sgfile import load_service_graph, load_topology
 from repro.netem.vnf import FAILED as VNF_FAILED
+from tests.audit import audit_tables
+from tests.test_stateful_invariants import topology as stateful_topology
 
 TOPOLOGY = {
     "nodes": [
@@ -407,47 +409,53 @@ class TestMigrateRollback:
         assert ping_ok(escape) > 0
 
 
-# -- steering self-healing (satellite) ----------------------------------------
+# -- steering answers no echoes ----------------------------------------------
 
-class TestSteeringSelfHeal:
-    def _delete_one_steered_entry(self, escape):
-        """Remove one installed steering entry straight from a switch
-        flow table; SEND_FLOW_REM makes the datapath notify POX."""
-        installed = next(iter(escape.steering.paths.values()))
-        dpid, flow_mod = installed.flow_mods[0]
-        switch = next(s for s in escape.net.switches()
-                      if s.datapath.dpid == dpid)
-        removed = switch.datapath.table.delete(
-            flow_mod.match, strict=True, priority=flow_mod.priority,
-            now=escape.sim.now)
-        assert removed == 1
-        return switch, flow_mod
+def forwarder_sg(name, src, dst):
+    return load_service_graph({
+        "name": name,
+        "saps": ["h1", "h2"],
+        "vnfs": [{"name": "fwd", "type": "forwarder"}],
+        "chain": [src, "fwd", dst],
+    })
 
-    def test_flow_removed_triggers_reinstall(self, escape):
-        deploy(escape)
+
+class TestSteeringChanges:
+    """Each dataplane change sends one FlowMod per entry it touches and
+    leaves every surviving path's entries in the switch tables."""
+
+    @staticmethod
+    def _warns(escape):
+        return len(escape.telemetry.events.query("WARN",
+                                                 source="pox.steering"))
+
+    @pytest.mark.parametrize("first, second", [("a", "b"), ("b", "a")])
+    def test_teardown_puts_back_overwritten_entries(self, first, second):
+        """``a`` = h1 -> fwd -> h2 and ``b`` = h2 -> fwd -> h1 share
+        entries; tearing down the second puts the first's back."""
+        ends = {"a": ("h1", "h2"), "b": ("h2", "h1")}
+        escape = ESCAPE.from_topology(stateful_topology())
+        escape.start()
+        escape.deploy_service(forwarder_sg(first, *ends[first]))
         escape.run(0.5)
-        before = escape.steering.restorations
-        switch, flow_mod = self._delete_one_steered_entry(escape)
+        escape.deploy_service(forwarder_sg(second, *ends[second]))
         escape.run(0.5)
-        assert escape.steering.restorations == before + 1
-        assert any(entry.match == flow_mod.match
-                   and entry.priority == flow_mod.priority
-                   for entry in switch.datapath.table.entries)
+        sent, warns = escape.steering.flow_mods_sent, self._warns(escape)
+        escape.terminate_service(second)
+        escape.run(0.5)
+        assert escape.steering.flow_mods_sent - sent == 5
+        assert self._warns(escape) == warns
+        assert sum(len(installed.flow_mods)
+                   for installed in escape.steering.paths.values()) == 5
+        assert audit_tables(escape) == []
+
+    def test_restart_resteers_once(self, escape):
+        chain = deploy(escape)
+        escape.run(0.5)
+        sent, warns = escape.steering.flow_mods_sent, self._warns(escape)
+        escape.orchestrator.restart_vnf(chain, "fw")
+        escape.run(0.5)
+        assert escape.steering.flow_mods_sent - sent == 6
+        assert self._warns(escape) == warns
+        assert audit_tables(escape) == []
         assert ping_ok(escape) > 0
-
-    def test_reinstall_survives_link_flap(self, escape):
-        """The ISSUE scenario: a trunk flap forces a re-route, then a
-        steered entry vanishes — self-healing restores it and traffic
-        keeps flowing end to end."""
-        deploy(escape)
-        trunk = trunk_link(escape)
-        trunk.set_up(False)
-        escape.run(1.0)   # recovery re-routes over s3
-        trunk.set_up(True)
-        escape.run(0.5)
-        before = escape.steering.restorations
-        self._delete_one_steered_entry(escape)
-        escape.run(0.5)
-        assert escape.steering.restorations == before + 1
-        assert ping_ok(escape) > 0
-        assert escape.recovery.unrecovered() == []

@@ -1,5 +1,6 @@
 """Tests for hosts, switches, topologies and the Network object."""
 
+import gc
 import struct
 
 import pytest
@@ -154,6 +155,33 @@ class TestPingAndUdp:
         assert report.finished
         assert report.sent == 100
         assert h2.udp_rx_count == 100
+
+    def test_finished_sessions_leave_no_cyclic_garbage(self):
+        """A finished ping or UDP flow is freed by reference counting:
+        with the collector off, nothing is left for it to find."""
+        net = controlled_network()
+        h1, h2 = net.add_host("h1"), net.add_host("h2")
+        s1 = net.add_switch("s1")
+        net.add_link(h1, s1, delay=0.001)
+        net.add_link(h2, s1, delay=0.001)
+        net.start()
+        net.static_arp()
+        h1.ping(h2.ip, count=2, interval=0.1)  # warm the switch up
+        net.run(1.0)
+        gc.collect()
+        gc.disable()
+        try:
+            flows = [h1.start_udp_flow(h2.ip, 7000, rate_pps=100,
+                                       duration=0.1, payload_size=64)
+                     for _ in range(4)]
+            pings = [h1.ping(h2.ip, count=3, interval=0.1)
+                     for _ in range(4)]
+            net.run(1.0)
+            assert all(report.finished for report in flows)
+            assert all(result.received == 3 for result in pings)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_static_arp_suppresses_arp_traffic(self):
         net = controlled_network()

@@ -412,42 +412,58 @@ class TestSteering:
             TrafficSteering(nexus, mode="quantum")
 
 
-class TestSteeringRestoration:
-    def _ready(self, restore=True):
+class TestSharedEntries:
+    """Two live paths may install the same (dpid, match, priority); the
+    newest install holds the entry, and removing a path puts back the
+    entry it overwrote."""
+
+    def _ready(self):
+        from repro.pox.events import FlowRemovedEvent
         net = Network()
-        core = Core(net.sim)
-        nexus = OpenFlowNexus(core)
-        steering = TrafficSteering(nexus, mode="exact", restore=restore)
+        nexus = OpenFlowNexus(Core(net.sim))
+        steering = TrafficSteering(nexus, mode="exact")
         two_switch_topo(net)
         net.add_controller(nexus)
         net.start()
         net.run(0.1)
-        steering.apply(SteeringChange().install(
-            "p1", [PathHop(1, 1, 2)], Match(nw_src="10.0.0.1")))
+        removed = []
+        nexus.add_listener(FlowRemovedEvent, removed.append)
+        match = Match(nw_src="10.0.0.1")
+        steering.apply(SteeringChange()
+                       .install("p1", [PathHop(1, 1, 2)], match))
+        steering.apply(SteeringChange()
+                       .install("p2", [PathHop(1, 1, 3)], match))
         net.run(0.1)
-        return net, steering
+        return net, steering, removed
 
-    def test_flushed_entry_is_reinstalled(self):
-        net, steering = self._ready()
-        switch = net.get("s1")
-        assert len(switch.datapath.table) == 1
-        # an operator flushes the table behind the controller's back
-        switch.datapath.table.delete(Match(), now=net.sim.now)
-        assert len(switch.datapath.table) == 0
-        net.run(0.5)  # FlowRemoved reaches steering; it re-installs
-        assert len(switch.datapath.table) == 1
-        assert steering.restorations == 1
+    @staticmethod
+    def _outputs(net):
+        return [[action.port for action in entry.actions]
+                for entry in net.get("s1").datapath.table.entries]
 
-    def test_removed_path_is_not_restored(self):
-        net, steering = self._ready()
+    @pytest.mark.parametrize("first, survivor, port",
+                             [("p1", "p2", 3), ("p2", "p1", 2)])
+    def test_removal_leaves_the_survivor_then_nothing(self, first,
+                                                      survivor, port):
+        net, steering, removed = self._ready()
+        assert self._outputs(net) == [[3]]  # the newest install holds it
+        steering.apply(SteeringChange().remove(first))
+        net.run(0.1)
+        assert self._outputs(net) == [[port]]
+        steering.apply(SteeringChange().remove(survivor))
+        net.run(0.1)
+        assert self._outputs(net) == []
+        assert removed == []
+
+    def test_removing_an_overwritten_path_sends_nothing(self):
+        net, steering, _removed = self._ready()
+        sent = steering.flow_mods_sent
         steering.apply(SteeringChange().remove("p1"))
-        net.run(0.5)
-        assert len(net.get("s1").datapath.table) == 0
-        assert steering.restorations == 0
+        assert steering.flow_mods_sent == sent
+        net.run(0.1)
+        assert self._outputs(net) == [[3]]
 
-    def test_restore_can_be_disabled(self):
-        net, _steering = self._ready(restore=False)
-        switch = net.get("s1")
-        switch.datapath.table.delete(Match(), now=net.sim.now)
-        net.run(0.5)
-        assert len(switch.datapath.table) == 0
+    def test_steering_entries_ask_for_no_flow_removed(self):
+        net, _steering, _removed = self._ready()
+        entry, = net.get("s1").datapath.table.entries
+        assert entry.flags == 0
