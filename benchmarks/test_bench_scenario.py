@@ -8,7 +8,7 @@ unrecovered, traffic delivered) so a regression in any layer below
 surfaces here too.
 """
 
-from repro.scenario import CampaignRunner
+from repro.scenario.runner import CampaignRunner
 
 SMOKE = {
     "name": "bench-smoke",

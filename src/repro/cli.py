@@ -118,7 +118,8 @@ def _cmd_flowtrace(args) -> int:
 
 
 def _cmd_scenario_run(args) -> int:
-    from repro.scenario import CampaignRunner, render_report
+    from repro.scenario.analyzer import render_report
+    from repro.scenario.runner import CampaignRunner
     printer = (lambda _line: None) if args.quiet else print
     runner = CampaignRunner(args.spec, results_dir=args.results_dir,
                             printer=printer)
@@ -138,8 +139,9 @@ def _cmd_scenario_run(args) -> int:
 
 
 def _cmd_scenario_list(args) -> int:
-    from repro.scenario import CHAIN_TEMPLATES, TOPOLOGY_KINDS
     from repro.scenario.spec import SpecError, load_scenario
+    from repro.scenario.workload import CHAIN_TEMPLATES
+    from repro.scenario.zoo import TOPOLOGY_KINDS
     paths = args.paths or ["examples/scenarios"]
     found = []
     for path in paths:
@@ -168,8 +170,8 @@ def _cmd_scenario_list(args) -> int:
 
 def _cmd_scenario_report(args) -> int:
     import json
-    from repro.scenario import load_bundles, render_csv, render_report
-    from repro.scenario.analyzer import AnalyzerError, report_dict
+    from repro.scenario.analyzer import (
+        AnalyzerError, load_bundles, render_csv, render_report, report_dict)
     fmt = args.format or ("json" if args.json else "table")
     try:
         bundles = load_bundles(args.paths)
@@ -186,8 +188,8 @@ def _cmd_scenario_report(args) -> int:
 
 
 def _cmd_perf_report(args) -> int:
-    from repro.scenario import load_bundles
-    from repro.scenario.analyzer import AnalyzerError, render_perf_report
+    from repro.scenario.analyzer import (AnalyzerError, load_bundles,
+                                         render_perf_report)
     try:
         bundles = load_bundles(args.paths)
     except AnalyzerError as exc:

@@ -14,7 +14,7 @@ from typing import List, Optional
 from repro.click.element import HandlerError
 from repro.click.errors import ClickError
 from repro.netconf.errors import RpcError
-from repro.netconf.messages import local_name, qn
+from repro.netconf.messages import CAP_BASE_10, CAP_BASE_11, local_name, qn
 from repro.netconf.server import NetconfServer
 from repro.netconf.transport import InMemoryTransport
 from repro.netconf.vnf_yang import VNF_NS, VNF_YANG
@@ -28,11 +28,11 @@ CAP_VNF = "urn:escape:capability:vnf:1.0"
 class VNFAgent:
     """NETCONF agent managing one VNF container."""
 
+    module = compile_module(parse_yang(VNF_YANG))  # read-only, shared
+
     def __init__(self, container: VNFContainer,
                  transport: InMemoryTransport):
         self.container = container
-        self.module = compile_module(parse_yang(VNF_YANG))
-        from repro.netconf.messages import CAP_BASE_10, CAP_BASE_11
         self.server = NetconfServer(
             transport,
             capabilities=[CAP_BASE_10, CAP_BASE_11, CAP_VNF,

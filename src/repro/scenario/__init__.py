@@ -18,22 +18,14 @@ a reproducible benchmark suite:
   comparison tables (pps, p50/p99 delay, MTTR, SLA violation ratio).
 
 CLI: ``escape scenario run|list|report`` (see :mod:`repro.cli`).
+Only the zoo and the workload builders are re-exported: building a
+topology does not load the campaign engine (spec, runner, analyzer).
 """
 
-from repro.scenario.analyzer import (CampaignReport, load_bundles,
-                                     render_csv, render_report,
-                                     report_dict)
-from repro.scenario.runner import CampaignRunner, ScenarioError, run_scenario
-from repro.scenario.spec import Scenario, load_scenario
 from repro.scenario.workload import (CHAIN_TEMPLATES, Workload,
                                      WorkloadSchedule, build_workload)
 from repro.scenario.zoo import (TOPOLOGY_KINDS, FatTreeTopo, WanTopo,
                                 build_topology)
 
-__all__ = [
-    "CampaignReport", "CampaignRunner", "CHAIN_TEMPLATES", "FatTreeTopo",
-    "Scenario", "ScenarioError", "TOPOLOGY_KINDS", "WanTopo",
-    "Workload", "WorkloadSchedule", "build_topology", "build_workload",
-    "load_bundles", "load_scenario", "render_csv", "render_report",
-    "report_dict", "run_scenario",
-]
+__all__ = ["CHAIN_TEMPLATES", "FatTreeTopo", "TOPOLOGY_KINDS", "WanTopo",
+           "Workload", "WorkloadSchedule", "build_topology", "build_workload"]

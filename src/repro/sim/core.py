@@ -158,38 +158,44 @@ class KnownFrames(dict):
 
     A frame is plain ``bytes`` at every interface and the same object
     from hop to hop, so whoever parses it first leaves the result here
-    and every later hop finds it with one probe by identity.  The record
-    holds the frame, so its ``id`` cannot be handed to another object
-    while the record lives: a probe that finds a record has found this
-    frame.  An action or element that rewrites a header makes a new
-    object, which nobody knows yet - there is nothing to invalidate.
-    Only exact ``bytes`` are remembered (a mutable buffer could change
-    under its record); the table is cleared when it holds :attr:`CAP`
-    records - frames then in flight are parsed once more - and is never
-    iterated, so no ``id`` reaches an output.  Slots are filled by their
-    readers: 1 by ``OpenFlowSwitch.process_packet``, 2 by
-    ``Host._receive``.  DESIGN.md "Switch flow cache".
+    and every later hop finds it with one probe by identity.  A record
+    holds its frame, so the ``id`` cannot be reused while it lives: a
+    probe that finds a record has found this frame.  A rewritten header
+    is a new object - nothing to invalidate.  Only exact ``bytes`` are
+    kept (a mutable buffer could change under its record), in two
+    generations of :attr:`CAP`: the dict is the young one, :attr:`old`
+    the one before, which :meth:`admit` alone reads.  A full young one
+    turns old and the old one is dropped: a frame touched once per
+    generation is never forgotten, and at most ``2 * CAP`` records are
+    held.  Never iterated, so no ``id`` reaches an output.  Slot 1 is
+    filled by ``OpenFlowSwitch.process_packet``, 2 by ``Host._receive``.
     """
 
-    __slots__ = ("parsed", "known", "resets")
+    __slots__ = ("old", "parsed", "known", "resets")
 
-    CAP = 1024  # records; sized to what is in flight, not to a working set
+    CAP = 64  # records per generation; DESIGN.md "What the cap bounds"
 
     def __init__(self):
         super().__init__()
+        self.old = {}
         # plain ints, pulled by ESCAPE._collect_metrics: times a hop ran
-        # its parser, times it found the slot filled, clears at the cap
+        # its parser, times it found the slot filled, generation turns
         self.parsed = self.known = self.resets = 0
 
     def admit(self, frame) -> list:
-        """A fresh record for ``frame``, remembered if it is ``bytes``."""
-        record = [frame, None, None]
+        """``frame``'s record, promoted from :attr:`old` or fresh."""
+        record = self.old.pop(id(frame), None) or [frame, None, None]
         if type(frame) is bytes:
             if len(self) >= self.CAP:
-                self.clear()
+                self.old = self.copy()
+                super().clear()
                 self.resets += 1
             self[id(frame)] = record
         return record
+
+    def clear(self) -> None:  # both generations
+        super().clear()
+        self.old.clear()
 
 
 class Simulator:

@@ -16,7 +16,7 @@ import pytest
 from repro.click import ClickPacket, Router
 from repro.click.element import Notifier
 from repro.click.elements.device import Device
-from repro.scenario import run_scenario
+from repro.scenario.runner import run_scenario
 from repro.sim import Simulator
 
 

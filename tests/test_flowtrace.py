@@ -21,7 +21,7 @@ from repro.core import ESCAPE
 from repro.core.sgfile import load_service_graph, load_topology
 from repro.openflow import Match
 from repro.packet import Ethernet, IPv4, UDP, Vlan
-from repro.scenario import CampaignRunner
+from repro.scenario.runner import CampaignRunner
 from repro.telemetry.events import EventLog
 from repro.telemetry.flowtrace import (FlowTrace, FlowTraceError,
                                        report_from_jsonl)

@@ -579,10 +579,11 @@ for switch in escape.net.switches():
           datapath.microflow_hit_count, datapath.packet_in_count,
           datapath.forwarded_count, datapath.dropped_count)
 frames = sim.frames
-print("frames", frames.parsed, frames.known, frames.resets, len(frames))
+print("frames", frames.parsed, frames.known, frames.resets, len(frames),
+      len(frames.old))
 print("sim", sim.processed, h2.udp_rx_count, h2.udp_rx_bytes)
 escape.stop()
-print("stopped", len(frames), sim.pending)
+print("stopped", len(frames), len(frames.old), sim.pending)
 """
 
 
@@ -601,9 +602,10 @@ def test_known_frames_leave_no_trace_of_their_ids():
     first, second = run("1"), run("2")
     assert first == second
     assert len([line for line in first if line.startswith("rx")]) == 401
-    parsed, known, resets, held = map(int, first[-3].split()[1:])
-    assert resets > 20 and held <= 16
-    # 400 frames, 3 switch passes and a host each: with 16 records for
-    # twice as many frames in flight most hops find theirs forgotten
+    parsed, known, resets, young, old = map(int, first[-3].split()[1:])
+    assert resets > 20 and young <= 16 and old <= 16
+    # 400 frames, 3 switch passes and a host each: with generations of
+    # 16 records, fewer than the frames in flight, many hops find theirs
+    # forgotten
     assert parsed > 800 and known > 100
-    assert first[-1] == "stopped 0 0"
+    assert first[-1] == "stopped 0 0 0"

@@ -52,6 +52,26 @@ class TestAgentRpcs:
             client.rpc("startVNF", VNF_NS, {"id": "x"}).result(net.sim)
         assert exc.value.tag == "invalid-value"
 
+    def test_agents_share_one_compiled_model(self):
+        net = Network()
+        agents, clients = [], []
+        for name in ("nc1", "nc2"):
+            container = net.add_vnf_container(name, cpu=2.0, mem=1024.0)
+            pair = TransportPair(net.sim, latency=0.001)
+            agents.append(VNFAgent(container, pair.server))
+            clients.append(NetconfClient(pair.client))
+            clients[-1].wait_connected()
+        first, second = agents
+        assert first.module is second.module
+        # sharing the schema shares no outcome: each agent still refuses
+        # a bad input and accepts a good one on its own session
+        for agent, client in zip(agents, clients):
+            with pytest.raises(RpcError) as exc:
+                client.rpc("startVNF", VNF_NS, {"id": "x"}).result(net.sim)
+            assert exc.value.tag == "invalid-value"
+            start(client, net.sim)
+            assert list(agent.container.vnfs) == ["v1"]
+
     def test_start_duplicate_id_fails(self, managed):
         net, _container, _agent, client = managed
         start(client, net.sim)

@@ -1,5 +1,7 @@
 """Tests for the flow table and the OpenFlow switch datapath."""
 
+import random
+
 import pytest
 
 from repro.openflow import (BarrierReply, BarrierRequest, ControllerChannel,
@@ -533,16 +535,57 @@ class TestKnownFrames:
                 second.ports[2].receive(frame)
             sent[cap] = (first.sent[2], arrived)
             frames = first.sim.frames
-            assert len(frames) <= cap
+            assert len(frames) <= cap and len(frames.old) <= cap
             if cap == 4:
-                # the table emptied under every frame before its second
-                # hop: twenty parses for ten frames, nothing else differs
+                # two generations turned under every frame before its
+                # second hop: twenty parses for ten frames, nothing else
+                # differs
                 assert len(parses) == 20 and frames.resets == 4
             else:
                 assert len(parses) == 10 and frames.resets == 0
             assert [id(frame) for frame in arrived] \
                 == [id(frame) for frame in offered]
         assert sent[4] == sent[KnownFrames.CAP]
+
+    def test_a_frame_touched_every_generation_is_never_forgotten(
+            self, parses, monkeypatch):
+        monkeypatch.setattr(KnownFrames, "CAP", 4)
+        first, _second, _arrived = self.pair()
+        port, frames = first.switch.ports[1], first.sim.frames
+        kept = frame_bytes(payload=b"kept")
+        port.receive(kept)
+        for index in range(100):
+            # fewer than a generation's admissions between two touches
+            for other in range(KnownFrames.CAP - 1):
+                port.receive(frame_bytes(payload=b"%d.%d" % (index, other)))
+            port.receive(kept)
+        assert frames.resets >= 99
+        assert len([data for data in parses if data is kept]) == 1
+        assert len(parses) == 1 + 100 * (KnownFrames.CAP - 1)
+        assert frames.known == 100
+
+    def test_records_held_never_exceed_two_generations(self, monkeypatch):
+        monkeypatch.setattr(KnownFrames, "CAP", 8)
+        first, second, _arrived = self.pair()
+        frames, rng = first.sim.frames, random.Random(38)
+        ports = (first.switch.ports[1], first.switch.ports[2],
+                 second.ports[3])
+        sent, held = [], []
+        for index in range(2000):
+            roll = rng.random()
+            if roll < 0.5 or not sent:
+                data = frame_bytes(payload=b"%d" % index)
+                sent.append(data)
+            elif roll < 0.85:  # a frame sent before, maybe long before
+                data = rng.choice(sent)
+            elif roll < 0.95:
+                data = bytearray(frame_bytes(payload=b"%d" % index))
+            else:
+                data = b"\x00" * 10  # a runt
+            rng.choice(ports).receive(data)
+            held.append(len(frames) + len(frames.old))
+        assert max(held) == 2 * KnownFrames.CAP
+        assert frames.resets > 100
 
 
 class TestChannel:

@@ -13,10 +13,11 @@ import os
 
 import pytest
 
-from repro.scenario import (CampaignRunner, Scenario, load_bundles,
-                            load_scenario, render_report, run_scenario)
-from repro.scenario.analyzer import AnalyzerError, report_dict
-from repro.scenario.spec import SpecError, parse_simple_yaml
+from repro.scenario.analyzer import (AnalyzerError, load_bundles,
+                                     render_report, report_dict)
+from repro.scenario.runner import CampaignRunner, run_scenario
+from repro.scenario.spec import (Scenario, SpecError, load_scenario,
+                                 parse_simple_yaml)
 from repro.scenario.workload import (CHAIN_TEMPLATES, Workload,
                                      WorkloadError, build_workload,
                                      diurnal_factor)
@@ -102,7 +103,7 @@ chaos:
         import repro
         code = (
             "import sys, json\n"
-            "from repro.scenario import load_scenario\n"
+            "from repro.scenario.spec import load_scenario\n"
             "s = load_scenario(sys.argv[1])\n"
             "assert 'yaml' not in sys.modules, 'PyYAML was imported'\n"
             "print(json.dumps(s.to_dict(), sort_keys=True))\n")
