@@ -20,7 +20,8 @@ rewrite worth doing:
 * the dataplane parses a frame once, not once per hop, and keeps no
   frame longer than the bounded table of known frames does;
 * a torn-down chain is freed by reference counting: deploy / terminate
-  churn leaves nothing for the cyclic garbage collector.
+  churn leaves nothing for the cyclic garbage collector, and the event
+  log's memory stops growing once its live view is full.
 """
 
 import gc
@@ -28,6 +29,7 @@ import random
 import resource
 import struct
 import sys
+import tracemalloc
 import types
 
 import pytest
@@ -39,6 +41,7 @@ from repro.openflow import match as match_module, switch as switch_module
 from repro.scenario.workload import build_chain_requests
 from repro.scenario.zoo import FatTreeTopo
 from repro.sim import KnownFrames, Simulator, Wakeup
+import repro.telemetry.events as events_module
 
 IDLE_SIM_SECONDS = 100.0
 
@@ -335,14 +338,10 @@ def test_dataplane_retains_no_frames(benchmark, monkeypatch):
 CHURN_GROWTH_BOUND = 500
 
 
-def test_deploy_churn_leaves_no_cyclic_garbage(benchmark):
-    """``deploy_churn``'s loop with the collector off: 64 cycles of
-    deploy, one probe datagram, terminate over the four fat-tree
-    templates (``ESCAPE(of_wire=True)``).  Everything a torn-down chain
-    built is freed by reference counting: ``gc.collect()`` then finds
-    no unreachable object, and the gc-tracked object count is back at
-    its starting level within ``CHURN_GROWTH_BOUND``.  The warm-up runs
-    until the bounded event log is full, so its ring no longer grows."""
+def _churn_loop():
+    """``deploy_churn``'s loop on the k=4 fat-tree with ``of_wire=True``:
+    returns the started ESCAPE and ``cycle(index)``, one deploy, one
+    probe datagram and one terminate over the four templates."""
     rng = random.Random(34)
     topo = FatTreeTopo(k=4, containers_per_pod=2, container_ports=6)
     requests = build_chain_requests(
@@ -368,6 +367,19 @@ def test_deploy_churn_leaves_no_cyclic_garbage(benchmark):
         assert sim.wait(lambda: delivered[0] > before, 1.0)
         escape.terminate_service(request["name"])
 
+    return escape, cycle
+
+
+def test_deploy_churn_leaves_no_cyclic_garbage(benchmark):
+    """``deploy_churn``'s loop with the collector off: 64 cycles of
+    deploy, one probe datagram, terminate over the four fat-tree
+    templates (``ESCAPE(of_wire=True)``).  Everything a torn-down chain
+    built is freed by reference counting: ``gc.collect()`` then finds
+    no unreachable object, and the gc-tracked object count is back at
+    its starting level within ``CHURN_GROWTH_BOUND``.  The warm-up runs
+    until the bounded event log is full, so its ring no longer grows."""
+    escape, cycle = _churn_loop()
+    sim = escape.sim
     log, warm = escape.telemetry.events, 0
     while len(log) < log.capacity:
         cycle(warm)
@@ -396,5 +408,49 @@ def test_deploy_churn_leaves_no_cyclic_garbage(benchmark):
                                 tracked_growth=growth)
     assert unreachable == 0
     assert growth <= CHURN_GROWTH_BOUND
+    assert not escape.orchestrator.deployed
+    escape.stop()
+
+
+#: bytes the event log may hold after 512 churn cycles beyond what it
+#: held after 64.  Its live view is full by cycle 64, so the 3,800-odd
+#: records the last 448 cycles emit (about 400 B each) must not stay.
+EVENT_LOG_GROWTH_BOUND = 32 * 1024
+
+
+def test_deploy_churn_event_log_stays_flat(benchmark):
+    """``deploy_churn``'s loop with tracemalloc on from the start: the
+    memory allocated in ``repro/telemetry/events.py`` and still held
+    after 512 cycles is within ``EVENT_LOG_GROWTH_BOUND`` of what it
+    was after 64.  Only that file is counted: the switch buffer pool
+    and the histogram windows are bounded too, but still filling at
+    cycle 512."""
+    only_events = [tracemalloc.Filter(True, events_module.__file__)]
+
+    def held():
+        snapshot = tracemalloc.take_snapshot().filter_traces(only_events)
+        return sum(stat.size for stat in snapshot.statistics("filename"))
+
+    tracemalloc.start()
+    try:
+        escape, cycle = _churn_loop()
+        for index in range(64):
+            cycle(index)
+        at_64 = held()
+
+        def run():
+            for index in range(64, 512):
+                cycle(index)
+
+        benchmark.pedantic(run, rounds=1, iterations=1)
+        growth = held() - at_64
+    finally:
+        tracemalloc.stop()
+    log = escape.telemetry.events
+    benchmark.extra_info.update(event_log_bytes_at_64=at_64,
+                                event_log_growth=growth,
+                                emitted=log.emitted, kept=len(log))
+    assert log.evicted > 0
+    assert growth <= EVENT_LOG_GROWTH_BOUND
     assert not escape.orchestrator.deployed
     escape.stop()

@@ -82,6 +82,10 @@ class CampaignRunner:
         self._print("[seed %d] %r over %r" % (seed, schedule, topo))
 
         escape = ESCAPE.from_topology(topo, **scenario.escape_options)
+        run_dir = self.run_dir(seed)
+        events_path = os.path.join(run_dir, EVENTS_NAME)
+        if write:  # the whole record streams; the ring is a live view
+            stop_record = escape.telemetry.events.record_jsonl(events_path)
         wall_started = time.perf_counter()
         escape.start()
         deployed: List[Dict[str, Any]] = []
@@ -181,13 +185,7 @@ class CampaignRunner:
             bundle["flowtrace"] = flowtrace_report
 
         if write:
-            run_dir = self.run_dir(seed)
-            os.makedirs(run_dir, exist_ok=True)
-            events_path = os.path.join(run_dir, EVENTS_NAME)
-            bundle["events"] = {
-                "path": events_path,
-                "count": escape.telemetry.events.write_jsonl(events_path),
-            }
+            bundle["events"] = {"path": events_path, "count": stop_record()}
             if flowtrace_report is not None:
                 flowtrace_path = os.path.join(run_dir, FLOWTRACE_NAME)
                 bundle["flowtrace"]["jsonl"] = {

@@ -103,15 +103,19 @@ class Event:
 class EventLog:
     """Bounded, sim-clocked, trace-correlated structured log.
 
-    ``capacity`` bounds memory (oldest records evict first);
+    ``capacity`` bounds the live view (oldest records evict first);
+    :meth:`record_jsonl` streams a whole run's record to disk;
     ``min_severity`` drops emits below the threshold before they cost
     anything; ``tracer`` (optional) stamps each event with the id of
     the span open at emit time, joining the event timeline to the
     trace tree.
     """
 
+    #: the live view: every example and reference run fits (<= 144)
+    CAPACITY = 256
+
     def __init__(self, clock: Optional[Callable[[], float]] = None,
-                 capacity: int = 4096, tracer=None,
+                 capacity: int = CAPACITY, tracer=None,
                  min_severity: str = DEBUG):
         if capacity <= 0:
             raise EventError("event log capacity must be positive")
@@ -206,7 +210,7 @@ class EventLog:
                 continue
             selected.append(event)
         if limit is not None and limit >= 0:
-            selected = selected[-limit:]
+            selected = selected[-limit:] if limit else []
         return selected
 
     # -- export ------------------------------------------------------------
@@ -214,15 +218,28 @@ class EventLog:
     def write_jsonl(self, path) -> int:
         """Write the retained events to ``path`` (str or Path; missing
         parent directories are created); returns the count."""
-        events = self.events()
-        path = os.fspath(path)
-        parent = os.path.dirname(path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        with open(path, "w") as handle:
-            for event in events:
-                handle.write(event.to_json() + "\n")
-        return len(events)
+        return self.record_jsonl(path)()
+
+    def record_jsonl(self, path) -> Callable[[], int]:
+        """:meth:`write_jsonl`, then append every later event until the
+        returned ``stop()``, which closes the file and returns the
+        number of records written."""
+        os.makedirs(os.path.dirname(os.fspath(path)) or os.curdir,
+                    exist_ok=True)
+        handle = open(path, "w")
+        handle.writelines(event.to_json() + "\n" for event in self._ring)
+        unseen = self.evicted  # emitted before the ring's oldest record
+
+        def write(event: Event) -> None:
+            handle.write(event.to_json() + "\n")
+        # first, so events other subscribers emit in reply follow it
+        self._subscribers.insert(0, write)
+
+        def stop() -> int:
+            self._subscribers.remove(write)
+            handle.close()
+            return self.emitted - unseen
+        return stop
 
     def __repr__(self) -> str:
         return "EventLog(%d kept / %d emitted, capacity=%d)" % (

@@ -63,6 +63,9 @@ class TestRing:
         assert [event.name for event in log.events()] \
             == ["e2", "e3", "e4"]
 
+    def test_default_capacity_is_the_live_view(self):
+        assert EventLog().capacity == EventLog.CAPACITY == 256
+
     def test_counts_survive_eviction(self):
         log = EventLog(capacity=2)
         for _ in range(4):
@@ -120,6 +123,10 @@ class TestQuery:
         assert len(log.query(name="sla.warn")) == 1
         assert len(log.query(limit=2)) == 2
 
+    def test_limit_zero_selects_nothing(self, log):
+        assert log.query(limit=0) == []
+        assert len(log.query(limit=None)) == 4
+
 
 class TestExport:
     def test_jsonl_round_trip(self, tmp_path):
@@ -133,6 +140,53 @@ class TestExport:
         assert parsed[0]["name"] == "sla.ok"
         assert parsed[1]["severity"] == ERROR
         assert parsed[1]["tags"]["chain"] == "c1"
+
+    def test_record_streams_past_the_ring(self, tmp_path):
+        """A record holds the ring at its start and every event emitted
+        until ``stop()``, however many the ring has evicted since."""
+        log = EventLog(capacity=3)
+        for index in range(5):
+            log.info("a.b", "before%d" % index)
+        path = tmp_path / "run" / "events.jsonl"
+        stop = log.record_jsonl(path)
+        for index in range(10):
+            log.debug("a.b", "during%d" % index)
+        assert stop() == 13
+        log.info("a.b", "after")
+        names = [json.loads(line)["name"]
+                 for line in path.read_text().splitlines()]
+        assert names == (["before2", "before3", "before4"]
+                         + ["during%d" % index for index in range(10)])
+        assert [event.name for event in log.events()] \
+            == ["during8", "during9", "after"]
+
+    def test_record_keeps_seq_order_when_subscribers_reply(self,
+                                                            tmp_path):
+        """A subscriber that emits while handling an event (recovery
+        reacting to ``vnf.crashed``) does not get its reply written
+        before the event it replies to."""
+        log = EventLog()
+
+        def reply(event):
+            if event.name == "vnf.crashed":
+                log.info("core.recovery", "recovery.scheduled")
+
+        log.subscribe(reply)
+        path = tmp_path / "events.jsonl"
+        stop = log.record_jsonl(path)
+        log.error("netem.container", "vnf.crashed")
+        assert stop() == 2
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [record["seq"] for record in records] == [1, 2]
+        assert records[1]["name"] == "recovery.scheduled"
+
+    def test_record_in_the_working_directory(self, tmp_path,
+                                             monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        log = EventLog()
+        log.warn("a.b", "w1")
+        assert log.write_jsonl("events.jsonl") == 1
+        assert (tmp_path / "events.jsonl").read_text().count("\n") == 1
 
     def test_subscribers_see_live_events(self):
         log = EventLog()

@@ -23,6 +23,7 @@ from repro.scenario.workload import (CHAIN_TEMPLATES, Workload,
                                      diurnal_factor)
 from repro.scenario.zoo import FatTreeTopo, build_topology
 from repro.cli import main as cli_main
+from repro.core import ESCAPE
 
 SMOKE_SCENARIO = {
     "name": "smoke",
@@ -351,6 +352,33 @@ class TestCampaignRunner:
             lines = [json.loads(line) for line in handle if line.strip()]
         assert lines
         assert campaign.bundles[0]["events"]["count"] == len(lines)
+
+    def test_events_file_holds_every_record_of_a_long_run(
+            self, tmp_path, monkeypatch):
+        """The ring is a live view of the last records; the run's
+        ``events.jsonl`` streams every record, so a run that emits far
+        more than the ring holds loses none of them."""
+        start, stop, emitted = ESCAPE.start, ESCAPE.stop, []
+
+        def noisy_start(escape):
+            start(escape)
+            for index in range(5000):
+                escape.telemetry.events.debug("test.noise", "tick",
+                                              index=index)
+
+        def counted_stop(escape):
+            emitted.append(escape.telemetry.events.emitted)
+            stop(escape)
+
+        monkeypatch.setattr(ESCAPE, "start", noisy_start)
+        monkeypatch.setattr(ESCAPE, "stop", counted_stop)
+        bundle, = run_scenario(dict(SMOKE_SCENARIO),
+                               results_dir=str(tmp_path))
+        with open(bundle["events"]["path"]) as handle:
+            seqs = [json.loads(line)["seq"] for line in handle]
+        assert bundle["events"]["count"] == len(seqs) == emitted[0]
+        assert seqs == list(range(1, len(seqs) + 1))
+        assert len(seqs) > 5000
 
     def test_gate_flags_all_packets_lost(self):
         runner = CampaignRunner(dict(SMOKE_SCENARIO))
