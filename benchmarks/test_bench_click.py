@@ -75,9 +75,13 @@ def test_queue_pipeline_throughput(benchmark):
     """The push->Queue->pull boundary under sustained load."""
     sim = Simulator()
     router = Router.from_config(
-        "src :: InfiniteSource(LIMIT 20000) -> Queue(1000)"
+        "FromDevice(in0) -> Queue(1000)"
         " -> Unqueue(BURST 32) -> cnt :: Counter -> Discard;", sim=sim)
+    device = Device("in0")
+    router.device_map = {"in0": device}
     router.start()
+    for index in range(1, 20001):
+        sim.schedule(index * 1e-6, device.deliver, b"x" * 64)
 
     def drain():
         sim.run(until=sim.now + 10.0)

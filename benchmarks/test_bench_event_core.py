@@ -21,7 +21,8 @@ rewrite worth doing:
   frame longer than the bounded table of known frames does;
 * a torn-down chain is freed by reference counting: deploy / terminate
   churn leaves nothing for the cyclic garbage collector, and the event
-  log's memory stops growing once its live view is full.
+  log's memory stops growing once its live view is full; so is a
+  stopped emulation.
 """
 
 import gc
@@ -36,6 +37,7 @@ import pytest
 
 from benchmarks.helpers import chain_sg, started_escape
 from repro.click import Router
+from repro.click.elements import Device
 from repro.core import ESCAPE
 from repro.openflow import match as match_module, switch as switch_module
 from repro.scenario.workload import build_chain_requests
@@ -60,17 +62,29 @@ IDLE_KINDS = {
 IDLE_NESTED_REGIONS = {"netem.link.transmit", "click.element.push"}
 
 
+def _fed_pipeline(sim, stages, packets, interval):
+    """``FromDevice(in0) -> stages -> cnt :: Counter -> Discard``,
+    started, with ``packets`` frames scheduled onto in0 ``interval``
+    apart."""
+    router = Router.from_config(
+        "FromDevice(in0) -> %s -> cnt :: Counter -> Discard;" % stages,
+        sim=sim)
+    device = Device("in0")
+    router.device_map = {"in0": device}
+    router.start()
+    for index in range(1, packets + 1):
+        sim.schedule(index * interval, device.deliver, b"x" * 64)
+    return router
+
+
 def test_idle_click_pipeline_dispatches_zero_events(benchmark):
     """An armed pull pipeline with nothing queued parks on its
     notifier.  Under the old poll storm this run cost one event per
     driver interval (~100k dispatches for 100 sim-seconds at the 1ms
     default); event-driven it must cost exactly zero."""
     sim = Simulator()
-    router = Router.from_config(
-        "src :: TimedSource(INTERVAL 0.001, LIMIT 100)"
-        " -> q :: Queue(64) -> Unqueue(BURST 8)"
-        " -> cnt :: Counter -> Discard;", sim=sim)
-    router.start()
+    router = _fed_pipeline(sim, "Queue(64) -> Unqueue(BURST 8)", 100,
+                           interval=0.001)
     sim.run(until=sim.now + 1.0)  # drain the priming traffic
     assert int(router.read_handler("cnt.count")) == 100
     before = sim.processed
@@ -98,7 +112,7 @@ def test_idle_escape_network_event_rate(benchmark):
     escape.deploy_service(chain_sg(1, name="idle-chain"))
     escape.run(1.0)  # let deployment-time control traffic settle
     sim, profiler = escape.sim, escape.profiler
-    before, polls_before = sim.processed, sim.polls
+    before = sim.processed
     profiler.reset()
     profiler.enable()
 
@@ -112,7 +126,6 @@ def test_idle_escape_network_event_rate(benchmark):
     kinds = sorted(profiler.stats)
     benchmark.extra_info["dispatch_kinds"] = kinds
     assert set(kinds) == IDLE_KINDS | IDLE_NESTED_REGIONS
-    assert sim.polls == polls_before
     assert rate < 100.0
 
 
@@ -141,11 +154,8 @@ def test_busy_pipeline_events_track_packets(benchmark):
     continuation shots."""
     packets = 5000
     sim = Simulator()
-    router = Router.from_config(
-        "src :: RatedSource(RATE 10000, LIMIT %d)"
-        " -> q :: Queue(256) -> Unqueue(BURST 32)"
-        " -> cnt :: Counter -> Discard;" % packets, sim=sim)
-    router.start()
+    router = _fed_pipeline(sim, "Queue(256) -> Unqueue(BURST 32)", packets,
+                           interval=1e-4)
     before = sim.processed
 
     def drain():
@@ -154,12 +164,10 @@ def test_busy_pipeline_events_track_packets(benchmark):
     dispatched = sim.processed - before
     assert int(router.read_handler("cnt.count")) == packets
     benchmark.extra_info["events_per_packet"] = dispatched / packets
-    # one source credit shot + one wake-drain per packet (the source
-    # meters packets out one at a time, so trains never build up); the
-    # point is the count tracks *packets*, not duration/interval, and
-    # no blind interval polls fired at all
+    # one delivery + one wake-drain per packet (frames arrive one at a
+    # time, so trains never build up); the point is the count tracks
+    # *packets*, not duration/interval
     assert dispatched <= 2 * packets + 2
-    assert sim.polls == 0
 
 
 #: Python-level calls per delivered datagram on the two-switch demo chain
@@ -410,6 +418,53 @@ def test_deploy_churn_leaves_no_cyclic_garbage(benchmark):
     assert growth <= CHURN_GROWTH_BOUND
     assert not escape.orchestrator.deployed
     escape.stop()
+
+
+def _demo_with_chain():
+    """The ladder's demo substrate carrying one forwarder chain."""
+    escape = started_escape()
+    escape.deploy_service(chain_sg(1, name="stopped-chain"))
+    return escape
+
+
+def _fat_tree_with_chains():
+    """The k=4 fat-tree carrying eight chains over the four templates."""
+    topo = FatTreeTopo(k=4, containers_per_pod=2, container_ports=6)
+    requests = build_chain_requests(
+        topo, {"templates": ["web", "bump", "secure", "shaped"],
+               "count": 8}, None, random.Random(34))
+    escape = ESCAPE.from_topology(topo)
+    escape.start()
+    for request in requests:
+        escape.deploy_service(request["sg"])
+    return escape
+
+
+@pytest.mark.parametrize("build", [_demo_with_chain, _fat_tree_with_chains],
+                         ids=["demo", "fat_tree"])
+def test_stopped_emulation_leaves_no_cyclic_garbage(benchmark, build):
+    """Build, run 1 s, ``stop()`` and drop an emulation with the
+    collector off: ``stop()`` breaks what building bound (the links'
+    and nodes' per-hop callables, controller components, management
+    sessions, snapshot collectors), so reference counting frees all of
+    it and ``gc.collect()`` finds no unreachable object.  A campaign
+    runs its seeds in one process; without this each stopped seed
+    waited for a gen-2 collection."""
+    def run():
+        gc.collect()
+        gc.disable()
+        try:
+            escape = build()
+            escape.run(1.0)
+            escape.stop()
+            del escape
+            return gc.collect()
+        finally:
+            gc.enable()
+
+    unreachable = benchmark.pedantic(run, rounds=1, iterations=1)
+    benchmark.extra_info["unreachable"] = unreachable
+    assert unreachable == 0
 
 
 #: bytes the event log may hold after 512 churn cycles beyond what it

@@ -14,7 +14,7 @@ from repro.netconf.vnf_yang import VNF_NS
 from repro.netem import Network
 from repro.sim import Simulator
 
-SIMPLE_VNF = "src :: RatedSource(RATE 10) -> cnt :: Counter -> Discard;"
+SIMPLE_VNF = "src :: FromDevice(in0) -> cnt :: Counter -> Discard;"
 
 
 def agent_rig():
@@ -46,7 +46,7 @@ def test_start_stop_vnf_rpc(benchmark):
         vnf_id = "v%d" % counter["n"]
         client.rpc("startVNF", VNF_NS, {
             "id": vnf_id, "click-config": SIMPLE_VNF,
-            "devices": ""}).result(net.sim)
+            "devices": "in0"}).result(net.sim)
         client.rpc("stopVNF", VNF_NS, {"id": vnf_id}).result(net.sim)
     benchmark.pedantic(cycle, rounds=10, iterations=1)
 

@@ -7,24 +7,28 @@ This package reproduces the Click programming model:
 * :class:`Element` — processing stage with push/pull ports and
   read/write handlers,
 * the Click configuration language parser
-  (``src :: RatedSource(10); src -> Counter -> Discard;``),
+  (``FromDevice(in0) -> cnt :: Counter -> ToDevice(out0);``),
 * :class:`Router` — builds the element graph from a config, validates
   port personalities, drives pull paths as simulator tasks, and exposes
   the ``element.handler`` namespace Clicky polls,
-* an element library covering the catalog the paper's VNFs need
-  (classifiers, queues, shapers, counters, NAT, firewall, DPI, splicing
-  to emulated network devices).
+* the element library the VNF catalog composes (splicing to emulated
+  network devices, counters, queues, a rate limiter and a delay stage,
+  classifiers, NAT, firewall, DPI, fan-out, sinks).
 
 Example::
 
     from repro.sim import Simulator
     from repro.click import Router
+    from repro.click.elements import Device
 
     sim = Simulator()
     router = Router.from_config(
-        "src :: InfiniteSource(DATA abc, LIMIT 5)"
-        " -> cnt :: Counter -> Discard;", sim=sim)
+        "FromDevice(in0) -> cnt :: Counter -> Discard;", sim=sim)
+    device = Device("in0")
+    router.device_map = {"in0": device}
     router.start()
+    for index in range(5):
+        sim.schedule(0.001 * index, device.deliver, b"abc")
     sim.run(until=1.0)
     assert router.read_handler("cnt.count") == "5"
 """

@@ -30,9 +30,9 @@ class Notifier:
     """Edge-triggered activity signal on a PULL path (Click's
     empty-note).
 
-    A pull *driver* (``Unqueue``, pull-mode ``ToDevice``…) used to poll
-    its upstream on a fixed timer; with a notifier it can park: the
-    queue that owns the notifier calls :meth:`wake` on its 0→1 push
+    A pull *driver* (``Unqueue``, pull-mode ``ToDevice``…) parks on
+    its upstream's notifier instead of polling on a timer: the queue
+    that owns the notifier calls :meth:`wake` on its 0→1 push
     transition and :meth:`sleep` when a pull drains it.  Listeners are
     plain callables invoked synchronously on the inactive→active edge
     only — re-waking an already active notifier costs one attribute
@@ -83,35 +83,27 @@ class PullActivation:
 
     Owns the consumer's re-armable :class:`repro.sim.Wakeup` and its
     subscription to the upstream notifier.  The consumer's drain
-    callback ends by calling :meth:`reschedule` (or the lower-level
-    :meth:`poll`/:meth:`park`/:meth:`wake_at`), which picks the next
+    callback ends by calling :meth:`reschedule`, which picks the next
     activation:
 
     * upstream notifier inactive → **park** (zero events until the
       queue's 0→1 push transition wakes us),
     * burst exhausted with more queued → **continuation shot** at the
       current instant (packet trains; FIFO seq keeps it deterministic),
-    * blocked by a rate limiter → one **exact shot** at its pull hint,
-    * no notifier at all → legacy blind **poll** every ``interval``.
+    * blocked by a rate limiter → one **exact shot** at its pull hint.
 
-    ``floor`` (optional callable → absolute sim time) is the earliest
-    useful activation — a rated driver returns its next credit instant
-    so wakes never fire before credit accrues.  Wakeups and polls are
-    counted on the simulator (``sim.wakeups`` / ``sim.polls``, always
-    on) so the event-driven win stays attributable.
+    An upstream with no notifier (``Idle``) never has a packet, so its
+    consumer stays parked.  Wakeups are counted on the simulator
+    (``sim.wakeups``, always on).
     """
 
-    __slots__ = ("element", "fire", "port", "interval", "floor",
-                 "notifier", "wakeup", "sim")
+    __slots__ = ("element", "fire", "port", "notifier", "wakeup", "sim")
 
     def __init__(self, element: "Element", fire: Callable[[], None],
-                 port: int = 0, interval: float = 1e-5,
-                 floor: Optional[Callable[[], float]] = None):
+                 port: int = 0):
         self.element = element
         self.fire = fire
         self.port = port
-        self.interval = interval
-        self.floor = floor
         self.notifier: Optional[Notifier] = None
         self.wakeup = None
         self.sim = None
@@ -124,7 +116,6 @@ class PullActivation:
         self.wakeup = sim.wakeup(self.fire)
         self.notifier = self.element.input_notifier(self.port)
         if self.notifier is None:
-            self.poll()
             return
         self.notifier.listen(self._on_wake)
         if self.notifier.active:
@@ -141,35 +132,17 @@ class PullActivation:
 
     # -- activation primitives ----------------------------------------------
 
-    def _target(self) -> float:
-        """Earliest useful fire time: now, raised to the floor."""
-        now = self.sim.now
-        if self.floor is not None:
-            floor = self.floor()
-            if floor > now:
-                return floor
-        return now
-
     def _on_wake(self) -> None:
         """Upstream went non-empty: schedule a drain (never pull
         synchronously from inside the producer's push)."""
         self.sim.wakeups += 1
-        self.wakeup.arm_before(self._target())
+        self.wakeup.arm_before(self.sim.now)
 
     def wake_at(self, when: float) -> None:
-        """One exact event-driven shot (hint, credit instant,
-        continuation train), clamped to the floor and to now."""
-        floor = self._target()
-        if when < floor:
-            when = floor
+        """One exact event-driven shot (hint or continuation train),
+        never earlier than now."""
         self.sim.wakeups += 1
         self.wakeup.arm_at(when)
-
-    def poll(self) -> None:
-        """Legacy blind re-arm after ``interval`` (no notifier, or no
-        usable hint)."""
-        self.sim.polls += 1
-        self.wakeup.arm(self.interval)
 
     def park(self) -> None:
         self.wakeup.disarm()
@@ -178,24 +151,23 @@ class PullActivation:
 
     def reschedule(self, exhausted_burst: bool) -> None:
         notifier = self.notifier
-        if notifier is None:
-            self.poll()
-            return
-        if not notifier.active:
+        if notifier is None or not notifier.active:
             self.park()
             return
         if exhausted_burst:
             # more queued than one burst: continuation shot, same
             # timestamp (a packet train in slices)
-            self.wake_at(self._target())
+            self.wake_at(self.sim.now)
             return
         # upstream active but the pull came back empty: a rate stage is
-        # holding packets back — fire exactly when it says
+        # holding packets back — fire exactly when it says.  Every
+        # notifier owner sleeps once drained and every rate stage gives
+        # a hint, so an active upstream always has one.
         hint = self.element.input_hint(self.port)
         if hint is not None and hint > self.sim.now:
             self.wake_at(hint)
         else:
-            self.poll()
+            self.park()
 
     def __repr__(self) -> str:
         return "PullActivation(%s[%d], %s)" % (
@@ -360,17 +332,17 @@ class Element:
             self.pulled_count += 1
         return packet
 
-    # -- pull-path activation (notifiers, sleep hints, backpressure) --------
+    # -- pull-path activation (notifiers and sleep hints) --------------------
 
     def output_notifier(self, port: int) -> Optional[Notifier]:
         """The :class:`Notifier` signalling that output ``port`` may
         have packets to pull.
 
-        ``None`` means "unknown — poll me".  Queues own and return
-        their notifier; one-input pass-through elements (``Counter``,
-        ``Shaper``, ``Tee``…) forward their upstream's by default, so a
-        driver always ends up listening to the queue at the head of its
-        pull chain.
+        ``None`` means "never anything to pull" (``Idle``).  Queues own
+        and return their notifier; one-input pass-through elements
+        (``Counter``, ``Shaper``…) forward their upstream's by default,
+        so a driver always ends up listening to the queue at the head
+        of its pull chain.
         """
         if len(self.inputs) == 1:
             return self.input_notifier(0)
@@ -390,11 +362,10 @@ class Element:
         succeed, or ``None`` for "whenever the notifier wakes".
 
         Rate limiters know this exactly (``Shaper._next_allowed``,
-        token refill instants, ``DelayQueue`` head age-out); a driver
-        blocked on an *active* upstream schedules one shot at the hint
-        instead of polling every tick.  One-input pass-throughs forward
-        upstream's hint by default; constrained elements combine it
-        with their own.
+        ``DelayQueue`` head age-out); a driver blocked on an *active*
+        upstream schedules one shot at the hint instead of polling
+        every tick.  One-input pass-throughs forward upstream's hint by
+        default; constrained elements combine it with their own.
         """
         if len(self.inputs) == 1:
             return self.input_hint(0)
@@ -408,26 +379,6 @@ class Element:
         if peer is None:
             return None
         return peer.element.pull_hint(peer.index)
-
-    def accepts_push(self, port: int) -> bool:
-        """Would a packet pushed into input ``port`` right now be
-        accepted rather than dropped?  Tail-drop queues answer from
-        their fill level; one-output pass-throughs ask downstream;
-        everything else is optimistic.  This is a *hint* for source
-        backpressure, not a guarantee."""
-        if len(self.outputs) == 1:
-            return self.downstream_accepts(0)
-        return True
-
-    def downstream_accepts(self, port: int) -> bool:
-        """Backpressure helper: does output ``port``'s peer currently
-        accept pushes?  Unconnected outputs drop silently, so they
-        "accept" everything."""
-        out = self.outputs[port]
-        peer = out.peer
-        if peer is None:
-            return True
-        return peer.element.accepts_push(peer.index)
 
     # -- handlers ------------------------------------------------------------
 
@@ -463,8 +414,8 @@ class Element:
         """Split Click-style positional args from ``KEY value`` pairs.
 
         Click configurations mix positionals with all-caps keywords:
-        ``RatedSource(DATA xyz, RATE 10, LIMIT -1)``.  ``keys`` lists the
-        recognised keyword names.
+        ``Unqueue(BURST 8)``.  ``keys`` lists the recognised keyword
+        names.
         """
         positionals: List[str] = []
         keywords: Dict[str, str] = {}
@@ -475,15 +426,6 @@ class Element:
             else:
                 positionals.append(arg)
         return positionals, keywords
-
-    @staticmethod
-    def parse_bool(text: str) -> bool:
-        lowered = text.strip().lower()
-        if lowered in ("true", "1", "yes"):
-            return True
-        if lowered in ("false", "0", "no"):
-            return False
-        raise ConfigError("not a boolean: %r" % text)
 
     def __repr__(self) -> str:
         return "%s(%s)" % (type(self).__name__, self.name)

@@ -1,72 +1,40 @@
 """Stock Click element library.
 
 Importing this package registers every element class with the global
-registry, making them usable from configuration strings.  The set covers
-what the paper's VNF catalog needs: traffic sources/sinks for testing,
-queues and shapers, classifiers, counters (the handlers Clicky reads),
-header manipulation, NAT / firewall / DPI building blocks, and the
-FromDevice/ToDevice splice that attaches a VNF to the emulated network.
+registry, making them usable from configuration strings.  The set is
+what the VNF catalog composes: the FromDevice/ToDevice splice that
+attaches a VNF to the emulated network, counters (the handlers Clicky
+reads), queues and their pull drivers, a rate limiter and a delay
+stage, classifiers, NAT / firewall / DPI building blocks, fan-out and
+load spreading, and the sinks.
 """
 
-from repro.click.elements.classifiers import (Classifier, IPClassifier,
-                                              compile_ip_filter)
-from repro.click.elements.counters import AverageCounter, Counter
+from repro.click.elements.classifiers import IPClassifier, compile_ip_filter
+from repro.click.elements.counters import Counter
 from repro.click.elements.device import Device, FromDevice, ToDevice
 from repro.click.elements.dpi import StringMatcher
 from repro.click.elements.firewall import IPFilter
-from repro.click.elements.headerops import (ARPResponder, CheckIPHeader,
-                                            DecIPTTL, EtherEncap,
-                                            EtherMirror, ICMPPingResponder,
-                                            Paint, Print, Strip)
 from repro.click.elements.nat import IPRewriter
-from repro.click.elements.queues import (FrontDropQueue, Queue, RatedUnqueue,
-                                         Unqueue)
-from repro.click.elements.shapers import (BandwidthShaper, DelayQueue, RED,
-                                          Shaper)
+from repro.click.elements.queues import Queue, Unqueue
+from repro.click.elements.shapers import DelayQueue, Shaper
 from repro.click.elements.sinks import Discard, Idle
-from repro.click.elements.sources import (InfiniteSource, RatedSource,
-                                          TimedSource)
-from repro.click.elements.switches import (HashSwitch, PaintSwitch,
-                                           RandomSample, RoundRobinSwitch,
-                                           Switch, Tee)
+from repro.click.elements.switches import RoundRobinSwitch, Tee
 
 __all__ = [
-    "ARPResponder",
-    "AverageCounter",
-    "BandwidthShaper",
-    "CheckIPHeader",
-    "Classifier",
     "Counter",
-    "DecIPTTL",
     "DelayQueue",
     "Device",
     "Discard",
-    "EtherEncap",
-    "EtherMirror",
     "FromDevice",
-    "FrontDropQueue",
-    "HashSwitch",
-    "ICMPPingResponder",
     "IPClassifier",
     "IPFilter",
     "IPRewriter",
     "Idle",
-    "InfiniteSource",
-    "Paint",
-    "PaintSwitch",
-    "Print",
     "Queue",
-    "RED",
-    "RandomSample",
-    "RatedSource",
-    "RatedUnqueue",
     "RoundRobinSwitch",
     "Shaper",
     "StringMatcher",
-    "Strip",
-    "Switch",
     "Tee",
-    "TimedSource",
     "ToDevice",
     "Unqueue",
     "compile_ip_filter",

@@ -1,11 +1,6 @@
-"""Packet classifiers.
-
-Two classifiers are provided, mirroring Click:
-
-* :class:`Classifier` — raw byte patterns ``offset/hexvalue`` with ``-``
-  as the catch-all, one output per pattern.
-* :class:`IPClassifier` — a tcpdump-flavoured expression language, one
-  output per expression.  The same compiler backs :class:`IPFilter`.
+"""The IP classifier: :class:`IPClassifier` routes by a tcpdump-flavoured
+expression language, one output per expression, mirroring Click's.  The
+same compiler backs :class:`IPFilter`.
 
 Expression grammar (subset of Click's)::
 
@@ -282,77 +277,3 @@ class IPClassifier(Element):
                     self.output_push(index, packet)
                 return
         self.dropped += 1
-
-
-@element_class()
-class Classifier(Element):
-    """``Classifier(12/0800, 12/0806, -)`` — raw byte-pattern classifier.
-
-    Each pattern is ``offset/hexbytes`` (``?`` nibbles are wildcards)
-    with ``-`` matching anything.  First match wins; no match drops.
-    """
-
-    INPUT_COUNT = 1
-    OUTPUT_COUNT = None
-    INPUT_PERSONALITY = PUSH
-    OUTPUT_PERSONALITY = PUSH
-
-    def __init__(self, name: str, config: str = ""):
-        super().__init__(name, config)
-        self.patterns: List[Optional[tuple]] = []  # None = catch-all
-        self.dropped = 0
-        self.add_read_handler("dropped", lambda: self.dropped)
-
-    def configure(self, args: List[str], keywords: Dict[str, str]) -> None:
-        if not args:
-            raise ConfigError("%s: needs at least one pattern" % self.name)
-        for pattern in args:
-            pattern = pattern.strip()
-            if pattern == "-":
-                self.patterns.append(None)
-                continue
-            offset_text, _, hex_text = pattern.partition("/")
-            if not hex_text:
-                raise ConfigError("%s: bad pattern %r" % (self.name, pattern))
-            offset = int(offset_text)
-            hex_text = hex_text.strip()
-            if len(hex_text) % 2:
-                raise ConfigError("%s: odd-length hex in %r"
-                                  % (self.name, pattern))
-            values = bytearray()
-            masks = bytearray()
-            for i in range(0, len(hex_text), 2):
-                value = 0
-                mask = 0
-                for shift, char in ((4, hex_text[i]), (0, hex_text[i + 1])):
-                    if char == "?":
-                        continue
-                    value |= int(char, 16) << shift
-                    mask |= 0xF << shift
-                values.append(value)
-                masks.append(mask)
-            self.patterns.append((offset, bytes(values), bytes(masks)))
-
-    def _matches(self, pattern: Optional[tuple], data: bytes) -> bool:
-        if pattern is None:
-            return True
-        offset, values, masks = pattern
-        if len(data) < offset + len(values):
-            return False
-        for i, (value, mask) in enumerate(zip(values, masks)):
-            if data[offset + i] & mask != value:
-                return False
-        return True
-
-    def push(self, port: int, packet: ClickPacket) -> None:
-        for index, pattern in enumerate(self.patterns):
-            if self._matches(pattern, packet.data):
-                if index < self.noutputs:
-                    self.output_push(index, packet)
-                return
-        self.dropped += 1
-
-
-# Convenience patterns matching Click conventions.
-ETHERTYPE_IP = "12/0800"
-ETHERTYPE_ARP = "12/0806"

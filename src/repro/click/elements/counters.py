@@ -69,47 +69,3 @@ class Counter(Element):
         if packet is not None:
             self._note(packet)
         return packet
-
-
-@element_class()
-class AverageCounter(Counter):
-    """Counter that also reports exponentially-weighted short-term rates.
-
-    Extra handlers: ``ewma_rate`` (read), with smoothing factor ALPHA
-    (default 0.3) configurable.
-    """
-
-    def __init__(self, name: str, config: str = ""):
-        super().__init__(name, config)
-        self.alpha = 0.3
-        self._ewma = 0.0
-        self._window_start: Optional[float] = None
-        self._window_count = 0
-        self.window = 0.1  # seconds
-        self.add_read_handler("ewma_rate", lambda: self._ewma)
-
-    def configure(self, args: List[str], keywords: Dict[str, str]) -> None:
-        positionals, kw = self.parse_keywords(args, ["ALPHA", "WINDOW"])
-        if positionals:
-            self.alpha = float(positionals[0])
-            positionals = positionals[1:]
-        if positionals:
-            raise ValueError("%s: too many arguments" % self.name)
-        if "ALPHA" in kw:
-            self.alpha = float(kw["ALPHA"])
-        if "WINDOW" in kw:
-            self.window = float(kw["WINDOW"])
-
-    def _note(self, packet: ClickPacket) -> None:
-        super()._note(packet)
-        now = self.router.sim.now if self.router else 0.0
-        if self._window_start is None:
-            self._window_start = now
-        self._window_count += 1
-        elapsed = now - self._window_start
-        if elapsed >= self.window:
-            sample = self._window_count / elapsed
-            self._ewma = (self.alpha * sample
-                          + (1.0 - self.alpha) * self._ewma)
-            self._window_start = now
-            self._window_count = 0

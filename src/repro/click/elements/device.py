@@ -108,7 +108,7 @@ class FromDevice(Element):
         if flowtrace.enabled:
             flowtrace.record("vnf.in", self.router.name,
                              self.router.sim.now, data)
-        self.output_push(0, ClickPacket(data, timestamp=self.router.sim.now))
+        self.output_push(0, ClickPacket(data))
 
 
 @element_class()
@@ -126,8 +126,7 @@ class ToDevice(Element):
     OUTPUT_COUNT = 0
     INPUT_PERSONALITY = AGNOSTIC
 
-    PULL_INTERVAL = 1e-5  # fallback poll when upstream has no notifier
-    BURST = 32            # frames transmitted per activation
+    BURST = 32  # frames transmitted per activation
 
     def __init__(self, name: str, config: str = ""):
         super().__init__(name, config)
@@ -146,8 +145,7 @@ class ToDevice(Element):
     def initialize(self) -> None:
         self._device = _lookup_device(self, self.devname)
         if self.inputs[0].resolved == PULL:
-            self._activation = PullActivation(
-                self, self._drain, interval=self.PULL_INTERVAL)
+            self._activation = PullActivation(self, self._drain)
             self._activation.start()
 
     def cleanup(self) -> None:

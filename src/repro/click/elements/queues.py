@@ -100,44 +100,18 @@ class Queue(Element):
     def pull_hint(self, port: int) -> Optional[float]:
         return None  # no timing constraint: the notifier is the truth
 
-    def accepts_push(self, port: int) -> bool:
-        return len(self.buffer) < self.capacity
-
-
-@element_class()
-class FrontDropQueue(Queue):
-    """Queue that evicts the *oldest* packet when full (head-drop)."""
-
-    def push(self, port: int, packet: ClickPacket) -> None:
-        buffer = self.buffer
-        if len(buffer) >= self.capacity:
-            buffer.popleft()
-            self.drops += 1
-        buffer.append(packet)
-        if len(buffer) > self.highwater:
-            self.highwater = len(buffer)
-        flowtrace = self._flowtrace
-        if flowtrace.enabled:
-            flowtrace.record("queue.in",
-                             "%s/%s" % (self.router.name, self.name),
-                             self.router.sim.now, packet.data)
-        if not self.notifier.active:
-            self.notifier.wake()
-
-    def accepts_push(self, port: int) -> bool:
-        return True  # head-drop is the intended behavior, not a loss
-
 
 class _PullDriver(Element):
-    """Shared machinery: pull upstream, push downstream — event-driven.
+    """Pull upstream, push downstream — event-driven (the machinery of
+    :class:`Unqueue`, whose activations the profiler names
+    ``_PullDriver._fire``).
 
     The driver sleeps while its upstream notifier is inactive, wakes on
     the 0→1 push transition, and drains up to ``burst`` packets per
     activation; when more remain it arms a same-timestamp continuation
     (a packet train in burst-sized slices), and when a rate stage
     blocks the chain it schedules one exact shot at the stage's pull
-    hint.  Upstreams that report no notifier fall back to the legacy
-    ``interval`` poll.
+    hint.
     """
 
     INPUT_COUNT = 1
@@ -147,26 +121,19 @@ class _PullDriver(Element):
 
     def __init__(self, name: str, config: str = ""):
         super().__init__(name, config)
-        self.interval = 1e-5
         self.burst = 1
         self.moved = 0
         self._activation: Optional[PullActivation] = None
         self.add_read_handler("count", lambda: self.moved)
 
     def initialize(self) -> None:
-        self._activation = PullActivation(
-            self, self._fire, interval=self.interval, floor=self._floor)
+        self._activation = PullActivation(self, self._fire)
         self._activation.start()
 
     def cleanup(self) -> None:
         if self._activation is not None:
             self._activation.stop()
             self._activation = None
-
-    def _floor(self) -> float:
-        """Earliest useful activation; rated drivers raise this to the
-        next credit instant."""
-        return 0.0
 
     def _fire(self) -> None:
         if not self.router.running:
@@ -180,10 +147,7 @@ class _PullDriver(Element):
             moved += 1
             self.output_push(0, packet)
         self.moved += moved
-        self._reschedule(moved)
-
-    def _reschedule(self, moved: int) -> None:
-        self._activation.reschedule(moved >= self.burst)
+        self._activation.reschedule(moved >= burst)
 
 
 @element_class()
@@ -202,50 +166,3 @@ class Unqueue(_PullDriver):
             self.burst = int(kw["BURST"])
         if self.burst <= 0:
             raise ConfigError("%s: burst must be positive" % self.name)
-
-
-@element_class()
-class RatedUnqueue(_PullDriver):
-    """``RatedUnqueue(RATE)`` — drain at RATE packets/second.
-
-    Schedules exactly at credit instants (``1/RATE`` apart) instead of
-    blind ticks; parks on an empty upstream and resumes at
-    ``max(now, next_credit)`` on wake, so an idle spell never earns a
-    catch-up burst.
-
-    Handlers: ``rate`` (read/write), ``count`` (read).
-    """
-
-    def __init__(self, name: str, config: str = ""):
-        super().__init__(name, config)
-        self.rate = 100.0
-        self._next_credit = 0.0
-        self.add_read_handler("rate", lambda: self.rate)
-        self.add_write_handler("rate", self._write_rate)
-
-    def _write_rate(self, value: str) -> None:
-        rate = float(value)
-        if rate <= 0:
-            raise ConfigError("%s: rate must be positive" % self.name)
-        self.rate = rate
-        self.interval = 1.0 / rate
-
-    def configure(self, args: List[str], keywords: Dict[str, str]) -> None:
-        positionals, kw = self.parse_keywords(args, ["RATE"])
-        if positionals:
-            self._write_rate(positionals[0])
-            positionals = positionals[1:]
-        if positionals:
-            raise ConfigError("%s: too many arguments" % self.name)
-        if "RATE" in kw:
-            self._write_rate(kw["RATE"])
-
-    def _floor(self) -> float:
-        return self._next_credit
-
-    def _reschedule(self, moved: int) -> None:
-        if moved:
-            now = self.router.sim.now
-            base = self._next_credit if self._next_credit > now else now
-            self._next_credit = base + self.interval
-        super()._reschedule(moved)

@@ -20,8 +20,7 @@ class Discard(Element):
     OUTPUT_COUNT = 0
     INPUT_PERSONALITY = AGNOSTIC
 
-    PULL_INTERVAL = 1e-4  # fallback poll when upstream has no notifier
-    BURST = 32            # packets swallowed per activation
+    BURST = 32  # packets swallowed per activation
 
     def __init__(self, name: str, config: str = ""):
         super().__init__(name, config)
@@ -38,8 +37,7 @@ class Discard(Element):
 
     def initialize(self) -> None:
         if self.inputs[0].resolved == PULL:
-            self._activation = PullActivation(
-                self, self._drain, interval=self.PULL_INTERVAL)
+            self._activation = PullActivation(self, self._drain)
             self._activation.start()
 
     def cleanup(self) -> None:

@@ -1,39 +1,34 @@
 """The packet object flowing between Click elements.
 
-Click elements operate on raw frame bytes (so ``Strip``/``EtherEncap``
-keep their usual semantics) but frequently need parsed header views and
-per-packet annotations (paint, timestamps).  :class:`ClickPacket` wraps
-the bytes with a lazily-parsed header cache and an annotation dict.
+Click elements operate on raw frame bytes (``StringMatcher`` scans
+them, ``ToDevice`` transmits them) but frequently need parsed header
+views.  :class:`ClickPacket` wraps the bytes with a lazily-parsed
+header cache.
 """
 
-from typing import Any, Dict, Optional
+from typing import Optional
 
 from repro.packet import Ethernet, IPv4, TCP, UDP
 from repro.packet.base import Header, PacketError
 
 
 class ClickPacket:
-    """Raw bytes + annotations, with cached parsed views.
+    """Raw bytes with cached parsed views.
 
     Mutating :attr:`data` invalidates the cache automatically because the
     cache is keyed on the bytes object identity.
     """
 
-    __slots__ = ("_data", "anno", "timestamp", "_parsed", "_parsed_for")
+    __slots__ = ("_data", "_parsed", "_parsed_for")
 
-    def __init__(self, data: bytes = b"",
-                 anno: Optional[Dict[str, Any]] = None,
-                 timestamp: float = 0.0):
+    def __init__(self, data: bytes = b""):
         self._data = bytes(data)
-        self.anno: Dict[str, Any] = dict(anno or {})
-        self.timestamp = timestamp
         self._parsed: Optional[Header] = None
         self._parsed_for: Optional[bytes] = None
 
     @classmethod
-    def from_header(cls, header: Header, timestamp: float = 0.0,
-                    anno: Optional[Dict[str, Any]] = None) -> "ClickPacket":
-        return cls(header.pack(), anno=anno, timestamp=timestamp)
+    def from_header(cls, header: Header) -> "ClickPacket":
+        return cls(header.pack())
 
     @property
     def data(self) -> bytes:
@@ -78,20 +73,9 @@ class ClickPacket:
         """Re-serialize ``header`` into this packet's bytes."""
         self._data = header.pack()
 
-    # -- annotations --------------------------------------------------------
-
-    @property
-    def paint(self) -> int:
-        return self.anno.get("paint", 0)
-
-    @paint.setter
-    def paint(self, color: int) -> None:
-        self.anno["paint"] = color
-
     def clone(self) -> "ClickPacket":
-        """Copy for Tee-style fan-out; annotations are shallow-copied."""
-        return ClickPacket(self._data, anno=dict(self.anno),
-                           timestamp=self.timestamp)
+        """Copy for Tee-style fan-out."""
+        return ClickPacket(self._data)
 
     def __repr__(self) -> str:
-        return "ClickPacket(%d bytes, anno=%r)" % (len(self._data), self.anno)
+        return "ClickPacket(%d bytes)" % len(self._data)

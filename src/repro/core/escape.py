@@ -164,7 +164,7 @@ class ESCAPE:
             "service.layer.deploys", "service requests submitted")
         self.telemetry.metrics.add_collector(self._collect_metrics)
         self._last_deploy = None
-        self.started = False
+        self.started = self.stopped = False
 
     def _collect_metrics(self, registry) -> None:
         """Snapshot-time collector: pull the hot-path plain-int counters
@@ -238,9 +238,6 @@ class ESCAPE:
                        "pull-driver activations armed event-driven "
                        "(notifier edges, hint/credit shots)").set(
             self.sim.wakeups)
-        registry.gauge("sim.events.polls",
-                       "pull-driver activations armed as blind "
-                       "interval polls").set(self.sim.polls)
         registry.gauge("sim.events.pending",
                        "not-cancelled events queued (O(1) live "
                        "counter)").set(self.sim.pending)
@@ -257,6 +254,9 @@ class ESCAPE:
         """Bring the framework up: OF handshakes, NETCONF hellos, LLDP."""
         if self.started:
             return
+        if self.stopped:
+            raise RuntimeError("a stopped emulation is unwired: build a "
+                               "new ESCAPE")
         self.net.static_arp()
         self.net.start()
         self.net.run(self.STARTUP_SETTLE)
@@ -317,7 +317,29 @@ class ESCAPE:
             self.net.run(0.01)  # let the teardown flow-mods land
         self.net.stop()
         self.sim.frames.clear()
+        self._unbind()
         self.started = False
+        self.stopped = True
+
+    def _unbind(self) -> None:
+        """Break what building the emulation bound: snapshot
+        collectors, the event subscription, the controller's components
+        and the management sessions.  With the network's wiring (see
+        ``Network.stop``) and the heap's dead entries gone too, a
+        stopped emulation is freed by reference counting.  The gauges
+        keep the values collected here."""
+        metrics = self.telemetry.metrics
+        metrics.collect()
+        metrics.remove_collector(self._collect_metrics)
+        metrics.remove_collector(self.recorder._collect)
+        self.telemetry.events.unsubscribe(self.recovery._on_event)
+        self.core.shutdown()
+        self.nexus.connections.clear()  # the switches hung up
+        for client in self.netconf_clients.values():
+            client.transport.hang_up()
+        for agent in self.agents.values():
+            agent.server.hang_up()
+        self.sim.compact()
 
     def run(self, duration: float) -> None:
         """Advance simulated time."""

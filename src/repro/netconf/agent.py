@@ -52,17 +52,7 @@ class VNFAgent:
             "agent RPCs rejected (validation or operation failure)")
         self._profiler = telemetry.profiler
         # operational state is served through <get>: regenerate on demand
-        self._install_state_hook()
-
-    def _install_state_hook(self) -> None:
-        original = self.server._op_get
-
-        def op_get(operation, config_only):
-            if not config_only:
-                self._refresh_state()
-            return original(operation, config_only)
-
-        self.server._op_get = op_get
+        self.server.before_get = self._refresh_state
 
     # -- rpc execution ----------------------------------------------------
 

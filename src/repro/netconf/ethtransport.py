@@ -65,6 +65,11 @@ class EthTransport:
         if self.receiver is not None:
             self.receiver(payload)
 
+    def hang_up(self) -> None:
+        """Close without telling the peer, and forget the receiver."""
+        self.closed = True
+        self.receiver = self.on_close = None
+
     def close(self) -> None:
         if self.closed:
             return

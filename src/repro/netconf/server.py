@@ -39,6 +39,9 @@ class NetconfServer:
                 self.capabilities.append(nc.CAP_CANDIDATE)
         self.locks: Dict[str, int] = {}  # datastore -> session id
         self._rpc_handlers: Dict[str, RpcHandler] = {}
+        # run before a <get> of operational state (an agent regenerates
+        # the state it serves)
+        self.before_get: Optional[Callable[[], None]] = None
         self._rx_framer = EomFramer()
         self._tx_framer = EomFramer()
         self.peer_capabilities: Optional[List[str]] = None
@@ -158,6 +161,8 @@ class NetconfServer:
 
     def _op_get(self, operation: ET.Element,
                 config_only: bool) -> List[ET.Element]:
+        if not config_only and self.before_get is not None:
+            self.before_get()
         source = "running"
         if config_only:
             source_el = operation.find(nc.qn("source"))
@@ -236,6 +241,13 @@ class NetconfServer:
         if not self.closed:
             self.closed = True
             self.transport.close()
+
+    def hang_up(self) -> None:
+        """Drop the session and every handler registered on it."""
+        self.closed = True
+        self.transport.hang_up()
+        self._rpc_handlers.clear()
+        self.before_get = None
 
     def __repr__(self) -> str:
         return "NetconfServer(session=%d, %d rpcs, %s)" % (

@@ -63,6 +63,13 @@ class InMemoryTransport:
         if self.receiver is not None:
             self.receiver(data)
 
+    def hang_up(self) -> None:
+        """Close without telling the peer, and forget it and the
+        receiver: what a stopped emulation's sessions leave to
+        reference counting."""
+        self.closed = True
+        self.peer = self.receiver = self.on_close = None
+
     def close(self) -> None:
         if self.closed:
             return

@@ -38,6 +38,14 @@ class Interface:
         if self.node is not None:
             self.node.link_attached(self)
 
+    def unbind(self) -> None:
+        """Drop what building the network bound here (the link, the
+        node and their per-hop callables): a stopped network is freed
+        by reference counting.  The counters stay readable."""
+        self.__dict__.pop("send", None)
+        self.__dict__.pop("receive", None)
+        self.node = self.link = None
+
     def send(self, data: bytes) -> None:
         """Transmit a frame: onto the link once one is attached."""
         self.tx_dropped += 1

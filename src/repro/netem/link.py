@@ -17,6 +17,18 @@ from repro.netem.interface import Interface
 from repro.sim import Simulator
 
 
+def _check_shaping(loss: Optional[float], delay: Optional[float],
+                   jitter: Optional[float]) -> None:
+    """Refuse a shaping value out of range (None = not given).  Each
+    test is written so that NaN fails it too."""
+    if loss is not None and not 0.0 <= loss <= 1.0:
+        raise ValueError("loss must be in [0,1], got %r" % loss)
+    if delay is not None and not delay >= 0:
+        raise ValueError("delay must be non-negative, got %r" % delay)
+    if jitter is not None and not jitter >= 0:
+        raise ValueError("jitter must be non-negative, got %r" % jitter)
+
+
 class _Direction:
     """Shaping state for one direction of the link, towards ``target``."""
 
@@ -40,14 +52,9 @@ class Link:
                  bandwidth: Optional[float] = None, delay: float = 0.0,
                  loss: float = 0.0, max_queue: int = 1000,
                  jitter: float = 0.0):
-        if loss < 0.0 or loss > 1.0:
-            raise ValueError("loss must be in [0,1], got %r" % loss)
-        if bandwidth is not None and bandwidth <= 0:
+        _check_shaping(loss, delay, jitter)
+        if bandwidth is not None and not bandwidth > 0:
             raise ValueError("bandwidth must be positive, got %r" % bandwidth)
-        if delay < 0:
-            raise ValueError("delay must be non-negative, got %r" % delay)
-        if jitter < 0:
-            raise ValueError("jitter must be non-negative, got %r" % jitter)
         self.sim = sim
         self.intf1 = intf1
         self.intf2 = intf2
@@ -135,7 +142,7 @@ class Link:
     def flap(self, down_for: float) -> None:
         """Take the link down now and bring it back ``down_for``
         simulated seconds later."""
-        if down_for <= 0:
+        if not down_for > 0:  # NaN too
             raise ValueError("down_for must be positive, got %r"
                              % down_for)
         self.set_up(False)
@@ -147,19 +154,12 @@ class Link:
         """Change the link's shaping in place (netem-style fault
         injection); emits a ``link.degraded`` event with the new
         values so recovery/monitoring can correlate."""
+        _check_shaping(loss, delay, jitter)
         if loss is not None:
-            if loss < 0.0 or loss > 1.0:
-                raise ValueError("loss must be in [0,1], got %r" % loss)
             self.loss = loss
         if delay is not None:
-            if delay < 0:
-                raise ValueError("delay must be non-negative, got %r"
-                                 % delay)
             self.delay = delay
         if jitter is not None:
-            if jitter < 0:
-                raise ValueError("jitter must be non-negative, got %r"
-                                 % jitter)
             self.jitter = jitter
         self.sim.telemetry.events.warn(
             "netem.link", "link.degraded", self.name, link=self.name,

@@ -51,7 +51,10 @@ class Node:
         return next(iter(self.interfaces.values()))
 
     def stop(self) -> None:
-        """Shut the node down (subclasses release resources)."""
+        """Shut the node down (subclasses release resources first) and
+        unbind its interfaces."""
+        for intf in self.interfaces.values():
+            intf.unbind()
 
     def __repr__(self) -> str:
         return "%s(%s, %d intfs)" % (type(self).__name__, self.name,
@@ -373,3 +376,6 @@ class Switch(Node):
 
     def stop(self) -> None:
         self.datapath.disconnect_controller()
+        for port in self.datapath.ports.values():
+            port.switch = port.transmit = None
+        super().stop()

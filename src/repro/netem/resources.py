@@ -19,7 +19,7 @@ class ResourceBudget:
     """Track CPU (abstract cores) and memory (MB) reservations."""
 
     def __init__(self, cpu: float = 1.0, mem: float = 1024.0):
-        if cpu <= 0 or mem <= 0:
+        if not (cpu > 0 and mem > 0):  # NaN too
             raise ValueError("capacities must be positive (cpu=%r, mem=%r)"
                              % (cpu, mem))
         self.cpu_capacity = float(cpu)

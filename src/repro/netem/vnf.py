@@ -246,6 +246,7 @@ class VNFContainer(Node):
     def stop(self) -> None:
         for vnf_id in list(self.vnfs):
             self.stop_vnf(vnf_id)
+        super().stop()
 
     def __repr__(self) -> str:
         return "VNFContainer(%s, %d VNFs, %r)" % (self.name, len(self.vnfs),

@@ -58,6 +58,7 @@ class ControllerChannel:
 
     def disconnect(self) -> None:
         self.connected = False
+        self._controller_rx = self._switch_rx = None
 
     def set_controller_receiver(self, callback: Callable) -> None:
         self._controller_rx = callback

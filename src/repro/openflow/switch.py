@@ -183,6 +183,7 @@ class OpenFlowSwitch:
         if self.channel is not None:
             self.channel.disconnect()
             self.channel = None
+        self.table.on_removed = None  # nothing left to tell
         if self._expiry_task is not None:
             self._expiry_task.cancel()
             self._expiry_task = None

@@ -2,6 +2,7 @@
 
 from typing import Any, Dict, Optional
 
+from repro.pox.events import EventMixin
 from repro.sim import Simulator
 
 
@@ -32,6 +33,14 @@ class Core:
         if name not in self._components:
             raise KeyError("no component registered as %r" % name)
         return self._components[name]
+
+    def shutdown(self) -> None:
+        """Forget every component and every subscription among them
+        (POX's ``core.quit()``)."""
+        for component in self._components.values():
+            if isinstance(component, EventMixin):
+                component._listeners.clear()
+        self._components.clear()
 
     def __getattr__(self, name: str) -> Any:
         # Called only when normal attribute lookup fails.

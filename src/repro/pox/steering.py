@@ -127,7 +127,8 @@ class TrafficSteering:
             "group-mods sent for fast-failover protection")
         self._m_paths = metrics.gauge(
             "pox.steering.paths", "steered paths currently installed")
-        self._m_paths.set_function(lambda: len(self.paths))
+        paths = self.paths  # not self: the registry outlives a stop
+        self._m_paths.set_function(lambda: len(paths))
         from repro.pox.events import PortStatusEvent
         nexus.add_listener(PortStatusEvent, self._handle_port_status)
 

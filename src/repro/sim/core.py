@@ -224,11 +224,10 @@ class Simulator:
         self._dead = 0   # cancelled entries awaiting discard
         self.compactions = 0
         # always-on counts: cancelled events the loop or a compaction
-        # threw away; Click pull-driver activations by cause
-        # (notifier/credit wakeups vs blind interval polls)
+        # threw away; Click pull-driver activations (notifier edges,
+        # hint and continuation shots)
         self.cancelled_popped = 0
         self.wakeups = 0
-        self.polls = 0
         # the emulation's one telemetry bundle, clocked by this
         # simulator: every component reads its instruments from the sim
         # it is built on.  While its profiler is enabled every event
@@ -244,8 +243,8 @@ class Simulator:
     def schedule(self, delay: float, callback: Callable[..., Any],
                  *args: Any) -> Event:
         """Run ``callback(*args)`` after ``delay`` simulated seconds."""
-        if delay < 0:
-            raise SimulationError("cannot schedule %.9fs in the past" % delay)
+        if not delay >= 0:  # NaN too: it passes every `< 0` test
+            raise SimulationError("cannot schedule %r s from now" % delay)
         when = self.now + delay
         seq = self._seq
         self._seq = seq + 1
@@ -271,9 +270,9 @@ class Simulator:
         self._dead += 1
         if self._dead * 2 > len(self._heap) and \
                 len(self._heap) >= self.COMPACT_MIN:
-            self._compact()
+            self.compact()
 
-    def _compact(self) -> None:
+    def compact(self) -> None:
         """Rebuild the heap in place without its cancelled entries,
         which count into ``cancelled_popped`` exactly as if the loop
         had popped them."""

@@ -15,6 +15,7 @@ Metric names follow ``layer.component.name`` — e.g.
 span is open at emit time, joining the three signal kinds together.
 """
 
+import weakref
 from typing import Callable, Optional
 
 from repro.telemetry.events import (DEBUG, ERROR, INFO, SEVERITIES, WARN,
@@ -51,58 +52,27 @@ class Telemetry:
     MAX_TRACES = 16  # deployment traces the tracer keeps
 
     def __init__(self, sim=None):
-        self.sim = sim
-        clock: Optional[Callable[[], float]] = (
-            (lambda: sim.now) if sim is not None else None)
+        # the simulator owns this bundle, so the clock holds it weakly:
+        # a dropped simulator is freed by reference counting
+        clock: Optional[Callable[[], float]] = None
+        if sim is not None:
+            sim_ref = weakref.ref(sim)
+            clock = lambda: sim_ref().now  # noqa: E731
         self.metrics = MetricsRegistry(clock=clock)
         self.tracer = Tracer(clock=clock, max_traces=self.MAX_TRACES)
         self.events = EventLog(clock=clock, tracer=self.tracer)
         self.profiler = Profiler()
         self.flowtrace = FlowTrace(events=self.events)
-        self.metrics.add_collector(self._collect_event_counts)
-        self.metrics.add_collector(self._collect_self_overhead)
-        self.metrics.add_collector(self._collect_flowtrace)
-
-    def _collect_event_counts(self, registry: MetricsRegistry) -> None:
-        for severity, count in self.events.counts().items():
-            registry.gauge("telemetry.events.emitted",
-                           "events emitted by severity",
-                           labels={"severity": severity.lower()}
-                           ).set(count)
-
-    def _collect_self_overhead(self, registry: MetricsRegistry) -> None:
-        """Telemetry self-overhead as first-class metrics: the cost of
-        observing is part of what is observed."""
-        registry.gauge("telemetry.profiler.enabled",
-                       "1 while the profiler records regions").set(
-            1.0 if self.profiler.enabled else 0.0)
-        registry.gauge("telemetry.profiler.entries",
-                       "region entries recorded by the profiler").set(
-            self.profiler.entries)
-        registry.gauge("telemetry.profiler.regions",
-                       "distinct profile regions recorded").set(
-            len(self.profiler.stats))
-        registry.gauge("telemetry.profiler.overhead_seconds",
-                       "host seconds spent on profiler bookkeeping").set(
-            self.profiler.overhead)
-        registry.gauge("telemetry.metrics.collect_seconds",
-                       "host seconds spent running snapshot collectors"
-                       ).set(registry.collect_seconds)
-
-    def _collect_flowtrace(self, registry: MetricsRegistry) -> None:
-        flowtrace = self.flowtrace
-        registry.gauge("telemetry.flowtrace.enabled",
-                       "1 while postcard sampling is on").set(
-            1.0 if flowtrace.enabled else 0.0)
-        registry.gauge("telemetry.flowtrace.traces",
-                       "sampled packets currently collected").set(
-            len(flowtrace))
-        registry.gauge("telemetry.flowtrace.postcards",
-                       "per-hop postcards recorded").set(
-            flowtrace.postcards)
-        registry.gauge("telemetry.flowtrace.evicted",
-                       "sampled packets evicted from the bounded "
-                       "collector").set(flowtrace.evicted)
+        # collectors close over the parts, not over this bundle, which
+        # holds the registry holding them
+        events, profiler, flowtrace = (self.events, self.profiler,
+                                       self.flowtrace)
+        self.metrics.add_collector(
+            lambda registry: _collect_event_counts(registry, events))
+        self.metrics.add_collector(
+            lambda registry: _collect_self_overhead(registry, profiler))
+        self.metrics.add_collector(
+            lambda registry: _collect_flowtrace(registry, flowtrace))
 
     def snapshot(self):
         return snapshot_dict(self.metrics, self.tracer, self.events)
@@ -112,3 +82,47 @@ class Telemetry:
             len(self.metrics), len(self.tracer.traces),
             len(self.events))
 
+
+def _collect_event_counts(registry: MetricsRegistry,
+                          events: EventLog) -> None:
+    for severity, count in events.counts().items():
+        registry.gauge("telemetry.events.emitted",
+                       "events emitted by severity",
+                       labels={"severity": severity.lower()}).set(count)
+
+
+def _collect_self_overhead(registry: MetricsRegistry,
+                           profiler: Profiler) -> None:
+    """Telemetry self-overhead as first-class metrics: the cost of
+    observing is part of what is observed."""
+    registry.gauge("telemetry.profiler.enabled",
+                   "1 while the profiler records regions").set(
+        1.0 if profiler.enabled else 0.0)
+    registry.gauge("telemetry.profiler.entries",
+                   "region entries recorded by the profiler").set(
+        profiler.entries)
+    registry.gauge("telemetry.profiler.regions",
+                   "distinct profile regions recorded").set(
+        len(profiler.stats))
+    registry.gauge("telemetry.profiler.overhead_seconds",
+                   "host seconds spent on profiler bookkeeping").set(
+        profiler.overhead)
+    registry.gauge("telemetry.metrics.collect_seconds",
+                   "host seconds spent running snapshot collectors"
+                   ).set(registry.collect_seconds)
+
+
+def _collect_flowtrace(registry: MetricsRegistry,
+                       flowtrace: FlowTrace) -> None:
+    registry.gauge("telemetry.flowtrace.enabled",
+                   "1 while postcard sampling is on").set(
+        1.0 if flowtrace.enabled else 0.0)
+    registry.gauge("telemetry.flowtrace.traces",
+                   "sampled packets currently collected").set(
+        len(flowtrace))
+    registry.gauge("telemetry.flowtrace.postcards",
+                   "per-hop postcards recorded").set(
+        flowtrace.postcards)
+    registry.gauge("telemetry.flowtrace.evicted",
+                   "sampled packets evicted from the bounded "
+                   "collector").set(flowtrace.evicted)

@@ -172,6 +172,10 @@ class EventLog:
         """Live hook: called synchronously for every kept event."""
         self._subscribers.append(callback)
 
+    def unsubscribe(self, callback: Callable[[Event], None]) -> None:
+        if callback in self._subscribers:
+            self._subscribers.remove(callback)
+
     # -- queries -----------------------------------------------------------
 
     def __len__(self) -> int:

@@ -320,6 +320,11 @@ class MetricsRegistry:
         registry and typically sets gauges from live object state."""
         self._collectors.append(fn)
 
+    def remove_collector(self,
+                         fn: Callable[["MetricsRegistry"], None]) -> None:
+        if fn in self._collectors:
+            self._collectors.remove(fn)
+
     def collect(self) -> None:
         started = time.perf_counter()
         for collector in self._collectors:

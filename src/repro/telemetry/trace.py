@@ -54,7 +54,11 @@ class Span:
         return self
 
     def __exit__(self, exc_type, _exc, _tb) -> bool:
-        self.tracer._close(self, error=exc_type is not None)
+        # a closed span holds no tracer: the tracer keeps finished
+        # traces, and the pair would be a reference cycle
+        tracer, self.tracer = self.tracer, None
+        if tracer is not None:
+            tracer._close(self, error=exc_type is not None)
         return False  # never swallow
 
     # -- queries -----------------------------------------------------------

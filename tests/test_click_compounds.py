@@ -4,6 +4,7 @@ import pytest
 
 from repro.click import ClickPacket, ConfigError, Router, parse_config
 from repro.packet import Ethernet, IPv4, TCP, UDP
+from tests.feed import feed, fed_router
 
 
 def ip_packet(proto_payload=None, protocol=17):
@@ -18,26 +19,26 @@ class TestExpansion:
     def test_simple_inline(self):
         config = parse_config(
             "elementclass Bump { input -> c :: Counter -> output; }"
-            "src :: InfiniteSource(LIMIT 3) -> b :: Bump -> Discard;")
+            "src :: FromDevice(in0) -> b :: Bump -> Discard;")
         assert "b/c" in config.elements
         assert "b" not in config.elements
         assert not any("input" in (conn.from_element, conn.to_element)
                        for conn in config.connections)
 
     def test_runs_end_to_end(self):
-        router = Router.from_config(
+        router = fed_router(
             "elementclass Bump { input -> c :: Counter -> output; }"
-            "src :: InfiniteSource(LIMIT 5) -> b :: Bump -> Discard;")
-        router.start()
+            "FromDevice(in0) -> b :: Bump -> Discard;", 5)
         router.sim.run(until=1.0)
         assert router.read_handler("b/c.count") == "5"
 
     def test_two_instances_are_independent(self):
-        router = Router.from_config(
+        router = fed_router(
             "elementclass Bump { input -> c :: Counter -> output; }"
-            "s1 :: InfiniteSource(LIMIT 2) -> b1 :: Bump -> Discard;"
-            "s2 :: InfiniteSource(LIMIT 7) -> b2 :: Bump -> d2 :: Discard;")
-        router.start()
+            "FromDevice(in0) -> b1 :: Bump -> Discard;"
+            "FromDevice(in1) -> b2 :: Bump -> d2 :: Discard;", 2,
+            devices=("in0", "in1"))
+        feed(router.sim, router.device_map["in1"], 7)
         router.sim.run(until=1.0)
         assert router.read_handler("b1/c.count") == "2"
         assert router.read_handler("b2/c.count") == "7"
@@ -58,28 +59,24 @@ class TestExpansion:
         assert router.read_handler("rest_c.count") == "1"
 
     def test_nested_compounds(self):
-        router = Router.from_config(
+        router = fed_router(
             "elementclass Inner { input -> c :: Counter -> output; }"
             "elementclass Outer { input -> i :: Inner -> output; }"
-            "src :: InfiniteSource(LIMIT 4) -> o :: Outer -> Discard;")
-        router.start()
+            "FromDevice(in0) -> o :: Outer -> Discard;", 4)
         router.sim.run(until=1.0)
         assert router.read_handler("o/i/c.count") == "4"
 
     def test_passthrough_port(self):
-        router = Router.from_config(
+        router = fed_router(
             "elementclass Wire { input -> output; }"
-            "src :: InfiniteSource(LIMIT 3) -> w :: Wire"
-            " -> c :: Counter -> Discard;")
-        router.start()
+            "FromDevice(in0) -> w :: Wire -> c :: Counter -> Discard;", 3)
         router.sim.run(until=1.0)
         assert router.read_handler("c.count") == "3"
 
     def test_anonymous_instance(self):
-        router = Router.from_config(
+        router = fed_router(
             "elementclass Bump { input -> c :: Counter -> output; }"
-            "src :: InfiniteSource(LIMIT 2) -> Bump -> Discard;")
-        router.start()
+            "FromDevice(in0) -> Bump -> Discard;", 2)
         router.sim.run(until=1.0)
         counter = [name for name in router.elements if name.endswith("/c")]
         assert len(counter) == 1
@@ -87,10 +84,9 @@ class TestExpansion:
 
     def test_compound_used_before_definition(self):
         # Click resolves elementclasses at expansion, not in order
-        router = Router.from_config(
-            "src :: InfiniteSource(LIMIT 1) -> b :: Bump -> Discard;"
-            "elementclass Bump { input -> c :: Counter -> output; }")
-        router.start()
+        router = fed_router(
+            "FromDevice(in0) -> b :: Bump -> Discard;"
+            "elementclass Bump { input -> c :: Counter -> output; }", 1)
         router.sim.run(until=1.0)
         assert router.read_handler("b/c.count") == "1"
 
@@ -175,28 +171,27 @@ class TestRealisticCompound:
 
 class TestParameterizedCompounds:
     def test_single_parameter(self):
-        router = Router.from_config(
+        router = fed_router(
             "elementclass Limit { $rate |"
             "  input -> Queue(100) -> Shaper($rate) -> Unqueue -> output;"
             "}"
-            "src :: InfiniteSource -> l :: Limit(50) -> c :: Counter"
-            " -> Discard;")
-        router.start()
+            "FromDevice(in0) -> l :: Limit(50) -> c :: Counter"
+            " -> Discard;", 500, interval=0.001)
         router.sim.run(until=2.0)
         count = int(router.read_handler("c.count"))
         assert 90 <= count <= 110  # ~50 pps over 2 s
 
     def test_two_parameters(self):
         router = Router.from_config(
-            "elementclass Tagged { $color, $limit |"
-            "  input -> Paint($color) -> q :: Queue($limit)"
+            "elementclass Tagged { $rate, $limit |"
+            "  input -> q :: Queue($limit) -> Shaper($rate)"
             "  -> Unqueue -> output;"
             "}"
             "Idle -> t :: Tagged(3, 17) -> Discard;")
         assert router.element("t/q").capacity == 17
-        paint = [e for name, e in router.elements.items()
-                 if name.startswith("t/Paint")]
-        assert paint[0].color == 3
+        shaper = [e for name, e in router.elements.items()
+                  if name.startswith("t/Shaper")]
+        assert shaper[0].rate == 3
 
     def test_instances_with_different_arguments(self):
         router = Router.from_config(

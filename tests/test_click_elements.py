@@ -4,93 +4,22 @@ import pytest
 
 from repro.click import ClickPacket, ConfigError, Router
 from repro.packet import (ARP, Ethernet, ICMP, IPv4, TCP, UDP)
-from repro.sim import Simulator
+from tests.feed import fed_router
 
 
 def ip_packet(proto_payload=None, srcip="10.0.0.1", dstip="10.0.0.2",
-              protocol=17, src="00:00:00:00:00:01",
-              dst="00:00:00:00:00:02"):
+              protocol=17):
     return ClickPacket.from_header(Ethernet(
-        src=src, dst=dst, type=Ethernet.IP_TYPE,
+        src="00:00:00:00:00:01", dst="00:00:00:00:00:02",
+        type=Ethernet.IP_TYPE,
         payload=IPv4(srcip=srcip, dstip=dstip, protocol=protocol,
                      payload=proto_payload)))
 
 
-def run_router(config, duration=1.0):
-    router = Router.from_config(config)
-    router.start()
+def run_router(config, count, interval=1e-6, duration=1.0):
+    router = fed_router(config, count, interval)
     router.sim.run(until=duration)
     return router
-
-
-class TestSources:
-    def test_infinite_source_limit(self):
-        router = run_router(
-            "s :: InfiniteSource(DATA payload, LIMIT 7)"
-            " -> c :: Counter -> Discard;")
-        assert router.read_handler("c.count") == "7"
-
-    def test_infinite_source_data(self):
-        router = Router.from_config(
-            "s :: InfiniteSource(DATA hello, LIMIT 1)"
-            " -> p :: Print(QUIET true) -> Discard;")
-        router.start()
-        router.sim.run(until=0.1)
-        assert b"hello".hex() in router.read_handler("p.log")
-
-    def test_rated_source_rate(self):
-        router = run_router(
-            "s :: RatedSource(RATE 100) -> c :: Counter -> Discard;",
-            duration=1.0)
-        count = int(router.read_handler("c.count"))
-        assert 95 <= count <= 101
-
-    def test_rated_source_positional_args(self):
-        router = Router.from_config(
-            "s :: RatedSource(xyz, 50, 10) -> Discard;")
-        source = router.element("s")
-        assert source.data == b"xyz"
-        assert source.rate == 50.0
-        assert source.limit == 10
-
-    def test_rated_source_rate_handler(self):
-        router = run_router(
-            "s :: RatedSource(RATE 10) -> c :: Counter -> Discard;",
-            duration=0.5)
-        router.write_handler("s.rate", "1000")
-        router.sim.run(until=1.0)
-        assert int(router.read_handler("c.count")) > 100
-
-    def test_rated_source_zero_rate_rejected(self):
-        with pytest.raises(ConfigError):
-            Router.from_config("s :: RatedSource(RATE 0) -> Discard;")
-
-    def test_timed_source_interval(self):
-        router = run_router(
-            "s :: TimedSource(0.25) -> c :: Counter -> Discard;",
-            duration=1.05)
-        assert router.read_handler("c.count") == "4"
-
-    def test_source_deactivation(self):
-        router = Router.from_config(
-            "s :: RatedSource(RATE 100) -> c :: Counter -> Discard;")
-        router.start()
-        router.sim.run(until=0.5)
-        router.write_handler("s.active", "false")
-        at_stop = int(router.read_handler("c.count"))
-        router.sim.run(until=1.5)
-        assert int(router.read_handler("c.count")) == at_stop
-
-    def test_source_reactivation(self):
-        router = Router.from_config(
-            "s :: RatedSource(RATE 100, ACTIVE false)"
-            " -> c :: Counter -> Discard;")
-        router.start()
-        router.sim.run(until=0.5)
-        assert router.read_handler("c.count") == "0"
-        router.write_handler("s.active", "true")
-        router.sim.run(until=1.0)
-        assert int(router.read_handler("c.count")) > 0
 
 
 class TestQueues:
@@ -116,16 +45,6 @@ class TestQueues:
         assert queue.read_handler("drops") == "3"
         assert queue.pull(0).data == b"0"  # oldest survived
 
-    def test_front_drop_keeps_newest(self):
-        router = Router.from_config(
-            "Idle -> q :: FrontDropQueue(2); q -> Unqueue -> Discard;")
-        queue = router.element("q")
-        for index in range(5):
-            queue.push(0, ClickPacket(b"%d" % index))
-        assert queue.pull(0).data == b"3"
-        assert queue.pull(0).data == b"4"
-        assert queue.read_handler("drops") == "3"
-
     def test_highwater_mark(self):
         router = Router.from_config(
             "Idle -> q :: Queue(100); q -> Unqueue -> Discard;")
@@ -140,19 +59,11 @@ class TestQueues:
         with pytest.raises(ConfigError):
             Router.from_config("Idle -> Queue(0) -> Unqueue -> Discard;")
 
-    def test_rated_unqueue_drains_at_rate(self):
-        router = run_router(
-            "s :: InfiniteSource(LIMIT 1000) -> q :: Queue(1000)"
-            " -> u :: RatedUnqueue(RATE 100) -> c :: Counter -> Discard;",
-            duration=1.0)
-        count = int(router.read_handler("c.count"))
-        assert 90 <= count <= 105
-
     def test_unqueue_burst(self):
         router = run_router(
-            "s :: InfiniteSource(LIMIT 50) -> q :: Queue(100)"
+            "FromDevice(in0) -> q :: Queue(100)"
             " -> u :: Unqueue(BURST 10) -> c :: Counter -> Discard;",
-            duration=0.5)
+            50, duration=0.5)
         assert router.read_handler("c.count") == "50"
 
 
@@ -169,80 +80,23 @@ class TestCounters:
 
     def test_rate_over_lifetime(self):
         router = run_router(
-            "s :: RatedSource(RATE 100, LIMIT 100)"
-            " -> c :: Counter -> Discard;", duration=2.0)
+            "FromDevice(in0) -> c :: Counter -> Discard;", 100,
+            interval=0.01, duration=2.0)
         rate = float(router.read_handler("c.rate"))
         assert 90 <= rate <= 110
 
     def test_reset(self):
         router = run_router(
-            "s :: InfiniteSource(LIMIT 3) -> c :: Counter -> Discard;")
+            "FromDevice(in0) -> c :: Counter -> Discard;", 3)
         router.write_handler("c.reset", "")
         assert router.read_handler("c.count") == "0"
         assert router.read_handler("c.byte_count") == "0"
 
-    def test_average_counter_ewma(self):
-        router = run_router(
-            "s :: RatedSource(RATE 200) -> c :: AverageCounter(0.5)"
-            " -> Discard;", duration=2.0)
-        ewma = float(router.read_handler("c.ewma_rate"))
-        assert 100 <= ewma <= 300
-
     def test_counter_works_on_pull_path(self):
         router = run_router(
-            "s :: InfiniteSource(LIMIT 20) -> Queue(50)"
-            " -> c :: Counter -> Unqueue -> Discard;", duration=0.5)
+            "FromDevice(in0) -> Queue(50)"
+            " -> c :: Counter -> Unqueue -> Discard;", 20, duration=0.5)
         assert router.read_handler("c.count") == "20"
-
-
-class TestClassifier:
-    def _router(self):
-        router = Router.from_config(
-            "cl :: Classifier(12/0800, 12/0806, -);"
-            "Idle -> cl;"
-            "cl[0] -> ip :: Counter -> Discard;"
-            "cl[1] -> arp :: Counter -> Discard;"
-            "cl[2] -> rest :: Counter -> Discard;")
-        router.start()
-        return router
-
-    def test_ethertype_dispatch(self):
-        router = self._router()
-        classifier = router.element("cl")
-        classifier.push(0, ip_packet())
-        classifier.push(0, ClickPacket.from_header(
-            Ethernet(type=Ethernet.ARP_TYPE, payload=ARP())))
-        classifier.push(0, ClickPacket.from_header(Ethernet(type=0x9999)))
-        assert router.read_handler("ip.count") == "1"
-        assert router.read_handler("arp.count") == "1"
-        assert router.read_handler("rest.count") == "1"
-
-    def test_short_packet_no_match(self):
-        router = self._router()
-        router.element("cl").push(0, ClickPacket(b"\x00" * 4))
-        # falls to the catch-all "-" pattern
-        assert router.read_handler("rest.count") == "1"
-
-    def test_wildcard_nibbles(self):
-        router = Router.from_config(
-            "cl :: Classifier(12/08??); Idle -> cl;"
-            "cl -> hit :: Counter -> Discard;")
-        router.start()
-        router.element("cl").push(0, ip_packet())  # 0800 matches 08??
-        assert router.read_handler("hit.count") == "1"
-
-    def test_no_match_drops(self):
-        router = Router.from_config(
-            "cl :: Classifier(12/9999); Idle -> cl;"
-            "cl -> hit :: Counter -> Discard;")
-        router.start()
-        router.element("cl").push(0, ip_packet())
-        assert router.read_handler("hit.count") == "0"
-        assert router.read_handler("cl.dropped") == "1"
-
-    def test_odd_hex_rejected(self):
-        with pytest.raises(ConfigError):
-            Router.from_config("Idle -> Classifier(12/080) -> Discard;")
 
 
 class TestIPClassifier:
@@ -350,144 +204,3 @@ class TestIPClassifier:
         router = self._build("tcp")
         router.element("cl").push(0, ip_packet(UDP(), protocol=17))
         assert router.read_handler("cl.dropped") == "1"
-
-
-class TestHeaderOps:
-    def test_strip(self):
-        router = Router.from_config(
-            "Idle -> s :: Strip(14) -> c :: Counter -> Discard;")
-        router.start()
-        packet = ip_packet()
-        original_len = len(packet)
-        router.element("s").push(0, packet)
-        assert int(router.read_handler("c.byte_count")) \
-            == original_len - 14
-
-    def test_ether_encap(self):
-        router = Router.from_config(
-            "Idle -> e :: EtherEncap(0x0800, 00:00:00:00:00:0a,"
-            " 00:00:00:00:00:0b) -> c :: Counter -> Discard;")
-        router.start()
-        inner = IPv4(srcip="1.1.1.1", dstip="2.2.2.2").pack()
-        captured = []
-        router.element("c").push = lambda port, pkt: captured.append(pkt)
-        router.element("e").push(0, ClickPacket(inner))
-        frame = Ethernet.unpack(captured[0].data)
-        assert str(frame.src) == "00:00:00:00:00:0a"
-        assert str(frame.dst) == "00:00:00:00:00:0b"
-        assert isinstance(frame.payload, IPv4)
-
-    def test_ether_mirror(self):
-        router = Router.from_config(
-            "Idle -> m :: EtherMirror -> c :: Counter -> Discard;")
-        router.start()
-        captured = []
-        router.element("c").push = lambda port, pkt: captured.append(pkt)
-        router.element("m").push(0, ip_packet(src="00:00:00:00:00:01",
-                                              dst="00:00:00:00:00:02"))
-        frame = Ethernet.unpack(captured[0].data)
-        assert str(frame.src) == "00:00:00:00:00:02"
-        assert str(frame.dst) == "00:00:00:00:00:01"
-
-    def test_check_ip_header_passes_good(self):
-        router = Router.from_config(
-            "Idle -> ch :: CheckIPHeader -> c :: Counter -> Discard;")
-        router.start()
-        router.element("ch").push(0, ip_packet())
-        assert router.read_handler("c.count") == "1"
-        assert router.read_handler("ch.drops") == "0"
-
-    def test_check_ip_header_drops_bad(self):
-        router = Router.from_config(
-            "Idle -> ch :: CheckIPHeader -> c :: Counter -> Discard;")
-        router.start()
-        router.element("ch").push(
-            0, ClickPacket.from_header(Ethernet(type=Ethernet.IP_TYPE,
-                                                payload=b"bogus")))
-        assert router.read_handler("c.count") == "0"
-        assert router.read_handler("ch.drops") == "1"
-
-    def test_dec_ip_ttl(self):
-        router = Router.from_config(
-            "Idle -> d :: DecIPTTL -> c :: Counter -> Discard;")
-        router.start()
-        captured = []
-        router.element("c").push = lambda port, pkt: captured.append(pkt)
-        packet = ip_packet()
-        original_ttl = packet.ip().ttl
-        router.element("d").push(0, packet)
-        assert captured[0].ip().ttl == original_ttl - 1
-
-    def test_dec_ip_ttl_expiry(self):
-        router = Router.from_config(
-            "Idle -> d :: DecIPTTL -> c :: Counter -> Discard;")
-        router.start()
-        packet = ClickPacket.from_header(Ethernet(
-            type=Ethernet.IP_TYPE,
-            payload=IPv4(srcip="1.1.1.1", dstip="2.2.2.2", ttl=1)))
-        router.element("d").push(0, packet)
-        assert router.read_handler("c.count") == "0"
-        assert router.read_handler("d.expired") == "1"
-
-    def test_paint_and_paintswitch(self):
-        router = Router.from_config(
-            "Idle -> p :: Paint(2) -> ps :: PaintSwitch;"
-            "ps[0] -> o0 :: Counter -> Discard;"
-            "ps[1] -> o1 :: Counter -> Discard;"
-            "ps[2] -> o2 :: Counter -> Discard;")
-        router.start()
-        router.element("p").push(0, ClickPacket(b"x"))
-        assert router.read_handler("o2.count") == "1"
-
-    def test_paint_out_of_range(self):
-        with pytest.raises(ConfigError):
-            Router.from_config("Idle -> Paint(300) -> Discard;")
-
-    def test_icmp_ping_responder(self):
-        router = Router.from_config(
-            "Idle -> r :: ICMPPingResponder -> c :: Counter -> Discard;")
-        router.start()
-        captured = []
-        router.element("c").push = lambda port, pkt: captured.append(pkt)
-        request = ClickPacket.from_header(Ethernet(
-            src="00:00:00:00:00:01", dst="00:00:00:00:00:02",
-            type=Ethernet.IP_TYPE,
-            payload=IPv4(srcip="10.0.0.1", dstip="10.0.0.2", protocol=1,
-                         payload=ICMP(type=ICMP.TYPE_ECHO_REQUEST, id=5,
-                                      seq=2))))
-        router.element("r").push(0, request)
-        reply = Ethernet.unpack(captured[0].data)
-        assert str(reply.dst) == "00:00:00:00:00:01"
-        icmp = reply.find(ICMP)
-        assert icmp.is_echo_reply
-        assert (icmp.id, icmp.seq) == (5, 2)
-        assert str(reply.find(IPv4).srcip) == "10.0.0.2"
-
-    def test_arp_responder(self):
-        router = Router.from_config(
-            "Idle -> r :: ARPResponder(10.0.0.5 00:00:00:00:00:55)"
-            " -> c :: Counter -> Discard;")
-        router.start()
-        captured = []
-        router.element("c").push = lambda port, pkt: captured.append(pkt)
-        request = ClickPacket.from_header(Ethernet(
-            src="00:00:00:00:00:01", dst="ff:ff:ff:ff:ff:ff",
-            type=Ethernet.ARP_TYPE,
-            payload=ARP(opcode=ARP.REQUEST, hwsrc="00:00:00:00:00:01",
-                        protosrc="10.0.0.1", protodst="10.0.0.5")))
-        router.element("r").push(0, request)
-        reply = Ethernet.unpack(captured[0].data).find(ARP)
-        assert reply.opcode == ARP.REPLY
-        assert str(reply.hwsrc) == "00:00:00:00:00:55"
-        assert reply.protosrc == "10.0.0.5"
-
-    def test_arp_responder_ignores_other_targets(self):
-        router = Router.from_config(
-            "Idle -> r :: ARPResponder(10.0.0.5 00:00:00:00:00:55)"
-            " -> c :: Counter -> Discard;")
-        router.start()
-        request = ClickPacket.from_header(Ethernet(
-            type=Ethernet.ARP_TYPE,
-            payload=ARP(opcode=ARP.REQUEST, protodst="10.0.0.99")))
-        router.element("r").push(0, request)
-        assert router.read_handler("r.replies") == "0"

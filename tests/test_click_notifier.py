@@ -92,27 +92,6 @@ class TestQueueTransitions:
         assert queue.pull(0) is None
         assert not queue.notifier.active
 
-    def test_front_drop_queue_wakes_too(self):
-        router = Router.from_config(
-            "Idle -> q :: FrontDropQueue(2); q -> Unqueue -> Discard;")
-        queue = router.element("q")
-        edges = []
-        queue.notifier.listen(lambda: edges.append(1))
-        for _ in range(4):  # overflows head-drop, stays non-empty
-            queue.push(0, packet())
-        assert edges == [1]
-        assert queue.notifier.active
-
-    def test_queue_full_rejects_push_hint(self):
-        router = Router.from_config(
-            "Idle -> q :: Queue(2); q -> Unqueue -> Discard;")
-        queue = router.element("q")
-        assert queue.accepts_push(0)
-        queue.push(0, packet())
-        queue.push(0, packet())
-        assert not queue.accepts_push(0)
-
-
 class TestNotifierForwarding:
     def test_shaper_forwards_queue_notifier(self):
         router = Router.from_config(
@@ -121,14 +100,6 @@ class TestNotifierForwarding:
         queue, shaper, unqueue = (router.element(name)
                                   for name in ("q", "sh", "u"))
         assert shaper.output_notifier(0) is queue.notifier
-        assert unqueue.input_notifier(0) is queue.notifier
-
-    def test_bandwidth_shaper_forwards_queue_notifier(self):
-        router = Router.from_config(
-            "Idle -> q :: Queue(10);"
-            " q -> sh :: BandwidthShaper(10000)"
-            " -> u :: Unqueue -> Discard;")
-        queue, unqueue = router.element("q"), router.element("u")
         assert unqueue.input_notifier(0) is queue.notifier
 
     def test_counter_forwards_on_pull_path(self):
@@ -228,40 +199,6 @@ class TestDriverSleepWake:
         drained_at = started_at  # continuation shots share the stamp
         assert sim.now >= drained_at
 
-    def test_rated_unqueue_parks_then_resumes_at_rate(self):
-        sim = Simulator()
-        router = started(
-            "Idle -> q :: Queue(100);"
-            " q -> RatedUnqueue(RATE 100) -> c :: Counter -> Discard;",
-            sim=sim)
-        queue = router.element("q")
-        sim.run(until=0.5)
-        assert sim.processed == 0  # parked, no credit ticks
-        for _ in range(50):
-            queue.push(0, packet())
-        sim.run(until=0.6)
-        # 0.1s at 100/s: the first pull fires on wake, then one per
-        # credit instant
-        count = int(router.read_handler("c.count"))
-        assert 10 <= count <= 12
-        sim.run(until=2.0)
-        assert router.read_handler("c.count") == "50"
-        assert sim.pending == 0  # drained → parked, heap empty
-
-    def test_rated_unqueue_idle_spell_earns_no_catchup_burst(self):
-        sim = Simulator()
-        router = started(
-            "Idle -> q :: Queue(100);"
-            " q -> RatedUnqueue(RATE 10) -> c :: Counter -> Discard;",
-            sim=sim)
-        queue = router.element("q")
-        sim.run(until=1.0)  # a long idle spell accrues no credit
-        for _ in range(10):
-            queue.push(0, packet())
-        sim.run(until=1.35)
-        # wake fires one immediately, then 10/s — not a burst of 10
-        assert int(router.read_handler("c.count")) <= 5
-
     def test_to_device_sleeps_and_wakes(self):
         sim = Simulator()
         router = Router.from_config(
@@ -308,7 +245,7 @@ class TestDriverSleepWake:
         assert used <= 15, "hint shots degenerated into polling: %d" % used
         assert sim.wakeups > 0
 
-    def test_wakeups_and_polls_counters_always_on(self):
+    def test_wakeups_counter_always_on(self):
         sim = Simulator()
         assert not sim.telemetry.profiler.enabled
         router = started(
@@ -316,44 +253,15 @@ class TestDriverSleepWake:
         router.element("q").push(0, packet())
         sim.run(until=0.5)
         assert sim.wakeups >= 1
-        assert sim.polls == 0  # a notifier upstream: nothing polls
 
-
-class TestSourceBackpressure:
-    def test_source_suppresses_into_full_queue(self):
+    def test_driver_behind_idle_stays_parked(self):
+        """``Idle`` has no notifier and never a packet: the driver
+        behind it arms nothing."""
         sim = Simulator()
-        router = started(
-            "src :: RatedSource(RATE 1000)"
-            " -> q :: Queue(5);"
-            " q -> RatedUnqueue(RATE 10) -> Discard;", sim=sim)
+        router = started("Idle -> u :: Unqueue -> Discard;", sim=sim)
         sim.run(until=1.0)
-        source = router.element("src")
-        queue = router.element("q")
-        assert source.suppressed > 0
-        assert int(router.read_handler("src.suppressed")) == \
-            source.suppressed
-        assert queue.drops == 0  # nothing synthesized just to tail-drop
-
-    def test_source_resumes_after_drain(self):
-        sim = Simulator()
-        router = started(
-            "src :: TimedSource(INTERVAL 0.01, LIMIT 20)"
-            " -> q :: Queue(50);"
-            " q -> Unqueue -> c :: Counter -> Discard;", sim=sim)
-        sim.run(until=1.0)
-        assert router.read_handler("c.count") == "20"
-        assert router.element("src").suppressed == 0
-
-    def test_front_drop_queue_accepts_everything(self):
-        sim = Simulator()
-        router = started(
-            "src :: TimedSource(INTERVAL 0.001, LIMIT 10)"
-            " -> q :: FrontDropQueue(3);"
-            " q -> RatedUnqueue(RATE 1) -> Discard;", sim=sim)
-        sim.run(until=0.5)
-        # head-drop is the element's *intended* behavior: the source
-        # must not suppress into it
-        assert router.element("src").suppressed == 0
+        assert sim.processed == 0 and sim.pending == 0
+        assert router.element("u")._activation.notifier is None
 
 
 FATTREE_SMOKE = {

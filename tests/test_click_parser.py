@@ -46,9 +46,9 @@ class TestStripComments:
 
 class TestDeclarations:
     def test_simple_declaration(self):
-        config = parse_config("src :: InfiniteSource(LIMIT 3);")
-        assert config.elements["src"].class_name == "InfiniteSource"
-        assert config.elements["src"].config == "LIMIT 3"
+        config = parse_config("u :: Unqueue(BURST 3);")
+        assert config.elements["u"].class_name == "Unqueue"
+        assert config.elements["u"].config == "BURST 3"
 
     def test_declaration_without_args(self):
         config = parse_config("c :: Counter;")
@@ -65,8 +65,8 @@ class TestDeclarations:
             parse_config("c :: Counter; c :: Queue;")
 
     def test_config_args_split(self):
-        config = parse_config("s :: RatedSource(DATA xyz, RATE 10);")
-        assert config.elements["s"].config_args() == ["DATA xyz", "RATE 10"]
+        config = parse_config("s :: StringMatcher(xyz, BURST 10);")
+        assert config.elements["s"].config_args() == ["xyz", "BURST 10"]
 
 
 class TestConnections:
@@ -87,7 +87,7 @@ class TestConnections:
 
     def test_inline_named_declaration_in_chain(self):
         config = parse_config(
-            "src :: InfiniteSource(LIMIT 1) -> cnt :: Counter -> Discard;")
+            "src :: FromDevice(in0) -> cnt :: Counter -> Discard;")
         assert set(config.elements) == {"src", "cnt", "Discard@1"}
         assert len(config.connections) == 2
 

@@ -3,8 +3,10 @@
 import pytest
 
 from repro.click import (ClickPacket, ConfigError, HandlerError, Router,
-                         lookup_element, registered_elements)
+                         lookup_element, parse_config, registered_elements)
+from repro.core.catalog import default_catalog
 from repro.sim import Simulator
+from tests.feed import fed_router
 
 
 class TestConstruction:
@@ -14,8 +16,8 @@ class TestConstruction:
 
     def test_bad_element_config_surfaces(self):
         with pytest.raises(ConfigError):
-            Router.from_config("s :: Strip(not-a-number) -> Discard;"
-                               " Idle -> s;")
+            Router.from_config("q :: Queue(not-a-number) -> Unqueue"
+                               " -> Discard; Idle -> q;")
 
     def test_port_out_of_range(self):
         # Counter has exactly one output
@@ -31,7 +33,7 @@ class TestConstruction:
 
     def test_fan_in_on_push_input_allowed(self):
         router = Router.from_config(
-            "a :: InfiniteSource(LIMIT 1); b :: InfiniteSource(LIMIT 1);"
+            "a :: FromDevice(in0); b :: FromDevice(in1);"
             "c :: Counter; a -> c; b -> c; c -> Discard;")
         assert router.element("c").inputs[0].connected
 
@@ -59,25 +61,25 @@ class TestPersonalityResolution:
     def test_push_to_pull_conflict(self):
         with pytest.raises(ConfigError) as exc:
             Router.from_config(
-                "InfiniteSource(LIMIT 1) -> Shaper(10) -> Discard;")
+                "FromDevice(in0) -> Shaper(10) -> Discard;")
         assert "Queue" in str(exc.value)
 
     def test_queue_resolves_boundary(self):
         router = Router.from_config(
-            "src :: InfiniteSource(LIMIT 1) -> Queue -> Shaper(10)"
+            "src :: FromDevice(in0) -> Queue -> Shaper(10)"
             " -> Unqueue -> Discard;")
         assert router is not None
 
     def test_agnostic_inherits_push(self):
         router = Router.from_config(
-            "src :: InfiniteSource(LIMIT 1) -> c :: Counter -> Discard;")
+            "src :: FromDevice(in0) -> c :: Counter -> Discard;")
         element = router.element("c")
         assert element.inputs[0].resolved == "push"
         assert element.outputs[0].resolved == "push"
 
     def test_agnostic_inherits_pull(self):
         router = Router.from_config(
-            "src :: InfiniteSource(LIMIT 1) -> Queue"
+            "src :: FromDevice(in0) -> Queue"
             " -> c :: Counter -> Unqueue -> Discard;")
         element = router.element("c")
         assert element.inputs[0].resolved == "pull"
@@ -87,23 +89,22 @@ class TestPersonalityResolution:
         # output side at once
         with pytest.raises(ConfigError):
             Router.from_config(
-                "InfiniteSource(LIMIT 1) -> c :: Counter"
+                "FromDevice(in0) -> c :: Counter"
                 " -> Shaper(5) -> Unqueue -> Discard;")
 
     def test_pull_fan_in_rejected(self):
         with pytest.raises(ConfigError):
             Router.from_config(
-                "s1 :: InfiniteSource(LIMIT 1) -> q1 :: Queue;"
-                "s2 :: InfiniteSource(LIMIT 1) -> q2 :: Queue;"
+                "s1 :: FromDevice(in0) -> q1 :: Queue;"
+                "s2 :: FromDevice(in1) -> q2 :: Queue;"
                 "u :: Unqueue -> Discard;"
                 "q1 -> u; q2 -> u;")
 
 
 class TestHandlers:
     def test_read_handler_path(self):
-        router = Router.from_config(
-            "src :: InfiniteSource(LIMIT 2) -> c :: Counter -> Discard;")
-        router.start()
+        router = fed_router(
+            "src :: FromDevice(in0) -> c :: Counter -> Discard;", 2)
         router.sim.run(until=1.0)
         assert router.read_handler("c.count") == "2"
 
@@ -113,9 +114,8 @@ class TestHandlers:
         assert router.read_handler("i.config") == ""
 
     def test_write_handler(self):
-        router = Router.from_config(
-            "src :: InfiniteSource(LIMIT 5) -> c :: Counter -> Discard;")
-        router.start()
+        router = fed_router(
+            "src :: FromDevice(in0) -> c :: Counter -> Discard;", 5)
         router.sim.run(until=1.0)
         router.write_handler("c.reset", "")
         assert router.read_handler("c.count") == "0"
@@ -146,19 +146,16 @@ class TestHandlers:
 
 class TestLifecycle:
     def test_start_idempotent(self):
-        router = Router.from_config(
-            "src :: InfiniteSource(LIMIT 1) -> Discard;")
-        router.start()
+        router = fed_router("src :: FromDevice(in0) -> Discard;", 1)
         router.start()
         router.sim.run(until=1.0)
         assert router.read_handler("src.count") == "1"
 
     def test_stop_halts_sources(self):
         sim = Simulator()
-        router = Router.from_config(
-            "src :: RatedSource(RATE 100) -> c :: Counter -> Discard;",
-            sim=sim)
-        router.start()
+        router = fed_router(
+            "src :: FromDevice(in0) -> c :: Counter -> Discard;", 100,
+            interval=0.01, sim=sim)
         sim.run(until=0.1)
         count_at_stop = int(router.read_handler("c.count"))
         router.stop()
@@ -166,10 +163,9 @@ class TestLifecycle:
         assert int(router.read_handler("c.count")) == count_at_stop
 
     def test_flat_config_regenerates(self):
-        router = Router.from_config(
-            "src :: InfiniteSource(LIMIT 1) -> Discard;")
+        router = Router.from_config("src :: FromDevice(in0) -> Discard;")
         flat = router.flat_config()
-        assert "src :: InfiniteSource" in flat
+        assert "src :: FromDevice" in flat
         assert "->" in flat or "[0]" in flat
 
 
@@ -183,6 +179,21 @@ class TestRegistry:
     def test_lookup_unknown_raises(self):
         with pytest.raises(ConfigError):
             lookup_element("Bogus")
+
+    def test_library_is_what_the_catalog_composes(self):
+        """Every stock element is named by a catalog entry's config; an
+        element only tests reach does not belong in the library."""
+        catalog = default_catalog()
+        composed = set()
+        for name in catalog.names():
+            params = {"nat_ip": "10.0.0.100"} if name == "nat" else {}
+            config = parse_config(catalog.get(name).render(params))
+            composed.update(spec.class_name
+                            for spec in config.elements.values())
+        library = {name for name in registered_elements()
+                   if lookup_element(name).__module__.startswith("repro.")}
+        # the examples cap unused ports with Idle, the stand-in device
+        assert library - composed == {"Idle"}
 
 
 class TestClickPacket:
@@ -198,11 +209,10 @@ class TestClickPacket:
 
     def test_clone_is_independent(self):
         packet = ClickPacket(b"abc")
-        packet.paint = 5
         clone = packet.clone()
-        clone.paint = 9
-        assert packet.paint == 5
-        assert clone.data == b"abc"
+        clone.data = b"xyz"
+        assert packet.data == b"abc"
+        assert clone is not packet
 
     def test_from_header(self):
         from repro.packet import Ethernet

@@ -1,5 +1,5 @@
-"""Tests for the VNF building blocks: switches, shapers, NAT, firewall,
-DPI and the device splice."""
+"""Tests for the VNF building blocks: fan-out, load spreading, shapers,
+NAT, firewall, DPI and the device splice."""
 
 import pytest
 
@@ -7,6 +7,7 @@ from repro.click import ClickPacket, ConfigError, Router
 from repro.click.elements.device import Device
 from repro.packet import Ethernet, IPv4, TCP, UDP
 from repro.sim import Simulator
+from tests.feed import fed_router
 
 
 def ip_packet(proto_payload=None, srcip="10.0.0.1", dstip="10.0.0.2",
@@ -50,43 +51,6 @@ class TestTee:
             router.start()
 
 
-class TestSwitch:
-    def test_default_output(self):
-        router = Router.from_config(
-            "Idle -> s :: Switch;"
-            "s[0] -> a :: Counter -> Discard;"
-            "s[1] -> b :: Counter -> Discard;")
-        router.start()
-        router.element("s").push(0, ClickPacket(b"x"))
-        assert router.read_handler("a.count") == "1"
-
-    def test_retarget_via_handler(self):
-        router = Router.from_config(
-            "Idle -> s :: Switch;"
-            "s[0] -> a :: Counter -> Discard;"
-            "s[1] -> b :: Counter -> Discard;")
-        router.start()
-        router.write_handler("s.switch", "1")
-        router.element("s").push(0, ClickPacket(b"x"))
-        assert router.read_handler("b.count") == "1"
-
-    def test_negative_drops(self):
-        router = Router.from_config(
-            "Idle -> s :: Switch;"
-            "s[0] -> a :: Counter -> Discard;")
-        router.start()
-        router.write_handler("s.switch", "-1")
-        router.element("s").push(0, ClickPacket(b"x"))
-        assert router.read_handler("a.count") == "0"
-
-    def test_out_of_range_write_rejected(self):
-        router = Router.from_config(
-            "Idle -> s :: Switch; s[0] -> Discard;")
-        router.start()
-        with pytest.raises(ConfigError):
-            router.write_handler("s.switch", "5")
-
-
 class TestRoundRobinAndHash:
     def test_round_robin_rotation(self):
         router = Router.from_config(
@@ -99,80 +63,26 @@ class TestRoundRobinAndHash:
         assert router.read_handler("a.count") == "3"
         assert router.read_handler("b.count") == "3"
 
-    def test_hash_switch_flow_affinity(self):
-        router = Router.from_config(
-            "Idle -> h :: HashSwitch(26, 8);"  # IP src+dst region
-            "h[0] -> a :: Counter -> Discard;"
-            "h[1] -> b :: Counter -> Discard;")
-        router.start()
-        element = router.element("h")
-        for _ in range(5):
-            element.push(0, ip_packet(srcip="10.0.0.1"))
-        counts = (int(router.read_handler("a.count")),
-                  int(router.read_handler("b.count")))
-        # same flow -> same output every time
-        assert sorted(counts) == [0, 5]
-
-    def test_hash_switch_spreads_flows(self):
-        router = Router.from_config(
-            "Idle -> h :: HashSwitch(26, 8);"
-            "h[0] -> a :: Counter -> Discard;"
-            "h[1] -> b :: Counter -> Discard;")
-        router.start()
-        element = router.element("h")
-        for index in range(32):
-            element.push(0, ip_packet(srcip="10.0.%d.1" % index))
-        assert int(router.read_handler("a.count")) > 0
-        assert int(router.read_handler("b.count")) > 0
-
-    def test_random_sample_deterministic_per_seed(self):
-        def run_once():
-            router = Router.from_config(
-                "Idle -> r :: RandomSample(0.5, SEED 42)"
-                " -> c :: Counter -> Discard;")
-            router.start()
-            for _ in range(100):
-                router.element("r").push(0, ClickPacket(b"x"))
-            return router.read_handler("c.count")
-        assert run_once() == run_once()
-
-    def test_random_sample_probability_bounds(self):
-        with pytest.raises(ConfigError):
-            Router.from_config("Idle -> RandomSample(1.5) -> Discard;")
-
-
 class TestShapers:
     def test_shaper_limits_rate(self):
-        router = Router.from_config(
-            "s :: InfiniteSource -> q :: Queue(10000)"
+        router = fed_router(
+            "FromDevice(in0) -> q :: Queue(10000)"
             " -> sh :: Shaper(50) -> u :: Unqueue"
-            " -> c :: Counter -> Discard;")
-        router.start()
+            " -> c :: Counter -> Discard;", 500, interval=0.001)
         router.sim.run(until=2.0)
         count = int(router.read_handler("c.count"))
         assert 90 <= count <= 110  # ~50 pps over 2 s
 
     def test_shaper_runtime_rate_change(self):
-        router = Router.from_config(
-            "s :: InfiniteSource -> Queue(100000) -> sh :: Shaper(10)"
-            " -> Unqueue -> c :: Counter -> Discard;")
-        router.start()
+        router = fed_router(
+            "FromDevice(in0) -> Queue(100000) -> sh :: Shaper(10)"
+            " -> Unqueue -> c :: Counter -> Discard;", 2000,
+            interval=0.0001)
         router.sim.run(until=1.0)
         router.write_handler("sh.rate", "1000")
         before = int(router.read_handler("c.count"))
         router.sim.run(until=2.0)
         assert int(router.read_handler("c.count")) - before > 500
-
-    def test_bandwidth_shaper_byte_rate(self):
-        # 100-byte packets at 5000 B/s -> ~50 pps
-        router = Router.from_config(
-            "s :: InfiniteSource(DATA %s) -> Queue(100000)"
-            " -> bw :: BandwidthShaper(5000) -> Unqueue"
-            " -> c :: Counter -> Discard;" % ("x" * 100))
-        router.start()
-        router.sim.run(until=2.0)
-        count = int(router.read_handler("c.count"))
-        assert 80 <= count <= 130
 
     def test_delay_queue_holds_packets(self):
         sim = Simulator()
@@ -185,23 +95,6 @@ class TestShapers:
         assert router.read_handler("c.count") == "0"
         sim.run(until=0.7)
         assert router.read_handler("c.count") == "1"
-
-    def test_red_drops_early_between_thresholds(self):
-        router = Router.from_config(
-            "Idle -> red :: RED(5, 20, 1.0, 100);"
-            "red -> Unqueue -> Discard;")
-        router.start()
-        red = router.element("red")
-        for _ in range(50):
-            red.push(0, ClickPacket(b"x"))
-        assert int(red.read_handler("early_drops")) > 0
-        assert int(red.read_handler("length")) <= 20
-
-    def test_red_bad_thresholds_rejected(self):
-        with pytest.raises(ConfigError):
-            Router.from_config(
-                "Idle -> RED(20, 5, 0.1) -> Unqueue -> Discard;")
-
 
 class TestIPFilter:
     def _router(self, rules):
@@ -407,16 +300,12 @@ class TestDeviceSplice:
         assert sent == [b"out-bytes"]
 
     def test_to_device_pull_mode_drains_queue(self):
-        sim = Simulator()
-        router = Router.from_config(
-            "src :: InfiniteSource(LIMIT 5) -> Queue(10)"
-            " -> ToDevice(eth0);", sim=sim)
-        device = Device("eth0")
+        router = fed_router(
+            "FromDevice(in0) -> Queue(10) -> ToDevice(eth0);", 5,
+            devices=("in0", "eth0"))
         sent = []
-        device.transmit = sent.append
-        router.device_map = {"eth0": device}
-        router.start()
-        sim.run(until=0.5)
+        router.device_map["eth0"].transmit = sent.append
+        router.sim.run(until=0.5)
         assert len(sent) == 5
 
     def test_missing_device_raises(self):

@@ -547,6 +547,15 @@ class TestInstanceIsolation:
             escape.stop()  # idempotent
             assert escape.sim.pending == 0
 
+    def test_stopped_instance_refuses_to_start(self):
+        """``stop()`` unwires the emulation (a stopped one is freed by
+        reference counting), so it cannot come back up."""
+        escape = ESCAPE.from_topology(load_topology(TOPOLOGY))
+        escape.start()
+        escape.stop()
+        with pytest.raises(RuntimeError, match="stopped"):
+            escape.start()
+
 
 _KNOWN_FRAMES_SCENARIO = """
 import struct

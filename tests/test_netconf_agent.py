@@ -8,8 +8,7 @@ from repro.netconf.messages import qn
 from repro.netconf.vnf_yang import VNF_NS
 from repro.netem import Network
 
-COUNT_VNF = ("src :: RatedSource(RATE 100, LIMIT 1000)"
-             " -> cnt :: Counter -> Discard;")
+COUNT_VNF = "src :: FromDevice(in0) -> cnt :: Counter -> Discard;"
 WIRE_VNF = "FromDevice(in0) -> cnt :: Counter -> ToDevice(out0);"
 
 
@@ -26,11 +25,18 @@ def managed():
     return net, container, agent, client
 
 
-def start(client, sim, vnf_id="v1", config=COUNT_VNF, devices="",
+def start(client, sim, vnf_id="v1", config=COUNT_VNF, devices="in0",
           cpu="0.5", mem="128"):
     return client.rpc("startVNF", VNF_NS, {
         "id": vnf_id, "click-config": config, "devices": devices,
         "cpu": cpu, "mem": mem}).result(sim)
+
+
+def feed(net, container, vnf_id="v1"):
+    """100 frames on the VNF's in0 over the next second."""
+    deliver = container.vnfs[vnf_id].devices["in0"].deliver
+    for index in range(100):
+        net.sim.schedule(0.01 * index, deliver, b"frame")
 
 
 class TestAgentRpcs:
@@ -112,8 +118,9 @@ class TestAgentRpcs:
         assert len(container.free_interfaces()) == 2
 
     def test_get_vnf_info_handler_read(self, managed):
-        net, _container, _agent, client = managed
+        net, container, _agent, client = managed
         start(client, net.sim)
+        feed(net, container)
         net.run(1.0)
         reply = client.rpc("getVNFInfo", VNF_NS, {
             "id": "v1", "handler": "cnt.count"}).result(net.sim)
@@ -137,8 +144,9 @@ class TestAgentRpcs:
         assert "src.count" in listing
 
     def test_write_handler(self, managed):
-        net, _container, _agent, client = managed
+        net, container, _agent, client = managed
         start(client, net.sim)
+        feed(net, container)
         net.run(0.5)
         client.rpc("writeVNFHandler", VNF_NS, {
             "id": "v1", "handler": "cnt.reset",

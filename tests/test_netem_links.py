@@ -256,7 +256,6 @@ class TestResourceBudget:
 # -- determinism across processes ------------------------------------------
 
 _LOSSY_SCENARIO = """
-from repro.click import ClickPacket, Router
 from repro.netem import Interface, Link
 from repro.packet import EthAddr
 from repro.sim import Simulator
@@ -270,21 +269,12 @@ for seq in range(200):
     sim.schedule(seq * 0.001, near.send, b"%d" % seq)
 sim.run()
 print("link", link.delivered, link.dropped_loss)
-
-router = Router.from_config(
-    "Idle -> sample :: RandomSample(0.5) -> red :: RED(5, 40, 0.5, 100);"
-    "red -> Unqueue -> Discard;")
-router.start()
-sample, red = router.element("sample"), router.element("red")
-for _ in range(200):
-    sample.push(0, ClickPacket(b"x"))
-    print("click", sample.sampled, red.early_drops)
 """
 
 
 def test_lossy_jittery_run_is_identical_across_hash_seeds():
-    """The component RNGs are seeded from names; ``hash(str)`` is salted
-    per process, so the seeds must come from a stable digest."""
+    """The link's RNG is seeded from its name; ``hash(str)`` is salted
+    per process, so the seed must come from a stable digest."""
     src = os.path.dirname(os.path.dirname(repro.__file__))
 
     def run(hash_seed):
@@ -302,5 +292,3 @@ def test_lossy_jittery_run_is_identical_across_hash_seeds():
                 if line.startswith("rx")]
     assert len(arrivals) == delivered
     assert arrivals != sorted(arrivals)  # jitter reordered some frames
-    sampled, early = map(int, first[-1].split()[1:])
-    assert 50 < sampled < 150 and early > 0

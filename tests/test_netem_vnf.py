@@ -10,13 +10,16 @@ from repro.netem import Network, ResourceError, VNFContainer
 from repro.netem.vnf import FAILED, STOPPED, UP
 from repro.sim import Simulator
 
-SIMPLE_VNF = ("src :: RatedSource(RATE 100, LIMIT 1000)"
+SIMPLE_VNF = "Idle -> cnt :: Counter -> Discard;"
+# frames queued on in0 leave at 100 per second, driven by the VNF's own
+# wakeups on the container's clock
+SHAPED_VNF = ("FromDevice(in0) -> Queue(1000) -> Shaper(100) -> Unqueue"
               " -> cnt :: Counter -> Discard;")
 WIRE_VNF = "FromDevice(in0) -> cnt :: Counter -> ToDevice(out0);"
-# push and pull paths, a notifier, a source's timer and a pull driver
+# push and pull paths, a notifier, a pending rate-limit shot and a pull
+# driver
 QUEUED_VNF = ("FromDevice(in0) -> cnt_in :: Counter -> Queue(8)"
-              " -> ToDevice(out0);"
-              " RatedSource(RATE 100) -> Queue(4) -> Unqueue -> Discard;")
+              " -> Shaper(1) -> ToDevice(out0);")
 
 
 class TestVNFLifecycle:
@@ -30,9 +33,11 @@ class TestVNFLifecycle:
     def test_vnf_runs_on_shared_clock(self):
         net = Network()
         container = net.add_vnf_container("nc1")
-        process = container.start_vnf("v1", SIMPLE_VNF, [])
+        process = container.start_vnf("v1", SHAPED_VNF, ["in0"])
+        for _ in range(1000):
+            process.devices["in0"].deliver(b"frame")
         net.run(1.0)
-        assert int(process.read_handler("cnt.count")) > 50
+        assert 50 < int(process.read_handler("cnt.count")) <= 101
 
     def test_stop_releases_budget(self):
         net = Network()

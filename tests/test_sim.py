@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro.click import ConfigError, Router
+from repro.netem import Interface, Link, ResourceBudget
+from repro.packet import EthAddr
 from repro.sim import SimulationError, Simulator
 from repro.telemetry import Profiler
 from repro.telemetry.profiler import render_regions
@@ -583,3 +586,56 @@ class TestDispatchProfiling:
         lines = render_regions(profiler.report())
         assert "region" in lines[0]
         assert "busy" in lines[1] and "idle" in lines[2]
+
+
+# -- NaN from outside input ------------------------------------------------
+
+NAN = float("nan")
+
+
+def _link(**shaping):
+    return Link(Simulator(), Interface("a", None, EthAddr(1)),
+                Interface("b", None, EthAddr(2)), **shaping)
+
+
+def _flap(down_for):
+    link = _link()
+    try:
+        link.flap(down_for)
+    finally:
+        assert link.up  # refused before the link went down
+
+
+def _click(config, handler, value):
+    router = Router.from_config(config)
+    router.write_handler(handler, value)
+
+
+SHAPED = "Idle -> Queue -> sh :: Shaper(10) -> Unqueue -> Discard;"
+DELAYED = "Idle -> dq :: DelayQueue(0.1) -> Unqueue -> Discard;"
+
+
+@pytest.mark.parametrize("refuse", [
+    lambda: Simulator().schedule(NAN, print),
+    lambda: Simulator().schedule_at(NAN, print),
+    lambda: Simulator().wakeup(print).arm(NAN),
+    lambda: _link(delay=NAN),
+    lambda: _link(loss=NAN),
+    lambda: _link(jitter=NAN),
+    lambda: _link(bandwidth=NAN),
+    lambda: _link().set_degradation(delay=NAN),
+    lambda: _link().set_degradation(loss=NAN),
+    lambda: _link().set_degradation(jitter=NAN),
+    lambda: _flap(NAN),
+    lambda: ResourceBudget(cpu=NAN),
+    lambda: _click(SHAPED, "sh.rate", "nan"),
+    lambda: _click(DELAYED, "dq.delay", "nan"),
+], ids=["schedule", "schedule_at", "wakeup.arm", "link.delay",
+        "link.loss", "link.jitter", "link.bandwidth", "degrade.delay",
+        "degrade.loss", "degrade.jitter", "link.flap", "budget.cpu",
+        "Shaper.rate", "DelayQueue.delay"])
+def test_nan_fails_every_range_check(refuse):
+    """``json.loads`` reads ``NaN`` and the handlers parse strings, and
+    NaN passes every ``x < 0`` test: each check must refuse it."""
+    with pytest.raises((SimulationError, ValueError, ConfigError)):
+        refuse()
