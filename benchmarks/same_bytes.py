@@ -18,8 +18,10 @@ bytecode written into it:
   ``chaos_demo.py --compare-protection --seed 1``): exit status and
   standard output, with temporary directory names masked.
 
-One line per artifact says ``identical`` or ``different`` (with the
-first difference), and the exit status is 1 when anything differs.
+One line per artifact says ``identical`` or ``different``; a
+different one is followed by every differing bundle leaf, or by the
+first differing line of a text artifact, each with both values.  The
+exit status is 1 when anything differs.
 Given the same checkout twice, it is a cross-process determinism check.
 """
 
@@ -75,25 +77,25 @@ def bundle_leaves(path, results):
             for key, value in leaves(bundle)}
 
 
-def first_difference(old, new):
-    """Where two artifacts part: a bundle leaf, a line number, or the
-    two values."""
+def differences(old, new):
+    """Where two artifacts part: every differing bundle leaf, or the
+    first differing line of a text, each with the two values."""
     if "<missing>" in (old, new):
-        return "written on one side only"
+        return ["written on one side only"]
     if not isinstance(old, (dict, str)):
-        return "%r != %r" % (old, new)
+        return ["%r != %r" % (old, new)]
     if isinstance(old, dict):
-        for key in sorted(set(old) | set(new)):
-            if old.get(key, "<missing>") != new.get(key, "<missing>"):
-                return "%s: %r != %r" % (".".join(key),
-                                         old.get(key, "<missing>"),
-                                         new.get(key, "<missing>"))
-        return ""
+        return ["%s: %r != %r" % (".".join(key), old.get(key, "<missing>"),
+                                  new.get(key, "<missing>"))
+                for key in sorted(set(old) | set(new))
+                if old.get(key, "<missing>") != new.get(key, "<missing>")]
     old_lines, new_lines = old.splitlines(), new.splitlines()
-    for number, (a, b) in enumerate(zip(old_lines, new_lines), 1):
-        if a != b:
-            return "line %d" % number
-    return "line %d" % (min(len(old_lines), len(new_lines)) + 1)
+    end = max(len(old_lines), len(new_lines))
+    old_lines += ["<end>"] * (end - len(old_lines))
+    new_lines += ["<end>"] * (end - len(new_lines))
+    return next(["line %d: %r != %r" % (number, a, b)]
+                for number, (a, b) in enumerate(zip(old_lines, new_lines), 1)
+                if a != b)
 
 
 def start(tree, argv):
@@ -168,10 +170,10 @@ def main():
             for label, old, new in case:
                 same = old == new
                 differ += not same
-                detail = ("" if same else
-                          "  (%s)" % first_difference(old, new))
-                print("%-10s %s%s" % ("identical" if same else "different",
-                                      label, detail), flush=True)
+                print("%-10s %s" % ("identical" if same else "different",
+                                    label), flush=True)
+                for detail in [] if same else differences(old, new):
+                    print("    " + detail, flush=True)
     finally:
         shutil.rmtree(work, ignore_errors=True)
     print("%d artifact(s) differ" % differ)

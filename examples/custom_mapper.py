@@ -16,6 +16,8 @@ from collections import Counter
 from repro.core import ESCAPE, MappingError
 from repro.core.mapping import GreedyMapper
 from repro.core.sgfile import load_service_graph, load_topology
+from repro.openflow import Match
+from repro.packet import Ethernet, IPv4
 
 TOPOLOGY = {
     "nodes": [
@@ -72,6 +74,15 @@ def chain_request(index):
     })
 
 
+def flowspec(escape, index):
+    """The traffic chain ``index`` steers: UDP from h1 to h2 port
+    5000 + index.  Chains between one host pair need flowspecs of their
+    own; steering refuses an entry another chain already holds."""
+    return Match(dl_type=Ethernet.IP_TYPE, nw_src=escape.net.get("h1").ip,
+                 nw_dst=escape.net.get("h2").ip,
+                 nw_proto=IPv4.UDP_PROTOCOL, tp_dst=5000 + index)
+
+
 def main():
     escape = ESCAPE.from_topology(load_topology(TOPOLOGY))
     escape.start()
@@ -81,8 +92,9 @@ def main():
     for strategy in ("greedy", "least-loaded"):
         chains = []
         for index in range(9):
-            chains.append(escape.deploy_service(chain_request(index),
-                                                mapper=strategy))
+            chains.append(escape.deploy_service(
+                chain_request(index), mapper=strategy,
+                match=flowspec(escape, index)))
         spread = Counter(next(iter(chain.mapping.vnf_placement.values()))
                          for chain in chains)
         print("%-14s placements: %s" % (strategy, dict(spread)))

@@ -235,8 +235,8 @@ def compile_ip_filter(expression: str) -> Predicate:
 @element_class()
 class IPClassifier(Element):
     """``IPClassifier(expr0, expr1, ...)`` — route each packet to the
-    output of the first matching expression; non-matching packets are
-    dropped (add ``-`` as the last expression for a catch-all).
+    output of the first matching expression, if connected; the rest
+    are dropped (add ``-`` as the last expression for a catch-all).
 
     Handlers: ``pattern<i>_count``, ``dropped`` (read).
     """
@@ -263,17 +263,12 @@ class IPClassifier(Element):
                 "pattern%d_count" % index,
                 lambda i=index: self.match_counts[i])
 
-    def initialize(self) -> None:
-        if self.noutputs < len(self.predicates):
-            # tolerate a tail of unconnected patterns only if none exist;
-            # otherwise the router's dangling-port check already failed.
-            pass
-
     def push(self, port: int, packet: ClickPacket) -> None:
         for index, predicate in enumerate(self.predicates):
             if predicate(packet):
                 self.match_counts[index] += 1
-                if index < self.noutputs:
+                if index < self.noutputs and self.outputs[index].peers:
                     self.output_push(index, packet)
-                return
+                    return
+                break  # its output is unconnected
         self.dropped += 1

@@ -522,16 +522,9 @@ class Orchestrator:
                     backup = self._path_hops(backup, src_hint, dst_hint)
         self._path_counter += 1
         path_id = "%s/%s/%d" % (sg.name, label, self._path_counter)
-        if kind == "seg":
-            match = base
-        else:
-            # replies: addresses swapped; the direct path swaps ports too
-            direct = kind == "return"
-            match = Match(dl_type=base.dl_type, nw_src=base.nw_dst,
-                          nw_dst=base.nw_src,
-                          nw_proto=base.nw_proto if direct else None,
-                          tp_src=base.tp_dst if direct else None,
-                          tp_dst=base.tp_src if direct else None)
+        match = base if kind == "seg" else Match(  # replies: ends swapped
+            dl_type=base.dl_type, nw_src=base.nw_dst, nw_dst=base.nw_src,
+            nw_proto=base.nw_proto, tp_src=base.tp_dst, tp_dst=base.tp_src)
         change.install(path_id, hops, match, backup, within)
         return path_id, path
 
@@ -601,8 +594,9 @@ class Orchestrator:
         The replacement instance starts on the target, the routes into
         and out of it are re-routed and re-steered (break-before-make,
         see :meth:`_resteer`), then the old instance stops.  Raises
-        OrchestratorError (leaving the chain on its old placement) when
-        the target cannot host the VNF or no feasible re-route exists.
+        OrchestratorError when the target cannot host the VNF or no
+        feasible re-route exists, SteeringError when the new routes
+        would overwrite an entry; either leaves the old placement.
 
         ``force`` tolerates a failing stop of the old instance (its
         container crashed or its agent is unreachable) — the chain

@@ -5,8 +5,9 @@ The orchestrator hands this component concrete paths — sequences of
 and it installs/removes the OpenFlow entries that pin chain traffic to
 those paths.  Every change to the dataplane is one
 :class:`SteeringChange` given to :meth:`TrafficSteering.apply`, which
-checks the whole change before it sends anything.  Two granularities
-are supported (an ablation the benchmarks compare):
+checks the whole change before it sends anything; each (switch, match,
+priority) entry has one owning path.  Two granularities are supported
+(an ablation the benchmarks compare):
 
 * ``exact`` — every hop matches the full flow template plus its in-port,
 * ``vlan``  — the first hop tags the chain's traffic with a dedicated
@@ -16,7 +17,8 @@ are supported (an ablation the benchmarks compare):
 
 import copy
 from contextlib import nullcontext
-from typing import Callable, ContextManager, Dict, List, Optional
+from itertools import count
+from typing import Callable, ContextManager, Dict, Iterator, List, Optional
 
 from repro.openflow import (FlowMod, Group, GroupBucket, GroupMod, Match,
                             Output, SetVlan, StripVlan)
@@ -87,11 +89,12 @@ class SteeringChange:
 
 
 class _InstalledPath:
-    def __init__(self, path_id: str, hops: List[PathHop],
+    def __init__(self, path_id: str, hops: List[PathHop], match: Match,
                  flow_mods: List[tuple], vlan: Optional[int],
                  group_mods: List[tuple], backup_hops: List[PathHop]):
         self.path_id = path_id
         self.hops = hops
+        self.match = match
         self.flow_mods = flow_mods  # (dpid, FlowMod) pairs, for removal
         self.vlan = vlan
         self.group_mods = group_mods  # (dpid, GroupMod) pairs
@@ -163,29 +166,37 @@ class TrafficSteering:
         """Make ``change``: check all of it, then send all of it.
 
         A change that names an unknown or duplicate path, a path with
-        no hops, a switch that is not connected or more VLANs than are
-        free raises :class:`SteeringError` having sent nothing.
-        Otherwise every removal is sent in the order given, then every
-        install, each install's failover groups before its flows.
+        no hops, a switch that is not connected, more VLANs than are
+        free or an entry another path holds raises SteeringError having
+        sent nothing.  Otherwise every removal is sent in the order
+        given, then every install, its failover groups before its flows.
         """
-        self._check(change)
+        planned = self._check(change)
         for path_id in change.removals:
             self.remove_path(path_id)
-        for path_id, hops, match, backup_hops, within in change.installs:
+        for path, (*_, within) in zip(planned, change.installs):
             with within() if within is not None else nullcontext():
-                self.install_path(path_id, hops, match, backup_hops)
+                self.install_path(path)
 
-    def _check(self, change: SteeringChange) -> None:
+    def _check(self, change: SteeringChange) -> List[_InstalledPath]:
+        """The paths ``change`` installs, built as they will be sent.
+        Each (dpid, match, priority) entry has one owner, so an install
+        taking over an entry of a kept or earlier path is refused."""
         for path_id in change.removals:
             if path_id not in self.paths:
                 raise SteeringError("no path %r installed" % path_id)
         removing = set(change.removals)
         if len(removing) < len(change.removals):
             raise SteeringError("a change removes a path twice")
-        vlans = len(self._vlans_in_use) - sum(
-            self.paths[path_id].vlan is not None for path_id in removing)
+        vlans = self._vlans_in_use - {self.paths[path_id].vlan
+                                      for path_id in removing}
+        gids = count(self._next_group_id)
         taken = set(self.paths) - removing
-        for path_id, hops, _match, backup_hops, _within in change.installs:
+        owners = {(dpid, mod.priority, mod.match): path_id
+                  for path_id in taken
+                  for dpid, mod in self.paths[path_id].flow_mods}
+        planned = []
+        for path_id, hops, match, backup_hops, _within in change.installs:
             if path_id in taken:
                 raise SteeringError("path %r already installed" % path_id)
             taken.add(path_id)
@@ -197,10 +208,16 @@ class TrafficSteering:
                 if hop.dpid not in self.nexus.connections:
                     raise SteeringError("switch dpid=%d not connected"
                                         % hop.dpid)
-            if self.mode == MODE_VLAN and len(hops) > 1:
-                vlans += 1
-        if vlans > 4096 - self.FIRST_VLAN:
-            raise SteeringError("VLAN space exhausted")
+            path = self._build(path_id, hops, match, backup_hops, vlans, gids)
+            for dpid, mod in path.flow_mods:
+                owner = owners.setdefault((dpid, mod.priority, mod.match),
+                                          path_id)
+                if owner != path_id:
+                    raise SteeringError(
+                        "path %r would overwrite an entry of path %r at "
+                        "dpid=%d" % (path_id, owner, dpid))
+            planned.append(path)
+        return planned
 
     def _send(self, dpid: int, message) -> None:
         self.nexus.send(dpid, message)
@@ -213,17 +230,10 @@ class TrafficSteering:
 
     # -- the steps of apply (benchmarks/ladder/tracer.py times these) --------
 
-    def install_path(self, path_id: str, hops: List[PathHop], match: Match,
-                     backup_hops: List[PathHop]) -> None:
-        """Send one install :meth:`apply` has checked."""
-        vlan = None
-        if self.mode == MODE_VLAN and len(hops) > 1:
-            vlan = self._allocate_vlan()
-            flow_mods, group_mods = self._vlan_flow_mods(hops, match,
-                                                         vlan), []
-        else:
-            flow_mods, group_mods = self._flow_mods(path_id, hops, match,
-                                                    backup_hops)
+    def install_path(self, path: _InstalledPath) -> None:
+        """Send one install :meth:`apply` has checked and built."""
+        path_id, hops, backup_hops = path.path_id, path.hops, path.backup_hops
+        flow_mods, group_mods = path.flow_mods, path.group_mods
         groups = {"groups": len(group_mods)} if backup_hops else {}
         tracer = self.telemetry.tracer
         with self.telemetry.profiler.profile("pox.steering.install"), \
@@ -231,18 +241,21 @@ class TrafficSteering:
                             mode=self.mode, hops=len(hops), **groups):
             # groups first: the flow entries reference them
             for dpid, group_mod in group_mods:
+                self._group_index[(dpid, group_mod.group_id)] = path_id
+                self._next_group_id = group_mod.group_id + 1
                 with tracer.span("openflow.group_mod", dpid=dpid):
                     self._send(dpid, group_mod)
             for dpid, flow_mod in flow_mods:
                 with tracer.span("openflow.flow_mod", dpid=dpid):
                     self._send(dpid, flow_mod)
-        self.paths[path_id] = _InstalledPath(path_id, hops, flow_mods, vlan,
-                                             group_mods, backup_hops)
+        self.paths[path_id] = path
+        if path.vlan is not None:
+            self._vlans_in_use.add(path.vlan)
         # the conformance checker learns the path this match should
         # take; backup dpids are acceptable alternates, so a
         # fast-failover flip is not reported as mis-steering
         self.telemetry.flowtrace.register_path(
-            path_id, path_id.split("/", 1)[0], match,
+            path_id, path_id.split("/", 1)[0], path.match,
             [hop.dpid for hop in hops],
             alt_dpids=[hop.dpid for hop in backup_hops])
         events = self.telemetry.events
@@ -260,29 +273,15 @@ class TrafficSteering:
                         service=path_id.split("/", 1)[0], path=path_id)
 
     def remove_path(self, path_id: str) -> None:
-        """Send one removal :meth:`apply` has checked.
-
-        Live paths may share an entry (dpid, match, priority); the
-        newest install holds it in the table.  Each entry this path
-        holds goes back to the next newest path that installed it, or
-        is deleted if none did; an entry a newer path holds is left as
-        it is.  Switches that have disconnected since the install are
-        skipped."""
-        newest_first = list(reversed(self.paths.values()))
+        """Send one removal :meth:`apply` has checked: one DELETE_STRICT
+        per entry, skipping switches that have disconnected since the
+        install."""
         installed = self.paths.pop(path_id)
         for dpid, flow_mod in installed.flow_mods:
-            if dpid not in self.nexus.connections:
-                continue
-            sharers = (mod for other in newest_first
-                       for other_dpid, mod in other.flow_mods
-                       if other_dpid == dpid
-                       and mod.priority == flow_mod.priority
-                       and mod.match == flow_mod.match)
-            if next(sharers) is not flow_mod:
-                continue
-            self._send(dpid, next(sharers, None) or FlowMod(
-                flow_mod.match, command=FlowMod.DELETE_STRICT,
-                priority=flow_mod.priority))
+            if dpid in self.nexus.connections:
+                self._send(dpid, FlowMod(flow_mod.match,
+                                         command=FlowMod.DELETE_STRICT,
+                                         priority=flow_mod.priority))
         for dpid, group_mod in installed.group_mods:
             self._group_index.pop((dpid, group_mod.group_id), None)
             if dpid in self.nexus.connections:
@@ -301,8 +300,28 @@ class TrafficSteering:
                   priority: int = STEERING_PRIORITY) -> tuple:
         return dpid, FlowMod(match, actions, priority=priority)
 
-    def _flow_mods(self, path_id: str, hops: List[PathHop], match: Match,
-                   backup_hops: List[PathHop]) -> tuple:
+    def _build(self, path_id: str, hops: List[PathHop], match: Match,
+               backup_hops: List[PathHop], vlans: set,
+               group_ids: Iterator[int]) -> _InstalledPath:
+        """The entries installing ``hops`` will send, tagged with the
+        lowest VLAN not in ``vlans``, groups numbered from ``group_ids``."""
+        vlan, group_mods = None, []
+        if self.mode == MODE_VLAN and len(hops) > 1:
+            vlan = next(tag for tag in count(self.FIRST_VLAN)
+                        if tag not in vlans)
+            if vlan >= 4096:
+                raise SteeringError("VLAN space exhausted")
+            vlans.add(vlan)
+            flow_mods = self._vlan_flow_mods(hops, match, vlan)
+        else:
+            flow_mods, group_mods = self._flow_mods(hops, match,
+                                                    backup_hops, group_ids)
+        return _InstalledPath(path_id, hops, match, flow_mods, vlan,
+                              group_mods, backup_hops)
+
+    def _flow_mods(self, hops: List[PathHop], match: Match,
+                   backup_hops: List[PathHop],
+                   group_ids: Iterator[int]) -> tuple:
         """Exact-match (flow mods, group mods) steering along ``hops``.
 
         Where ``backup_hops`` leave a primary switch through another
@@ -323,8 +342,7 @@ class TrafficSteering:
             actions = [Output(hop.out_port)]
             if backup is not None and backup.in_port == hop.in_port \
                     and backup.out_port != hop.out_port:
-                group_id = self._next_group_id
-                self._next_group_id += 1
+                group_id = next(group_ids)
                 group_mods.append((hop.dpid, GroupMod(
                     GroupMod.ADD, group_id,
                     buckets=[
@@ -333,7 +351,6 @@ class TrafficSteering:
                         GroupBucket([Output(backup.out_port)],
                                     watch_port=backup.out_port),
                     ])))
-                self._group_index[(hop.dpid, group_id)] = path_id
                 diverging.add((hop.dpid, hop.in_port))
                 actions = [Group(group_id)]
             flow_mods.append(self._flow_mod(
@@ -368,13 +385,6 @@ class TrafficSteering:
                 + [self._flow_mod(last.dpid,
                                   Match(in_port=last.in_port, dl_vlan=vlan),
                                   [StripVlan(), Output(last.out_port)])])
-
-    def _allocate_vlan(self) -> int:
-        vlan = self.FIRST_VLAN
-        while vlan in self._vlans_in_use:
-            vlan += 1
-        self._vlans_in_use.add(vlan)
-        return vlan
 
     # -- queries -------------------------------------------------------------
 

@@ -12,8 +12,8 @@ Two artifacts come out of :func:`build_workload`:
 
 * **chain requests** — service graphs drawn from
   :data:`CHAIN_TEMPLATES` between seeded SAP pairs (each pair used at
-  most once, so steering flowspecs never overlap), carrying the
-  scenario's SLA requirements,
+  most once: steering refuses a deploy whose flowspec overlaps a
+  deployed chain's), carrying the scenario's SLA requirements,
 * **flows** — timestamped UDP flow descriptions riding those chains
   (source SAP → sink SAP, the direction the steering match covers).
 
@@ -146,8 +146,9 @@ class Workload:
 def _pick_sap_pairs(hosts: List[str], count: int,
                     rng: random.Random) -> List[Tuple[str, str]]:
     """``count`` distinct (src, dst) host pairs, no pair reused in
-    either direction — overlapping pairs would collide on the
-    orchestrator's per-pair steering flowspec."""
+    either direction: two chains of one pair would overlap on the
+    orchestrator's per-pair flowspec, and steering refuses the second
+    at deploy."""
     if len(hosts) < 2:
         raise WorkloadError("topology has %d host SAP(s); need >= 2"
                             % len(hosts))

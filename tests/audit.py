@@ -1,5 +1,17 @@
 """Audit what the switches hold, not what the controller believes."""
 
+from repro.openflow import Match
+from repro.packet import Ethernet, IPv4
+
+
+def udp_flowspec(escape, port, src="h1", dst="h2"):
+    """A chain flowspec of its own: UDP from ``src`` to ``dst`` port
+    ``port``.  Chains between one host pair coexist only on distinct
+    flowspecs (steering refuses an entry another path holds)."""
+    return Match(dl_type=Ethernet.IP_TYPE, nw_src=escape.net.get(src).ip,
+                 nw_dst=escape.net.get(dst).ip,
+                 nw_proto=IPv4.UDP_PROTOCOL, tp_dst=port)
+
 
 def audit_tables(escape):
     """The steering entries missing from their switch's flow table.

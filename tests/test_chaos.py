@@ -15,6 +15,7 @@ from repro.core import (CHAIN_FAILED, CHAIN_HEALTHY, ESCAPE,
                         OrchestratorError)
 from repro.core.sgfile import load_service_graph, load_topology
 from repro.netem.vnf import FAILED as VNF_FAILED
+from repro.pox import SteeringError
 from tests.audit import audit_tables
 from tests.test_stateful_invariants import topology as stateful_topology
 
@@ -430,24 +431,63 @@ class TestSteeringChanges:
                                                  source="pox.steering"))
 
     @pytest.mark.parametrize("first, second", [("a", "b"), ("b", "a")])
-    def test_teardown_puts_back_overwritten_entries(self, first, second):
-        """``a`` = h1 -> fwd -> h2 and ``b`` = h2 -> fwd -> h1 share
-        entries; tearing down the second puts the first's back."""
+    def test_second_deploy_is_refused(self, first, second):
+        """``a`` = h1 -> fwd -> h2 and ``b`` = h2 -> fwd -> h1 would
+        share entries (one's segment, the other's return path): the
+        second deploy is refused and leaves the first as it was."""
         ends = {"a": ("h1", "h2"), "b": ("h2", "h1")}
         escape = ESCAPE.from_topology(stateful_topology())
         escape.start()
         escape.deploy_service(forwarder_sg(first, *ends[first]))
         escape.run(0.5)
-        escape.deploy_service(forwarder_sg(second, *ends[second]))
+        sent = escape.steering.flow_mods_sent
+        with pytest.raises(SteeringError, match="path '%s/.*path '%s/"
+                           % (second, first)):
+            escape.deploy_service(forwarder_sg(second, *ends[second]))
         escape.run(0.5)
-        sent, warns = escape.steering.flow_mods_sent, self._warns(escape)
-        escape.terminate_service(second)
-        escape.run(0.5)
-        assert escape.steering.flow_mods_sent - sent == 5
-        assert self._warns(escape) == warns
+        assert escape.steering.flow_mods_sent == sent
+        assert list(escape.orchestrator.deployed) == [first]
+        assert sum(len(container.vnfs)
+                   for container in escape.net.vnf_containers()) == 1
         assert sum(len(installed.flow_mods)
                    for installed in escape.steering.paths.values()) == 5
         assert audit_tables(escape) == []
+        src, dst = (escape.net.get(name) for name in ends[first])
+        train = src.ping(dst.ip, count=3, interval=0.1)
+        escape.run(1.0)
+        assert train.received == 3
+
+    def test_migrating_into_a_loop_is_refused(self):
+        """``h1 -> a -> b -> h2`` with both forwarders at s1: moving
+        ``a`` to s2 would give ``h1->a`` and ``b->h2`` the same entry
+        at s2 (in from the trunk, match h1 -> h2), and a datagram
+        would circle a and b until its TTL ran out.  The migration is
+        refused and the chain keeps its placement and its path."""
+        escape = ESCAPE.from_topology(stateful_topology())
+        escape.start()
+        chain = escape.deploy_service(load_service_graph({
+            "name": "ab", "saps": ["h1", "h2"],
+            "vnfs": [{"name": "a", "type": "forwarder"},
+                     {"name": "b", "type": "forwarder"}],
+            "chain": ["h1", "a", "b", "h2"]}), mapper="greedy")
+        assert chain.mapping.vnf_placement == {"a": "nc0", "b": "nc0"}
+        escape.run(0.5)
+        view = escape.orchestrator.view.snapshot()
+        with pytest.raises(SteeringError,
+                           match="path 'ab/h1->a/.*path 'ab/b->h2/"):
+            chain.migrate("a", "nc1")
+        assert chain.mapping.vnf_placement == {"a": "nc0", "b": "nc0"}
+        assert escape.orchestrator.view.snapshot() == view
+        escape.run(0.5)
+        assert audit_tables(escape) == []
+        h1, h2 = escape.net.get("h1"), escape.net.get("h2")
+        passes = [int(chain.read_handler(vnf, "cnt_in.count"))
+                  for vnf in "ab"]
+        h1.send_udp(h2.ip, 5001, b"once")
+        escape.run(0.5)
+        assert [int(chain.read_handler(vnf, "cnt_in.count")) - before
+                for vnf, before in zip("ab", passes)] == [1, 1]
+        assert h2.udp_rx_count == 1
 
     def test_restart_resteers_once(self, escape):
         chain = deploy(escape)

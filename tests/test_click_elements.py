@@ -196,6 +196,15 @@ class TestIPClassifier:
         router.element("cl").push(0, ip_packet(TCP(), protocol=6))
         assert router.read_handler("cl.pattern0_count") == "1"
 
+    def test_unconnected_output_counts_as_dropped(self):
+        router = Router.from_config(
+            "cl :: IPClassifier(tcp, udp, -); Idle -> cl;"
+            " cl[0] -> Discard;")
+        router.start()
+        router.element("cl").push(0, ip_packet(UDP(), protocol=17))
+        assert router.read_handler("cl.pattern1_count") == "1"
+        assert router.read_handler("cl.dropped") == "1"
+
     def test_bad_expression_rejected(self):
         with pytest.raises(ConfigError):
             self._build("frobnicate 7")

@@ -13,6 +13,7 @@ from repro.core.nffg import ServiceGraph
 from repro.core.sgfile import load_service_graph, load_topology
 from repro.openflow import Match
 from repro.packet import Ethernet, IPv4
+from tests.audit import udp_flowspec
 
 TOPOLOGY = {
     "nodes": [
@@ -276,14 +277,18 @@ class TestTeardown:
 
 class TestMultiChain:
     def test_two_chains_coexist(self, escape):
-        escape.deploy_service(FIREWALL_SG)
+        """Each chain on a flowspec of its own."""
+        escape.deploy_service(FIREWALL_SG,
+                              match=udp_flowspec(escape, 5001))
         second = {
             "name": "mon-chain",
             "saps": ["h2", "h1"],
             "vnfs": [{"name": "mon", "type": "monitor"}],
             "chain": ["h2", "mon", "h1"],
         }
-        chain2 = escape.deploy_service(second, return_path="none")
+        chain2 = escape.deploy_service(
+            second, match=udp_flowspec(escape, 5002, "h2", "h1"),
+            return_path="none")
         assert len(escape.orchestrator.deployed) == 2
         assert chain2.mapping.vnf_placement["mon"] in ("nc1", "nc2")
 

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core import ESCAPE
 from repro.core.sgfile import load_service_graph, load_topology
+from tests.audit import udp_flowspec
 
 TOPOLOGY = {
     "nodes": [
@@ -87,12 +88,16 @@ class TestVlanSteeredChain:
         assert int(chain.read_handler("fw", "fw.dropped")) >= 1
 
     def test_two_chains_get_distinct_tags(self, vlan_escape):
-        vlan_escape.deploy_service(SG)
+        """Each chain on a flowspec of its own."""
+        vlan_escape.deploy_service(SG, match=udp_flowspec(vlan_escape,
+                                                          5001))
         second = dict(SG)
         second["name"] = "vlan-chain-2"
         second["saps"] = ["h2", "h1"]
         second["chain"] = ["h2", "fw", "h1"]
-        vlan_escape.deploy_service(second, return_path="none")
+        vlan_escape.deploy_service(
+            second, match=udp_flowspec(vlan_escape, 5002, "h2", "h1"),
+            return_path="none")
         vlans = {installed.vlan
                  for installed in vlan_escape.steering.paths.values()
                  if installed.vlan is not None}

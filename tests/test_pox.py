@@ -413,57 +413,97 @@ class TestSteering:
 
 
 class TestSharedEntries:
-    """Two live paths may install the same (dpid, match, priority); the
-    newest install holds the entry, and removing a path puts back the
-    entry it overwrote."""
+    """A switch holds one entry per (match, priority): each steering
+    entry has one owning path, and a change that would overwrite
+    another path's entry is refused having sent nothing."""
 
-    def _ready(self):
-        from repro.pox.events import FlowRemovedEvent
-        net = Network()
-        nexus = OpenFlowNexus(Core(net.sim))
-        steering = TrafficSteering(nexus, mode="exact")
-        two_switch_topo(net)
-        net.add_controller(nexus)
-        net.start()
+    HOPS = [PathHop(1, 1, 2), PathHop(2, 1, 2)]
+    MATCH = Match(nw_src="10.0.0.1")
+
+    def _ready(self, mode):
+        net, steering = TestSteering()._ready(mode)
+        steering.apply(SteeringChange().install("p1", self.HOPS, self.MATCH))
         net.run(0.1)
-        removed = []
-        nexus.add_listener(FlowRemovedEvent, removed.append)
-        match = Match(nw_src="10.0.0.1")
-        steering.apply(SteeringChange()
-                       .install("p1", [PathHop(1, 1, 2)], match))
-        steering.apply(SteeringChange()
-                       .install("p2", [PathHop(1, 1, 3)], match))
-        net.run(0.1)
-        return net, steering, removed
+        return net, steering
 
     @staticmethod
-    def _outputs(net):
-        return [[action.port for action in entry.actions]
-                for entry in net.get("s1").datapath.table.entries]
+    def _state(steering):
+        return (steering.flow_mods_sent, steering.group_mods_sent,
+                sorted(steering.paths), dict(steering._group_index),
+                steering._next_group_id, set(steering._vlans_in_use))
 
-    @pytest.mark.parametrize("first, survivor, port",
-                             [("p1", "p2", 3), ("p2", "p1", 2)])
-    def test_removal_leaves_the_survivor_then_nothing(self, first,
-                                                      survivor, port):
-        net, steering, removed = self._ready()
-        assert self._outputs(net) == [[3]]  # the newest install holds it
-        steering.apply(SteeringChange().remove(first))
+    @pytest.mark.parametrize("mode", ["exact", "vlan"])
+    def test_identical_entry_of_a_live_path_refused(self, mode):
+        net, steering = self._ready(mode)
+        # exact: a protected install, so a failover group is planned too
+        backup = [PathHop(1, 1, 3)] if mode == "exact" else []
+        before = self._state(steering)
+        with pytest.raises(SteeringError, match="'p2' would overwrite an "
+                           "entry of path 'p1' at dpid=1"):
+            steering.apply(SteeringChange().install(
+                "p2", self.HOPS, self.MATCH, backup_hops=backup))
+        assert self._state(steering) == before
         net.run(0.1)
-        assert self._outputs(net) == [[port]]
-        steering.apply(SteeringChange().remove(survivor))
-        net.run(0.1)
-        assert self._outputs(net) == []
-        assert removed == []
+        assert audit_tables_of(net, steering) == []
 
-    def test_removing_an_overwritten_path_sends_nothing(self):
-        net, steering, _removed = self._ready()
-        sent = steering.flow_mods_sent
-        steering.apply(SteeringChange().remove("p1"))
-        assert steering.flow_mods_sent == sent
+    @pytest.mark.parametrize("mode", ["exact", "vlan"])
+    def test_colliding_installs_of_one_change_refused(self, mode):
+        _net, steering = self._ready(mode)
+        before = self._state(steering)
+        with pytest.raises(SteeringError, match="'p3'.*'p2'.*dpid=2"):
+            steering.apply(SteeringChange()
+                           .install("p2", [PathHop(2, 1, 2)],
+                                    Match(nw_src="10.0.0.2"))
+                           .install("p3", [PathHop(2, 1, 3)],
+                                    Match(nw_src="10.0.0.2")))
+        assert self._state(steering) == before
+
+    @pytest.mark.parametrize("mode", ["exact", "vlan"])
+    def test_removing_the_holder_in_the_same_change_accepted(self, mode):
+        """Re-steering removes the old route and installs the new one
+        in one change: the new one may take over the old one's
+        entries."""
+        net, steering = self._ready(mode)
+        steering.apply(SteeringChange().remove("p1")
+                       .install("p2", self.HOPS, self.MATCH))
         net.run(0.1)
-        assert self._outputs(net) == [[3]]
+        assert sorted(steering.paths) == ["p2"]
+        assert [len(net.get(name).datapath.table)
+                for name in ("s1", "s2")] == [1, 1]
+        assert audit_tables_of(net, steering) == []
+
+    @pytest.mark.parametrize("mode", ["exact", "vlan"])
+    def test_a_different_match_accepted(self, mode):
+        net, steering = self._ready(mode)
+        steering.apply(SteeringChange().install(
+            "p2", self.HOPS, Match(nw_src="10.0.0.2")))
+        net.run(0.1)
+        assert [len(net.get(name).datapath.table)
+                for name in ("s1", "s2")] == [2, 2]
+        assert audit_tables_of(net, steering) == []
+
+    def test_a_different_priority_accepted(self):
+        """An entry one priority below (where a backup hop sits) does
+        not collide with a primary entry of the same match."""
+        from repro.openflow import FlowMod
+        from repro.pox.steering import STEERING_PRIORITY, _InstalledPath
+        net, steering = TestSteering()._ready("exact")
+        match = Match(nw_src="10.0.0.1", in_port=1)
+        steering.paths["low"] = _InstalledPath(
+            "low", [PathHop(1, 1, 3)], self.MATCH,
+            [(1, FlowMod(match, [Output(3)],
+                         priority=STEERING_PRIORITY - 1))], None, [], [])
+        steering.apply(SteeringChange().install("p1", self.HOPS, self.MATCH))
+        assert sorted(steering.paths) == ["low", "p1"]
 
     def test_steering_entries_ask_for_no_flow_removed(self):
-        net, _steering, _removed = self._ready()
-        entry, = net.get("s1").datapath.table.entries
+        net, _steering = self._ready("exact")
+        entry = net.get("s1").datapath.table.entries[0]
         assert entry.flags == 0
+
+
+def audit_tables_of(net, steering):
+    """``tests.audit.audit_tables`` for a bare network and steering."""
+    from types import SimpleNamespace
+    from tests.audit import audit_tables
+    return audit_tables(SimpleNamespace(net=net, steering=steering))

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core import ESCAPE
 from repro.core.sgfile import load_service_graph, load_topology
+from tests.audit import udp_flowspec
 
 
 def big_topology(containers=4, ports=12):
@@ -64,6 +65,7 @@ class TestChurn:
         assert steering_flows == []
 
     def test_many_concurrent_chains(self):
+        """Each chain on a flowspec of its own."""
         escape = ESCAPE.from_topology(big_topology(containers=6,
                                                    ports=16))
         escape.start()
@@ -72,7 +74,8 @@ class TestChurn:
         for index in range(40):
             try:
                 chains.append(escape.deploy_service(
-                    chain_sg("many-%d" % index)))
+                    chain_sg("many-%d" % index),
+                    match=udp_flowspec(escape, 5000 + index)))
                 deployed += 1
             except Exception:
                 break  # substrate full: acceptable stopping point

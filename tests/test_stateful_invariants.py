@@ -12,10 +12,15 @@ Invariants checked after every operation:
   says; no orphan VNF processes exist,
 * every steering path of an active chain, forward or reverse, enters
   and leaves containers only through interfaces the chain's running
-  VNFs are spliced to.
+  VNFs are spliced to,
+* once the FlowMods in flight have landed, the switch tables hold every
+  steering entry of every installed path (``tests.audit``).
 
-Each deployed chain steers its replies ``direct`` or back through the
-``chain``, drawn at random per deploy.
+Each deployed chain has a UDP flowspec of its own and steers its
+replies ``direct`` or back through the ``chain``, drawn at random per
+deploy.  A deploy or migration that steering refuses (a route would
+take over an entry another route holds) is accepted, like a full
+substrate.
 """
 
 import random
@@ -26,6 +31,8 @@ from repro.core import ESCAPE, MappingError, OrchestratorError
 from repro.core.sgfile import load_service_graph, load_topology
 from repro.netem import VNFContainer
 from repro.netem.node import Switch
+from repro.pox import SteeringError
+from tests.audit import audit_tables, udp_flowspec
 
 
 def topology():
@@ -120,6 +127,10 @@ def check_invariants(escape):
                         assert (peer.node.name, peer.name) in spliced, \
                             path_id
 
+    # 5. the tables hold every installed path, once the FlowMods land
+    escape.run(0.05)
+    assert audit_tables(escape) == []
+
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
 def test_random_operation_sequences_preserve_invariants(seed):
@@ -140,8 +151,9 @@ def test_random_operation_sequences_preserve_invariants(seed):
                 escape.deploy_service(
                     make_sg(name, rng),
                     mapper=rng.choice(["greedy", "shortest-path"]),
+                    match=udp_flowspec(escape, 5000 + counter),
                     return_path=rng.choice(["direct", "chain"]))
-            except (MappingError, OrchestratorError):
+            except (MappingError, OrchestratorError, SteeringError):
                 pass  # substrate full: fine, invariants must still hold
         elif operation == "undeploy" and active:
             chain = rng.choice(active)
@@ -152,8 +164,8 @@ def test_random_operation_sequences_preserve_invariants(seed):
             target = rng.choice(containers)
             try:
                 chain.migrate(vnf_name, target)
-            except OrchestratorError:
-                pass  # target full / no ports: acceptable
+            except (OrchestratorError, SteeringError):
+                pass  # target full / no ports / a looping route
         elif operation == "traffic":
             h1 = escape.net.get("h1")
             h2 = escape.net.get("h2")
