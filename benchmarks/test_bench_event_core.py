@@ -35,7 +35,7 @@ import types
 
 import pytest
 
-from benchmarks.helpers import chain_sg, started_escape
+from benchmarks.helpers import chain_sg, demo_topology, started_escape
 from repro.click import Router
 from repro.click.elements import Device
 from repro.core import ESCAPE
@@ -427,6 +427,15 @@ def _demo_with_chain():
     return escape
 
 
+def _inband_demo_with_chain():
+    """The same, its NETCONF sessions riding the in-band management
+    hub (``EthTransport``) instead of in-memory pipes."""
+    escape = ESCAPE.from_topology(demo_topology(), control_network="inband")
+    escape.start()
+    escape.deploy_service(chain_sg(1, name="stopped-chain"))
+    return escape
+
+
 def _fat_tree_with_chains():
     """The k=4 fat-tree carrying eight chains over the four templates."""
     topo = FatTreeTopo(k=4, containers_per_pod=2, container_ports=6)
@@ -440,8 +449,9 @@ def _fat_tree_with_chains():
     return escape
 
 
-@pytest.mark.parametrize("build", [_demo_with_chain, _fat_tree_with_chains],
-                         ids=["demo", "fat_tree"])
+@pytest.mark.parametrize("build", [_demo_with_chain, _inband_demo_with_chain,
+                                   _fat_tree_with_chains],
+                         ids=["demo", "demo_inband", "fat_tree"])
 def test_stopped_emulation_leaves_no_cyclic_garbage(benchmark, build):
     """Build, run 1 s, ``stop()`` and drop an emulation with the
     collector off: ``stop()`` breaks what building bound (the links'

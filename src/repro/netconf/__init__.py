@@ -5,16 +5,18 @@ container exposes RPCs — described in YANG, implemented by "low-level
 instrumentation codes" — that the orchestrator's NETCONF client calls
 to start/stop VNFs and connect/disconnect them to/from switches.
 
-This package implements the protocol subset that workflow needs:
+This package implements the protocol subset that workflow needs, and
+no more:
 
 * RFC 6242 framing (end-of-message and chunked) over an in-memory
-  latency-modelled transport (the SSH substitution),
-* hello/capability exchange, ``get``, ``get-config``, ``edit-config``,
-  ``close-session`` and custom RPC dispatch with proper ``rpc-reply`` /
-  ``rpc-error`` envelopes (:mod:`~repro.netconf.messages`),
-* running/candidate datastores with merge/replace/delete edit-config
-  semantics (:mod:`~repro.netconf.datastore`),
-* a YANG subset parser + instance validator
+  latency-modelled transport (the SSH substitution); bytes that break
+  the framing end the session, never the simulation,
+* hello/capability exchange, ``close-session`` and dispatch of the
+  YANG-validated custom RPCs with proper ``rpc-reply`` / ``rpc-error``
+  envelopes (:mod:`~repro.netconf.messages`); any other operation
+  (``get``, ``edit-config``, ...) is answered
+  ``operation-not-supported`` — there is no configuration datastore,
+* a YANG subset parser + RPC input validator
   (:mod:`repro.netconf.yang`),
 * the VNF-container agent and its YANG module
   (:mod:`~repro.netconf.agent`, :data:`~repro.netconf.vnf_yang.VNF_YANG`),
@@ -23,7 +25,6 @@ This package implements the protocol subset that workflow needs:
 
 from repro.netconf.agent import VNFAgent
 from repro.netconf.client import NetconfClient, PendingReply
-from repro.netconf.datastore import Datastore, DatastoreError
 from repro.netconf.errors import (FramingError, NetconfError, RpcError,
                                   RpcTimeout, SessionError)
 from repro.netconf.framing import (ChunkedFramer, EomFramer)
@@ -37,8 +38,6 @@ from repro.netconf.vnf_yang import VNF_YANG
 __all__ = [
     "BASE_NS",
     "ChunkedFramer",
-    "Datastore",
-    "DatastoreError",
     "EomFramer",
     "FramingError",
     "InMemoryTransport",

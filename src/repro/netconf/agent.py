@@ -37,9 +37,7 @@ class VNFAgent:
             transport,
             capabilities=[CAP_BASE_10, CAP_BASE_11, CAP_VNF,
                           self.module.namespace])
-        for rpc_name in ("startVNF", "stopVNF", "connectVNF",
-                         "disconnectVNF", "getVNFInfo", "listHandlers",
-                         "writeVNFHandler"):
+        for rpc_name in self.module.rpcs:
             self.server.register_rpc(
                 rpc_name,
                 lambda op, name=rpc_name: self._invoke(name, op))
@@ -51,8 +49,6 @@ class VNFAgent:
             "netconf.agent.rpc_errors",
             "agent RPCs rejected (validation or operation failure)")
         self._profiler = telemetry.profiler
-        # operational state is served through <get>: regenerate on demand
-        self.server.before_get = self._refresh_state
 
     # -- rpc execution ----------------------------------------------------
 
@@ -129,37 +125,6 @@ class VNFAgent:
         process = self.container.get_vnf(params["id"])
         process.write_handler(params["handler"], params["value"])
         return None
-
-    # -- operational state ----------------------------------------------------
-
-    def _refresh_state(self) -> None:
-        """Rebuild the <vnfs> and <capacity> subtrees in running."""
-        store = self.server.datastores["running"]
-        for tag in ("vnfs", "capacity"):
-            existing = store.root.find(qn(tag, VNF_NS))
-            if existing is not None:
-                store.root.remove(existing)
-        vnfs = ET.SubElement(store.root, qn("vnfs", VNF_NS))
-        for vnf_id, info in sorted(
-                self.container.status_report().items()):
-            vnf = ET.SubElement(vnfs, qn("vnf", VNF_NS))
-            ET.SubElement(vnf, qn("id", VNF_NS)).text = vnf_id
-            ET.SubElement(vnf, qn("status", VNF_NS)).text = info["status"]
-            ET.SubElement(vnf, qn("cpu", VNF_NS)).text = str(info["cpu"])
-            ET.SubElement(vnf, qn("mem", VNF_NS)).text = str(info["mem"])
-            ET.SubElement(vnf, qn("uptime", VNF_NS)).text = \
-                "%.6f" % info["uptime"]
-            for devname, intf in sorted(info["devices"].items()):
-                device = ET.SubElement(vnf, qn("device", VNF_NS))
-                ET.SubElement(device, qn("name", VNF_NS)).text = devname
-                ET.SubElement(device, qn("interface", VNF_NS)).text = \
-                    intf or ""
-        capacity = ET.SubElement(store.root, qn("capacity", VNF_NS))
-        snapshot = self.container.budget.snapshot()
-        for key in ("cpu_capacity", "cpu_used", "mem_capacity", "mem_used"):
-            tag = key.replace("_", "-")
-            ET.SubElement(capacity, qn(tag, VNF_NS)).text = \
-                "%.3f" % snapshot[key]
 
     def __repr__(self) -> str:
         return "VNFAgent(%s, session=%d)" % (self.container.name,

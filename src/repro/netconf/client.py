@@ -4,14 +4,18 @@ Resilience model (exercised by :mod:`repro.chaos`): every RPC can carry
 a per-request deadline — on expiry the pending handle fails exactly
 once, deregisters, and any late reply is counted
 (``netconf.client.late_replies``) but never resolves it; a frame that
-cannot be read is dropped with a ``message.malformed`` warn event.
+cannot be read is dropped with a ``message.malformed`` warn event;
+bytes that break the framing end the session with a ``framing.error``
+warn event.  When the session closes, from either end, every pending
+RPC fails at once with :class:`SessionError`.
 """
 
 import itertools
 import xml.etree.ElementTree as ET
 from typing import Callable, Dict, List, Optional
 
-from repro.netconf.errors import NetconfError, RpcTimeout, SessionError
+from repro.netconf.errors import (FramingError, NetconfError, RpcTimeout,
+                                  SessionError)
 from repro.netconf.framing import ChunkedFramer, EomFramer
 from repro.netconf import messages as nc
 from repro.netconf.transport import InMemoryTransport
@@ -64,7 +68,8 @@ class PendingReply:
 
     def result(self, sim: Simulator, timeout: float = 10.0) -> ET.Element:
         """Run the simulation until the reply lands; raises RpcError on
-        an error reply, RpcTimeout when the deadline passes."""
+        an error reply, RpcTimeout when the deadline passes, SessionError
+        when the session closes first."""
         if not sim.wait(lambda: self.done, timeout):
             if self._owner is not None:
                 # deregister too — a late reply must not find us
@@ -82,7 +87,7 @@ class PendingReply:
 
 
 class NetconfClient:
-    """Manager endpoint: hello, rpc issue/track, convenience operations.
+    """Manager endpoint: hello, rpc issue/track, custom RPCs, close.
 
     ``default_timeout`` (None = no per-RPC deadline) applies to every
     request that does not pass its own; expired RPCs raise
@@ -121,20 +126,33 @@ class NetconfClient:
             "simulated request-to-reply seconds")
         self._profiler = self.sim.telemetry.profiler
         transport.set_receiver(self._receive)
+        transport.on_close = self._session_closed
         self.transport.send(self._tx_framer.frame(
             nc.to_xml(nc.build_hello(self.CAPABILITIES))))
-
-    @property
-    def connected(self) -> bool:
-        return self.session_id is not None and not self.closed
 
     # -- plumbing -----------------------------------------------------------
 
     def _receive(self, data: bytes) -> None:
         if self.closed:
             return
-        for payload in self._rx_framer.feed(data):
+        try:
+            payloads = self._rx_framer.feed(data)
+        except FramingError as exc:
+            self.sim.telemetry.events.warn(
+                "netconf.client", "framing.error", str(exc),
+                session=self.session_id)
+            self.transport.close()  # -> _session_closed
+            return
+        for payload in payloads:
             self._handle_message(payload)
+
+    def _session_closed(self) -> None:
+        """The transport closed: no reply can arrive any more."""
+        self.closed = True
+        pending, self._pending = self._pending, {}
+        for handle in pending.values():
+            handle._fail(SessionError("rpc %d: session closed"
+                                      % handle.message_id))
 
     def _handle_message(self, payload: bytes) -> None:
         profiler = self._profiler
@@ -240,21 +258,7 @@ class NetconfClient:
                              self.HELLO_TIMEOUT):
             raise SessionError("hello exchange timed out")
 
-    # -- convenience operations -----------------------------------------------
-
-    def get(self, filter_element: Optional[ET.Element] = None
-            ) -> PendingReply:
-        return self.request(nc.build_get(filter_element))
-
-    def get_config(self, source: str = "running",
-                   filter_element: Optional[ET.Element] = None
-                   ) -> PendingReply:
-        return self.request(nc.build_get_config(source, filter_element))
-
-    def edit_config(self, config: ET.Element, target: str = "running",
-                    default_operation: str = "merge") -> PendingReply:
-        return self.request(nc.build_edit_config(config, target,
-                                                 default_operation))
+    # -- operations ---------------------------------------------------------
 
     def _build_custom(self, name: str, namespace: str,
                       params: Optional[Dict[str, str]]) -> ET.Element:
@@ -268,32 +272,10 @@ class NetconfClient:
         """Invoke a custom RPC with simple leaf parameters."""
         return self.request(self._build_custom(name, namespace, params))
 
-    def commit(self) -> PendingReply:
-        """candidate -> running."""
-        return self.request(ET.Element(nc.qn("commit")))
-
-    def discard_changes(self) -> PendingReply:
-        return self.request(ET.Element(nc.qn("discard-changes")))
-
-    def lock(self, target: str = "running") -> PendingReply:
-        operation = ET.Element(nc.qn("lock"))
-        target_el = ET.SubElement(operation, nc.qn("target"))
-        ET.SubElement(target_el, nc.qn(target))
-        return self.request(operation)
-
-    def unlock(self, target: str = "running") -> PendingReply:
-        operation = ET.Element(nc.qn("unlock"))
-        target_el = ET.SubElement(operation, nc.qn("target"))
-        ET.SubElement(target_el, nc.qn(target))
-        return self.request(operation)
-
     def close(self) -> PendingReply:
         pending = self.request(nc.build_close_session())
-        pending.on_done(lambda _reply: self._mark_closed())
+        pending.on_done(lambda _reply: self._session_closed())
         return pending
-
-    def _mark_closed(self) -> None:
-        self.closed = True
 
     def __repr__(self) -> str:
         return "NetconfClient(session=%s, %d rpcs, %s)" % (

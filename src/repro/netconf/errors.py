@@ -12,7 +12,8 @@ class FramingError(NetconfError):
 
 
 class SessionError(NetconfError):
-    """Protocol state violation (e.g. rpc before hello)."""
+    """The session cannot carry the RPC: hello not complete yet, or the
+    session closed (a pending RPC fails with it at the close)."""
 
 
 class RpcTimeout(NetconfError):

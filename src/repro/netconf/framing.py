@@ -20,6 +20,9 @@ from repro.netconf.errors import FramingError
 EOM = b"]]>]]>"
 
 _CHUNK_HEADER_RE = re.compile(rb"\n#(\d+)\n")
+# what may still grow into a chunk header or the end-of-chunks marker:
+# a true prefix of "\n#<digits>\n" or "\n##\n"
+_HEADER_PREFIX_RE = re.compile(rb"\n(?:#(?:\d+|#)?)?")
 _CHUNK_END = b"\n##\n"
 MAX_CHUNK = 4294967295
 
@@ -72,8 +75,7 @@ class ChunkedFramer:
                 continue
             match = _CHUNK_HEADER_RE.match(self._buffer)
             if match is None:
-                if len(self._buffer) >= 12 and not _could_be_header(
-                        self._buffer):
+                if not _could_be_header(self._buffer):
                     raise FramingError("malformed chunk header: %r"
                                        % self._buffer[:12])
                 break  # need more data
@@ -90,6 +92,4 @@ class ChunkedFramer:
 
 def _could_be_header(buffer: bytes) -> bool:
     """Whether ``buffer`` could still grow into a valid header/end."""
-    prefixes = (b"\n#", b"\n")
-    return any(buffer.startswith(prefix) or prefix.startswith(buffer)
-               for prefix in prefixes)
+    return _HEADER_PREFIX_RE.fullmatch(buffer) is not None

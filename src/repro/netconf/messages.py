@@ -8,7 +8,6 @@ from repro.netconf.errors import NetconfError, RpcError
 BASE_NS = "urn:ietf:params:xml:ns:netconf:base:1.0"
 CAP_BASE_10 = "urn:ietf:params:netconf:base:1.0"
 CAP_BASE_11 = "urn:ietf:params:netconf:base:1.1"
-CAP_CANDIDATE = "urn:ietf:params:netconf:capability:candidate:1.0"
 
 
 def qn(tag: str, ns: str = BASE_NS) -> str:
@@ -19,12 +18,6 @@ def qn(tag: str, ns: str = BASE_NS) -> str:
 def local_name(tag: str) -> str:
     """Strip the namespace from a Clark-notation tag."""
     return tag.rsplit("}", 1)[-1]
-
-
-def namespace_of(tag: str) -> Optional[str]:
-    if tag.startswith("{"):
-        return tag[1:].split("}", 1)[0]
-    return None
 
 
 class _NotPlain(Exception):
@@ -169,37 +162,6 @@ def parse_rpc_error(reply: ET.Element) -> Optional[RpcError]:
 
 
 # -- operation payload builders ------------------------------------------
-
-
-def build_get(filter_element: Optional[ET.Element] = None) -> ET.Element:
-    get = ET.Element(qn("get"))
-    if filter_element is not None:
-        filt = ET.SubElement(get, qn("filter"), {"type": "subtree"})
-        filt.append(filter_element)
-    return get
-
-
-def build_get_config(source: str = "running",
-                     filter_element: Optional[ET.Element] = None
-                     ) -> ET.Element:
-    get_config = ET.Element(qn("get-config"))
-    source_el = ET.SubElement(get_config, qn("source"))
-    ET.SubElement(source_el, qn(source))
-    if filter_element is not None:
-        filt = ET.SubElement(get_config, qn("filter"), {"type": "subtree"})
-        filt.append(filter_element)
-    return get_config
-
-
-def build_edit_config(config: ET.Element, target: str = "running",
-                      default_operation: str = "merge") -> ET.Element:
-    edit = ET.Element(qn("edit-config"))
-    target_el = ET.SubElement(edit, qn("target"))
-    ET.SubElement(target_el, qn(target))
-    ET.SubElement(edit, qn("default-operation")).text = default_operation
-    config_el = ET.SubElement(edit, qn("config"))
-    config_el.append(config)
-    return edit
 
 
 def build_close_session() -> ET.Element:

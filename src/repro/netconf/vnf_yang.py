@@ -2,10 +2,11 @@
 
 This is the data model the paper describes: "The operation of the agent
 is described by the YANG data modeling language and implemented by
-low-level instrumentation codes."  RPCs: initiate (start), terminate
-(stop), connect/disconnect VNF ports, plus a state container the
-orchestrator's <get> reads for "real-time management information on
-running VNFs".
+low-level instrumentation codes."  The module is its RPCs: initiate
+(start), terminate (stop), connect/disconnect VNF ports, and read,
+list and write Clicky handlers.  The orchestrator reads "real-time
+management information on running VNFs" through ``getVNFInfo``; the
+module has no data nodes and the agent no ``<get>``.
 """
 
 VNF_NS = "urn:escape:params:xml:ns:yang:vnf"
@@ -18,7 +19,7 @@ module vnf {
   description
     "Management model for ESCAPE VNF containers: start/stop Click-based
      VNFs, splice their virtual devices to switch-facing interfaces, and
-     expose per-VNF status and Clicky-style handlers.";
+     read and write their Clicky-style handlers.";
 
   typedef vnf-status {
     type enumeration {
@@ -27,31 +28,6 @@ module vnf {
       enum STOPPED;
       enum FAILED;
     }
-  }
-
-  container vnfs {
-    description "Operational state of hosted VNFs.";
-    list vnf {
-      key id;
-      leaf id { type string; }
-      leaf status { type vnf-status; }
-      leaf cpu { type decimal64; }
-      leaf mem { type decimal64; }
-      leaf uptime { type decimal64; }
-      list device {
-        key name;
-        leaf name { type string; }
-        leaf interface { type string; }
-      }
-    }
-  }
-
-  container capacity {
-    description "cgroup budget of the container.";
-    leaf cpu-capacity { type decimal64; }
-    leaf cpu-used { type decimal64; }
-    leaf mem-capacity { type decimal64; }
-    leaf mem-used { type decimal64; }
   }
 
   rpc startVNF {

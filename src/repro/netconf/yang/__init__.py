@@ -2,7 +2,7 @@
 
 The paper: "The operation of the agent is described by the YANG data
 modeling language".  This package parses YANG module text into a schema
-and validates XML instance documents / RPC payloads against it.
+and validates RPC input payloads against it.
 
 Supported statements: ``module`` (namespace, prefix), ``typedef``,
 ``container``, ``list`` (+ ``key``), ``leaf``, ``leaf-list``, ``type``

@@ -1,4 +1,4 @@
-"""Compile a YANG statement tree into a schema and validate instances."""
+"""Compile a YANG statement tree into a schema and validate RPC input."""
 
 import re
 import xml.etree.ElementTree as ET
@@ -153,33 +153,7 @@ class Module:
                                   % (self.name, name))
         return self.rpcs[name]
 
-    def list_keys(self) -> Dict[str, str]:
-        """Map list-node name -> key-leaf name (for Datastore)."""
-        keys: Dict[str, str] = {}
-
-        def walk(node: SchemaNode) -> None:
-            if isinstance(node, ListNode):
-                if node.key:
-                    keys[node.name] = node.key
-                for child in node.children.values():
-                    walk(child)
-            elif isinstance(node, Container):
-                for child in node.children.values():
-                    walk(child)
-
-        for node in self.top.values():
-            walk(node)
-        return keys
-
     # -- instance validation --------------------------------------------------
-
-    def validate_data(self, element: ET.Element) -> None:
-        """Validate a top-level data element against the module."""
-        name = local_name(element.tag)
-        node = self.top.get(name)
-        if node is None:
-            raise ValidationError("unknown top-level element <%s>" % name)
-        self._validate_node(element, node, name)
 
     def validate_rpc_input(self, rpc_name: str,
                            element: ET.Element) -> None:

@@ -64,7 +64,7 @@ class TestStep1Infrastructure:
         # management plane: one NETCONF session per container
         assert set(escape.netconf_clients) == {"nc1", "nc2"}
         for client in escape.netconf_clients.values():
-            assert client.connected
+            assert client.session_id is not None and not client.closed
         # service layer + mappers present
         assert set(escape.mappers) >= {"greedy", "shortest-path",
                                        "backtracking",

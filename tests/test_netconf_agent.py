@@ -1,8 +1,11 @@
 """Tests for the VNF-container NETCONF agent (the OpenYuma analog)."""
 
+import xml.etree.ElementTree as ET
+
 import pytest
 
-from repro.netconf import NetconfClient, RpcError, TransportPair, VNFAgent
+from repro.netconf import (NetconfClient, NetconfServer, RpcError,
+                           TransportPair, VNFAgent)
 from repro.netconf.agent import CAP_VNF
 from repro.netconf.messages import qn
 from repro.netconf.vnf_yang import VNF_NS
@@ -156,44 +159,22 @@ class TestAgentRpcs:
         assert reply.find(qn("value", VNF_NS)).text == "0"
 
 
-class TestOperationalState:
-    def test_get_reports_vnfs(self, managed):
-        net, _container, _agent, client = managed
-        start(client, net.sim)
-        net.run(0.5)
-        reply = client.get().result(net.sim)
-        data = reply.find(qn("data"))
-        vnfs = data.find(qn("vnfs", VNF_NS))
-        entries = vnfs.findall(qn("vnf", VNF_NS))
-        assert len(entries) == 1
-        assert entries[0].find(qn("id", VNF_NS)).text == "v1"
-        assert entries[0].find(qn("status", VNF_NS)).text == "UP"
-        uptime = float(entries[0].find(qn("uptime", VNF_NS)).text)
-        assert uptime > 0.4
-
-    def test_get_reports_capacity(self, managed):
-        net, _container, _agent, client = managed
-        start(client, net.sim, cpu="1.5", mem="512")
-        reply = client.get().result(net.sim)
-        capacity = reply.find(qn("data")).find(qn("capacity", VNF_NS))
-        used = float(capacity.find(qn("cpu-used", VNF_NS)).text)
-        assert used == pytest.approx(1.5)
-
-    def test_state_validates_against_yang(self, managed):
-        net, _container, agent, client = managed
-        start(client, net.sim, config=WIRE_VNF, devices="in0,out0")
-        client.rpc("connectVNF", VNF_NS, {
-            "id": "v1", "device": "in0",
-            "interface": "nc1-eth0"}).result(net.sim)
-        reply = client.get().result(net.sim)
-        data = reply.find(qn("data"))
-        for child in data:
-            agent.module.validate_data(child)
-
-    def test_state_tracks_stop(self, managed):
-        net, _container, _agent, client = managed
-        start(client, net.sim)
-        client.rpc("stopVNF", VNF_NS, {"id": "v1"}).result(net.sim)
-        reply = client.get().result(net.sim)
-        vnfs = reply.find(qn("data")).find(qn("vnfs", VNF_NS))
-        assert len(vnfs.findall(qn("vnf", VNF_NS))) == 0
+class TestSurface:
+    def test_agent_serves_its_model_and_nothing_else(self, managed):
+        """The YANG module's rpcs, the handlers the agent registers and
+        its ``_rpc_*`` methods are one set; a server answers no
+        configuration operation nobody registered."""
+        net, _container, agent, _client = managed
+        methods = {name[len("_rpc_"):] for name in dir(VNFAgent)
+                   if name.startswith("_rpc_")}
+        assert set(agent.module.rpcs) == set(agent.server._rpc_handlers) \
+            == methods
+        assert len(methods) == 7
+        pair = TransportPair(net.sim, latency=0.001)
+        NetconfServer(pair.server)
+        bare = NetconfClient(pair.client)
+        bare.wait_connected()
+        for operation in ("get", "get-config", "edit-config", "lock"):
+            with pytest.raises(RpcError) as exc:
+                bare.request(ET.Element(qn(operation))).result(net.sim)
+            assert exc.value.tag == "operation-not-supported"

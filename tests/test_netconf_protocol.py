@@ -1,12 +1,11 @@
-"""Tests for NETCONF messages, datastores, server/client sessions."""
+"""Tests for NETCONF messages and server/client sessions."""
 
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from repro.netconf import (Datastore, DatastoreError, NetconfClient,
-                           NetconfServer, RpcError, SessionError,
-                           TransportPair)
+from repro.netconf import (NetconfClient, NetconfServer, RpcError,
+                           SessionError, TransportPair)
 from repro.netconf import messages as nc
 from repro.sim import Simulator
 
@@ -60,9 +59,9 @@ class TestMessages:
 
     def test_namespace_helpers(self):
         tag = nc.qn("thing", "urn:example")
+        assert tag == "{urn:example}thing"
         assert nc.local_name(tag) == "thing"
-        assert nc.namespace_of(tag) == "urn:example"
-        assert nc.namespace_of("bare") is None
+        assert nc.local_name("bare") == "bare"
 
     def test_rpc_requires_one_operation(self):
         from repro.netconf import NetconfError
@@ -72,99 +71,20 @@ class TestMessages:
             nc.rpc_operation(rpc)
 
 
-class TestDatastore:
-    def test_merge_creates(self):
-        store = Datastore()
-        store.edit(element("box", children=[element("item", "1")]))
-        data = store.get()
-        assert data.find("{urn:test}box/{urn:test}item").text == "1"
+def ping(client):
+    """Some RPC: the ``ping`` :func:`serve_ping` registers."""
+    return client.rpc("ping", "urn:test")
 
-    def test_merge_overrides_text(self):
-        store = Datastore()
-        store.edit(element("leaf", "old"))
-        store.edit(element("leaf", "new"))
-        data = store.get()
-        leaves = data.findall("{urn:test}leaf")
-        assert len(leaves) == 1
-        assert leaves[0].text == "new"
 
-    def test_replace_swaps_subtree(self):
-        store = Datastore()
-        store.edit(element("box", children=[element("a", "1"),
-                                            element("b", "2")]))
-        replacement = element("box", children=[element("c", "3")])
-        store.edit(replacement, default_operation="replace")
-        box = store.get().find("{urn:test}box")
-        assert [nc.local_name(child.tag) for child in box] == ["c"]
-
-    def test_delete_removes(self):
-        store = Datastore()
-        store.edit(element("leaf", "x"))
-        victim = element("leaf")
-        victim.set(nc.qn("operation"), "delete")
-        store.edit(victim)
-        assert store.get().find("{urn:test}leaf") is None
-
-    def test_delete_missing_errors(self):
-        store = Datastore()
-        victim = element("ghost")
-        victim.set(nc.qn("operation"), "delete")
-        with pytest.raises(DatastoreError):
-            store.edit(victim)
-
-    def test_remove_missing_is_ok(self):
-        store = Datastore()
-        victim = element("ghost")
-        victim.set(nc.qn("operation"), "remove")
-        store.edit(victim)  # no error
-
-    def test_create_duplicate_errors(self):
-        store = Datastore()
-        store.edit(element("leaf", "x"))
-        duplicate = element("leaf", "y")
-        duplicate.set(nc.qn("operation"), "create")
-        with pytest.raises(DatastoreError):
-            store.edit(duplicate)
-
-    def test_list_entries_matched_by_key(self):
-        store = Datastore(list_keys={"vnf": "id"})
-        store.edit(element("vnf", children=[element("id", "a"),
-                                            element("state", "UP")]))
-        store.edit(element("vnf", children=[element("id", "b"),
-                                            element("state", "UP")]))
-        # update entry "a" only
-        store.edit(element("vnf", children=[element("id", "a"),
-                                            element("state", "DOWN")]))
-        entries = store.get().findall("{urn:test}vnf")
-        assert len(entries) == 2
-        states = {entry.find("{urn:test}id").text:
-                  entry.find("{urn:test}state").text
-                  for entry in entries}
-        assert states == {"a": "DOWN", "b": "UP"}
-
-    def test_subtree_filter(self):
-        store = Datastore()
-        store.edit(element("alpha", "1"))
-        store.edit(element("beta", "2"))
-        filtered = store.get_subtree(element("alpha"))
-        assert filtered.find("{urn:test}alpha") is not None
-        assert filtered.find("{urn:test}beta") is None
-
-    def test_copy_from(self):
-        running = Datastore("running")
-        candidate = Datastore("candidate")
-        candidate.edit(element("staged", "yes"))
-        running.copy_from(candidate)
-        assert running.get().find("{urn:test}staged").text == "yes"
-        # deep copy: further candidate edits don't leak
-        candidate.edit(element("staged", "no"))
-        assert running.get().find("{urn:test}staged").text == "yes"
+def serve_ping(server):
+    server.register_rpc("ping", lambda _operation: None)
+    return server
 
 
 def connected_pair(sim=None, **server_kwargs):
     sim = sim or Simulator()
     pair = TransportPair(sim, latency=0.001)
-    server = NetconfServer(pair.server, **server_kwargs)
+    server = serve_ping(NetconfServer(pair.server, **server_kwargs))
     client = NetconfClient(pair.client)
     client.wait_connected()
     # wait_connected returns on the server->client hello; give the
@@ -190,13 +110,13 @@ class TestSession:
         from repro.netconf.framing import EomFramer
         sim = Simulator()
         pair = TransportPair(sim)
-        server = NetconfServer(pair.server,
-                               capabilities=[nc.CAP_BASE_10])
+        serve_ping(NetconfServer(pair.server,
+                                 capabilities=[nc.CAP_BASE_10]))
         client = NetconfClient(pair.client)
         client.wait_connected()
         assert isinstance(client._tx_framer, EomFramer)
         # and RPCs still work
-        reply = client.get().result(sim)
+        reply = ping(client).result(sim)
         assert reply is not None
 
     def test_rpc_before_hello_rejected(self):
@@ -205,30 +125,7 @@ class TestSession:
         NetconfServer(pair.server)
         client = NetconfClient(pair.client)
         with pytest.raises(SessionError):
-            client.request(nc.build_get())
-
-    def test_get_roundtrip(self):
-        sim, server, client = connected_pair()
-        server.datastores["running"].edit(element("status", "fine"))
-        reply = client.get().result(sim)
-        data = reply.find(nc.qn("data"))
-        assert data.find("{urn:test}status").text == "fine"
-
-    def test_edit_config_then_get_config(self):
-        sim, _server, client = connected_pair()
-        client.edit_config(element("knob", "11")).result(sim)
-        reply = client.get_config().result(sim)
-        data = reply.find(nc.qn("data"))
-        assert data.find("{urn:test}knob").text == "11"
-
-    def test_get_with_filter(self):
-        sim, server, client = connected_pair()
-        server.datastores["running"].edit(element("a", "1"))
-        server.datastores["running"].edit(element("b", "2"))
-        reply = client.get(element("a")).result(sim)
-        data = reply.find(nc.qn("data"))
-        assert data.find("{urn:test}a") is not None
-        assert data.find("{urn:test}b") is None
+            ping(client)
 
     def test_unknown_rpc_returns_error(self):
         sim, _server, client = connected_pair()
@@ -281,12 +178,12 @@ class TestSession:
         assert server.closed
         assert client.closed
         with pytest.raises(SessionError):
-            client.get()
+            ping(client)
 
     def test_on_done_callback(self):
         sim, _server, client = connected_pair()
         done = []
-        client.get().on_done(lambda pending: done.append(pending))
+        ping(client).on_done(lambda pending: done.append(pending))
         sim.run(until=sim.now + 1.0)
         assert len(done) == 1
         assert done[0].done
@@ -295,17 +192,17 @@ class TestSession:
         from repro.netconf import NetconfError
         sim = Simulator()
         pair = TransportPair(sim)
-        NetconfServer(pair.server)
+        serve_ping(NetconfServer(pair.server))
         client = NetconfClient(pair.client)
         client.wait_connected()
         pair.client.closed = True  # silently break the pipe
-        pending = client.get()
+        pending = ping(client)
         with pytest.raises(NetconfError):
             pending.result(sim, timeout=1.0)
 
     def test_rpc_count_tracked(self):
         sim, server, client = connected_pair()
-        client.get().result(sim)
-        client.get().result(sim)
+        ping(client).result(sim)
+        ping(client).result(sim)
         assert server.rpc_count == 2
         assert client.rpcs_sent == 2

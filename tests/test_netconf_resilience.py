@@ -1,9 +1,9 @@
-"""NETCONF client hardening: deadlines and malformed frames.
+"""NETCONF client hardening: deadlines, malformed frames, broken framing.
 
 The chaos scenarios lean on these properties: a timed-out RPC raises
 exactly once and deregisters (its late reply is counted, never
-resolved), and a frame that cannot be read is answered or dropped,
-never raised out of the simulator.
+resolved), a frame that cannot be read is answered or dropped, and
+bytes that break the framing end the session — never the simulator.
 """
 
 import xml.etree.ElementTree as ET
@@ -11,8 +11,11 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from repro.netconf import (NetconfClient, NetconfError, NetconfServer,
-                           RpcTimeout, TransportPair)
+                           RpcTimeout, SessionError, TransportPair,
+                           VNFAgent)
 from repro.netconf import messages as nc
+from repro.netconf.vnf_yang import VNF_NS
+from repro.netem import Network
 from repro.sim import Simulator
 
 
@@ -23,10 +26,21 @@ def element(tag, text=None, ns="urn:test"):
     return node
 
 
-def connected_pair(sim=None, **server_kwargs):
+def ping(client):
+    """Some RPC: the ``ping`` every server in this file answers."""
+    return client.request(element("ping"))
+
+
+def ping_server(transport):
+    server = NetconfServer(transport)
+    server.register_rpc("ping", lambda _operation: None)
+    return server
+
+
+def connected_pair(sim=None):
     sim = sim or Simulator()
     pair = TransportPair(sim, latency=0.001)
-    server = NetconfServer(pair.server, **server_kwargs)
+    server = ping_server(pair.server)
     client = NetconfClient(pair.client)
     client.wait_connected()
     sim.run(until=sim.now + 0.1)
@@ -43,7 +57,7 @@ class TestRpcTimeout:
         sim, _server, client = connected_pair()
         client.transport.blackhole = True
         before = metric_value(sim, "netconf.client.rpc_timeouts")
-        pending = client.get()
+        pending = ping(client)
         with pytest.raises(RpcTimeout):
             pending.result(sim, timeout=0.5)
         assert pending.message_id not in client._pending
@@ -52,7 +66,7 @@ class TestRpcTimeout:
     def test_timeout_raises_exactly_once(self):
         sim, _server, client = connected_pair()
         client.transport.blackhole = True
-        pending = client.get()
+        pending = ping(client)
         with pytest.raises(RpcTimeout):
             pending.result(sim, timeout=0.5)
         # the handle stays failed; a second read raises the same error
@@ -65,7 +79,7 @@ class TestRpcTimeout:
         sim, _server, client = connected_pair()
         client.transport.peer.fault_latency = 2.0  # slow server->client
         before = metric_value(sim, "netconf.client.late_replies")
-        pending = client.get()
+        pending = ping(client)
         with pytest.raises(RpcTimeout):
             pending.result(sim, timeout=0.5)
         sim.run(until=sim.now + 5.0)  # the reply lands now
@@ -81,7 +95,7 @@ class TestRpcTimeout:
         sim, _server, client = connected_pair()
         client.transport.peer.fault_latency = 2.0  # slow server->client
         start = sim.now
-        pending = client.request(nc.build_get())  # no expiry event armed
+        pending = ping(client)  # no expiry event armed
         with pytest.raises(RpcTimeout):
             pending.result(sim, timeout=0.5)
         assert start < sim.now <= start + 0.5  # the request was delivered
@@ -94,7 +108,7 @@ class TestRpcTimeout:
         def blocking_call():
             called_at = sim.now
             with pytest.raises(RpcTimeout):
-                client.call(nc.build_get(), timeout=0.5)
+                client.call(element("ping"), timeout=0.5)
             waited.append(sim.now - called_at)
 
         sim.schedule(3.0, blocking_call)
@@ -105,12 +119,12 @@ class TestRpcTimeout:
     def test_default_timeout_expires_event_driven_rpcs(self):
         sim = Simulator()
         pair = TransportPair(sim, latency=0.001)
-        NetconfServer(pair.server)
+        ping_server(pair.server)
         client = NetconfClient(pair.client, default_timeout=0.5)
         client.wait_connected()
         sim.run(until=sim.now + 0.1)
         client.transport.blackhole = True
-        pending = client.get()  # nobody calls result()
+        pending = ping(client)  # nobody calls result()
         sim.run(until=sim.now + 2.0)
         assert pending.done
         assert isinstance(pending.error, RpcTimeout)
@@ -118,7 +132,7 @@ class TestRpcTimeout:
 
     def test_fast_rpc_unaffected_by_deadline(self):
         sim, _server, client = connected_pair()
-        reply = client.get().result(sim, timeout=5.0)
+        reply = ping(client).result(sim, timeout=5.0)
         assert reply is not None
 
 
@@ -166,18 +180,18 @@ class TestMalformedFrames:
         send = server.transport.send
         server.transport.send = lambda data: (answered.append(data),
                                               send(data))
-        bad = _with_encoding(nc.build_rpc(99, nc.build_get()), b"utf-9")
+        bad = _with_encoding(nc.build_rpc(99, element("ping")), b"utf-9")
         client.transport.send(client._tx_framer.frame(bad))
         sim.run(until=sim.now + 0.1)  # raises nothing
         [reply] = answered
         assert b"malformed-message" in reply
         assert b"unknown encoding" in reply
-        assert client.get().result(sim) is not None
+        assert ping(client).result(sim) is not None
 
     def test_client_drops_a_reply_it_cannot_read(self):
         sim, server, client = connected_pair()
         client.transport.blackhole = True  # the server never sees it
-        pending = client.get()
+        pending = ping(client)
         for encoding in (b"utf-9", b"utf-8"):
             reply = nc.build_rpc_reply(pending.message_id)
             if encoding == b"utf-8":
@@ -192,4 +206,58 @@ class TestMalformedFrames:
                  "not an integer" in event.message)
                 for event in dropped] == [(True, False), (False, True)]
         client.transport.blackhole = False
-        assert client.get().result(sim) is not None
+        assert ping(client).result(sim) is not None
+
+
+class TestBrokenFraming:
+    """Bytes that break the chunked framing end the session, from
+    whichever end reads them: one ``framing.error`` warn event, the
+    transport closed, every pending RPC failed with ``SessionError``
+    at once and every later one refused — never a ``FramingError``
+    out of the simulator, and never an RPC left to its deadline."""
+
+    @pytest.fixture
+    def managed(self):
+        net = Network()
+        container = net.add_vnf_container("nc1", cpu=2.0, mem=1024.0)
+        pair = TransportPair(net.sim, latency=0.001)
+        agent = VNFAgent(container, pair.server)
+        client = NetconfClient(pair.client)
+        client.wait_connected()
+        net.run(0.1)
+        client.rpc("startVNF", VNF_NS, {
+            "id": "v1", "click-config": "Idle -> cnt :: Counter -> Discard;",
+            "devices": ""}).result(net.sim)
+        return net, agent, client
+
+    @staticmethod
+    def read_count(client):
+        return client.rpc("getVNFInfo", VNF_NS,
+                          {"id": "v1", "handler": "cnt.count"})
+
+    @staticmethod
+    def warnings(net):
+        return [(event.source, event.name) for event
+                in net.sim.telemetry.events.query(min_severity="WARN")]
+
+    def test_zero_length_chunk_to_the_agent(self, managed):
+        net, agent, client = managed
+        assert self.read_count(client).result(net.sim) is not None
+        client.transport.send(b"\n#0\n")
+        net.run(0.1)  # raises nothing
+        assert self.warnings(net) == [("netconf.server", "framing.error")]
+        assert agent.server.closed and client.closed
+        with pytest.raises(SessionError):
+            self.read_count(client)
+
+    def test_bad_chunk_header_to_the_client(self, managed):
+        net, agent, client = managed
+        client.transport.blackhole = True  # the agent never sees it
+        pending = self.read_count(client)
+        agent.server.transport.send(b"\n#zz\n" + b"<rpc-reply/>")
+        net.run(0.1)  # raises nothing
+        assert self.warnings(net) == [("netconf.client", "framing.error")]
+        assert pending.done and isinstance(pending.error, SessionError)
+        assert client._pending == {}
+        with pytest.raises(SessionError):
+            self.read_count(client)

@@ -528,8 +528,10 @@ def test_serialiser_equals_elementtree_on_any_tree(tree):
 @pytest.mark.parametrize("quirk", sorted(_QUIRKS))
 @pytest.mark.parametrize("where", ["root", "leaf"])
 def test_serialiser_leaves_other_shapes_to_elementtree(quirk, where):
-    rpc = nc.build_rpc(7, nc.build_get_config(
-        "running", ET.Element(nc.qn("vnfs", "urn:example:vnf"))))
+    operation = ET.Element(nc.qn("getVNFInfo", "urn:example:vnf"))
+    ET.SubElement(operation, nc.qn("id", "urn:example:vnf")).text = "v1"
+    ET.SubElement(operation, nc.qn("handler", "urn:example:vnf"))
+    rpc = nc.build_rpc(7, operation)
     _QUIRKS[quirk](rpc if where == "root" else list(rpc.iter())[-1])
     expected = _outcome(_reference, rpc)
     with mock.patch.object(ET, "tostring", wraps=ET.tostring) as slow:

@@ -34,6 +34,25 @@ module demo {
     }
   }
 
+  rpc configure {
+    input {
+      leaf name { type string { length "1..16"; } }
+      leaf level { type percent; }
+      leaf enabled { type boolean; }
+      leaf mode {
+        type enumeration {
+          enum fast;
+          enum slow;
+        }
+      }
+      list rule {
+        key id;
+        leaf id { type string; }
+        leaf action { type string; }
+      }
+    }
+  }
+
   rpc reboot {
     input {
       leaf delay { type uint16; default "0"; }
@@ -112,10 +131,6 @@ class TestCompile:
         level = module.top["settings"].children["level"]
         assert level.type.int_range == (0, 100)
 
-    def test_list_keys_extracted(self):
-        module = compile_module(parse_yang(SIMPLE_MODULE))
-        assert module.list_keys() == {"rule": "id"}
-
     def test_rpc_schema(self):
         module = compile_module(parse_yang(SIMPLE_MODULE))
         rpc = module.rpc("reboot")
@@ -132,56 +147,51 @@ class TestValidation:
     def setup_method(self):
         self.module = compile_module(parse_yang(SIMPLE_MODULE))
 
+    def configure(self, *children):
+        """Validate a ``configure`` call carrying ``children``."""
+        self.module.validate_rpc_input(
+            "configure", el("configure", children=children))
+
     def test_valid_container(self):
-        self.module.validate_data(el("settings", children=[
-            el("name", "box-1"), el("level", "50"),
-            el("enabled", "true"), el("mode", "fast")]))
+        self.configure(el("name", "box-1"), el("level", "50"),
+                       el("enabled", "true"), el("mode", "fast"))
 
     def test_unknown_top_level_rejected(self):
         with pytest.raises(ValidationError):
-            self.module.validate_data(el("mystery"))
+            self.module.validate_rpc_input("mystery", el("mystery"))
 
     def test_unknown_child_rejected(self):
         with pytest.raises(ValidationError):
-            self.module.validate_data(el("settings", children=[
-                el("surprise", "x")]))
+            self.configure(el("surprise", "x"))
 
     def test_integer_range_enforced(self):
         with pytest.raises(ValidationError):
-            self.module.validate_data(el("settings", children=[
-                el("level", "150")]))
+            self.configure(el("level", "150"))
 
     def test_non_integer_rejected(self):
         with pytest.raises(ValidationError):
-            self.module.validate_data(el("settings", children=[
-                el("level", "many")]))
+            self.configure(el("level", "many"))
 
     def test_boolean_enforced(self):
         with pytest.raises(ValidationError):
-            self.module.validate_data(el("settings", children=[
-                el("enabled", "maybe")]))
+            self.configure(el("enabled", "maybe"))
 
     def test_enumeration_enforced(self):
-        self.module.validate_data(el("settings", children=[
-            el("mode", "slow")]))
+        self.configure(el("mode", "slow"))
         with pytest.raises(ValidationError):
-            self.module.validate_data(el("settings", children=[
-                el("mode", "medium")]))
+            self.configure(el("mode", "medium"))
 
     def test_string_length_enforced(self):
         with pytest.raises(ValidationError):
-            self.module.validate_data(el("settings", children=[
-                el("name", "x" * 17)]))
+            self.configure(el("name", "x" * 17))
 
     def test_list_entry_needs_key(self):
         with pytest.raises(ValidationError):
-            self.module.validate_data(el("settings", children=[
-                el("rule", children=[el("action", "drop")])]))
+            self.configure(el("rule", children=[el("action", "drop")]))
 
     def test_list_entry_with_key_ok(self):
-        self.module.validate_data(el("settings", children=[
-            el("rule", children=[el("id", "r1"),
-                                 el("action", "drop")])]))
+        self.configure(el("rule", children=[el("id", "r1"),
+                                            el("action", "drop")]))
 
     def test_rpc_input_mandatory_enforced(self):
         operation = el("reboot", children=[el("delay", "5")])
@@ -210,32 +220,13 @@ class TestVNFModule:
                          "writeVNFHandler"):
             assert rpc_name in module.rpcs
 
-    def test_vnf_list_keys(self):
-        module = compile_module(parse_yang(VNF_YANG))
-        keys = module.list_keys()
-        assert keys["vnf"] == "id"
-        assert keys["device"] == "name"
-
     def test_status_enumeration(self):
         module = compile_module(parse_yang(VNF_YANG))
-
-        def vnf_el(tag, text=None, children=()):
-            node = ET.Element("{%s}%s" % (VNF_NS, tag))
-            if text is not None:
-                node.text = text
-            for child in children:
-                node.append(child)
-            return node
-
-        good = vnf_el("vnfs", children=[
-            vnf_el("vnf", children=[vnf_el("id", "v1"),
-                                    vnf_el("status", "UP")])])
-        module.validate_data(good)
-        bad = vnf_el("vnfs", children=[
-            vnf_el("vnf", children=[vnf_el("id", "v1"),
-                                    vnf_el("status", "SLEEPING")])])
+        status = module.rpc("startVNF").output.children["status"].type
+        assert status.enums == ["INITIALIZING", "UP", "STOPPED", "FAILED"]
+        status.validate("UP", "status")
         with pytest.raises(ValidationError):
-            module.validate_data(bad)
+            status.validate("SLEEPING", "status")
 
     def test_start_vnf_input_validation(self):
         module = compile_module(parse_yang(VNF_YANG))
