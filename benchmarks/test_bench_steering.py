@@ -1,6 +1,6 @@
 """STEER1 — traffic-steering cost: flow-mods per chain and install
-latency vs path length, exact vs VLAN granularity (the design ablation
-DESIGN.md calls out)."""
+latency vs path length.  Exact-match steering installs one entry per
+hop (EXPERIMENTS.md SIMPL15 records why it is the one granularity)."""
 
 import pytest
 
@@ -10,10 +10,10 @@ from repro.pox import (Core, OpenFlowNexus, PathHop, SteeringChange,
                        TrafficSteering)
 
 
-def steering_rig(switches, mode):
+def steering_rig(switches):
     net = Network.build(LinearTopo(k=switches, n=1))
     nexus = OpenFlowNexus(Core(net.sim))
-    steering = TrafficSteering(nexus, mode=mode)
+    steering = TrafficSteering(nexus)
     net.add_controller(nexus)
     net.start()
     net.run(0.1)
@@ -21,10 +21,9 @@ def steering_rig(switches, mode):
     return net, steering, hops
 
 
-@pytest.mark.parametrize("mode", ["exact", "vlan"])
 @pytest.mark.parametrize("switches", [2, 8, 32])
-def test_path_install_latency(benchmark, mode, switches):
-    net, steering, hops = steering_rig(switches, mode)
+def test_path_install_latency(benchmark, switches):
+    net, steering, hops = steering_rig(switches)
     counter = {"n": 0}
 
     def install_remove():
@@ -40,52 +39,29 @@ def test_path_install_latency(benchmark, mode, switches):
 
 
 def test_flow_mod_count_table(benchmark):
-    """Entries per chain vs hops, exact vs vlan — prints the STEER1
-    table and asserts the linear shape."""
+    """Entries per chain vs hops — prints the STEER1 table and asserts
+    one entry per hop."""
     rows = []
 
     def measure():
         for switches in (2, 4, 8, 16, 32):
-            counts = {}
-            for mode in ("exact", "vlan"):
-                _net, steering, hops = steering_rig(switches, mode)
-                steering.apply(SteeringChange().install(
-                    "p", hops, Match(nw_src="10.0.0.1")))
-                counts[mode] = steering.flow_mod_count("p")
-            rows.append((switches, counts["exact"], counts["vlan"]))
+            _net, steering, hops = steering_rig(switches)
+            steering.apply(SteeringChange().install(
+                "p", hops, Match(nw_src="10.0.0.1")))
+            rows.append((switches, steering.flow_mod_count("p")))
     benchmark.pedantic(measure, rounds=1, iterations=1)
     print("\nSTEER1: flow entries per installed chain path")
-    print("%8s %10s %10s" % ("hops", "exact", "vlan"))
-    for switches, exact, vlan in rows:
-        print("%8d %10d %10d" % (switches, exact, vlan))
-    # both modes are linear in hops; per-hop count identical here (one
-    # entry per switch) but vlan entries in the core are *narrower*
-    for switches, exact, vlan in rows:
+    print("%8s %10s" % ("hops", "exact"))
+    for switches, exact in rows:
+        print("%8d %10d" % (switches, exact))
+    for switches, exact in rows:
         assert exact == switches
-        assert vlan == switches
-
-
-def test_vlan_core_entries_are_narrow(benchmark):
-    """The ablation's actual payoff: VLAN-mode core entries match only
-    (in_port, vlan) while exact-mode entries carry the full 5-tuple —
-    i.e. per-chain state in the core is independent of the flowspec."""
-    _net, steering, hops = steering_rig(4, "vlan")
-    benchmark.pedantic(
-        lambda: steering.apply(SteeringChange().install(
-            "p", hops, Match(nw_src="10.0.0.1", nw_dst="10.0.0.2",
-                             tp_dst=80))),
-        rounds=1, iterations=1)
-    core_mods = [flow_mod for _dpid, flow_mod
-                 in steering.paths["p"].flow_mods[1:-1]]
-    for flow_mod in core_mods:
-        assert flow_mod.match.nw_src is None
-        assert flow_mod.match.dl_vlan is not None
 
 
 @pytest.mark.parametrize("chains", [1, 16, 64])
 def test_many_chains_install_throughput(benchmark, chains):
     """Total time to install N disjoint chain paths (deploy burst)."""
-    net, steering, hops = steering_rig(8, "exact")
+    net, steering, hops = steering_rig(8)
     round_counter = {"n": 0}
 
     def install_burst():

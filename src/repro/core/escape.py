@@ -51,16 +51,14 @@ class ESCAPE:
     STARTUP_SETTLE = 0.1  # simulated seconds for handshakes/discovery
     CONTROL_LATENCY = 0.001  # one-way seconds on the management network
 
-    def __init__(self, topo: Topo, steering_mode: str = "exact",
-                 discovery_interval: float = 1.0,
+    def __init__(self, topo: Topo, discovery_interval: float = 1.0,
                  control_network: str = "outband",
                  of_wire: bool = False,
                  protection: bool = False):
         """Demo step (1): containers + the rest of the topology."""
         net = self.net = Network.build(topo)
         # proactive chain protection: precomputed backup paths behind
-        # fast-failover groups (requires exact steering; see
-        # Orchestrator)
+        # fast-failover groups (see Orchestrator)
         self.protection = protection
         net.serialize_openflow = of_wire
         self.sim: Simulator = net.sim
@@ -77,7 +75,7 @@ class ESCAPE:
         self.discovery = Discovery(self.nexus,
                                    send_interval=discovery_interval,
                                    link_timeout=6 * discovery_interval)
-        self.steering = TrafficSteering(self.nexus, mode=steering_mode)
+        self.steering = TrafficSteering(self.nexus)
         self.stats = StatsCollector(self.nexus)
         self.core.register("openflow", self.nexus)
         self.core.register("stats", self.stats)

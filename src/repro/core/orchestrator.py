@@ -29,8 +29,7 @@ from repro.netem import Network, VNFContainer
 from repro.netem.node import Host, Switch
 from repro.openflow import Match
 from repro.packet import Ethernet
-from repro.pox.steering import (MODE_EXACT, PathHop, SteeringChange,
-                                TrafficSteering)
+from repro.pox.steering import PathHop, SteeringChange, TrafficSteering
 
 
 class OrchestratorError(Exception):
@@ -215,14 +214,8 @@ class Orchestrator:
         self._clients = netconf_clients
         # proactive protection: precompute link-disjoint backup paths
         # at deploy time and install them behind fast-failover groups
-        # (exact-match steering only — the VLAN ablation tags per path)
-        self.protection = protection and steering.mode == MODE_EXACT
+        self.protection = protection
         self.telemetry = net.sim.telemetry
-        if protection and not self.protection:
-            self.telemetry.events.warn(
-                "core.orchestrator", "protection.unavailable",
-                "protection requires exact steering; disabled "
-                "(mode=%s)" % steering.mode, mode=steering.mode)
         self.view = build_resource_view(net)
         self.ports = _PortMap(net)
         self.deployed: Dict[str, DeployedChain] = {}

@@ -6,7 +6,9 @@ InMemoryTransport`: ``send`` / ``set_receiver`` / ``close`` / ``sim``.
 Byte streams are chunked into frames of a locally-administered
 EtherType on an emulated interface; links preserve ordering, so the
 receive side simply concatenates — the RFC 6242 framers on top recover
-message boundaries exactly as they do over TCP.
+message boundaries exactly as they do over TCP.  A data frame carries
+at least one byte, so an empty one is the close signal: closing one end
+closes the other one management-network hop later.
 """
 
 from typing import Callable, Optional, Union
@@ -31,6 +33,12 @@ class EthTransport:
         self.on_close: Optional[Callable[[], None]] = None
         self.tx_bytes = 0
         self.rx_bytes = 0
+        # fault-injection hooks (repro.chaos), as on InMemoryTransport:
+        # a blackholed endpoint silently eats writes; ``fault_latency``
+        # holds each write back before it goes on the wire
+        self.blackhole = False
+        self.fault_latency = 0.0
+        self.blackholed_bytes = 0
         intf.receive = self._receive_frame
 
     def set_receiver(self, callback: Callable[[bytes], None]) -> None:
@@ -39,13 +47,23 @@ class EthTransport:
     def send(self, data: bytes) -> None:
         if self.closed:
             return
+        if self.blackhole:
+            self.blackholed_bytes += len(data)
+            return
         self.tx_bytes += len(data)
+        if self.fault_latency:
+            self.sim.schedule(self.fault_latency, self._transmit, data)
+        else:
+            self._transmit(data)
+
+    def _transmit(self, data: bytes) -> None:
         for start in range(0, len(data), MTU):
-            frame = Ethernet(src=self.intf.mac, dst=self.peer_mac,
-                             type=ETHERTYPE_MGMT,
-                             payload=data[start:start + MTU])
-        # single-chunk fast path falls through the loop naturally
-            self.intf.send(frame.pack())
+            self._send_frame(data[start:start + MTU])
+
+    def _send_frame(self, payload: bytes) -> None:
+        self.intf.send(Ethernet(src=self.intf.mac, dst=self.peer_mac,
+                                type=ETHERTYPE_MGMT,
+                                payload=payload).pack())
 
     def _receive_frame(self, wire: bytes) -> None:
         if self.closed:
@@ -61,6 +79,9 @@ class EthTransport:
         if frame.src != self.peer_mac:
             return  # not our session peer
         payload = frame.raw_payload()
+        if not payload:  # the peer closed the session
+            self._shut()
+            return
         self.rx_bytes += len(payload)
         if self.receiver is not None:
             self.receiver(payload)
@@ -73,6 +94,10 @@ class EthTransport:
     def close(self) -> None:
         if self.closed:
             return
+        self._shut()
+        self._send_frame(b"")
+
+    def _shut(self) -> None:
         self.closed = True
         if self.on_close is not None:
             self.on_close()

@@ -9,10 +9,7 @@ packet-in/packet-out, flow-removed, stats) follow OF 1.0, which is what
 the paper's steering module programs against.
 """
 
-from repro.openflow.actions import (Action, Group, Output, SetDlDst,
-                                    SetDlSrc, SetNwDst, SetNwSrc,
-                                    SetTpDst, SetTpSrc, SetVlan,
-                                    StripVlan)
+from repro.openflow.actions import Action, Group, Output
 from repro.openflow.channel import ChannelError, ControllerChannel
 from repro.openflow.flowtable import (FlowEntry, FlowTable, GroupEntry,
                                       GroupError, GroupTable)
@@ -69,13 +66,5 @@ __all__ = [
     "PortStatsReply",
     "PortStatsRequest",
     "PortStatus",
-    "SetDlDst",
-    "SetDlSrc",
-    "SetNwDst",
-    "SetNwSrc",
-    "SetTpDst",
-    "SetTpSrc",
-    "SetVlan",
-    "StripVlan",
     "SwitchPort",
 ]

@@ -3,13 +3,12 @@
 from operator import itemgetter
 from typing import Callable, Dict, List, Optional
 
-from repro.openflow.actions import Group, Output, apply_actions
+from repro.openflow.actions import Group, Output
 from repro.openflow.channel import ControllerChannel
 from repro.openflow.flowtable import (FlowEntry, FlowTable, GroupError,
                                       GroupTable)
 from repro.openflow.match import MATCH_FIELDS, flow_key
 from repro.openflow import messages as msg
-from repro.packet import Ethernet
 from repro.packet.base import PacketError
 from repro.sim import Simulator
 
@@ -114,8 +113,8 @@ class OpenFlowSwitch:
         # Flow cache (DESIGN.md "Switch flow cache").  The datapath is a
         # pure function of in_port, the header fields the installed
         # matches examine, the group table and port liveness: _flows
-        # maps (in_port, those fields) -> (entry, rewrites, out_ports),
-        # flushed by a table mutation (table.version), GroupMod or port flip
+        # maps (in_port, those fields) -> (entry, out_ports), flushed by
+        # a table mutation (table.version), GroupMod or port flip
         self._flows: Dict[tuple, tuple] = {}
         self._frames = sim.frames  # slot 1: flow_key fields, parsed once
         self._flush_caches()
@@ -248,18 +247,16 @@ class OpenFlowSwitch:
                     self._send_packet_in(in_port, data,
                                          msg.PacketIn.REASON_NO_MATCH)
                 return
-            verdict = (entry,) + self._compile(entry.actions)
+            verdict = entry, self._compile(entry.actions)
             if len(self._flows) >= self.MICROFLOW_CAP:
                 self._flows.clear()
             self._flows[key] = verdict
-        entry, rewrites, out_ports = verdict
+        entry, out_ports = verdict
         self.table_hit_count += 1
         entry.packet_count += 1  # FlowEntry.note_hit, in place
         entry.byte_count += len(data)
         entry.last_used = now
-        wire = (self._rewrite(rewrites, data) if rewrites and out_ports
-                else data)
-        if wire is None or not out_ports:
+        if not out_ports:
             self.dropped_count += 1
             return
         ports = self.ports
@@ -267,12 +264,12 @@ class OpenFlowSwitch:
             port = ports.get(port_no)
             if port is None or not port.up or port.transmit is None:
                 # virtual, unknown or dead port
-                self._output(port_no, wire, in_port)
+                self._output(port_no, data, in_port)
                 continue
             port.tx_packets += 1
-            port.tx_bytes += len(wire)
+            port.tx_bytes += len(data)
             self.forwarded_count += 1
-            port.transmit(wire)
+            port.transmit(data)
 
     def _flush_caches(self) -> None:
         """Empty the flow cache and re-derive the key mask: the fields
@@ -286,39 +283,25 @@ class OpenFlowSwitch:
                           else lambda fields: None)
 
     def _compile(self, actions) -> tuple:
-        """Split an action list into ``(rewrite actions, out_ports)``
-        with groups resolved to their live bucket.  OF 1.0 lists run in
-        order, but every Output here sends the fully rewritten frame."""
+        """The output ports of an action list, in order, with groups
+        resolved to their live bucket."""
         if self.groups.groups:
             # only switches with installed groups pay this scan, and
             # only on flow-cache misses — the steady-state hot path
             # replays the cached resolution
             actions = self._resolve_groups(actions)
-        return ([action for action in actions
-                 if not isinstance(action, Output)],
-                tuple(action.port for action in actions
-                      if isinstance(action, Output)))
-
-    @staticmethod
-    def _rewrite(rewrites, data: bytes) -> Optional[bytes]:
-        """The received bytes themselves when there is nothing to
-        rewrite, else unpack -> apply -> pack (None if unparsable)."""
-        if not rewrites:
-            return data
-        try:
-            return apply_actions(rewrites, Ethernet.unpack(data))[0].pack()
-        except PacketError:
-            return None
+        return tuple(action.port for action in actions
+                     if isinstance(action, Output))
 
     def _execute(self, actions, data: bytes, in_port: Optional[int]) -> None:
-        """Run a one-off action list (PacketOut, buffered release)."""
-        rewrites, out_ports = self._compile(actions)
-        wire = self._rewrite(rewrites, data) if out_ports else None
-        if wire is None:
+        """Run a one-off action list (PacketOut, buffered release): the
+        received bytes go out of every output port."""
+        out_ports = self._compile(actions)
+        if not out_ports:
             self.dropped_count += 1
             return
         for port_no in out_ports:
-            self._output(port_no, wire, in_port)
+            self._output(port_no, data, in_port)
 
     def _resolve_groups(self, actions) -> list:
         """Expand Group actions into the live bucket's actions.

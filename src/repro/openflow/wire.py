@@ -15,10 +15,7 @@ import struct
 from typing import List, Optional, Tuple
 
 from repro.openflow import messages as msg
-from repro.openflow.actions import (Action, Group, Output, SetDlDst,
-                                    SetDlSrc, SetNwDst, SetNwSrc,
-                                    SetTpDst, SetTpSrc, SetVlan,
-                                    StripVlan)
+from repro.openflow.actions import Action, Group, Output
 from repro.openflow.match import Match, NO_VLAN
 from repro.packet import EthAddr, IPAddr
 
@@ -58,14 +55,6 @@ OFPFW_NW_TOS = 1 << 21
 
 # action type codes
 OFPAT_OUTPUT = 0
-OFPAT_SET_VLAN_VID = 1
-OFPAT_STRIP_VLAN = 3
-OFPAT_SET_DL_SRC = 4
-OFPAT_SET_DL_DST = 5
-OFPAT_SET_NW_SRC = 6
-OFPAT_SET_NW_DST = 7
-OFPAT_SET_TP_SRC = 9
-OFPAT_SET_TP_DST = 10
 OFPAT_GROUP = 22  # OF 1.1 action, carried as an extension
 
 OFPST_FLOW = 1
@@ -179,24 +168,6 @@ def unpack_match(data: bytes) -> Match:
 def pack_action(action: Action) -> bytes:
     if isinstance(action, Output):
         return struct.pack("!HHHH", OFPAT_OUTPUT, 8, action.port, 0xFFFF)
-    if isinstance(action, SetVlan):
-        return struct.pack("!HHHxx", OFPAT_SET_VLAN_VID, 8, action.vid)
-    if isinstance(action, StripVlan):
-        return struct.pack("!HH4x", OFPAT_STRIP_VLAN, 8)
-    if isinstance(action, SetDlSrc):
-        return struct.pack("!HH6s6x", OFPAT_SET_DL_SRC, 16,
-                           action.addr.raw)
-    if isinstance(action, SetDlDst):
-        return struct.pack("!HH6s6x", OFPAT_SET_DL_DST, 16,
-                           action.addr.raw)
-    if isinstance(action, SetNwSrc):
-        return struct.pack("!HH4s", OFPAT_SET_NW_SRC, 8, action.addr.raw)
-    if isinstance(action, SetNwDst):
-        return struct.pack("!HH4s", OFPAT_SET_NW_DST, 8, action.addr.raw)
-    if isinstance(action, SetTpSrc):
-        return struct.pack("!HHHxx", OFPAT_SET_TP_SRC, 8, action.port)
-    if isinstance(action, SetTpDst):
-        return struct.pack("!HHHxx", OFPAT_SET_TP_DST, 8, action.port)
     if isinstance(action, Group):
         return struct.pack("!HHI", OFPAT_GROUP, 8, action.group_id)
     raise WireError("cannot serialize action %r" % action)
@@ -207,12 +178,7 @@ def pack_actions(actions: List[Action]) -> bytes:
 
 
 #: The one wire length of every action type the codec knows.
-_ACTION_LENGTHS = {
-    OFPAT_OUTPUT: 8, OFPAT_SET_VLAN_VID: 8, OFPAT_STRIP_VLAN: 8,
-    OFPAT_SET_DL_SRC: 16, OFPAT_SET_DL_DST: 16, OFPAT_SET_NW_SRC: 8,
-    OFPAT_SET_NW_DST: 8, OFPAT_SET_TP_SRC: 8, OFPAT_SET_TP_DST: 8,
-    OFPAT_GROUP: 8,
-}
+_ACTION_LENGTHS = {OFPAT_OUTPUT: 8, OFPAT_GROUP: 8}
 
 
 def unpack_actions(data: bytes) -> List[Action]:
@@ -232,22 +198,6 @@ def unpack_actions(data: bytes) -> List[Action]:
         if action_type == OFPAT_OUTPUT:
             port, _max_len = struct.unpack("!HH", body)
             actions.append(Output(port))
-        elif action_type == OFPAT_SET_VLAN_VID:
-            actions.append(SetVlan(struct.unpack("!Hxx", body)[0]))
-        elif action_type == OFPAT_STRIP_VLAN:
-            actions.append(StripVlan())
-        elif action_type == OFPAT_SET_DL_SRC:
-            actions.append(SetDlSrc(EthAddr(body[:6])))
-        elif action_type == OFPAT_SET_DL_DST:
-            actions.append(SetDlDst(EthAddr(body[:6])))
-        elif action_type == OFPAT_SET_NW_SRC:
-            actions.append(SetNwSrc(IPAddr(body[:4])))
-        elif action_type == OFPAT_SET_NW_DST:
-            actions.append(SetNwDst(IPAddr(body[:4])))
-        elif action_type == OFPAT_SET_TP_SRC:
-            actions.append(SetTpSrc(struct.unpack("!Hxx", body)[0]))
-        elif action_type == OFPAT_SET_TP_DST:
-            actions.append(SetTpDst(struct.unpack("!Hxx", body)[0]))
         else:  # OFPAT_GROUP
             actions.append(Group(struct.unpack("!I", body)[0]))
         offset += length

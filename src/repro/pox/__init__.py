@@ -16,8 +16,7 @@ that application assumes:
 * :class:`~repro.pox.discovery.Discovery` — LLDP topology discovery
   feeding the orchestrator's global network view,
 * :class:`~repro.pox.steering.TrafficSteering` — ESCAPE's module: install
-  / remove chain paths as flow entries, with per-hop or VLAN-tagged
-  granularity.
+  / remove chain paths as exact-match flow entries, one per hop.
 """
 
 from repro.pox.core import Core

@@ -6,13 +6,8 @@ and it installs/removes the OpenFlow entries that pin chain traffic to
 those paths.  Every change to the dataplane is one
 :class:`SteeringChange` given to :meth:`TrafficSteering.apply`, which
 checks the whole change before it sends anything; each (switch, match,
-priority) entry has one owning path.  Two granularities are supported
-(an ablation the benchmarks compare):
-
-* ``exact`` — every hop matches the full flow template plus its in-port,
-* ``vlan``  — the first hop tags the chain's traffic with a dedicated
-  VLAN id, core hops match only (vlan, in-port), the last hop strips the
-  tag: fewer wide entries in the core at the cost of a tag namespace.
+priority) entry has one owning path.  Every hop matches the full flow
+template plus its in-port and outputs the frame unchanged.
 """
 
 import copy
@@ -21,13 +16,10 @@ from itertools import count
 from typing import Callable, ContextManager, Dict, Iterator, List, Optional
 
 from repro.openflow import (FlowMod, Group, GroupBucket, GroupMod, Match,
-                            Output, SetVlan, StripVlan)
+                            Output)
 from repro.pox.nexus import OpenFlowNexus
 
 STEERING_PRIORITY = 0x6000  # above l2_learning's 0x1000
-
-MODE_EXACT = "exact"
-MODE_VLAN = "vlan"
 
 
 class SteeringError(Exception):
@@ -77,9 +69,8 @@ class SteeringChange:
                 within: Optional[Callable[[], ContextManager]] = None
                 ) -> "SteeringChange":
         """Steer ``match`` traffic along ``hops``, protected by
-        ``backup_hops`` if given (exact steering only; see
-        :meth:`TrafficSteering._flow_mods`).  ``match`` should not
-        constrain in_port or dl_vlan; the module owns those fields.
+        ``backup_hops`` if given (see :meth:`TrafficSteering._flow_mods`).
+        ``match`` should not constrain in_port; the module owns it.
         ``within`` returns a context manager entered around sending
         this install (a caller's trace span, say); it is called only
         then."""
@@ -90,13 +81,12 @@ class SteeringChange:
 
 class _InstalledPath:
     def __init__(self, path_id: str, hops: List[PathHop], match: Match,
-                 flow_mods: List[tuple], vlan: Optional[int],
-                 group_mods: List[tuple], backup_hops: List[PathHop]):
+                 flow_mods: List[tuple], group_mods: List[tuple],
+                 backup_hops: List[PathHop]):
         self.path_id = path_id
         self.hops = hops
         self.match = match
         self.flow_mods = flow_mods  # (dpid, FlowMod) pairs, for removal
-        self.vlan = vlan
         self.group_mods = group_mods  # (dpid, GroupMod) pairs
         self.backup_hops = backup_hops
 
@@ -104,15 +94,9 @@ class _InstalledPath:
 class TrafficSteering:
     """Install and tear down chain paths as flow entries."""
 
-    FIRST_VLAN = 100
-
-    def __init__(self, nexus: OpenFlowNexus, mode: str = MODE_EXACT):
-        if mode not in (MODE_EXACT, MODE_VLAN):
-            raise SteeringError("unknown steering mode %r" % mode)
+    def __init__(self, nexus: OpenFlowNexus):
         self.nexus = nexus
-        self.mode = mode
         self.paths: Dict[str, _InstalledPath] = {}
-        self._vlans_in_use: set = set()
         # benchmarks assert exact values on these plain ints; the
         # registry counters below mirror them for unified snapshots
         self.flow_mods_sent = 0
@@ -166,10 +150,10 @@ class TrafficSteering:
         """Make ``change``: check all of it, then send all of it.
 
         A change that names an unknown or duplicate path, a path with
-        no hops, a switch that is not connected, more VLANs than are
-        free or an entry another path holds raises SteeringError having
-        sent nothing.  Otherwise every removal is sent in the order
-        given, then every install, its failover groups before its flows.
+        no hops, a switch that is not connected or an entry another path
+        holds raises SteeringError having sent nothing.  Otherwise every
+        removal is sent in the order given, then every install, its
+        failover groups before its flows.
         """
         planned = self._check(change)
         for path_id in change.removals:
@@ -188,8 +172,6 @@ class TrafficSteering:
         removing = set(change.removals)
         if len(removing) < len(change.removals):
             raise SteeringError("a change removes a path twice")
-        vlans = self._vlans_in_use - {self.paths[path_id].vlan
-                                      for path_id in removing}
         gids = count(self._next_group_id)
         taken = set(self.paths) - removing
         owners = {(dpid, mod.priority, mod.match): path_id
@@ -202,21 +184,21 @@ class TrafficSteering:
             taken.add(path_id)
             if not hops:
                 raise SteeringError("path %r has no hops" % path_id)
-            if backup_hops and self.mode != MODE_EXACT:
-                raise SteeringError("backup hops need exact steering")
             for hop in hops + backup_hops:
                 if hop.dpid not in self.nexus.connections:
                     raise SteeringError("switch dpid=%d not connected"
                                         % hop.dpid)
-            path = self._build(path_id, hops, match, backup_hops, vlans, gids)
-            for dpid, mod in path.flow_mods:
+            flow_mods, group_mods = self._flow_mods(hops, match,
+                                                    backup_hops, gids)
+            for dpid, mod in flow_mods:
                 owner = owners.setdefault((dpid, mod.priority, mod.match),
                                           path_id)
                 if owner != path_id:
                     raise SteeringError(
                         "path %r would overwrite an entry of path %r at "
                         "dpid=%d" % (path_id, owner, dpid))
-            planned.append(path)
+            planned.append(_InstalledPath(path_id, hops, match, flow_mods,
+                                          group_mods, backup_hops))
         return planned
 
     def _send(self, dpid: int, message) -> None:
@@ -238,7 +220,7 @@ class TrafficSteering:
         tracer = self.telemetry.tracer
         with self.telemetry.profiler.profile("pox.steering.install"), \
                 tracer.span("steering.install_path", path=path_id,
-                            mode=self.mode, hops=len(hops), **groups):
+                            hops=len(hops), **groups):
             # groups first: the flow entries reference them
             for dpid, group_mod in group_mods:
                 self._group_index[(dpid, group_mod.group_id)] = path_id
@@ -249,8 +231,6 @@ class TrafficSteering:
                 with tracer.span("openflow.flow_mod", dpid=dpid):
                     self._send(dpid, flow_mod)
         self.paths[path_id] = path
-        if path.vlan is not None:
-            self._vlans_in_use.add(path.vlan)
         # the conformance checker learns the path this match should
         # take; backup dpids are acceptable alternates, so a
         # fast-failover flip is not reported as mis-steering
@@ -265,7 +245,7 @@ class TrafficSteering:
                   else "%d hops, %d flow-mods" % (len(hops), len(flow_mods)))
         events.debug("pox.steering", "steering.path_installed",
                      "%s: %s" % (path_id, detail),
-                     path=path_id, mode=self.mode, **groups)
+                     path=path_id, **groups)
         if backup_hops and not group_mods:
             events.warn("pox.steering", "protection.no_divergence",
                         "%s: primary and backup never diverge on a shared "
@@ -287,8 +267,6 @@ class TrafficSteering:
             if dpid in self.nexus.connections:
                 self._send(dpid, GroupMod(GroupMod.DELETE,
                                           group_mod.group_id))
-        if installed.vlan is not None:
-            self._vlans_in_use.discard(installed.vlan)
         self.telemetry.flowtrace.unregister_path(path_id)
         self.telemetry.events.debug("pox.steering",
                                     "steering.path_removed", path_id,
@@ -300,29 +278,10 @@ class TrafficSteering:
                   priority: int = STEERING_PRIORITY) -> tuple:
         return dpid, FlowMod(match, actions, priority=priority)
 
-    def _build(self, path_id: str, hops: List[PathHop], match: Match,
-               backup_hops: List[PathHop], vlans: set,
-               group_ids: Iterator[int]) -> _InstalledPath:
-        """The entries installing ``hops`` will send, tagged with the
-        lowest VLAN not in ``vlans``, groups numbered from ``group_ids``."""
-        vlan, group_mods = None, []
-        if self.mode == MODE_VLAN and len(hops) > 1:
-            vlan = next(tag for tag in count(self.FIRST_VLAN)
-                        if tag not in vlans)
-            if vlan >= 4096:
-                raise SteeringError("VLAN space exhausted")
-            vlans.add(vlan)
-            flow_mods = self._vlan_flow_mods(hops, match, vlan)
-        else:
-            flow_mods, group_mods = self._flow_mods(hops, match,
-                                                    backup_hops, group_ids)
-        return _InstalledPath(path_id, hops, match, flow_mods, vlan,
-                              group_mods, backup_hops)
-
     def _flow_mods(self, hops: List[PathHop], match: Match,
                    backup_hops: List[PathHop],
                    group_ids: Iterator[int]) -> tuple:
-        """Exact-match (flow mods, group mods) steering along ``hops``.
+        """The (flow mods, group mods) steering along ``hops``.
 
         Where ``backup_hops`` leave a primary switch through another
         port from the same in-port (the head end, for a link-disjoint
@@ -370,22 +329,6 @@ class TrafficSteering:
                 if key in primary_inputs else STEERING_PRIORITY))
         return flow_mods, group_mods
 
-    def _vlan_flow_mods(self, hops: List[PathHop], match: Match,
-                        vlan: int) -> List[tuple]:
-        first, last = hops[0], hops[-1]
-        # ingress: classify + tag; core: match only the tag + in-port;
-        # egress: strip
-        return ([self._flow_mod(first.dpid,
-                                _clone_match(match, in_port=first.in_port),
-                                [SetVlan(vlan), Output(first.out_port)])]
-                + [self._flow_mod(hop.dpid,
-                                  Match(in_port=hop.in_port, dl_vlan=vlan),
-                                  [Output(hop.out_port)])
-                   for hop in hops[1:-1]]
-                + [self._flow_mod(last.dpid,
-                                  Match(in_port=last.in_port, dl_vlan=vlan),
-                                  [StripVlan(), Output(last.out_port)])])
-
     # -- queries -------------------------------------------------------------
 
     def path_for_group(self, dpid: int, group_id: int) -> Optional[str]:
@@ -404,5 +347,5 @@ class TrafficSteering:
         return len(installed.flow_mods)
 
     def __repr__(self) -> str:
-        return "TrafficSteering(%s, %d paths, %d flow-mods)" % (
-            self.mode, len(self.paths), self.flow_mods_sent)
+        return "TrafficSteering(%d paths, %d flow-mods)" % (
+            len(self.paths), self.flow_mods_sent)

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.chaos.faults import NetconfBlackholeFault, NetconfSlownessFault
 from repro.core import ESCAPE
-from repro.core.sgfile import load_service_graph, load_topology
+from repro.core.sgfile import load_topology
+from repro.netconf import RpcTimeout, SessionError
 from repro.netconf.ethtransport import EthTransport
 from repro.netem import Network
 from repro.netem.hub import Hub
@@ -164,6 +166,35 @@ class TestInbandEscape:
         escape.run(2.0)
         # the 100-packet flow added no management frames
         assert escape.mgmt_hub.frames_repeated == baseline
+
+    def test_a_session_the_agent_ends_ends_at_the_orchestrator(self, escape):
+        chain = escape.deploy_service(SG)
+        client = escape.netconf_clients[chain.vnfs["fw"].container]
+        client.transport.send(b"\n#0\n")  # a framing error at the agent
+        escape.run(0.1)
+        start = escape.sim.now
+        with pytest.raises(SessionError):
+            chain.read_handler("fw", "fw.passed")
+        assert client.closed and escape.sim.now - start < 1.0
+
+    def test_a_blackholed_agent_does_not_answer(self, escape):
+        chain = escape.deploy_service(SG)
+        NetconfBlackholeFault(0.0).inject(escape, chain.vnfs["fw"].container)
+        with pytest.raises(RpcTimeout):
+            chain.read_handler("fw", "fw.passed")
+
+    def test_a_slowed_agent_answers_late(self, escape):
+        chain = escape.deploy_service(SG)
+
+        def read_seconds():
+            start = escape.sim.now
+            chain.read_handler("fw", "fw.passed")
+            return escape.sim.now - start
+
+        before = read_seconds()
+        NetconfSlownessFault(0.0, extra_latency=0.3).inject(
+            escape, chain.vnfs["fw"].container)
+        assert read_seconds() >= before + 0.3
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):

@@ -1,13 +1,9 @@
 """Tests for the OF 1.0 match structure and actions."""
 
-import pytest
-
-from repro.openflow import (Match, Output, SetDlDst, SetDlSrc, SetNwDst,
-                            SetNwSrc, SetTpDst, SetTpSrc, SetVlan,
-                            StripVlan)
-from repro.openflow.actions import apply_actions
+from repro.openflow import Group, Match, OpenFlowSwitch, Output
 from repro.openflow.match import NO_VLAN
 from repro.packet import ARP, Ethernet, ICMP, IPv4, TCP, UDP, Vlan
+from repro.sim import Simulator
 
 
 def udp_frame(srcip="10.0.0.1", dstip="10.0.0.2", sport=1000, dport=2000,
@@ -129,64 +125,12 @@ class TestMatching:
 
 class TestActions:
     def test_output_collected_not_applied(self):
-        frame, ports = apply_actions([Output(3), Output(7)], udp_frame())
-        assert ports == [3, 7]
-
-    def test_set_vlan_pushes_tag(self):
-        frame, _ = apply_actions([SetVlan(42)], udp_frame())
-        decoded = Ethernet.unpack(frame.pack())
-        assert decoded.find(Vlan).vid == 42
-        assert decoded.find(IPv4) is not None
-
-    def test_set_vlan_rewrites_existing(self):
-        frame, _ = apply_actions([SetVlan(1), SetVlan(2)], udp_frame())
-        tags = []
-        node = frame
-        while node is not None and hasattr(node, "payload"):
-            if isinstance(node, Vlan):
-                tags.append(node.vid)
-            node = node.payload if not isinstance(node.payload, bytes) \
-                else None
-        assert tags == [2]
-
-    def test_strip_vlan(self):
-        frame, _ = apply_actions([SetVlan(9), StripVlan()], udp_frame())
-        assert frame.find(Vlan) is None
-        assert frame.type == Ethernet.IP_TYPE
-
-    def test_strip_vlan_untagged_noop(self):
-        frame, _ = apply_actions([StripVlan()], udp_frame())
-        assert frame.find(IPv4) is not None
-
-    def test_set_dl_addresses(self):
-        frame, _ = apply_actions(
-            [SetDlSrc("00:00:00:00:00:0a"), SetDlDst("00:00:00:00:00:0b")],
-            udp_frame())
-        assert str(frame.src) == "00:00:00:00:00:0a"
-        assert str(frame.dst) == "00:00:00:00:00:0b"
-
-    def test_set_nw_addresses(self):
-        frame, _ = apply_actions(
-            [SetNwSrc("1.1.1.1"), SetNwDst("2.2.2.2")], udp_frame())
-        ip = frame.find(IPv4)
-        assert str(ip.srcip) == "1.1.1.1"
-        assert str(ip.dstip) == "2.2.2.2"
-
-    def test_set_tp_ports(self):
-        frame, _ = apply_actions([SetTpSrc(7), SetTpDst(8)], udp_frame())
-        udp = frame.find(UDP)
-        assert (udp.srcport, udp.dstport) == (7, 8)
-
-    def test_nw_action_on_non_ip_is_noop(self):
-        frame = Ethernet(type=Ethernet.ARP_TYPE, payload=ARP())
-        result, _ = apply_actions([SetNwSrc("9.9.9.9")], frame)
-        assert result.find(ARP) is not None
+        switch = OpenFlowSwitch(Simulator(), 1)
+        assert switch._compile([Output(3), Output(7)]) == (3, 7)
 
     def test_action_equality(self):
         assert Output(1) == Output(1)
         assert Output(1) != Output(2)
-        assert SetVlan(5) == SetVlan(5)
+        assert Group(5) == Group(5)
+        assert Group(1) != Output(1)
 
-    def test_vlan_range_checked(self):
-        with pytest.raises(ValueError):
-            SetVlan(4096)

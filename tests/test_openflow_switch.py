@@ -10,10 +10,8 @@ from repro.openflow import (BarrierReply, BarrierRequest, ControllerChannel,
                             FlowStatsRequest, FlowTable, Hello, Match,
                             OpenFlowSwitch, Output, PacketIn, PacketOut,
                             PortStatsReply, PortStatsRequest, PortStatus,
-                            SetDlDst, SetTpDst, SetVlan, StripVlan,
                             OFPP_CONTROLLER, OFPP_FLOOD, OFPP_IN_PORT)
 from repro.openflow import match as match_module, switch as switch_module
-from repro.openflow.actions import apply_actions
 from repro.openflow.match import flow_key
 from repro.packet import Ethernet, IPv4, UDP
 from repro.sim import KnownFrames, Simulator
@@ -310,8 +308,7 @@ class TestDatapath:
 
 
 class TestForwardUnchanged:
-    """Output-only verdicts forward the received bytes themselves;
-    rewrite lists still go through unpack -> apply -> pack."""
+    """A verdict forwards the received bytes themselves."""
 
     def forward(self, actions, frames):
         harness = HarnessedSwitch()
@@ -333,16 +330,6 @@ class TestForwardUnchanged:
         frame = bytes(frame)
         assert Ethernet.unpack(frame).pack() != frame
         assert self.forward([Output(2)], [frame] * 3) == [frame] * 3
-
-    @pytest.mark.parametrize("rewrites", [
-        [SetVlan(7)], [SetVlan(7), StripVlan()],
-        [SetDlDst("00:00:00:00:00:09"), SetTpDst(99)]])
-    def test_rewrite_lists_produce_the_repacked_frame(self, rewrites):
-        frames = [frame_bytes(payload=b"one"), frame_bytes(payload=b"two"),
-                  frame_bytes(payload=b"two")]
-        expected = [apply_actions(rewrites, Ethernet.unpack(frame))[0].pack()
-                    for frame in frames]
-        assert self.forward(rewrites + [Output(2)], frames) == expected
 
 
 class TestFlowCache:
@@ -485,20 +472,6 @@ class TestKnownFrames:
         assert len(parses) == 1
         assert (first.sent[2], first.sent[3], arrived) == ([frame],) * 3
         assert first.sim.frames.known == 2
-
-    def test_a_rewrite_is_a_new_frame(self, parses):
-        first, second, arrived = self.pair()
-        first.switch._handle_controller_message(FlowMod(
-            Match(in_port=3), [SetVlan(7), Output(1)]))
-        second._handle_controller_message(FlowMod(
-            Match(dl_vlan=7), [StripVlan(), Output(2)], priority=0x9000))
-        frame = frame_bytes()
-        first.switch.ports[3].receive(frame)
-        tagged, = first.sent[1]
-        second.ports[1].receive(tagged)
-        assert [id(data) for data in parses] == [id(frame), id(tagged)]
-        assert flow_key(tagged)[2] == 7 and arrived == [frame]
-        assert arrived[0] is not frame
 
     def test_only_parsed_bytes_are_remembered(self, parses):
         first, _second, _arrived = self.pair()

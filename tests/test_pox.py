@@ -248,11 +248,11 @@ class TestDiscovery:
 
 
 class TestSteering:
-    def _ready(self, mode="exact"):
+    def _ready(self):
         net = Network()
         core = Core(net.sim)
         nexus = OpenFlowNexus(core)
-        steering = TrafficSteering(nexus, mode=mode)
+        steering = TrafficSteering(nexus)
         two_switch_topo(net)
         net.add_controller(nexus)
         net.start()
@@ -265,7 +265,7 @@ class TestSteering:
             path_id, hops, match or Match(), **options))
 
     def test_exact_mode_one_flowmod_per_hop(self):
-        net, steering = self._ready("exact")
+        net, steering = self._ready()
         hops = [PathHop(1, 1, 2), PathHop(2, 1, 2)]
         self._install(steering, "p1", hops, Match(nw_src="10.0.0.1"))
         assert steering.flow_mod_count("p1") == 2
@@ -273,31 +273,8 @@ class TestSteering:
         assert len(net.get("s1").datapath.table) == 1
         assert len(net.get("s2").datapath.table) == 1
 
-    def test_vlan_mode_structure(self):
-        net, steering = self._ready("vlan")
-        hops = [PathHop(1, 1, 2), PathHop(2, 1, 2)]
-        self._install(steering, "p1", hops, Match(nw_src="10.0.0.1"))
-        net.run(0.1)
-        s1_entry = net.get("s1").datapath.table.entries[0]
-        s2_entry = net.get("s2").datapath.table.entries[0]
-        from repro.openflow import SetVlan, StripVlan
-        assert any(isinstance(a, SetVlan) for a in s1_entry.actions)
-        assert any(isinstance(a, StripVlan) for a in s2_entry.actions)
-        assert s2_entry.match.dl_vlan is not None
-
-    def test_vlan_tags_unique_per_path(self):
-        net, steering = self._ready("vlan")
-        steering.apply(SteeringChange()
-                       .install("p1", [PathHop(1, 1, 2), PathHop(2, 1, 2)],
-                                Match(nw_src="10.0.0.1"))
-                       .install("p2", [PathHop(1, 2, 1), PathHop(2, 2, 1)],
-                                Match(nw_src="10.0.0.2")))
-        vlans = {installed.vlan
-                 for installed in steering.paths.values()}
-        assert len(vlans) == 2
-
     def test_remove_path_clears_entries(self):
-        net, steering = self._ready("exact")
+        net, steering = self._ready()
         self._install(steering, "p1", [PathHop(1, 1, 2)],
                       Match(nw_src="10.0.0.1"))
         net.run(0.1)
@@ -370,47 +347,10 @@ class TestSteering:
         net.run(0.1)
         assert len(net.get("s1").datapath.table) == 1
 
-    def test_protected_path_needs_exact_mode(self):
-        _net, steering = self._ready("vlan")
-        with pytest.raises(SteeringError, match="exact"):
-            self._install(steering, "p1", [PathHop(1, 1, 2)],
-                          backup_hops=[PathHop(1, 1, 3)])
-
-    def test_vlan_space_checked_before_sending(self):
-        _net, steering = self._ready("vlan")
-        steering._vlans_in_use.update(
-            range(steering.FIRST_VLAN, 4096 - 1))
-        self._install(steering, "last", [PathHop(1, 1, 2), PathHop(2, 1, 2)])
-        assert steering.paths["last"].vlan == 4095
-        with pytest.raises(SteeringError, match="VLAN space"):
-            self._install(steering, "p1", [PathHop(1, 1, 2),
-                                           PathHop(2, 1, 2)])
-        # freeing a tag in the same change makes room
-        steering.apply(SteeringChange().remove("last").install(
-            "p1", [PathHop(1, 1, 2), PathHop(2, 1, 2)], Match()))
-        assert steering.paths["p1"].vlan == 4095
-
-    def test_vlan_released_on_removal(self):
-        _net, steering = self._ready("vlan")
-        self._install(steering, "p1", [PathHop(1, 1, 2), PathHop(2, 1, 2)],
-                      Match(nw_src="10.0.0.1"))
-        first_vlan = steering.paths["p1"].vlan
-        steering.apply(SteeringChange().remove("p1"))
-        self._install(steering, "p2", [PathHop(1, 1, 2), PathHop(2, 1, 2)],
-                      Match(nw_src="10.0.0.2"))
-        assert steering.paths["p2"].vlan == first_vlan
-
     def test_steering_beats_learning_priority(self):
         from repro.pox.l2_learning import LEARNING_PRIORITY
         from repro.pox.steering import STEERING_PRIORITY
         assert STEERING_PRIORITY > LEARNING_PRIORITY
-
-    def test_bad_mode_rejected(self):
-        net = Network()
-        nexus = OpenFlowNexus(Core(net.sim))
-        with pytest.raises(SteeringError):
-            TrafficSteering(nexus, mode="quantum")
-
 
 class TestSharedEntries:
     """A switch holds one entry per (match, priority): each steering
@@ -420,8 +360,8 @@ class TestSharedEntries:
     HOPS = [PathHop(1, 1, 2), PathHop(2, 1, 2)]
     MATCH = Match(nw_src="10.0.0.1")
 
-    def _ready(self, mode):
-        net, steering = TestSteering()._ready(mode)
+    def _ready(self):
+        net, steering = TestSteering()._ready()
         steering.apply(SteeringChange().install("p1", self.HOPS, self.MATCH))
         net.run(0.1)
         return net, steering
@@ -430,25 +370,23 @@ class TestSharedEntries:
     def _state(steering):
         return (steering.flow_mods_sent, steering.group_mods_sent,
                 sorted(steering.paths), dict(steering._group_index),
-                steering._next_group_id, set(steering._vlans_in_use))
+                steering._next_group_id)
 
-    @pytest.mark.parametrize("mode", ["exact", "vlan"])
-    def test_identical_entry_of_a_live_path_refused(self, mode):
-        net, steering = self._ready(mode)
-        # exact: a protected install, so a failover group is planned too
-        backup = [PathHop(1, 1, 3)] if mode == "exact" else []
+    def test_identical_entry_of_a_live_path_refused(self):
+        net, steering = self._ready()
+        # a protected install, so a failover group is planned too
         before = self._state(steering)
         with pytest.raises(SteeringError, match="'p2' would overwrite an "
                            "entry of path 'p1' at dpid=1"):
             steering.apply(SteeringChange().install(
-                "p2", self.HOPS, self.MATCH, backup_hops=backup))
+                "p2", self.HOPS, self.MATCH,
+                backup_hops=[PathHop(1, 1, 3)]))
         assert self._state(steering) == before
         net.run(0.1)
         assert audit_tables_of(net, steering) == []
 
-    @pytest.mark.parametrize("mode", ["exact", "vlan"])
-    def test_colliding_installs_of_one_change_refused(self, mode):
-        _net, steering = self._ready(mode)
+    def test_colliding_installs_of_one_change_refused(self):
+        _net, steering = self._ready()
         before = self._state(steering)
         with pytest.raises(SteeringError, match="'p3'.*'p2'.*dpid=2"):
             steering.apply(SteeringChange()
@@ -458,12 +396,11 @@ class TestSharedEntries:
                                     Match(nw_src="10.0.0.2")))
         assert self._state(steering) == before
 
-    @pytest.mark.parametrize("mode", ["exact", "vlan"])
-    def test_removing_the_holder_in_the_same_change_accepted(self, mode):
+    def test_removing_the_holder_in_the_same_change_accepted(self):
         """Re-steering removes the old route and installs the new one
         in one change: the new one may take over the old one's
         entries."""
-        net, steering = self._ready(mode)
+        net, steering = self._ready()
         steering.apply(SteeringChange().remove("p1")
                        .install("p2", self.HOPS, self.MATCH))
         net.run(0.1)
@@ -472,9 +409,8 @@ class TestSharedEntries:
                 for name in ("s1", "s2")] == [1, 1]
         assert audit_tables_of(net, steering) == []
 
-    @pytest.mark.parametrize("mode", ["exact", "vlan"])
-    def test_a_different_match_accepted(self, mode):
-        net, steering = self._ready(mode)
+    def test_a_different_match_accepted(self):
+        net, steering = self._ready()
         steering.apply(SteeringChange().install(
             "p2", self.HOPS, Match(nw_src="10.0.0.2")))
         net.run(0.1)
@@ -487,19 +423,39 @@ class TestSharedEntries:
         not collide with a primary entry of the same match."""
         from repro.openflow import FlowMod
         from repro.pox.steering import STEERING_PRIORITY, _InstalledPath
-        net, steering = TestSteering()._ready("exact")
+        net, steering = TestSteering()._ready()
         match = Match(nw_src="10.0.0.1", in_port=1)
         steering.paths["low"] = _InstalledPath(
             "low", [PathHop(1, 1, 3)], self.MATCH,
             [(1, FlowMod(match, [Output(3)],
-                         priority=STEERING_PRIORITY - 1))], None, [], [])
+                         priority=STEERING_PRIORITY - 1))], [], [])
         steering.apply(SteeringChange().install("p1", self.HOPS, self.MATCH))
         assert sorted(steering.paths) == ["low", "p1"]
 
     def test_steering_entries_ask_for_no_flow_removed(self):
-        net, _steering = self._ready("exact")
+        net, _steering = self._ready()
         entry = net.get("s1").datapath.table.entries[0]
         assert entry.flags == 0
+
+
+def test_one_steering_granularity():
+    """Exact-match steering is the one granularity: the controller
+    sends Output and Group, the codec decodes no other action, and
+    there is no mode to choose."""
+    import inspect
+    import struct
+    from repro.core import ESCAPE
+    from repro.openflow import Action, Group
+    from repro.openflow.wire import WireError, unpack_actions
+    assert set(Action.__subclasses__()) == {Output, Group}
+    for action_type in (1, 6):  # OFPAT_SET_VLAN_VID, OFPAT_SET_NW_SRC
+        with pytest.raises(WireError,
+                           match="unknown action type %d" % action_type):
+            unpack_actions(struct.pack("!HH4x", action_type, 8))
+    steering = TrafficSteering(OpenFlowNexus(Core(Simulator())))
+    assert not hasattr(steering, "mode")
+    assert "mode" not in inspect.signature(TrafficSteering).parameters
+    assert "steering_mode" not in inspect.signature(ESCAPE).parameters
 
 
 def audit_tables_of(net, steering):

@@ -14,13 +14,10 @@ from repro.netconf import messages as nc
 from repro.netconf.framing import ChunkedFramer, EomFramer
 from repro.openflow import (ControllerChannel, FlowEntry, FlowMod, FlowTable,
                             Group, GroupBucket, GroupMod, Match,
-                            OpenFlowSwitch, Output, SetNwDst, SetVlan,
-                            StripVlan, OFPP_CONTROLLER, OFPP_FLOOD,
-                            OFPP_IN_PORT)
+                            OpenFlowSwitch, Output, OFPP_CONTROLLER,
+                            OFPP_FLOOD, OFPP_IN_PORT)
 from repro.netem import Host
 from repro.openflow import messages as of_msg
-from repro.openflow.actions import (SetDlDst, SetDlSrc, SetNwSrc, SetTpDst,
-                                    SetTpSrc)
 from repro.openflow.match import NO_VLAN, flow_key
 from repro.openflow.wire import WireError, pack_message, unpack_message
 from repro.packet import (ARP, ICMP, EthAddr, Ethernet, IPAddr, IPv4, TCP,
@@ -604,12 +601,7 @@ def _wire_match(rng):
 
 
 def _wire_actions(rng):
-    mac = "00:00:00:00:00:%02x" % rng.randint(1, 255)
-    pool = [Output(rng.randint(1, 48)), SetVlan(rng.randint(0, 4095)),
-            StripVlan(), SetDlSrc(mac), SetDlDst(mac),
-            SetNwSrc("10.0.0.%d" % rng.randint(1, 254)),
-            SetNwDst("10.0.0.%d" % rng.randint(1, 254)),
-            SetTpSrc(rng.randint(0, 65535)), SetTpDst(rng.randint(0, 65535)),
+    pool = [Output(rng.randint(1, 48)), Output(rng.randint(1, 48)),
             Group(rng.randint(0, 2 ** 32 - 1))]
     return rng.sample(pool, rng.randint(1, len(pool)))
 
@@ -683,8 +675,7 @@ def test_corrupt_openflow_bytes_end_in_wire_error_or_a_message(kind, seed):
     """Every single-bit flip and every truncation of a packed message
     either decodes to a message that packs again or raises
     ``WireError`` — never a ``struct.error`` or ``ValueError`` from
-    deeper down, such as the MAC parser handed 4 bytes by a flipped
-    action type."""
+    deeper down."""
     message = _WIRE_MESSAGES[kind](random.Random(seed))
     message.xid = seed
     packed = pack_message(message)
@@ -697,10 +688,10 @@ def test_corrupt_openflow_bytes_end_in_wire_error_or_a_message(kind, seed):
         _decodes_to_a_message_or_wire_error(packed[:length])
 
 
-def test_set_dl_action_shorter_than_16_bytes_is_a_wire_error():
+def test_an_action_of_the_wrong_length_is_a_wire_error():
     packed = bytearray(pack_message(FlowMod(Match(), [Output(2)])))
-    packed[73] ^= 0x04  # OFPAT_OUTPUT -> OFPAT_SET_DL_SRC, still 8 bytes
-    with pytest.raises(WireError, match="action type 4 is 16 bytes"):
+    packed[75] ^= 0x10  # OFPAT_OUTPUT's length field: 8 -> 24 bytes
+    with pytest.raises(WireError, match="action type 0 is 8 bytes, not 24"):
         unpack_message(bytes(packed))
 
 
@@ -1154,10 +1145,8 @@ def _twin_actions(rng):
         [Output(port)], [Output(port)], [], [Group(1)],
         [Output(port), Output(rng.randint(1, 4))],
         [Output(OFPP_FLOOD)], [Output(OFPP_IN_PORT)],
-        [Output(OFPP_CONTROLLER)], [SetVlan(rng.choice([5, 7])),
-                                    Output(port)],
-        [StripVlan(), Output(port)], [SetVlan(9)],
-        [Output(port), SetNwDst("10.9.9.9"), Group(1)]])
+        [Output(OFPP_CONTROLLER)], [Group(1), Output(port)],
+        [Output(port), Group(1)]])
 
 
 def _twin_operation(rng, frames, switches):
@@ -1197,8 +1186,7 @@ def test_cached_switch_equals_uncached_twin(seed, switches):
     """The flow cache and the known frames replay exactly what the full
     parse + lookup + action path does, across table, group and
     port-state changes - on one switch, and on two in series, where the
-    second meets frame objects the first has parsed, rewritten
-    (SetVlan / StripVlan / SetNwDst) or passed on untouched."""
+    second meets frame objects the first has parsed and passed on."""
     rng = random.Random(seed)
     frames = _twin_frames(rng)
     cached, uncached = (_Twin(cached=True, switches=switches),
@@ -1207,10 +1195,8 @@ def test_cached_switch_equals_uncached_twin(seed, switches):
         for twin in (cached, uncached):
             for flow_mod in (
                     FlowMod(Match(), [Output(3)], priority=0),
-                    FlowMod(Match(dl_vlan=5), [StripVlan(), Output(4)],
-                            priority=1),
-                    FlowMod(Match(nw_tos=32), [SetNwDst("10.9.9.9"),
-                                               Output(3), Output(4)],
+                    FlowMod(Match(dl_vlan=5), [Output(4)], priority=1),
+                    FlowMod(Match(nw_tos=32), [Output(3), Output(4)],
                             priority=2)):
                 twin.switches[0]._handle_controller_message(flow_mod)
     for _ in range(rng.randint(20, 120)):
