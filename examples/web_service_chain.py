@@ -5,10 +5,13 @@ The scenario the paper's introduction motivates: client traffic to a
 web service traverses firewall -> DPI -> rate-limiter before reaching
 the server.  We deploy the three-VNF chain across two containers,
 generate a mixed workload (legitimate requests, an attack signature,
-and a flood), and read each VNF's verdict from its handlers.
+unsteered traffic to another port, and a flood), and read each VNF's
+verdict from its handlers.
 
 Run:  python examples/web_service_chain.py
 """
+
+from collections import Counter
 
 from repro.core import ESCAPE, verify_sla
 from repro.core.sgfile import load_service_graph, load_topology
@@ -70,6 +73,10 @@ def main():
     chain = escape.deploy_service(load_service_graph(SERVICE_GRAPH),
                                   mapper="backtracking", match=web_match)
     print("placement:", chain.mapping.vnf_placement)
+    delivered = Counter()  # datagrams the server receives, per port
+    for port in (8080, 31337):
+        server.bind_udp(port, lambda _ip, _sport, _data, port=port:
+                        delivered.update([port]))
 
     # Workload 1: a burst of legitimate requests.
     for index in range(20):
@@ -82,7 +89,9 @@ def main():
         client.send_udp(server.ip, 8080, b"GET /?q=ATTACK payload")
     escape.run(1.0)
 
-    # Workload 3: traffic to a non-web port (firewall territory).
+    # Workload 3: traffic to a non-web port.  The chain steers only
+    # UDP:8080, so these take the learning switch's path straight to
+    # the server and never meet the firewall.
     for _ in range(10):
         client.send_udp(server.ip, 31337, b"scan probe")
     escape.run(1.0)
@@ -103,8 +112,10 @@ def main():
           % (chain.read_handler("limiter", "cnt_in.count"),
              chain.read_handler("limiter", "cnt_out.count"),
              chain.read_handler("limiter", "q.drops")))
-    print("server   : %d datagrams delivered (flood sent %d)"
-          % (server.udp_rx_count, flood.sent + 25))
+    print("server   : %d datagrams delivered on port 8080 (flood sent %d)"
+          % (delivered[8080], flood.sent + 25))
+    print("server   : %d datagrams delivered on port 31337, unsteered"
+          % delivered[31337])
 
     for report in verify_sla(chain):
         delay_text = ("%.2f ms" % (report.measured_delay * 1e3)

@@ -6,8 +6,9 @@ Construction wires, bottom-up:
   switches, VNF containers) plus a NETCONF agent per container on a
   dedicated control channel,
 * **orchestration layer** — the POX-analog controller (learning switch
-  fallback, LLDP discovery, traffic steering) and the Orchestrator with
-  its pluggable mapping algorithms and per-container NETCONF clients,
+  fallback, on-demand LLDP discovery, traffic steering) and the
+  Orchestrator with its pluggable mapping algorithms and per-container
+  NETCONF clients,
 * **service layer** — the catalog-backed service API with SLA checks.
 
 Typical use::
@@ -48,11 +49,10 @@ from repro.telemetry.metrics import nearest_rank
 class ESCAPE:
     """The prototyping framework, fully assembled."""
 
-    STARTUP_SETTLE = 0.1  # simulated seconds for handshakes/discovery
+    STARTUP_SETTLE = 0.1  # simulated seconds for the OF handshakes
     CONTROL_LATENCY = 0.001  # one-way seconds on the management network
 
-    def __init__(self, topo: Topo, discovery_interval: float = 1.0,
-                 control_network: str = "outband",
+    def __init__(self, topo: Topo, control_network: str = "outband",
                  of_wire: bool = False,
                  protection: bool = False):
         """Demo step (1): containers + the rest of the topology."""
@@ -72,9 +72,7 @@ class ESCAPE:
         self.core = Core(self.sim)
         self.nexus = OpenFlowNexus(self.core)
         self.l2_learning = L2LearningSwitch(self.nexus)
-        self.discovery = Discovery(self.nexus,
-                                   send_interval=discovery_interval,
-                                   link_timeout=6 * discovery_interval)
+        self.discovery = Discovery(self.nexus)
         self.steering = TrafficSteering(self.nexus)
         self.stats = StatsCollector(self.nexus)
         self.core.register("openflow", self.nexus)
@@ -107,7 +105,7 @@ class ESCAPE:
         # orchestrator + service layer
         self._finish_init(net)
 
-    RPC_TIMEOUT = 10.0  # per-RPC deadline on outband NETCONF sessions
+    RPC_TIMEOUT = 10.0  # per-RPC deadline on every NETCONF session
 
     def _outband_dial(self, container):
         """Control pipe to ``container``: a new transport pair with the
@@ -141,7 +139,7 @@ class ESCAPE:
             self.agents[container.name] = VNFAgent(container,
                                                    agent_transport)
             self.netconf_clients[container.name] = NetconfClient(
-                client_transport)
+                client_transport, default_timeout=self.RPC_TIMEOUT)
 
     def _finish_init(self, net: Network) -> None:
         self.orchestrator = Orchestrator(net, self.steering, self.catalog,
@@ -249,7 +247,7 @@ class ESCAPE:
     # -- lifecycle ------------------------------------------------------------
 
     def start(self) -> None:
-        """Bring the framework up: OF handshakes, NETCONF hellos, LLDP."""
+        """Bring the framework up: OF handshakes, NETCONF hellos."""
         if self.started:
             return
         if self.stopped:
@@ -305,7 +303,6 @@ class ESCAPE:
         to whoever started them and are *not* stopped — run past the
         flow's end and the scenario's last heal first when an empty
         heap matters."""
-        self.discovery.stop()
         self.stats.stop()
         self.recorder.detach_all()
         chains = list(self.orchestrator.deployed.values())
@@ -547,7 +544,6 @@ class ESCAPE:
             "containers": containers,
             "switches": switches,
             "steering_paths": len(self.steering.paths),
-            "discovered_links": len(self.discovery.links()),
         }
 
     # -- telemetry ------------------------------------------------------------

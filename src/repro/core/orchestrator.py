@@ -548,11 +548,12 @@ class Orchestrator:
     # -- topology verification ------------------------------------------------
 
     def verify_topology(self, discovery) -> Dict[str, list]:
-        """Compare LLDP-discovered switch adjacency to the resource view.
+        """Run one LLDP probe round out of every switch-to-switch port
+        and compare the adjacency it finds to the resource view.
 
         Returns ``{"missing": [...], "unexpected": [...]}`` — inter-
-        switch links the view has but discovery has not seen (down or
-        not yet probed), and links discovery reports that the view
+        switch links the view has but no probe crossed (down, or a
+        switch not connected), and links the round found that the view
         lacks (miswired topology).  Empty lists mean the orchestrator's
         global network view matches reality.
         """
@@ -562,7 +563,8 @@ class Orchestrator:
             if dpid is not None:
                 name_of_dpid[dpid] = switch_name
         discovered = set()
-        for dpid1, _p1, dpid2, _p2 in discovery.links():
+        for dpid1, _p1, dpid2, _p2 in discovery.discover(
+                self.net.inter_switch_ports()):
             pair = frozenset((name_of_dpid.get(dpid1),
                               name_of_dpid.get(dpid2)))
             discovered.add(pair)

@@ -175,6 +175,17 @@ class Network:
         return [link for link in self.links
                 if {link.intf1.node, link.intf2.node} == {node1, node2}]
 
+    def inter_switch_ports(self) -> List[Tuple[int, int]]:
+        """``(dpid, port_no)`` of every switch port cabled to another
+        switch: the ports topology discovery probes."""
+        ports = []
+        for link in self.links:
+            ends = (link.intf1, link.intf2)
+            if all(isinstance(intf.node, Switch) for intf in ends):
+                ports.extend((intf.node.dpid, intf.node.port_number(intf))
+                             for intf in ends)
+        return ports
+
     # -- topology construction ------------------------------------------------
 
     @classmethod

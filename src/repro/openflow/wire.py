@@ -191,9 +191,13 @@ def unpack_actions(data: bytes) -> List[Action]:
         expected = _ACTION_LENGTHS.get(action_type)
         if expected is None:
             raise WireError("unknown action type %d" % action_type)
-        if length != expected or offset + length > len(data):
+        if length != expected:
             raise WireError("action type %d is %d bytes, not %d"
                             % (action_type, expected, length))
+        if offset + length > len(data):
+            raise WireError("truncated action: type %d declares %d bytes, "
+                            "%d are left" % (action_type, length,
+                                             len(data) - offset))
         body = data[offset + 4: offset + length]
         if action_type == OFPAT_OUTPUT:
             port, _max_len = struct.unpack("!HH", body)

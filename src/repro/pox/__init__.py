@@ -13,14 +13,14 @@ that application assumes:
   components,
 * :class:`~repro.pox.l2_learning.L2LearningSwitch` — the stock learning
   switch (the behaviour non-steered traffic falls back to),
-* :class:`~repro.pox.discovery.Discovery` — LLDP topology discovery
-  feeding the orchestrator's global network view,
+* :class:`~repro.pox.discovery.Discovery` — LLDP topology discovery,
+  one probe round when the orchestrator verifies its network view,
 * :class:`~repro.pox.steering.TrafficSteering` — ESCAPE's module: install
   / remove chain paths as exact-match flow entries, one per hop.
 """
 
 from repro.pox.core import Core
-from repro.pox.discovery import Discovery, LinkEvent
+from repro.pox.discovery import Discovery
 from repro.pox.events import (BarrierIn, ConnectionDown, ConnectionUp,
                               Event, EventMixin, FlowRemovedEvent,
                               FlowStatsReceived, PacketInEvent,
@@ -43,7 +43,6 @@ __all__ = [
     "FlowRemovedEvent",
     "FlowStatsReceived",
     "L2LearningSwitch",
-    "LinkEvent",
     "OpenFlowNexus",
     "PacketInEvent",
     "PathHop",

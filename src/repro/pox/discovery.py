@@ -1,94 +1,61 @@
-"""LLDP topology discovery (POX's ``openflow.discovery``).
+"""LLDP topology discovery (POX's ``openflow.discovery``), on demand.
 
-Periodically floods LLDP probes out every switch port; probes arriving
-at another switch produce adjacency entries, which together form the
-switch-level topology graph the orchestrator's resource view consumes.
+:meth:`Discovery.discover` sends one LLDP probe out of each switch port
+it is given and waits until every probe has come back as a PacketIn at
+the far switch, or :data:`Discovery.ROUND_TIMEOUT` has passed.  The
+adjacency is rebuilt from that round alone: a probe that does not come
+back is a missing link.  Nothing is sent between rounds, and the caller
+passes only switch-to-switch ports, so no probe reaches a host or a VNF.
 """
 
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Iterable, Optional, Set, Tuple
 
 from repro.openflow import Output, PacketOut
 from repro.packet import Ethernet, LLDP
-from repro.pox.events import (ConnectionUp, Event, EventMixin,
-                              PacketInEvent)
+from repro.pox.events import PacketInEvent
 from repro.pox.nexus import OpenFlowNexus
 
 LLDP_DST = "01:80:c2:00:00:0e"
 
 
-class LinkEvent(Event):
-    """An inter-switch link was discovered or timed out."""
+class Discovery:
+    """Holds ``adjacency``: (dpid1, port1) -> (dpid2, port2), as the
+    last round found it."""
 
-    def __init__(self, added: bool, dpid1: int, port1: int,
-                 dpid2: int, port2: int):
-        super().__init__()
-        self.added = added
-        self.dpid1 = dpid1
-        self.port1 = port1
-        self.dpid2 = dpid2
-        self.port2 = port2
+    ROUND_TIMEOUT = 1.0  # simulated seconds a round waits for its probes
 
-    def __repr__(self) -> str:
-        sign = "+" if self.added else "-"
-        return "LinkEvent(%s %d.%d <-> %d.%d)" % (sign, self.dpid1,
-                                                  self.port1, self.dpid2,
-                                                  self.port2)
-
-
-class Discovery(EventMixin):
-    """Maintains ``adjacency``: (dpid1, port1) -> (dpid2, port2)."""
-
-    def __init__(self, nexus: OpenFlowNexus, send_interval: float = 1.0,
-                 link_timeout: float = 6.0):
-        super().__init__()
+    def __init__(self, nexus: OpenFlowNexus):
         self.nexus = nexus
         self.sim = nexus.core.sim
-        self.send_interval = send_interval
-        self.link_timeout = link_timeout
         self.adjacency: Dict[Tuple[int, int], Tuple[int, int]] = {}
-        self._last_seen: Dict[Tuple[int, int], float] = {}
         self.probes_sent = 0
-        self._started = False
-        self._task = None
-        nexus.add_listener(ConnectionUp, self._handle_connection_up)
+        self._outstanding: Set[Tuple[int, int]] = set()
         nexus.add_listener(PacketInEvent, self._handle_packet_in)
 
-    def _handle_connection_up(self, event: ConnectionUp) -> None:
-        if not self._started:
-            self._started = True
-            self._task = self.sim.schedule(0.0, self._probe_round)
+    def discover(self, ports: Iterable[Tuple[int, int]]
+                 ) -> Set[Tuple[int, int, int, int]]:
+        """One probe round out of ``ports`` (``(dpid, port_no)``
+        pairs); returns :meth:`links` as that round found them."""
+        self.adjacency = {}
+        self._probe_round(ports)
+        self.sim.wait(lambda: not self._outstanding, self.ROUND_TIMEOUT)
+        self._outstanding.clear()  # a probe still out is a missing link
+        return self.links()
 
-    def stop(self) -> None:
-        """Cancel the LLDP heartbeat (the next ConnectionUp restarts
-        it), as :meth:`StatsCollector.stop` does for the stats poll."""
-        if self._task is not None:
-            self._task.cancel()
-            self._task = None
-        self._started = False
-
-    def _probe_round(self) -> None:
+    def _probe_round(self, ports: Iterable[Tuple[int, int]]) -> None:
+        wanted = set(ports)
         for dpid, connection in list(self.nexus.connections.items()):
             for desc in connection.ports:
+                if (dpid, desc.port_no) not in wanted:
+                    continue
                 frame = Ethernet(
                     src=desc.hw_addr, dst=LLDP_DST,
                     type=Ethernet.LLDP_TYPE,
                     payload=LLDP.discovery_frame(dpid, desc.port_no))
                 connection.send(PacketOut(actions=[Output(desc.port_no)],
                                           data=frame.pack()))
+                self._outstanding.add((dpid, desc.port_no))
                 self.probes_sent += 1
-        self._expire_links()
-        self._task = self.sim.schedule(self.send_interval,
-                                       self._probe_round)
-
-    def _expire_links(self) -> None:
-        now = self.sim.now
-        for key, seen in list(self._last_seen.items()):
-            if now - seen > self.link_timeout:
-                peer = self.adjacency.pop(key, None)
-                del self._last_seen[key]
-                if peer is not None:
-                    self.raise_event(LinkEvent(False, key[0], key[1],
-                                               peer[0], peer[1]))
 
     def _handle_packet_in(self, event: PacketInEvent) -> None:
         frame = event.parsed
@@ -99,14 +66,9 @@ class Discovery(EventMixin):
         if origin is None:
             return
         event.halt = True  # LLDP is consumed here, like POX's discovery
-        src_dpid, src_port = origin
-        key = (src_dpid, src_port)
-        value = (event.dpid, event.port)
-        self._last_seen[key] = self.sim.now
-        if self.adjacency.get(key) != value:
-            self.adjacency[key] = value
-            self.raise_event(LinkEvent(True, src_dpid, src_port,
-                                       event.dpid, event.port))
+        if origin in self._outstanding:  # a late probe belongs to no round
+            self._outstanding.discard(origin)
+            self.adjacency[origin] = (event.dpid, event.port)
 
     # -- queries -----------------------------------------------------------
 

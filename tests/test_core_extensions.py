@@ -5,6 +5,8 @@ import pytest
 
 from repro.core import ESCAPE, OrchestratorError
 from repro.core.sgfile import load_service_graph, load_topology
+from repro.netem.node import Switch
+from repro.packet import Ethernet
 
 TOPOLOGY = {
     "nodes": [
@@ -47,16 +49,6 @@ def escape():
     return framework
 
 
-@pytest.fixture
-def quiet_escape():
-    """ESCAPE with discovery quiesced after the first probe round, so
-    LLDP floods don't pollute per-VNF counters."""
-    framework = ESCAPE.from_topology(load_topology(TOPOLOGY),
-                                     discovery_interval=3600.0)
-    framework.start()
-    return framework
-
-
 class TestBidirectionalChain:
     def test_replies_traverse_the_chain(self, escape):
         chain = escape.deploy_service(bidir_sg(), return_path="chain")
@@ -69,8 +61,7 @@ class TestBidirectionalChain:
         # replies crossed out0 -> in0 (the reverse pipeline)
         assert int(chain.read_handler("fwd", "cnt_rev.count")) >= 4
 
-    def test_direct_return_bypasses_vnf(self, quiet_escape):
-        escape = quiet_escape
+    def test_direct_return_bypasses_vnf(self, escape):
         chain = escape.deploy_service(bidir_sg("direct-chain"),
                                       return_path="direct")
         h1, h2 = escape.net.get("h1"), escape.net.get("h2")
@@ -109,8 +100,7 @@ class TestReverseChainRepair:
     """A chain whose replies come back through its VNFs keeps them
     coming back that way after every repair."""
 
-    def test_replies_follow_a_migrated_vnf(self, quiet_escape):
-        escape = quiet_escape
+    def test_replies_follow_a_migrated_vnf(self, escape):
         chain = escape.deploy_service(bidir_sg(), return_path="chain")
         assert pings_through(escape, chain)[0] == 4
         source = chain.mapping.vnf_placement["fwd"]
@@ -125,8 +115,7 @@ class TestReverseChainRepair:
             {"name": "s3", "role": "switch"}], links=TOPOLOGY["links"] + [
             {"from": "s1", "to": "s3", "delay": 0.002},
             {"from": "s3", "to": "s2", "delay": 0.002}])
-        escape = ESCAPE.from_topology(load_topology(topology),
-                                      discovery_interval=3600.0)
+        escape = ESCAPE.from_topology(load_topology(topology))
         escape.start()
         chain = escape.deploy_service(bidir_sg(), return_path="chain")
         assert pings_through(escape, chain)[0] == 4
@@ -245,20 +234,19 @@ class TestMigration:
 
 class TestTopologyVerification:
     def test_matches_after_discovery_converges(self, escape):
-        escape.run(2.0)
         report = escape.orchestrator.verify_topology(escape.discovery)
         assert report == {"missing": [], "unexpected": []}
 
     def test_cut_link_reported_missing(self, escape):
-        escape.run(2.0)
-        for link in escape.net.links:
-            if link.intf1.node.name.startswith("s") \
-                    and link.intf2.node.name.startswith("s"):
-                link.set_up(False)
-        escape.run(10.0)  # discovery times the adjacency out
-        report = escape.orchestrator.verify_topology(escape.discovery)
+        verify = escape.orchestrator.verify_topology
+        assert verify(escape.discovery) == {"missing": [], "unexpected": []}
+        spine, = escape.net.links_between("s1", "s2")
+        spine.set_up(False)
+        report = verify(escape.discovery)  # no simulated wait before it
         assert report["missing"] == [("s1", "s2")]
         assert report["unexpected"] == []
+        spine.set_up(True)
+        assert verify(escape.discovery) == {"missing": [], "unexpected": []}
 
     def test_before_discovery_everything_missing(self):
         # not started yet: no LLDP has flowed, adjacency is empty
@@ -266,3 +254,29 @@ class TestTopologyVerification:
         report = framework.orchestrator.verify_topology(
             framework.discovery)
         assert ("s1", "s2") in report["missing"]
+
+
+MONITOR_SG = {"name": "idle", "saps": ["h1", "h2"],
+              "vnfs": [{"name": "mon", "type": "monitor"}],
+              "chain": ["h1", "mon", "h2"]}
+
+
+class TestDiscoveryLeavesTheDataplaneAlone:
+    def test_idle_monitor_chain_counts_nothing(self, escape):
+        chain = escape.deploy_service(MONITOR_SG)
+        escape.run(10.0)
+        assert int(chain.read_handler("mon", "cnt_in.count")) == 0
+
+    def test_no_probe_reaches_a_host_or_a_vnf(self, escape):
+        escape.deploy_service(MONITOR_SG)
+        recorder = escape.recorder
+        for link in escape.net.links:
+            if not (isinstance(link.intf1.node, Switch)
+                    and isinstance(link.intf2.node, Switch)):
+                recorder.attach(link)
+        escape.run(10.0)
+        report = escape.orchestrator.verify_topology(escape.discovery)
+        assert report == {"missing": [], "unexpected": []}
+        assert escape.discovery.probes_sent == 2  # one per s1-s2 end
+        assert [record for record in recorder.records()
+                if record.frame.type == Ethernet.LLDP_TYPE] == []

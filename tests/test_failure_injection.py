@@ -105,10 +105,10 @@ class TestDegradedLinks:
         assert alive.received == 3
 
     def test_cut_link_disappears_from_discovery(self, escape):
-        escape.run(2.0)
+        escape.orchestrator.verify_topology(escape.discovery)
         assert len(escape.discovery.links()) == 1
         spine_link(escape.net).set_up(False)
-        escape.run(10.0)
+        escape.orchestrator.verify_topology(escape.discovery)
         assert len(escape.discovery.links()) == 0
 
 

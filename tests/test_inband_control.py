@@ -183,6 +183,22 @@ class TestInbandEscape:
         with pytest.raises(RpcTimeout):
             chain.read_handler("fw", "fw.passed")
 
+    def test_an_inband_request_has_a_deadline(self, escape):
+        """A bare ``request()`` over the management hub arms the same
+        per-RPC deadline an out-of-band session does."""
+        from repro.netconf.vnf_yang import VNF_NS
+        chain = escape.deploy_service(SG)
+        deployed = chain.vnfs["fw"]
+        NetconfBlackholeFault(0.0).inject(escape, deployed.container)
+        client = escape.netconf_clients[deployed.container]
+        pending = client.rpc("getVNFInfo", VNF_NS,
+                             {"id": deployed.vnf_id,
+                              "handler": "fw.passed"})
+        escape.run(20.0)
+        assert pending.done and isinstance(pending.error, RpcTimeout)
+        timeouts = escape.telemetry.metrics.get("netconf.client.rpc_timeouts")
+        assert timeouts.value == 1
+
     def test_a_slowed_agent_answers_late(self, escape):
         chain = escape.deploy_service(SG)
 

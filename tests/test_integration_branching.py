@@ -48,8 +48,7 @@ BRANCHING_SG = {
 
 @pytest.fixture
 def escape():
-    framework = ESCAPE.from_topology(load_topology(TOPOLOGY),
-                                     discovery_interval=3600.0)
+    framework = ESCAPE.from_topology(load_topology(TOPOLOGY))
     framework.start()
     return framework
 

@@ -71,7 +71,7 @@ class TestStep1Infrastructure:
                                        "congestion-aware"}
 
     def test_discovery_found_the_spine(self, escape):
-        escape.run(2.0)
+        escape.orchestrator.verify_topology(escape.discovery)
         assert len(escape.discovery.links()) == 1
 
     def test_plain_connectivity_before_chains(self, escape):
@@ -341,9 +341,9 @@ class TestExplicitMatch:
         sg["name"] = "udp-only"
         chain = escape.deploy_service(sg, match=match)
         # UDP:5001 goes through the chain (and gets dropped by rules);
-        # other traffic bypasses it.  (fw.dropped also counts the LLDP
-        # probes discovery floods into container ports — like the real
-        # POX discovery would — so assert on delivery, not exact drops.)
+        # other traffic bypasses it.  (fw.dropped also counts the SLA
+        # probes the chain's max_delay requirement sends, so assert on
+        # delivery, not exact drops.)
         h1.send_udp(h2.ip, 5001, b"chained")
         h1.send_udp(h2.ip, 9999, b"bypass")
         escape.run(1.0)

@@ -8,8 +8,8 @@ import pytest
 from repro.core import ESCAPE
 from repro.netem import (CLI, FlightRecorder, Interface, LinearTopo, Network,
                          NetworkError, SingleSwitchTopo, Topo, TreeTopo)
-from repro.openflow import PortStatsRequest
-from repro.packet import EthAddr, Ethernet, IPv4, UDP
+from repro.openflow import Output, PacketOut, PortStatsRequest
+from repro.packet import LLDP, EthAddr, Ethernet, IPv4, UDP
 from repro.pox import Core, L2LearningSwitch, OpenFlowNexus
 from repro.sim import Simulator
 
@@ -345,10 +345,11 @@ class TestCLI:
         assert outputs  # greeted, then exited cleanly
 
 
-def chain_escape(**core_link):
+def chain_escape(before_deploy=None, **core_link):
     """h1 - s1 - s2 - h2 carrying one forwarder chain through a container
-    on s1; ``core_link`` shapes the s1 - s2 link.  LLDP discovery is
-    parked after start-up so the counters below see chain traffic only."""
+    on s1; ``core_link`` shapes the s1 - s2 link, and ``before_deploy``
+    (if given) is called with the started ESCAPE before the chain is
+    deployed."""
     topo = Topo()
     for host in ("h1", "h2"):
         topo.add_host(host)
@@ -360,8 +361,10 @@ def chain_escape(**core_link):
     topo.add_vnf_container("nc1", cpu=4, mem=2048)
     for _ in range(2):
         topo.add_link("nc1", "s1", delay=0.0005)
-    escape = ESCAPE.from_topology(topo, discovery_interval=1000.0)
+    escape = ESCAPE.from_topology(topo)
     escape.start()
+    if before_deploy is not None:
+        before_deploy(escape)
     chain = escape.deploy_service({
         "name": "c", "saps": ["h1", "h2"],
         "vnfs": [{"name": "v0", "type": "forwarder"}],
@@ -411,8 +414,24 @@ def port_stats_replies(escape):
     return table
 
 
+def lldp_out_of_every_port(escape):
+    """One 33-byte LLDP frame out of every switch port, sent through
+    the controller: what ``PARENT_PORT_STATS`` counts beside the
+    datagrams (one discovery round out of every port, sent at start-up
+    when the counts were recorded)."""
+    for switch in escape.net.switches():
+        for intf in switch.interfaces.values():
+            port_no = switch.port_number(intf)
+            frame = Ethernet(src=intf.mac, dst="01:80:c2:00:00:0e",
+                             type=Ethernet.LLDP_TYPE,
+                             payload=LLDP.discovery_frame(switch.dpid,
+                                                          port_no))
+            escape.nexus.send(switch.dpid, PacketOut(
+                actions=[Output(port_no)], data=frame.pack()))
+
+
 # 50 datagrams of 142 bytes, the 59-byte one that resolved ARP, and one
-# 33-byte LLDP probe per port; s1: 1 = h1, 2 = s2, 3/4 = the VNF's in/out
+# 33-byte LLDP frame per port; s1: 1 = h1, 2 = s2, 3/4 = the VNF's in/out
 PARENT_PORT_STATS = {
     ("s1", 1): (51, 1, 7159, 33, 0, 0),
     ("s1", 2): (1, 52, 33, 7192, 0, 0),
@@ -460,7 +479,8 @@ class TestPortCounters:
                                            core.dropped_queue, 0)
 
     def test_port_stats_reply_without_drops_is_the_parents(self):
-        escape, _ = chain_escape(bandwidth=1e9, delay=0.002)
+        escape, _ = chain_escape(lldp_out_of_every_port, bandwidth=1e9,
+                                 delay=0.002)
         offer(escape, 50, 100)
         escape.run(0.5)
         # recorded on the commit before the per-hop path was flattened

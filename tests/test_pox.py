@@ -5,7 +5,7 @@ import pytest
 from repro.netem import Network
 from repro.openflow import Match, Output
 from repro.pox import (ConnectionUp, Core, Discovery, L2LearningSwitch,
-                       LinkEvent, OpenFlowNexus, PacketInEvent, PathHop,
+                       OpenFlowNexus, PacketInEvent, PathHop,
                        SteeringChange, SteeringError, TrafficSteering)
 from repro.pox.events import Event, EventMixin
 from repro.sim import Simulator
@@ -179,41 +179,34 @@ class TestL2Learning:
 
 
 class TestDiscovery:
-    def test_inter_switch_link_found(self):
+    @staticmethod
+    def _discovered():
         net, _nexus, _l2, discovery = build_controlled(two_switch_topo)
-        net.run(2.0)
+        net.run(0.1)  # the OF handshakes
+        discovery.discover(net.inter_switch_ports())
+        return net, discovery
+
+    def test_nothing_sent_until_asked(self):
+        net, _nexus, _l2, discovery = build_controlled(two_switch_topo)
+        net.run(5.0)
+        assert discovery.probes_sent == 0
+        assert discovery.adjacency == {}
+
+    def test_inter_switch_link_found(self):
+        _net, discovery = self._discovered()
         assert discovery.links() == {(1, 2, 2, 1)} \
             or discovery.links() == {(2, 1, 1, 2)}
 
     def test_peer_of(self):
-        net, _nexus, _l2, discovery = build_controlled(two_switch_topo)
-        net.run(2.0)
+        _net, discovery = self._discovered()
         peer = discovery.peer_of(1, 2)
         assert peer == (2, 1)
 
     def test_host_ports_not_links(self):
-        net, _nexus, _l2, discovery = build_controlled(two_switch_topo)
-        net.run(2.0)
+        _net, discovery = self._discovered()
         # only the single switch-switch adjacency (both directions)
         assert len(discovery.adjacency) == 2
-
-    def test_link_timeout_after_cut(self):
-        net, _nexus, _l2, discovery = build_controlled(two_switch_topo)
-        net.run(2.0)
-        assert discovery.adjacency
-        for link in net.links:
-            if link.intf1.node.name.startswith("s") \
-                    and link.intf2.node.name.startswith("s"):
-                link.set_up(False)
-        net.run(10.0)
-        assert not discovery.adjacency
-
-    def test_link_events_raised(self):
-        events = []
-        net, _nexus, _l2, discovery = build_controlled(two_switch_topo)
-        discovery.add_listener(LinkEvent, events.append)
-        net.run(2.0)
-        assert any(event.added for event in events)
+        assert discovery.probes_sent == 2
 
     def test_consumed_probes_do_not_exhaust_switch_buffers(self):
         """Discovery consumes LLDP packet-ins without releasing their
@@ -223,7 +216,7 @@ class TestDiscovery:
         from repro.packet import EthAddr, IPAddr
         net = Network()
         nexus = OpenFlowNexus(Core(net.sim))
-        Discovery(nexus)
+        discovery = Discovery(nexus)
         h1 = net.add_host("h1")
         s1, s2, s3 = (net.add_switch(name) for name in ("s1", "s2", "s3"))
         for a, b in ((s1, s2), (s2, s3), (s3, s1)):
@@ -233,7 +226,9 @@ class TestDiscovery:
             switch.datapath.n_buffers = 4
         net.add_controller(nexus)
         net.start()
-        net.run(5.0)  # two probes reach each switch per round
+        net.run(0.1)
+        for _ in range(3):  # two probes reach each switch per round
+            discovery.discover(net.inter_switch_ports())
         assert s1.datapath.packet_in_count > 4
         misses = []
         nexus.add_listener(PacketInEvent, misses.append)
@@ -245,6 +240,18 @@ class TestDiscovery:
         assert miss.buffer_id is not None
         assert len(miss.data) == s1.datapath.miss_send_len < miss.total_len
         assert len(s1.datapath._buffers) == 4
+
+
+def test_discovery_has_no_patrol_settings():
+    """Discovery runs one round when asked: there is no interval, no
+    link time-out and no link event to subscribe to."""
+    import inspect
+    import repro.pox
+    from repro.core import ESCAPE
+    assert "discovery_interval" not in inspect.signature(ESCAPE).parameters
+    assert list(inspect.signature(Discovery).parameters) == ["nexus"]
+    assert not hasattr(repro.pox, "LinkEvent")
+    assert "LinkEvent" not in repro.pox.__all__
 
 
 class TestSteering:

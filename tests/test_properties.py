@@ -19,7 +19,8 @@ from repro.openflow import (ControllerChannel, FlowEntry, FlowMod, FlowTable,
 from repro.netem import Host
 from repro.openflow import messages as of_msg
 from repro.openflow.match import NO_VLAN, flow_key
-from repro.openflow.wire import WireError, pack_message, unpack_message
+from repro.openflow.wire import (WireError, pack_actions, pack_message,
+                                 unpack_actions, unpack_message)
 from repro.packet import (ARP, ICMP, EthAddr, Ethernet, IPAddr, IPv4, TCP,
                           UDP, Vlan, pack_udp_frame, unpack_udp_frame)
 from repro.packet.base import PacketError, checksum
@@ -693,6 +694,12 @@ def test_an_action_of_the_wrong_length_is_a_wire_error():
     packed[75] ^= 0x10  # OFPAT_OUTPUT's length field: 8 -> 24 bytes
     with pytest.raises(WireError, match="action type 0 is 8 bytes, not 24"):
         unpack_message(bytes(packed))
+
+
+def test_a_truncated_action_says_what_is_missing():
+    with pytest.raises(WireError, match="truncated action: type 0 declares "
+                                        "8 bytes, 6 are left"):
+        unpack_actions(pack_actions([Output(1)])[:-2])
 
 
 # -- flow_key vs the packet classes -----------------------------------------

@@ -135,8 +135,7 @@ def check_invariants(escape):
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
 def test_random_operation_sequences_preserve_invariants(seed):
     rng = random.Random(seed)
-    escape = ESCAPE.from_topology(topology(),
-                                  discovery_interval=3600.0)
+    escape = ESCAPE.from_topology(topology())
     escape.start()
     containers = [c.name for c in escape.net.vnf_containers()]
     counter = 0
