@@ -60,17 +60,17 @@ def test_event_query_warn_of_mixed_log(benchmark):
 
 # -- dataplane tap overhead ---------------------------------------------------
 
-# The idle heartbeats (LLDP probes and stats polls every 1.0 s, expiry
-# sweeps every 0.5 s) fall on a whole-second grid, so every window of
-# one simulated second dispatches the same events wherever it starts.
-# A shorter window sometimes misses the LLDP and stats rounds and runs
-# ~15% faster; a min-of-N would then time only those windows.
+# Each window is one simulated second that holds the whole 0.8 s burst.
+# The control plane has no heartbeat (LLDP and port statistics run when
+# asked; a switch sweeps its table only at a flow deadline, and the
+# chain's entries have none), so the burst's own events are all a
+# window dispatches, wherever it starts.
 WINDOW_SECONDS = 1.0
 
 
 def _udp_workload(escape, packets=800):
     """Drive a burst of UDP through the deployed chain for one
-    heartbeat-aligned window, return the host-process wall-clock
+    one-second window, return the host-process wall-clock
     seconds the simulation took."""
     h1, h2 = escape.net.get("h1"), escape.net.get("h2")
     before = h2.udp_rx_count
@@ -111,7 +111,7 @@ def _counted_twin(turn_on, turn_off):
     with the same history: a warm-up window, a second window, then the
     counted one.  On the toggled chain the feature is on for the
     second window and off again before the count; the control never
-    turns it on.  Same instants, same heartbeats, so any difference is
+    turns it on.  Same instants, same events, so any difference is
     what the feature left behind."""
     counts = []
     for toggled in (False, True):

@@ -303,7 +303,6 @@ class ESCAPE:
         to whoever started them and are *not* stopped — run past the
         flow's end and the scenario's last heal first when an empty
         heap matters."""
-        self.stats.stop()
         self.recorder.detach_all()
         chains = list(self.orchestrator.deployed.values())
         for chain in chains:

@@ -34,11 +34,14 @@ class FlowEntry:
     def expired(self, now: float) -> Optional[int]:
         """FlowRemoved reason code if the entry has expired, else None."""
         from repro.openflow.messages import FlowRemoved
-        if self.hard_timeout > 0 and now - self.installed_at \
-                >= self.hard_timeout:
+        # the same sums FlowTable._expiry_deadline arms: a difference
+        # (now - installed_at) can round below the timeout at the very
+        # deadline, and the entry would outlive its sweep
+        if self.hard_timeout > 0 and \
+                now >= self.installed_at + self.hard_timeout:
             return FlowRemoved.REASON_HARD_TIMEOUT
-        if self.idle_timeout > 0 and now - self.last_used \
-                >= self.idle_timeout:
+        if self.idle_timeout > 0 and \
+                now >= self.last_used + self.idle_timeout:
             return FlowRemoved.REASON_IDLE_TIMEOUT
         return None
 

@@ -83,7 +83,6 @@ class OpenFlowSwitch:
     packet travel in the PacketIn; the rest waits in the buffer.
     """
 
-    EXPIRY_INTERVAL = 0.5  # seconds between timeout sweeps
     MICROFLOW_CAP = 4096  # flow-cache entries before a reset
     n_buffers = 256      # packet-in buffer pool
     miss_send_len = 128  # bytes of a missed packet sent with its buffer id
@@ -98,7 +97,7 @@ class OpenFlowSwitch:
         self.channel: Optional[ControllerChannel] = None
         self._buffers: Dict[int, tuple] = {}
         self._next_buffer = 1
-        self._expiry_task = None
+        self._expiry = None  # the sweep's Wakeup while connected
         # plain-int counters: this is the hot path, so telemetry pulls
         # them through a registry collector instead of per-event calls
         self.packet_in_count = 0
@@ -176,6 +175,7 @@ class OpenFlowSwitch:
         channel.set_switch_receiver(self._handle_controller_message)
         channel.connect()
         channel.send_to_controller(msg.Hello())
+        self._expiry = self.sim.wakeup(self._expiry_sweep)
         self._arm_expiry()
 
     def disconnect_controller(self) -> None:
@@ -183,13 +183,16 @@ class OpenFlowSwitch:
             self.channel.disconnect()
             self.channel = None
         self.table.on_removed = None  # nothing left to tell
-        if self._expiry_task is not None:
-            self._expiry_task.cancel()
-            self._expiry_task = None
+        if self._expiry is not None:
+            self._expiry.disarm()
+            self._expiry = None  # the wakeup holds this switch
 
     def _arm_expiry(self) -> None:
-        self._expiry_task = self.sim.schedule(self.EXPIRY_INTERVAL,
-                                              self._expiry_sweep)
+        """Sweep no later than the table's next deadline; a table with
+        no timed entry schedules nothing."""
+        deadline = self.table._next_expiry
+        if self._expiry is not None and deadline < float("inf"):
+            self._expiry.arm_before(deadline)
 
     def _expiry_sweep(self) -> None:
         self.table.expire(self.sim.now)
@@ -451,6 +454,7 @@ class OpenFlowSwitch:
             if buffered is not None:
                 data, in_port = buffered
                 self._execute(flow_mod.actions, data, in_port)
+        self._arm_expiry()
 
     def _handle_group_mod(self, group_mod: msg.GroupMod) -> None:
         self.group_mod_count += 1

@@ -1,17 +1,16 @@
 """Controller-side statistics collection.
 
 The orchestration layer's "global network and resource view" needs more
-than topology: it needs utilization.  This component polls every
-connected switch for port and flow statistics on a fixed period and
-derives rates from successive samples — the data a utilization-aware
-mapper or a dashboard consumes.
+than topology: it needs utilization.  :meth:`StatsCollector.sample`
+asks every connected switch for its port counters and waits for the
+answers; rates come from successive samples — the data a
+utilization-aware mapper consumes.  Nothing is asked between samples.
 """
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.openflow import FlowStatsRequest, PortStatsRequest
-from repro.pox.events import (ConnectionUp, FlowStatsReceived,
-                              PortStatsReceived)
+from repro.openflow import PortStatsRequest
+from repro.pox.events import PortStatsReceived
 from repro.pox.nexus import OpenFlowNexus
 
 
@@ -28,59 +27,49 @@ class PortSample:
 
 
 class StatsCollector:
-    """Periodic OF stats polling with rate derivation.
+    """OF port-stats sampling on demand, with rate derivation.
 
-    Queries:
-
-    * :meth:`port_rate` — (rx bits/s, tx bits/s) over the last interval,
-    * :meth:`port_counters` — latest absolute counters,
-    * :meth:`flow_count` — table size,
-    * :meth:`busiest_ports` — top-N ports by tx rate.
+    * :meth:`sample` — one round: every connected switch answers,
+    * :meth:`port_rate` — (rx bits/s, tx bits/s) between the last two
+      samples,
+    * :meth:`annotate_view` — a sample, written onto the resource view.
     """
 
-    def __init__(self, nexus: OpenFlowNexus, interval: float = 1.0):
+    def __init__(self, nexus: OpenFlowNexus):
         self.nexus = nexus
         self.sim = nexus.core.sim
-        self.interval = interval
         # (dpid, port_no) -> [previous, latest] PortSample
         self._port_samples: Dict[Tuple[int, int], List[PortSample]] = {}
-        self._flow_stats: Dict[int, list] = {}
-        # poll_rounds lives in the metrics registry now; the property
-        # below keeps the old attribute working (per-instance, via a
-        # baseline offset, since the registry counter may be shared)
+        self._awaiting = set()  # dpids whose reply to the round is due
         self._m_poll_rounds = nexus.core.telemetry.metrics.counter(
             "pox.stats.poll_rounds", "OF statistics polling rounds")
-        self._poll_rounds_base = self._m_poll_rounds.value
-        self._started = False
-        self._task = None
-        nexus.add_listener(ConnectionUp, self._handle_connection_up)
         nexus.add_listener(PortStatsReceived, self._handle_port_stats)
-        nexus.add_listener(FlowStatsReceived, self._handle_flow_stats)
-
-    def _handle_connection_up(self, _event) -> None:
-        if not self._started:
-            self._started = True
-            self._task = self.sim.schedule(0.0, self._poll_round)
-
-    def stop(self) -> None:
-        if self._task is not None:
-            self._task.cancel()
-            self._task = None
-        self._started = False
 
     @property
     def poll_rounds(self) -> int:
-        """Polling rounds run by *this* collector (compat attribute)."""
-        return int(self._m_poll_rounds.value - self._poll_rounds_base)
+        """Rounds sent (the registry's counter: one collector per
+        emulation, as each emulation builds its own simulator)."""
+        return int(self._m_poll_rounds.value)
+
+    def sample(self) -> bool:
+        """Send one round and wait until every connected switch has
+        answered or ``Discovery.ROUND_TIMEOUT`` has passed; True when
+        all answered."""
+        from repro.pox.discovery import Discovery
+        self._poll_round()
+        answered = self.sim.wait(lambda: not self._awaiting,
+                                 Discovery.ROUND_TIMEOUT)
+        self._awaiting.clear()  # a late reply still lands as a sample
+        return answered
 
     def _poll_round(self) -> None:
         self._m_poll_rounds.inc()
-        for connection in list(self.nexus.connections.values()):
+        for dpid, connection in list(self.nexus.connections.items()):
             connection.send(PortStatsRequest())
-            connection.send(FlowStatsRequest())
-        self._task = self.sim.schedule(self.interval, self._poll_round)
+            self._awaiting.add(dpid)
 
     def _handle_port_stats(self, event) -> None:
+        self._awaiting.discard(event.dpid)
         for stat in event.stats:
             key = (event.dpid, stat.port_no)
             sample = PortSample(self.sim.now, stat.rx_bytes,
@@ -90,9 +79,6 @@ class StatsCollector:
             window.append(sample)
             if len(window) > 2:
                 del window[0]
-
-    def _handle_flow_stats(self, event) -> None:
-        self._flow_stats[event.dpid] = event.stats
 
     # -- queries -----------------------------------------------------------
 
@@ -109,29 +95,13 @@ class StatsCollector:
         return ((latest.rx_bytes - previous.rx_bytes) * 8 / elapsed,
                 (latest.tx_bytes - previous.tx_bytes) * 8 / elapsed)
 
-    def port_counters(self, dpid: int,
-                      port_no: int) -> Optional[PortSample]:
-        window = self._port_samples.get((dpid, port_no))
-        return window[-1] if window else None
-
-    def flow_count(self, dpid: int) -> int:
-        return len(self._flow_stats.get(dpid, []))
-
-    def busiest_ports(self, top: int = 5) -> List[tuple]:
-        """[(dpid, port, tx_bps)] sorted by tx rate, descending."""
-        rates = []
-        for (dpid, port_no) in self._port_samples:
-            rate = self.port_rate(dpid, port_no)
-            if rate is not None:
-                rates.append((dpid, port_no, rate[1]))
-        rates.sort(key=lambda item: -item[2])
-        return rates[:top]
-
     def annotate_view(self, view, net) -> int:
-        """Write measured tx rates onto the resource view's edges as
-        ``measured_bps`` (max of both directions).  Returns the number
-        of annotated edges."""
+        """Take a sample, then write the tx rates measured since the
+        previous one onto the resource view's edges as ``measured_bps``
+        (max of both directions).  Returns the number of annotated
+        edges: none on the first call, which has no window yet."""
         from repro.netem.node import Switch
+        self.sample()
         annotated = 0
         for link in net.links:
             rates = []

@@ -144,6 +144,7 @@ class TestEndToEndLoop:
         escape = ESCAPE.from_topology(load_topology(self.TOPOLOGY))
         escape.start()
         escape.run(1.5)
+        escape.stats.sample()  # the window opens before the flow
         h1, h2 = escape.net.get("h1"), escape.net.get("h2")
         h1.start_udp_flow(h2.ip, 5001, rate_pps=300, duration=2.0,
                           payload_size=800)

@@ -275,6 +275,33 @@ class TestTeardown:
         assert chain2.active
 
 
+class TestIdleEmulation:
+    """Nothing recurs on its own: port statistics are sampled when
+    asked and a switch sweeps its table only at a flow deadline, so a
+    started emulation with a chain and no traffic has nothing to do
+    (the chain has no SLA requirement, so no SLA probe runs either)."""
+
+    UNWATCHED_SG = {key: value for key, value in FIREWALL_SG.items()
+                    if key != "requirements"}
+
+    def test_idle_emulation_drains(self, escape):
+        escape.deploy_service(self.UNWATCHED_SG)
+        escape.run(1.0)
+        assert escape.sim.pending == 0
+        assert escape.sim.run() == 0
+
+    def test_no_openflow_message_while_idle(self, escape):
+        escape.deploy_service(self.UNWATCHED_SG)
+        escape.run(1.0)
+        channels = [connection.channel
+                    for connection in escape.nexus.connections.values()]
+        before = [(channel.to_controller_count, channel.to_switch_count)
+                  for channel in channels]
+        escape.run(100.0)
+        assert [(channel.to_controller_count, channel.to_switch_count)
+                for channel in channels] == before
+
+
 class TestMultiChain:
     def test_two_chains_coexist(self, escape):
         """Each chain on a flowspec of its own."""
@@ -455,9 +482,11 @@ class TestTelemetry:
     def test_monitor_counters_live_in_registry(self, escape):
         chain = escape.deploy_service(FIREWALL_SG)
         monitor = escape.monitor(chain, interval=0.5)
+        escape.stats.sample()
         monitor.start()
         escape.run(1.2)
         monitor.stop()
+        escape.stats.sample()
         assert monitor.polls >= 2
         registry = escape.telemetry.metrics
         assert registry.get("core.monitor.polls").value >= 2

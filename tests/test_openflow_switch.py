@@ -67,6 +67,19 @@ class TestFlowTable:
         assert len(removed) == 1
         assert removed[0][1] == FlowRemoved.REASON_HARD_TIMEOUT
 
+    @pytest.mark.parametrize("timeout", ["hard_timeout", "idle_timeout"])
+    def test_expiry_agrees_with_the_deadline(self, timeout):
+        """Installed at 0.2 s with a 0.5 s timeout, the entry's deadline
+        is 0.2 + 0.5 == 0.7, though 0.7 - 0.2 == 0.49999999999999994:
+        expire(0.7) must remove it, or a sweep armed for the deadline
+        finds nothing to do and is armed for the same instant again."""
+        table = FlowTable()
+        table.add(FlowEntry(Match(), [Output(1)], installed_at=0.2,
+                            **{timeout: 0.5}))
+        assert table._next_expiry == 0.7
+        assert table.expire(0.7) == 1
+        assert len(table) == 0
+
     def test_delete_loose(self):
         table = FlowTable()
         table.add(FlowEntry(Match(in_port=1, nw_dst="10.0.0.2"),
@@ -245,6 +258,30 @@ class TestDatapath:
         removed = harness.messages(FlowRemoved)
         assert removed
         assert removed[0].reason == FlowRemoved.REASON_HARD_TIMEOUT
+
+    def test_timed_entry_leaves_at_its_deadline(self):
+        """The sweep is armed for the table's next deadline, not run on
+        a fixed period: the entry goes, and its FlowRemoved is sent, at
+        install time + hard_timeout."""
+        harness = HarnessedSwitch()
+        harness.channel.send_to_switch(FlowMod(
+            Match(in_port=1), [Output(2)], hard_timeout=0.2,
+            flags=FlowMod.SEND_FLOW_REM))
+        harness.run()
+        installed_at = harness.switch.table.entries[0].installed_at
+        harness.sim.run(until=installed_at + 0.2)
+        assert len(harness.switch.table) == 0
+        harness.run()
+        [removed] = harness.messages(FlowRemoved)
+        assert removed.duration == pytest.approx(0.2)
+
+    def test_untimed_table_schedules_nothing(self):
+        harness = HarnessedSwitch()
+        harness.channel.send_to_switch(FlowMod(
+            Match(in_port=1), [Output(2)]))
+        harness.run()
+        assert len(harness.switch.table) == 1
+        assert harness.sim.pending == 0
 
     def test_delete_command(self):
         harness = HarnessedSwitch()
