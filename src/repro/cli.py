@@ -8,8 +8,7 @@
     escape scenario report <bundle.json|results-dir>... \\
                            [--format table|json|csv]
     escape perf report <bundle.json|results-dir>... [--limit N]
-    escape flowtrace <bundle.json|flowtrace.jsonl|results-dir> \\
-                     [--chain NAME] [--json]
+    escape flowtrace <bundle.json|results-dir> [--chain NAME] [--json]
 
 ``scenario run`` executes the campaign (every ``--seed``, or the
 scenario's own ``seeds:`` list), writes one result bundle per run,
@@ -25,9 +24,14 @@ throughput.  To compare two versions of the code, run the benchmark
 ladder's interleaved pairs (``benchmarks/ladder/``), not two bundles.
 
 ``flowtrace`` renders the per-chain hop-latency breakdown (p50/p99
-per hop, attributed share of one-way delay, conformance counts) from
-a flowtrace-enabled run — a ``bundle.json``, a raw ``flowtrace.jsonl``
-postcard log, or a results directory containing either.
+per hop, attributed share of one-way delay, conformance counts) that a
+scenario with a ``flowtrace:`` section left in its ``bundle.json`` —
+given the bundle or a results directory holding it.  The run's
+``flowtrace.jsonl`` is the raw postcard log, not an input here.
+
+The scenario file is the one switch for profiling (``profile:``),
+flow tracing (``flowtrace:``) and faults (``chaos:``); the
+interactive console (``ESCAPE.cli()``) carries none of them.
 
 Also reachable as ``python -m repro ...`` when the package is on
 ``PYTHONPATH`` but not installed.
@@ -92,8 +96,8 @@ def _add_flowtrace_parser(subparsers) -> None:
         "flowtrace", help="per-chain hop-latency breakdown from "
                           "sampled path traces")
     flowtrace.add_argument("source",
-                           help="bundle.json, flowtrace.jsonl, or a "
-                                "results dir containing either")
+                           help="bundle.json, or a results dir holding "
+                                "bundles")
     flowtrace.add_argument("--chain", default=None, metavar="NAME",
                            help="show a single chain")
     flowtrace.add_argument("--json", action="store_true",

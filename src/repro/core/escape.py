@@ -41,8 +41,7 @@ from repro.openflow import Match
 from repro.pox import (Core, Discovery, L2LearningSwitch, OpenFlowNexus,
                        StatsCollector, TrafficSteering)
 from repro.sim import Simulator
-from repro.telemetry import (FlowTraceError, to_json, to_prometheus,
-                             write_snapshot)
+from repro.telemetry import to_json, to_prometheus, write_snapshot
 from repro.telemetry.metrics import nearest_rank
 
 
@@ -155,7 +154,6 @@ class ESCAPE:
         self.recovery = RecoveryManager(
             self.orchestrator, net,
             protection=self.orchestrator.protection)
-        self.chaos_engines: list = []
         self._m_service_deploys = self.telemetry.metrics.counter(
             "service.layer.deploys", "service requests submitted")
         self.telemetry.metrics.add_collector(self._collect_metrics)
@@ -382,13 +380,12 @@ class ESCAPE:
         """Arm a chaos scenario (a :class:`~repro.chaos.ChaosScenario`,
         a dict, a JSON string, or a file path) against this instance.
         Faults fire as the simulation advances; the recovery manager
-        repairs what they break."""
+        repairs what they break.  The returned engine is the caller's:
+        ``engine.heal_all()`` heals what is still active."""
         from repro.chaos import ChaosEngine, ChaosScenario
         if not isinstance(scenario, ChaosScenario):
             scenario = ChaosScenario.load(scenario)
-        engine = ChaosEngine(self, scenario).arm()
-        self.chaos_engines.append(engine)
-        return engine
+        return ChaosEngine(self, scenario).arm()
 
     def monitor(self, chain: DeployedChain,
                 interval: float = 0.5) -> VNFMonitor:
@@ -586,9 +583,13 @@ class ESCAPE:
     def cli(self) -> CLI:
         """The interactive console: Mininet-style network commands plus
         ESCAPE service commands (services / deploy / undeploy / migrate
-        / topology / metrics / trace), the observability commands
-        (health / sla / events / record / flowtrace / profile) and
-        fault-injection commands (chaos)."""
+        / topology / catalog / status / metrics / trace) and the
+        observability commands (health / sla / events / record).
+        Profiling, flow tracing and faults are switched on by the
+        scenario file (``profile:``, ``flowtrace:``, ``chaos:``) and
+        read back with ``escape perf report`` / ``escape flowtrace``, or
+        driven here through :attr:`profiler`, :attr:`flowtrace` and
+        :meth:`inject_chaos`."""
         console = CLI(self.net)
         console.commands.update({
             "services": self._cli_services,
@@ -604,9 +605,6 @@ class ESCAPE:
             "sla": self._cli_sla,
             "events": self._cli_events,
             "record": self._cli_record,
-            "flowtrace": self._cli_flowtrace,
-            "chaos": self._cli_chaos,
-            "profile": self._cli_profile,
         })
         return console
 
@@ -821,149 +819,6 @@ class ESCAPE:
         return ("usage: record [list|status] | start <link|node1 node2> "
                 "| chain <service> | stop <tap|all> | pcap <file> "
                 "[trace-id] | flow <flowtrace-id>")
-
-    def _cli_flowtrace(self, args) -> str:
-        from repro.telemetry import render_flowtrace_report
-        flowtrace = self.flowtrace
-        if not args or args[0] == "status":
-            status = flowtrace.status()
-            return ("flowtrace %s: 1/%d sampling (seed %d), "
-                    "%d trace(s), %d postcard(s), %d evicted, "
-                    "%d path(s) registered"
-                    % ("on" if status["enabled"] else "off",
-                       status["rate"], status["seed"],
-                       status["traces"], status["postcards"],
-                       status["evicted"], status["paths_registered"]))
-        command, rest = args[0], args[1:]
-        if command == "on":
-            try:
-                flowtrace.enable(
-                    rate=int(rest[0]) if rest else None,
-                    seed=int(rest[1]) if len(rest) > 1 else None)
-            except (ValueError, FlowTraceError) as exc:
-                return "*** %s" % exc
-            return ("flowtrace on: sampling 1/%d, seed %d"
-                    % (flowtrace.rate, flowtrace.seed))
-        if command == "off":
-            flowtrace.disable()
-            return "flowtrace off (%d trace(s) kept)" % len(flowtrace)
-        if command == "reset":
-            flowtrace.reset()
-            return "flowtrace reset"
-        if command == "report":
-            report = flowtrace.publish(self.telemetry.metrics)
-            return render_flowtrace_report(
-                report, chain=rest[0] if rest else None)
-        if command == "traces":
-            limit = int(rest[0]) if rest else 10
-            records = flowtrace.trace_records()[-limit:]
-            if not records:
-                return "no sampled traces collected"
-            lines = ["%-10s %10s %6s %-20s %11s %s"
-                     % ("TRACE", "T", "HOPS", "CHAIN", "ONE-WAY",
-                        "CONFORMANT")]
-            for record in records:
-                lines.append("%08x %10.4f %6d %-20s %9.3fms %s"
-                             % (record["trace"], record["time"],
-                                len(record["hops"]),
-                                record["chain"] or "-",
-                                record["one_way"] * 1e3,
-                                {True: "yes", False: "NO",
-                                 None: "-"}[record["conformant"]]))
-            return "\n".join(lines)
-        if command == "chain":
-            if len(rest) != 2:
-                return "usage: flowtrace chain <name> <rate>"
-            try:
-                flowtrace.set_chain_rate(rest[0], int(rest[1]))
-            except (ValueError, FlowTraceError) as exc:
-                return "*** %s" % exc
-            return "chain %s sampled at 1/%s" % (rest[0], rest[1])
-        if command == "jsonl":
-            if len(rest) != 1:
-                return "usage: flowtrace jsonl <output-file>"
-            count = flowtrace.write_jsonl(rest[0])
-            return "wrote %d trace(s) to %s" % (count, rest[0])
-        return ("usage: flowtrace [status] | on [rate] [seed] | off | "
-                "reset | report [chain] | traces [limit] | "
-                "chain <name> <rate> | jsonl <file>")
-
-    def _cli_chaos(self, args) -> str:
-        if not args or args[0] == "status":
-            if not self.chaos_engines:
-                return ("no chaos scenarios armed "
-                        "(chaos run <scenario.json>)")
-            lines = []
-            for engine in self.chaos_engines:
-                lines.append("%s: seed=%d, %d injected, %d active"
-                             % (engine.scenario.name,
-                                engine.scenario.seed,
-                                len(engine.injections),
-                                len(engine.active)))
-                for record in engine.injections:
-                    note = (" (skipped: %s)" % record["skipped"]
-                            if "skipped" in record else "")
-                    lines.append("  %.3f %-18s %s%s"
-                                 % (record["time"], record["kind"],
-                                    record["target"], note))
-            return "\n".join(lines)
-        command, rest = args[0], args[1:]
-        if command == "run":
-            if len(rest) != 1:
-                return "usage: chaos run <scenario.json path>"
-            try:
-                engine = self.inject_chaos(rest[0])
-            except Exception as exc:
-                return "*** %s" % exc
-            return ("armed %s: %d fault(s), seed %d"
-                    % (engine.scenario.name,
-                       len(engine.scenario.faults),
-                       engine.scenario.seed))
-        if command == "heal":
-            healed = sum(engine.heal_all()
-                         for engine in self.chaos_engines)
-            return "healed %d active fault(s)" % healed
-        if command == "recovery":
-            lines = ["%d repair(s), %d pending, unrecovered: %s"
-                     % (len([a for a in self.recovery.actions
-                             if a.get("ok")]),
-                        len(self.recovery.pending()),
-                        ", ".join(self.recovery.unrecovered()) or "none")]
-            for action in self.recovery.actions:
-                if action.get("ok"):
-                    lines.append("  %.3f %-8s %-24s mttr=%.3fs"
-                                 % (action["time"], action["kind"],
-                                    action["target"], action["mttr"]))
-                else:
-                    lines.append("  %.3f %-8s %-24s GAVE UP: %s"
-                                 % (action["time"], action["kind"],
-                                    action["target"], action["error"]))
-            return "\n".join(lines)
-        return "usage: chaos [status] | run <scenario.json> | heal | recovery"
-
-    def _cli_profile(self, args) -> str:
-        from repro.telemetry.profiler import render_regions
-        profiler = self.telemetry.profiler
-        if not args or args[0] in ("report", "status"):
-            state = "on" if profiler.enabled else "off"
-            if not profiler.stats:
-                return ("profiler is %s, no regions recorded "
-                        "(profile on, then run traffic)" % state)
-            lines = render_regions(profiler.report(), 0)
-            lines.append("profiler: %d entries, %.6fs self-overhead (%s)"
-                         % (profiler.entries, profiler.overhead, state))
-            return "\n".join(lines)
-        command = args[0]
-        if command == "on":
-            profiler.enable()
-            return "profiler enabled"
-        if command == "off":
-            profiler.disable()
-            return "profiler disabled"
-        if command == "reset":
-            profiler.reset()
-            return "profiler statistics cleared"
-        return "usage: profile [on|off|reset|report]"
 
     def _cli_catalog(self, args) -> str:
         lines = []

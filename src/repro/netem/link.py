@@ -139,15 +139,6 @@ class Link:
                 continue
             datapath.set_port_up(port_no, up)
 
-    def flap(self, down_for: float) -> None:
-        """Take the link down now and bring it back ``down_for``
-        simulated seconds later."""
-        if not down_for > 0:  # NaN too
-            raise ValueError("down_for must be positive, got %r"
-                             % down_for)
-        self.set_up(False)
-        self.sim.schedule(down_for, self.set_up, True)
-
     def set_degradation(self, loss: Optional[float] = None,
                         delay: Optional[float] = None,
                         jitter: Optional[float] = None) -> None:

@@ -129,10 +129,6 @@ class CampaignRunner:
             escape.flowtrace.enable(
                 rate=int(flowtrace_spec.get("rate", 64)),
                 seed=int(flowtrace_spec.get("seed", seed)))
-            for chain_name, chain_rate in sorted(
-                    (flowtrace_spec.get("chains") or {}).items()):
-                escape.flowtrace.set_chain_rate(chain_name,
-                                                int(chain_rate))
         driver = WorkloadDriver(escape.net, schedule).arm()
         run_started = time.perf_counter()
         escape.run(scenario.duration)

@@ -247,12 +247,11 @@ class Scenario:
             raise SpecError("profile must be true or false, got %r"
                             % (profile,))
         self.profile = profile
-        # sampled per-packet path tracing: {"rate": N, "seed": S,
-        # "chains": {name: coarser-rate}}; seed defaults to the run
-        # seed so sampled sets replay bit-identically
+        # sampled per-packet path tracing: {"rate": N, "seed": S}; seed
+        # defaults to the run seed so sampled sets replay bit-identically
         if flowtrace is not None and not isinstance(flowtrace, dict):
-            raise SpecError("flowtrace must be a mapping (rate/seed/"
-                            "chains), got %r" % (flowtrace,))
+            raise SpecError("flowtrace must be a mapping (rate/seed), "
+                            "got %r" % (flowtrace,))
         self.flowtrace = dict(flowtrace) if flowtrace else None
         self.escape_options = dict(escape_options or {})
         self._check_constructors()
@@ -277,17 +276,30 @@ class Scenario:
     KNOWN_KEYS = ("name", "description", "topology", "duration", "seeds",
                   "workload", "chains", "sla", "chaos", "mapper",
                   "profile", "flowtrace", "escape_options")
+    #: the keys of each section read here (``workload:`` is checked by
+    #: ``build_workload``, ``topology:`` and ``escape_options:`` by
+    #: their constructors)
+    SECTION_KEYS = {"chains": ("count", "templates", "sap_pairs"),
+                    "sla": ("max_delay", "min_bandwidth"),
+                    "flowtrace": ("rate", "seed"),
+                    "chaos": ("name", "seed", "faults")}
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "Scenario":
         if not isinstance(data, dict):
             raise SpecError("scenario must be a mapping, got %s"
                             % type(data).__name__)
-        unknown = sorted(set(data) - set(cls.KNOWN_KEYS))
-        if unknown:
-            raise SpecError("unknown scenario key(s): %s (known: %s)"
-                            % (", ".join(unknown),
-                               ", ".join(cls.KNOWN_KEYS)))
+        sections = [("scenario", data, cls.KNOWN_KEYS)]
+        sections.extend((key, data[key], known)
+                        for key, known in cls.SECTION_KEYS.items()
+                        if isinstance(data.get(key), dict))
+        for section, mapping, known in sections:
+            unknown = sorted(str(key) for key in mapping
+                             if key not in known)
+            if unknown:
+                raise SpecError("unknown %s key(s): %s (known: %s)"
+                                % (section, ", ".join(unknown),
+                                   ", ".join(known)))
         try:
             return cls(**{key: data[key] for key in cls.KNOWN_KEYS
                           if key in data})

@@ -24,8 +24,7 @@ from repro.telemetry.export import (snapshot_dict, to_json, to_prometheus,
                                     writable_path, write_snapshot)
 from repro.telemetry.flowtrace import (FlowTrace, FlowTraceError,
                                        load_flowtrace_report,
-                                       render_flowtrace_report,
-                                       report_from_jsonl)
+                                       render_flowtrace_report)
 from repro.telemetry.metrics import (Counter, Gauge, Histogram, Metric,
                                      MetricError, MetricsRegistry,
                                      nearest_rank)
@@ -38,8 +37,7 @@ __all__ = [
     "Metric", "MetricError", "MetricsRegistry", "NULL_REGION", "Profiler",
     "RegionStat", "SEVERITIES", "Span", "Telemetry", "Tracer",
     "WARN", "load_flowtrace_report", "nearest_rank",
-    "render_flowtrace_report",
-    "report_from_jsonl", "snapshot_dict", "to_json", "to_prometheus",
+    "render_flowtrace_report", "snapshot_dict", "to_json", "to_prometheus",
     "writable_path", "write_snapshot",
 ]
 

@@ -6,10 +6,11 @@ that can delay a packet — link serialization/propagation in
 traversal — re-derives a **trace id** from the frame bytes and, when
 the packet is sampled, appends a postcard ``(time, kind, hop, dpid)``
 to a bounded collector.  Nothing is added to the packet: the id is a
-seeded CRC over the *trailing* bytes of the frame, which are invariant
-under VLAN tagging/stripping (the tag is inserted after the source
-MAC) and unique per packet for the workload/probe payloads (both embed
-a per-packet send timestamp).
+seeded CRC over the trailing 64 bytes of the frame, which are unique
+per packet for the workload/probe payloads (both embed a per-packet
+send timestamp).  A VNF that rewrites those bytes (a NAT rewriting a
+short frame's addresses or ports) gives the packet a new id from that
+hop on.
 
 Sampling is deterministic: a packet is traced iff
 ``crc32(frame[-64:], seed) % rate == 0``, so the same seed and the
@@ -33,10 +34,10 @@ On top of the collector sit two consumers:
 
 :class:`repro.pox.steering.TrafficSteering` registers/unregisters the
 expected paths; :class:`repro.core.ESCAPE` exposes the bundle instance
-as ``escape.flowtrace`` and through the ``flowtrace`` console command;
-the campaign runner enables it per scenario (``flowtrace:`` key),
-writes one JSONL line per trace, and embeds the aggregated report in
-the result bundle (schema 4).
+as ``escape.flowtrace``; the campaign runner enables it per scenario
+(``flowtrace:`` key), writes one JSONL line per trace, and embeds the
+aggregated report in the result bundle, which ``escape flowtrace``
+renders.
 """
 
 import json
@@ -49,7 +50,7 @@ from repro.telemetry.export import find_files, writable_path
 from repro.telemetry.metrics import nearest_rank
 
 __all__ = ["FlowTrace", "FlowTraceError", "load_flowtrace_report",
-           "render_flowtrace_report", "report_from_jsonl"]
+           "render_flowtrace_report"]
 
 
 class FlowTraceError(Exception):
@@ -113,7 +114,9 @@ class FlowTrace:
     checker.  Off by default; the disabled hot path is a single
     attribute check at every instrumented site."""
 
-    DIGEST_TAIL = 64     # trailing frame bytes hashed into the trace id
+    # trailing frame bytes hashed into the trace id: a VNF that rewrites
+    # any of them changes the id from that hop on
+    DIGEST_TAIL = 64
     DEFAULT_RATE = 64    # sample 1 in N packets when enabled
 
     def __init__(self, events=None, rate: int = DEFAULT_RATE,
@@ -128,7 +131,6 @@ class FlowTrace:
         self.truncated = 0
         self._traces: "OrderedDict[int, _Trace]" = OrderedDict()
         self._paths: List[_ExpectedPath] = []
-        self._chain_rates: Dict[str, int] = {}
         self._flagged: set = set()
         self.configure(rate=rate, seed=seed)
 
@@ -163,23 +165,12 @@ class FlowTrace:
         self.evicted = 0
         self.truncated = 0
 
-    def set_chain_rate(self, chain: str, rate: int) -> None:
-        """Coarsen sampling for one chain.  Applied at aggregation:
-        a chain-rate trace set is the subset of the base-rate set with
-        ``trace_id % rate == 0``, so it must be a multiple of the base
-        rate to select anything."""
-        rate = int(rate)
-        if rate < self.rate or rate % self.rate:
-            raise FlowTraceError(
-                "chain rate %d must be a multiple of the base rate %d"
-                % (rate, self.rate))
-        self._chain_rates[chain] = rate
-
     # -- hot path ---------------------------------------------------------
 
     def digest(self, data: bytes) -> int:
-        """The trace id of a frame: seeded CRC over its trailing bytes
-        (invariant under VLAN tag insertion/removal)."""
+        """The trace id of a frame: seeded CRC over its trailing
+        ``DIGEST_TAIL`` bytes, so a hop that rewrites them (a NAT on a
+        short frame) changes it."""
         return zlib.crc32(data[-self.DIGEST_TAIL:], self._basis)
 
     def record(self, kind: str, hop: str, now: float, data: bytes,
@@ -298,7 +289,7 @@ class FlowTrace:
     def aggregate(self) -> Dict[str, Any]:
         """The per-chain hop-latency breakdown + conformance report."""
         chains, unclassified = _summarize_chains(
-            self.trace_records(), self.rate, self._chain_rates,
+            self.trace_records(), self.rate,
             self._flag_nonconformant if self._events is not None else None)
         return {
             "enabled": self.enabled,
@@ -361,8 +352,6 @@ class FlowTrace:
                              "traces": len(records),
                              "postcards": self.postcards,
                              "evicted": self.evicted}}
-            if self._chain_rates:
-                meta["meta"]["chain_rates"] = dict(self._chain_rates)
             handle.write(json.dumps(meta, sort_keys=True) + "\n")
             for record in records:
                 handle.write(json.dumps(record, sort_keys=True) + "\n")
@@ -381,14 +370,13 @@ class FlowTrace:
             len(self._traces), self.postcards)
 
 
-def _summarize_chains(records, rate: int, chain_rates: Dict[str, int],
+def _summarize_chains(records, rate: int,
                       flag=None) -> Tuple[Dict[str, Any], int]:
     """Bucket trace records by chain and summarise each bucket: the
-    per-chain hop-latency breakdown of a report, live or offline.  A
-    chain with its own (coarser) rate keeps only the traces whose id it
-    selects.  ``flag(chain, record)`` is called for each nonconformant
-    trace kept.  Returns the summaries by chain and the count of
-    unclassified traces."""
+    per-chain hop-latency breakdown of a report, every chain sampled at
+    the base ``rate``.  ``flag(chain, record)`` is called for each
+    nonconformant trace.  Returns the summaries by chain and the count
+    of unclassified traces."""
     buckets: Dict[str, Dict[str, Any]] = {}
     unclassified = 0
     for record in records:
@@ -396,11 +384,8 @@ def _summarize_chains(records, rate: int, chain_rates: Dict[str, int],
         if chain is None:
             unclassified += 1
             continue
-        chain_rate = chain_rates.get(chain, rate)
-        if chain_rate and record["trace"] % chain_rate:
-            continue  # chain sampled coarser than the base rate
         bucket = buckets.setdefault(chain, {
-            "rate": chain_rate, "one_ways": [],
+            "rate": rate, "one_ways": [],
             "hops": OrderedDict(), "nonconformant": 0})
         bucket["one_ways"].append(record["one_way"])
         for label, delta in _iter_deltas(record["hops"]):
@@ -445,59 +430,30 @@ def _summarize_chain(bucket: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
-# -- offline report loading (the `escape flowtrace` CLI) ----------------------
-
-def report_from_jsonl(path: str) -> Dict[str, Any]:
-    """Rebuild the aggregated report from a ``flowtrace.jsonl`` file
-    (chain classification and conformance were already resolved when
-    the lines were written)."""
-    meta: Dict[str, Any] = {}
-    records = []
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            if "meta" in record:
-                meta = record["meta"]
-            else:
-                records.append(record)
-    chains, unclassified = _summarize_chains(
-        records, meta.get("rate", 0), meta.get("chain_rates", {}))
-    return {
-        "rate": meta.get("rate"), "seed": meta.get("seed"),
-        "traces": len(records), "postcards": meta.get("postcards", 0),
-        "evicted": meta.get("evicted", 0),
-        "unclassified": unclassified, "chains": chains,
-    }
-
+# -- report loading (the `escape flowtrace` CLI) -----------------------------
 
 def load_flowtrace_report(source: str) -> Dict[str, Any]:
-    """A flowtrace report from a ``bundle.json``, a
-    ``flowtrace.jsonl``, or a directory containing either."""
+    """The flowtrace report of a ``bundle.json``, or of the first
+    bundle carrying one under a results directory."""
     if os.path.isdir(source):
-        found = find_files(source, ("bundle.json", "flowtrace.jsonl"))
-        # bundles first: their report is already summarised
-        for path in sorted(found, key=lambda p: p.endswith(".jsonl")):
+        for path in find_files(source):
             try:
                 return load_flowtrace_report(path)
             except FlowTraceError:
                 continue
         raise FlowTraceError(
-            "no bundle.json/flowtrace.jsonl with a flowtrace section "
-            "under %s" % source)
+            "no bundle.json with a flowtrace section under %s" % source)
     if not os.path.exists(source):
         raise FlowTraceError("no such file: %s" % source)
-    if source.endswith(".jsonl"):
-        return report_from_jsonl(source)
-    with open(source) as handle:
-        data = json.load(handle)
-    if "flowtrace" in data:
+    try:
+        with open(source) as handle:
+            data = json.load(handle)
+    except ValueError:
+        data = None
+    if isinstance(data, dict) and "flowtrace" in data:
         return data["flowtrace"]
-    if "chains" in data and "traces" in data:
-        return data  # a bare report dump
-    raise FlowTraceError("%s carries no flowtrace section" % source)
+    raise FlowTraceError("%s is not a bundle.json with a flowtrace "
+                         "section" % source)
 
 
 def _fmt_s(value: Optional[float]) -> str:

@@ -62,9 +62,9 @@ class RegionStat:
 
 def render_regions(regions: Dict[str, Dict[str, Any]],
                    limit: int = 10) -> List[str]:
-    """The region table the console (``profile``) and ``escape perf
-    report`` both print: :meth:`RegionStat.to_dict`
-    records by name, most self-time first; ``limit=0`` shows all."""
+    """The region table ``escape perf report`` prints:
+    :meth:`RegionStat.to_dict` records by name, most self-time first;
+    ``limit=0`` shows all."""
     ordered = sorted(regions.items(),
                      key=lambda item: (-item[1]["self_s"], item[0]))
     shown = ordered[:limit] if limit > 0 else ordered

@@ -266,7 +266,7 @@ class TestChaosEngine:
     def _signature_for(self, seed):
         escape = fresh_escape()
         deploy(escape)
-        escape.inject_chaos({
+        engine = escape.inject_chaos({
             "name": "det", "seed": seed,
             "faults": [
                 {"kind": "vnf_crash", "at": 0.5},
@@ -276,7 +276,6 @@ class TestChaosEngine:
                 {"kind": "link_degrade", "at": 4.0, "duration": 0.5,
                  "loss": 0.3},
             ]})
-        engine = escape.chaos_engines[0]
         escape.run(6.0)
         return engine.signature()
 

@@ -1,11 +1,23 @@
-"""Tests for the ESCAPE-level CLI commands."""
+"""Tests for the ESCAPE-level CLI commands.
+
+The console drives services and reads state.  Profiling, flow tracing
+and faults are switched on by the scenario file and read back with the
+``escape`` command, or driven through ``escape.profiler``,
+``escape.flowtrace`` and ``escape.inject_chaos``.  The console carries
+none of them; the classes after the service commands check each of
+those jobs through the front end that does it.
+"""
 
 import json
 
 import pytest
 
+from repro.chaos import FaultError
+from repro.cli import main as cli_main
 from repro.core import ESCAPE
 from repro.core.sgfile import load_topology
+from repro.scenario.runner import BUNDLE_SCHEMA
+from repro.telemetry import FlowTraceError, render_flowtrace_report
 
 TOPOLOGY = {
     "nodes": [
@@ -24,6 +36,13 @@ TOPOLOGY = {
         {"from": "nc2", "to": "s1", "delay": 0.0005},
     ],
 }
+
+# Mininet's ten, then the ESCAPE service and observability commands
+CONSOLE_COMMANDS = (
+    "help", "nodes", "net", "links", "dump", "pingall", "ping", "flows",
+    "vnfs", "resources",
+    "services", "deploy", "undeploy", "migrate", "topology", "catalog",
+    "status", "metrics", "trace", "health", "sla", "events", "record")
 
 SG = {
     "name": "cli-chain",
@@ -116,48 +135,71 @@ class TestServiceCommands:
         assert parsed["services"]["cli-chain"]["active"] is True
 
 
+class TestCommandSurface:
+    def test_help_lists_exactly_the_kept_commands(self, console):
+        _escape, cli, _sg = console
+        output = cli.run_command("help")
+        assert output == "Commands: " + " ".join(sorted(CONSOLE_COMMANDS))
+
+    def test_removed_commands_are_unknown(self, console):
+        escape, cli, _sg = console
+        for line in ("flowtrace", "flowtrace on 4 1", "profile",
+                     "profile on", "chaos", "chaos run chaos.json"):
+            command = line.split()[0]
+            assert cli.run_command(line) == (
+                "*** Unknown command: %s (try 'help')" % command)
+        assert not escape.profiler.enabled
+        assert not escape.flowtrace.enabled
+
+
 class TestProfilingCommands:
     def _profiled_traffic(self, escape, cli, sg_path):
-        cli.run_command("profile on")
+        escape.profiler.enable()
         cli.run_command("deploy %s" % sg_path)
         h1, h2 = escape.net.get("h1"), escape.net.get("h2")
         h1.start_udp_flow(h2.ip, 5001, rate_pps=200, duration=0.5,
                           payload_size=100)
         escape.run(1.0)
 
-    def test_profile_toggles_and_reports(self, console):
+    def test_profile_toggles_and_reports(self, console, tmp_path, capsys):
+        """``escape.profiler`` switches on, off and clears; its regions
+        print through ``escape perf report``."""
         escape, cli, sg_path = console
-        assert "profiler is off" in cli.run_command("profile")
-        assert "enabled" in cli.run_command("profile on")
-        assert escape.profiler.enabled
+        profiler = escape.profiler
+        assert not profiler.enabled and profiler.stats == {}
         self._profiled_traffic(escape, cli, sg_path)
-        report = cli.run_command("profile")
+        assert profiler.enabled
+        regions = profiler.report()
         # event kinds and hand-placed regions, one table
-        assert "netem.link.Link._deliver" in report
-        assert "netem.link.transmit" in report
-        assert "core.mapping.solve" in report
-        # every region, the table `escape perf report` prints, then the
-        # profiler's own cost
-        lines = report.splitlines()
-        assert lines[0].startswith("region ") and "self(s)" in lines[0]
-        assert len(lines) == len(escape.profiler.stats) + 2
-        assert lines[-1].startswith("profiler: %d entries"
-                                    % escape.profiler.entries)
-        assert "disabled" in cli.run_command("profile off")
-        assert not escape.profiler.enabled
-        cli.run_command("profile reset")
-        assert escape.profiler.stats == {}
-        assert "usage" in cli.run_command("profile bogus")
+        for name in ("netem.link.Link._deliver", "netem.link.transmit",
+                     "core.mapping.solve"):
+            assert name in regions
+        bundle = {"schema": BUNDLE_SCHEMA, "seed": 1,
+                  "scenario": {"name": "console"},
+                  "dispatched": escape.sim.processed,
+                  "throughput": {}, "profiler": regions}
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps(bundle))
+        assert cli_main(["perf", "report", str(path), "--limit", "0"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        # title, event count, every region under one header, throughput
+        assert lines[2].startswith("region ") and "self(s)" in lines[2]
+        assert len(lines) == len(regions) + 4
+        assert {line.split()[0] for line in lines[3:-1]} == set(regions)
+        profiler.disable()
+        assert not profiler.enabled
+        profiler.reset()
+        assert profiler.stats == {}
 
     def test_help_includes_profiling_commands(self, console):
         _escape, cli, _sg = console
         output = cli.run_command("help").split()
-        assert "profile" in output
-        # the region table is `profile report` (and `escape perf
-        # report`); campaigns are `escape scenario` from the shell
-        for command in ("dispatch", "flame", "top", "series", "scenario"):
+        # the region table is `escape perf report` of a `profile: true`
+        # scenario; campaigns are `escape scenario` from the shell
+        for command in ("profile", "dispatch", "flame", "top", "series",
+                        "scenario"):
             assert command not in output
-        assert len(cli.commands) == 26
+        assert len(cli.commands) == 23
 
 
 class TestFlowtraceCommands:
@@ -171,63 +213,57 @@ class TestFlowtraceCommands:
         escape.run(1.0)
 
     def test_sampling_session(self, console, tmp_path):
+        """``escape.flowtrace`` samples, lists, reports, exports, stops
+        and clears; the console's ``health`` shows the sampler."""
         escape, cli, sg_path = console
-        assert cli.run_command("flowtrace").startswith("flowtrace off")
-        assert "no sampled traces" in cli.run_command("flowtrace traces")
-        assert (cli.run_command("flowtrace on 4 1")
-                == "flowtrace on: sampling 1/4, seed 1")
-        assert escape.flowtrace.enabled
+        flowtrace = escape.flowtrace
+        assert flowtrace.status()["enabled"] is False
+        assert flowtrace.trace_records() == []
+        flowtrace.enable(rate=4, seed=1)
         cli.run_command("deploy %s" % sg_path)
         self._traffic(escape)
-        status = cli.run_command("flowtrace status")
-        assert status.startswith("flowtrace on: 1/4 sampling (seed 1), ")
-        sampled = len(escape.flowtrace)
-        assert 4 <= sampled <= 40 and "%d trace(s)" % sampled in status
+        status = flowtrace.status()
+        assert (status["enabled"], status["rate"], status["seed"]) == (
+            True, 4, 1)
+        sampled = len(flowtrace)
+        assert 4 <= sampled <= 40 and status["traces"] == sampled
+        assert ("flowtrace: 1/4 sampling, %d trace(s)" % sampled
+                in cli.run_command("health"))
 
-        rows = cli.run_command("flowtrace traces 3").splitlines()
-        assert rows[0].split() == ["TRACE", "T", "HOPS", "CHAIN",
-                                   "ONE-WAY", "CONFORMANT"]
-        assert len(rows) == 4
-        assert any("cli-chain" in row and row.endswith("yes")
-                   for row in rows[1:])
+        records = flowtrace.trace_records()
+        assert len(records) == sampled
+        assert any(record["chain"] == "cli-chain"
+                   and record["conformant"] is True
+                   for record in records[-3:])
 
-        report = cli.run_command("flowtrace report")
+        report = render_flowtrace_report(
+            flowtrace.publish(escape.telemetry.metrics))
         assert "cli-chain: " in report and "one-way p50=3.000ms" in report
         assert "vnf:nc1/cli-chain-fw-1" in report or \
             "vnf:nc2/cli-chain-fw-1" in report
-        assert cli.run_command("flowtrace report cli-chain").count(
+        one_chain = flowtrace.aggregate()
+        assert render_flowtrace_report(one_chain, chain="cli-chain").count(
             "cli-chain: ") == 1
-        assert "no flowtrace data for chain 'ghost'" in cli.run_command(
-            "flowtrace report ghost")
-
-        assert (cli.run_command("flowtrace chain cli-chain 8")
-                == "chain cli-chain sampled at 1/8")
-        assert "multiple of the base rate" in cli.run_command(
-            "flowtrace chain cli-chain 6")
+        assert "no flowtrace data for chain 'ghost'" in (
+            render_flowtrace_report(one_chain, chain="ghost"))
 
         target = tmp_path / "traces" / "flowtrace.jsonl"
-        assert cli.run_command("flowtrace jsonl %s" % target) == (
-            "wrote %d trace(s) to %s" % (sampled, target))
+        assert flowtrace.write_jsonl(str(target)) == sampled
         lines = [json.loads(line)
                  for line in target.read_text().splitlines()]
         assert lines[0]["meta"]["rate"] == 4 and len(lines) == sampled + 1
 
-        assert cli.run_command("flowtrace off") == (
-            "flowtrace off (%d trace(s) kept)" % sampled)
-        assert not escape.flowtrace.enabled
-        assert cli.run_command("flowtrace reset") == "flowtrace reset"
-        assert len(escape.flowtrace) == 0
+        flowtrace.disable()
+        assert not flowtrace.enabled and len(flowtrace) == sampled
+        flowtrace.reset()
+        assert len(flowtrace) == 0
 
     def test_usage_and_bad_arguments(self, console):
-        _escape, cli, _sg = console
-        assert cli.run_command("flowtrace bogus").startswith(
-            "usage: flowtrace [status] | on [rate] [seed] | off")
-        assert cli.run_command("flowtrace chain only-a-name") == (
-            "usage: flowtrace chain <name> <rate>")
-        assert cli.run_command("flowtrace jsonl") == (
-            "usage: flowtrace jsonl <output-file>")
-        assert cli.run_command("flowtrace on fast").startswith("*** ")
-        assert cli.run_command("flowtrace chain x fast").startswith("*** ")
+        escape, _cli, _sg = console
+        for rate in (0, -4):
+            with pytest.raises(FlowTraceError, match="rate"):
+                escape.flowtrace.enable(rate=rate)
+        assert not escape.flowtrace.enabled
 
 
 class TestChaosCommands:
@@ -236,40 +272,40 @@ class TestChaosCommands:
                            {"kind": "link_down", "at": 0.4}]}
 
     def test_run_status_heal_recovery(self, console, tmp_path):
+        """A scenario file armed through ``inject_chaos``; the engine
+        it returns heals, and ``health()`` carries the repairs."""
         escape, cli, sg_path = console
-        assert "no chaos scenarios armed" in cli.run_command("chaos")
         cli.run_command("deploy %s" % sg_path)
         scenario = tmp_path / "chaos.json"
         scenario.write_text(json.dumps(self.SCENARIO))
-        assert cli.run_command("chaos run %s" % scenario) == (
-            "armed cli-chaos: 2 fault(s), seed 3")
-        assert cli.run_command("chaos status") == (
-            "cli-chaos: seed=3, 0 injected, 0 active")
+        engine = escape.inject_chaos(str(scenario))
+        assert (engine.scenario.name, engine.scenario.seed,
+                len(engine.scenario.faults)) == ("cli-chaos", 3, 2)
+        assert engine.injections == [] and engine.active == []
         escape.run(1.0)
-        status = cli.run_command("chaos status").splitlines()
-        assert status[0] == "cli-chaos: seed=3, 2 injected, 2 active"
-        assert [line.split()[1] for line in status[1:]] == [
+        assert [record["kind"] for record in engine.injections] == [
             "vnf_crash", "link_down"]
-        assert "cli-chain-fw-1" in status[1]
-        assert cli.run_command("chaos heal") == "healed 2 active fault(s)"
-        assert cli.run_command("chaos heal") == "healed 0 active fault(s)"
+        assert len(engine.active) == 2
+        assert "cli-chain-fw-1" in engine.injections[0]["target"]
+        assert engine.heal_all() == 2
+        assert engine.heal_all() == 0
         escape.run(1.0)
-        recovery = cli.run_command("chaos recovery").splitlines()
-        assert recovery[0] == "2 repair(s), 0 pending, unrecovered: none"
-        assert [line.split()[1] for line in recovery[1:]] == ["vnf", "link"]
-        assert all("mttr=" in line for line in recovery[1:])
+        recovery = escape.health()["recovery"]
+        assert (recovery["repairs"], recovery["pending"],
+                recovery["unrecovered"]) == (2, [], [])
+        assert [action["kind"] for action in recovery["actions"]] == [
+            "vnf", "link"]
+        assert all(action["mttr"] is not None
+                   for action in recovery["actions"])
 
     def test_usage_and_bad_files(self, console, tmp_path):
-        _escape, cli, _sg = console
-        assert cli.run_command("chaos bogus") == (
-            "usage: chaos [status] | run <scenario.json> | heal | recovery")
-        assert cli.run_command("chaos run") == (
-            "usage: chaos run <scenario.json path>")
-        assert cli.run_command("chaos run %s" % (tmp_path / "missing.json")
-                               ).startswith("*** ")
+        escape, _cli, _sg = console
+        with pytest.raises(OSError):
+            escape.inject_chaos(str(tmp_path / "missing.json"))
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"faults": [{"kind": "meteor", "at": 1}]}))
-        assert "unknown kind 'meteor'" in cli.run_command(
-            "chaos run %s" % bad)
-        assert cli.run_command("chaos recovery") == (
-            "0 repair(s), 0 pending, unrecovered: none")
+        with pytest.raises(FaultError, match="unknown kind 'meteor'"):
+            escape.inject_chaos(str(bad))
+        recovery = escape.health()["recovery"]
+        assert (recovery["repairs"], recovery["pending"],
+                recovery["unrecovered"]) == (0, [], [])

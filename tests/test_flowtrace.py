@@ -4,10 +4,11 @@ Two acceptance criteria for the subsystem live here: sampling is
 deterministic (the same seed and scenario reproduce the byte-identical
 sampled set AND the identical aggregated hop-latency breakdown), and
 the chain-conformance checker flags an injected mis-steered flow.
-Around them: the disabled-by-default contract, collector bounds,
-digest invariance under VLAN tagging, hop-latency attribution through
-a deployed chain, the FlightRecorder trace-id join, per-cause link
-drop counters in ``health()``, and the JSONL export/CLI path.
+Around them: the disabled-by-default contract, collector bounds, what
+the digest reads (the frame's trailing 64 bytes), hop-latency
+attribution through a deployed chain, the FlightRecorder trace-id
+join, per-cause link drop counters in ``health()``, the JSONL export
+and the ``escape flowtrace`` bundle reader.
 """
 
 import json
@@ -23,8 +24,7 @@ from repro.openflow import Match
 from repro.packet import Ethernet, IPv4, UDP, Vlan
 from repro.scenario.runner import CampaignRunner
 from repro.telemetry.events import EventLog
-from repro.telemetry.flowtrace import (FlowTrace, FlowTraceError,
-                                       report_from_jsonl)
+from repro.telemetry.flowtrace import FlowTrace, FlowTraceError
 
 TOPOLOGY = {
     "nodes": [
@@ -128,8 +128,8 @@ class TestSampler:
                 != {t.id for t in nine._traces.values()})
 
     def test_digest_invariant_under_vlan_tag(self):
-        """Steering tags frames mid-path; the trace id must survive so
-        postcards from tagged and untagged hops join up."""
+        """The id reads only the trailing 64 bytes: a header change in
+        front of them (here a VLAN tag) leaves it alone."""
         tracer = FlowTrace()
         payload = struct.pack("!I", 42) + b"flowtrace-pad" * 8
         plain = Ethernet(type=Ethernet.IP_TYPE,
@@ -140,6 +140,21 @@ class TestSampler:
                           payload=Vlan(vid=55, type=Ethernet.IP_TYPE,
                                        payload=plain.payload))
         assert tracer.digest(plain.pack()) == tracer.digest(tagged.pack())
+
+    def test_digest_changes_when_a_hop_rewrites_the_tail(self):
+        """On a short frame the tail covers the IP header: a rewrite of
+        the source address (a NAT) gives the packet a new id."""
+        tracer = FlowTrace()
+
+        def frame(srcip):
+            return Ethernet(type=Ethernet.IP_TYPE,
+                            payload=IPv4(srcip=srcip, dstip="10.0.0.2",
+                                         protocol=IPv4.UDP_PROTOCOL,
+                                         payload=UDP(srcport=1, dstport=2,
+                                                     payload=b"x"))).pack()
+        assert len(frame("10.0.0.1")) <= FlowTrace.DIGEST_TAIL
+        assert (tracer.digest(frame("10.0.0.1"))
+                != tracer.digest(frame("10.0.0.99")))
 
     def test_collector_is_bounded(self):
         tracer = FlowTrace(max_traces=4)
@@ -159,14 +174,6 @@ class TestSampler:
         (trace,) = tracer._traces.values()
         assert len(trace.hops) == 3
         assert tracer.truncated == 3
-
-    def test_chain_rate_must_be_multiple_of_base(self):
-        tracer = FlowTrace(rate=64)
-        with pytest.raises(FlowTraceError, match="multiple"):
-            tracer.set_chain_rate("c1", 96)
-        with pytest.raises(FlowTraceError, match="multiple"):
-            tracer.set_chain_rate("c1", 32)
-        tracer.set_chain_rate("c1", 128)  # fine
 
     def test_rate_below_one_rejected(self):
         with pytest.raises(FlowTraceError, match="rate"):
@@ -314,36 +321,26 @@ class TestEscapeIntegration:
         assert status["postcards"] == 0
 
     def test_jsonl_round_trip(self, escape, tmp_path):
+        """The JSONL file is the postcard log: a meta line, then one
+        line per trace record, as ``trace_records`` returns them."""
         escape.deploy_service(load_service_graph(CHAIN_SG))
         escape.flowtrace.enable(rate=1)
         drive_unique_udp(escape, packets=8)
         live = escape.flowtrace.aggregate()
-        path = str(tmp_path / "flowtrace.jsonl")
-        written = escape.flowtrace.write_jsonl(path)
-        assert written == live["traces"]
-        offline = report_from_jsonl(path)
-        assert offline["traces"] == live["traces"]
-        live_chain = live["chains"]["trace-chain"]
-        offline_chain = offline["chains"]["trace-chain"]
-        assert offline_chain["one_way"] == live_chain["one_way"]
-        assert offline_chain["nonconformant"] == \
-            live_chain["nonconformant"]
-
-    def test_jsonl_report_keeps_chain_rates(self, escape, tmp_path):
-        """One run gives one per-chain report, whether it is read from
-        the bundle (publish) or rebuilt from the JSONL file."""
-        escape.deploy_service(load_service_graph(CHAIN_SG))
-        escape.flowtrace.enable(rate=1)
-        escape.flowtrace.set_chain_rate("trace-chain", 4)
-        drive_unique_udp(escape, packets=64)
-        live = escape.flowtrace.publish(escape.telemetry.metrics)
-        path = str(tmp_path / "flowtrace.jsonl")
-        escape.flowtrace.write_jsonl(path)
-        offline = report_from_jsonl(path)
-        assert live["chains"]["trace-chain"]["rate"] == 4
-        assert 0 < live["chains"]["trace-chain"]["traces"] \
-            < offline["traces"]
-        assert offline["chains"] == live["chains"]
+        path = tmp_path / "flowtrace.jsonl"
+        written = escape.flowtrace.write_jsonl(str(path))
+        assert written == live["traces"] > 0
+        meta, *records = [json.loads(line)
+                          for line in path.read_text().splitlines()]
+        assert meta == {"meta": {"rate": 1, "seed": escape.flowtrace.seed,
+                                 "traces": written,
+                                 "postcards": escape.flowtrace.postcards,
+                                 "evicted": 0}}
+        assert records == json.loads(json.dumps(
+            escape.flowtrace.trace_records()))
+        assert sum(record["chain"] == "trace-chain"
+                   for record in records) \
+            == live["chains"]["trace-chain"]["traces"]
 
     def test_publish_exports_chain_gauges(self, escape):
         escape.deploy_service(load_service_graph(CHAIN_SG))
@@ -415,11 +412,20 @@ class TestScenarioDeterminism:
         assert "HOP" in out and "SHARE" in out
 
     def test_cli_json_output(self, twin_runs, capsys):
-        jsonl = twin_runs[0].bundles[0]["flowtrace"]["jsonl"]["path"]
-        assert cli_main(["flowtrace", jsonl, "--json"]) == 0
+        run_dir = os.path.dirname(
+            twin_runs[0].bundles[0]["flowtrace"]["jsonl"]["path"])
+        bundle = os.path.join(run_dir, "bundle.json")
+        assert cli_main(["flowtrace", bundle, "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
+        assert report == twin_runs[0].bundles[0]["flowtrace"]
         assert report["traces"] > 0
         assert report["chains"]
+
+    def test_cli_refuses_the_postcard_log(self, twin_runs, capsys):
+        jsonl = twin_runs[0].bundles[0]["flowtrace"]["jsonl"]["path"]
+        assert cli_main(["flowtrace", jsonl]) == 2
+        err = capsys.readouterr().err
+        assert jsonl in err and "bundle.json" in err
 
     def test_cli_rejects_missing_source(self, capsys):
         assert cli_main(["flowtrace", "/nonexistent/nowhere"]) == 2

@@ -154,26 +154,6 @@ class TestLink:
         sim.run()
         assert got == []
 
-    def test_flap_is_down_for_its_duration_then_up(self):
-        sim = Simulator()
-        intf1, intf2, link = make_pair(sim)
-        got = []
-        intf2.receive = got.append
-        link.flap(0.5)
-        assert not link.up
-        intf1.send(b"lost")
-        sim.run(until=0.49)
-        assert got == [] and not link.up
-        sim.run(until=0.51)
-        assert link.up
-        intf1.send(b"kept")
-        sim.run()
-        assert got == [b"kept"]
-        assert [event.name for event in sim.telemetry.events.query(
-            source="netem.link")] == ["link.down", "link.up"]
-        with pytest.raises(ValueError, match="down_for"):
-            link.flap(0.0)
-
     def test_counters(self):
         sim = Simulator()
         intf1, intf2, link = make_pair(sim)

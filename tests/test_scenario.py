@@ -138,6 +138,28 @@ chaos:
             with pytest.raises(SpecError, match=key):
                 load_scenario(dict(SMOKE_SCENARIO, **{key: value}))
 
+    @pytest.mark.parametrize("section, text, bad", [
+        ("chains", "{templats: [web]}", "templats"),
+        ("sla", "{max_dealy: 0.05}", "max_dealy"),
+        ("flowtrace", "{rat: 8}", "rat"),
+        ("flowtrace", "{rate: 8, chains: {chain1-web: 64}}", "chains"),
+        ("chaos", "{fautls: [{kind: vnf_crash, at: 1.0}]}", "fautls"),
+    ])
+    def test_section_keys_checked_at_load(self, section, text, bad):
+        """A misspelt key in a section is a SpecError naming it when
+        the file loads, not a run on the section's defaults (no SLA
+        monitor, the ``bump`` template, 1/64 sampling)."""
+        base = ("name: typo\nduration: 1.0\n"
+                "topology: {kind: fat_tree, k: 2}\n")
+        with pytest.raises(SpecError, match="^unknown %s key\\(s\\): %s "
+                                            "\\(known: " % (section, bad)):
+            load_scenario(base + "%s: %s\n" % (section, text))
+        good = {"chains": "{count: 1, templates: [web]}",
+                "sla": "{max_delay: 0.05}",
+                "flowtrace": "{rate: 8, seed: 3}",
+                "chaos": "{name: c, seed: 2, faults: []}"}[section]
+        assert load_scenario(base + "%s: %s\n" % (section, good))
+
     @pytest.mark.parametrize("override, key, bad", [
         ({"escape_options": {"protecton": True}}, "escape_options",
          "protecton"),

@@ -598,14 +598,6 @@ def _link(**shaping):
                 Interface("b", None, EthAddr(2)), **shaping)
 
 
-def _flap(down_for):
-    link = _link()
-    try:
-        link.flap(down_for)
-    finally:
-        assert link.up  # refused before the link went down
-
-
 def _click(config, handler, value):
     router = Router.from_config(config)
     router.write_handler(handler, value)
@@ -626,13 +618,12 @@ DELAYED = "Idle -> dq :: DelayQueue(0.1) -> Unqueue -> Discard;"
     lambda: _link().set_degradation(delay=NAN),
     lambda: _link().set_degradation(loss=NAN),
     lambda: _link().set_degradation(jitter=NAN),
-    lambda: _flap(NAN),
     lambda: ResourceBudget(cpu=NAN),
     lambda: _click(SHAPED, "sh.rate", "nan"),
     lambda: _click(DELAYED, "dq.delay", "nan"),
 ], ids=["schedule", "schedule_at", "wakeup.arm", "link.delay",
         "link.loss", "link.jitter", "link.bandwidth", "degrade.delay",
-        "degrade.loss", "degrade.jitter", "link.flap", "budget.cpu",
+        "degrade.loss", "degrade.jitter", "budget.cpu",
         "Shaper.rate", "DelayQueue.delay"])
 def test_nan_fails_every_range_check(refuse):
     """``json.loads`` reads ``NaN`` and the handlers parse strings, and
